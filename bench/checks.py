@@ -80,8 +80,12 @@ def _check_fourier(cfg: dict, out: Path) -> list[str]:
     fc = cfg["fourier"]
     rows = _rows(out / "fourier.csv")
     problems = []
-    if len(rows) != fc["xi_count"]:
-        problems.append(f"fourier.csv has {len(rows)} rows, expected {fc['xi_count']}")
+    expected = [int(x) for x in fc["xis"]] if "xis" in fc else None
+    count = fc["xi_count"] if expected is None else len(expected)
+    if len(rows) != count:
+        problems.append(f"fourier.csv has {len(rows)} rows, expected {count}")
+    elif expected is not None and [int(row[0]) for row in rows] != expected:
+        problems.append("fourier.csv frequencies differ from the config's xis")
     eps = fc["eps"]
     for row in rows:
         lo, hi = float(row[1]), float(row[2])

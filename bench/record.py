@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Repeat the benchmark over seeds and record medians and quartiles.
 
-    python3 bench/record.py --label baseline [--runs 10] [--workloads spectrum,orbit]
+    python3 bench/record.py --label baseline
 
-For each seed (DEFAULT_SEED, DEFAULT_SEED + 1, ...) it runs every workload
+For each of ten seeds (DEFAULT_SEED, DEFAULT_SEED + 1, ...) it runs every workload
 once with ``--trace 0``, then each workload once with ``--trace 1`` at the
 default seed, and writes ``bench/BENCH_<label>.json``: per workload and
 metric the values, their median, quartiles (``statistics.quantiles``,
@@ -23,6 +23,8 @@ import subprocess
 import sys
 
 from run import BENCH, DEFAULT_SEED, ROOT, WORKLOADS
+
+RUNS = 10  # seeds per workload in one record
 
 
 def bench_once(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -55,18 +57,15 @@ def git_sha() -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    workloads = args.workloads.split(",")
-    seeds = [DEFAULT_SEED + i for i in range(args.runs)]
-    values: dict[str, dict[str, list[float]]] = {w: {} for w in workloads}
+    seeds = [DEFAULT_SEED + i for i in range(RUNS)]
+    values: dict[str, dict[str, list[float]]] = {w: {} for w in WORKLOADS}
     incorrect = []
     for seed in seeds:
-        for w in workloads:
+        for w in WORKLOADS:
             result = bench_once(w, seed, seconds, 0)
             if not result["correct"]:
                 incorrect.append((w, seed))
@@ -82,10 +81,10 @@ def main() -> int:
         "machine": platform.machine(),
         "run_seconds": seconds,
         "seeds": seeds,
-        "end_to_end": {w: {name: summary(v) for name, v in values[w].items()} for w in workloads},
+        "end_to_end": {w: {name: summary(v) for name, v in values[w].items()} for w in WORKLOADS},
         "per_layer": {},
     }
-    for w in workloads:
+    for w in WORKLOADS:
         result = bench_once(w, DEFAULT_SEED, seconds, 1)
         if not result["correct"]:
             incorrect.append((w, DEFAULT_SEED))
@@ -94,7 +93,7 @@ def main() -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
 
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    for w in workloads:
+    for w in WORKLOADS:
         for name, s in record["end_to_end"][w].items():
             flag = "ok" if s["spread"] < bounds[name] / 3 else "WIDE"
             print(f"{w:9s} {name:12s} median={s['median']:.4f} spread={s['spread']:.4f} "

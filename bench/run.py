@@ -11,14 +11,16 @@ The loop is closed with one client: one child at a time. A pass runs a
 workload's invocations in order; passes repeat until S seconds are used.
 
 --trace 0 reports the end-to-end metrics: ``wall_s`` (median pass wall
-time), ``setup_s`` (median of several fresh ``schedule`` invocations on the
-workload's first config) and ``peak_rss_mb`` (median over passes of the
-largest child RSS). Both times are calibrated: each invocation's wall time
-is scaled to the reference machine's speed by a fixed pure-Python task timed
-just before and after it (README.md, "Calibration"). --trace 1 spends half
-the time on untraced passes and half on passes launched through
-``tracer.py``; its result holds the per-layer metrics, and it prints the
-end-to-end ones too. Metric names and units come from BENCHMARK.json.
+time), ``setup_s`` (median of fresh ``schedule`` invocations on the
+workload's first config, at least SETUPS_PER_PASS per untraced pass, run
+after its invocations and kept out of the pass's time) and ``peak_rss_mb``
+(median over passes of the largest child RSS). Both times are calibrated:
+each invocation's wall time is scaled to the reference machine's speed by a
+fixed pure-Python task timed just before and after it (README.md,
+"Calibration"). --trace 1 spends half the time on untraced passes and half
+on passes launched through ``tracer.py``; its result holds the per-layer
+metrics, and it prints the end-to-end ones too. Metric names and units
+come from BENCHMARK.json.
 
 Every invocation must exit 0 and its artifacts must pass ``checks.validate``
 and hash to the same digests on every pass; with the default seed they must
@@ -59,9 +61,9 @@ DIGESTS = BENCH / "digests.json"
 TMP = ROOT / ".bench_tmp"
 
 DEFAULT_SEED = 1
-SETUP_REPEATS = 11
 TIMEOUT_S = 120
-CAL_REPS = 5  # calibration units measured between two invocations
+CAL_REPS = 9  # calibration units measured between two invocations
+SETUPS_PER_PASS = 4  # at least this many set-up samples per untraced pass
 CAL_REF_S = 0.009  # median calibration unit on the reference machine (2-core x86-64 VM)
 
 # workload -> (command, config) invocations of one pass, in order
@@ -70,7 +72,7 @@ WORKLOADS = {
     # transform do nearly all the work; the only workload on the pool path
     "spectrum": [
         ("fourier", "spectrum_shallow"),  # 2000 xi <= N_3, depth-28 schedule
-        ("fourier", "spectrum_deep"),  # 1500 64-bit xi, depth-105 schedule
+        ("fourier", "spectrum_deep"),  # 1000 fixed xi up to 1e80, depth-105 schedule
     ],
     # the h(b^n - b^m) pipeline: orders, digit enumeration, DEL series
     "orbit": [
@@ -125,8 +127,23 @@ def calibration_unit() -> float:
     return time.perf_counter() - t0
 
 
-def calibrate() -> float:
-    return statistics.median(calibration_unit() for _ in range(CAL_REPS))
+def calibrate(threads: int) -> float:
+    """Median calibration unit per thread, with ``threads`` units run at
+    once in this process. A workload whose children run a thread pool is
+    calibrated on as many threads, so the units contend for the GIL and
+    both cores as its children do."""
+    if threads == 1:
+        return statistics.median(calibration_unit() for _ in range(CAL_REPS))
+    groups = []
+    for _ in range(-(-CAL_REPS // threads)):
+        pool = [threading.Thread(target=calibration_unit) for _ in range(threads)]
+        t0 = time.perf_counter()
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        groups.append((time.perf_counter() - t0) / threads)
+    return statistics.median(groups)
 
 
 def child_env() -> dict[str, str]:
@@ -232,7 +249,9 @@ class Bench:
         self.digests: dict[str, str] = {}  # this run's digests, from its first pass
         self.validated: set[str] = set()
         self.count = 0
-        self.cal = calibrate()  # calibration measured after the last invocation
+        configs = [json.loads((CONFIGS / f"{config}.json").read_text()) for _, config in self.steps]
+        self.threads = max(cfg.get("workers", 1) for cfg in configs)
+        self.cal = calibrate(self.threads)  # calibration measured after the last invocation
         self.cals: list[float] = []
         self.notes: list[str] = []
 
@@ -250,7 +269,7 @@ class Bench:
         self.attempted += 1
         before = self.cal
         rc, call = spawn([sys.executable, *launcher, *args], self.env, work / "stderr.log")
-        self.cal = calibrate()
+        self.cal = calibrate(self.threads)
         self.cals.append(self.cal)
         call.calibrated = call.wall * CAL_REF_S / ((before + self.cal) / 2)
         tag = f"{command}:{config}"
@@ -280,10 +299,17 @@ class Bench:
         shutil.rmtree(work)
         return call
 
-    def run_pass(self, traced: bool) -> Pass:
+    def run_pass(self, traced: bool, setups: list[float] | None = None) -> Pass:
+        """One pass; with ``setups``, each invocation is followed by
+        ``schedule`` invocations on the first config, whose calibrated wall
+        times are appended there. Interleaved this way, the set-up samples
+        span the whole run rather than one phase of the machine."""
         p = Pass()
+        per_step = -(-SETUPS_PER_PASS // len(self.steps))
         for command, config in self.steps:
             call = self.invoke(command, config, traced)
+            if setups is not None:
+                setups += [self.invoke("schedule", self.steps[0][1], traced=False).calibrated for _ in range(per_step)]
             p.wall += call.wall
             p.calibrated += call.calibrated
             p.rss_mb = max(p.rss_mb, call.rss_mb)
@@ -295,10 +321,10 @@ class Bench:
                     p.layers[key] += value
         return p
 
-    def passes(self, traced: bool, until: float) -> list[Pass]:
-        done = [self.run_pass(traced)]
+    def passes(self, traced: bool, until: float, setups: list[float] | None = None) -> list[Pass]:
+        done = [self.run_pass(traced, setups)]
         while time.perf_counter() < until:
-            done.append(self.run_pass(traced))
+            done.append(self.run_pass(traced, setups))
         return done
 
     def run(self, seconds: float, trace: bool) -> tuple[dict[str, float], dict[str, int]]:
@@ -306,9 +332,9 @@ class Bench:
         goes to untraced passes and half to traced ones for the layer metrics."""
         first_config = self.steps[0][1]
         self.invoke("schedule", first_config, traced=False)  # warm-up: bytecode cache
-        setups = [self.invoke("schedule", first_config, traced=False).calibrated for _ in range(SETUP_REPEATS)]
+        setups: list[float] = []
         start = time.perf_counter()
-        plain = self.passes(False, start + (seconds / 2 if trace else seconds))
+        plain = self.passes(False, start + (seconds / 2 if trace else seconds), setups)
         metrics = {
             "wall_s": statistics.median(p.calibrated for p in plain),
             "setup_s": statistics.median(setups),
@@ -331,7 +357,10 @@ class Bench:
                 samples[name] = len(traced)
             metrics["trace.overhead_s"] = statistics.median(p.calibrated for p in traced) - metrics["wall_s"]
             samples["trace.overhead_s"] = len(traced)
-        self.notes.append(f"calibration unit: median {statistics.median(self.cals):.6f} s, reference {CAL_REF_S} s")
+        self.notes.append(
+            f"calibration unit on {self.threads} thread(s): median {statistics.median(self.cals):.6f} s, "
+            f"reference {CAL_REF_S} s"
+        )
         return metrics, samples
 
 
@@ -339,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--update-digests", action="store_true")
     args = parser.parse_args(argv)
@@ -349,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no moranlab sources under {SRC}", file=sys.stderr)
         return 2
     spec = json.loads(spec_path.read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {"seed": DEFAULT_SEED, "workloads": {}}
     expected = {}
     if args.seed == DEFAULT_SEED and not args.update_digests:
@@ -368,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
             print("\n".join(bench.failures) or f"recorded {len(bench.digests)} digests")
             return 1 if bench.failures else 0
-        values, samples = bench.run(args.seconds, bool(args.trace))
+        values, samples = bench.run(seconds, bool(args.trace))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         try:
