@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -86,21 +85,15 @@ def _modulus_table(
     sys: MoranSystem, b: int, h: int, N_max: int, eps_term: float, workers: int
 ) -> dict[int, tuple[float, float]]:
     """Certified |mu_hat| for every |h(b^n - b^m)| with m, n < N_max, keyed by
-    absolute frequency. Evaluation may fan out across threads; the table and
-    everything downstream are order-independent."""
+    absolute frequency. Evaluation is serial; `workers` does not change how
+    the work runs."""
     keys = {abs(frequency(h, b, n, m)) for m in range(N_max) for n in range(N_max)}
-    ordered = sorted(keys)
+    return {xi: _modulus(xi, sys, eps_term) for xi in sorted(keys)}
 
-    def one(xi: int) -> tuple[float, float]:
-        cert = mu_hat_modulus(xi, sys, eps_term)
-        return cert.lo, cert.hi
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, ordered))
-    else:
-        values = [one(xi) for xi in ordered]
-    return dict(zip(ordered, values))
+def _modulus(xi: int, sys: MoranSystem, eps: float) -> tuple[float, float]:
+    cert = mu_hat_modulus(xi, sys, eps)
+    return cert.lo, cert.hi
 
 
 def del_partial(
@@ -116,7 +109,8 @@ def del_partial(
     Each modulus is certified to width eps/N_max^3 (down to the double-
     precision floor) and memoized by absolute frequency; terms are then summed
     in fixed (N, m, n) order with compensated accumulation, so the result is
-    bit-identical for any worker count. The reported radius is the exact
+    bit-identical for any worker count (`workers` is accepted for
+    compatibility; evaluation is serial). The reported radius is the exact
     weighted sum of interval half-widths plus the accumulation slop.
     """
     if N_max < 1:
@@ -222,6 +216,7 @@ def block_trend(
 
     Every row is flagged: the bound's constants hold for r >= r1, far beyond
     any enumerable block, so the pairing is a trend diagnostic only.
+    Evaluation is serial; `workers` does not change how the work runs.
     """
     context = _context_for(sys, b, h, ctx)
     A, B = asymptotic_constants(context.gamma)
@@ -240,16 +235,7 @@ def block_trend(
                 raise InvalidParameter(f"m must be >= 0, got {m}")
             ns = range(m + 1, N_r)
             keys = sorted({abs(frequency(h, b, n, m)) for n in ns})
-
-            def one(xi: int) -> tuple[float, float]:
-                cert = mu_hat_modulus(xi, sys, eps)
-                return cert.lo, cert.hi
-
-            if workers > 1 and keys:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    table = dict(zip(keys, pool.map(one, keys)))
-            else:
-                table = {xi: one(xi) for xi in keys}
+            table = {xi: _modulus(xi, sys, eps) for xi in keys}
             acc = _Neumaier()
             for n in ns:
                 lo, hi = table[abs(frequency(h, b, n, m))]

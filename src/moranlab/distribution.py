@@ -301,7 +301,7 @@ def fiber_counts(
         raise InvalidRange(f"interval start {start} must exceed m = {mm}")
     expected = order_mod_reduced(ctx, s + 1, 0)
     if length != expected:
-        raise TooLarge(f"interval length must be ord = {expected}, got {length}")
+        raise InvalidRange(f"interval length must be ord = {expected}, got {length}")
     if length > ENUMERATION_GUARD:
         raise TooLarge(f"interval length {length} exceeds the enumeration guard")
 

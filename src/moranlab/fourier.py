@@ -8,7 +8,8 @@ infinite product of level masks
     M_n(t) = sum_d omega_{d,n} e^(-2 pi i d t).
 
 Frequencies are astronomically large integers, so every argument is reduced
-modulo 1 in exact rational arithmetic before any floating-point trigonometry;
+exactly, as an integer residue r = xi mod M_1...M_n, before any floating-point
+trigonometry sees the correctly rounded quotient r / (M_1...M_n);
 the float work is wrapped in outward-rounded intervals and the unevaluated
 tail of the product is bounded by a closed-form inequality chain. The result
 is a certified enclosure of |mu_hat(xi)|, not an estimate.
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
@@ -53,20 +53,100 @@ def _iadd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return _down(a[0] + b[0]), _up(a[1] + b[1])
 
 
-def _cos_tau(t: Fraction) -> tuple[float, float]:
-    # cos(2 pi t) for exact t in [0, 1)
-    c = math.cos(2.0 * math.pi * float(t))
+def _cos_tau(t: float) -> tuple[float, float]:
+    # cos(2 pi t) for t in [0, 1), the correctly rounded image of an exact value
+    c = math.cos(2.0 * math.pi * t)
     return max(-1.0, c - _TRIG_PAD), min(1.0, c + _TRIG_PAD)
 
 
-def _sin_tau(t: Fraction) -> tuple[float, float]:
-    s = math.sin(2.0 * math.pi * float(t))
+def _sin_tau(t: float) -> tuple[float, float]:
+    s = math.sin(2.0 * math.pi * t)
     return max(-1.0, s - _TRIG_PAD), min(1.0, s + _TRIG_PAD)
 
 
 def _fraction_interval(w: Fraction) -> tuple[float, float]:
     f = float(w)
     return _down(f), _up(f)
+
+
+def _half_mask(w: tuple[Fraction, ...]) -> tuple[float, float]:
+    # {0,1} digits at t = 1/2: cos is exactly -1, no trigonometric error to pad
+    m2 = float(1 - 4 * w[0] * w[1])
+    root = math.sqrt(max(0.0, m2))
+    return max(0.0, _down(root)), min(1.0, _up(root))
+
+
+def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
+    # {0,1} digits: |M|^2 = 1 - gain (1 - cos 2 pi t), gain enclosing 2 w0 w1
+    c_lo, c_hi = _cos_tau(t)
+    omc = (_down(1.0 - c_hi), _up(1.0 - c_lo))
+    prod = _imul(gain, omc)
+    m2_lo = max(0.0, _down(1.0 - prod[1]))
+    m2_hi = min(1.0, _up(1.0 - prod[0]))
+    return _down(math.sqrt(m2_lo)), min(1.0, _up(math.sqrt(m2_hi)))
+
+
+def _digit_sum_mask(
+    terms: Iterable[tuple[float, tuple[float, float]]],
+) -> tuple[float, float]:
+    # |sum_d w_d e^(-2 pi i t_d)| from (t_d, enclosure of w_d) pairs
+    re: tuple[float, float] = (0.0, 0.0)
+    im: tuple[float, float] = (0.0, 0.0)
+    for arg, wiv in terms:
+        re = _iadd(re, _imul(wiv, _cos_tau(arg)))
+        im = _iadd(im, _imul(wiv, _sin_tau(arg)))
+    re_mag = max(abs(re[0]), abs(re[1]))
+    im_mag = max(abs(im[0]), abs(im[1]))
+    re_mig = 0.0 if re[0] <= 0.0 <= re[1] else min(abs(re[0]), abs(re[1]))
+    im_mig = 0.0 if im[0] <= 0.0 <= im[1] else min(abs(im[0]), abs(im[1]))
+    lo = _down(math.hypot(re_mig, im_mig))
+    hi = _up(math.hypot(re_mag, im_mag))
+    return max(0.0, lo), min(1.0, hi)
+
+
+@dataclass(frozen=True, slots=True)
+class _Level:
+    """One level's mask data, rounded outward once.
+
+    {0,1} levels carry the enclosure of 2 w0 w1 and of |M(1/2)|; other
+    levels carry their digits and weight enclosures.
+    """
+
+    digits: tuple[int, ...]
+    weights: tuple[tuple[float, float], ...]
+    gain: tuple[float, float] | None
+    half: tuple[float, float] | None
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """Immutable transform data of a system: prefix products P_n = M_1...M_n
+    (prefix[n - 1] is P_n) and per-level mask data."""
+
+    prefix: tuple[int, ...]
+    levels: tuple[_Level, ...]
+
+
+def _level_plan(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
+    if digits == (0, 1):
+        return _Level(digits, (), _fraction_interval(2 * w[0] * w[1]), _half_mask(w))
+    return _Level(digits, tuple(_fraction_interval(x) for x in w), None, None)
+
+
+def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
+    """mask_interval at t = r / P for integers 0 <= r < P, bit for bit.
+
+    Floats see only correctly rounded quotients of exact residues, which is
+    what float() of the reduced Fraction yields."""
+    if r == 0:
+        return 1.0, 1.0
+    if level.gain is not None:
+        if 2 * r == P:
+            return level.half
+        return _binary_mask(level.gain, r / P)
+    return _digit_sum_mask(
+        (((d * r) % P) / P, wiv) for d, wiv in zip(level.digits, level.weights)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -91,8 +171,7 @@ class MoranSystem:
                 f"need digit sets and weights for all {depth} levels, got "
                 f"{len(self.digit_sets)} and {len(self.weights)}"
             )
-        for n in range(1, depth + 1):
-            base = self.schedule.base_at(n)
+        for n, base in enumerate(self.schedule.bases(), start=1):
             digits = self.digit_sets[n - 1]
             w = self.weights[n - 1]
             if not digits:
@@ -118,9 +197,22 @@ class MoranSystem:
     def depth(self) -> int:
         return self.schedule.depth
 
-    @property
+    @cached_property
     def is_binary(self) -> bool:
         return all(d == (0, 1) for d in self.digit_sets)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        # built on the first transform; cached_property keeps it out of eq/hash
+        prefix: list[int] = []
+        P = 1
+        for base in self.schedule.bases():
+            P *= base
+            prefix.append(P)
+        return _Plan(
+            prefix=tuple(prefix),
+            levels=tuple(_level_plan(d, w) for d, w in zip(self.digit_sets, self.weights)),
+        )
 
     def binary_omegas(self) -> tuple[Fraction, ...]:
         """Per-level weight of digit 0 for a {0,1} system."""
@@ -186,33 +278,12 @@ def mask_interval(level_n: int, t: Fraction, sys: MoranSystem) -> tuple[float, f
     digits = sys.digit_sets[level_n - 1]
     w = sys.weights[level_n - 1]
     if digits == (0, 1):
-        # |M|^2 = 1 - 2 w0 w1 (1 - cos 2 pi t)
         if t == Fraction(1, 2):
-            # cos is exactly -1: no trigonometric error to pad
-            m2 = float(1 - 4 * w[0] * w[1])
-            root = math.sqrt(max(0.0, m2))
-            return max(0.0, _down(root)), min(1.0, _up(root))
-        g_lo, g_hi = _fraction_interval(2 * w[0] * w[1])
-        c_lo, c_hi = _cos_tau(t)
-        omc = (_down(1.0 - c_hi), _up(1.0 - c_lo))
-        prod = _imul((g_lo, g_hi), omc)
-        m2_lo = max(0.0, _down(1.0 - prod[1]))
-        m2_hi = min(1.0, _up(1.0 - prod[0]))
-        return _down(math.sqrt(m2_lo)), min(1.0, _up(math.sqrt(m2_hi)))
-    re: tuple[float, float] = (0.0, 0.0)
-    im: tuple[float, float] = (0.0, 0.0)
-    for d, wd in zip(digits, w):
-        arg = (d * t) % 1
-        wiv = _fraction_interval(wd)
-        re = _iadd(re, _imul(wiv, _cos_tau(arg)))
-        im = _iadd(im, _imul(wiv, _sin_tau(arg)))
-    re_mag = max(abs(re[0]), abs(re[1]))
-    im_mag = max(abs(im[0]), abs(im[1]))
-    re_mig = 0.0 if re[0] <= 0.0 <= re[1] else min(abs(re[0]), abs(re[1]))
-    im_mig = 0.0 if im[0] <= 0.0 <= im[1] else min(abs(im[0]), abs(im[1]))
-    lo = _down(math.hypot(re_mig, im_mig))
-    hi = _up(math.hypot(re_mag, im_mag))
-    return max(0.0, lo), min(1.0, hi)
+            return _half_mask(w)
+        return _binary_mask(_fraction_interval(2 * w[0] * w[1]), float(t))
+    return _digit_sum_mask(
+        (float((d * t) % 1), _fraction_interval(wd)) for d, wd in zip(digits, w)
+    )
 
 
 def mask_modulus(level_n: int, t: Fraction, sys: MoranSystem) -> float:
@@ -225,7 +296,7 @@ def mask_modulus(level_n: int, t: Fraction, sys: MoranSystem) -> float:
 # the full transform
 
 
-def _tail_log_bound(t: Fraction, binary: bool) -> float:
+def _tail_log_bound(t: float, binary: bool) -> float:
     """Upper bound y for -log of the tail product past a level with frac t.
 
     Valid once xi < M_1...M_n, so that every deeper t_k equals t_(k-1)/M_k.
@@ -239,7 +310,7 @@ def _tail_log_bound(t: Fraction, binary: bool) -> float:
     therefore covers any continuation of the schedule by larger primes >= 7
     (with arbitrary digit sets, or any binary weights in the binary case).
     """
-    tf = _up(float(t))
+    tf = _up(t)
     if binary:
         y = math.pi * math.pi * tf * tf / 48.0
     else:
@@ -250,7 +321,8 @@ def _tail_log_bound(t: Fraction, binary: bool) -> float:
 def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     """Certified enclosure of |mu_hat(xi)| of width <= eps.
 
-    Finite factors are evaluated at exactly reduced arguments; the cut level
+    Finite factors are evaluated at exactly reduced arguments (the integer
+    residue of xi modulo each prefix product P_n); the cut level
     is the first where the closed-form tail bound costs less than eps/2 of
     width (the finite factors' float width then honors the rest of the budget
     down to the double-precision floor). |mu_hat| is even, so xi enters by
@@ -263,18 +335,16 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     xi = abs(xi)
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
-    binary = sys.is_binary
+    plan = sys._plan
     tail_budget = eps / 2.0
     f_lo, f_hi = 1.0, 1.0
-    prefix = 1
-    for n in range(1, sys.depth + 1):
-        prefix *= sys.schedule.base_at(n)
-        t = Fraction(xi % prefix, prefix)
-        m_lo, m_hi = mask_interval(n, t, sys)
+    for n, (P, level) in enumerate(zip(plan.prefix, plan.levels), start=1):
+        r = xi % P
+        m_lo, m_hi = _level_mask(level, r, P)
         f_lo = max(0.0, _down(f_lo * m_lo))
         f_hi = min(1.0, _up(f_hi * m_hi))
-        if xi < prefix:
-            y = _tail_log_bound(t, binary)
+        if xi < P:
+            y = _tail_log_bound(r / P, sys.is_binary)
             if y <= tail_budget:
                 e_lo = _down(_down(math.exp(-y)))
                 lo = max(0.0, _down(f_lo * e_lo))
@@ -296,8 +366,8 @@ def _window_sup_certified(sys: MoranSystem, gamma: float) -> bool:
     window [1/6, 5/6] that middle-third digits force the argument into
     (1024-point grid per distinct (base, digit set, weights) class)."""
     seen: set[tuple] = set()
-    for n in range(1, sys.depth + 1):
-        key = (sys.schedule.base_at(n), sys.digit_sets[n - 1], sys.weights[n - 1])
+    for n, base in enumerate(sys.schedule.bases(), start=1):
+        key = (base, sys.digit_sets[n - 1], sys.weights[n - 1])
         if key in seen:
             continue
         seen.add(key)
@@ -326,10 +396,9 @@ def digit_decay_bound(xi: int, sys: MoranSystem, ctx: BaseContext) -> tuple[int,
         )
     w = 0
     rest = xi
-    for n in range(1, sys.depth + 1):
+    for q in sys.schedule.bases():
         if rest == 0:
             break
-        q = sys.schedule.base_at(n)
         rest, d = divmod(rest, q)
         third = q // 3
         if third <= d <= 2 * third:
@@ -351,21 +420,14 @@ def write_batch_csv(
 ) -> None:
     """Evaluate a batch of frequencies and write one CSV row per frequency.
 
-    Rows are emitted in input order whatever the worker count, so output
-    bytes are independent of parallelism.
+    Rows are emitted in input order. The batch runs serially: `workers` is
+    accepted for compatibility and does not change how the work runs.
     """
-    xis = list(xis)
-
-    def one(xi: int) -> tuple:
+    rows = []
+    for xi in xis:
         cert = mu_hat_modulus(xi, sys, eps)
         w, gw = digit_decay_bound(abs(xi), sys, ctx)
-        return (str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, xis))
-    else:
-        rows = [one(xi) for xi in xis]
+        rows.append((str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw)))
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["xi", "lo", "hi", "truncation_level", "w", "gamma_pow_w"])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -62,12 +61,11 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     digits: list[int] = []
     num = 0
     den = 1
-    for n in range(1, depth + 1):
+    for n, base in enumerate(sys.schedule.bases(depth), start=1):
         u = value_at(seed, n - 1)
         idx = pick(u, _thresholds(sys.weights[n - 1]))
         d = sys.digit_sets[n - 1][idx]
         digits.append(d)
-        base = sys.schedule.base_at(n)
         num = num * base + d
         den *= base
     return SamplePoint(digits=tuple(digits), value=Fraction(num, den), depth=depth, seed=seed)
@@ -76,14 +74,13 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
 def sample_batch(
     sys: MoranSystem, seed: int, depth: int, count: int, workers: int = 1
 ) -> tuple[SamplePoint, ...]:
-    """count independent points; point i is seeded with seed XOR i."""
+    """count independent points; point i is seeded with seed XOR i.
+
+    Points are drawn serially; `workers` is accepted for compatibility and
+    does not change how the work runs."""
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
-    seeds = [derive_seed(seed, i) for i in range(count)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(lambda s: sample_point(sys, s, depth), seeds))
-    return tuple(sample_point(sys, s, depth) for s in seeds)
+    return tuple(sample_point(sys, derive_seed(seed, i), depth) for i in range(count))
 
 
 # --------------------------------------------------------------------------

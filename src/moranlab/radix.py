@@ -16,6 +16,7 @@ plain Python big integers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -79,6 +80,8 @@ class PrimeSchedule:
     variant: str = "explicit"
     L: tuple[int, ...] = field(init=False, repr=False)
     N: tuple[int, ...] = field(init=False, repr=False)
+    # _bases[n - 1] is M_n; derived from q and ell, so left out of eq/hash
+    _bases: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
@@ -106,6 +109,10 @@ class PrimeSchedule:
             N.append(N[-1] * p**m)
         object.__setattr__(self, "L", tuple(L))
         object.__setattr__(self, "N", tuple(N))
+        bases: list[int] = []
+        for p, m in zip(self.q, self.ell):
+            bases.extend([p] * m)
+        object.__setattr__(self, "_bases", tuple(bases))
 
     def __len__(self) -> int:
         return len(self.q)
@@ -124,16 +131,14 @@ class PrimeSchedule:
         """Decompose a 1-based position n = L_s + (j+1) into (s, j)."""
         if not 1 <= n <= self.depth:
             raise OutOfRange(f"position {n} outside 1..{self.depth}")
-        # schedules stay short (hundreds of blocks); linear scan is fine
-        s = 0
-        while self.L[s + 1] < n:
-            s += 1
+        s = bisect_left(self.L, n) - 1
         return s, n - self.L[s] - 1
 
     def base_at(self, n: int) -> int:
         """Base M_n at 1-based position n."""
-        s, _ = self.level_of(n)
-        return self.q[s]
+        if not 1 <= n <= self.depth:
+            raise OutOfRange(f"position {n} outside 1..{self.depth}")
+        return self._bases[n - 1]
 
     def bases(self, count: int | None = None) -> tuple[int, ...]:
         """The sequence M_1..M_count (full depth when count is omitted)."""
@@ -141,12 +146,7 @@ class PrimeSchedule:
             count = self.depth
         if not 0 <= count <= self.depth:
             raise OutOfRange(f"requested {count} bases, schedule covers {self.depth}")
-        out: list[int] = []
-        for p, m in zip(self.q, self.ell):
-            out.extend([p] * m)
-            if len(out) >= count:
-                break
-        return tuple(out[:count])
+        return self._bases[:count]
 
     def prefix_product(self, n: int) -> int:
         """M_1 * ... * M_n exactly (1 for n = 0)."""

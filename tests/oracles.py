@@ -11,6 +11,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 
@@ -69,6 +70,28 @@ def naive_mu_hat(xi: int, sys, depth: int | None = None) -> float:
             for d, w in zip(sys.digit_sets[n - 1], sys.weights[n - 1])
         )
     return abs(prod)
+
+
+def mp_mu_hat(xi: int, sys, dps: int = 50):
+    """|product over all schedule levels| in mpmath at `dps` digits.
+
+    Arguments are reduced exactly (integer residues) before they reach
+    mpmath, so the only error is mpmath's own, far below double precision.
+    """
+    xi = abs(int(xi))
+    with mpmath.workdps(dps):
+        prod = mpmath.mpf(1)
+        P = 1
+        for n in range(1, sys.depth + 1):
+            P *= sys.schedule.base_at(n)
+            r = xi % P
+            mask = mpmath.mpc(0)
+            for d, w in zip(sys.digit_sets[n - 1], sys.weights[n - 1]):
+                arg = mpmath.mpf(d * r % P) / P
+                weight = mpmath.mpf(w.numerator) / w.denominator
+                mask += weight * mpmath.expjpi(-2 * arg)
+            prod *= abs(mask)
+        return +prod
 
 
 def naive_del_sum(sys, b: int, h: int, N_max: int, mu) -> float:

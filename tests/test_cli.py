@@ -6,11 +6,14 @@ covers the ``python -m moranlab`` entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import moranlab
 from moranlab import __version__
 from moranlab.cli import OFFSET_FLAG, main
 from moranlab.errors import (
@@ -74,8 +77,11 @@ def test_subcommand_required(capsys):
 
 
 def test_module_entrypoint():
+    # the autouse fixture moved cwd, so hand the child an absolute import path
+    src = str(Path(moranlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "moranlab", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "moranlab", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("moranlab ")

@@ -125,8 +125,19 @@ def test_fiber_counts_toy(toy):
 
 def test_fiber_counts_wrong_length(toy):
     _, sysm, ctx = toy
-    with pytest.raises(TooLarge):
+    with pytest.raises(InvalidRange):
         fiber_counts((1, 331), ctx, sysm, s=1)
+
+
+@pytest.mark.parametrize("length", [1, 329, 10**9])
+def test_fiber_counts_wrong_length_is_a_parameter_error(toy, length):
+    # a length other than the order is a bad argument (exit 3), not a tripped
+    # resource guard (exit 5), however long it is
+    _, sysm, ctx = toy
+    with pytest.raises(InvalidRange) as exc:
+        fiber_counts((1, length), ctx, sysm, s=1)
+    assert not isinstance(exc.value, TooLarge)
+    assert exc.value.exit_code == 3
 
 
 def test_fiber_counts_deeper_step(three_block):

@@ -1,0 +1,161 @@
+"""The transform's integer-residue kernel against its references.
+
+`_level_mask` must reproduce `mask_interval` at the same rational argument
+bit for bit, and `mu_hat_modulus` must bracket an independent 50-digit
+mpmath product within eps.
+"""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moranlab import (
+    MoranSystem,
+    PrimeSchedule,
+    binary_system,
+    build_convolved,
+    build_schedule,
+    mu_hat_modulus,
+)
+from moranlab.fourier import _level_mask, _tail_log_bound, mask_interval
+
+from oracles import mp_mu_hat
+
+
+@lru_cache(maxsize=None)
+def _medium() -> PrimeSchedule:
+    return build_schedule(d=2, count=7)
+
+
+@lru_cache(maxsize=None)
+def _system(kind: str, k: int) -> MoranSystem:
+    """Binary systems with weights near 0, 1/2 and 1, and non-binary ones."""
+    sch = _medium()
+    if kind == "near0":
+        return binary_system(sch, Fraction(1, 10**k))
+    if kind == "near1":
+        return binary_system(sch, 1 - Fraction(1, 10**k))
+    if kind == "half":
+        return binary_system(sch, Fraction(1, 2))
+    if kind == "mixed":
+        # binary levels with distinct weights per level
+        return binary_system(sch, [Fraction(n, 2 * n + k) for n in range(1, sch.depth + 1)])
+    if kind == "dim-one":
+        return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one").as_moran_system()
+    if kind == "wide":
+        # uniform {0, 1, 2} digits with skewed weights
+        w = (Fraction(1, k + 2), Fraction(1, 2), Fraction(1, 2) - Fraction(1, k + 2))
+        return MoranSystem(sch, ((0, 1, 2),) * sch.depth, (w,) * sch.depth)
+    raise AssertionError(kind)
+
+
+SYSTEMS = st.tuples(
+    st.sampled_from(["near0", "near1", "half", "mixed", "dim-one", "wide"]),
+    st.integers(1, 12),
+).map(lambda kk: _system(*kk))
+
+
+@st.composite
+def residues(draw):
+    """(r, P) with 0 <= r < P: prefix products and arbitrary moduli, with
+    r at 0, 1, P - 1, P/2 exactly and near P/2."""
+    sysm = draw(SYSTEMS)
+    n = draw(st.integers(1, sysm.depth))
+    if draw(st.booleans()):
+        P = sysm._plan.prefix[draw(st.integers(0, sysm.depth - 1))]
+    else:
+        P = draw(st.integers(2, 10**40))
+    half = P // 2
+    r = draw(
+        st.one_of(
+            st.sampled_from([0, 1, P - 1, half]),
+            st.integers(-3, 3).map(lambda k: min(P - 1, max(0, half + k))),
+            st.integers(0, P - 1),
+        )
+    )
+    return sysm, n, r, P
+
+
+@settings(max_examples=400, deadline=None)
+@given(residues())
+def test_level_kernel_matches_mask_interval(case):
+    sysm, n, r, P = case
+    expected = mask_interval(n, Fraction(r, P), sysm)
+    assert _level_mask(sysm._plan.levels[n - 1], r, P) == expected
+
+
+@pytest.mark.parametrize("P", [2, 10, 2 * 7 * 11 * 13])
+def test_level_kernel_exact_half(P):
+    # 2r = P takes the exact-cosine branch on {0,1} levels, and only there
+    for kind in ("near0", "near1", "half", "dim-one"):
+        sysm = _system(kind, 3)
+        for n in (1, sysm.depth):
+            got = _level_mask(sysm._plan.levels[n - 1], P // 2, P)
+            assert got == mask_interval(n, Fraction(1, 2), sysm)
+
+
+def _reference_mu_hat(xi: int, sysm: MoranSystem, eps: float) -> tuple[float, float, int]:
+    """The transform loop on reduced Fraction arguments through mask_interval."""
+    f_lo, f_hi, P = 1.0, 1.0, 1
+    for n in range(1, sysm.depth + 1):
+        P *= sysm.schedule.base_at(n)
+        t = Fraction(xi % P, P)
+        m_lo, m_hi = mask_interval(n, t, sysm)
+        f_lo = max(0.0, math.nextafter(f_lo * m_lo, -math.inf))
+        f_hi = min(1.0, math.nextafter(f_hi * m_hi, math.inf))
+        if xi < P:
+            y = _tail_log_bound(float(t), sysm.is_binary)
+            if y <= eps / 2.0:
+                e_lo = math.nextafter(math.nextafter(math.exp(-y), 0.0), 0.0)
+                return max(0.0, math.nextafter(f_lo * e_lo, -math.inf)), f_hi, n
+    raise AssertionError("schedule exhausted")
+
+
+EPS = st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12])
+FREQUENCIES = st.one_of(
+    st.integers(1, 10**4),
+    st.integers(1, 10**12),
+    st.integers(1, 10**20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SYSTEMS, FREQUENCIES, EPS)
+def test_mu_hat_matches_fraction_reference(sysm, xi, eps):
+    cert = mu_hat_modulus(xi, sysm, eps)
+    assert (cert.lo, cert.hi, cert.truncation_level) == _reference_mu_hat(xi, sysm, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SYSTEMS, FREQUENCIES, EPS)
+def test_mu_hat_brackets_mpmath_oracle(sysm, xi, eps):
+    cert = mu_hat_modulus(xi, sysm, eps)
+    true = mp_mu_hat(xi, sysm, dps=50)
+    assert mpmath.mpf(cert.lo) <= true <= mpmath.mpf(cert.hi)
+    assert cert.hi - cert.lo <= eps
+
+
+def test_mu_hat_brackets_mpmath_oracle_at_deep_frequencies():
+    # frequencies with dozens of non-trivial levels before the cut
+    sysm = _system("half", 1)
+    P = sysm._plan.prefix
+    for xi in (P[19] - 1, P[19] // 2, P[15] * 7 + 3, 3**40):
+        cert = mu_hat_modulus(xi, sysm, 1e-9)
+        true = mp_mu_hat(xi, sysm, dps=50)
+        assert mpmath.mpf(cert.lo) <= true <= mpmath.mpf(cert.hi)
+        assert cert.hi - cert.lo <= 1e-9
+
+
+def test_plan_stays_out_of_equality_and_hash():
+    a = binary_system(_medium(), Fraction(1, 3))
+    b = binary_system(_medium(), Fraction(1, 3))
+    before = hash(a)
+    mu_hat_modulus(12345, a, 1e-9)
+    assert "_plan" in vars(a) and "_plan" not in vars(b)
+    assert a == b and hash(a) == hash(b) == before
+    assert "_plan" not in repr(a)

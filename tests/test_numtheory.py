@@ -110,10 +110,18 @@ def test_stirling_constants():
 
 
 def test_round_threshold_exact_minimality():
+    # a fresh search, not a value cached by an earlier context build
+    round_threshold.cache_clear()
     R = round_threshold()
     assert R == 19797
-    assert 1001**R >= R * R * 1000**R
-    assert 1001 ** (R - 1) < (R - 1) * (R - 1) * 1000 ** (R - 1)
+
+    def holds(x):
+        return 1001**x >= x * x * 1000**x
+
+    # fails at the monotonicity guard x = 2002 and just below R, holds from R on
+    assert not holds(2002)
+    assert not holds(R - 1)
+    assert holds(R) and holds(R + 1) and holds(2 * R)
 
 
 def test_build_context_toy(toy_schedule):
