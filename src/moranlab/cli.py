@@ -33,7 +33,7 @@ from .dimension import (
     write_local_dim_csv,
 )
 from .distribution import classify_Bk, verify_partition, write_histogram_csv
-from .errors import InvalidParameter, MoranLabError
+from .errors import InvalidParameter, MoranLabError, OutOfRange
 from .fourier import MoranSystem, binary_system, write_batch_csv
 from .measure import (
     normality_report,
@@ -391,6 +391,11 @@ def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
             r = Fraction(1, sch.prefix_product(mband))
             ball = ball_measure(pt.value, r, csys)
             phi_r = phi_of(r)
+            if phi_r == 0.0 or float(ball) == 0.0:
+                raise OutOfRange(
+                    f"band {mband}: the ball measure or phi(r) at r = 1/(M_1...M_{mband}) "
+                    f"underflows double precision; lower dimension.band_hi"
+                )
             rows.append(
                 BallRow(
                     x_seed=derive_seed(seed, i),

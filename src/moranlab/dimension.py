@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from .errors import (
     ScheduleTooShort,
 )
 from .fourier import MoranSystem
-from .radix import PrimeSchedule
+from .radix import PrimeSchedule, schedule_of
 
 _LN2 = math.log(2.0)
 
@@ -42,15 +43,6 @@ _LN2 = math.log(2.0)
 def _ln_fraction(r: Fraction) -> float:
     # math.log takes arbitrary-size ints, so this never overflows
     return math.log(r.numerator) - math.log(r.denominator)
-
-
-def _schedule_of(sys) -> PrimeSchedule:
-    if isinstance(sys, PrimeSchedule):
-        return sys
-    sch = getattr(sys, "schedule", None)
-    if isinstance(sch, PrimeSchedule):
-        return sch
-    raise InvalidParameter(f"no schedule on {type(sys).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -135,23 +127,17 @@ class GaugeFunction:
 
 def h_of_r(r: Fraction, sys) -> int:
     """The unique h with 1/(M_1...M_{h+1}) < r <= 1/(M_1...M_h), exactly."""
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     r = Fraction(r)
     if r <= 0:
         raise OutOfRange(f"r must be positive, got {r}")
     if r > Fraction(1, sch.base_at(1)):
         raise OutOfRange(f"r = {r} exceeds 1/M_1 = 1/{sch.base_at(1)}")
-    P = sch.base_at(1)
-    h = 1
-    # advance while the next prefix still satisfies r <= 1/P_{h}
-    while r * P < 1:
-        if h + 1 > sch.depth:
-            raise ScheduleTooShort(f"r = {r} needs depth beyond {sch.depth}")
-        h += 1
-        P *= sch.base_at(h)
-    if r * P > 1:
-        h -= 1  # r fell strictly inside the previous band
-    return h
+    prefixes = sch.prefix_products()
+    if r * prefixes[-1] < 1:
+        raise ScheduleTooShort(f"r = {r} needs depth beyond {sch.depth}")
+    # r <= 1/P_n iff the integer P_n <= floor(1/r)
+    return bisect_right(prefixes, r.denominator // r.numerator)
 
 
 # --------------------------------------------------------------------------
@@ -195,11 +181,7 @@ def sparse_index_set(
         depth = sch.depth
     if not 1 <= depth <= sch.depth:
         raise OutOfRange(f"depth {depth} outside 1 .. {sch.depth}")
-    raw: list[float] = []
-    P = 1
-    for m in range(1, depth + 1):
-        P *= sch.base_at(m)
-        raw.append(log_g(Fraction(1, P)))
+    raw = [log_g(Fraction(1, P)) for P in sch.prefix_products(depth)]
     env = raw.copy()
     for i in range(depth - 2, -1, -1):
         env[i] = min(env[i], env[i + 1])
@@ -435,15 +417,9 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
         if F != tuple(range(F[-1] + 1)):
             raise InvalidParameter(f"level {k} digit set is not contiguous from 0")
         caps.append(F[-1])
-    bases = [csys.schedule.base_at(k) for k in range(1, L + 1)]
-    P_L = 1
-    for b in bases:
-        P_L *= b
-    weights = [0] * L
-    w = P_L
-    for i, b in enumerate(bases):
-        w //= b
-        weights[i] = w
+    bases = csys.schedule.bases(L)
+    P_L = csys.schedule.prefix_product(L)
+    weights = [P_L // P for P in csys.schedule.prefix_products(L)]
 
     lo_edge = x - r
     hi_edge = x + r
@@ -506,7 +482,7 @@ class HRateRow:
 def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
     """h(r)/log(1/r) per grid point, plus the loglog-corrected band value
     h(r) loglog(1/r)/log(1/r) on cube-window schedules."""
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     cube = sch.variant.startswith("cube-window")
     rows: list[HRateRow] = []
     for r in r_grid:

@@ -30,25 +30,17 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .fourier import MoranSystem
 from .numtheory import (
     ALPHA_SIXTH,
     BaseContext,
     derived_stirling_constants,
     integer_J,
     order_mod_reduced,
+    y_product,
 )
-from .radix import PrimeSchedule, to_digits
+from .radix import PrimeSchedule, schedule_of, to_digits
 
 ENUMERATION_GUARD = 10**7
-
-
-def _schedule_of(sys) -> PrimeSchedule:
-    if isinstance(sys, PrimeSchedule):
-        return sys
-    if isinstance(sys, MoranSystem):
-        return sys.schedule
-    raise InvalidParameter(f"expected a digit system or schedule, got {type(sys).__name__}")
 
 
 def _default_m(ctx: BaseContext, m: int | None) -> int:
@@ -120,7 +112,7 @@ def phi_map(
     ctx: BaseContext,
 ) -> tuple[int, ...]:
     """First N_digits mixed-radix digits of h*b^n - h*b^m."""
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     if (proj.h, proj.b) != (ctx.h, ctx.b):
         raise InvalidParameter("projection and context disagree on (b, h)")
     if not 1 <= N_digits <= sch.depth:
@@ -145,7 +137,7 @@ def pi_map(
     The value is a point of Y_{c,d}, the blocks' digit tuples concatenated in
     position order.
     """
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     positions = _block_positions(ctx, c, d)
     mm = _default_m(ctx, m)
     if n <= mm:
@@ -219,7 +211,7 @@ def verify_partition(
     naming an offending n (it would indicate a bug, not a property of the
     inputs).
     """
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     mm = _default_m(ctx, m)
     if not ctx.r0 + 1 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 + 1 = {ctx.r0 + 1} .. {len(sch.q)}")
@@ -229,9 +221,7 @@ def verify_partition(
     if order > ENUMERATION_GUARD:
         raise TooLarge(f"interval length {order} exceeds the enumeration guard")
     positions = _block_positions(ctx, ctx.r0, r)
-    y_size = 1
-    for i in range(ctx.r0 + 1, r + 1):
-        y_size *= sch.q[i - 1] ** ctx.j[i - 1]
+    y_size = y_product(ctx, r)
     J = integer_J(ctx, r)
 
     depth = sch.L[r]
@@ -292,7 +282,7 @@ def fiber_counts(
       - the joint map n -> (Phi_{L_s + k_{s+1}}(n), Pi_{s,s+1}(n)) is
         injective on I (unique representative per pair).
     """
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     mm = _default_m(ctx, m)
     if not ctx.r0 <= s < len(sch.q):
         raise InvalidRange(f"s = {s} outside r0 = {ctx.r0} .. {len(sch.q) - 1}")
@@ -380,13 +370,11 @@ def classify_Bk(
     of Y_{r0,r}. k(n) counts the free-suffix positions whose digit lies in
     [floor(q/3), 2 floor(q/3)]; u is the number of those positions.
     """
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     mm = _default_m(ctx, m)
     members = sorted(set(Lam))
     positions = _block_positions(ctx, ctx.r0, r)
-    y_size = 1
-    for i in range(ctx.r0 + 1, r + 1):
-        y_size *= sch.q[i - 1] ** ctx.j[i - 1]
+    y_size = y_product(ctx, r)
     if len(members) != y_size:
         raise NotWellDistributed(f"#Lam = {len(members)}, expected {y_size}")
     if members and members[0] <= mm:
@@ -419,15 +407,12 @@ def C_bound(k: int, u: int, ctx: BaseContext, sys, r: int) -> Fraction:
     """
     if not 0 <= k <= u:
         raise OutOfRange(f"k = {k} outside 0 .. {u}")
-    sch = _schedule_of(sys)
+    sch = schedule_of(sys)
     if not ctx.r0 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 = {ctx.r0} .. {len(sch.q)}")
-    prod = 1
-    for i in range(ctx.r0 + 1, r + 1):
-        prod *= sch.q[i - 1] ** ctx.j[i - 1]
     return (
         Fraction(math.comb(u, k))
-        * prod
+        * y_product(ctx, r)
         * Fraction(1, 2) ** k
         * Fraction(2, 3) ** (u - k)
     )

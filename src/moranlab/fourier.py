@@ -118,16 +118,7 @@ class _Level:
     half: tuple[float, float] | None
 
 
-@dataclass(frozen=True, slots=True)
-class _Plan:
-    """Immutable transform data of a system: prefix products P_n = M_1...M_n
-    (prefix[n - 1] is P_n) and per-level mask data."""
-
-    prefix: tuple[int, ...]
-    levels: tuple[_Level, ...]
-
-
-def _level_plan(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
+def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
     if digits == (0, 1):
         return _Level(digits, (), _fraction_interval(2 * w[0] * w[1]), _half_mask(w))
     return _Level(digits, tuple(_fraction_interval(x) for x in w), None, None)
@@ -202,17 +193,9 @@ class MoranSystem:
         return all(d == (0, 1) for d in self.digit_sets)
 
     @cached_property
-    def _plan(self) -> _Plan:
+    def _levels(self) -> tuple[_Level, ...]:
         # built on the first transform; cached_property keeps it out of eq/hash
-        prefix: list[int] = []
-        P = 1
-        for base in self.schedule.bases():
-            P *= base
-            prefix.append(P)
-        return _Plan(
-            prefix=tuple(prefix),
-            levels=tuple(_level_plan(d, w) for d, w in zip(self.digit_sets, self.weights)),
-        )
+        return tuple(_build_level(d, w) for d, w in zip(self.digit_sets, self.weights))
 
     def binary_omegas(self) -> tuple[Fraction, ...]:
         """Per-level weight of digit 0 for a {0,1} system."""
@@ -335,10 +318,10 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     xi = abs(xi)
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
-    plan = sys._plan
     tail_budget = eps / 2.0
     f_lo, f_hi = 1.0, 1.0
-    for n, (P, level) in enumerate(zip(plan.prefix, plan.levels), start=1):
+    prefixes = sys.schedule.prefix_products()
+    for n, (P, level) in enumerate(zip(prefixes, sys._levels), start=1):
         r = xi % P
         m_lo, m_hi = _level_mask(level, r, P)
         f_lo = max(0.0, _down(f_lo * m_lo))

@@ -243,8 +243,8 @@ def _attractor_digits(x: Fraction, sch, depth: int) -> tuple[int, ...]:
     t = (x.numerator * P) // x.denominator
     out: list[int] = []
     w = P
-    for n in range(1, depth + 1):
-        w //= sch.base_at(n)
+    for base in sch.bases(depth):
+        w //= base
         d, t = divmod(t, w)
         out.append(d)
     return tuple(out)
@@ -270,22 +270,21 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     if isinstance(sys, MoranSystem):
         sch = sys.schedule
         digit_sets = sys.digit_sets
-        lo = 2 * max(
-            Fraction(max(d), sch.base_at(n + 1)) for n, d in enumerate(digit_sets)
-        )
-        dilations = [sch.prefix_product(j) for j in range(1, j_max + 1)]
         if j_max > sch.depth:
             raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sch.depth}")
+        lo = 2 * max(Fraction(max(d), base) for d, base in zip(digit_sets, sch.bases()))
+        dilations = sch.prefix_products(j_max)
     elif isinstance(sys, ConvolvedSystem):
         sch = sys.schedule
         digit_sets = sys.sum_sets
         special = sys.special_levels
         if j_max > len(special):
             raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
+        bases = sch.bases()
         lo = Fraction(1, 6) + max(
-            Fraction(max(sys.sum_sets[n - 1]), sch.base_at(n)) for n in special
+            Fraction(max(sys.sum_sets[n - 1]), bases[n - 1]) for n in special
         )
-        dilations = [sch.prefix_product(special[j] - 1) for j in range(j_max)]
+        dilations = [sch.prefix_product(n - 1) for n in special[:j_max]]
     else:
         raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
 

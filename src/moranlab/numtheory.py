@@ -473,14 +473,19 @@ def ord_ratio_check(ctx: BaseContext, s_index: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+def y_product(ctx: BaseContext, r: int) -> int:
+    """#Y_{r0,r} = prod_{i=r0+1..r} q_i^{j_i}, the number of free-suffix digit
+    strings of blocks r0+1 .. r (1 for r = r0)."""
+    q, j = ctx.schedule.q, ctx.j
+    return math.prod(q[i] ** j[i] for i in range(ctx.r0, r))
+
+
 def integer_J(ctx: BaseContext, r: int) -> int:
     """ord_{N_r/Q}(b) divided by prod_{i=r0+1..r} q_i^{j_i}; always a positive integer."""
     if not ctx.r0 <= r <= len(ctx.schedule.q):
         raise OutOfRange(f"r = {r} outside r0 = {ctx.r0} .. {len(ctx.schedule.q)}")
     order = order_mod_reduced(ctx, r, 0)
-    div = 1
-    for i in range(ctx.r0 + 1, r + 1):
-        div *= ctx.schedule.q[i - 1] ** ctx.j[i - 1]
+    div = y_product(ctx, r)
     quotient, rem = divmod(order, div)
     if rem != 0 or quotient <= 0:
         raise CounterexampleFound(

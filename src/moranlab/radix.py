@@ -16,8 +16,11 @@ plain Python big integers.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -148,14 +151,26 @@ class PrimeSchedule:
             raise OutOfRange(f"requested {count} bases, schedule covers {self.depth}")
         return self._bases[:count]
 
+    @cached_property
+    def _prefix(self) -> tuple[int, ...]:
+        # _prefix[n] is P_n = M_1...M_n; built on first use, and a
+        # cached_property is no dataclass field, so it stays out of eq/hash/repr
+        return tuple(accumulate(self._bases, operator.mul, initial=1))
+
+    def prefix_products(self, count: int | None = None) -> tuple[int, ...]:
+        """The sequence P_1..P_count with P_n = M_1*...*M_n (full depth when
+        count is omitted)."""
+        if count is None:
+            count = self.depth
+        if not 0 <= count <= self.depth:
+            raise OutOfRange(f"requested {count} prefix products, schedule covers {self.depth}")
+        return self._prefix[1 : count + 1]
+
     def prefix_product(self, n: int) -> int:
         """M_1 * ... * M_n exactly (1 for n = 0)."""
         if n < 0 or n > self.depth:
             raise OutOfRange(f"prefix length {n} outside 0..{self.depth}")
-        if n == 0:
-            return 1
-        s, j = self.level_of(n)
-        return self.N[s] * self.q[s] ** (j + 1)
+        return self._prefix[n]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -240,6 +255,16 @@ def build_schedule(
 def base_at(s: PrimeSchedule, n: int) -> int:
     """Base M_n at 1-based position n of the schedule."""
     return s.base_at(n)
+
+
+def schedule_of(sys) -> PrimeSchedule:
+    """The schedule itself, or the `schedule` of a digit system built on one."""
+    if isinstance(sys, PrimeSchedule):
+        return sys
+    sch = getattr(sys, "schedule", None)
+    if isinstance(sch, PrimeSchedule):
+        return sch
+    raise InvalidParameter(f"expected a digit system or schedule, got {type(sys).__name__}")
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,22 @@ def test_dimension_gauge_variant(tmp_path, capsys):
     assert 0.0 < payload["worst_ball_ratio"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "dimension",
+    [
+        {"variant": "dim-one", "samples": 1},
+        {"variant": "gauge", "samples": 1, "gauge": {"kind": "r_times_log_power", "param": 1.0}},
+    ],
+)
+def test_dimension_band_underflow_is_out_of_range(tmp_path, capsys, dimension):
+    # the default band_hi = depth - 1 reaches P_m > 1e308 on a 20-prime schedule
+    path = cfg_file(tmp_path, {"schedule": {"d": 2, "count": 20}, "dimension": dimension})
+    rc, _, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path))
+    assert rc == 3
+    assert err.startswith("error: band ") and "dimension.band_hi" in err
+    assert "Traceback" not in err
+
+
 def test_dimension_gauge_requires_gauge_entry(tmp_path, capsys):
     path = cfg_file(tmp_path, {"dimension": {"variant": "gauge"}})
     rc, _, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path))

@@ -82,12 +82,18 @@ def test_h_of_r_examples():
 def test_h_of_r_band_sandwich():
     sch = PrimeSchedule(d=1, q=(7, 11), ell=(2, 1))
     prefixes = [7, 49, 539]
-    for den in range(7, 539):
-        r = F(1, den)
-        h = h_of_r(r, sch)
-        assert r <= F(1, prefixes[h - 1])
-        if h < 3:
-            assert F(1, prefixes[h]) < r
+    # non-unit numerators put 1/r between integers, off the band edges
+    for a in (1, 2, 3, 5, 13):
+        for den in range(7 * a, 539 * a + 1):
+            r = F(a, den)
+            h = h_of_r(r, sch)
+            assert r <= F(1, prefixes[h - 1])
+            if h < 3:
+                assert F(1, prefixes[h]) < r
+    assert h_of_r(F(1, 539), sch) == 3
+    for below in (F(1, 540), F(1000, 539001)):
+        with pytest.raises(ScheduleTooShort):
+            h_of_r(below, sch)
 
 
 def test_h_of_r_accepts_systems(toy_schedule, toy_dimone):

@@ -111,6 +111,8 @@ def test_verify_partition_rejects_bad_r(toy):
         verify_partition(1, ctx, sysm, r=3)
     with pytest.raises(InvalidRange):
         verify_partition(0, ctx, sysm, r=2)  # interval must start past m
+    with pytest.raises(InvalidParameter):
+        verify_partition(1, ctx, 42, r=2)  # neither a schedule nor a digit system
 
 
 def test_fiber_counts_toy(toy):

@@ -67,7 +67,7 @@ def residues(draw):
     sysm = draw(SYSTEMS)
     n = draw(st.integers(1, sysm.depth))
     if draw(st.booleans()):
-        P = sysm._plan.prefix[draw(st.integers(0, sysm.depth - 1))]
+        P = sysm.schedule.prefix_products()[draw(st.integers(0, sysm.depth - 1))]
     else:
         P = draw(st.integers(2, 10**40))
     half = P // 2
@@ -86,7 +86,7 @@ def residues(draw):
 def test_level_kernel_matches_mask_interval(case):
     sysm, n, r, P = case
     expected = mask_interval(n, Fraction(r, P), sysm)
-    assert _level_mask(sysm._plan.levels[n - 1], r, P) == expected
+    assert _level_mask(sysm._levels[n - 1], r, P) == expected
 
 
 @pytest.mark.parametrize("P", [2, 10, 2 * 7 * 11 * 13])
@@ -95,7 +95,7 @@ def test_level_kernel_exact_half(P):
     for kind in ("near0", "near1", "half", "dim-one"):
         sysm = _system(kind, 3)
         for n in (1, sysm.depth):
-            got = _level_mask(sysm._plan.levels[n - 1], P // 2, P)
+            got = _level_mask(sysm._levels[n - 1], P // 2, P)
             assert got == mask_interval(n, Fraction(1, 2), sysm)
 
 
@@ -143,7 +143,7 @@ def test_mu_hat_brackets_mpmath_oracle(sysm, xi, eps):
 def test_mu_hat_brackets_mpmath_oracle_at_deep_frequencies():
     # frequencies with dozens of non-trivial levels before the cut
     sysm = _system("half", 1)
-    P = sysm._plan.prefix
+    P = sysm.schedule.prefix_products()
     for xi in (P[19] - 1, P[19] // 2, P[15] * 7 + 3, 3**40):
         cert = mu_hat_modulus(xi, sysm, 1e-9)
         true = mp_mu_hat(xi, sysm, dps=50)
@@ -156,6 +156,6 @@ def test_plan_stays_out_of_equality_and_hash():
     b = binary_system(_medium(), Fraction(1, 3))
     before = hash(a)
     mu_hat_modulus(12345, a, 1e-9)
-    assert "_plan" in vars(a) and "_plan" not in vars(b)
+    assert "_levels" in vars(a) and "_levels" not in vars(b)
     assert a == b and hash(a) == hash(b) == before
-    assert "_plan" not in repr(a)
+    assert "_levels" not in repr(a)

@@ -1,5 +1,7 @@
 """Schedule construction and exact mixed-radix digit arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from moranlab import (
     OutOfRange,
     PrimeSchedule,
     ScheduleTooShort,
+    binary_system,
     build_schedule,
     digits_congruent,
+    sample_point,
     to_digits,
 )
 
@@ -86,6 +90,35 @@ def test_prefix_products_toy(toy_schedule):
     assert [toy_schedule.prefix_product(n) for n in range(4)] == [1, 7, 77, 847]
     assert toy_schedule.N == (1, 7, 847)
     assert toy_schedule.L == (0, 1, 3)
+    assert toy_schedule.prefix_products() == (7, 77, 847)
+    assert toy_schedule.prefix_products(0) == ()
+    for bad in (-1, 4):
+        with pytest.raises(OutOfRange):
+            toy_schedule.prefix_product(bad)
+        with pytest.raises(OutOfRange):
+            toy_schedule.prefix_products(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8))
+def test_prefix_product_is_product_of_bases(d, count):
+    sch = build_schedule(d=d, count=count)
+    for n in range(sch.depth + 1):
+        assert sch.prefix_product(n) == math.prod(sch.bases(n))
+        assert sch.prefix_products(n) == tuple(sch.prefix_product(k) for k in range(1, n + 1))
+
+
+def test_prefix_table_stays_out_of_equality_and_hash():
+    a = build_schedule(d=2, count=5)
+    b = build_schedule(d=2, count=5)
+    before = hash(a)
+    a.prefix_product(3)
+    assert "_prefix" in vars(a) and "_prefix" not in vars(b)
+    assert a == b and hash(a) == hash(b) == before
+    assert "_prefix" not in repr(a)
+    # sampling walks the bases only and never builds the table
+    sample_point(binary_system(b), seed=1, depth=b.depth)
+    assert "_prefix" not in vars(b)
 
 
 def test_to_digits_examples():
