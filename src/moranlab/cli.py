@@ -385,12 +385,16 @@ def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
     band_lo = max(int(dc["band_lo"]), 1)
     sampler = csys.as_moran_system()
     pts = sample_batch(sampler, seed, sch.depth, int(dc["samples"]), workers=workers)
+    bands = []  # (m, r, h(r), phi(r)), shared by every sample
+    for mband in range(band_lo, band_hi + 1):
+        r = Fraction(1, sch.prefix_product(mband))
+        bands.append((mband, r, h_of_r(r, csys), phi_of(r)))
     rows = []
     for i, pt in enumerate(pts):
-        for mband in range(band_lo, band_hi + 1):
-            r = Fraction(1, sch.prefix_product(mband))
+        for mband, r, h_r, phi_r in bands:
             ball = ball_measure(pt.value, r, csys)
-            phi_r = phi_of(r)
+            # checked per row: the ball (<= 4 phi(r) on gauge) can underflow
+            # at an earlier band than phi(r)
             if phi_r == 0.0 or float(ball) == 0.0:
                 raise OutOfRange(
                     f"band {mband}: the ball measure or phi(r) at r = 1/(M_1...M_{mband}) "
@@ -400,7 +404,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
                 BallRow(
                     x_seed=derive_seed(seed, i),
                     r=r,
-                    h_r=h_of_r(r, csys),
+                    h_r=h_r,
                     ball=ball,
                     phi_r=phi_r,
                     ratio=float(ball) / (scale * phi_r),

@@ -25,6 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -279,6 +280,15 @@ class ConvolvedSystem:
     @property
     def depth(self) -> int:
         return self.schedule.depth
+
+    @cached_property
+    def avoidance_lo(self) -> Fraction:
+        """Left end 1/6 + max over special levels of max(F_n)/M_n of the
+        avoidance interval (lo, 1)."""
+        bases = self.schedule.bases()
+        return Fraction(1, 6) + max(
+            Fraction(max(self.sum_sets[n - 1]), bases[n - 1]) for n in self.special_levels
+        )
 
     def as_moran_system(self) -> MoranSystem:
         """The convolution as a plain digit system (for transforms/sampling)."""

@@ -10,7 +10,10 @@ bounds #B_k <= C(k) that they feed.
 
 Powers b^n are never materialized: every digit extraction reduces through a
 single modular exponentiation per interval endpoint and one modular multiply
-per step.
+per step. The partition check forms no digit strings at all: the free-suffix
+digits of block s+1 read as one integer, (v // P_a) mod (P_e / P_a) with
+a = L_s + k_{s+1}, e = L_{s+1} and P_n = M_1...M_n, and a fiber is keyed by
+the tuple of these per-block integers, which is one-to-one with its Pi tuple.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CounterexampleFound,
@@ -52,15 +55,16 @@ def _default_m(ctx: BaseContext, m: int | None) -> int:
     return m
 
 
-def _block_positions(ctx: BaseContext, c: int, d: int) -> tuple[int, ...]:
+def _block_ranges(ctx: BaseContext, c: int, d: int) -> tuple[tuple[int, int], ...]:
+    # (L_s + k_{s+1}, L_{s+1}): the free-suffix positions of block s+1, s = c .. d-1
     sch = ctx.schedule
     if not ctx.r0 <= c < d <= len(sch.q):
         raise InvalidRange(f"blocks must satisfy r0 = {ctx.r0} <= c < d <= {len(sch.q)}")
-    pos: list[int] = []
-    for s in range(c, d):
-        start = sch.L[s] + ctx.k[s]
-        pos.extend(range(start, sch.L[s + 1]))
-    return tuple(pos)
+    return tuple((sch.L[s] + ctx.k[s], sch.L[s + 1]) for s in range(c, d))
+
+
+def _block_positions(ctx: BaseContext, c: int, d: int) -> tuple[int, ...]:
+    return tuple(p for start, end in _block_ranges(ctx, c, d) for p in range(start, end))
 
 
 @dataclass(frozen=True)
@@ -149,24 +153,46 @@ def pi_map(
     return tuple(digits[p] for p in positions)
 
 
-def _digits_over_interval(
-    ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, depth: int, m: int
-) -> list[tuple[int, ...]]:
-    """Digit tuples of h*b^n - h*b^m, depth positions, for n = start..start+length-1.
+def _values_over_interval(
+    ctx: BaseContext, modulus: int, start: int, length: int, m: int
+) -> Iterator[int]:
+    """Residues of h*b^n - h*b^m mod modulus for n = start..start+length-1.
 
     One modular power for the endpoint, one modular multiply per step.
     """
-    modulus = sch.prefix_product(depth)
     b_red = ctx.b % modulus
     bn = pow(ctx.b, start, modulus)
     bm = pow(ctx.b, m, modulus)
     h_red = ctx.h % modulus
-    out = []
     for _ in range(length):
-        val = (h_red * (bn - bm)) % modulus
-        out.append(to_digits(val, sch, length=depth).digits)
+        yield (h_red * (bn - bm)) % modulus
         bn = (bn * b_red) % modulus
-    return out
+
+
+def _digits_over_interval(
+    ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, depth: int, m: int
+) -> list[tuple[int, ...]]:
+    """Digit tuples of h*b^n - h*b^m, depth positions, for n = start..start+length-1."""
+    values = _values_over_interval(ctx, sch.prefix_product(depth), start, length, m)
+    return [to_digits(val, sch, length=depth).digits for val in values]
+
+
+def _partition_fibers(
+    ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, r: int, m: int
+) -> dict[tuple[int, ...], list[int]]:
+    """The Pi_{r0,r} fibers of n = start..start+length-1, members in increasing n.
+
+    A fiber's key holds one integer per block r0+1 .. r: the block's
+    free-suffix digits of h*b^n - h*b^m read as (v // P_a) mod (P_e / P_a).
+    """
+    P = sch.prefix_product
+    cuts = tuple((P(a), P(e) // P(a)) for a, e in _block_ranges(ctx, ctx.r0, r))
+    values = _values_over_interval(ctx, P(sch.L[r]), start, length, m)
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for n, val in enumerate(values, start):
+        key = tuple((val // low) % span for low, span in cuts)
+        fibers.setdefault(key, []).append(n)
+    return fibers
 
 
 # --------------------------------------------------------------------------
@@ -220,31 +246,25 @@ def verify_partition(
     order = order_mod_reduced(ctx, r, 0)
     if order > ENUMERATION_GUARD:
         raise TooLarge(f"interval length {order} exceeds the enumeration guard")
-    positions = _block_positions(ctx, ctx.r0, r)
     y_size = y_product(ctx, r)
     J = integer_J(ctx, r)
 
-    depth = sch.L[r]
-    rows = _digits_over_interval(ctx, sch, I_start, order, depth, mm)
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for offset, digits in enumerate(rows):
-        key = tuple(digits[p] for p in positions)
-        fibers.setdefault(key, []).append(I_start + offset)
+    fibers = _partition_fibers(ctx, sch, I_start, order, r, mm)
     if len(fibers) != y_size:
         raise CounterexampleFound(
             f"Pi image has {len(fibers)} points, expected {y_size} "
             f"(first n = {I_start})"
         )
-    for key, members in fibers.items():
+    for members in fibers.values():
         if len(members) != J:
+            key = pi_map(members[0], ctx.r0, r, sys, ctx, m=mm)
             raise CounterexampleFound(
                 f"fiber over {key} has {len(members)} elements, expected {J} "
                 f"(witness n = {members[0]})"
             )
-    ordered_keys = sorted(fibers)
-    classes = tuple(
-        tuple(sorted(fibers[key][t] for key in ordered_keys)) for t in range(J)
-    )
+    # fibers list their members in increasing n and every class is sorted,
+    # so the classes do not depend on the order of the keys
+    classes = tuple(tuple(sorted(column)) for column in zip(*fibers.values()))
     return PartitionCertificate(
         I_start=I_start, length=order, J=J, y_size=y_size, classes=classes
     )

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
 from .numtheory import BaseContext
 from .radix import PrimeSchedule
+from .rng import cumulative_thresholds
 
 # cos/sin of a double in [0, 2 pi) are correct to a couple of ulps; 2^-48 over-
 # covers the 4-ulp argument-scaled worst case and stays negligible vs any eps
@@ -196,6 +197,18 @@ class MoranSystem:
     def _levels(self) -> tuple[_Level, ...]:
         # built on the first transform; cached_property keeps it out of eq/hash
         return tuple(_build_level(d, w) for d, w in zip(self.digit_sets, self.weights))
+
+    @cached_property
+    def _thresholds(self) -> tuple[tuple[int, ...], ...]:
+        # per-level cumulative_thresholds, built on the first sample
+        return tuple(cumulative_thresholds(w) for w in self.weights)
+
+    @cached_property
+    def avoidance_lo(self) -> Fraction:
+        """Left end 2 sup_n max(D_n)/M_n of the avoidance interval (lo, 1)."""
+        return 2 * max(
+            Fraction(max(d), base) for d, base in zip(self.digit_sets, self.schedule.bases())
+        )
 
     def binary_omegas(self) -> tuple[Fraction, ...]:
         """Per-level weight of digit 0 for a {0,1} system."""

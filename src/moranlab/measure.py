@@ -19,7 +19,6 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     ScheduleTooShort,
 )
 from .fourier import MoranSystem
-from .rng import cumulative_thresholds, derive_seed, pick, value_at
+from .rng import derive_seed, pick, value_at
 
 DEFAULT_GUARD = 8
 
@@ -45,11 +44,6 @@ class SamplePoint:
     seed: int
 
 
-@lru_cache(maxsize=512)
-def _thresholds(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
-    return cumulative_thresholds(weights)
-
-
 def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     """Draw digits d_1..d_depth independently per the level weights.
 
@@ -61,10 +55,9 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     digits: list[int] = []
     num = 0
     den = 1
-    for n, base in enumerate(sys.schedule.bases(depth), start=1):
-        u = value_at(seed, n - 1)
-        idx = pick(u, _thresholds(sys.weights[n - 1]))
-        d = sys.digit_sets[n - 1][idx]
+    levels = zip(sys.schedule.bases(depth), sys._thresholds, sys.digit_sets)
+    for n, (base, thresholds, digit_set) in enumerate(levels):
+        d = digit_set[pick(value_at(seed, n), thresholds)]
         digits.append(d)
         num = num * base + d
         den *= base
@@ -272,7 +265,6 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
         digit_sets = sys.digit_sets
         if j_max > sch.depth:
             raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sch.depth}")
-        lo = 2 * max(Fraction(max(d), base) for d, base in zip(digit_sets, sch.bases()))
         dilations = sch.prefix_products(j_max)
     elif isinstance(sys, ConvolvedSystem):
         sch = sys.schedule
@@ -280,14 +272,11 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
         special = sys.special_levels
         if j_max > len(special):
             raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
-        bases = sch.bases()
-        lo = Fraction(1, 6) + max(
-            Fraction(max(sys.sum_sets[n - 1]), bases[n - 1]) for n in special
-        )
         dilations = [sch.prefix_product(n - 1) for n in special[:j_max]]
     else:
         raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
 
+    lo = sys.avoidance_lo
     if lo >= 1:
         raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
     digits = _attractor_digits(x, sch, sch.depth)
@@ -295,10 +284,13 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
         if d not in digit_sets[n - 1]:
             raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
 
+    # {k x} = ((num k) mod den) / den lies in the open (lo, 1) iff
+    # lo_num den < lo_den ((num k) mod den); frac < 1 always
     num, den = x.numerator, x.denominator
+    lo_num_den = lo.numerator * den
+    lo_den = lo.denominator
     for j, k in enumerate(dilations, start=1):
-        frac = Fraction((num * k) % den, den)
-        if lo < frac:  # frac < 1 always; the interval is open
+        if lo_num_den < lo_den * ((num * k) % den):
             return AvoidanceVerdict(
                 passed=False, first_violation_j=j, interval_lo=lo, j_max=j_max
             )

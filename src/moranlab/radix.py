@@ -30,13 +30,20 @@ from .errors import (
     ScheduleTooShort,
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (psi_13); below it the
+# Miller-Rabin test over _MR_BASES is exact
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24 (covers any schedule prime)."""
+    """Deterministic Miller-Rabin over the primes 2..41, exact for all
+    n < psi_13 = 3317044064679887385961981 (about 3.3e24), which covers any
+    schedule prime; OutOfRange at or above that bound instead of a guess."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise OutOfRange(f"{n} is beyond the exact primality bound {_MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -211,6 +211,14 @@ def test_schedule_cube_window_flag(tmp_path, capsys):
     assert payload["flag"] == OFFSET_FLAG
 
 
+def test_schedule_cube_window_beyond_primality_bound(tmp_path, capsys):
+    # (1 + 149200000)^3 is past psi_13, where Miller-Rabin over 2..41 stops being exact
+    path = cfg_file(tmp_path, {"schedule": {"count": 1, "variant": "cube-window", "offset": 149200000}})
+    rc, _, err = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
+    assert rc == 3
+    assert "exact primality bound" in err and "Traceback" not in err
+
+
 def test_context_toy(tmp_path, capsys):
     path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE})
     rc, out, _ = run(capsys, "context", "--config", path, "--out", str(tmp_path))

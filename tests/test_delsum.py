@@ -1,5 +1,7 @@
 """Criterion partial sums: determinism, decomposition, and the naive oracle."""
 
+from fractions import Fraction
+
 import pytest
 
 from moranlab import (
@@ -44,6 +46,28 @@ def test_small_sum_matches_naive_loop(small_system):
 
         naive = naive_del_sum(small_system, 2, 1, n_max, mu)
         assert naive == pytest.approx(report.partial_sum, abs=report.radius + 1e-9)
+
+
+@pytest.mark.parametrize("b, h, n_max", [(2, 1, 3), (2, 1, 9), (3, -2, 7), (10, 1, 5)])
+def test_radius_covers_exact_sums(small_system, b, h, n_max):
+    # the same certified brackets summed exactly in Fractions: the midpoint
+    # sum, and both ends of the bracket on the true partial sum, lie within
+    # radius of partial_sum with no extra tolerance
+    eps = 1e-9
+    report = del_partial(small_system, b, h, N_max=n_max, eps=eps)
+    mid = lo_sum = hi_sum = Fraction(0)
+    for N in range(1, n_max + 1):
+        for m in range(N):
+            for n in range(N):
+                xi = abs(frequency(h, b, n, m))
+                cert = mu_hat_modulus(xi, small_system, eps / n_max**3)
+                lo, hi = Fraction(cert.lo), Fraction(cert.hi)
+                mid += (lo + hi) / 2 / N**3
+                lo_sum += lo / N**3
+                hi_sum += hi / N**3
+    centre, radius = Fraction(report.partial_sum), Fraction(report.radius)
+    assert abs(centre - mid) <= radius
+    assert centre - radius <= lo_sum and hi_sum <= centre + radius
 
 
 def test_partial_sums_monotone(small_system):

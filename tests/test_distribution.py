@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
     C_bound,
+    CounterexampleFound,
     InvalidParameter,
     InvalidRange,
     NotWellDistributed,
@@ -22,7 +25,9 @@ from moranlab import (
     prefix_projection,
     verify_partition,
 )
-from moranlab.numtheory import order_mod_reduced
+from moranlab import distribution
+from moranlab.distribution import _partition_fibers
+from moranlab.numtheory import integer_J, order_mod_reduced
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,94 @@ def test_residual_class_window(toy):
         assert len(values) == order
         # and an extra step adds nothing new
         assert pow(2, start + order, modulus) in values
+
+
+# --------------------------------------------------------------------------
+# the integer fiber kernel against pi_map's digit tuples
+
+
+def _pi_fibers(ctx, sysm, start, length, r):
+    """Pi_{r0,r} fibers keyed by pi_map's digit tuples, members in increasing n."""
+    fibers: dict[tuple[int, ...], list[int]] = {}
+    for n in range(start, start + length):
+        fibers.setdefault(pi_map(n, ctx.r0, r, sysm, ctx), []).append(n)
+    return fibers
+
+
+def _block_values(ctx, r, digits):
+    """Each block's free-suffix digits read as one mixed-radix integer."""
+    sch = ctx.schedule
+    rest = iter(digits)
+    key = []
+    for s in range(ctx.r0, r):
+        value, weight = 0, 1
+        for p in range(sch.L[s] + ctx.k[s], sch.L[s + 1]):
+            value += next(rest) * weight
+            weight *= sch.base_at(p + 1)
+        key.append(value)
+    assert next(rest, None) is None
+    return tuple(key)
+
+
+SMALL_SCHEDULES = (
+    PrimeSchedule(d=1, q=(7, 11), ell=(1, 2)),
+    PrimeSchedule(d=1, q=(7, 11, 13), ell=(1, 2, 2)),
+    PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=(1, 2, 3, 4)),
+    PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=(1, 3, 3, 3)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sch=st.sampled_from(SMALL_SCHEDULES),
+    b=st.sampled_from([2, 5, 10, 12]),
+    h=st.sampled_from([1, 2, -3]),
+    depth=st.integers(0, 3),
+    start=st.integers(1, 10**12),
+    length=st.integers(1, 600),
+)
+def test_partition_fibers_match_pi_map(sch, b, h, depth, start, length):
+    sysm = binary_system(sch)
+    ctx = build_context(b, h, sch)
+    r = min(ctx.r0 + 1 + depth, len(sch.q))
+    kernel = _partition_fibers(ctx, sch, start, length, r, ctx.n0 - 1)
+    reference = {
+        _block_values(ctx, r, digits): members
+        for digits, members in _pi_fibers(ctx, sysm, start, length, r).items()
+    }
+    assert kernel == reference
+
+
+@pytest.mark.parametrize(
+    "ell, b, h, r",
+    [
+        ((1, 2, 3, 4), 2, 1, 3),  # the two bench partitions
+        ((1, 3, 3, 3), 3, 2, 3),
+        ((1, 2, 3, 4), 10, -3, 3),
+        ((1, 2, 3, 4), 5, 2, 2),
+    ],
+)
+def test_verify_partition_classes_match_pi_map_reference(ell, b, h, r):
+    # the classes as built from full digit tuples with fibers in sorted key order
+    sch = PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=ell)
+    sysm = binary_system(sch)
+    ctx = build_context(b, h, sch)
+    cert = verify_partition(5, ctx, sysm, r)
+    fibers = _pi_fibers(ctx, sysm, 5, cert.length, r)
+    keys = sorted(fibers)
+    expected = tuple(
+        tuple(sorted(fibers[key][t] for key in keys)) for t in range(cert.J)
+    )
+    assert cert.classes == expected
+    assert len(keys) == cert.y_size
+
+
+def test_verify_partition_counterexample_names_the_fiber(toy, monkeypatch):
+    # a wrong J makes every fiber the wrong size; the message names the first
+    # fiber by its Pi digit tuple and its witness n
+    _, sysm, ctx = toy
+    monkeypatch.setattr(distribution, "integer_J", lambda c, r: integer_J(c, r) + 1)
+    with pytest.raises(CounterexampleFound) as exc:
+        verify_partition(1, ctx, sysm, r=2)
+    pi = pi_map(1, ctx.r0, 2, sysm, ctx)
+    assert str(exc.value) == f"fiber over {pi} has 30 elements, expected 31 (witness n = 1)"

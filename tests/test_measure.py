@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
+    ConvolvedSystem,
     InvalidParameter,
     MoranSystem,
     NotInSupport,
@@ -14,11 +17,14 @@ from moranlab import (
     ScheduleTooShort,
     base_digits,
     binary_system,
+    build_convolved,
+    build_schedule,
     normality_report,
     sample_batch,
     sample_point,
     uniqueness_avoidance,
 )
+from moranlab.rng import cumulative_thresholds
 
 
 def _degenerate_system(sch: PrimeSchedule, digit: int) -> MoranSystem:
@@ -194,3 +200,68 @@ def test_frequency_consistency(small_system):
         for rep in normality_report(pt.value, [2, 3, 10]):
             if rep.trusted_digit_count > 0:
                 assert sum(rep.frequencies) == 1
+
+
+def test_threshold_table_per_level_and_out_of_equality_and_hash():
+    sch = build_schedule(d=2, count=5)
+    omegas = [Fraction(n, 2 * n + 1) for n in range(1, sch.depth + 1)]
+    a = binary_system(sch, omegas)
+    b = binary_system(sch, omegas)
+    before = hash(a)
+    sample_point(a, seed=7, depth=3)
+    assert a._thresholds == tuple(cumulative_thresholds(w) for w in a.weights)
+    assert "_thresholds" in vars(a) and "_thresholds" not in vars(b)
+    assert a == b and hash(a) == hash(b) == before
+    assert "_thresholds" not in repr(a)
+
+
+def _reference_avoidance(x: Fraction, sysm, j_max: int) -> tuple[Fraction, list[Fraction]]:
+    """lo and the fractional parts {k_j x}, j = 1..j_max, all as Fractions."""
+    bases = sysm.schedule.bases()
+    prefix = [1]
+    for M in bases:
+        prefix.append(prefix[-1] * M)
+    if isinstance(sysm, ConvolvedSystem):
+        lo = Fraction(1, 6) + max(
+            Fraction(max(sysm.sum_sets[n - 1]), bases[n - 1]) for n in sysm.special_levels
+        )
+        dilations = [prefix[n - 1] for n in sysm.special_levels[:j_max]]
+    else:
+        lo = 2 * max(Fraction(max(d), M) for d, M in zip(sysm.digit_sets, bases))
+        dilations = prefix[1 : j_max + 1]
+    return lo, [(k * x) % 1 for k in dilations]
+
+
+def _avoidance_cases():
+    sch = build_schedule(d=2, count=5)
+    plain = binary_system(sch, Fraction(1, 3))
+    wide = MoranSystem(
+        sch,
+        ((0, 2),) * sch.depth,
+        ((Fraction(1, 4), Fraction(3, 4)),) * sch.depth,
+    )
+    conv = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
+    return (
+        (plain, plain, sch.depth - 1),
+        (wide, wide, sch.depth),
+        (conv, conv.as_moran_system(), len(conv.special_levels) - 1),
+    )
+
+
+AVOIDANCE_CASES = _avoidance_cases()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(AVOIDANCE_CASES), seed=st.integers(0, 2**64 - 1))
+def test_avoidance_matches_fraction_reference(case, seed):
+    # plain {0,1}, a non-binary {0,2} system and a convolved system
+    target, sampler, j_max = case
+    x = sample_point(sampler, seed, sampler.depth).value
+    verdict = uniqueness_avoidance(x, target, j_max)
+    lo, fracs = _reference_avoidance(x, target, j_max)
+    first = next((j for j, f in enumerate(fracs, start=1) if lo < f), None)
+    assert verdict.interval_lo == lo
+    assert verdict.first_violation_j == first
+    assert verdict.passed == (first is None)
+    # attractor points stay strictly below lo, so the open end is never met
+    assert lo - max(fracs) > 0

@@ -16,6 +16,7 @@ from moranlab import (
     binary_system,
     build_schedule,
     digits_congruent,
+    is_prime,
     sample_point,
     to_digits,
 )
@@ -55,6 +56,26 @@ def test_cube_window_smallest_prime_per_window():
         expect.append(next(p for p in range(lo, hi + 1) if flags[p]))
     assert sch.q == tuple(expect) == (29, 67)
     assert sch.variant == "cube-window(offset=2)"
+
+
+def test_is_prime_agrees_with_sieve():
+    flags = sieve_is_prime(20000)
+    assert [n for n in range(20001) if is_prime(n)] == [n for n in range(20001) if flags[n]]
+
+
+def test_is_prime_at_the_strong_pseudoprime_bounds():
+    # psi_12 is a strong pseudoprime to every prime base 2..37; base 41 exposes it
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(psi_12)
+    # psi_13 is the first number the bases 2..41 cannot decide
+    psi_13 = 3317044064679887385961981
+    assert is_prime(2**61 - 1) and not is_prime(psi_13 - 2)
+    for n in (psi_13, psi_13 + 2, 2**89 - 1):
+        with pytest.raises(OutOfRange) as exc:
+            is_prime(n)
+        assert exc.value.exit_code == 3
 
 
 def test_cube_window_requires_offset():
