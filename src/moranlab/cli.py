@@ -368,10 +368,15 @@ def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
     if dc["gauge"] is not None:
         gc = _merged(dc["gauge"], {"kind": "power", "param": 1.0}, "dimension.gauge")
         phi = GaugeFunction(kind=gc["kind"], param=float(gc["param"]))
+    eps = float(dc["eps"])
+    # r / phi(r) -> 0 for phi(r) = r^(1 - eps) only when 0 < eps < 1 (NaN fails too)
+    if not 0.0 < eps < 1.0:
+        raise InvalidParameter(
+            f"dimension.eps must be a finite number in (0, 1), got {dc['eps']!r}"
+        )
     variant = dc["variant"]
     if variant == "dim-one":
         csys = build_convolved(sysm, "dim-one")
-        eps = float(dc["eps"])
         phi_of = lambda r: float(r) ** (1.0 - eps)
         scale = 8.0
     else:

@@ -7,6 +7,14 @@ full prefix product. Every downstream statistic (digit frequencies, orbit
 discrepancy, interval avoidance) is then integer arithmetic; floats appear
 only in report formatting.
 
+Base-b digits come from one exact division, floor(x b^n), converted to base
+b by halving (divmod by cached powers b^h down to small-int leaves), so no
+loop divides a big integer once per digit. The orbit bin floor(64 {b^k x})
+is read from the window of the next m digits (b^m >= 2^40) and slid with
+small-int arithmetic; only a window that straddles a bin edge falls back to
+the exact remainder num b^k mod den, so the bins equal those of the
+remainder walk.
+
 Normality outputs are descriptive finite-sample statistics. The inputs are
 rationals, whose expansions are eventually periodic, so no report here ever
 claims normality; reports carry an always-true `periodic` flag to make that
@@ -102,16 +110,52 @@ def _terminating(den: int, b: int) -> bool:
     return den == 1
 
 
+_LEAF_DIGITS = 16
+
+
+def _radix_digits(num: int, den: int, b: int, count: int) -> list[int]:
+    """The first `count` base-b digits of num/den in [0, 1), most significant
+    first.
+
+    One exact division gives v = floor(num b^count / den), whose count
+    base-b digits are exactly the wanted ones; v is then split in halves by
+    divmod with b^h (powers cached per call) down to leaves of at most
+    _LEAF_DIGITS digits, which small-int divmods finish (Knuth, TAOCP vol. 2,
+    4.4). Never goes through str(int).
+    """
+    out = [0] * count
+    powers: dict[int, int] = {}
+
+    def fill(v: int, start: int, n: int) -> None:
+        if n <= _LEAF_DIGITS:
+            i = start + n
+            while v:
+                i -= 1
+                v, out[i] = divmod(v, b)
+            return
+        h = n // 2
+        p = powers.get(h)
+        if p is None:
+            p = powers[h] = b**h
+        hi, lo = divmod(v, p)
+        fill(hi, start, n - h)
+        fill(lo, start + n - h, h)
+
+    fill((num * b**count) // den, 0, count)
+    return out
+
+
 def base_digits(
     x: Fraction, b: int, count: int, guard: int = DEFAULT_GUARD
 ) -> tuple[tuple[int, ...], int]:
     """First `count` base-b digits of x, plus how many of them are trusted.
 
-    Digits come from exact long division. For a terminating expansion every
-    digit is exact and trusted; otherwise the denominator carries roughly
-    log_b(den) digits of information and the trust window stops `guard`
-    digits short of that, so no trusted digit can be an artifact of the
-    truncation of x.
+    The digits are those of exact long division, computed from the single
+    exact quotient floor(x b^count) by halving radix conversion. For a
+    terminating expansion every digit is exact and trusted; otherwise the
+    denominator carries roughly log_b(den) digits of information and the
+    trust window stops `guard` digits short of that, so no trusted digit can
+    be an artifact of the truncation of x.
     """
     if not isinstance(x, Fraction):
         x = Fraction(x)
@@ -121,17 +165,13 @@ def base_digits(
         raise InvalidParameter(f"base must be >= 2, got {b}")
     if count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count}")
-    num, den = x.numerator, x.denominator
-    digits: list[int] = []
-    for _ in range(count):
-        num *= b
-        d, num = divmod(num, den)
-        digits.append(d)
+    den = x.denominator
+    digits = tuple(_radix_digits(x.numerator, den, b, count))
     if _terminating(den, b):
         trusted = count
     else:
         trusted = max(0, min(count, _ilog(den, b) - guard))
-    return tuple(digits), trusted
+    return digits, trusted
 
 
 @dataclass(frozen=True)
@@ -151,19 +191,52 @@ class NormalityReport:
 
 
 _DISCREPANCY_BINS = 64
+# orbit bins are read from windows of m digits with b^m >= 2^_WINDOW_BITS
+_WINDOW_BITS = 40
 
 
-def _orbit_discrepancy(x: Fraction, b: int, steps: int) -> Fraction:
-    """Max deviation of the {b^k x} bin counts from uniform over 64 bins."""
-    if steps <= 0:
-        return Fraction(1)
+def _window_length(b: int) -> int:
+    m = 1
+    while b**m < 1 << _WINDOW_BITS:
+        m += 1
+    return m
+
+
+def _exact_bin(num: int, den: int, b: int, k: int) -> int:
+    # floor(64 {b^k x}) from the remainder num b^k mod den
+    return (_DISCREPANCY_BINS * (num * pow(b, k, den) % den)) // den
+
+
+def _orbit_discrepancy(num: int, den: int, b: int, digits: Sequence[int], steps: int) -> Fraction:
+    """Max deviation of the {b^k x} bin counts, k < steps, from uniform over
+    64 bins; `digits` holds the first steps + _window_length(b) digits of x.
+
+    {b^k x} lies in [A, A + 1) / b^m for the window A = d_{k+1}..d_{k+m}, so
+    its bin is q = floor(64 A / b^m) unless 64 (A + 1) > b^m (q + 1), where
+    the window straddles a bin edge j / 64. The straddling windows are
+    exactly A = floor(j b^m / 64) for the j with j b^m / 64 not an integer;
+    their bins come from the exact remainder instead.
+    """
+    m = _window_length(b)
+    bm = b**m
+    top = bm // b
+    straddling = {
+        j * bm // _DISCREPANCY_BINS
+        for j in range(1, _DISCREPANCY_BINS)
+        if j * bm % _DISCREPANCY_BINS
+    }
     counts = [0] * _DISCREPANCY_BINS
-    cur, den = x.numerator, x.denominator
-    for _ in range(steps):
-        counts[(_DISCREPANCY_BINS * cur) // den] += 1
-        cur = (cur * b) % den
-    target = Fraction(1, _DISCREPANCY_BINS)
-    return max(abs(Fraction(c, steps) - target) for c in counts)
+    A = 0
+    for d in digits[:m]:
+        A = A * b + d
+    for k, d in enumerate(digits[m : m + steps]):
+        if A in straddling:
+            counts[_exact_bin(num, den, b, k)] += 1
+        else:
+            counts[A * _DISCREPANCY_BINS // bm] += 1
+        A = A % top * b + d
+    worst = max(abs(_DISCREPANCY_BINS * c - steps) for c in counts)
+    return Fraction(worst, _DISCREPANCY_BINS * steps)
 
 
 def normality_report(
@@ -176,35 +249,43 @@ def normality_report(
 
     With count omitted, each base uses its full trust capacity (terminating
     expansions, which are exact at every digit, default to a 64-digit
-    window).
+    window). Each base costs one exact division and one radix conversion of
+    the trusted digits plus a short look-ahead window; frequencies and orbit
+    bins are then read off the digit list.
     """
     x = Fraction(x)
+    if not 0 <= x < 1:
+        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
+    for b in bases:
+        if b < 2:
+            raise InvalidParameter(f"base must be >= 2, got {b}")
+    if count is not None and count < 0:
+        raise InvalidParameter(f"count must be >= 0, got {count}")
+    num, den = x.numerator, x.denominator
     reports: list[NormalityReport] = []
     for b in bases:
-        if count is None:
-            if _terminating(x.denominator, b):
-                n_digits = 64
-            else:
-                n_digits = max(0, _ilog(x.denominator, b) - guard)
+        if _terminating(den, b):
+            trusted = 64 if count is None else count
         else:
-            n_digits = count
-        digits, trusted = base_digits(x, b, n_digits, guard)
-        window = digits[:trusted]
+            capacity = max(0, _ilog(den, b) - guard)
+            trusted = capacity if count is None else min(count, capacity)
         if trusted > 0:
-            freqs = tuple(
-                Fraction(sum(1 for d in window if d == v), trusted) for v in range(b)
-            )
-            max_dev = max(abs(f - Fraction(1, b)) for f in freqs)
+            digits = _radix_digits(num, den, b, trusted + _window_length(b))
+            window = digits[:trusted]
+            counts = [window.count(v) for v in range(b)]
+            freqs = tuple(Fraction(c, trusted) for c in counts)
+            max_dev = Fraction(max(abs(b * c - trusted) for c in counts), b * trusted)
+            discrepancy = _orbit_discrepancy(num, den, b, digits, trusted)
         else:
             freqs = tuple(Fraction(0) for _ in range(b))
-            max_dev = Fraction(1)
+            max_dev = discrepancy = Fraction(1)
         reports.append(
             NormalityReport(
                 base=b,
                 trusted_digit_count=trusted,
                 frequencies=freqs,
                 max_deviation=max_dev,
-                discrepancy=_orbit_discrepancy(x, b, trusted),
+                discrepancy=discrepancy,
             )
         )
     return reports

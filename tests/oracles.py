@@ -134,3 +134,75 @@ def ln_bounds(x: Fraction, terms: int = 14) -> tuple[Fraction, Fraction]:
     ln2_lo, ln2_hi = _atanh_bounds(Fraction(1, 3), terms)
     m_lo, m_hi = _atanh_bounds((m - 1) / (m + 1), terms)
     return 2 * (e * ln2_lo + m_lo), 2 * (e * ln2_hi + m_hi)
+
+
+def long_division_digits(x: Fraction, b: int, count: int) -> tuple[int, ...]:
+    """First `count` base-b digits of x in [0, 1), one big-int divmod per digit."""
+    num, den = x.numerator, x.denominator
+    digits = []
+    for _ in range(count):
+        num *= b
+        d, num = divmod(num, den)
+        digits.append(d)
+    return tuple(digits)
+
+
+def remainder_walk_discrepancy(x: Fraction, b: int, steps: int) -> Fraction:
+    """Max deviation from uniform of the 64-bin counts of {b^k x}, k < steps,
+    walking the exact remainders num b^k mod den."""
+    if steps <= 0:
+        return Fraction(1)
+    counts = [0] * 64
+    cur, den = x.numerator, x.denominator
+    for _ in range(steps):
+        counts[(64 * cur) // den] += 1
+        cur = (cur * b) % den
+    return max(abs(Fraction(c, steps) - Fraction(1, 64)) for c in counts)
+
+
+def _terminates(den: int, b: int) -> bool:
+    # den divides a power of b iff stripping b's common factors leaves 1
+    while (g := math.gcd(den, b)) > 1:
+        den //= g
+    return den == 1
+
+
+def _log_floor(n: int, b: int) -> int:
+    # floor(log_b n) for n >= 1 by repeated multiplication
+    t, power = 0, b
+    while power <= n:
+        power *= b
+        t += 1
+    return t
+
+
+def reference_trusted(den: int, b: int, count: int, guard: int = 8) -> int:
+    """Trusted digit count: all of `count` when den divides a power of b,
+    else count capped at floor(log_b den) - guard (never negative)."""
+    if _terminates(den, b):
+        return count
+    return max(0, min(count, _log_floor(den, b) - guard))
+
+
+def reference_normality(x: Fraction, bases, guard: int = 8, count=None) -> list[tuple]:
+    """(base, trusted, frequencies, max_deviation, discrepancy) per base from
+    long division and the remainder walk; the default window is 64 digits
+    for a terminating expansion, else the full trust capacity."""
+    out = []
+    for b in bases:
+        if count is not None:
+            n_digits = count
+        elif _terminates(x.denominator, b):
+            n_digits = 64
+        else:
+            n_digits = max(0, _log_floor(x.denominator, b) - guard)
+        trusted = reference_trusted(x.denominator, b, n_digits, guard)
+        window = long_division_digits(x, b, n_digits)[:trusted]
+        if trusted > 0:
+            freqs = tuple(Fraction(sum(1 for d in window if d == v), trusted) for v in range(b))
+            max_dev = max(abs(f - Fraction(1, b)) for f in freqs)
+        else:
+            freqs = tuple(Fraction(0) for _ in range(b))
+            max_dev = Fraction(1)
+        out.append((b, trusted, freqs, max_dev, remainder_walk_discrepancy(x, b, trusted)))
+    return out

@@ -337,6 +337,15 @@ def test_normality_zero_samples(tmp_path, capsys):
     assert lines[2] == "seed,depth,base,trusted_digits,max_deviation,discrepancy"
 
 
+@pytest.mark.parametrize("bases", [[1], [0], [2, 1], [-2]])
+def test_normality_base_below_two_is_a_parameter_error(tmp_path, capsys, bases):
+    path = cfg_file(tmp_path, {"normality": {"samples": 2, "bases": bases}})
+    rc, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: base must be >= 2")
+    assert "Traceback" not in err
+
+
 def test_normality_seed_flag_beats_config(tmp_path, capsys):
     path = cfg_file(tmp_path, {"seed": 1, "normality": {"samples": 3}})
     rc, _, _ = run(capsys, "normality", "--config", path, "--out", str(tmp_path), "--seed", "5")
@@ -459,6 +468,23 @@ def test_dimension_band_underflow_is_out_of_range(tmp_path, capsys, dimension):
     assert rc == 3
     assert err.startswith("error: band ") and "dimension.band_hi" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", [2, 1, 0, -0.5, "nan", "inf", float("inf")])
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"variant": "gauge", "gauge": {"kind": "r_times_log_power", "param": 1.0}}],
+)
+def test_dimension_eps_outside_unit_interval_is_a_parameter_error(
+    tmp_path, capsys, eps, variant
+):
+    # phi(r) = r^(1 - eps) is a gauge with r / phi(r) -> 0 only for 0 < eps < 1
+    dimension = {"eps": eps, "samples": 1, "band_hi": 3, **variant}
+    path = cfg_file(tmp_path, {"dimension": dimension})
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: dimension.eps must be a finite number in (0, 1)")
+    assert "Traceback" not in err and out == ""
 
 
 def test_dimension_gauge_requires_gauge_entry(tmp_path, capsys):

@@ -159,3 +159,42 @@ def test_plan_stays_out_of_equality_and_hash():
     assert "_levels" in vars(a) and "_levels" not in vars(b)
     assert a == b and hash(a) == hash(b) == before
     assert "_levels" not in repr(a)
+
+
+@st.composite
+def near_one_residues(draw):
+    """(r, P) with P >= 2^60 and r in {P - 1, P - 2, P - floor(P / 2^60)}:
+    reduced arguments within about 2^-60 of 1."""
+    sysm = draw(SYSTEMS)
+    n = draw(st.integers(1, sysm.depth))
+    deep = [P for P in sysm.schedule.prefix_products() if P >= 2**60]
+    P = draw(st.one_of(st.sampled_from(deep), st.integers(2**60, 2**200)))
+    r = P - draw(st.sampled_from([1, 2, P >> 60]))
+    return sysm, n, r, P
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_one_residues())
+def test_level_kernel_matches_mask_interval_near_one(case):
+    sysm, n, r, P = case
+    expected = mask_interval(n, Fraction(r, P), sysm)
+    assert _level_mask(sysm._levels[n - 1], r, P) == expected
+
+
+@pytest.mark.parametrize("kind", ["near0", "near1", "half", "mixed", "dim-one", "wide"])
+def test_mu_hat_brackets_mpmath_oracle_near_one(kind):
+    # xi = P_N - s leaves the argument r / P_N within about 2^-60 of 1 at level
+    # N; levels deeper than depth - 5 leave too little schedule for the tail
+    sysm = _system(kind, 2)
+    for P in sysm.schedule.prefix_products(sysm.depth - 5):
+        if P < 2**60:
+            continue
+        for xi in (P - 1, P - 2, P - (P >> 60)):
+            for eps in (1e-6, 1e-12):
+                cert = mu_hat_modulus(xi, sysm, eps)
+                assert (cert.lo, cert.hi, cert.truncation_level) == _reference_mu_hat(
+                    xi, sysm, eps
+                )
+                true = mp_mu_hat(xi, sysm, dps=50)
+                assert mpmath.mpf(cert.lo) <= true <= mpmath.mpf(cert.hi)
+                assert cert.hi - cert.lo <= eps

@@ -1,0 +1,154 @@
+"""The digit and orbit-bin kernels of `measure` against long division.
+
+`base_digits` and `normality_report` compute digits from one exact division
+and read orbit bins from digit windows; `oracles.long_division_digits` and
+`oracles.remainder_walk_discrepancy` are the one-divmod-per-digit loops they
+must reproduce exactly.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moranlab import InvalidParameter, base_digits, measure, normality_report, sample_batch
+from moranlab.cli import _schedule_from, _system_from
+
+from oracles import long_division_digits, reference_normality, reference_trusted
+
+BASES = st.sampled_from(list(range(2, 17)) + [64, 100])
+
+
+@st.composite
+def rationals(draw):
+    """x = num / den in [0, 1) with den up to about 2^400."""
+    den = draw(st.one_of(st.integers(1, 2**16), st.integers(1, 2**400)))
+    return Fraction(draw(st.integers(0, den - 1)), den)
+
+
+# None is the default window; 450 lies beyond every trust window here
+COUNTS = st.one_of(st.none(), st.just(0), st.integers(1, 40), st.integers(300, 450))
+
+
+def _fields(reports):
+    return [
+        (r.base, r.trusted_digit_count, r.frequencies, r.max_deviation, r.discrepancy)
+        for r in reports
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals(), BASES, st.one_of(st.just(0), st.integers(1, 40), st.integers(100, 450)))
+def test_base_digits_matches_long_division(x, b, count):
+    digits, trusted = base_digits(x, b, count)
+    assert digits == long_division_digits(x, b, count)
+    assert trusted == reference_trusted(x.denominator, b, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rationals(), st.lists(BASES, min_size=1, max_size=3), COUNTS)
+def test_normality_report_matches_reference(x, bases, count):
+    reports = normality_report(x, bases, count=count)
+    assert _fields(reports) == reference_normality(x, bases, count=count)
+    assert all(r.periodic for r in reports)
+
+
+TERMINATING = [
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(63, 64),
+    Fraction(3, 1000),
+    Fraction(7, 2**30 * 5**9),
+    Fraction(5, 64**3),
+    Fraction(99, 100**4),
+]
+
+
+@pytest.mark.parametrize("x", TERMINATING)
+@pytest.mark.parametrize("count", [None, 0, 5, 300])
+def test_terminating_expansions_match_reference(x, count):
+    bases = [2, 3, 5, 10, 16, 64, 100]
+    assert _fields(normality_report(x, bases, count=count)) == reference_normality(
+        x, bases, count=count
+    )
+    for b in bases:
+        n = 70 if count is None else count
+        assert base_digits(x, b, n) == (
+            long_division_digits(x, b, n),
+            reference_trusted(x.denominator, b, n),
+        )
+
+
+def test_bin_edges_take_the_exact_fallback(monkeypatch):
+    # j/64 +- 3^-40 sits within 3^-40 of a bin edge, far inside the
+    # 26-digit base-3 window, so the window cannot decide the first bin
+    calls = []
+    exact_bin = measure._exact_bin
+
+    def counting(num, den, b, k):
+        calls.append(k)
+        return exact_bin(num, den, b, k)
+
+    monkeypatch.setattr(measure, "_exact_bin", counting)
+    delta = Fraction(1, 3**40)
+    for j in range(64):
+        for x in (Fraction(j, 64) + delta, Fraction(j, 64) - delta):
+            if not 0 <= x < 1:
+                continue
+            before = len(calls)
+            reports = normality_report(x, [3], count=None)
+            assert _fields(reports) == reference_normality(x, [3])
+            if j:
+                assert calls[before : before + 1] == [0]  # bin 0 came from the remainder
+    assert len(calls) >= 126
+
+
+def test_base_ten_beyond_the_decimal_string_limit():
+    # more than 4300 decimal digits, where str(int) refuses to convert
+    den = 3**9500 + 2**100
+    x = Fraction(2**15000 % den, den)
+    digits, trusted = base_digits(x, 10, 4500)
+    assert digits == long_division_digits(x, 10, 4500)
+    assert trusted == 4500
+    (report,) = normality_report(x, [10], count=4400)
+    assert report.trusted_digit_count == 4400
+    assert _fields([report]) == reference_normality(x, [10], count=4400)
+
+
+BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "sample_normality.json"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bench_normality_samples_match_reference(seed):
+    cfg = json.loads(BENCH_CONFIG.read_text())
+    sch = _schedule_from(cfg)
+    bases = tuple(cfg["normality"]["bases"])
+    pts = sample_batch(_system_from(cfg, sch), seed, sch.depth, cfg["normality"]["samples"])
+    examined = 0
+    for pt in pts:
+        reports = normality_report(pt.value, bases)
+        assert _fields(reports) == reference_normality(pt.value, bases)
+        examined += sum(r.trusted_digit_count for r in reports)
+    if seed == 1:
+        assert examined == 110_802
+
+
+@pytest.mark.parametrize(
+    "x, bases, count",
+    [
+        (Fraction(1, 3), [1], None),
+        (Fraction(1, 3), [0], None),
+        (Fraction(1, 3), [2, -3], None),
+        (Fraction(1, 2), [1], 4),
+        (Fraction(1), [2], None),
+        (Fraction(3, 2), [2], None),
+        (Fraction(-1, 2), [10], 4),
+        (Fraction(1, 3), [2], -1),
+    ],
+)
+def test_normality_rejects_bad_arguments_up_front(x, bases, count):
+    with pytest.raises(InvalidParameter):
+        normality_report(x, bases, count=count)
