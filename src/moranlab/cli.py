@@ -1,7 +1,7 @@
 """Configuration-driven command line for reproducible runs.
 
 Every subcommand reads one JSON config file (schema in the README), applies
-the --seed/--out/--workers overrides, and writes CSV/JSON artifacts into the
+the --seed/--out overrides, and writes CSV/JSON artifacts into the
 output directory. Reports embed the sha256 of the effective config and the
 library version; CSV files additionally carry a timestamp comment line that
 is excluded from any byte-identity comparison. Exit codes: 0 ok, 2 config
@@ -75,6 +75,13 @@ def _fraction(value, where: str) -> Fraction:
     raise InvalidParameter(f"bad fraction in {where}: {value!r}")
 
 
+def _nonnegative(value, where: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise InvalidParameter(f"{where} must be >= 0, got {n}")
+    return n
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -101,6 +108,8 @@ _TOP_KEYS = {
     "uniqueness": {},
     "dimension": {},
     "seed": 0,
+    # "workers" drives nothing but stays validated and hashed (1 when null):
+    # bench/configs/spectrum_*.json set it and bench/digests.json pins the hashes
     "workers": None,
     "out_dir": None,
 }
@@ -132,10 +141,15 @@ def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
     cx = _merged(cfg.get("context", {}), {"b": [2], "h": [1]}, "context")
     bs = cx["b"] if isinstance(cx["b"], list) else [cx["b"]]
     hs = cx["h"] if isinstance(cx["h"], list) else [cx["h"]]
+    if not bs or not hs:
+        raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
     return [(int(b), int(h)) for b in bs for h in hs]
 
 
-def _config_hash(cfg: dict, seed: int, workers: int) -> str:
+def _config_hash(cfg: dict, seed: int) -> str:
+    workers = 1 if cfg["workers"] is None else int(cfg["workers"])
+    if workers < 1:
+        raise InvalidParameter(f"workers must be >= 1, got {workers}")
     canon = json.dumps({"config": cfg, "seed": seed, "workers": workers}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -167,7 +181,7 @@ def _write_json_report(path: str, cfg_hash: str, command: str, payload) -> None:
 # subcommands
 
 
-def cmd_schedule(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_schedule(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     print(f"schedule d={sch.d} variant={sch.variant} depth={sch.depth}")
     if sch.variant.startswith("cube-window"):
@@ -185,7 +199,7 @@ def cmd_schedule(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) ->
     return 0
 
 
-def cmd_context(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_context(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     payload = []
     for b, h in _context_pairs(cfg):
@@ -196,7 +210,7 @@ def cmd_context(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> 
     return 0
 
 
-def cmd_fourier(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     fc = _merged(
@@ -208,18 +222,19 @@ def cmd_fourier(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> 
         xis = [int(x) for x in fc["xis"]]
     else:
         r = min(3, len(sch.q))
-        xi_max = int(fc["xi_max"]) if fc["xi_max"] is not None else sch.N[r]
-        xis = [value_at(seed, i) % (xi_max + 1) for i in range(int(fc["xi_count"]))]
+        xi_max = sch.N[r] if fc["xi_max"] is None else _nonnegative(fc["xi_max"], "fourier.xi_max")
+        xi_count = _nonnegative(fc["xi_count"], "fourier.xi_count")
+        xis = [value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
     b, h = _context_pairs(cfg)[0]
     ctx = build_context(b, h, sch)
     path = os.path.join(out, fc["out"])
-    write_batch_csv(path, xis, sysm, ctx, eps=float(fc["eps"]), workers=workers)
+    write_batch_csv(path, xis, sysm, ctx, eps=float(fc["eps"]))
     _stamp_csv(path, cfg_hash)
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
 
 
-def cmd_del(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
@@ -236,7 +251,7 @@ def cmd_del(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
         },
         "del",
     )
-    report = del_partial(sysm, b, h, int(dc["N_max"]), float(dc["eps"]), workers=workers)
+    report = del_partial(sysm, b, h, int(dc["N_max"]), float(dc["eps"]))
     path = os.path.join(out, dc["out"])
     write_del_csv(path, report)
     _stamp_csv(path, cfg_hash)
@@ -249,7 +264,6 @@ def cmd_del(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
             range(int(dc["r_lo"]), int(dc["r_hi"]) + 1),
             m_values=tuple(int(m) for m in dc["m_values"]),
             eps=float(dc["eps"]),
-            workers=workers,
         )
         bpath = os.path.join(out, dc["blocks_out"])
         write_block_csv(bpath, rows)
@@ -258,7 +272,7 @@ def cmd_del(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
     return 0
 
 
-def cmd_partition(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
@@ -282,7 +296,7 @@ def cmd_partition(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
     return 0
 
 
-def cmd_normality(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     nc = _merged(
@@ -291,14 +305,15 @@ def cmd_normality(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
         "normality",
     )
     depth = int(nc["depth"]) if nc["depth"] is not None else sch.depth
-    count = int(nc["samples"])
+    count = _nonnegative(nc["samples"], "normality.samples")
+    guard = _nonnegative(nc["guard"], "normality.guard")
     rows = []
     if count > 0:
-        for i, pt in enumerate(sample_batch(sysm, seed, depth, count, workers=workers)):
+        for i, pt in enumerate(sample_batch(sysm, seed, depth, count)):
             for rep in normality_report(
                 pt.value,
                 bases=tuple(int(b) for b in nc["bases"]),
-                guard=int(nc["guard"]),
+                guard=guard,
                 count=None if nc["count"] is None else int(nc["count"]),
             ):
                 rows.append((derive_seed(seed, i), depth, rep))
@@ -309,7 +324,7 @@ def cmd_normality(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
     return 0
 
 
-def cmd_uniqueness(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     uc = _merged(
@@ -329,11 +344,11 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) 
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     depth = int(uc["depth"]) if uc["depth"] is not None else sch.depth
     j_max = int(uc["j_max"]) if uc["j_max"] is not None else max(1, default_j)
-    count = int(uc["samples"])
+    count = _nonnegative(uc["samples"], "uniqueness.samples")
     rows = []
     passed = 0
     if count > 0:
-        for i, pt in enumerate(sample_batch(sampler, seed, depth, count, workers=workers)):
+        for i, pt in enumerate(sample_batch(sampler, seed, depth, count)):
             verdict = uniqueness_avoidance(pt.value, target, j_max)
             passed += verdict.passed
             rows.append((derive_seed(seed, i), verdict))
@@ -344,7 +359,7 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) 
     return 0
 
 
-def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -> int:
+def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     dc = _merged(
@@ -389,7 +404,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, workers: int, cfg_hash: str) -
     band_hi = int(dc["band_hi"]) if dc["band_hi"] is not None else sch.depth - 1
     band_lo = max(int(dc["band_lo"]), 1)
     sampler = csys.as_moran_system()
-    pts = sample_batch(sampler, seed, sch.depth, int(dc["samples"]), workers=workers)
+    pts = sample_batch(sampler, seed, sch.depth, int(dc["samples"]))
     bands = []  # (m, r, h(r), phi(r)), shared by every sample
     for mband in range(band_lo, band_hi + 1):
         r = Fraction(1, sch.prefix_product(mband))
@@ -462,7 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="64-bit seed")
-        p.add_argument("--workers", type=int, default=None, help="worker count")
     args = parser.parse_args(argv)
 
     try:
@@ -471,18 +485,10 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else int(cfg["seed"])
         if not 0 <= seed < 2**64:
             raise InvalidParameter(f"seed must fit in 64 bits, got {seed}")
-        if args.workers is not None:
-            workers = args.workers
-        elif cfg["workers"] is not None:
-            workers = int(cfg["workers"])
-        else:
-            workers = int(os.environ.get("MORANLAB_WORKERS", "1"))
-        if workers < 1:
-            raise InvalidParameter(f"workers must be >= 1, got {workers}")
+        cfg_hash = _config_hash(cfg, seed)
         out = args.out or os.environ.get("MORANLAB_OUT") or cfg["out_dir"] or "."
         os.makedirs(out, exist_ok=True)
-        cfg_hash = _config_hash(cfg, seed, workers)
-        return _COMMANDS[args.command](cfg, out, seed, workers, cfg_hash)
+        return _COMMANDS[args.command](cfg, out, seed, cfg_hash)
     except MoranLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

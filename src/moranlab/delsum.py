@@ -82,11 +82,10 @@ class DelReport:
 
 
 def _modulus_table(
-    sys: MoranSystem, b: int, h: int, N_max: int, eps_term: float, workers: int
+    sys: MoranSystem, b: int, h: int, N_max: int, eps_term: float
 ) -> dict[int, tuple[float, float]]:
     """Certified |mu_hat| for every |h(b^n - b^m)| with m, n < N_max, keyed by
-    absolute frequency. Evaluation is serial; `workers` does not change how
-    the work runs."""
+    absolute frequency."""
     keys = {abs(frequency(h, b, n, m)) for m in range(N_max) for n in range(N_max)}
     return {xi: _modulus(xi, sys, eps_term) for xi in sorted(keys)}
 
@@ -102,22 +101,20 @@ def del_partial(
     h: int,
     N_max: int,
     eps: float,
-    workers: int = 1,
 ) -> DelReport:
     """Certified partial sum of the criterion series up to N_max.
 
     Each modulus is certified to width eps/N_max^3 (down to the double-
     precision floor) and memoized by absolute frequency; terms are then summed
     in fixed (N, m, n) order with compensated accumulation, so the result is
-    bit-identical for any worker count (`workers` is accepted for
-    compatibility; evaluation is serial). The reported radius is the exact
+    bit-identical from call to call. The reported radius is the exact
     weighted sum of interval half-widths plus the accumulation slop.
     """
     if N_max < 1:
         raise InvalidParameter(f"N_max must be >= 1, got {N_max}")
     if not 0.0 < eps <= 1.0:
         raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
-    table = _modulus_table(sys, b, h, N_max, eps / N_max**3, workers)
+    table = _modulus_table(sys, b, h, N_max, eps / N_max**3)
 
     increments: list[float] = []
     total = _Neumaier()
@@ -208,7 +205,6 @@ def block_trend(
     *,
     ctx: BaseContext | None = None,
     eps: float = 1e-9,
-    workers: int = 1,
 ) -> tuple[BlockRow, ...]:
     """Per-block sums sum_{n=m+1}^{N_r - 1} |mu_hat(h(b^n - b^m))| next to the
     bound 2 A N_r e^(-B u_r), u_r = sum of free-suffix lengths of blocks
@@ -216,7 +212,6 @@ def block_trend(
 
     Every row is flagged: the bound's constants hold for r >= r1, far beyond
     any enumerable block, so the pairing is a trend diagnostic only.
-    Evaluation is serial; `workers` does not change how the work runs.
     """
     context = _context_for(sys, b, h, ctx)
     A, B = asymptotic_constants(context.gamma)

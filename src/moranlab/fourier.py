@@ -412,12 +412,10 @@ def write_batch_csv(
     sys: MoranSystem,
     ctx: BaseContext,
     eps: float = 1e-9,
-    workers: int = 1,
 ) -> None:
     """Evaluate a batch of frequencies and write one CSV row per frequency.
 
-    Rows are emitted in input order. The batch runs serially: `workers` is
-    accepted for compatibility and does not change how the work runs.
+    Rows are emitted in input order.
     """
     rows = []
     for xi in xis:

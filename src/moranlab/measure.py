@@ -73,12 +73,9 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
 
 
 def sample_batch(
-    sys: MoranSystem, seed: int, depth: int, count: int, workers: int = 1
+    sys: MoranSystem, seed: int, depth: int, count: int
 ) -> tuple[SamplePoint, ...]:
-    """count independent points; point i is seeded with seed XOR i.
-
-    Points are drawn serially; `workers` is accepted for compatibility and
-    does not change how the work runs."""
+    """count independent points; point i is seeded with seed XOR i."""
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     return tuple(sample_point(sys, derive_seed(seed, i), depth) for i in range(count))
@@ -165,6 +162,8 @@ def base_digits(
         raise InvalidParameter(f"base must be >= 2, got {b}")
     if count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count}")
+    if guard < 0:
+        raise InvalidParameter(f"guard must be >= 0, got {guard}")
     den = x.denominator
     digits = tuple(_radix_digits(x.numerator, den, b, count))
     if _terminating(den, b):
@@ -261,6 +260,8 @@ def normality_report(
             raise InvalidParameter(f"base must be >= 2, got {b}")
     if count is not None and count < 0:
         raise InvalidParameter(f"count must be >= 0, got {count}")
+    if guard < 0:
+        raise InvalidParameter(f"guard must be >= 0, got {guard}")
     num, den = x.numerator, x.denominator
     reports: list[NormalityReport] = []
     for b in bases:

@@ -154,17 +154,24 @@ def prime_power_order(a: int, p: int, j: int) -> int:
         raise InvalidParameter(f"{p} is not prime")
     if not isinstance(j, int) or j < 1:
         raise InvalidParameter(f"exponent must be a positive integer, got {j!r}")
+    d, k = _order_and_lift(a, p, cap=j)
+    if k >= j:
+        return d
+    return d * p ** (j - k)
+
+
+def _order_and_lift(a: int, p: int, cap: int | None = None) -> tuple[int, int]:
+    # (d, k): d = ord_p(a) and k the largest exponent with p^k | a^d - 1,
+    # counted no further than cap; p is an odd prime checked by the caller
     if not isinstance(a, int) or a < 2:
         raise InvalidParameter(f"base must be an integer >= 2, got {a!r}")
     if a % p == 0:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     d = multiplicative_order(a, p)
     k = 1
-    while k < j and pow(a, d, p ** (k + 1)) == 1:
+    while k != cap and pow(a, d, p ** (k + 1)) == 1:
         k += 1
-    if k >= j:
-        return d
-    return d * p ** (j - k)
+    return d, k
 
 
 def _order_mod_power_of_two(a: int, e: int) -> int:
@@ -203,15 +210,7 @@ def k_of(b: int, q: int) -> int:
         raise EvenPrime("the splitting exponent is defined for odd primes")
     if not is_prime(q):
         raise InvalidParameter(f"{q} is not prime")
-    if not isinstance(b, int) or b < 2:
-        raise InvalidParameter(f"base must be an integer >= 2, got {b!r}")
-    if b % q == 0:
-        raise NotCoprime(f"gcd({b}, {q}) != 1")
-    d = multiplicative_order(b, q)
-    k = 1
-    while pow(b, d, q ** (k + 1)) == 1:
-        k += 1
-    return k
+    return _order_and_lift(b, q)[1]
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Counter-based deterministic random generator.
 
 A counter-based generator (output i is a pure function of seed and i) makes
-sampling order-independent: points can be drawn in parallel or re-drawn
-individually without replaying a stream. The mixing function is the standard
+sampling order-independent: any point can be re-drawn on its own without
+replaying a stream. The mixing function is the standard
 splitmix64 finalizer; fixed test vectors are frozen in the test suite so any
 reimplementation can be checked against this one.
 """
@@ -34,7 +34,7 @@ def value_at(seed: int, index: int) -> int:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Per-item seed for fan-out across workers: seed XOR item index."""
+    """Per-item seed of a batch: seed XOR item index."""
     return (seed ^ index) & _MASK
 
 

@@ -232,10 +232,10 @@ def test_criterion_08_del_plumbing(capsys, medium_system):
         report.diagonal_sum + report.offdiagonal_sum, abs=1e-12
     )
 
-    threaded = del_partial(medium_system, 2, 1, 50, 1e-9, workers=4)
-    assert threaded.partial_sum == report.partial_sum
-    assert threaded.radius == report.radius
-    assert threaded.increments == report.increments
+    again = del_partial(medium_system, 2, 1, 50, 1e-9)
+    assert again.partial_sum == report.partial_sum
+    assert again.radius == report.radius
+    assert again.increments == report.increments
     _report(capsys, 8, "DEL plumbing", t0, 120.0)
 
 

@@ -33,7 +33,6 @@ TOY_SCHEDULE = {"d": 1, "q": [7, 11], "ell": [1, 2]}
 def _isolated_env(monkeypatch, tmp_path):
     # keep ambient env vars and the repo cwd out of every test
     monkeypatch.delenv("MORANLAB_OUT", raising=False)
-    monkeypatch.delenv("MORANLAB_WORKERS", raising=False)
     monkeypatch.chdir(tmp_path)
 
 
@@ -126,8 +125,11 @@ def test_config_shape_errors(tmp_path, capsys):
 def test_flag_validation(tmp_path, capsys):
     rc, _, err = run(capsys, "schedule", "--seed", "-1", "--out", str(tmp_path))
     assert rc == 2 and "seed" in err
-    rc, _, err = run(capsys, "schedule", "--workers", "0", "--out", str(tmp_path))
-    assert rc == 2 and "workers" in err
+    # there is no --workers flag: argparse rejects it before any run
+    with pytest.raises(SystemExit) as ei:
+        main(["schedule", "--workers", "2", "--out", str(tmp_path)])
+    assert ei.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_malformed_config_value(tmp_path, capsys):
@@ -138,16 +140,24 @@ def test_malformed_config_value(tmp_path, capsys):
 
 
 def test_workers_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MORANLAB_WORKERS", "0")
-    rc, _, err = run(capsys, "schedule", "--out", str(tmp_path))
+    # MORANLAB_WORKERS is ignored: it neither fails a run nor moves a byte
+    rc, _, _ = run(capsys, "schedule", "--out", str(tmp_path / "plain"))
+    assert rc == 0
+    plain = (tmp_path / "plain" / "schedule.json").read_bytes()
+    for value in ("0", "abc", "2"):
+        monkeypatch.setenv("MORANLAB_WORKERS", value)
+        d = tmp_path / f"env{value}"
+        rc, _, _ = run(capsys, "schedule", "--out", str(d))
+        assert rc == 0
+        assert (d / "schedule.json").read_bytes() == plain
+
+    # the config key is still validated
+    path = cfg_file(tmp_path, {"workers": 0})
+    rc, _, err = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
     assert rc == 2 and "workers" in err
-
-    monkeypatch.setenv("MORANLAB_WORKERS", "abc")
-    rc, _, err = run(capsys, "schedule", "--out", str(tmp_path))
+    path = cfg_file(tmp_path, {"workers": "abc"})
+    rc, _, err = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
     assert rc == 2 and "malformed config value" in err
-
-    # an explicit config value wins over the env var
-    monkeypatch.setenv("MORANLAB_WORKERS", "0")
     path = cfg_file(tmp_path, {"workers": 2})
     rc, _, _ = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
     assert rc == 0
@@ -260,15 +270,83 @@ def test_fourier_sampled_frequencies(tmp_path, capsys):
 
 
 def test_fourier_workers_do_not_change_bytes(tmp_path, capsys):
-    path = cfg_file(tmp_path, {"fourier": {"xis": [0, 1, 847, 1860859]}})
+    section = {"fourier": {"xis": [0, 1, 847, 1860859]}}
     outs = []
-    for n, workers in enumerate(("1", "3")):
+    for n, extra in enumerate(({}, {"workers": 3})):
+        path = cfg_file(tmp_path, {**section, **extra}, f"w{n}.json")
         d = tmp_path / f"w{n}"
-        rc, _, _ = run(capsys, "fourier", "--config", path, "--out", str(d), "--workers", workers)
+        rc, _, _ = run(capsys, "fourier", "--config", path, "--out", str(d))
         assert rc == 0
-        # drop the timestamp and hash comments; the hash covers the worker count
+        # drop the timestamp and hash comments; the hash covers the workers key
         outs.append(csv_lines(d / "fourier.csv")[2:])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [
+        ("fourier", "fourier", "xi_max"),
+        ("fourier", "fourier", "xi_count"),
+        ("normality", "normality", "samples"),
+        ("normality", "normality", "guard"),
+        ("uniqueness", "uniqueness", "samples"),
+    ],
+)
+def test_negative_sizes_are_parameter_errors(tmp_path, capsys, command, section, key):
+    for value in (-1, -5):
+        path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, section: {key: value}})
+        rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path))
+        assert rc == 2
+        assert err.startswith(f"error: {section}.{key} must be >= 0, got {value}")
+    # zero stays valid
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, section: {key: 0}})
+    rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path))
+    assert rc == 0, err
+
+
+@pytest.mark.parametrize("command", ["context", "fourier", "del", "partition"])
+@pytest.mark.parametrize("pairs", [{"b": [2], "h": []}, {"b": [], "h": [1]}])
+def test_empty_context_lists_are_parameter_errors(tmp_path, capsys, command, pairs):
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "context": pairs})
+    rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: context needs at least one b and one h")
+    assert not (tmp_path / "context.json").exists()
+
+
+# config_sha256 of three runs, recorded before the workers flag and env var
+# were removed; the bench configs spectrum_* set "workers": 2
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@pytest.mark.parametrize(
+    "argv, name, digest",
+    [
+        (
+            ["fourier", "--config", str(BENCH_CONFIGS / "spectrum_shallow.json"), "--seed", "1"],
+            "fourier.csv",
+            "1c1eafedaf89ecdbfc99e527805cc0890d5194307d9d7da26e31c1208e9071ac",
+        ),
+        (
+            ["del", "--config", str(BENCH_CONFIGS / "orbit_del_blocks.json"), "--seed", "1"],
+            "del.csv",
+            "dcfb3acb67a4edcf57809c455bef0dd489ed009062c37c326d18dfa5f0400cef",
+        ),
+        (
+            ["schedule", "--seed", "0"],
+            "schedule.json",
+            "9db9c30d542b1270ca88f8e8c1c039a81f7ec73998b84f4734436c9017b4ccd7",
+        ),
+    ],
+)
+def test_config_sha256_is_pinned(tmp_path, capsys, argv, name, digest):
+    rc, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 0
+    text = (tmp_path / name).read_text()
+    if name.endswith(".json"):
+        assert json.loads(text)["config_sha256"] == digest
+    else:
+        assert text.splitlines()[1] == f"# config_sha256: {digest} version: {__version__}"
 
 
 # --------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_sample_batch_uses_derived_seeds(small_system):
     batch = sample_batch(small_system, seed=77, depth=8, count=5)
     for i, pt in enumerate(batch):
         assert pt == sample_point(small_system, 77 ^ i, 8)
-    again = sample_batch(small_system, seed=77, depth=8, count=5, workers=3)
+    again = sample_batch(small_system, seed=77, depth=8, count=5)
     assert again == batch
 
 
@@ -108,10 +108,22 @@ def test_base_digits_trust_window():
     assert trusted == 40 - 8
     digits, trusted = base_digits(x, 10, 20, guard=4)
     assert trusted == 20  # capped by count only when capacity allows
+    digits, trusted = base_digits(x, 10, 50, guard=0)
+    assert trusted == 40  # guard 0 trusts the full capacity of the denominator
     with pytest.raises(InvalidParameter):
         base_digits(Fraction(3, 2), 10, 4)
     with pytest.raises(InvalidParameter):
         base_digits(Fraction(1, 3), 1, 4)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 10**40 + 1), Fraction(1, 2)])
+@pytest.mark.parametrize("guard", [-1, -40])
+def test_negative_guard_is_rejected_up_front(x, guard):
+    # a negative guard would trust digits past the log_b(den) the denominator carries
+    with pytest.raises(InvalidParameter, match="guard"):
+        base_digits(x, 10, 50, guard=guard)
+    with pytest.raises(InvalidParameter, match="guard"):
+        normality_report(x, [10], guard=guard)
 
 
 def test_truncation_honesty(medium_system):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -52,6 +52,12 @@ def test_prime_power_order_examples():
         prime_power_order(3, 2, 1)
     with pytest.raises(NotCoprime):
         prime_power_order(7, 7, 2)
+    with pytest.raises(InvalidParameter, match="not prime"):
+        prime_power_order(2, 9, 0)  # the prime is checked before the exponent
+    with pytest.raises(InvalidParameter, match="exponent"):
+        prime_power_order(2, 7, 0)
+    with pytest.raises(InvalidParameter):
+        prime_power_order(1, 7, 1)
 
 
 def test_order_by_crt_examples():
@@ -72,6 +78,8 @@ def test_k_of_examples():
         k_of(7, 7)
     with pytest.raises(InvalidParameter):
         k_of(2, 9)
+    with pytest.raises(InvalidParameter):
+        k_of(1, 7)
 
 
 def test_k_of_respects_power_bound():
@@ -80,6 +88,27 @@ def test_k_of_respects_power_bound():
         for q in (7, 11, 13, 17):
             if b % q:
                 assert q ** k_of(b, q) <= b ** (q - 1)
+
+
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101, 1093, 3511]
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=2, max_value=10**4),
+    st.sampled_from(ODD_PRIMES),
+    st.integers(min_value=1, max_value=4),
+)
+@example(2, 1093, 2)  # Wieferich: k_of(2, 1093) = 2
+@example(3, 11, 3)  # k_of(3, 11) = 2
+@example(10, 3, 3)  # 10 - 1 = 3^2
+def test_prime_power_order_lifting_identity(a, p, j):
+    # ord_{p^j}(a) = d if k >= j else d p^(j-k), d = ord_p(a), k = k_of(a, p)
+    assume(a % p)
+    d = multiplicative_order(a, p)
+    k = k_of(a, p)
+    expected = d if k >= j else d * p ** (j - k)
+    assert prime_power_order(a, p, j) == expected == multiplicative_order(a, p**j)
 
 
 def test_euler_phi_prime_powers():
