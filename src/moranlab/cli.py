@@ -307,20 +307,24 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     depth = int(nc["depth"]) if nc["depth"] is not None else sch.depth
     count = _nonnegative(nc["samples"], "normality.samples")
     guard = _nonnegative(nc["guard"], "normality.guard")
+    # checked here, not only inside normality_report, so that zero samples
+    # still reject a bad config
+    bases = tuple(int(b) for b in nc["bases"])
+    if not bases:
+        raise InvalidParameter("normality.bases needs at least one base")
+    for b in bases:
+        if b < 2:
+            raise InvalidParameter(f"base must be >= 2, got {b}")
+    digits = None if nc["count"] is None else _nonnegative(nc["count"], "normality.count")
     rows = []
     if count > 0:
         for i, pt in enumerate(sample_batch(sysm, seed, depth, count)):
-            for rep in normality_report(
-                pt.value,
-                bases=tuple(int(b) for b in nc["bases"]),
-                guard=guard,
-                count=None if nc["count"] is None else int(nc["count"]),
-            ):
+            for rep in normality_report(pt.value, bases=bases, guard=guard, count=digits):
                 rows.append((derive_seed(seed, i), depth, rep))
     path = os.path.join(out, nc["out"])
     write_normality_csv(path, rows)
     _stamp_csv(path, cfg_hash)
-    print(f"normality: {count} samples x {len(nc['bases'])} bases -> {path}")
+    print(f"normality: {count} samples x {len(bases)} bases -> {path}")
     return 0
 
 

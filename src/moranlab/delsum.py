@@ -51,6 +51,22 @@ class _Neumaier:
             self.comp += (x - t) + self.total
         self.total = t
 
+    @classmethod
+    def of(cls, xs: Iterable[float]) -> "_Neumaier":
+        """The accumulator after add(x) for each x in order, in one local pass."""
+        total = comp = mass = 0.0
+        for x in xs:
+            mass += abs(x)
+            t = total + x
+            if abs(total) >= abs(x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+        acc = cls()
+        acc.total, acc.comp, acc.abs_mass = total, comp, mass
+        return acc
+
     @property
     def value(self) -> float:
         return self.total + self.comp
@@ -115,6 +131,13 @@ def del_partial(
     if not 0.0 < eps <= 1.0:
         raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
     table = _modulus_table(sys, b, h, N_max, eps / N_max**3)
+    powers = [b**k for k in range(N_max)]
+    mid: list[list[float]] = []
+    half: list[list[float]] = []
+    for bm in powers:
+        cells = [table[abs(h * (bn - bm))] for bn in powers]
+        mid.append([0.5 * (lo + hi) for lo, hi in cells])
+        half.append([0.5 * (hi - lo) for lo, hi in cells])
 
     increments: list[float] = []
     total = _Neumaier()
@@ -123,23 +146,14 @@ def del_partial(
     off = _Neumaier()
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner = _Neumaier()
-        inner_rad = _Neumaier()
-        for m in range(N):
-            for n in range(N):
-                lo, hi = table[abs(frequency(h, b, n, m))]
-                inner.add(0.5 * (lo + hi))
-                inner_rad.add(0.5 * (hi - lo))
+        inner = _Neumaier.of(x for row in mid[:N] for x in row[:N])
+        inner_rad = _Neumaier.of(x for row in half[:N] for x in row[:N])
         inc = inner.value / cube
         increments.append(inc)
         total.add(inc)
         rad.add((inner_rad.value + inner_rad.slop + inner.slop) / cube)
         diag.add(N / cube)  # xi = 0 terms are exactly 1
-        upper = _Neumaier()
-        for m in range(N):
-            for n in range(m + 1, N):
-                lo, hi = table[abs(frequency(h, b, n, m))]
-                upper.add(0.5 * (lo + hi))
+        upper = _Neumaier.of(x for m in range(N) for x in mid[m][m + 1 : N])
         off.add(2.0 * upper.value / cube)
 
     blocks: list[tuple[int, float]] = []

@@ -14,6 +14,8 @@ per step. The partition check forms no digit strings at all: the free-suffix
 digits of block s+1 read as one integer, (v // P_a) mod (P_e / P_a) with
 a = L_s + k_{s+1}, e = L_{s+1} and P_n = M_1...M_n, and a fiber is keyed by
 the tuple of these per-block integers, which is one-to-one with its Pi tuple.
+The fiber-count check reads each digit it needs as (v // P_p) mod M_{p+1} and
+each Phi prefix as the residue v mod P_l.
 """
 
 from __future__ import annotations
@@ -169,14 +171,6 @@ def _values_over_interval(
         bn = (bn * b_red) % modulus
 
 
-def _digits_over_interval(
-    ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, depth: int, m: int
-) -> list[tuple[int, ...]]:
-    """Digit tuples of h*b^n - h*b^m, depth positions, for n = start..start+length-1."""
-    values = _values_over_interval(ctx, sch.prefix_product(depth), start, length, m)
-    return [to_digits(val, sch, length=depth).digits for val in values]
-
-
 def _partition_fibers(
     ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, r: int, m: int
 ) -> dict[tuple[int, ...], list[int]]:
@@ -315,17 +309,20 @@ def fiber_counts(
     if length > ENUMERATION_GUARD:
         raise TooLarge(f"interval length {length} exceeds the enumeration guard")
 
-    depth = sch.L[s + 1]
-    rows = _digits_over_interval(ctx, sch, start, length, depth, mm)
+    P = sch.prefix_product
+    values = list(_values_over_interval(ctx, P(sch.L[s + 1]), start, length, mm))
     pos_s = _block_positions(ctx, ctx.r0, s) if s > ctx.r0 else ()
     pos_s1 = _block_positions(ctx, ctx.r0, s + 1)
+    cuts = tuple((P(p), sch.base_at(p + 1)) for p in pos_s1)
     q_pow = sch.q[s] ** ctx.j[s]
 
+    # fine keys are the Pi_{r0,s+1} digit tuples; their first len(pos_s)
+    # digits are the Pi_{r0,s} keys
+    keys = [tuple((v // low) % base for low, base in cuts) for v in values]
     coarse: dict[tuple[int, ...], int] = {}
     fine: dict[tuple[int, ...], int] = {}
-    for digits in rows:
-        coarse_key = tuple(digits[p] for p in pos_s)
-        fine_key = tuple(digits[p] for p in pos_s1)
+    for fine_key in keys:
+        coarse_key = fine_key[: len(pos_s)]
         coarse[coarse_key] = coarse.get(coarse_key, 0) + 1
         fine[fine_key] = fine.get(fine_key, 0) + 1
     for fine_key, count in fine.items():
@@ -335,6 +332,7 @@ def fiber_counts(
                 f"fiber over {fine_key}: {q_pow} * {count} != {coarse[coarse_key]}"
             )
 
+    # a Phi prefix of length l is one-to-one with the residue v mod P_l
     image_sizes: list[tuple[int, int]] = []
     for j in range(sch.ell[s] + 1):
         ordj = order_mod_reduced(ctx, s, j)
@@ -342,8 +340,9 @@ def fiber_counts(
         if prefix_len == 0:
             image_sizes.append((j, 1))
             continue
-        whole = {row[:prefix_len] for row in rows}
-        window = {row[:prefix_len] for row in rows[:ordj]}
+        P_len = P(prefix_len)
+        whole = {v % P_len for v in values}
+        window = {v % P_len for v in values[:ordj]}
         if len(whole) != ordj or len(window) != ordj:
             raise CounterexampleFound(
                 f"Phi_{prefix_len} image has {len(whole)} points "
@@ -351,8 +350,8 @@ def fiber_counts(
             )
         image_sizes.append((j, ordj))
 
-    k_len = sch.L[s] + ctx.k[s]
-    joint = {(row[:k_len], tuple(row[p] for p in pos_s1[len(pos_s):])) for row in rows}
+    P_k = P(sch.L[s] + ctx.k[s])
+    joint = {(v % P_k, key[len(pos_s):]) for v, key in zip(values, keys)}
     if len(joint) != length:
         raise CounterexampleFound(
             f"joint prefix/suffix map hits {len(joint)} pairs over {length} points"

@@ -78,13 +78,24 @@ def _half_mask(w: tuple[Fraction, ...]) -> tuple[float, float]:
 
 
 def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
-    # {0,1} digits: |M|^2 = 1 - gain (1 - cos 2 pi t), gain enclosing 2 w0 w1
-    c_lo, c_hi = _cos_tau(t)
-    omc = (_down(1.0 - c_hi), _up(1.0 - c_lo))
-    prod = _imul(gain, omc)
-    m2_lo = max(0.0, _down(1.0 - prod[1]))
-    m2_hi = min(1.0, _up(1.0 - prod[0]))
-    return _down(math.sqrt(m2_lo)), min(1.0, _up(math.sqrt(m2_hi)))
+    # {0,1} digits: |M|^2 = 1 - gain (1 - cos 2 pi t), gain enclosing 2 w0 w1.
+    # Bit for bit the _cos_tau / _imul / _up / _down composition, written out
+    # because this is the transform's hottest kernel; the conditionals are
+    # max/min with the same argument order. All four gain products are kept:
+    # 1 - c_hi rounded down can be -5e-324, so a sign shortcut is not exact.
+    nextafter = math.nextafter
+    c = math.cos(2.0 * math.pi * t)
+    c_lo = c - _TRIG_PAD
+    c_hi = c + _TRIG_PAD
+    o_lo = nextafter(1.0 - (c_hi if c_hi < 1.0 else 1.0), _DOWN)
+    o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), _UP)
+    g_lo, g_hi = gain
+    prods = (g_lo * o_lo, g_lo * o_hi, g_hi * o_lo, g_hi * o_hi)
+    m2_lo = nextafter(1.0 - nextafter(max(prods), _UP), _DOWN)
+    m2_hi = nextafter(1.0 - nextafter(min(prods), _DOWN), _UP)
+    lo = nextafter(math.sqrt(m2_lo if m2_lo > 0.0 else 0.0), _DOWN)
+    hi = nextafter(math.sqrt(m2_hi if m2_hi < 1.0 else 1.0), _UP)
+    return lo, (hi if hi < 1.0 else 1.0)
 
 
 def _digit_sum_mask(
@@ -332,13 +343,20 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
     tail_budget = eps / 2.0
+    nextafter = math.nextafter
     f_lo, f_hi = 1.0, 1.0
     prefixes = sys.schedule.prefix_products()
     for n, (P, level) in enumerate(zip(prefixes, sys._levels), start=1):
         r = xi % P
-        m_lo, m_hi = _level_mask(level, r, P)
-        f_lo = max(0.0, _down(f_lo * m_lo))
-        f_hi = min(1.0, _up(f_hi * m_hi))
+        # a {0,1} level off t = 0 and t = 1/2 goes straight to the kernel
+        if r and level.gain is not None and 2 * r != P:
+            m_lo, m_hi = _binary_mask(level.gain, r / P)
+        else:
+            m_lo, m_hi = _level_mask(level, r, P)
+        f_lo = nextafter(f_lo * m_lo, _DOWN)
+        f_lo = f_lo if f_lo > 0.0 else 0.0
+        f_hi = nextafter(f_hi * m_hi, _UP)
+        f_hi = f_hi if f_hi < 1.0 else 1.0
         if xi < P:
             y = _tail_log_bound(r / P, sys.is_binary)
             if y <= tail_budget:

@@ -206,3 +206,158 @@ def reference_normality(x: Fraction, bases, guard: int = 8, count=None) -> list[
             max_dev = Fraction(1)
         out.append((b, trusted, freqs, max_dev, remainder_walk_discrepancy(x, b, trusted)))
     return out
+
+
+# --------------------------------------------------------------------------
+# kernels as they stood before they were flattened or tabulated; the library
+# must keep matching them bit for bit
+
+
+def _ref_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _ref_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _ref_imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    candidates = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _ref_down(min(candidates)), _ref_up(max(candidates))
+
+
+def _ref_cos_tau(t: float, pad: float) -> tuple[float, float]:
+    c = math.cos(2.0 * math.pi * t)
+    return max(-1.0, c - pad), min(1.0, c + pad)
+
+
+def reference_binary_mask(
+    gain: tuple[float, float], t: float, pad: float = 2.0**-48
+) -> tuple[float, float]:
+    """|M(t)| of a {0,1} level from interval helpers: |M|^2 = 1 - gain (1 - cos 2 pi t)."""
+    c_lo, c_hi = _ref_cos_tau(t, pad)
+    omc = (_ref_down(1.0 - c_hi), _ref_up(1.0 - c_lo))
+    prod = _ref_imul(gain, omc)
+    m2_lo = max(0.0, _ref_down(1.0 - prod[1]))
+    m2_hi = min(1.0, _ref_up(1.0 - prod[0]))
+    return _ref_down(math.sqrt(m2_lo)), min(1.0, _ref_up(math.sqrt(m2_hi)))
+
+
+def level_mask_mu_hat(xi: int, sys, eps: float) -> tuple[float, float, int]:
+    """(lo, hi, truncation_level) of the transform loop with every level
+    through fourier._level_mask and every rounding through max/min."""
+    from moranlab.fourier import _level_mask, _tail_log_bound
+
+    xi = abs(xi)
+    if xi == 0:
+        return 1.0, 1.0, 0
+    f_lo, f_hi = 1.0, 1.0
+    for n, (P, level) in enumerate(zip(sys.schedule.prefix_products(), sys._levels), start=1):
+        r = xi % P
+        m_lo, m_hi = _level_mask(level, r, P)
+        f_lo = max(0.0, _ref_down(f_lo * m_lo))
+        f_hi = min(1.0, _ref_up(f_hi * m_hi))
+        if xi < P:
+            y = _tail_log_bound(r / P, sys.is_binary)
+            if y <= eps / 2.0:
+                e_lo = _ref_down(_ref_down(math.exp(-y)))
+                return max(0.0, _ref_down(f_lo * e_lo)), f_hi, n
+    raise AssertionError("schedule exhausted")
+
+
+def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
+    """delsum.del_partial as an (N, m, n) loop that recomputes h (b^n - b^m)
+    and looks it up term by term, one add() per term."""
+    from moranlab.delsum import DelReport, _modulus_table, _Neumaier
+
+    table = _modulus_table(sys, b, h, N_max, eps / N_max**3)
+    increments = []
+    total, rad, diag, off = _Neumaier(), _Neumaier(), _Neumaier(), _Neumaier()
+    for N in range(1, N_max + 1):
+        cube = float(N) ** 3
+        inner, inner_rad = _Neumaier(), _Neumaier()
+        for m in range(N):
+            for n in range(N):
+                lo, hi = table[abs(h * (b**n - b**m))]
+                inner.add(0.5 * (lo + hi))
+                inner_rad.add(0.5 * (hi - lo))
+        inc = inner.value / cube
+        increments.append(inc)
+        total.add(inc)
+        rad.add((inner_rad.value + inner_rad.slop + inner.slop) / cube)
+        diag.add(N / cube)
+        upper = _Neumaier()
+        for m in range(N):
+            for n in range(m + 1, N):
+                lo, hi = table[abs(h * (b**n - b**m))]
+                upper.add(0.5 * (lo + hi))
+        off.add(2.0 * upper.value / cube)
+    blocks = []
+    sch = sys.schedule
+    for r in range(1, len(sch.q) + 1):
+        lo_N, hi_N = sch.N[r - 1], sch.N[r]
+        if lo_N >= N_max:
+            break
+        acc = _Neumaier()
+        for N in range(lo_N + 1, min(hi_N, N_max) + 1):
+            acc.add(increments[N - 1])
+        blocks.append((r, acc.value))
+    return DelReport(
+        N_max=N_max,
+        partial_sum=total.value,
+        radius=rad.value + rad.slop + total.slop,
+        increments=tuple(increments),
+        diagonal_sum=diag.value,
+        offdiagonal_sum=off.value,
+        block_sums=tuple(blocks),
+    )
+
+
+def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None = None):
+    """distribution.fiber_counts on full digit rows: one modular power and one
+    to_digits per n, keys and prefixes sliced from the digit tuples."""
+    from moranlab.distribution import FiberTable, _block_positions
+    from moranlab.numtheory import order_mod_reduced
+    from moranlab.radix import schedule_of, to_digits
+
+    sch = schedule_of(sys)
+    mm = ctx.n0 - 1 if m is None else m
+    start, length = I
+    depth = sch.L[s + 1]
+    modulus = sch.prefix_product(depth)
+    rows = [
+        to_digits(
+            (ctx.h * (pow(ctx.b, n, modulus) - pow(ctx.b, mm, modulus))) % modulus,
+            sch,
+            length=depth,
+        ).digits
+        for n in range(start, start + length)
+    ]
+    pos_s = _block_positions(ctx, ctx.r0, s) if s > ctx.r0 else ()
+    pos_s1 = _block_positions(ctx, ctx.r0, s + 1)
+    q_pow = sch.q[s] ** ctx.j[s]
+    coarse: dict = {}
+    fine: dict = {}
+    for digits in rows:
+        coarse_key = tuple(digits[p] for p in pos_s)
+        fine_key = tuple(digits[p] for p in pos_s1)
+        coarse[coarse_key] = coarse.get(coarse_key, 0) + 1
+        fine[fine_key] = fine.get(fine_key, 0) + 1
+    for fine_key, count in fine.items():
+        assert q_pow * count == coarse[fine_key[: len(pos_s)]]
+    image_sizes = []
+    for j in range(sch.ell[s] + 1):
+        ordj = order_mod_reduced(ctx, s, j)
+        prefix_len = sch.L[s] + j
+        if prefix_len == 0:
+            image_sizes.append((j, 1))
+            continue
+        assert len({row[:prefix_len] for row in rows}) == ordj
+        assert len({row[:prefix_len] for row in rows[:ordj]}) == ordj
+        image_sizes.append((j, ordj))
+    k_len = sch.L[s] + ctx.k[s]
+    joint = {(row[:k_len], tuple(row[p] for p in pos_s1[len(pos_s) :])) for row in rows}
+    assert len(joint) == length
+    return FiberTable(
+        s=s, length=length, fibers=tuple(sorted(fine.items())), image_sizes=tuple(image_sizes)
+    )

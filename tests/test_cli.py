@@ -424,6 +424,35 @@ def test_normality_base_below_two_is_a_parameter_error(tmp_path, capsys, bases):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", [0, 2])
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"bases": []}, "normality.bases needs at least one base"),
+        ({"bases": [1]}, "base must be >= 2, got 1"),
+        ({"bases": [2, 0]}, "base must be >= 2, got 0"),
+        ({"count": -3}, "normality.count must be >= 0, got -3"),
+        ({"count": -3, "bases": [1]}, "base must be >= 2, got 1"),
+    ],
+)
+def test_normality_checks_bases_and_count_up_front(tmp_path, capsys, samples, section, message):
+    # checked before any sample is drawn, so zero samples cannot hide them
+    normality = {"samples": samples, **section}
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": normality})
+    rc, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "normality.csv").exists()
+
+
+def test_normality_zero_count_is_valid(tmp_path, capsys):
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": {"samples": 1, "count": 0}})
+    rc, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))
+    assert rc == 0, err
+    assert len(csv_lines(tmp_path / "normality.csv")) == 4
+
+
 def test_normality_seed_flag_beats_config(tmp_path, capsys):
     path = cfg_file(tmp_path, {"seed": 1, "normality": {"samples": 3}})
     rc, _, _ = run(capsys, "normality", "--config", path, "--out", str(tmp_path), "--seed", "5")

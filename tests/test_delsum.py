@@ -1,5 +1,6 @@
 """Criterion partial sums: determinism, decomposition, and the naive oracle."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,10 @@ from moranlab import (
     frequency,
     mu_hat_modulus,
 )
-from moranlab.delsum import asymptotic_constants
+from moranlab import binary_system, build_convolved
+from moranlab.delsum import DelReport, _Neumaier, asymptotic_constants
 
-from oracles import naive_del_sum
+from oracles import naive_del_sum, triple_loop_del_partial
 
 
 def test_frequency_examples():
@@ -68,6 +70,43 @@ def test_radius_covers_exact_sums(small_system, b, h, n_max):
     centre, radius = Fraction(report.partial_sum), Fraction(report.radius)
     assert abs(centre - mid) <= radius
     assert centre - radius <= lo_sum and hi_sum <= centre + radius
+
+
+def _assert_same_report(got: DelReport, want: DelReport) -> None:
+    for f in fields(DelReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+@pytest.mark.parametrize("N_max", [1, 2, 17])
+@pytest.mark.parametrize("h", [1, -3])
+@pytest.mark.parametrize("b", [2, 3, 10])
+def test_del_partial_matches_triple_loop(medium_system, b, h, N_max):
+    # the tabulated (m, n) matrices keep the (N, m, n) summation order, so
+    # every field is bit-identical to the term-by-term loop
+    got = del_partial(medium_system, b, h, N_max=N_max, eps=1e-9)
+    _assert_same_report(got, triple_loop_del_partial(medium_system, b, h, N_max, 1e-9))
+
+
+@pytest.mark.parametrize("b, h", [(2, 1), (3, -3)])
+def test_del_partial_matches_triple_loop_non_binary(medium_schedule, b, h):
+    sysm = build_convolved(binary_system(medium_schedule, Fraction(1, 2)), "dim-one")
+    sysm = sysm.as_moran_system()
+    assert not sysm.is_binary
+    got = del_partial(sysm, b, h, N_max=9, eps=1e-9)
+    _assert_same_report(got, triple_loop_del_partial(sysm, b, h, 9, 1e-9))
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[], [1.0], [1e16, 1.0, -1e16], [0.1] * 10, [3.0, -1e-20, 2.5e-300, -7.0, 1e308, -1e308]],
+)
+def test_neumaier_of_matches_add(xs):
+    acc = _Neumaier()
+    for x in xs:
+        acc.add(x)
+    one = _Neumaier.of(iter(xs))
+    assert (one.total, one.comp, one.abs_mass) == (acc.total, acc.comp, acc.abs_mass)
+    assert repr(one.value) == repr(acc.value) and one.slop == acc.slop
 
 
 def test_partial_sums_monotone(small_system):

@@ -29,6 +29,8 @@ from moranlab import distribution
 from moranlab.distribution import _partition_fibers
 from moranlab.numtheory import integer_J, order_mod_reduced
 
+from oracles import digit_row_fiber_counts
+
 
 @pytest.fixture(scope="module")
 def toy():
@@ -158,6 +160,35 @@ def test_fiber_counts_deeper_step(three_block):
     assert coarse_total == length
     # every fine fiber has the same size length / (11 * 13)
     assert set(table.as_dict().values()) == {length // (11 * 13)}
+
+
+@pytest.mark.parametrize(
+    "q, ell, b, h",
+    [
+        ((7, 11), (1, 2), 2, 1),
+        ((7, 11), (2, 2), 14, 1),  # Q = 49, saturation at n0 = 2
+        ((7, 11), (1, 2), 2, -3),
+        ((7, 11, 13), (1, 2, 2), 2, 1),
+        ((7, 11, 13), (1, 3, 3), 3, 2),
+        ((7, 11, 13), (1, 2, 3), 22, 1),  # r0 = 2
+    ],
+)
+def test_fiber_counts_matches_digit_rows(q, ell, b, h):
+    # residues and block integers reproduce the digit-row table exactly, at
+    # the default m and at a larger m with a shifted interval
+    sch = PrimeSchedule(d=1, q=q, ell=ell)
+    sysm = binary_system(sch, Fraction(1, 2))
+    ctx = build_context(b, h, sch)
+    checked = 0
+    for s in range(ctx.r0, len(sch.q)):
+        length = order_mod_reduced(ctx, s + 1, 0)
+        if length > 20_000:
+            continue
+        for m, start in ((None, ctx.n0), (ctx.n0 + 3, ctx.n0 + 17)):
+            got = fiber_counts((start, length), ctx, sysm, s, m=m)
+            assert got == digit_row_fiber_counts((start, length), ctx, sysm, s, m=m)
+            checked += 1
+    assert checked >= 2
 
 
 def test_classify_Bk_toy_histogram(toy):

@@ -22,9 +22,9 @@ from moranlab import (
     build_schedule,
     mu_hat_modulus,
 )
-from moranlab.fourier import _level_mask, _tail_log_bound, mask_interval
+from moranlab.fourier import _binary_mask, _level_mask, _tail_log_bound, mask_interval
 
-from oracles import mp_mu_hat
+from oracles import level_mask_mu_hat, mp_mu_hat, reference_binary_mask
 
 
 @lru_cache(maxsize=None)
@@ -198,3 +198,85 @@ def test_mu_hat_brackets_mpmath_oracle_near_one(kind):
                 true = mp_mu_hat(xi, sysm, dps=50)
                 assert mpmath.mpf(cert.lo) <= true <= mpmath.mpf(cert.hi)
                 assert cert.hi - cert.lo <= eps
+
+
+# --------------------------------------------------------------------------
+# the flat {0,1} kernel against the interval-helper composition
+
+
+def _enclosure(g: float) -> tuple[float, float]:
+    return math.nextafter(g, -math.inf), math.nextafter(g, math.inf)
+
+
+# cos(2 pi t) + 2^-48 rounds to 1 (and cos - 2^-48 to -1 near t = 1/2) for
+# |t| below about 2.6e-8
+_CLAMP = 2.6e-8
+
+GAINS = st.one_of(
+    st.sampled_from([5e-324, 2.0**-1074 * 3, 1e-300, 2.0**-53, 0.25, 0.5]).map(_enclosure),
+    st.floats(5e-324, 0.5).map(_enclosure),
+    st.floats(0.5 - 2.0**-40, 0.5).map(_enclosure),
+    st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)).map(sorted).map(tuple),
+)
+ARGUMENTS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(5e-324, 1e-6),
+    st.floats(0.0, _CLAMP),
+    st.floats(-_CLAMP, _CLAMP).map(lambda d: 0.5 + d),
+    st.floats(1.0 - 1e-6, 1.0, exclude_max=True),
+    st.sampled_from([5e-324, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    st.sampled_from([math.nextafter(1.0, 0.0), 1.0 - 2.0**-52, _CLAMP, 0.25, 0.75]),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(GAINS, ARGUMENTS)
+def test_binary_kernel_matches_interval_composition(gain, t):
+    # repr, not ==, so that a sign of zero counts too
+    assert repr(_binary_mask(gain, t)) == repr(reference_binary_mask(gain, t))
+
+
+def test_binary_kernel_keeps_the_tiny_negative_width():
+    # near t = 0 the cosine clamps to 1, so 1 - c_hi rounds down to -5e-324
+    # and the gain products straddle zero; hi clamps to 1, lo stays below it
+    for gain in (_enclosure(0.5), _enclosure(5e-324), _enclosure(0.25)):
+        for t in (5e-324, 1e-20, 1e-9):
+            got = _binary_mask(gain, t)
+            assert repr(got) == repr(reference_binary_mask(gain, t))
+            assert got[1] == 1.0 and got[0] < 1.0
+
+
+MU_SYSTEMS = st.tuples(
+    st.sampled_from(["near0", "near1", "half", "mixed", "dim-one"]),
+    st.integers(1, 12),
+).map(lambda kk: _system(*kk))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MU_SYSTEMS, FREQUENCIES, EPS)
+def test_mu_hat_matches_level_mask_loop(sysm, xi, eps):
+    cert = mu_hat_modulus(xi, sysm, eps)
+    got = (cert.lo, cert.hi, cert.truncation_level)
+    assert repr(got) == repr(level_mask_mu_hat(xi, sysm, eps))
+
+
+@pytest.mark.parametrize("kind", ["near0", "half", "mixed", "dim-one"])
+def test_mu_hat_matches_level_mask_loop_at_structured_frequencies(kind):
+    # h (b^n - b^m), the frequencies of the criterion series, and residues
+    # next to P/2 and at P - 1 of the (odd) prefix products
+    sysm = _system(kind, 3)
+    P = sysm.schedule.prefix_products()
+    xis = [
+        h * (b**n - b**m)
+        for b in (2, 3, 10)
+        for h in (1, -3)
+        for m in (0, 2)
+        for n in (5, 17, 24)
+    ]
+    xis += [P[k] // 2 for k in (1, 9, 19)] + [P[k] - 1 for k in (0, 9, 19)]
+    xis += [P[9] * 3 + P[9] // 2]
+    for xi in xis:
+        for eps in (1e-6, 1e-9, 1e-12):
+            cert = mu_hat_modulus(xi, sysm, eps)
+            got = (cert.lo, cert.hi, cert.truncation_level)
+            assert repr(got) == repr(level_mask_mu_hat(xi, sysm, eps))
