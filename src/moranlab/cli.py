@@ -26,7 +26,6 @@ from .dimension import (
     GaugeFunction,
     ball_measure,
     build_convolved,
-    h_of_r,
     h_rate_report,
     local_dim_series,
     write_ball_csv,
@@ -409,10 +408,10 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     band_lo = max(int(dc["band_lo"]), 1)
     sampler = csys.as_moran_system()
     pts = sample_batch(sampler, seed, sch.depth, int(dc["samples"]))
-    bands = []  # (m, r, h(r), phi(r)), shared by every sample
-    for mband in range(band_lo, band_hi + 1):
-        r = Fraction(1, sch.prefix_product(mband))
-        bands.append((mband, r, h_of_r(r, csys), phi_of(r)))
+    # one h(r) per band, shared by every sample and by the h_rate payload
+    grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
+    hrows = h_rate_report(sch, grid)
+    bands = [(mband, hr.r, hr.h_r, phi_of(hr.r)) for mband, hr in enumerate(hrows, start=band_lo)]
     rows = []
     for i, pt in enumerate(pts):
         for mband, r, h_r, phi_r in bands:
@@ -444,8 +443,6 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     write_local_dim_csv(lpath, series, burn_in=min(int(dc["burn_in"]), local_depth))
     _stamp_csv(lpath, cfg_hash)
 
-    grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
-    hrows = h_rate_report(sch, grid)
     payload = {
         "variant": variant,
         "special_levels": list(csys.special_levels),

@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter, TooLarge
 from .fourier import MoranSystem, mu_hat_modulus
-from .numtheory import BaseContext, build_context, derived_stirling_constants
+from .numtheory import BaseContext, build_context, check_pair, derived_stirling_constants
 
 BLOCK_GUARD = 10**5
 
@@ -32,48 +31,19 @@ def frequency(h: int, b: int, n: int, m: int) -> int:
     return h * (b**n - b**m)
 
 
-class _Neumaier:
-    """Compensated accumulator: error <= ~2 ulp of the running absolute mass."""
-
-    __slots__ = ("total", "comp", "abs_mass")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-        self.abs_mass = 0.0
-
-    def add(self, x: float) -> None:
-        self.abs_mass += abs(x)
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
+def _neumaier(xs: Iterable[float]) -> tuple[float, float]:
+    """Compensated (Neumaier) sum of xs in order, as (value, slop): the error
+    of value is at most slop = ~2 ulp of the absolute mass sum |x|."""
+    total = comp = mass = 0.0
+    for x in xs:
+        mass += abs(x)
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
         else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    @classmethod
-    def of(cls, xs: Iterable[float]) -> "_Neumaier":
-        """The accumulator after add(x) for each x in order, in one local pass."""
-        total = comp = mass = 0.0
-        for x in xs:
-            mass += abs(x)
-            t = total + x
-            if abs(total) >= abs(x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-        acc = cls()
-        acc.total, acc.comp, acc.abs_mass = total, comp, mass
-        return acc
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
-
-    @property
-    def slop(self) -> float:
-        return 4.0 * 2.0**-53 * self.abs_mass
+            comp += (x - t) + total
+        total = t
+    return total + comp, 4.0 * 2.0**-53 * mass
 
 
 @dataclass(frozen=True)
@@ -90,25 +60,20 @@ class DelReport:
     block_sums: tuple[tuple[int, float], ...]
 
     def cumulative(self) -> tuple[float, ...]:
-        out, acc = [], _Neumaier()
-        for inc in self.increments:
-            acc.add(inc)
-            out.append(acc.value)
-        return tuple(out)
+        incs = self.increments
+        return tuple(_neumaier(incs[:k])[0] for k in range(1, len(incs) + 1))
 
 
 def _modulus_table(
-    sys: MoranSystem, b: int, h: int, N_max: int, eps_term: float
+    sys: MoranSystem, xis: Iterable[int], eps: float
 ) -> dict[int, tuple[float, float]]:
-    """Certified |mu_hat| for every |h(b^n - b^m)| with m, n < N_max, keyed by
-    absolute frequency."""
-    keys = {abs(frequency(h, b, n, m)) for m in range(N_max) for n in range(N_max)}
-    return {xi: _modulus(xi, sys, eps_term) for xi in sorted(keys)}
-
-
-def _modulus(xi: int, sys: MoranSystem, eps: float) -> tuple[float, float]:
-    cert = mu_hat_modulus(xi, sys, eps)
-    return cert.lo, cert.hi
+    """Certified (lo, hi) of |mu_hat| for every distinct absolute frequency in
+    xis, evaluated in increasing order."""
+    table = {}
+    for xi in sorted(set(xis)):
+        cert = mu_hat_modulus(xi, sys, eps)
+        table[xi] = (cert.lo, cert.hi)
+    return table
 
 
 def del_partial(
@@ -126,54 +91,48 @@ def del_partial(
     bit-identical from call to call. The reported radius is the exact
     weighted sum of interval half-widths plus the accumulation slop.
     """
+    check_pair(b, h)
     if N_max < 1:
         raise InvalidParameter(f"N_max must be >= 1, got {N_max}")
     if not 0.0 < eps <= 1.0:
         raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
-    table = _modulus_table(sys, b, h, N_max, eps / N_max**3)
     powers = [b**k for k in range(N_max)]
-    mid: list[list[float]] = []
-    half: list[list[float]] = []
-    for bm in powers:
-        cells = [table[abs(h * (bn - bm))] for bn in powers]
-        mid.append([0.5 * (lo + hi) for lo, hi in cells])
-        half.append([0.5 * (hi - lo) for lo, hi in cells])
+    grid = [[abs(h * (bn - bm)) for bn in powers] for bm in powers]
+    table = _modulus_table(sys, (xi for row in grid for xi in row), eps / N_max**3)
+    cells = [[table[xi] for xi in row] for row in grid]
+    mid = [[0.5 * (lo + hi) for lo, hi in row] for row in cells]
+    half = [[0.5 * (hi - lo) for lo, hi in row] for row in cells]
 
     increments: list[float] = []
-    total = _Neumaier()
-    rad = _Neumaier()
-    diag = _Neumaier()
-    off = _Neumaier()
+    radii: list[float] = []
+    diag: list[float] = []
+    off: list[float] = []
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner = _Neumaier.of(x for row in mid[:N] for x in row[:N])
-        inner_rad = _Neumaier.of(x for row in half[:N] for x in row[:N])
-        inc = inner.value / cube
-        increments.append(inc)
-        total.add(inc)
-        rad.add((inner_rad.value + inner_rad.slop + inner.slop) / cube)
-        diag.add(N / cube)  # xi = 0 terms are exactly 1
-        upper = _Neumaier.of(x for m in range(N) for x in mid[m][m + 1 : N])
-        off.add(2.0 * upper.value / cube)
+        inner, inner_slop = _neumaier(x for row in mid[:N] for x in row[:N])
+        inner_rad, rad_slop = _neumaier(x for row in half[:N] for x in row[:N])
+        increments.append(inner / cube)
+        radii.append((inner_rad + rad_slop + inner_slop) / cube)
+        diag.append(N / cube)  # xi = 0 terms are exactly 1
+        upper, _ = _neumaier(x for m in range(N) for x in mid[m][m + 1 : N])
+        off.append(2.0 * upper / cube)
 
     blocks: list[tuple[int, float]] = []
     sch = sys.schedule
     for r in range(1, len(sch.q) + 1):
-        lo_N, hi_N = sch.N[r - 1], sch.N[r]
-        if lo_N >= N_max:
+        if sch.N[r - 1] >= N_max:
             break
-        acc = _Neumaier()
-        for N in range(lo_N + 1, min(hi_N, N_max) + 1):
-            acc.add(increments[N - 1])
-        blocks.append((r, acc.value))
+        blocks.append((r, _neumaier(increments[sch.N[r - 1] : sch.N[r]])[0]))
 
+    partial_sum, total_slop = _neumaier(increments)
+    radius, radius_slop = _neumaier(radii)
     return DelReport(
         N_max=N_max,
-        partial_sum=total.value,
-        radius=rad.value + rad.slop + total.slop,
+        partial_sum=partial_sum,
+        radius=radius + radius_slop + total_slop,
         increments=tuple(increments),
-        diagonal_sum=diag.value,
-        offdiagonal_sum=off.value,
+        diagonal_sum=_neumaier(diag)[0],
+        offdiagonal_sum=_neumaier(off)[0],
         block_sums=tuple(blocks),
     )
 
@@ -203,6 +162,8 @@ class BlockRow:
 
 def _context_for(sys: MoranSystem, b: int, h: int, ctx: BaseContext | None) -> BaseContext:
     if ctx is not None:
+        if (ctx.b, ctx.h) != (b, h):
+            raise InvalidParameter(f"ctx is for (b, h) = ({ctx.b}, {ctx.h}), not ({b}, {h})")
         return ctx
     if not sys.is_binary:
         raise InvalidParameter("pass an explicit context for non-binary digit systems")
@@ -242,14 +203,10 @@ def block_trend(
         for m in m_values:
             if m < 0:
                 raise InvalidParameter(f"m must be >= 0, got {m}")
-            ns = range(m + 1, N_r)
-            keys = sorted({abs(frequency(h, b, n, m)) for n in ns})
-            table = {xi: _modulus(xi, sys, eps) for xi in keys}
-            acc = _Neumaier()
-            for n in ns:
-                lo, hi = table[abs(frequency(h, b, n, m))]
-                acc.add(0.5 * (lo + hi))
-            rows.append(BlockRow(r=r, m=m, block_sum=acc.value, bound=bound))
+            xis = [abs(frequency(h, b, n, m)) for n in range(m + 1, N_r)]
+            table = _modulus_table(sys, xis, eps)
+            block_sum, _ = _neumaier(0.5 * (lo + hi) for lo, hi in map(table.__getitem__, xis))
+            rows.append(BlockRow(r=r, m=m, block_sum=block_sum, bound=bound))
     return tuple(rows)
 
 

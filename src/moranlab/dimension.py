@@ -301,10 +301,7 @@ class ConvolvedSystem:
         eta on the F-digit tree."""
         if not 0 <= depth <= self.depth:
             raise OutOfRange(f"depth {depth} outside 0 .. {self.depth}")
-        mass = Fraction(1)
-        for k in range(depth):
-            mass /= len(self.sum_sets[k])
-        return mass
+        return Fraction(1, math.prod(len(F) for F in self.sum_sets[:depth]))
 
 
 def build_convolved(
@@ -377,7 +374,7 @@ def build_convolved(
 # exact ball bounds
 
 
-def _count_below(X: int, caps: Sequence[int], bases: Sequence[int], weights: Sequence[int]) -> int:
+def _count_below(X: int, caps: Sequence[int], weights: Sequence[int]) -> int:
     """#{digit strings d with d_k <= caps[k] and sum d_k weights[k] <= X}.
 
     MSD-first walk; weights[k] = prod of deeper bases, caps define the
@@ -389,7 +386,7 @@ def _count_below(X: int, caps: Sequence[int], bases: Sequence[int], weights: Seq
     for c in caps:
         total *= c + 1
     top = 0
-    for c, b, w in zip(caps, bases, weights):
+    for c, w in zip(caps, weights):
         top += c * w
     if X >= top:
         return total
@@ -398,7 +395,7 @@ def _count_below(X: int, caps: Sequence[int], bases: Sequence[int], weights: Seq
     for i in range(len(caps) - 1, -1, -1):
         tails[i] = tails[i + 1] * (caps[i] + 1)
     rest = X
-    for i, (c, b, w) in enumerate(zip(caps, bases, weights)):
+    for i, (c, w) in enumerate(zip(caps, weights)):
         digit = rest // w
         rest -= digit * w
         count += min(digit, c + 1) * tails[i + 1]
@@ -427,7 +424,6 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
         if F != tuple(range(F[-1] + 1)):
             raise InvalidParameter(f"level {k} digit set is not contiguous from 0")
         caps.append(F[-1])
-    bases = csys.schedule.bases(L)
     P_L = csys.schedule.prefix_product(L)
     weights = [P_L // P for P in csys.schedule.prefix_products(L)]
 
@@ -435,7 +431,7 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
     hi_edge = x + r
     A = max(0, math.ceil(lo_edge * P_L) - 1)
     B = min(P_L - 1, math.floor(hi_edge * P_L))
-    count = _count_below(B, caps, bases, weights) - _count_below(A - 1, caps, bases, weights)
+    count = _count_below(B, caps, weights) - _count_below(A - 1, caps, weights)
     # a window of length 2r meets at most 2(r P_L + 1) cells of width 1/P_L
     cap_count = 2 * (r * P_L + 1)
     if count > cap_count:

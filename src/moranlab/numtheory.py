@@ -352,6 +352,15 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+def check_pair(b: int, h: int) -> None:
+    """Reject a base b that is not an integer >= 2 and an h that is not a
+    non-zero integer."""
+    if not isinstance(b, int) or b < 2:
+        raise InvalidParameter(f"b must be an integer >= 2, got {b!r}")
+    if not isinstance(h, int) or h == 0:
+        raise InvalidParameter(f"h must be a non-zero integer, got {h!r}")
+
+
 def build_context(
     b: int,
     h: int,
@@ -363,10 +372,7 @@ def build_context(
     weights = (C, D) are the infimum and supremum of the level weights,
     entering only through gamma = sqrt(1 - C(1-D)).
     """
-    if not isinstance(b, int) or b < 2:
-        raise InvalidParameter(f"b must be an integer >= 2, got {b!r}")
-    if not isinstance(h, int) or h == 0:
-        raise InvalidParameter(f"h must be a non-zero integer, got {h!r}")
+    check_pair(b, h)
     C, D = Fraction(weights[0]), Fraction(weights[1])
     if not 0 < C <= D < 1:
         raise InvalidParameter(f"weights must satisfy 0 < C <= D < 1, got ({C}, {D})")

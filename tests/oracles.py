@@ -265,20 +265,63 @@ def level_mask_mu_hat(xi: int, sys, eps: float) -> tuple[float, float, int]:
     raise AssertionError("schedule exhausted")
 
 
+class ReferenceNeumaier:
+    """Neumaier accumulator as one add() per term, with the ~2 ulp slop bound
+    on its absolute mass."""
+
+    def __init__(self) -> None:
+        self.total = self.comp = self.abs_mass = 0.0
+
+    def add(self, x: float) -> None:
+        self.abs_mass += abs(x)
+        t = self.total + x
+        if abs(self.total) >= abs(x):
+            self.comp += (self.total - t) + x
+        else:
+            self.comp += (x - t) + self.total
+        self.total = t
+
+    @property
+    def value(self) -> float:
+        return self.total + self.comp
+
+    @property
+    def slop(self) -> float:
+        return 4.0 * 2.0**-53 * self.abs_mass
+
+
+def reference_neumaier(xs) -> tuple[float, float]:
+    """(value, slop) after add(x) for each x in order."""
+    acc = ReferenceNeumaier()
+    for x in xs:
+        acc.add(x)
+    return acc.value, acc.slop
+
+
 def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
     """delsum.del_partial as an (N, m, n) loop that recomputes h (b^n - b^m)
-    and looks it up term by term, one add() per term."""
-    from moranlab.delsum import DelReport, _modulus_table, _Neumaier
+    and certifies it on first use, one add() per term."""
+    from moranlab.delsum import DelReport
+    from moranlab.fourier import mu_hat_modulus
 
-    table = _modulus_table(sys, b, h, N_max, eps / N_max**3)
+    table: dict[int, tuple[float, float]] = {}
+
+    def modulus(m: int, n: int) -> tuple[float, float]:
+        xi = abs(h * (b**n - b**m))
+        if xi not in table:
+            cert = mu_hat_modulus(xi, sys, eps / N_max**3)
+            table[xi] = (cert.lo, cert.hi)
+        return table[xi]
+
     increments = []
-    total, rad, diag, off = _Neumaier(), _Neumaier(), _Neumaier(), _Neumaier()
+    total, rad = ReferenceNeumaier(), ReferenceNeumaier()
+    diag, off = ReferenceNeumaier(), ReferenceNeumaier()
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner, inner_rad = _Neumaier(), _Neumaier()
+        inner, inner_rad = ReferenceNeumaier(), ReferenceNeumaier()
         for m in range(N):
             for n in range(N):
-                lo, hi = table[abs(h * (b**n - b**m))]
+                lo, hi = modulus(m, n)
                 inner.add(0.5 * (lo + hi))
                 inner_rad.add(0.5 * (hi - lo))
         inc = inner.value / cube
@@ -286,10 +329,10 @@ def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
         total.add(inc)
         rad.add((inner_rad.value + inner_rad.slop + inner.slop) / cube)
         diag.add(N / cube)
-        upper = _Neumaier()
+        upper = ReferenceNeumaier()
         for m in range(N):
             for n in range(m + 1, N):
-                lo, hi = table[abs(h * (b**n - b**m))]
+                lo, hi = modulus(m, n)
                 upper.add(0.5 * (lo + hi))
         off.add(2.0 * upper.value / cube)
     blocks = []
@@ -298,7 +341,7 @@ def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
         lo_N, hi_N = sch.N[r - 1], sch.N[r]
         if lo_N >= N_max:
             break
-        acc = _Neumaier()
+        acc = ReferenceNeumaier()
         for N in range(lo_N + 1, min(hi_N, N_max) + 1):
             acc.add(increments[N - 1])
         blocks.append((r, acc.value))

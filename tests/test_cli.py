@@ -383,6 +383,26 @@ def test_del_block_enumeration_guard(tmp_path, capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("command", ["context", "fourier", "del", "partition"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ({"b": 1}, "b must be an integer >= 2, got 1"),
+        ({"b": 0}, "b must be an integer >= 2, got 0"),
+        ({"b": -2}, "b must be an integer >= 2, got -2"),
+        ({"h": 0}, "h must be a non-zero integer, got 0"),
+    ],
+    ids=["b=1", "b=0", "b=-2", "h=0"],
+)
+def test_invalid_base_or_h_is_a_parameter_error(tmp_path, capsys, command, pair, message):
+    # del used to print a meaningless sum for these pairs and exit 0
+    cfg = {"schedule": TOY_SCHEDULE, "context": pair, "del": {"N_max": 3}}
+    rc, out, err = run(capsys, command, "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert out == "" and not list(tmp_path.glob("*.csv"))
+
+
 # --------------------------------------------------------------------------
 # partition
 

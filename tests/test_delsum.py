@@ -1,9 +1,12 @@
 """Criterion partial sums: determinism, decomposition, and the naive oracle."""
 
+import struct
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
     InvalidParameter,
@@ -13,10 +16,10 @@ from moranlab import (
     frequency,
     mu_hat_modulus,
 )
-from moranlab import binary_system, build_convolved
-from moranlab.delsum import DelReport, _Neumaier, asymptotic_constants
+from moranlab import binary_system, build_context, build_convolved
+from moranlab.delsum import DelReport, _neumaier, asymptotic_constants
 
-from oracles import naive_del_sum, triple_loop_del_partial
+from oracles import ReferenceNeumaier, naive_del_sum, reference_neumaier, triple_loop_del_partial
 
 
 def test_frequency_examples():
@@ -85,6 +88,12 @@ def test_del_partial_matches_triple_loop(medium_system, b, h, N_max):
     # every field is bit-identical to the term-by-term loop
     got = del_partial(medium_system, b, h, N_max=N_max, eps=1e-9)
     _assert_same_report(got, triple_loop_del_partial(medium_system, b, h, N_max, 1e-9))
+    # cumulative() re-sums prefixes; a running accumulator must read the same
+    running, want = ReferenceNeumaier(), []
+    for inc in got.increments:
+        running.add(inc)
+        want.append(running.value)
+    assert repr(got.cumulative()) == repr(tuple(want))
 
 
 @pytest.mark.parametrize("b, h", [(2, 1), (3, -3)])
@@ -96,17 +105,27 @@ def test_del_partial_matches_triple_loop_non_binary(medium_schedule, b, h):
     _assert_same_report(got, triple_loop_del_partial(sysm, b, h, 9, 1e-9))
 
 
+def _bits(pair: tuple[float, float]) -> bytes:
+    return struct.pack("<2d", *pair)
+
+
 @pytest.mark.parametrize(
     "xs",
     [[], [1.0], [1e16, 1.0, -1e16], [0.1] * 10, [3.0, -1e-20, 2.5e-300, -7.0, 1e308, -1e308]],
 )
-def test_neumaier_of_matches_add(xs):
-    acc = _Neumaier()
-    for x in xs:
-        acc.add(x)
-    one = _Neumaier.of(iter(xs))
-    assert (one.total, one.comp, one.abs_mass) == (acc.total, acc.comp, acc.abs_mass)
-    assert repr(one.value) == repr(acc.value) and one.slop == acc.slop
+def test_neumaier_matches_reference(xs):
+    assert _bits(_neumaier(iter(xs))) == _bits(reference_neumaier(xs))
+
+
+EDGE_FLOATS = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.225e-308, -1.5e-310, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)))
+def test_neumaier_step_order_matches_reference(xs):
+    # the DEL totals cannot pin the step order (reversed rows round alike at
+    # desk-scale N_max), so the accumulator is pinned here bit for bit
+    assert _bits(_neumaier(xs)) == _bits(reference_neumaier(xs))
 
 
 def test_partial_sums_monotone(small_system):
@@ -143,6 +162,21 @@ def test_del_partial_rejects(small_system):
         del_partial(small_system, 2, 1, N_max=0, eps=1e-9)
     with pytest.raises(InvalidParameter):
         del_partial(small_system, 2, 1, N_max=5, eps=0.0)
+    for b in (1, 0, -2, 2.0):
+        with pytest.raises(InvalidParameter, match="b must be an integer >= 2"):
+            del_partial(small_system, b, 1, N_max=5, eps=1e-9)
+    with pytest.raises(InvalidParameter, match="h must be a non-zero integer"):
+        del_partial(small_system, 2, 0, N_max=5, eps=1e-9)
+
+
+def test_block_trend_rejects_context_of_another_pair(small_system):
+    ctx = build_context(2, 1, small_system.schedule)
+    for b, h in ((3, 1), (2, -1)):
+        with pytest.raises(InvalidParameter, match=r"ctx is for \(b, h\) = \(2, 1\)"):
+            block_trend(small_system, b, h, r_range=(1,), ctx=ctx)
+    assert block_trend(small_system, 2, 1, r_range=(1,), ctx=ctx) == block_trend(
+        small_system, 2, 1, r_range=(1,)
+    )
 
 
 def test_block_sums_group_increments(medium_system):
