@@ -33,8 +33,9 @@ from .dimension import (
 )
 from .distribution import classify_Bk, verify_partition, write_histogram_csv
 from .errors import InvalidParameter, MoranLabError, OutOfRange
-from .fourier import MoranSystem, binary_system, write_batch_csv
+from .fourier import MoranSystem, binary_system, check_eps, write_batch_csv
 from .measure import (
+    avoidance_dilations,
     normality_report,
     sample_batch,
     uniqueness_avoidance,
@@ -142,6 +143,11 @@ def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
     hs = cx["h"] if isinstance(cx["h"], list) else [cx["h"]]
     if not bs or not hs:
         raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
+    # int() would truncate 2.5 to 2 while config_sha256 hashes 2.5
+    for key, values in (("b", bs), ("h", hs)):
+        for v in values:
+            if isinstance(v, float) and not v.is_integer():
+                raise InvalidParameter(f"context.{key} must be an integer, got {v!r}")
     return [(int(b), int(h)) for b in bs for h in hs]
 
 
@@ -217,6 +223,8 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         {"xis": None, "xi_count": 100, "xi_max": None, "eps": 1e-9, "out": "fourier.csv"},
         "fourier",
     )
+    eps = float(fc["eps"])
+    check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
     if fc["xis"] is not None:
         xis = [int(x) for x in fc["xis"]]
     else:
@@ -227,7 +235,7 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     b, h = _context_pairs(cfg)[0]
     ctx = build_context(b, h, sch)
     path = os.path.join(out, fc["out"])
-    write_batch_csv(path, xis, sysm, ctx, eps=float(fc["eps"]))
+    write_batch_csv(path, xis, sysm, ctx, eps=eps)
     _stamp_csv(path, cfg_hash)
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
@@ -347,6 +355,7 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     depth = int(uc["depth"]) if uc["depth"] is not None else sch.depth
     j_max = int(uc["j_max"]) if uc["j_max"] is not None else max(1, default_j)
+    avoidance_dilations(target, j_max)  # rejects a bad j_max even with zero samples
     count = _nonnegative(uc["samples"], "uniqueness.samples")
     rows = []
     passed = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter, TooLarge
-from .fourier import MoranSystem, mu_hat_modulus
+from .fourier import MoranSystem, check_eps, mu_hat_modulus
 from .numtheory import BaseContext, build_context, check_pair, derived_stirling_constants
 
 BLOCK_GUARD = 10**5
@@ -94,8 +94,7 @@ def del_partial(
     check_pair(b, h)
     if N_max < 1:
         raise InvalidParameter(f"N_max must be >= 1, got {N_max}")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     powers = [b**k for k in range(N_max)]
     grid = [[abs(h * (bn - bm)) for bn in powers] for bm in powers]
     table = _modulus_table(sys, (xi for row in grid for xi in row), eps / N_max**3)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -244,27 +244,20 @@ class ConvolvedSystem:
     weights: tuple[tuple[Fraction, ...], ...]
     special_levels: tuple[int, ...]
     variant: str
+    # the F-digit system, built once from the fields above, so out of eq/hash/repr
+    _system: MoranSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # MoranSystem validates sum_sets (sorted, inside [0, M_n)) and weights
+        object.__setattr__(self, "_system", MoranSystem(self.schedule, self.sum_sets, self.weights))
         depth = self.schedule.depth
-        for name, seq in (
-            ("base_sets", self.base_sets),
-            ("nu_sets", self.nu_sets),
-            ("sum_sets", self.sum_sets),
-            ("weights", self.weights),
-        ):
+        for name, seq in (("base_sets", self.base_sets), ("nu_sets", self.nu_sets)):
             if len(seq) != depth:
                 raise InvalidParameter(f"{name} must cover all {depth} levels")
         if any(a >= b for a, b in zip(self.special_levels, self.special_levels[1:])):
             raise InvalidParameter("special levels must strictly increase")
         special = set(self.special_levels)
-        for n in range(1, depth + 1):
-            M = self.schedule.base_at(n)
-            F = self.sum_sets[n - 1]
-            if F[0] < 0 or F[-1] >= M:
-                raise InvalidParameter(f"level {n}: sums escape [0, {M})")
-            if sum(self.weights[n - 1]) != 1:
-                raise InvalidParameter(f"level {n}: weights do not sum to 1")
+        for n, M in enumerate(self.schedule.bases(), start=1):
             E = self.nu_sets[n - 1]
             if n in special:
                 if E != _even_digit_set(M):
@@ -274,7 +267,7 @@ class ConvolvedSystem:
                     raise CounterexampleFound(f"level {n}: even set too large for {M}")
             if len(E) >= 2 and E[1] - E[0] == 2:
                 # even-step levels must have unique sum decompositions
-                if len(F) != len(self.base_sets[n - 1]) * len(E):
+                if len(self.sum_sets[n - 1]) != len(self.base_sets[n - 1]) * len(E):
                     raise CounterexampleFound(f"level {n}: sums collide on an even-step set")
 
     @property
@@ -291,10 +284,9 @@ class ConvolvedSystem:
         )
 
     def as_moran_system(self) -> MoranSystem:
-        """The convolution as a plain digit system (for transforms/sampling)."""
-        return MoranSystem(
-            schedule=self.schedule, digit_sets=self.sum_sets, weights=self.weights
-        )
+        """The convolution as a plain digit system (for transforms/sampling),
+        built once: every call returns the same instance and its caches."""
+        return self._system
 
     def uniform_interval_mass(self, depth: int) -> Fraction:
         """Mass of one depth-`depth` basic interval under the uniform measure
@@ -374,33 +366,27 @@ def build_convolved(
 # exact ball bounds
 
 
-def _count_below(X: int, caps: Sequence[int], weights: Sequence[int]) -> int:
-    """#{digit strings d with d_k <= caps[k] and sum d_k weights[k] <= X}.
+def _count_below(X: int, sum_sets: Sequence, bases: Sequence[int], P_L: int, total: int) -> int:
+    """#{digit strings d_1..d_L with d_k in F_k = sum_sets[k-1] = {0..|F_k|-1}
+    and sum_k d_k P_L/P_k <= X}, where P_k = M_1...M_k and total = prod |F_k|.
 
-    MSD-first walk; weights[k] = prod of deeper bases, caps define the
-    contiguous digit sets {0..caps[k]}.
-    """
+    MSD-first walk: the weight P_L/P_k and the number of strings below level
+    k are running quotients of P_L by M_k and of total by |F_k|; the walk
+    ends at level L, where the weight reaches 1, or at the first digit of X
+    past its level's set."""
     if X < 0:
         return 0
-    total = 1
-    for c in caps:
-        total *= c + 1
-    top = 0
-    for c, w in zip(caps, weights):
-        top += c * w
-    if X >= top:
-        return total
     count = 0
-    tails = [1] * (len(caps) + 1)
-    for i in range(len(caps) - 1, -1, -1):
-        tails[i] = tails[i + 1] * (caps[i] + 1)
-    rest = X
-    for i, (c, w) in enumerate(zip(caps, weights)):
-        digit = rest // w
-        rest -= digit * w
-        count += min(digit, c + 1) * tails[i + 1]
-        if digit > c:
-            return count
+    weight, tail, rest = P_L, total, X
+    for F, M in zip(sum_sets, bases):
+        weight //= M
+        tail //= len(F)
+        digit, rest = divmod(rest, weight)
+        if digit >= len(F):
+            return count + len(F) * tail
+        count += digit * tail
+        if weight == 1:
+            break
     return count + 1  # the string equal to X itself
 
 
@@ -414,31 +400,27 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
     r = Fraction(r)
     if not 0 <= x <= 1:
         raise OutOfRange(f"x must lie in [0, 1], got {x}")
-    h = h_of_r(r, csys)
-    L = h + 1
+    L = h_of_r(r, csys) + 1
     if L > csys.depth:
         raise ScheduleTooShort(f"need level {L}, schedule covers {csys.depth}")
-    caps = []
     for k in range(1, L + 1):
         F = csys.sum_sets[k - 1]
-        if F != tuple(range(F[-1] + 1)):
+        # F strictly increases from F[0] >= 0, so it is {0..|F|-1} iff F[-1] = |F| - 1
+        if F[-1] != len(F) - 1:
             raise InvalidParameter(f"level {k} digit set is not contiguous from 0")
-        caps.append(F[-1])
     P_L = csys.schedule.prefix_product(L)
-    weights = [P_L // P for P in csys.schedule.prefix_products(L)]
-
-    lo_edge = x - r
-    hi_edge = x + r
-    A = max(0, math.ceil(lo_edge * P_L) - 1)
-    B = min(P_L - 1, math.floor(hi_edge * P_L))
-    count = _count_below(B, caps, weights) - _count_below(A - 1, caps, weights)
+    mass = csys.uniform_interval_mass(L)
+    walk = (csys.sum_sets, csys.schedule.bases(), P_L, mass.denominator)
+    A = max(0, math.ceil((x - r) * P_L) - 1)
+    B = min(P_L - 1, math.floor((x + r) * P_L))
+    count = _count_below(B, *walk) - _count_below(A - 1, *walk)
     # a window of length 2r meets at most 2(r P_L + 1) cells of width 1/P_L
     cap_count = 2 * (r * P_L + 1)
     if count > cap_count:
         raise CounterexampleFound(
             f"interval count {count} exceeds the grid bound {cap_count}"
         )
-    return count * csys.uniform_interval_mass(L)
+    return count * mass
 
 
 # --------------------------------------------------------------------------

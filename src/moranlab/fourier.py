@@ -325,6 +325,12 @@ def _tail_log_bound(t: float, binary: bool) -> float:
     return _up(y * (1.0 + 1e-9))
 
 
+def check_eps(eps: float) -> None:
+    """Reject a bracket-width budget outside (0, 1] (NaN included)."""
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
+
+
 def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     """Certified enclosure of |mu_hat(xi)| of width <= eps.
 
@@ -337,8 +343,7 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     """
     if not isinstance(xi, int):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameter(f"eps must lie in (0, 1], got {eps}")
+    check_eps(eps)
     xi = abs(xi)
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)

@@ -325,6 +325,25 @@ def _attractor_digits(x: Fraction, sch, depth: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
+    """The dilations k_1..k_{j_max} of uniqueness_avoidance; raises unless
+    1 <= j_max <= the number of levels (plain) or special levels (convolved)."""
+    if j_max < 1:
+        raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
+    from .dimension import ConvolvedSystem  # local import keeps modules decoupled
+
+    if isinstance(sys, MoranSystem):
+        if j_max > sys.depth:
+            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
+        return sys.schedule.prefix_products(j_max)
+    if isinstance(sys, ConvolvedSystem):
+        special = sys.special_levels
+        if j_max > len(special):
+            raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
+        return tuple(sys.schedule.prefix_product(n - 1) for n in special[:j_max])
+    raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+
+
 def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     """Check {k_j x} outside the avoidance interval (lo, 1) for j = 1..j_max.
 
@@ -338,30 +357,13 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     x = Fraction(x)
     if not 0 <= x < 1:
         raise InvalidParameter(f"x must lie in [0, 1), got {x}")
-    if j_max < 1:
-        raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
-    from .dimension import ConvolvedSystem  # local import keeps modules decoupled
-
-    if isinstance(sys, MoranSystem):
-        sch = sys.schedule
-        digit_sets = sys.digit_sets
-        if j_max > sch.depth:
-            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sch.depth}")
-        dilations = sch.prefix_products(j_max)
-    elif isinstance(sys, ConvolvedSystem):
-        sch = sys.schedule
-        digit_sets = sys.sum_sets
-        special = sys.special_levels
-        if j_max > len(special):
-            raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
-        dilations = [sch.prefix_product(n - 1) for n in special[:j_max]]
-    else:
-        raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+    dilations = avoidance_dilations(sys, j_max)
+    digit_sets = sys.digit_sets if isinstance(sys, MoranSystem) else sys.sum_sets
 
     lo = sys.avoidance_lo
     if lo >= 1:
         raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
-    digits = _attractor_digits(x, sch, sch.depth)
+    digits = _attractor_digits(x, sys.schedule, sys.depth)
     for n, d in enumerate(digits, start=1):
         if d not in digit_sets[n - 1]:
             raise NotInSupport(f"digit {d} at level {n} outside the level digit set")

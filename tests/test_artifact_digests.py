@@ -1,5 +1,4 @@
-"""Artifact bytes of the benchmark's transform-heavy and dimension runs,
-pinned in tier-1.
+"""Artifact bytes of every benchmark invocation, pinned in tier-1.
 
 Each run uses a committed benchmark config at seed 1. It hashes every CSV it
 writes from the line after the timestamp and every JSON report whole, the way
@@ -31,16 +30,30 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        ("del", "orbit_del"),
-        ("del", "orbit_del_blocks"),
-        ("fourier", "spectrum_deep"),
-        ("dimension", "sample_dimension_dim_one"),
-        ("dimension", "sample_dimension_gauge"),
-    ],
-)
+INVOCATIONS = [
+    ("del", "orbit_del"),
+    ("del", "orbit_del_blocks"),
+    ("fourier", "spectrum_deep"),
+    ("dimension", "sample_dimension_dim_one"),
+    ("dimension", "sample_dimension_gauge"),
+    ("uniqueness", "sample_uniqueness_plain"),
+    ("uniqueness", "sample_uniqueness_dim_one"),  # samples through as_moran_system()
+    ("normality", "sample_normality"),
+    ("partition", "orbit_partition_b2"),
+    ("partition", "orbit_partition_b3h2"),
+    ("context", "orbit_context"),
+    ("fourier", "spectrum_shallow"),
+    ("schedule", "orbit_context"),
+    ("schedule", "sample_normality"),
+    ("schedule", "spectrum_shallow"),
+]
+
+
+def test_invocations_cover_every_recorded_key():
+    assert {key.split("/")[0] for key in _recorded()} == {f"{c}:{cfg}" for c, cfg in INVOCATIONS}
+
+
+@pytest.mark.parametrize("command, config", INVOCATIONS)
 def test_csv_bytes_match_recorded_digests(tmp_path, capsys, command, config):
     cfg = BENCH / "configs" / f"{config}.json"
     rc = main([command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])

@@ -403,6 +403,35 @@ def test_invalid_base_or_h_is_a_parameter_error(tmp_path, capsys, command, pair,
     assert out == "" and not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["context", "fourier", "del", "partition"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ({"b": [2.5]}, "context.b must be an integer, got 2.5"),
+        ({"b": [2, 3.5]}, "context.b must be an integer, got 3.5"),
+        ({"h": 1.9}, "context.h must be an integer, got 1.9"),
+        ({"b": [2.5], "h": [1.9]}, "context.b must be an integer, got 2.5"),
+    ],
+    ids=["b=2.5", "b=3.5-in-list", "h=1.9", "both"],
+)
+def test_fractional_base_or_h_is_a_parameter_error(tmp_path, capsys, command, pair, message):
+    # int() used to truncate these (b = 2.5 ran as b = 2) while config_sha256 hashed 2.5
+    cfg = {"schedule": TOY_SCHEDULE, "context": pair, "del": {"N_max": 3}}
+    rc, out, err = run(capsys, command, "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err.startswith(f"error: {message}")
+    assert out == "" and not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "context.json").exists()
+
+
+def test_integral_float_base_and_h_are_accepted(tmp_path, capsys):
+    cfg = {"schedule": TOY_SCHEDULE, "context": {"b": [2.0], "h": [1.0]}}
+    rc, _, err = run(capsys, "context", "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
+    assert rc == 0, err
+    payload = read_report(tmp_path, "context.json")["payload"]
+    assert (payload[0]["b"], payload[0]["h"]) == (2, 1)
+
+
 # --------------------------------------------------------------------------
 # partition
 
@@ -539,6 +568,32 @@ def test_uniqueness_unknown_kind(tmp_path, capsys):
     rc, _, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path))
     assert rc == 2
     assert "weird" in err
+
+
+@pytest.mark.parametrize("work", [0, 2])
+@pytest.mark.parametrize(
+    "command, section, code, message",
+    [
+        ("fourier", {"eps": 5}, 2, "eps must lie in (0, 1], got 5.0"),
+        ("fourier", {"eps": -1, "xis": []}, 2, "eps must lie in (0, 1], got -1.0"),
+        ("uniqueness", {"j_max": -4}, 2, "j_max must be >= 1, got -4"),
+        ("uniqueness", {"j_max": 0}, 2, "j_max must be >= 1, got 0"),
+        ("uniqueness", {"j_max": 4}, 3, "j_max = 4 exceeds the schedule depth 3"),
+        ("uniqueness", {"j_max": 4, "kind": "dim-one"}, 3, "j_max = 4 exceeds the 3 special levels"),
+    ],
+    ids=["fourier-eps=5", "fourier-eps=-1-xis", "j_max=-4", "j_max=0", "j_max-depth", "j_max-special"],
+)
+def test_config_checks_do_not_depend_on_work(tmp_path, capsys, work, command, section, code, message):
+    # an empty frequency list or zero samples used to skip these checks and exit 0
+    if command == "fourier":
+        section = {**section, "xis": [3] * work} if "xis" in section else {**section, "xi_count": work}
+    else:
+        section = {**section, "samples": work}
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, command: section})
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path))
+    assert rc == code
+    assert err.startswith(f"error: {message}")
+    assert out == "" and not list(tmp_path.glob("*.csv"))
 
 
 # --------------------------------------------------------------------------

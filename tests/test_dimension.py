@@ -6,10 +6,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import replace
+from bisect import bisect_right
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
     ConvolvedSystem,
@@ -33,7 +36,13 @@ from moranlab import (
     sparse_index_set,
     uniqueness_avoidance,
 )
-from moranlab.dimension import BallRow, running_min_after, write_ball_csv, write_local_dim_csv
+from moranlab.dimension import (
+    BallRow,
+    _count_below,
+    running_min_after,
+    write_ball_csv,
+    write_local_dim_csv,
+)
 from moranlab.measure import SamplePoint, sample_point
 
 from oracles import naive_mu_hat
@@ -326,12 +335,41 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
             special_levels=(),
             variant="gauge",
         )
+    for sums in (((), (0, 1), (0, 1)), ((1, 0), (0, 1), (0, 1))):
+        with pytest.raises(InvalidParameter):
+            # an empty or unsorted sum set (the empty one used to raise IndexError)
+            ConvolvedSystem(
+                schedule=toy_schedule,
+                base_sets=((0, 1),) * 3,
+                nu_sets=((0,), (0,), (0,)),
+                sum_sets=sums,
+                weights=(half, half, half),
+                special_levels=(),
+                variant="gauge",
+            )
     with pytest.raises(InvalidParameter):
         replace(toy_dimone, nu_sets=((0, 1), (0, 2, 4), (0, 2, 4)))
     with pytest.raises(InvalidParameter):
         replace(toy_dimone, special_levels=(1, 1, 2))
     with pytest.raises(InvalidParameter):
         replace(toy_dimone, base_sets=toy_dimone.base_sets[:2])
+
+
+def test_as_moran_system_is_built_once(toy_schedule, toy_dimone):
+    eta = toy_dimone.as_moran_system()
+    assert toy_dimone.as_moran_system() is eta
+    assert eta == MoranSystem(toy_schedule, toy_dimone.sum_sets, toy_dimone.weights)
+    # the held system is derived data: out of eq, hash and repr
+    held = next(f for f in fields(ConvolvedSystem) if f.name == "_system")
+    assert (held.init, held.compare, held.repr) == (False, False, False)
+    twin = build_convolved(binary_system(toy_schedule, F(1, 2)), "dim-one")
+    assert twin == toy_dimone and hash(twin) == hash(toy_dimone)
+    assert "_system" not in repr(toy_dimone)
+    # replace() runs __post_init__ again and rebuilds it from the new fields
+    skewed = (F(1, 12), F(1, 12), F(1, 6), F(1, 6), F(1, 4), F(1, 4))
+    reweighted = replace(toy_dimone, weights=toy_dimone.weights[:2] + (skewed,))
+    assert reweighted.as_moran_system() is not eta
+    assert reweighted.as_moran_system().weights[2] == skewed
 
 
 def test_uniform_interval_mass(toy_dimone):
@@ -379,6 +417,53 @@ def test_ball_measure_matches_enumeration(toy_dimone):
             hi = min(P - 1, math.floor((x + r) * P))
             expect = sum(1 for v in values if lo <= v <= hi) * mass
             assert ball_measure(x, r, toy_dimone) == expect
+
+
+def test_ball_measure_matches_enumeration_gauge(med_gauge):
+    # bases 7, 11, 11, 13 with sizes 7, 11, 6, 13: off the special levels the
+    # gauge fills each level (F = {0..M-1}); level 3 is special (F = {0..5})
+    assert [len(F_k) for F_k in med_gauge.sum_sets[:4]] == [7, 11, 6, 13]
+    bands = {3: (F(1, 80), F(1, 300), F(1, 846), F(1, 77)), 4: (F(1, 848), F(1, 5000))}
+    for level, radii in bands.items():
+        P = med_gauge.schedule.prefix_product(level)
+        values = sorted(_attainable_values(med_gauge, level))
+        mass = med_gauge.uniform_interval_mass(level)
+        xs = [F(k, 97) for k in range(0, 98, 6)] + [F(k, P) for k in (0, 76, 77, 400, P - 2, P - 1)]
+        for r in radii:
+            assert h_of_r(r, med_gauge) == level - 1
+            for x in xs:
+                lo = max(0, math.ceil((x - r) * P) - 1)
+                hi = min(P - 1, math.floor((x + r) * P))
+                expect = (bisect_right(values, hi) - bisect_right(values, lo - 1)) * mass
+                assert ball_measure(x, r, med_gauge) == expect
+
+
+_SCHEDULE_PRIMES = (7, 11, 13, 17, 19, 23)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_count_below_matches_enumeration(data):
+    bases = data.draw(st.lists(st.sampled_from(_SCHEDULE_PRIMES), min_size=1, max_size=3))
+    caps = [data.draw(st.integers(0, M - 1)) for M in bases]
+    sets = [tuple(range(c + 1)) for c in caps]
+    # a deeper level past L must be ignored: the walk ends where P_L/P_k = 1
+    deeper_sets, deeper_bases = sets + [(0, 1, 2)], bases + [29]
+    P_L = math.prod(bases)
+    total = math.prod(len(F_k) for F_k in sets)
+    values = []
+    for digits in itertools.product(*sets):
+        v = 0
+        for d, M in zip(digits, bases):
+            v = v * M + d
+        values.append(v)
+    values.sort()
+    top = values[-1]
+    X = data.draw(st.integers(-1, P_L - 1))
+    for x in {X, -1, 0, top - 1, top, P_L - 1}:
+        want = bisect_right(values, x)
+        assert _count_below(x, sets, bases, P_L, total) == want
+        assert _count_below(x, deeper_sets, deeper_bases, P_L, total) == want
 
 
 def test_ball_measure_support_point_floor(med_dimone):
