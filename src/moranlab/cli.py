@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from typing import Any
 
@@ -69,17 +69,22 @@ def _fraction(value, where: str) -> Fraction:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return Fraction(int(value[0]), int(value[1]))
+            return Fraction(_integer(value[0], where), _integer(value[1], where))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameter(f"bad fraction in {where}: {value!r}") from exc
     raise InvalidParameter(f"bad fraction in {where}: {value!r}")
 
 
-def _nonnegative(value, where: str) -> int:
-    n = int(value)
-    if n < 0:
+def _integer(value, where: str) -> int:
+    # int() alone would truncate 1.7 to 1 while config_sha256 hashes 1.7
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidParameter(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _at_least_zero(n: int | None, where: str) -> None:
+    if n is not None and n < 0:
         raise InvalidParameter(f"{where} must be >= 0, got {n}")
-    return n
 
 
 def load_config(path: str | None) -> dict:
@@ -121,13 +126,13 @@ def _schedule_from(cfg: dict) -> PrimeSchedule:
         {"d": 2, "count": 4, "variant": "nth-prime-from-7", "offset": None, "q": None, "ell": None},
         "schedule",
     )
+    d = _integer(sc["d"], "schedule.d")
     if sc["q"] is not None or sc["ell"] is not None:
         if sc["q"] is None or sc["ell"] is None:
             raise InvalidParameter("schedule needs both q and ell when given explicitly")
-        return PrimeSchedule(d=int(sc["d"]), q=tuple(sc["q"]), ell=tuple(sc["ell"]))
-    return build_schedule(
-        d=int(sc["d"]), count=int(sc["count"]), variant=sc["variant"], offset=sc["offset"]
-    )
+        return PrimeSchedule(d=d, q=tuple(sc["q"]), ell=tuple(sc["ell"]))
+    count = _integer(sc["count"], "schedule.count")
+    return build_schedule(d=d, count=count, variant=sc["variant"], offset=sc["offset"])
 
 
 def _system_from(cfg: dict, sch: PrimeSchedule) -> MoranSystem:
@@ -143,16 +148,13 @@ def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
     hs = cx["h"] if isinstance(cx["h"], list) else [cx["h"]]
     if not bs or not hs:
         raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
-    # int() would truncate 2.5 to 2 while config_sha256 hashes 2.5
-    for key, values in (("b", bs), ("h", hs)):
-        for v in values:
-            if isinstance(v, float) and not v.is_integer():
-                raise InvalidParameter(f"context.{key} must be an integer, got {v!r}")
-    return [(int(b), int(h)) for b in bs for h in hs]
+    bs = [_integer(b, "context.b") for b in bs]
+    hs = [_integer(h, "context.h") for h in hs]
+    return [(b, h) for b in bs for h in hs]
 
 
 def _config_hash(cfg: dict, seed: int) -> str:
-    workers = 1 if cfg["workers"] is None else int(cfg["workers"])
+    workers = 1 if cfg["workers"] is None else _integer(cfg["workers"], "workers")
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
     canon = json.dumps({"config": cfg, "seed": seed, "workers": workers}, sort_keys=True)
@@ -163,7 +165,7 @@ def _stamp_csv(path: str, cfg_hash: str) -> None:
     # timestamp line first; everything below it is deterministic
     with open(path) as fh:
         body = fh.read()
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(path, "w") as fh:
         fh.write(f"# generated: {stamp}\n")
         fh.write(f"# config_sha256: {cfg_hash} version: {__version__}\n")
@@ -226,11 +228,13 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     eps = float(fc["eps"])
     check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
     if fc["xis"] is not None:
-        xis = [int(x) for x in fc["xis"]]
+        xis = [_integer(x, "fourier.xis") for x in fc["xis"]]
     else:
         r = min(3, len(sch.q))
-        xi_max = sch.N[r] if fc["xi_max"] is None else _nonnegative(fc["xi_max"], "fourier.xi_max")
-        xi_count = _nonnegative(fc["xi_count"], "fourier.xi_count")
+        xi_max = sch.N[r] if fc["xi_max"] is None else _integer(fc["xi_max"], "fourier.xi_max")
+        _at_least_zero(xi_max, "fourier.xi_max")
+        xi_count = _integer(fc["xi_count"], "fourier.xi_count")
+        _at_least_zero(xi_count, "fourier.xi_count")
         xis = [value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
     b, h = _context_pairs(cfg)[0]
     ctx = build_context(b, h, sch)
@@ -258,19 +262,18 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         },
         "del",
     )
-    report = del_partial(sysm, b, h, int(dc["N_max"]), float(dc["eps"]))
+    N_max = _integer(dc["N_max"], "del.N_max")
+    r_lo = None if dc["r_lo"] is None else _integer(dc["r_lo"], "del.r_lo")
+    r_hi = None if dc["r_hi"] is None else _integer(dc["r_hi"], "del.r_hi")
+    m_values = tuple(_integer(m, "del.m_values") for m in dc["m_values"])
+    report = del_partial(sysm, b, h, N_max, float(dc["eps"]))
     path = os.path.join(out, dc["out"])
     write_del_csv(path, report)
     _stamp_csv(path, cfg_hash)
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
-    if dc["r_lo"] is not None and dc["r_hi"] is not None:
+    if r_lo is not None and r_hi is not None:
         rows = block_trend(
-            sysm,
-            b,
-            h,
-            range(int(dc["r_lo"]), int(dc["r_hi"]) + 1),
-            m_values=tuple(int(m) for m in dc["m_values"]),
-            eps=float(dc["eps"]),
+            sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
         )
         bpath = os.path.join(out, dc["blocks_out"])
         write_block_csv(bpath, rows)
@@ -283,15 +286,18 @@ def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
-    ctx = build_context(b, h, sch)
     pc = _merged(
         cfg.get("partition", {}),
         {"r": None, "I_start": 1, "m": None, "out": "partition_hist.csv"},
         "partition",
     )
-    r = int(pc["r"]) if pc["r"] is not None else ctx.r0 + 1
-    m = int(pc["m"]) if pc["m"] is not None else None
-    cert = verify_partition(int(pc["I_start"]), ctx, sysm, r, m=m)
+    r = None if pc["r"] is None else _integer(pc["r"], "partition.r")
+    m = None if pc["m"] is None else _integer(pc["m"], "partition.m")
+    I_start = _integer(pc["I_start"], "partition.I_start")
+    ctx = build_context(b, h, sch)
+    if r is None:
+        r = ctx.r0 + 1
+    cert = verify_partition(I_start, ctx, sysm, r, m=m)
     print(f"partition: certificate ok, J={cert.J} classes={cert.y_size}")
     hist = classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
     path = os.path.join(out, pc["out"])
@@ -311,18 +317,21 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         {"samples": 8, "depth": None, "bases": [2], "count": None, "guard": 8, "out": "normality.csv"},
         "normality",
     )
-    depth = int(nc["depth"]) if nc["depth"] is not None else sch.depth
-    count = _nonnegative(nc["samples"], "normality.samples")
-    guard = _nonnegative(nc["guard"], "normality.guard")
+    depth = sch.depth if nc["depth"] is None else _integer(nc["depth"], "normality.depth")
+    count = _integer(nc["samples"], "normality.samples")
+    _at_least_zero(count, "normality.samples")
+    guard = _integer(nc["guard"], "normality.guard")
+    _at_least_zero(guard, "normality.guard")
     # checked here, not only inside normality_report, so that zero samples
     # still reject a bad config
-    bases = tuple(int(b) for b in nc["bases"])
+    bases = tuple(_integer(b, "normality.bases") for b in nc["bases"])
     if not bases:
         raise InvalidParameter("normality.bases needs at least one base")
     for b in bases:
         if b < 2:
             raise InvalidParameter(f"base must be >= 2, got {b}")
-    digits = None if nc["count"] is None else _nonnegative(nc["count"], "normality.count")
+    digits = None if nc["count"] is None else _integer(nc["count"], "normality.count")
+    _at_least_zero(digits, "normality.count")
     rows = []
     if count > 0:
         for i, pt in enumerate(sample_batch(sysm, seed, depth, count)):
@@ -343,6 +352,9 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         {"samples": 16, "kind": "plain", "depth": None, "j_max": None, "out": "uniqueness.csv"},
         "uniqueness",
     )
+    depth = sch.depth if uc["depth"] is None else _integer(uc["depth"], "uniqueness.depth")
+    j_max = None if uc["j_max"] is None else _integer(uc["j_max"], "uniqueness.j_max")
+    count = _integer(uc["samples"], "uniqueness.samples")
     if uc["kind"] == "plain":
         target = sysm
         sampler = sysm
@@ -353,10 +365,10 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         default_j = len(target.special_levels) - 1
     else:
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
-    depth = int(uc["depth"]) if uc["depth"] is not None else sch.depth
-    j_max = int(uc["j_max"]) if uc["j_max"] is not None else max(1, default_j)
+    if j_max is None:
+        j_max = max(1, default_j)
     avoidance_dilations(target, j_max)  # rejects a bad j_max even with zero samples
-    count = _nonnegative(uc["samples"], "uniqueness.samples")
+    _at_least_zero(count, "uniqueness.samples")
     rows = []
     passed = 0
     if count > 0:
@@ -401,6 +413,15 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(
             f"dimension.eps must be a finite number in (0, 1), got {dc['eps']!r}"
         )
+    band_lo = max(_integer(dc["band_lo"], "dimension.band_lo"), 1)
+    band_hi = sch.depth - 1
+    if dc["band_hi"] is not None:
+        band_hi = _integer(dc["band_hi"], "dimension.band_hi")
+    samples = _integer(dc["samples"], "dimension.samples")
+    local_depth = sch.depth
+    if dc["local_depth"] is not None:
+        local_depth = _integer(dc["local_depth"], "dimension.local_depth")
+    burn_in = _integer(dc["burn_in"], "dimension.burn_in")
     variant = dc["variant"]
     if variant == "dim-one":
         csys = build_convolved(sysm, "dim-one")
@@ -413,10 +434,8 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         phi_of = lambda r: phi.value(r)
         scale = 4.0
 
-    band_hi = int(dc["band_hi"]) if dc["band_hi"] is not None else sch.depth - 1
-    band_lo = max(int(dc["band_lo"]), 1)
     sampler = csys.as_moran_system()
-    pts = sample_batch(sampler, seed, sch.depth, int(dc["samples"]))
+    pts = sample_batch(sampler, seed, sch.depth, samples)
     # one h(r) per band, shared by every sample and by the h_rate payload
     grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
     hrows = h_rate_report(sch, grid)
@@ -446,10 +465,9 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     write_ball_csv(bpath, rows)
     _stamp_csv(bpath, cfg_hash)
 
-    local_depth = int(dc["local_depth"]) if dc["local_depth"] is not None else sch.depth
     series = local_dim_series(pts[0], csys, local_depth)
     lpath = os.path.join(out, dc["local_out"])
-    write_local_dim_csv(lpath, series, burn_in=min(int(dc["burn_in"]), local_depth))
+    write_local_dim_csv(lpath, series, burn_in=min(burn_in, local_depth))
     _stamp_csv(lpath, cfg_hash)
 
     payload = {
@@ -492,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _merged(cfg, _TOP_KEYS, "top level")
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
+        seed = args.seed if args.seed is not None else _integer(cfg["seed"], "seed")
         if not 0 <= seed < 2**64:
             raise InvalidParameter(f"seed must fit in 64 bits, got {seed}")
         cfg_hash = _config_hash(cfg, seed)

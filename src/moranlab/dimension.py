@@ -222,14 +222,19 @@ def _even_digit_set(M: int) -> tuple[int, ...]:
 def _convolve(
     base: tuple[int, ...], base_w: tuple[Fraction, ...], extra: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    # distribution of d + e with e uniform on `extra`
-    share = Fraction(1, len(extra))
-    acc: dict[int, Fraction] = {}
+    # distribution of d + e with e uniform on `extra`, summed as integer
+    # numerators over lcm(weight denominators) * len(extra)
+    if not extra:
+        raise ZeroDivisionError("uniform weight on an empty set")
+    den = math.lcm(*(w.denominator for w in base_w))
+    acc: dict[int, int] = {}
     for d, w in zip(base, base_w):
+        a = w.numerator * (den // w.denominator)
         for e in extra:
-            acc[d + e] = acc.get(d + e, Fraction(0)) + w * share
+            acc[d + e] = acc.get(d + e, 0) + a
+    den *= len(extra)
     items = sorted(acc.items())
-    return tuple(f for f, _ in items), tuple(w for _, w in items)
+    return tuple(f for f, _ in items), tuple(Fraction(a, den) for _, a in items)
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,16 @@ class MoranSystem:
                         f"level {n}: digits must strictly increase within [0, {base})"
                     )
                 prev = d
-            total = Fraction(0)
             for x in w:
-                if not isinstance(x, Fraction) or x <= 0:
+                if not isinstance(x, Fraction) or x.numerator <= 0:
                     raise InvalidParameter(f"level {n}: weights must be positive rationals")
-                total += x
-            if total != 1:
-                raise InvalidParameter(f"level {n}: weights sum to {total}, not 1")
+            # integer numerators over one common denominator
+            den = math.lcm(*(x.denominator for x in w))
+            total = sum(x.numerator * (den // x.denominator) for x in w)
+            if total != den:
+                raise InvalidParameter(
+                    f"level {n}: weights sum to {Fraction(total, den)}, not 1"
+                )
 
     @property
     def depth(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,7 +38,7 @@ from .errors import (
     ScheduleTooShort,
 )
 from .fourier import MoranSystem
-from .rng import derive_seed, pick, value_at
+from .rng import _GOLDEN, _MASK, _MIX1, _MIX2, derive_seed
 
 DEFAULT_GUARD = 8
 
@@ -56,16 +57,22 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     """Draw digits d_1..d_depth independently per the level weights.
 
     Level n consumes generator output n-1, so a prefix of a deeper sample
-    equals the shallower sample with the same seed.
+    equals the shallower sample with the same seed. The counter step and the
+    splitmix64 finalizer of rng.value_at are inlined, and the digit is the
+    first threshold above the draw, found by bisection.
     """
     if not 1 <= depth <= sys.depth:
         raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
     digits: list[int] = []
     num = 0
     den = 1
+    z = seed
     levels = zip(sys.schedule.bases(depth), sys._thresholds, sys.digit_sets)
-    for n, (base, thresholds, digit_set) in enumerate(levels):
-        d = digit_set[pick(value_at(seed, n), thresholds)]
+    for base, thresholds, digit_set in levels:
+        z = (z + _GOLDEN) & _MASK
+        u = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        u = ((u ^ (u >> 27)) * _MIX2) & _MASK
+        d = digit_set[bisect_right(thresholds, u ^ (u >> 31))]
         digits.append(d)
         num = num * base + d
         den *= base
@@ -309,25 +316,25 @@ class AvoidanceVerdict:
 
 
 def _attractor_digits(x: Fraction, sch, depth: int) -> tuple[int, ...]:
-    # digit_n = floor(P_n x) mod M_n; requires x exactly representable at depth
+    # digit_n = floor(P_n x) mod M_n, peeled least significant first by
+    # single-limb divisions; requires x exactly representable at depth
     P = sch.prefix_product(depth)
-    if (x.numerator * P) % x.denominator != 0:
+    t, rem = divmod(x.numerator * P, x.denominator)
+    if rem:
         raise NotInSupport(
             f"denominator {x.denominator} does not divide the depth-{depth} prefix product"
         )
-    t = (x.numerator * P) // x.denominator
     out: list[int] = []
-    w = P
-    for base in sch.bases(depth):
-        w //= base
-        d, t = divmod(t, w)
+    for base in reversed(sch.bases(depth)):
+        t, d = divmod(t, base)
         out.append(d)
+    out.reverse()
     return tuple(out)
 
 
-def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
-    """The dilations k_1..k_{j_max} of uniqueness_avoidance; raises unless
-    1 <= j_max <= the number of levels (plain) or special levels (convolved)."""
+def _avoidance_levels(sys, j_max: int) -> tuple[int, ...]:
+    # the levels n_1..n_{j_max} with k_j = P_(n_j - 1): n_j = j + 1 (plain)
+    # or the j-th special level (convolved); validates j_max
     if j_max < 1:
         raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
     from .dimension import ConvolvedSystem  # local import keeps modules decoupled
@@ -335,13 +342,20 @@ def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
     if isinstance(sys, MoranSystem):
         if j_max > sys.depth:
             raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
-        return sys.schedule.prefix_products(j_max)
+        return tuple(range(2, j_max + 2))
     if isinstance(sys, ConvolvedSystem):
         special = sys.special_levels
         if j_max > len(special):
             raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
-        return tuple(sys.schedule.prefix_product(n - 1) for n in special[:j_max])
+        return special[:j_max]
     raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+
+
+def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
+    """The dilations k_1..k_{j_max} of uniqueness_avoidance; raises unless
+    1 <= j_max <= the number of levels (plain) or special levels (convolved)."""
+    levels = _avoidance_levels(sys, j_max)
+    return tuple(sys.schedule.prefix_product(n - 1) for n in levels)
 
 
 def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
@@ -353,17 +367,23 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     lo = c + 1/6 with c = max over special levels of (max digit sum + 1)/M_n.
     Membership in the attractor is checked first (every digit of x must lie
     in the level's digit set); all arithmetic is exact.
+
+    With k = P_(n-1), {k x} = 0.d_n d_(n+1)... in the tail bases, so
+    {k x} < (d_n + 1) / M_n: a dilation with (d_n + 1) / M_n <= lo is ruled
+    out by its digit alone, with small integers. Only the others are checked
+    against the exact remainder (num k) mod den.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
         raise InvalidParameter(f"x must lie in [0, 1), got {x}")
-    dilations = avoidance_dilations(sys, j_max)
+    levels = _avoidance_levels(sys, j_max)
     digit_sets = sys.digit_sets if isinstance(sys, MoranSystem) else sys.sum_sets
 
     lo = sys.avoidance_lo
     if lo >= 1:
         raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
-    digits = _attractor_digits(x, sys.schedule, sys.depth)
+    sch = sys.schedule
+    digits = _attractor_digits(x, sch, sys.depth)
     for n, d in enumerate(digits, start=1):
         if d not in digit_sets[n - 1]:
             raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
@@ -371,10 +391,14 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     # {k x} = ((num k) mod den) / den lies in the open (lo, 1) iff
     # lo_num den < lo_den ((num k) mod den); frac < 1 always
     num, den = x.numerator, x.denominator
-    lo_num_den = lo.numerator * den
-    lo_den = lo.denominator
-    for j, k in enumerate(dilations, start=1):
-        if lo_num_den < lo_den * ((num * k) % den):
+    lo_num, lo_den = lo.numerator, lo.denominator
+    lo_num_den = lo_num * den
+    bases = sch.bases()
+    depth = len(digits)
+    for j, n in enumerate(levels, start=1):
+        if n <= depth and (digits[n - 1] + 1) * lo_den <= lo_num * bases[n - 1]:
+            continue
+        if lo_num_den < lo_den * ((num * sch.prefix_product(n - 1)) % den):
             return AvoidanceVerdict(
                 passed=False, first_violation_j=j, interval_lo=lo, j_max=j_max
             )

@@ -9,6 +9,7 @@ reimplementation can be checked against this one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,13 +17,16 @@ from .errors import InvalidParameter
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# finalizer multipliers; measure.sample_point inlines mix64 and the counter
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a 64-bit bijection with good avalanche."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -58,27 +62,25 @@ def cumulative_thresholds(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
     Threshold d is floor(2^64 * sum(weights[:d+1])); inversion picks the first
     threshold above a uniform draw, so each cell's probability is within
     2^-64 of its weight. The final threshold is forced to 2^64 so rounding
-    can never leave a draw unassigned.
+    can never leave a draw unassigned. The sums are integer numerators over
+    the one denominator lcm of the weights' denominators.
     """
     if not weights:
         raise InvalidParameter("at least one weight is required")
-    total = Fraction(0)
-    out = []
+    ws = []
     for w in weights:
-        w = Fraction(w)
-        if w <= 0:
+        if not isinstance(w, Fraction):
+            w = Fraction(w)
+        if w.numerator <= 0:
             raise InvalidParameter(f"weights must be positive, got {w}")
-        total += w
-        out.append((total.numerator << 64) // total.denominator)
-    if total != 1:
-        raise InvalidParameter(f"weights must sum to 1, got {total}")
+        ws.append(w)
+    den = math.lcm(*(w.denominator for w in ws))
+    total = 0
+    out = []
+    for w in ws:
+        total += w.numerator * (den // w.denominator)
+        out.append((total << 64) // den)
+    if total != den:
+        raise InvalidParameter(f"weights must sum to 1, got {Fraction(total, den)}")
     out[-1] = 1 << 64
     return tuple(out)
-
-
-def pick(u: int, thresholds: tuple[int, ...]) -> int:
-    """Index of the first threshold exceeding the 64-bit draw u."""
-    for d, t in enumerate(thresholds):
-        if u < t:
-            return d
-    raise InvalidParameter(f"draw {u} outside the 64-bit range")

@@ -404,3 +404,127 @@ def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None =
     return FiberTable(
         s=s, length=length, fibers=tuple(sorted(fine.items())), image_sizes=tuple(image_sizes)
     )
+
+
+# --------------------------------------------------------------------------
+# the sampling path as it stood before its integer kernels: Fraction weight
+# sums, one value_at and a linear threshold scan per level, and one exact
+# remainder per dilation
+
+
+def reference_pick(u: int, thresholds) -> int:
+    """Index of the first threshold exceeding the 64-bit draw u, by scan."""
+    from moranlab.errors import InvalidParameter
+
+    for d, t in enumerate(thresholds):
+        if u < t:
+            return d
+    raise InvalidParameter(f"draw {u} outside the 64-bit range")
+
+
+def reference_cumulative_thresholds(weights) -> tuple[int, ...]:
+    """rng.cumulative_thresholds with a running Fraction total."""
+    from moranlab.errors import InvalidParameter
+
+    if not weights:
+        raise InvalidParameter("at least one weight is required")
+    total = Fraction(0)
+    out = []
+    for w in weights:
+        w = Fraction(w)
+        if w <= 0:
+            raise InvalidParameter(f"weights must be positive, got {w}")
+        total += w
+        out.append((total.numerator << 64) // total.denominator)
+    if total != 1:
+        raise InvalidParameter(f"weights must sum to 1, got {total}")
+    out[-1] = 1 << 64
+    return tuple(out)
+
+
+def reference_sample_point(sys, seed: int, depth: int):
+    """measure.sample_point drawing level n from value_at(seed, n) and
+    reference_pick over reference_cumulative_thresholds."""
+    from moranlab.errors import ScheduleTooShort
+    from moranlab.measure import SamplePoint
+    from moranlab.rng import value_at
+
+    if not 1 <= depth <= sys.depth:
+        raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
+    digits = []
+    num, den = 0, 1
+    levels = zip(sys.schedule.bases(depth), sys.weights, sys.digit_sets)
+    for n, (base, weights, digit_set) in enumerate(levels):
+        d = digit_set[reference_pick(value_at(seed, n), reference_cumulative_thresholds(weights))]
+        digits.append(d)
+        num = num * base + d
+        den *= base
+    return SamplePoint(digits=tuple(digits), value=Fraction(num, den), depth=depth, seed=seed)
+
+
+def reference_convolve(base, base_w, extra):
+    """dimension._convolve with Fraction weights w / len(extra) summed per d + e."""
+    share = Fraction(1, len(extra))
+    acc: dict[int, Fraction] = {}
+    for d, w in zip(base, base_w):
+        for e in extra:
+            acc[d + e] = acc.get(d + e, Fraction(0)) + w * share
+    items = sorted(acc.items())
+    return tuple(f for f, _ in items), tuple(w for _, w in items)
+
+
+def reference_avoidance(x, sys, j_max: int):
+    """measure.uniqueness_avoidance with one exact remainder (num k) mod den
+    per dilation and digits peeled most significant first by big divisions."""
+    from moranlab.dimension import ConvolvedSystem
+    from moranlab.errors import (
+        InvalidInterval,
+        InvalidParameter,
+        NotInSupport,
+        OutOfRange,
+    )
+    from moranlab.fourier import MoranSystem
+    from moranlab.measure import AvoidanceVerdict
+
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
+    if j_max < 1:
+        raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
+    sch = sys.schedule
+    if isinstance(sys, MoranSystem):
+        if j_max > sys.depth:
+            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
+        dilations = sch.prefix_products(j_max)
+        digit_sets = sys.digit_sets
+    elif isinstance(sys, ConvolvedSystem):
+        special = sys.special_levels
+        if j_max > len(special):
+            raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
+        dilations = tuple(sch.prefix_product(n - 1) for n in special[:j_max])
+        digit_sets = sys.sum_sets
+    else:
+        raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+
+    lo = sys.avoidance_lo
+    if lo >= 1:
+        raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
+    depth = sys.depth
+    P = sch.prefix_product(depth)
+    if (x.numerator * P) % x.denominator != 0:
+        raise NotInSupport(
+            f"denominator {x.denominator} does not divide the depth-{depth} prefix product"
+        )
+    t = (x.numerator * P) // x.denominator
+    w = P
+    for n, base in enumerate(sch.bases(depth), start=1):
+        w //= base
+        d, t = divmod(t, w)
+        if d not in digit_sets[n - 1]:
+            raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
+
+    num, den = x.numerator, x.denominator
+    for j, k in enumerate(dilations, start=1):
+        if lo.numerator * den < lo.denominator * ((num * k) % den):
+            return AvoidanceVerdict(passed=False, first_violation_j=j, interval_lo=lo, j_max=j_max)
+    return AvoidanceVerdict(passed=True, first_violation_j=None, interval_lo=lo, j_max=j_max)

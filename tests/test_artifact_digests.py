@@ -16,6 +16,7 @@ import pytest
 from moranlab.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SEED_TWO = Path(__file__).resolve().parent / "sample_seed2_digests.json"
 
 
 def _recorded() -> dict[str, str]:
@@ -53,14 +54,39 @@ def test_invocations_cover_every_recorded_key():
     assert {key.split("/")[0] for key in _recorded()} == {f"{c}:{cfg}" for c, cfg in INVOCATIONS}
 
 
-@pytest.mark.parametrize("command, config", INVOCATIONS)
-def test_csv_bytes_match_recorded_digests(tmp_path, capsys, command, config):
+def _run_and_compare(tmp_path, capsys, command, config, seed, recorded):
     cfg = BENCH / "configs" / f"{config}.json"
-    rc = main([command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)])
+    rc = main([command, "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
     tag = f"{command}:{config}/"
-    want = {k[len(tag):]: d for k, d in _recorded().items() if k.startswith(tag)}
+    want = {k[len(tag):]: d for k, d in recorded.items() if k.startswith(tag)}
     got = {path.name: _digest(path) for path in sorted(tmp_path.iterdir())}
-    assert want, f"bench/digests.json has no entry for {tag}"
+    assert want, f"no recorded digest for {tag}"
     assert got == want
+
+
+@pytest.mark.parametrize("command, config", INVOCATIONS)
+def test_csv_bytes_match_recorded_digests(tmp_path, capsys, command, config):
+    _run_and_compare(tmp_path, capsys, command, config, 1, _recorded())
+
+
+SAMPLE_INVOCATIONS = [
+    (command, config)
+    for command, config in INVOCATIONS
+    if config.startswith("sample_") and command != "schedule"
+]
+
+
+def test_seed_two_covers_every_sample_invocation():
+    recorded = json.loads(SEED_TWO.read_text())
+    assert recorded["seed"] == 2
+    keys = {key.split("/")[0] for key in recorded["digests"]}
+    assert keys == {f"{c}:{cfg}" for c, cfg in SAMPLE_INVOCATIONS}
+    assert len(SAMPLE_INVOCATIONS) == 5
+
+
+@pytest.mark.parametrize("command, config", SAMPLE_INVOCATIONS)
+def test_sample_bytes_match_seed_two_digests(tmp_path, capsys, command, config):
+    recorded = json.loads(SEED_TWO.read_text())
+    _run_and_compare(tmp_path, capsys, command, config, recorded["seed"], recorded["digests"])

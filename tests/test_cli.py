@@ -5,10 +5,13 @@ and written artifacts can be asserted directly; one subprocess smoke test
 covers the ``python -m moranlab`` entry point.
 """
 
+import calendar
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -430,6 +433,112 @@ def test_integral_float_base_and_h_are_accepted(tmp_path, capsys):
     assert rc == 0, err
     payload = read_report(tmp_path, "context.json")["payload"]
     assert (payload[0]["b"], payload[0]["h"]) == (2, 1)
+
+
+# every integer config key, with an integral value that runs
+INTEGER_KEYS = [
+    ("schedule", "schedule.d", 2),
+    ("schedule", "schedule.count", 3),
+    ("schedule", "seed", 2),
+    ("schedule", "workers", 2),
+    ("fourier", "fourier.xi_max", 5),
+    ("fourier", "fourier.xi_count", 2),
+    ("fourier", "fourier.xis", [3]),
+    ("del", "del.N_max", 2),
+    ("del", "del.r_lo", 1),
+    ("del", "del.r_hi", 1),
+    ("del", "del.m_values", [0]),
+    ("partition", "partition.r", 2),
+    ("partition", "partition.m", 0),
+    ("partition", "partition.I_start", 2),
+    ("normality", "normality.depth", 2),
+    ("normality", "normality.samples", 2),
+    ("normality", "normality.guard", 2),
+    ("normality", "normality.count", 2),
+    ("normality", "normality.bases", [3]),
+    ("uniqueness", "uniqueness.depth", 3),
+    ("uniqueness", "uniqueness.j_max", 2),
+    ("uniqueness", "uniqueness.samples", 2),
+    ("dimension", "dimension.band_lo", 1),
+    ("dimension", "dimension.band_hi", 2),
+    ("dimension", "dimension.samples", 2),
+    ("dimension", "dimension.local_depth", 3),
+    ("dimension", "dimension.burn_in", 1),
+]
+
+
+def _integer_key_config(command, where, value):
+    # fourier and del need more levels than the toy schedule has
+    cfg = {} if command in ("schedule", "fourier", "del") else {"schedule": TOY_SCHEDULE}
+    if command == "del":
+        cfg["del"] = {"N_max": 2, "r_lo": 1, "r_hi": 1}
+    section, _, key = where.rpartition(".")
+    (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
+
+
+def _artifact_bodies(out_dir):
+    # artifact bytes without the timestamp and config hash, which hashes 2.0 and 2 apart
+    bodies = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".csv":
+            bodies[path.name] = csv_lines(path)[2:]
+        else:
+            report = json.loads(path.read_text())
+            del report["config_sha256"]
+            bodies[path.name] = report
+    return bodies
+
+
+@pytest.mark.parametrize("command, where, good", INTEGER_KEYS, ids=[w for _, w, _ in INTEGER_KEYS])
+def test_fractional_integer_key_is_a_parameter_error(tmp_path, capsys, command, where, good):
+    # int() used to truncate these (j_max = 1.7 ran as 1) while config_sha256 hashed 1.7
+    bad = [1.7] if isinstance(good, list) else 1.7
+    path = cfg_file(tmp_path, _integer_key_config(command, where, bad))
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {where} must be an integer, got 1.7\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.parametrize("command, where, good", INTEGER_KEYS, ids=[w for _, w, _ in INTEGER_KEYS])
+def test_integral_float_integer_key_reads_as_int(tmp_path, capsys, command, where, good):
+    as_float = [float(v) for v in good] if isinstance(good, list) else float(good)
+    bodies = []
+    for name, value in (("int", good), ("float", as_float)):
+        path = cfg_file(tmp_path, _integer_key_config(command, where, value), f"{name}.json")
+        rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path / name))
+        assert rc == 0, err
+        bodies.append(_artifact_bodies(tmp_path / name))
+    assert bodies[0] == bodies[1]
+
+
+def test_fractional_omega_pair_is_a_parameter_error(tmp_path, capsys):
+    # [1.5, 2] used to run as omega = 1/2
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "system": {"omega": [1.5, 2]}})
+    rc, _, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err == "error: system.omega must be an integer, got 1.5\n"
+
+
+def test_csv_stamp_is_utc_to_the_second(tmp_path, capsys):
+    before = int(time.time())
+    rc, _, _ = run(capsys, "del", "--config", cfg_file(tmp_path, {"del": {"N_max": 1}}), "--out", ".")
+    after = time.time()
+    assert rc == 0
+    line = csv_lines(tmp_path / "del.csv")[0]
+    assert re.fullmatch(r"# generated: \d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", line)
+    stamped = calendar.timegm(time.strptime(line[len("# generated: ") :], "%Y-%m-%dT%H:%M:%SZ"))
+    assert before <= stamped <= after
+
+
+def test_cli_import_leaves_datetime_unloaded():
+    src = str(Path(moranlab.__file__).resolve().parent.parent)
+    code = "import sys, moranlab.cli; print('datetime' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 # --------------------------------------------------------------------------

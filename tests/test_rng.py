@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moranlab import CounterRng, InvalidParameter, derive_seed, value_at
-from moranlab.rng import cumulative_thresholds, mix64, pick
+from oracles import reference_pick as pick
+
+from moranlab.rng import cumulative_thresholds, mix64
 
 # Reference outputs of the splitmix64 finalizer fed with seed + (i+1)*golden.
 # Frozen from an independent reimplementation of the published finalizer
@@ -61,6 +63,10 @@ def test_thresholds_partition_the_range():
         cumulative_thresholds((Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(InvalidParameter):
         cumulative_thresholds(())
+
+
+# pick is the reference inversion of oracles.py: the library bisects the
+# thresholds inline in measure.sample_point
 
 
 def test_pick_inverts_thresholds():
