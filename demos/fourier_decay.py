@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from moranlab import (
     binary_system,
-    build_context,
     build_convolved,
     build_schedule,
     digit_decay_bound,
@@ -20,7 +19,6 @@ from moranlab import (
 
 sch = build_schedule(d=2, count=7)
 mu = binary_system(sch, omega=Fraction(1, 2))
-ctx = build_context(2, 1, sch)
 
 print("certified |mu^(xi)| intervals:")
 for xi in (0, 1, 847, 1860859, 10**12 + 7):
@@ -28,11 +26,11 @@ for xi in (0, 1, 847, 1860859, 10**12 + 7):
     print(f"  xi={xi:<14} [{c.lo:.12f}, {c.hi:.12f}]  truncated at level {c.truncation_level}")
 
 # along xi = h(b^n - b^m) the modulus decays like gamma^w where w counts
-# middle-third digits of the frequency; the bound is certified per frequency
+# middle-third digits of the frequency and gamma comes from the weights
 print("\ndigit-decay bound along xi = 2^n - 2^m:")
 for n, m in ((6, 1), (10, 2), (20, 3)):
     xi = 2**n - 2**m
-    w, bound = digit_decay_bound(xi, mu, ctx)
+    w, bound = digit_decay_bound(xi, mu)
     print(f"  n={n:<3} m={m}: {w} counted digits, |mu^| <= {bound:.6f}")
 
 # convolving with a second measure can only shrink the transform

@@ -42,7 +42,7 @@ from .measure import (
     write_normality_csv,
     write_uniqueness_csv,
 )
-from .numtheory import build_context
+from .numtheory import build_context, check_pair
 from .radix import PrimeSchedule, build_schedule
 from .rng import derive_seed, value_at
 
@@ -236,10 +236,11 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         xi_count = _integer(fc["xi_count"], "fourier.xi_count")
         _at_least_zero(xi_count, "fourier.xi_count")
         xis = [value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
-    b, h = _context_pairs(cfg)[0]
-    ctx = build_context(b, h, sch)
+    # gamma comes from the system's weights, so no context is built; the
+    # pair is still checked as every single-pair command checks it
+    check_pair(*_context_pairs(cfg)[0])
     path = os.path.join(out, fc["out"])
-    write_batch_csv(path, xis, sysm, ctx, eps=eps)
+    write_batch_csv(path, xis, sysm, eps=eps)
     _stamp_csv(path, cfg_hash)
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
@@ -266,15 +267,27 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     r_lo = None if dc["r_lo"] is None else _integer(dc["r_lo"], "del.r_lo")
     r_hi = None if dc["r_hi"] is None else _integer(dc["r_hi"], "del.r_hi")
     m_values = tuple(_integer(m, "del.m_values") for m in dc["m_values"])
+    # block_trend checks these too, but only after del_partial has run, and
+    # an empty r range would pass it
+    for m in m_values:
+        _at_least_zero(m, "del.m_values")
+    if r_lo is not None and r_hi is not None and not 1 <= r_lo <= r_hi <= len(sch.q):
+        raise InvalidParameter(
+            f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
+            f"got {r_lo} and {r_hi}"
+        )
     report = del_partial(sysm, b, h, N_max, float(dc["eps"]))
+    rows = None
+    if r_lo is not None and r_hi is not None:
+        # before del.csv is written, so that the enumeration guard leaves no file
+        rows = block_trend(
+            sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
+        )
     path = os.path.join(out, dc["out"])
     write_del_csv(path, report)
     _stamp_csv(path, cfg_hash)
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
-    if r_lo is not None and r_hi is not None:
-        rows = block_trend(
-            sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
-        )
+    if rows is not None:
         bpath = os.path.join(out, dc["blocks_out"])
         write_block_csv(bpath, rows)
         _stamp_csv(bpath, cfg_hash)
@@ -417,11 +430,18 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     band_hi = sch.depth - 1
     if dc["band_hi"] is not None:
         band_hi = _integer(dc["band_hi"], "dimension.band_hi")
+    if band_lo > band_hi:
+        raise InvalidParameter(
+            f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
+        )
     samples = _integer(dc["samples"], "dimension.samples")
+    if samples < 1:
+        raise InvalidParameter(f"dimension.samples must be >= 1, got {samples}")
     local_depth = sch.depth
     if dc["local_depth"] is not None:
         local_depth = _integer(dc["local_depth"], "dimension.local_depth")
     burn_in = _integer(dc["burn_in"], "dimension.burn_in")
+    _at_least_zero(burn_in, "dimension.burn_in")
     variant = dc["variant"]
     if variant == "dim-one":
         csys = build_convolved(sysm, "dim-one")

@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
-from .numtheory import BaseContext
 from .radix import PrimeSchedule
 from .rng import cumulative_thresholds
 
@@ -79,10 +78,10 @@ def _half_mask(w: tuple[Fraction, ...]) -> tuple[float, float]:
 
 def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
     # {0,1} digits: |M|^2 = 1 - gain (1 - cos 2 pi t), gain enclosing 2 w0 w1.
-    # Bit for bit the _cos_tau / _imul / _up / _down composition, written out
-    # because this is the transform's hottest kernel; the conditionals are
-    # max/min with the same argument order. All four gain products are kept:
-    # 1 - c_hi rounded down can be -5e-324, so a sign shortcut is not exact.
+    # Bit for bit the _cos_tau / _imul / _up / _down composition, written out;
+    # the conditionals are max/min with the same argument order. All four gain
+    # products are kept: 1 - c_hi rounded down can be -5e-324, so a sign
+    # shortcut is not exact here. mu_hat_modulus inlines the levels where it is.
     nextafter = math.nextafter
     c = math.cos(2.0 * math.pi * t)
     c_lo = c - _TRIG_PAD
@@ -211,6 +210,21 @@ class MoranSystem:
     def _levels(self) -> tuple[_Level, ...]:
         # built on the first transform; cached_property keeps it out of eq/hash
         return tuple(_build_level(d, w) for d, w in zip(self.digit_sets, self.weights))
+
+    @cached_property
+    def _window_gamma(self) -> float:
+        """gamma with |M_n(t)| <= gamma on [1/6, 5/6] for every level n.
+
+        For {0,1} digits |M(t)|^2 = 1 - 4 w0 w1 sin^2(pi t) and sin^2 >= 1/4
+        on the window, so the sharp gamma is the largest sqrt(1 - w0 w1).
+        Other systems take sqrt(1 - C(1 - D)) with C and D the smallest and
+        largest weight, which digit_decay_bound checks on a grid.
+        """
+        if self.is_binary:
+            return math.sqrt(1 - float(min(w0 * w1 for w0, w1 in self.weights)))
+        C = min(min(w) for w in self.weights)
+        D = max(max(w) for w in self.weights)
+        return math.sqrt(1 - float(C * (1 - D)))
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[int, ...], ...]:
@@ -351,14 +365,34 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
     tail_budget = eps / 2.0
-    nextafter = math.nextafter
+    cos, sqrt, nextafter = math.cos, math.sqrt, math.nextafter
+    tau = 2.0 * math.pi
+    binary = sys.is_binary
     f_lo, f_hi = 1.0, 1.0
     prefixes = sys.schedule.prefix_products()
     for n, (P, level) in enumerate(zip(prefixes, sys._levels), start=1):
         r = xi % P
-        # a {0,1} level off t = 0 and t = 1/2 goes straight to the kernel
-        if r and level.gain is not None and 2 * r != P:
-            m_lo, m_hi = _binary_mask(level.gain, r / P)
+        gain = level.gain
+        if r and gain is not None and 2 * r != P:
+            # _binary_mask inlined. With c_hi < 1 and g_lo > 0 both 1 - cos
+            # ends are positive, and rounded products are monotone on positive
+            # operands, so the extreme gain products are g_lo o_lo and g_hi o_hi
+            t = r / P
+            c = cos(tau * t)
+            c_hi = c + _TRIG_PAD
+            g_lo, g_hi = gain
+            if c_hi < 1.0 and g_lo > 0.0:
+                c_lo = c - _TRIG_PAD
+                o_lo = nextafter(1.0 - c_hi, _DOWN)
+                o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), _UP)
+                m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, _UP), _DOWN)
+                m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, _DOWN), _UP)
+                m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), _DOWN)
+                m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), _UP)
+                if m_hi > 1.0:
+                    m_hi = 1.0
+            else:
+                m_lo, m_hi = _binary_mask(gain, t)
         else:
             m_lo, m_hi = _level_mask(level, r, P)
         f_lo = nextafter(f_lo * m_lo, _DOWN)
@@ -366,7 +400,7 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
         f_hi = nextafter(f_hi * m_hi, _UP)
         f_hi = f_hi if f_hi < 1.0 else 1.0
         if xi < P:
-            y = _tail_log_bound(r / P, sys.is_binary)
+            y = _tail_log_bound(r / P, binary)
             if y <= tail_budget:
                 e_lo = _down(_down(math.exp(-y)))
                 lo = max(0.0, _down(f_lo * e_lo))
@@ -383,10 +417,11 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
 
 
 @lru_cache(maxsize=64)
-def _window_sup_certified(sys: MoranSystem, gamma: float) -> bool:
+def _window_sup_certified(sys: MoranSystem) -> bool:
     """Numerical check that every level class has sup |M(t)| <= gamma on the
     window [1/6, 5/6] that middle-third digits force the argument into
     (1024-point grid per distinct (base, digit set, weights) class)."""
+    gamma = sys._window_gamma
     seen: set[tuple] = set()
     for n, base in enumerate(sys.schedule.bases(), start=1):
         key = (base, sys.digit_sets[n - 1], sys.weights[n - 1])
@@ -401,18 +436,18 @@ def _window_sup_certified(sys: MoranSystem, gamma: float) -> bool:
     return True
 
 
-def digit_decay_bound(xi: int, sys: MoranSystem, ctx: BaseContext) -> tuple[int, float]:
+def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     """(w, gamma^w): w counts digit positions of xi in the middle-third window.
 
     Position p (0-based) holds the level-(p+1) digit of xi; it is counted when
     floor(q/3) <= digit <= 2 floor(q/3) for the level base q. Each such
-    position forces the corresponding mask below gamma, so gamma^w is an
-    upper bound for |mu_hat(xi)|; the enclosure from mu_hat_modulus satisfies
-    lo <= gamma^w + width.
+    position puts the level-(p+1) argument inside [1/6, 5/6], where the mask
+    is at most the system's own gamma (MoranSystem._window_gamma), so gamma^w
+    bounds |mu_hat(xi)| from above.
     """
     if not isinstance(xi, int) or xi < 0:
         raise InvalidParameter(f"frequency must be a non-negative integer, got {xi!r}")
-    if not sys.is_binary and not _window_sup_certified(sys, ctx.gamma):
+    if not sys.is_binary and not _window_sup_certified(sys):
         raise InvalidParameter(
             "window decay not emitted: a level mask exceeds gamma on [1/6, 5/6]"
         )
@@ -425,7 +460,7 @@ def digit_decay_bound(xi: int, sys: MoranSystem, ctx: BaseContext) -> tuple[int,
         third = q // 3
         if third <= d <= 2 * third:
             w += 1
-    return w, ctx.gamma**w
+    return w, sys._window_gamma**w
 
 
 # --------------------------------------------------------------------------
@@ -436,17 +471,17 @@ def write_batch_csv(
     path: str,
     xis: Iterable[int],
     sys: MoranSystem,
-    ctx: BaseContext,
     eps: float = 1e-9,
 ) -> None:
     """Evaluate a batch of frequencies and write one CSV row per frequency.
 
-    Rows are emitted in input order.
+    Rows are emitted in input order. gamma is computed once, on the first
+    row, and cached on the system.
     """
     rows = []
     for xi in xis:
         cert = mu_hat_modulus(xi, sys, eps)
-        w, gw = digit_decay_bound(abs(xi), sys, ctx)
+        w, gw = digit_decay_bound(abs(xi), sys)
         rows.append((str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw)))
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)

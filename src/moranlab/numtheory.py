@@ -252,39 +252,14 @@ def derived_stirling_constants() -> tuple[Fraction, Fraction]:
     return c1, 2 * c1
 
 
-@lru_cache(maxsize=1)
+#: smallest integer R with (1001/1000)^x >= x^2 for every integer x >= R;
+#: tests/oracles.py re-derives it by a Newton-plus-stepping search
+ROUND_THRESHOLD = 19797
+
+
 def round_threshold() -> int:
-    """Smallest integer R with (1001/1000)^x >= x^2 for every integer x >= R.
-
-    On the tail x >= 2002, f(x) = x ln(1.001) - 2 ln(x) is increasing (its
-    critical point is 2/ln(1.001), just above 2001) and convex, so Newton's
-    method started right of the root converges to it monotonically. The
-    float root only seeds the search: exact big-integer stepping moves it to
-    the boundary, and the minimality of the result is re-verified directly.
-    """
-
-    @lru_cache(maxsize=None)
-    def holds(x: int) -> bool:
-        return 1001**x >= x * x * 1000**x
-
-    lo = 2002  # predicate is monotone false -> true from here on
-    if holds(lo):
-        raise CounterexampleFound("round threshold search assumes failure at x = 2002")
-    a = math.log1p(0.001)
-    x = 1e6  # f(x) > 0 here
-    for _ in range(100):
-        step = (x * a - 2.0 * math.log(x)) / (a - 2.0 / x)
-        x -= step
-        if abs(step) < 1e-6:
-            break
-    R = max(lo + 1, math.ceil(x))
-    while not holds(R):
-        R += 1
-    while R - 1 > lo and holds(R - 1):
-        R -= 1
-    if not (holds(R) and not holds(R - 1)):
-        raise CounterexampleFound("round threshold minimality check failed")
-    return R
+    """The constant ROUND_THRESHOLD (r1 = r0 + max(6000, ROUND_THRESHOLD))."""
+    return ROUND_THRESHOLD
 
 
 # --------------------------------------------------------------------------

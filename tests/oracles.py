@@ -55,6 +55,40 @@ def sieve_is_prime(limit: int) -> list[bool]:
     return flags
 
 
+def round_threshold_holds(x: int) -> bool:
+    """(1001/1000)^x >= x^2, in exact integers."""
+    return 1001**x >= x * x * 1000**x
+
+
+def round_threshold_search() -> int:
+    """Smallest integer R with (1001/1000)^x >= x^2 for every integer x >= R.
+
+    On the tail x >= 2002, f(x) = x ln(1.001) - 2 ln(x) is increasing (its
+    critical point is 2/ln(1.001), just above 2001) and convex, so Newton's
+    method started right of the root converges to it monotonically. The
+    float root only seeds the search: exact big-integer stepping moves it to
+    the boundary, and the minimality of the result is re-verified directly.
+    """
+    lo = 2002  # predicate is monotone false -> true from here on
+    if round_threshold_holds(lo):
+        raise AssertionError("round threshold search assumes failure at x = 2002")
+    a = math.log1p(0.001)
+    x = 1e6  # f(x) > 0 here
+    for _ in range(100):
+        step = (x * a - 2.0 * math.log(x)) / (a - 2.0 / x)
+        x -= step
+        if abs(step) < 1e-6:
+            break
+    R = max(lo + 1, math.ceil(x))
+    while not round_threshold_holds(R):
+        R += 1
+    while R - 1 > lo and round_threshold_holds(R - 1):
+        R -= 1
+    if not (round_threshold_holds(R) and not round_threshold_holds(R - 1)):
+        raise AssertionError("round threshold minimality check failed")
+    return R
+
+
 def naive_mu_hat(xi: int, sys, depth: int | None = None) -> float:
     """|product over the first `depth` levels| in plain complex arithmetic."""
     if depth is None:

@@ -12,12 +12,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import moranlab
-from moranlab import __version__
+from moranlab import __version__, binary_system, build_schedule
 from moranlab.cli import OFFSET_FLAG, main
 from moranlab.errors import (
     CounterexampleFound,
@@ -28,6 +30,8 @@ from moranlab.errors import (
     TooLarge,
 )
 from moranlab.rng import derive_seed
+
+from oracles import mp_mu_hat
 
 TOY_SCHEDULE = {"d": 1, "q": [7, 11], "ell": [1, 2]}
 
@@ -272,6 +276,24 @@ def test_fourier_sampled_frequencies(tmp_path, capsys):
     assert len(csv_lines(tmp_path / "fourier.csv")) == 8
 
 
+def test_fourier_gamma_pow_w_bounds_the_modulus_off_half(tmp_path, capsys):
+    # gamma used to come from a context with the default weights (1/2, 1/2)
+    # whatever system.omega was; this row then had gamma_pow_w
+    # 0.42187499999999983 below lo 0.4219624368546447
+    cfg = {
+        "schedule": {"d": 2, "count": 7},
+        "system": {"omega": "1/10"},
+        "fourier": {"xis": [620258], "eps": 1e-12},
+    }
+    rc, _, err = run(capsys, "fourier", "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
+    assert rc == 0, err
+    xi, lo, hi, level, w, gamma_pow_w = csv_lines(tmp_path / "fourier.csv")[3].split(",")
+    assert (xi, lo, w) == ("620258", "0.4219624368546447", "6")
+    assert float(lo) <= float(hi) <= float(gamma_pow_w)
+    sysm = binary_system(build_schedule(d=2, count=7), Fraction(1, 10))
+    assert mp_mu_hat(620258, sysm, dps=40) <= mpmath.mpf(gamma_pow_w)
+
+
 def test_fourier_workers_do_not_change_bytes(tmp_path, capsys):
     section = {"fourier": {"xis": [0, 1, 847, 1860859]}}
     outs = []
@@ -381,9 +403,30 @@ def test_del_block_rows(tmp_path, capsys):
 
 def test_del_block_enumeration_guard(tmp_path, capsys):
     path = cfg_file(tmp_path, {"del": {"N_max": 2, "r_lo": 3, "r_hi": 3}})
-    rc, _, err = run(capsys, "del", "--config", path, "--out", str(tmp_path))
+    rc, out, err = run(capsys, "del", "--config", path, "--out", str(tmp_path / "out"))
     assert rc == 5
     assert "guard" in err
+    # the block report runs before del.csv is written
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ({"m_values": [-1], "r_lo": 1, "r_hi": 1}, "del.m_values must be >= 0, got -1"),
+        ({"r_lo": 0, "r_hi": 1}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 0 and 1"),
+        ({"r_lo": 2, "r_hi": 1}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 2 and 1"),
+        ({"r_lo": 1, "r_hi": 5}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 1 and 5"),
+    ],
+    ids=["m=-1", "r_lo=0", "r_lo>r_hi", "r_hi>len(q)"],
+)
+def test_del_rejected_block_report_writes_nothing(tmp_path, capsys, blocks, message):
+    # the block range used to be checked inside block_trend, after del.csv was written
+    path = cfg_file(tmp_path, {"del": {"N_max": 2, **blocks}})
+    rc, out, err = run(capsys, "del", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("command", ["context", "fourier", "del", "partition"])
@@ -776,6 +819,25 @@ def test_dimension_eps_outside_unit_interval_is_a_parameter_error(
     assert rc == 2
     assert err.startswith("error: dimension.eps must be a finite number in (0, 1)")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "dimension, message",
+    [
+        ({"band_lo": 3, "band_hi": 1}, "dimension.band_lo = 3 exceeds dimension.band_hi = 1"),
+        ({"burn_in": -5}, "dimension.burn_in must be >= 0, got -5"),
+        ({"samples": 0}, "dimension.samples must be >= 1, got 0"),
+    ],
+    ids=["band_lo>band_hi", "burn_in<0", "samples=0"],
+)
+def test_dimension_range_errors_name_their_keys(tmp_path, capsys, dimension, message):
+    # an empty band range used to exit 0 with worst ball ratio=0.0000, and a
+    # negative burn_in ran as 1
+    path = cfg_file(tmp_path, {"dimension": {"samples": 2, **dimension}})
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
 
 
 def test_dimension_gauge_requires_gauge_entry(tmp_path, capsys):

@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranlab import (
     InvalidParameter,
@@ -12,7 +15,7 @@ from moranlab import (
     PrimeSchedule,
     TailNotCertifiable,
     binary_system,
-    build_context,
+    build_schedule,
     digit_decay_bound,
     mask_modulus,
     mu_hat_modulus,
@@ -20,7 +23,7 @@ from moranlab import (
 )
 from moranlab.fourier import mask_interval
 
-from oracles import naive_mu_hat
+from oracles import mp_mu_hat, naive_mu_hat
 
 
 def test_mask_special_values(small_system):
@@ -102,49 +105,82 @@ def test_mu_hat_rejects_bad_eps(small_system):
         mu_hat_modulus(1, small_system, eps=2.0)
 
 
-def test_digit_decay_trivial_cases(small_schedule, small_system):
-    ctx = build_context(2, 1, small_schedule)
-    assert digit_decay_bound(0, small_system, ctx) == (0, 1.0)
+def test_digit_decay_trivial_cases(small_system):
+    assert digit_decay_bound(0, small_system) == (0, 1.0)
     # digit 1 sits below the window [2, 4] of the base-7 position
-    assert digit_decay_bound(1, small_system, ctx) == (0, 1.0)
+    assert digit_decay_bound(1, small_system) == (0, 1.0)
 
 
 def test_digit_decay_three_window_positions():
     # one middle-third digit in each of the bases 7, 11, 13
     sch = PrimeSchedule(d=1, q=(7, 11, 13), ell=(1, 2, 2))
     sysm = binary_system(sch, Fraction(1, 2))
-    ctx = build_context(2, 1, sch)
     xi = 2 + 3 * 7 + 0 * 77 + 4 * 847  # digits (2, 3, 0, 4) in bases 7, 11, 11, 13
-    w, bound = digit_decay_bound(xi, sysm, ctx)
+    w, bound = digit_decay_bound(xi, sysm)
     assert w == 3
     assert bound == pytest.approx((math.sqrt(3) / 2) ** 3, abs=1e-12)
-    assert ctx.gamma == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+    # at omega = 1/2 both the sharp and the paper's gamma are sqrt(3/4)
+    assert sysm._window_gamma == math.sqrt(0.75)
 
 
 def test_decay_bound_dominates_certified_lo(medium_schedule, medium_system):
-    ctx = build_context(2, 1, medium_schedule)
     rng = random.Random(314159)
     for _ in range(200):
         xi = rng.randint(0, medium_schedule.N[4])
         cert = mu_hat_modulus(xi, medium_system, eps=1e-9) if xi else None
-        w, bound = digit_decay_bound(xi, medium_system, ctx)
+        w, bound = digit_decay_bound(xi, medium_system)
         if cert is not None:
             assert cert.lo <= bound + 1e-9
 
 
 def test_forced_middle_digits_push_hi_down(medium_schedule, medium_system):
     # xi whose first five digits all sit at floor(q/3)
-    ctx = build_context(2, 1, medium_schedule)
     bases = medium_schedule.bases(5)
     xi = 0
     weight = 1
     for q in bases:
         xi += (q // 3) * weight
         weight *= q
-    w, bound = digit_decay_bound(xi, medium_system, ctx)
+    w, bound = digit_decay_bound(xi, medium_system)
     assert w == 5
     cert = mu_hat_modulus(xi, medium_system, eps=1e-9)
     assert cert.hi <= bound + cert.width + 1e-12
+
+
+# weights of digit 0 across (0, 1), out to 10^-6 from either end
+OMEGAS = st.one_of(
+    st.integers(1, 999).map(lambda k: Fraction(k, 1000)),
+    st.sampled_from([Fraction(1, 10**6), 1 - Fraction(1, 10**6), Fraction(1, 10)]),
+)
+
+
+@st.composite
+def window_digit_frequencies(draw):
+    """(system, xi): one omega or one per level, and xi whose first few
+    digits each sit in the middle-third window of their base or anywhere."""
+    sch = build_schedule(d=2, count=7)
+    if draw(st.booleans()):
+        sysm = binary_system(sch, draw(OMEGAS))
+    else:
+        sysm = binary_system(sch, draw(st.lists(OMEGAS, min_size=sch.depth, max_size=sch.depth)))
+    xi, weight = 0, 1
+    for q in sch.bases(draw(st.integers(1, 10))):
+        third = q // 3
+        xi += draw(st.one_of(st.integers(third, 2 * third), st.integers(0, q - 1))) * weight
+        weight *= q
+    return sysm, xi
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_digit_frequencies())
+def test_decay_bound_holds_for_every_omega(case):
+    # gamma must come from the system's own weights: with sqrt(3/4) from the
+    # weights (1/2, 1/2), omega = 1/10 puts lo above gamma^w
+    sysm, xi = case
+    w, bound = digit_decay_bound(xi, sysm)
+    cert = mu_hat_modulus(xi, sysm, eps=1e-9)
+    assert cert.lo <= bound
+    assert mp_mu_hat(xi, sysm, dps=40) <= mpmath.mpf(bound)
 
 
 def test_fractional_part_sandwich(medium_schedule):
@@ -171,9 +207,9 @@ def test_window_decay_for_wider_digit_sets(toy_schedule):
         digit_sets=((0, 1, 2),) * 3,
         weights=((third, third, third),) * 3,
     )
-    ctx = build_context(2, 1, sch)
-    w, bound = digit_decay_bound(2 + 4 * 7, wide, ctx)
-    assert w == 2 and bound == pytest.approx(ctx.gamma**2)
+    w, bound = digit_decay_bound(2 + 4 * 7, wide)
+    # gamma = sqrt(1 - C(1 - D)) with C = D = 1/3
+    assert w == 2 and bound == pytest.approx(7 / 9)
 
     half = Fraction(1, 2)
     spread = MoranSystem(
@@ -182,4 +218,4 @@ def test_window_decay_for_wider_digit_sets(toy_schedule):
         weights=((half, half),) * 3,
     )
     with pytest.raises(InvalidParameter):
-        digit_decay_bound(2, spread, ctx)
+        digit_decay_bound(2, spread)

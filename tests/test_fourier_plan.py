@@ -22,6 +22,7 @@ from moranlab import (
     build_schedule,
     mu_hat_modulus,
 )
+from moranlab import fourier
 from moranlab.fourier import _binary_mask, _level_mask, _tail_log_bound, mask_interval
 
 from oracles import level_mask_mu_hat, mp_mu_hat, reference_binary_mask
@@ -280,3 +281,102 @@ def test_mu_hat_matches_level_mask_loop_at_structured_frequencies(kind):
             cert = mu_hat_modulus(xi, sysm, eps)
             got = (cert.lo, cert.hi, cert.truncation_level)
             assert repr(got) == repr(level_mask_mu_hat(xi, sysm, eps))
+
+
+# --------------------------------------------------------------------------
+# each branch of the fused {0,1} loop in mu_hat_modulus against the loop with
+# every level through _level_mask
+
+
+def _branch_calls(monkeypatch, xi, sysm, eps):
+    """(certificate triple, kernel calls, _level_mask calls) of one transform."""
+    calls = {"kernel": 0, "level": 0}
+
+    def kernel(gain, t):
+        calls["kernel"] += 1
+        return _binary_mask(gain, t)
+
+    def level(lvl, r, P):
+        calls["level"] += 1
+        return _level_mask(lvl, r, P)
+
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "_binary_mask", kernel)
+        m.setattr(fourier, "_level_mask", level)
+        cert = mu_hat_modulus(xi, sysm, eps)
+    return (cert.lo, cert.hi, cert.truncation_level), calls["kernel"], calls["level"]
+
+
+def _assert_matches_loop(got, xi, sysm, eps):
+    assert repr(got) == repr(level_mask_mu_hat(xi, sysm, eps))
+
+
+def test_fused_loop_fast_path(monkeypatch):
+    # shallow frequencies off r = 0 and 2r = P stay inline on every level
+    sysm = _system("half", 1)
+    for xi in (1, 1000, 123456789, 10**12 + 7, 3**25):
+        for eps in (1e-6, 1e-12):
+            got, kernel, level = _branch_calls(monkeypatch, xi, sysm, eps)
+            assert kernel == 0 and level == 0
+            _assert_matches_loop(got, xi, sysm, eps)
+
+
+@pytest.mark.parametrize(
+    "which, eps, clamped",
+    [("P21-1", 1e-12, 14), ("one", 1e-100, 31)],
+)
+def test_fused_loop_clamped_cosine(monkeypatch, which, eps, clamped):
+    # c + 2^-48 rounds to 1 where r / P lies within about 2.6e-8 of 0 or 1;
+    # those levels fall back to _binary_mask
+    sysm = binary_system(build_schedule(d=2, count=10), Fraction(1, 2))
+    xi = sysm.schedule.prefix_products()[20] - 1 if which == "P21-1" else 1
+    got, kernel, level = _branch_calls(monkeypatch, xi, sysm, eps)
+    assert kernel == clamped and level == 0
+    _assert_matches_loop(got, xi, sysm, eps)
+
+
+@pytest.mark.parametrize(
+    "omega, gain",
+    [(Fraction(1, 10**400), (-5e-324, 5e-324)), (Fraction(1, 2**1075), (0.0, 1e-323))],
+)
+def test_fused_loop_zero_lower_gain(monkeypatch, omega, gain):
+    # 2 w0 w1 rounds to 0 or to 5e-324, whose outward enclosure starts at or
+    # below 0: g_lo <= 0 falls back to _binary_mask on every level off r = 0
+    # and 2r = P
+    sysm = binary_system(_medium(), omega)
+    assert sysm._levels[0].gain == gain
+    for xi in (1, 847, 10**12 + 7):
+        got, kernel, level = _branch_calls(monkeypatch, xi, sysm, 1e-9)
+        assert kernel > 0 and kernel + level == got[2]
+        _assert_matches_loop(got, xi, sysm, 1e-9)
+
+
+def test_fused_loop_zero_residue(monkeypatch):
+    # xi = k P_n has r = 0 on its first n levels, which go through _level_mask
+    sysm = _system("mixed", 3)
+    P = sysm.schedule.prefix_products()
+    for n in (1, 4, 9):
+        xi = 5 * P[n - 1]
+        got, kernel, level = _branch_calls(monkeypatch, xi, sysm, 1e-9)
+        assert level == n and kernel == 0
+        _assert_matches_loop(got, xi, sysm, 1e-9)
+
+
+@pytest.mark.parametrize("every", [2, 3, 5])
+def test_fused_loop_mixed_binary_and_wide_levels(monkeypatch, every):
+    # {0,1} levels stay inline; every `every`-th level carries the dim-one
+    # sum set of its base instead and takes _level_mask
+    sch = _medium()
+    wide = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one").as_moran_system()
+    half = (Fraction(1, 2), Fraction(1, 2))
+    sysm = MoranSystem(
+        sch,
+        tuple(wide.digit_sets[n] if n % every == 0 else (0, 1) for n in range(sch.depth)),
+        tuple(wide.weights[n] if n % every == 0 else half for n in range(sch.depth)),
+    )
+    assert not sysm.is_binary
+    for xi in (1, 1000, 123456789, 10**12 + 7, 2**60 - 2**7):
+        for eps in (1e-6, 1e-12):
+            got, kernel, level = _branch_calls(monkeypatch, xi, sysm, eps)
+            assert kernel == 0 and 0 < level < got[2]
+            _assert_matches_loop(got, xi, sysm, eps)

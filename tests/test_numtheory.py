@@ -30,9 +30,9 @@ from moranlab import (
     prime_power_order,
     round_threshold,
 )
-from moranlab.numtheory import ALPHA_SIXTH
+from moranlab.numtheory import ALPHA_SIXTH, ROUND_THRESHOLD
 
-from oracles import brute_order
+from oracles import brute_order, round_threshold_holds, round_threshold_search
 
 
 def test_multiplicative_order_examples():
@@ -139,14 +139,11 @@ def test_stirling_constants():
 
 
 def test_round_threshold_exact_minimality():
-    # a fresh search, not a value cached by an earlier context build
-    round_threshold.cache_clear()
+    # the literal against a fresh Newton-plus-stepping search
     R = round_threshold()
-    assert R == 19797
+    assert R == ROUND_THRESHOLD == round_threshold_search() == 19797
 
-    def holds(x):
-        return 1001**x >= x * x * 1000**x
-
+    holds = round_threshold_holds
     # fails at the monotonicity guard x = 2002 and just below R, holds from R on
     assert not holds(2002)
     assert not holds(R - 1)
