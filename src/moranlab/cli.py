@@ -426,7 +426,9 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(
             f"dimension.eps must be a finite number in (0, 1), got {dc['eps']!r}"
         )
-    band_lo = max(_integer(dc["band_lo"], "dimension.band_lo"), 1)
+    band_lo = _integer(dc["band_lo"], "dimension.band_lo")
+    if band_lo < 1:
+        raise InvalidParameter(f"dimension.band_lo must be >= 1, got {band_lo}")
     band_hi = sch.depth - 1
     if dc["band_hi"] is not None:
         band_hi = _integer(dc["band_hi"], "dimension.band_hi")

@@ -16,6 +16,14 @@ a = L_s + k_{s+1}, e = L_{s+1} and P_n = M_1...M_n, and a fiber is keyed by
 the tuple of these per-block integers, which is one-to-one with its Pi tuple.
 The fiber-count check reads each digit it needs as (v // P_p) mod M_{p+1} and
 each Phi prefix as the residue v mod P_l.
+
+Both checks build their keys in one helper, _keys: the residue stream is
+tee'd once per key column and each column is a pair of C-level maps, so no
+per-point Python frame builds a key. The partition check keeps the residues
+streamed and holds only its fibers; listing the residues or the columns
+would add a list per column at the interval's length. classify_Bk fixes the
+positions, their middle windows and the modulus before its member loop and
+reads one digit row per member.
 """
 
 from __future__ import annotations
@@ -25,7 +33,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import count, repeat, tee
+from operator import contains, floordiv, mod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CounterexampleFound,
@@ -171,6 +181,19 @@ def _values_over_interval(
         bn = (bn * b_red) % modulus
 
 
+def _keys(values: Iterable[int], cuts: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """One key per residue v: the tuple of (v // low) % span over cuts.
+
+    The columns advance in lockstep under zip, so tee buffers at most one
+    residue and the stream is never listed.
+    """
+    columns = (
+        map(mod, map(floordiv, vs, repeat(low)), repeat(span))
+        for vs, (low, span) in zip(tee(values, len(cuts)), cuts)
+    )
+    return zip(*columns)
+
+
 def _partition_fibers(
     ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, r: int, m: int
 ) -> dict[tuple[int, ...], list[int]]:
@@ -183,8 +206,7 @@ def _partition_fibers(
     cuts = tuple((P(a), P(e) // P(a)) for a, e in _block_ranges(ctx, ctx.r0, r))
     values = _values_over_interval(ctx, P(sch.L[r]), start, length, m)
     fibers: dict[tuple[int, ...], list[int]] = {}
-    for n, val in enumerate(values, start):
-        key = tuple((val // low) % span for low, span in cuts)
+    for n, key in zip(count(start), _keys(values, cuts)):
         fibers.setdefault(key, []).append(n)
     return fibers
 
@@ -318,7 +340,7 @@ def fiber_counts(
 
     # fine keys are the Pi_{r0,s+1} digit tuples; their first len(pos_s)
     # digits are the Pi_{r0,s} keys
-    keys = [tuple((v // low) % base for low, base in cuts) for v in values]
+    keys = list(_keys(values, cuts))
     coarse: dict[tuple[int, ...], int] = {}
     fine: dict[tuple[int, ...], int] = {}
     for fine_key in keys:
@@ -399,21 +421,22 @@ def classify_Bk(
     if members and members[0] <= mm:
         raise InvalidRange(f"Lam contains n = {members[0]} <= m = {mm}")
 
+    # schedule data shared by every member
     depth = sch.L[r]
-    u = len(positions)
-    counts = [0] * (u + 1)
+    modulus = sch.prefix_product(depth)
+    windows = []
+    for p in positions:
+        lo, hi = _middle_window(sch.base_at(p + 1))
+        windows.append(range(lo, hi + 1))
+    counts = [0] * (len(positions) + 1)
     seen: set[tuple[int, ...]] = set()
     for n in members:
-        digits = pi_map(n, ctx.r0, r, sys, ctx, m=mm)
+        row = to_digits(_difference_mod(ctx, n, mm, modulus), sch, length=depth).digits
+        digits = tuple(map(row.__getitem__, positions))
         if digits in seen:
             raise NotWellDistributed(f"Pi collision at n = {n}")
         seen.add(digits)
-        k = 0
-        for p, dig in zip(positions, digits):
-            lo, hi = _middle_window(sch.base_at(p + 1))
-            if lo <= dig <= hi:
-                k += 1
-        counts[k] += 1
+        counts[sum(map(contains, windows, digits))] += 1
     return tuple(counts)
 
 

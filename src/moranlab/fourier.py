@@ -119,32 +119,31 @@ def _digit_sum_mask(
 class _Level:
     """One level's mask data, rounded outward once.
 
-    {0,1} levels carry the enclosure of 2 w0 w1 and of |M(1/2)|; other
-    levels carry their digits and weight enclosures.
+    {0,1} levels carry the enclosure of 2 w0 w1; other levels carry their
+    digits and weight enclosures.
     """
 
     digits: tuple[int, ...]
     weights: tuple[tuple[float, float], ...]
     gain: tuple[float, float] | None
-    half: tuple[float, float] | None
 
 
 def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
     if digits == (0, 1):
-        return _Level(digits, (), _fraction_interval(2 * w[0] * w[1]), _half_mask(w))
-    return _Level(digits, tuple(_fraction_interval(x) for x in w), None, None)
+        return _Level(digits, (), _fraction_interval(2 * w[0] * w[1]))
+    return _Level(digits, tuple(_fraction_interval(x) for x in w), None)
 
 
 def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
-    """mask_interval at t = r / P for integers 0 <= r < P, bit for bit.
+    """mask_interval at t = r / P for integers 0 <= r < P with P odd, bit for bit.
 
-    Floats see only correctly rounded quotients of exact residues, which is
-    what float() of the reduced Fraction yields."""
+    Every prefix product is odd (schedule primes are >= 7), so t is never
+    1/2 and mask_interval's exact-half path has no counterpart here. Floats
+    see only correctly rounded quotients of exact residues, which is what
+    float() of the reduced Fraction yields."""
     if r == 0:
         return 1.0, 1.0
     if level.gain is not None:
-        if 2 * r == P:
-            return level.half
         return _binary_mask(level.gain, r / P)
     return _digit_sum_mask(
         (((d * r) % P) / P, wiv) for d, wiv in zip(level.digits, level.weights)
@@ -373,7 +372,7 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     for n, (P, level) in enumerate(zip(prefixes, sys._levels), start=1):
         r = xi % P
         gain = level.gain
-        if r and gain is not None and 2 * r != P:
+        if r and gain is not None:
             # _binary_mask inlined. With c_hi < 1 and g_lo > 0 both 1 - cos
             # ends are positive, and rounded products are monotone on positive
             # operands, so the extreme gain products are g_lo o_lo and g_hi o_hi

@@ -440,6 +440,39 @@ def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None =
     )
 
 
+def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[int, ...]:
+    """distribution.classify_Bk as one pi_map per member, with each digit's
+    middle window [floor(q/3), 2 floor(q/3)] read from its base per member."""
+    from moranlab.distribution import _block_positions, pi_map
+    from moranlab.errors import InvalidRange, NotWellDistributed
+    from moranlab.numtheory import y_product
+    from moranlab.radix import schedule_of
+
+    sch = schedule_of(sys)
+    mm = ctx.n0 - 1 if m is None else m
+    members = sorted(set(Lam))
+    positions = _block_positions(ctx, ctx.r0, r)
+    y_size = y_product(ctx, r)
+    if len(members) != y_size:
+        raise NotWellDistributed(f"#Lam = {len(members)}, expected {y_size}")
+    if members and members[0] <= mm:
+        raise InvalidRange(f"Lam contains n = {members[0]} <= m = {mm}")
+    counts = [0] * (len(positions) + 1)
+    seen = set()
+    for n in members:
+        digits = pi_map(n, ctx.r0, r, sys, ctx, m=mm)
+        if digits in seen:
+            raise NotWellDistributed(f"Pi collision at n = {n}")
+        seen.add(digits)
+        k = 0
+        for p, dig in zip(positions, digits):
+            third = sch.base_at(p + 1) // 3
+            if third <= dig <= 2 * third:
+                k += 1
+        counts[k] += 1
+    return tuple(counts)
+
+
 # --------------------------------------------------------------------------
 # the sampling path as it stood before its integer kernels: Fraction weight
 # sums, one value_at and a linear threshold scan per level, and one exact

@@ -827,12 +827,15 @@ def test_dimension_eps_outside_unit_interval_is_a_parameter_error(
         ({"band_lo": 3, "band_hi": 1}, "dimension.band_lo = 3 exceeds dimension.band_hi = 1"),
         ({"burn_in": -5}, "dimension.burn_in must be >= 0, got -5"),
         ({"samples": 0}, "dimension.samples must be >= 1, got 0"),
+        ({"band_lo": 0}, "dimension.band_lo must be >= 1, got 0"),
+        ({"band_lo": -5, "band_hi": 2}, "dimension.band_lo must be >= 1, got -5"),
     ],
-    ids=["band_lo>band_hi", "burn_in<0", "samples=0"],
+    ids=["band_lo>band_hi", "burn_in<0", "samples=0", "band_lo=0", "band_lo<0"],
 )
 def test_dimension_range_errors_name_their_keys(tmp_path, capsys, dimension, message):
-    # an empty band range used to exit 0 with worst ball ratio=0.0000, and a
-    # negative burn_in ran as 1
+    # an empty band range used to exit 0 with worst ball ratio=0.0000, a
+    # negative burn_in ran as 1, and a band_lo below 1 ran as 1 while
+    # config_sha256 hashed the value given
     path = cfg_file(tmp_path, {"dimension": {"samples": 2, **dimension}})
     rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
     assert rc == 2

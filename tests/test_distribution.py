@@ -1,10 +1,13 @@
 """Digit-projection combinatorics: partitions, fibers, and the B_k bound."""
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
@@ -14,6 +17,7 @@ from moranlab import (
     InvalidRange,
     NotWellDistributed,
     PrimeSchedule,
+    ScheduleTooShort,
     TooLarge,
     binary_system,
     build_context,
@@ -29,7 +33,9 @@ from moranlab import distribution
 from moranlab.distribution import _partition_fibers
 from moranlab.numtheory import integer_J, order_mod_reduced
 
-from oracles import digit_row_fiber_counts
+from oracles import digit_row_fiber_counts, reference_classify_Bk
+
+CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +358,78 @@ def test_verify_partition_counterexample_names_the_fiber(toy, monkeypatch):
         verify_partition(1, ctx, sysm, r=2)
     pi = pi_map(1, ctx.r0, 2, sysm, ctx)
     assert str(exc.value) == f"fiber over {pi} has 30 elements, expected 31 (witness n = 1)"
+
+
+# --------------------------------------------------------------------------
+# classify_Bk against the per-member pi_map loop
+
+
+def _outcome(fn, *args, **kwargs):
+    """The histogram, or the (class, message) of the error the call raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (NotWellDistributed, InvalidRange) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sch=st.sampled_from(SMALL_SCHEDULES),
+    b=st.sampled_from([2, 3, 5, 10, 12]),
+    h=st.sampled_from([1, 2, -3]),
+    depth=st.integers(0, 2),
+    start=st.integers(1, 10**9),
+    seed=st.integers(0, 2**32),
+)
+def test_classify_Bk_matches_pi_map_reference(sch, b, h, depth, start, seed):
+    try:
+        ctx = build_context(b, h, sch)
+    except ScheduleTooShort:
+        assume(False)
+    r = ctx.r0 + 1 + depth
+    assume(r <= len(sch.q) and order_mod_reduced(ctx, r, 0) <= 12_000)
+    sysm = binary_system(sch)
+    cert = verify_partition(start, ctx, sysm, r)
+    rng = random.Random(seed)
+    for cls in cert.classes:
+        expected = reference_classify_Bk(cls, ctx, sysm, r)
+        assert sum(expected) == cert.y_size
+        shuffled = list(cls)
+        rng.shuffle(shuffled)
+        duplicated = shuffled + rng.sample(shuffled, rng.randint(1, len(shuffled)))
+        assert classify_Bk(shuffled, ctx, sysm, r) == expected
+        assert classify_Bk(iter(duplicated), ctx, sysm, r) == expected
+
+    # n + ord projects like n, so swapping a member for another member's
+    # shift keeps the cardinality and makes a collision
+    cls = list(cert.classes[rng.randrange(cert.J)])
+    i = rng.randrange(len(cls))
+    collided = cls[:i] + cls[i + 1 :] + [cls[i - 1] + cert.length]
+    short = cls[:i] + cls[i + 1 :]
+    extra = cls + [start + cert.length + i]
+    for bad in (collided, short, extra):
+        got = _outcome(classify_Bk, bad, ctx, sysm, r)
+        assert got[0] is NotWellDistributed
+        assert got == _outcome(reference_classify_Bk, bad, ctx, sysm, r)
+    low = _outcome(classify_Bk, cls, ctx, sysm, r, m=min(cls))
+    assert low[0] is InvalidRange
+    assert low == _outcome(reference_classify_Bk, cls, ctx, sysm, r, m=min(cls))
+
+
+def test_partition_fibers_stream_their_residues():
+    # on the larger benchmark partition the enumeration peaks near the fibers
+    # it returns; listing the residues or the key columns first peaks at over
+    # twice that
+    cfg = json.loads((CONFIGS / "orbit_partition_b2.json").read_text())
+    sch = PrimeSchedule(d=1, q=tuple(cfg["schedule"]["q"]), ell=tuple(cfg["schedule"]["ell"]))
+    ctx = build_context(cfg["context"]["b"], cfg["context"]["h"], sch)
+    r = cfg["partition"]["r"]
+    order = order_mod_reduced(ctx, r, 0)
+    tracemalloc.start()
+    try:
+        fibers = _partition_fibers(ctx, sch, 1, order, r, ctx.n0 - 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, fibers.values())) == order == 111540
+    assert peak <= 1.25 * held

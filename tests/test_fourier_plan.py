@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
+    InvalidParameter,
     MoranSystem,
     PrimeSchedule,
     binary_system,
@@ -63,14 +64,15 @@ SYSTEMS = st.tuples(
 
 @st.composite
 def residues(draw):
-    """(r, P) with 0 <= r < P: prefix products and arbitrary moduli, with
-    r at 0, 1, P - 1, P/2 exactly and near P/2."""
+    """(r, P) with 0 <= r < P and P odd, as every prefix product is: prefix
+    products and arbitrary odd moduli, with r at 0, 1, P - 1, floor(P/2)
+    and near it."""
     sysm = draw(SYSTEMS)
     n = draw(st.integers(1, sysm.depth))
     if draw(st.booleans()):
         P = sysm.schedule.prefix_products()[draw(st.integers(0, sysm.depth - 1))]
     else:
-        P = draw(st.integers(2, 10**40))
+        P = 2 * draw(st.integers(1, 5 * 10**39)) + 1
     half = P // 2
     r = draw(
         st.one_of(
@@ -91,13 +93,32 @@ def test_level_kernel_matches_mask_interval(case):
 
 
 @pytest.mark.parametrize("P", [2, 10, 2 * 7 * 11 * 13])
-def test_level_kernel_exact_half(P):
-    # 2r = P takes the exact-cosine branch on {0,1} levels, and only there
-    for kind in ("near0", "near1", "half", "dim-one"):
+def test_mask_interval_exact_half(P):
+    # t = 1/2 after reduction mod 1 takes the exact-cosine path on {0,1}
+    # levels: |M(1/2)| = |w0 - w1|, enclosed within an ulp or two
+    for kind in ("near0", "near1", "half", "mixed"):
         sysm = _system(kind, 3)
         for n in (1, sysm.depth):
-            got = _level_mask(sysm._levels[n - 1], P // 2, P)
-            assert got == mask_interval(n, Fraction(1, 2), sysm)
+            w0, w1 = sysm.weights[n - 1]
+            lo, hi = mask_interval(n, Fraction(P // 2 + 5 * P, P), sysm)
+            assert (lo, hi) == mask_interval(n, Fraction(1, 2), sysm)
+            assert Fraction(lo) <= abs(w0 - w1) <= Fraction(hi)
+            assert hi - lo <= 4 * math.ulp(max(hi, 2.0**-1022))
+
+
+def test_prefix_products_are_odd():
+    # schedule primes are >= 7, so no transform level sees t = 1/2 and
+    # _level_mask needs no exact-half path
+    schedules = [build_schedule(d=d, count=c) for d in (1, 2, 3) for c in (1, 5, 12)]
+    schedules += [build_schedule(d=1, count=6, variant="cube-window", offset=k) for k in (1, 4)]
+    schedules += [build_schedule(d=2, count=3, ell=(2, 1, 5))]
+    schedules += [PrimeSchedule(d=1, q=q, ell=(1,) * len(q)) for q in ((7,), (7, 11), (11, 101, 103))]
+    for sch in schedules:
+        assert sch.q[0] >= 7
+        for P in sch.prefix_products():
+            assert P % 2 == 1
+    with pytest.raises(InvalidParameter):
+        PrimeSchedule(d=1, q=(2, 7), ell=(1, 1))
 
 
 def _reference_mu_hat(xi: int, sysm: MoranSystem, eps: float) -> tuple[float, float, int]:
@@ -312,7 +333,7 @@ def _assert_matches_loop(got, xi, sysm, eps):
 
 
 def test_fused_loop_fast_path(monkeypatch):
-    # shallow frequencies off r = 0 and 2r = P stay inline on every level
+    # shallow frequencies off r = 0 stay inline on every level
     sysm = _system("half", 1)
     for xi in (1, 1000, 123456789, 10**12 + 7, 3**25):
         for eps in (1e-6, 1e-12):
@@ -342,7 +363,6 @@ def test_fused_loop_clamped_cosine(monkeypatch, which, eps, clamped):
 def test_fused_loop_zero_lower_gain(monkeypatch, omega, gain):
     # 2 w0 w1 rounds to 0 or to 5e-324, whose outward enclosure starts at or
     # below 0: g_lo <= 0 falls back to _binary_mask on every level off r = 0
-    # and 2r = P
     sysm = binary_system(_medium(), omega)
     assert sysm._levels[0].gain == gain
     for xi in (1, 847, 10**12 + 7):
