@@ -20,31 +20,11 @@ from fractions import Fraction
 from typing import Any
 
 from . import __version__
-from .delsum import block_trend, del_partial, write_block_csv, write_del_csv
-from .dimension import (
-    BallRow,
-    GaugeFunction,
-    ball_measure,
-    build_convolved,
-    h_rate_report,
-    local_dim_series,
-    write_ball_csv,
-    write_local_dim_csv,
-)
-from .distribution import classify_Bk, verify_partition, write_histogram_csv
+# modules, not names: a module's body runs only when a subcommand first calls
+# into it, and a function rebound in its home module (bench/tracer.py) is
+# seen here too
+from . import delsum, dimension, distribution, fourier, measure, numtheory, radix, rng
 from .errors import InvalidParameter, MoranLabError, OutOfRange
-from .fourier import MoranSystem, binary_system, check_eps, write_batch_csv
-from .measure import (
-    avoidance_dilations,
-    normality_report,
-    sample_batch,
-    uniqueness_avoidance,
-    write_normality_csv,
-    write_uniqueness_csv,
-)
-from .numtheory import build_context, check_pair
-from .radix import PrimeSchedule, build_schedule
-from .rng import derive_seed, value_at
 
 OFFSET_FLAG = "offset deviates from reference construction constant"
 
@@ -120,7 +100,7 @@ _TOP_KEYS = {
 }
 
 
-def _schedule_from(cfg: dict) -> PrimeSchedule:
+def _schedule_from(cfg: dict) -> radix.PrimeSchedule:
     sc = _merged(
         cfg.get("schedule", {}),
         {"d": 2, "count": 4, "variant": "nth-prime-from-7", "offset": None, "q": None, "ell": None},
@@ -130,16 +110,19 @@ def _schedule_from(cfg: dict) -> PrimeSchedule:
     if sc["q"] is not None or sc["ell"] is not None:
         if sc["q"] is None or sc["ell"] is None:
             raise InvalidParameter("schedule needs both q and ell when given explicitly")
-        return PrimeSchedule(d=d, q=tuple(sc["q"]), ell=tuple(sc["ell"]))
+        q = tuple(_integer(p, "schedule.q") for p in sc["q"])
+        ell = tuple(_integer(m, "schedule.ell") for m in sc["ell"])
+        return radix.PrimeSchedule(d=d, q=q, ell=ell)
     count = _integer(sc["count"], "schedule.count")
-    return build_schedule(d=d, count=count, variant=sc["variant"], offset=sc["offset"])
+    offset = None if sc["offset"] is None else _integer(sc["offset"], "schedule.offset")
+    return radix.build_schedule(d=d, count=count, variant=sc["variant"], offset=offset)
 
 
-def _system_from(cfg: dict, sch: PrimeSchedule) -> MoranSystem:
+def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> fourier.MoranSystem:
     sy = _merged(cfg.get("system", {}), {"kind": "binary", "omega": "1/2"}, "system")
     if sy["kind"] != "binary":
         raise InvalidParameter(f"unknown system kind {sy['kind']!r}")
-    return binary_system(sch, omega=_fraction(sy["omega"], "system.omega"))
+    return fourier.binary_system(sch, omega=_fraction(sy["omega"], "system.omega"))
 
 
 def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
@@ -210,7 +193,7 @@ def cmd_context(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     payload = []
     for b, h in _context_pairs(cfg):
-        ctx = build_context(b, h, sch)
+        ctx = numtheory.build_context(b, h, sch)
         payload.append(json.loads(ctx.to_json()))
         print(f"b={b} h={h}: r0={ctx.r0} Q={ctx.Q} gamma={ctx.gamma:.6f} r1={ctx.r1}")
     _write_json_report(os.path.join(out, "context.json"), cfg_hash, "context", payload)
@@ -226,7 +209,7 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         "fourier",
     )
     eps = float(fc["eps"])
-    check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
+    fourier.check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
     if fc["xis"] is not None:
         xis = [_integer(x, "fourier.xis") for x in fc["xis"]]
     else:
@@ -235,12 +218,12 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         _at_least_zero(xi_max, "fourier.xi_max")
         xi_count = _integer(fc["xi_count"], "fourier.xi_count")
         _at_least_zero(xi_count, "fourier.xi_count")
-        xis = [value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
+        xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
     # gamma comes from the system's weights, so no context is built; the
     # pair is still checked as every single-pair command checks it
-    check_pair(*_context_pairs(cfg)[0])
+    numtheory.check_pair(*_context_pairs(cfg)[0])
     path = os.path.join(out, fc["out"])
-    write_batch_csv(path, xis, sysm, eps=eps)
+    fourier.write_batch_csv(path, xis, sysm, eps=eps)
     _stamp_csv(path, cfg_hash)
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
@@ -276,20 +259,20 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
             f"got {r_lo} and {r_hi}"
         )
-    report = del_partial(sysm, b, h, N_max, float(dc["eps"]))
+    report = delsum.del_partial(sysm, b, h, N_max, float(dc["eps"]))
     rows = None
     if r_lo is not None and r_hi is not None:
         # before del.csv is written, so that the enumeration guard leaves no file
-        rows = block_trend(
+        rows = delsum.block_trend(
             sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
         )
     path = os.path.join(out, dc["out"])
-    write_del_csv(path, report)
+    delsum.write_del_csv(path, report)
     _stamp_csv(path, cfg_hash)
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
     if rows is not None:
         bpath = os.path.join(out, dc["blocks_out"])
-        write_block_csv(bpath, rows)
+        delsum.write_block_csv(bpath, rows)
         _stamp_csv(bpath, cfg_hash)
         print(f"del blocks: {len(rows)} rows -> {bpath}")
     return 0
@@ -307,14 +290,14 @@ def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     r = None if pc["r"] is None else _integer(pc["r"], "partition.r")
     m = None if pc["m"] is None else _integer(pc["m"], "partition.m")
     I_start = _integer(pc["I_start"], "partition.I_start")
-    ctx = build_context(b, h, sch)
+    ctx = numtheory.build_context(b, h, sch)
     if r is None:
         r = ctx.r0 + 1
-    cert = verify_partition(I_start, ctx, sysm, r, m=m)
+    cert = distribution.verify_partition(I_start, ctx, sysm, r, m=m)
     print(f"partition: certificate ok, J={cert.J} classes={cert.y_size}")
-    hist = classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
+    hist = distribution.classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
     path = os.path.join(out, pc["out"])
-    write_histogram_csv(path, hist, ctx, sysm, r)
+    distribution.write_histogram_csv(path, hist, ctx, sysm, r)
     _stamp_csv(path, cfg_hash)
     _write_json_report(
         os.path.join(out, "partition.json"), cfg_hash, "partition", json.loads(cert.to_json())
@@ -347,11 +330,11 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     _at_least_zero(digits, "normality.count")
     rows = []
     if count > 0:
-        for i, pt in enumerate(sample_batch(sysm, seed, depth, count)):
-            for rep in normality_report(pt.value, bases=bases, guard=guard, count=digits):
-                rows.append((derive_seed(seed, i), depth, rep))
+        for i, pt in enumerate(measure.sample_batch(sysm, seed, depth, count)):
+            for rep in measure.normality_report(pt.value, bases=bases, guard=guard, count=digits):
+                rows.append((rng.derive_seed(seed, i), depth, rep))
     path = os.path.join(out, nc["out"])
-    write_normality_csv(path, rows)
+    measure.write_normality_csv(path, rows)
     _stamp_csv(path, cfg_hash)
     print(f"normality: {count} samples x {len(bases)} bases -> {path}")
     return 0
@@ -373,24 +356,24 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         sampler = sysm
         default_j = sch.depth - 1
     elif uc["kind"] == "dim-one":
-        target = build_convolved(sysm, "dim-one")
+        target = dimension.build_convolved(sysm, "dim-one")
         sampler = target.as_moran_system()
         default_j = len(target.special_levels) - 1
     else:
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     if j_max is None:
         j_max = max(1, default_j)
-    avoidance_dilations(target, j_max)  # rejects a bad j_max even with zero samples
+    measure.avoidance_dilations(target, j_max)  # rejects a bad j_max even with zero samples
     _at_least_zero(count, "uniqueness.samples")
     rows = []
     passed = 0
     if count > 0:
-        for i, pt in enumerate(sample_batch(sampler, seed, depth, count)):
-            verdict = uniqueness_avoidance(pt.value, target, j_max)
+        for i, pt in enumerate(measure.sample_batch(sampler, seed, depth, count)):
+            verdict = measure.uniqueness_avoidance(pt.value, target, j_max)
             passed += verdict.passed
-            rows.append((derive_seed(seed, i), verdict))
+            rows.append((rng.derive_seed(seed, i), verdict))
     path = os.path.join(out, uc["out"])
-    write_uniqueness_csv(path, rows)
+    measure.write_uniqueness_csv(path, rows)
     _stamp_csv(path, cfg_hash)
     print(f"uniqueness: {passed}/{count} pass -> {path}")
     return 0
@@ -419,7 +402,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     phi = None
     if dc["gauge"] is not None:
         gc = _merged(dc["gauge"], {"kind": "power", "param": 1.0}, "dimension.gauge")
-        phi = GaugeFunction(kind=gc["kind"], param=float(gc["param"]))
+        phi = dimension.GaugeFunction(kind=gc["kind"], param=float(gc["param"]))
     eps = float(dc["eps"])
     # r / phi(r) -> 0 for phi(r) = r^(1 - eps) only when 0 < eps < 1 (NaN fails too)
     if not 0.0 < eps < 1.0:
@@ -446,26 +429,26 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     _at_least_zero(burn_in, "dimension.burn_in")
     variant = dc["variant"]
     if variant == "dim-one":
-        csys = build_convolved(sysm, "dim-one")
+        csys = dimension.build_convolved(sysm, "dim-one")
         phi_of = lambda r: float(r) ** (1.0 - eps)
         scale = 8.0
     else:
         if phi is None:
             raise InvalidParameter(f"variant {variant!r} needs a dimension.gauge entry")
-        csys = build_convolved(sysm, variant, phi, H_param=float(dc["H_param"]))
+        csys = dimension.build_convolved(sysm, variant, phi, H_param=float(dc["H_param"]))
         phi_of = lambda r: phi.value(r)
         scale = 4.0
 
     sampler = csys.as_moran_system()
-    pts = sample_batch(sampler, seed, sch.depth, samples)
+    pts = measure.sample_batch(sampler, seed, sch.depth, samples)
     # one h(r) per band, shared by every sample and by the h_rate payload
     grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
-    hrows = h_rate_report(sch, grid)
+    hrows = dimension.h_rate_report(sch, grid)
     bands = [(mband, hr.r, hr.h_r, phi_of(hr.r)) for mband, hr in enumerate(hrows, start=band_lo)]
     rows = []
     for i, pt in enumerate(pts):
         for mband, r, h_r, phi_r in bands:
-            ball = ball_measure(pt.value, r, csys)
+            ball = dimension.ball_measure(pt.value, r, csys)
             # checked per row: the ball (<= 4 phi(r) on gauge) can underflow
             # at an earlier band than phi(r)
             if phi_r == 0.0 or float(ball) == 0.0:
@@ -474,8 +457,8 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
                     f"underflows double precision; lower dimension.band_hi"
                 )
             rows.append(
-                BallRow(
-                    x_seed=derive_seed(seed, i),
+                dimension.BallRow(
+                    x_seed=rng.derive_seed(seed, i),
                     r=r,
                     h_r=h_r,
                     ball=ball,
@@ -484,12 +467,12 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
                 )
             )
     bpath = os.path.join(out, dc["ball_out"])
-    write_ball_csv(bpath, rows)
+    dimension.write_ball_csv(bpath, rows)
     _stamp_csv(bpath, cfg_hash)
 
-    series = local_dim_series(pts[0], csys, local_depth)
+    series = dimension.local_dim_series(pts[0], csys, local_depth)
     lpath = os.path.join(out, dc["local_out"])
-    write_local_dim_csv(lpath, series, burn_in=min(burn_in, local_depth))
+    dimension.write_local_dim_csv(lpath, series, burn_in=min(burn_in, local_depth))
     _stamp_csv(lpath, cfg_hash)
 
     payload = {

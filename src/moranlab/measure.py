@@ -337,12 +337,13 @@ def _avoidance_levels(sys, j_max: int) -> tuple[int, ...]:
     # or the j-th special level (convolved); validates j_max
     if j_max < 1:
         raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
-    from .dimension import ConvolvedSystem  # local import keeps modules decoupled
-
     if isinstance(sys, MoranSystem):
         if j_max > sys.depth:
             raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
         return tuple(range(2, j_max + 2))
+    # imported here, past the plain case, so a plain run never loads dimension
+    from .dimension import ConvolvedSystem
+
     if isinstance(sys, ConvolvedSystem):
         special = sys.special_levels
         if j_max > len(special):

@@ -100,6 +100,9 @@ class PrimeSchedule:
             raise InvalidParameter("schedule needs at least one prime")
         if len(self.q) != len(self.ell):
             raise InvalidParameter("q and ell must have equal length")
+        for p in self.q:
+            if not isinstance(p, int):
+                raise InvalidParameter(f"primes must be integers, got {p!r}")
         if self.q[0] < 7:
             raise InvalidParameter(f"first prime must be >= 7, got {self.q[0]}")
         for a, b in zip(self.q, self.q[1:]):

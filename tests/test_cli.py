@@ -482,6 +482,9 @@ def test_integral_float_base_and_h_are_accepted(tmp_path, capsys):
 INTEGER_KEYS = [
     ("schedule", "schedule.d", 2),
     ("schedule", "schedule.count", 3),
+    ("schedule", "schedule.q", [7, 11]),
+    ("schedule", "schedule.ell", [1, 2]),
+    ("schedule", "schedule.offset", 2),
     ("schedule", "seed", 2),
     ("schedule", "workers", 2),
     ("fourier", "fourier.xi_max", 5),
@@ -510,9 +513,15 @@ INTEGER_KEYS = [
 ]
 
 
+# schedule keys that are read only together with these others
+_SCHEDULE_PARTNERS = {"q": TOY_SCHEDULE, "ell": TOY_SCHEDULE, "offset": {"variant": "cube-window"}}
+
+
 def _integer_key_config(command, where, value):
     # fourier and del need more levels than the toy schedule has
     cfg = {} if command in ("schedule", "fourier", "del") else {"schedule": TOY_SCHEDULE}
+    if where.startswith("schedule."):
+        cfg["schedule"] = dict(_SCHEDULE_PARTNERS.get(where[len("schedule.") :], {}))
     if command == "del":
         cfg["del"] = {"N_max": 2, "r_lo": 1, "r_hi": 1}
     section, _, key = where.rpartition(".")
@@ -529,7 +538,8 @@ def _artifact_bodies(out_dir):
         else:
             report = json.loads(path.read_text())
             del report["config_sha256"]
-            bodies[path.name] = report
+            # compared as text: parsed, a stray 7.0 would equal 7
+            bodies[path.name] = json.dumps(report, sort_keys=True)
     return bodies
 
 

@@ -47,6 +47,13 @@ def test_schedule_rejects_bad_parameters():
         PrimeSchedule(d=1, q=(7, 11), ell=(1, 0))
 
 
+@pytest.mark.parametrize("q", [(7.0, 11), (7.5, 11), (7, 11.0)])
+def test_schedule_rejects_non_integer_primes(q):
+    # 7.0 used to pass is_prime and reach the bases; 7.5 raised a TypeError from pow()
+    with pytest.raises(InvalidParameter, match="primes must be integers"):
+        PrimeSchedule(d=1, q=q, ell=(1, 2))
+
+
 def test_cube_window_smallest_prime_per_window():
     sch = build_schedule(d=1, count=2, variant="cube-window", offset=2)
     # windows [27, 64] and [64, 125]; sieve says the smallest primes are 29, 67
