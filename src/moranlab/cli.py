@@ -56,10 +56,17 @@ def _fraction(value, where: str) -> Fraction:
 
 
 def _integer(value, where: str) -> int:
-    # int() alone would truncate 1.7 to 1 while config_sha256 hashes 1.7
-    if isinstance(value, float) and not value.is_integer():
-        raise InvalidParameter(f"{where} must be an integer, got {value!r}")
-    return int(value)
+    # int() alone would read 1.7 as 1, true as 1 and "3" as 3 while
+    # config_sha256 hashes the value as written
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameter(
+            f"malformed config value: {where} must be an integer, got {value!r}"
+        )
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise InvalidParameter(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 def _at_least_zero(n: int | None, where: str) -> None:
@@ -221,7 +228,7 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
     # gamma comes from the system's weights, so no context is built; the
     # pair is still checked as every single-pair command checks it
-    numtheory.check_pair(*_context_pairs(cfg)[0])
+    radix.check_pair(*_context_pairs(cfg)[0])
     path = os.path.join(out, fc["out"])
     fourier.write_batch_csv(path, xis, sysm, eps=eps)
     _stamp_csv(path, cfg_hash)

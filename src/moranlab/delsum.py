@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import InvalidParameter, TooLarge
 from .fourier import MoranSystem, check_eps, mu_hat_modulus
-from .numtheory import BaseContext, build_context, check_pair, derived_stirling_constants
+from .numtheory import BaseContext, build_context, derived_stirling_constants
+from .radix import check_pair
 
 BLOCK_GUARD = 10**5
 
@@ -46,18 +47,29 @@ def _neumaier(xs: Iterable[float]) -> tuple[float, float]:
     return total + comp, 4.0 * 2.0**-53 * mass
 
 
-@dataclass(frozen=True)
-class DelReport:
+class DelReport(Record):
     """Certified partial-sum report: the true partial sum of the series up to
     N_max lies within radius of partial_sum."""
 
-    N_max: int
-    partial_sum: float
-    radius: float
-    increments: tuple[float, ...]
-    diagonal_sum: float
-    offdiagonal_sum: float
-    block_sums: tuple[tuple[int, float], ...]
+    _fields = (
+        "N_max", "partial_sum", "radius", "increments", "diagonal_sum", "offdiagonal_sum",
+        "block_sums",
+    )
+
+    def __init__(
+        self,
+        N_max: int,
+        partial_sum: float,
+        radius: float,
+        increments: tuple[float, ...],
+        diagonal_sum: float,
+        offdiagonal_sum: float,
+        block_sums: tuple[tuple[int, float], ...],
+    ) -> None:
+        self.__dict__.update(
+            N_max=N_max, partial_sum=partial_sum, radius=radius, increments=increments,
+            diagonal_sum=diagonal_sum, offdiagonal_sum=offdiagonal_sum, block_sums=block_sums,
+        )
 
     def cumulative(self) -> tuple[float, ...]:
         incs = self.increments
@@ -150,13 +162,13 @@ def asymptotic_constants(gamma: float) -> tuple[float, float]:
     return A, B
 
 
-@dataclass(frozen=True)
-class BlockRow:
-    r: int
-    m: int
-    block_sum: float
-    bound: float
-    flag: str = "asymptotic-regime-only"
+class BlockRow(Record):
+    _fields = ("r", "m", "block_sum", "bound", "flag")
+
+    def __init__(
+        self, r: int, m: int, block_sum: float, bound: float, flag: str = "asymptotic-regime-only"
+    ) -> None:
+        self.__dict__.update(r=r, m=m, block_sum=block_sum, bound=bound, flag=flag)
 
 
 def _context_for(sys: MoranSystem, b: int, h: int, ctx: BaseContext | None) -> BaseContext:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     CounterexampleFound,
     GaugeTooSmall,
@@ -50,8 +50,7 @@ def _ln_fraction(r: Fraction) -> float:
 # gauge functions
 
 
-@dataclass(frozen=True)
-class GaugeFunction:
+class GaugeFunction(Record):
     """phi(r), evaluated in double precision at exact rational arguments.
 
     kinds: power(s) for r^s; r_times_log_power(c) for r (log 1/r)^c;
@@ -59,24 +58,28 @@ class GaugeFunction:
     log-log interpolated table of (r, phi(r)) points.
     """
 
-    kind: str
-    param: float = 1.0
-    table: tuple[tuple[Fraction, float], ...] | None = None
+    _fields = ("kind", "param", "table")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("power", "r_times_log_power", "r_times_H", "custom"):
-            raise InvalidParameter(f"unknown gauge kind {self.kind!r}")
-        if self.kind == "custom":
-            if not self.table or len(self.table) < 2:
+    def __init__(
+        self,
+        kind: str,
+        param: float = 1.0,
+        table: tuple[tuple[Fraction, float], ...] | None = None,
+    ) -> None:
+        if kind not in ("power", "r_times_log_power", "r_times_H", "custom"):
+            raise InvalidParameter(f"unknown gauge kind {kind!r}")
+        if kind == "custom":
+            if not table or len(table) < 2:
                 raise InvalidParameter("custom gauge needs a table of at least 2 points")
-            rs = [Fraction(r) for r, _ in self.table]
-            vs = [v for _, v in self.table]
+            rs = [Fraction(r) for r, _ in table]
+            vs = [v for _, v in table]
             if any(a >= b for a, b in zip(rs, rs[1:])):
                 raise InvalidParameter("custom table r values must strictly increase")
             if any(a >= b for a, b in zip(vs, vs[1:])) or any(v <= 0 for v in vs):
                 raise InvalidParameter("custom gauge must be positive and increasing")
-        elif self.param <= 0:
-            raise InvalidParameter(f"gauge parameter must be positive, got {self.param}")
+        elif param <= 0:
+            raise InvalidParameter(f"gauge parameter must be positive, got {param}")
+        self.__dict__.update(kind=kind, param=param, table=table)
 
     def log_value(self, r: Fraction) -> float:
         """ln phi(r); safe where phi underflows double precision."""
@@ -145,8 +148,7 @@ def h_of_r(r: Fraction, sys) -> int:
 # sparse index sets
 
 
-@dataclass(frozen=True)
-class SparseCertificate:
+class SparseCertificate(Record):
     """The special level set N plus the per-band verification grid.
 
     rows are (m, count, count*ln2, ln g(1/P_m), ok): 2^count <= g at the band
@@ -155,8 +157,12 @@ class SparseCertificate:
     and the ball bound starts past them.
     """
 
-    levels: tuple[int, ...]
-    rows: tuple[tuple[int, int, float, float, bool], ...]
+    _fields = ("levels", "rows")
+
+    def __init__(
+        self, levels: tuple[int, ...], rows: tuple[tuple[int, int, float, float, bool], ...]
+    ) -> None:
+        self.__dict__.update(levels=levels, rows=rows)
 
 
 def sparse_index_set(
@@ -237,33 +243,39 @@ def _convolve(
     return tuple(f for f, _ in items), tuple(Fraction(a, den) for _, a in items)
 
 
-@dataclass(frozen=True)
-class ConvolvedSystem:
+class ConvolvedSystem(Record):
     """Digit data of mu * nu: per-level base sets D_n, even sets E_n, sums
-    F_n = D_n + E_n with convolution weights, and the special level set N."""
+    F_n = D_n + E_n with convolution weights, and the special level set N.
 
-    schedule: PrimeSchedule
-    base_sets: tuple[tuple[int, ...], ...]
-    nu_sets: tuple[tuple[int, ...], ...]
-    sum_sets: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
-    special_levels: tuple[int, ...]
-    variant: str
-    # the F-digit system, built once from the fields above, so out of eq/hash/repr
-    _system: MoranSystem = field(init=False, repr=False, compare=False)
+    _system, the F-digit system, is built once from the fields, so it is no
+    field and stays out of eq/hash/repr.
+    """
 
-    def __post_init__(self) -> None:
+    _fields = (
+        "schedule", "base_sets", "nu_sets", "sum_sets", "weights", "special_levels", "variant"
+    )
+
+    def __init__(
+        self,
+        schedule: PrimeSchedule,
+        base_sets: tuple[tuple[int, ...], ...],
+        nu_sets: tuple[tuple[int, ...], ...],
+        sum_sets: tuple[tuple[int, ...], ...],
+        weights: tuple[tuple[Fraction, ...], ...],
+        special_levels: tuple[int, ...],
+        variant: str,
+    ) -> None:
         # MoranSystem validates sum_sets (sorted, inside [0, M_n)) and weights
-        object.__setattr__(self, "_system", MoranSystem(self.schedule, self.sum_sets, self.weights))
-        depth = self.schedule.depth
-        for name, seq in (("base_sets", self.base_sets), ("nu_sets", self.nu_sets)):
+        system = MoranSystem(schedule, sum_sets, weights)
+        depth = schedule.depth
+        for name, seq in (("base_sets", base_sets), ("nu_sets", nu_sets)):
             if len(seq) != depth:
                 raise InvalidParameter(f"{name} must cover all {depth} levels")
-        if any(a >= b for a, b in zip(self.special_levels, self.special_levels[1:])):
+        if any(a >= b for a, b in zip(special_levels, special_levels[1:])):
             raise InvalidParameter("special levels must strictly increase")
-        special = set(self.special_levels)
-        for n, M in enumerate(self.schedule.bases(), start=1):
-            E = self.nu_sets[n - 1]
+        special = set(special_levels)
+        for n, M in enumerate(schedule.bases(), start=1):
+            E = nu_sets[n - 1]
             if n in special:
                 if E != _even_digit_set(M):
                     raise InvalidParameter(f"level {n} is special but E is not the even set")
@@ -272,8 +284,12 @@ class ConvolvedSystem:
                     raise CounterexampleFound(f"level {n}: even set too large for {M}")
             if len(E) >= 2 and E[1] - E[0] == 2:
                 # even-step levels must have unique sum decompositions
-                if len(self.sum_sets[n - 1]) != len(self.base_sets[n - 1]) * len(E):
+                if len(sum_sets[n - 1]) != len(base_sets[n - 1]) * len(E):
                     raise CounterexampleFound(f"level {n}: sums collide on an even-step set")
+        self.__dict__.update(
+            schedule=schedule, base_sets=base_sets, nu_sets=nu_sets, sum_sets=sum_sets,
+            weights=weights, special_levels=special_levels, variant=variant, _system=system,
+        )
 
     @property
     def depth(self) -> int:
@@ -464,12 +480,11 @@ def running_min_after(series: Sequence[float], burn_in: int = 50) -> float:
     return min(series[burn_in - 1 :])
 
 
-@dataclass(frozen=True)
-class HRateRow:
-    r: Fraction
-    h_r: int
-    ratio: float
-    band: float | None
+class HRateRow(Record):
+    _fields = ("r", "h_r", "ratio", "band")
+
+    def __init__(self, r: Fraction, h_r: int, ratio: float, band: float | None) -> None:
+        self.__dict__.update(r=r, h_r=h_r, ratio=ratio, band=band)
 
 
 def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
@@ -491,14 +506,13 @@ def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
 # CSV reports
 
 
-@dataclass(frozen=True)
-class BallRow:
-    x_seed: int
-    r: Fraction
-    h_r: int
-    ball: Fraction
-    phi_r: float
-    ratio: float
+class BallRow(Record):
+    _fields = ("x_seed", "r", "h_r", "ball", "phi_r", "ratio")
+
+    def __init__(
+        self, x_seed: int, r: Fraction, h_r: int, ball: Fraction, phi_r: float, ratio: float
+    ) -> None:
+        self.__dict__.update(x_seed=x_seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
 
 
 def write_ball_csv(path: str, rows: Iterable[BallRow]) -> None:

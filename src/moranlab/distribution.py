@@ -31,12 +31,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, repeat, tee
 from operator import contains, floordiv, mod
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     CounterexampleFound,
     InvalidParameter,
@@ -79,8 +79,7 @@ def _block_positions(ctx: BaseContext, c: int, d: int) -> tuple[int, ...]:
     return tuple(p for start, end in _block_ranges(ctx, c, d) for p in range(start, end))
 
 
-@dataclass(frozen=True)
-class DigitProjection:
+class DigitProjection(Record):
     """A digit-position selection applied to n -> h*b^n - h*b^m.
 
     positions is None for the full-prefix map Phi_N (the first N positions,
@@ -88,16 +87,14 @@ class DigitProjection:
     tuple of free-suffix positions of a block range.
     """
 
-    m: int
-    h: int
-    b: int
-    positions: tuple[int, ...] | None
+    _fields = ("m", "h", "b", "positions")
 
-    def __post_init__(self) -> None:
-        if self.positions is not None:
-            for a, b_ in zip(self.positions, self.positions[1:]):
+    def __init__(self, m: int, h: int, b: int, positions: tuple[int, ...] | None) -> None:
+        if positions is not None:
+            for a, b_ in zip(positions, positions[1:]):
                 if a >= b_:
                     raise InvalidParameter("positions must strictly increase")
+        self.__dict__.update(m=m, h=h, b=b, positions=positions)
 
 
 def prefix_projection(ctx: BaseContext, m: int | None = None) -> DigitProjection:
@@ -215,15 +212,15 @@ def _partition_fibers(
 # partition certification
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(Record):
     """An order-length interval split into J classes, each bijective onto Y_{r0,r}."""
 
-    I_start: int
-    length: int
-    J: int
-    y_size: int
-    classes: tuple[tuple[int, ...], ...]
+    _fields = ("I_start", "length", "J", "y_size", "classes")
+
+    def __init__(
+        self, I_start: int, length: int, J: int, y_size: int, classes: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.__dict__.update(I_start=I_start, length=length, J=J, y_size=y_size, classes=classes)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -286,14 +283,19 @@ def verify_partition(
     )
 
 
-@dataclass(frozen=True)
-class FiberTable:
+class FiberTable(Record):
     """Fiber cardinalities at block step s -> s+1 over an order-length interval."""
 
-    s: int
-    length: int
-    fibers: tuple[tuple[tuple[int, ...], int], ...]
-    image_sizes: tuple[tuple[int, int], ...]
+    _fields = ("s", "length", "fibers", "image_sizes")
+
+    def __init__(
+        self,
+        s: int,
+        length: int,
+        fibers: tuple[tuple[tuple[int, ...], int], ...],
+        image_sizes: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.__dict__.update(s=s, length=length, fibers=fibers, image_sizes=image_sizes)
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.fibers)

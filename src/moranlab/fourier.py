@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
 from .radix import PrimeSchedule
 from .rng import cumulative_thresholds
@@ -115,17 +115,24 @@ def _digit_sum_mask(
     return max(0.0, lo), min(1.0, hi)
 
 
-@dataclass(frozen=True, slots=True)
-class _Level:
+class _Level(Record):
     """One level's mask data, rounded outward once.
 
     {0,1} levels carry the enclosure of 2 w0 w1; other levels carry their
     digits and weight enclosures.
     """
 
-    digits: tuple[int, ...]
-    weights: tuple[tuple[float, float], ...]
-    gain: tuple[float, float] | None
+    __slots__ = _fields = ("digits", "weights", "gain")
+
+    def __init__(
+        self,
+        digits: tuple[int, ...],
+        weights: tuple[tuple[float, float], ...],
+        gain: tuple[float, float] | None,
+    ) -> None:
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "gain", gain)
 
 
 def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
@@ -153,28 +160,30 @@ def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MoranSystem:
+class MoranSystem(Record):
     """A mixed-radix digit system: per-level digit sets and exact weights.
 
     Level n (1-based) contributes digits digit_sets[n-1] inside
     {0, ..., M_n - 1} with positive rational weights summing to 1.
     """
 
-    schedule: PrimeSchedule
-    digit_sets: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
+    _fields = ("schedule", "digit_sets", "weights")
 
-    def __post_init__(self) -> None:
-        depth = self.schedule.depth
-        if len(self.digit_sets) != depth or len(self.weights) != depth:
+    def __init__(
+        self,
+        schedule: PrimeSchedule,
+        digit_sets: tuple[tuple[int, ...], ...],
+        weights: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        depth = schedule.depth
+        if len(digit_sets) != depth or len(weights) != depth:
             raise InvalidParameter(
                 f"need digit sets and weights for all {depth} levels, got "
-                f"{len(self.digit_sets)} and {len(self.weights)}"
+                f"{len(digit_sets)} and {len(weights)}"
             )
-        for n, base in enumerate(self.schedule.bases(), start=1):
-            digits = self.digit_sets[n - 1]
-            w = self.weights[n - 1]
+        for n, base in enumerate(schedule.bases(), start=1):
+            digits = digit_sets[n - 1]
+            w = weights[n - 1]
             if not digits:
                 raise InvalidParameter(f"level {n} has an empty digit set")
             if len(w) != len(digits):
@@ -196,6 +205,7 @@ class MoranSystem:
                 raise InvalidParameter(
                     f"level {n}: weights sum to {Fraction(total, den)}, not 1"
                 )
+        self.__dict__.update(schedule=schedule, digit_sets=digit_sets, weights=weights)
 
     @property
     def depth(self) -> int:
@@ -207,7 +217,8 @@ class MoranSystem:
 
     @cached_property
     def _levels(self) -> tuple[_Level, ...]:
-        # built on the first transform; cached_property keeps it out of eq/hash
+        # built on the first transform; a cached_property is no field, so it
+        # stays out of eq/hash/repr
         return tuple(_build_level(d, w) for d, w in zip(self.digit_sets, self.weights))
 
     @cached_property
@@ -266,20 +277,19 @@ def binary_system(
     )
 
 
-@dataclass(frozen=True)
-class CertifiedModulus:
+class CertifiedModulus(Record):
     """Enclosure of |mu_hat(xi)|: the true modulus lies in [lo, hi]."""
 
-    lo: float
-    hi: float
-    truncation_level: int
-    tail_bound_log: float
+    _fields = ("lo", "hi", "truncation_level", "tail_bound_log")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise InvalidParameter(f"invalid enclosure [{self.lo}, {self.hi}]")
-        if self.tail_bound_log > 0.0:
+    def __init__(self, lo: float, hi: float, truncation_level: int, tail_bound_log: float) -> None:
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise InvalidParameter(f"invalid enclosure [{lo}, {hi}]")
+        if tail_bound_log > 0.0:
             raise InvalidParameter("tail bound must not exceed 1")
+        self.__dict__.update(
+            lo=lo, hi=hi, truncation_level=truncation_level, tail_bound_log=tail_bound_log
+        )
 
     @property
     def width(self) -> float:

@@ -26,10 +26,10 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import (
     InvalidInterval,
     InvalidParameter,
@@ -43,14 +43,13 @@ from .rng import _GOLDEN, _MASK, _MIX1, _MIX2, derive_seed
 DEFAULT_GUARD = 8
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(Record):
     """An exactly represented point of the attractor, with its provenance."""
 
-    digits: tuple[int, ...]
-    value: Fraction
-    depth: int
-    seed: int
+    _fields = ("digits", "value", "depth", "seed")
+
+    def __init__(self, digits: tuple[int, ...], value: Fraction, depth: int, seed: int) -> None:
+        self.__dict__.update(digits=digits, value=value, depth=depth, seed=seed)
 
 
 def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
@@ -180,20 +179,30 @@ def base_digits(
     return digits, trusted
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
     """Digit-frequency and orbit-discrepancy statistics over trusted digits.
 
     periodic is always True: rational inputs have eventually periodic
     expansions, so the statistics describe a finite window, never normality.
     """
 
-    base: int
-    trusted_digit_count: int
-    frequencies: tuple[Fraction, ...]
-    max_deviation: Fraction
-    discrepancy: Fraction
-    periodic: bool = True
+    _fields = (
+        "base", "trusted_digit_count", "frequencies", "max_deviation", "discrepancy", "periodic"
+    )
+
+    def __init__(
+        self,
+        base: int,
+        trusted_digit_count: int,
+        frequencies: tuple[Fraction, ...],
+        max_deviation: Fraction,
+        discrepancy: Fraction,
+        periodic: bool = True,
+    ) -> None:
+        self.__dict__.update(
+            base=base, trusted_digit_count=trusted_digit_count, frequencies=frequencies,
+            max_deviation=max_deviation, discrepancy=discrepancy, periodic=periodic,
+        )
 
 
 _DISCREPANCY_BINS = 64
@@ -303,12 +312,15 @@ def normality_report(
 # interval avoidance
 
 
-@dataclass(frozen=True)
-class AvoidanceVerdict:
-    passed: bool
-    first_violation_j: int | None
-    interval_lo: Fraction
-    j_max: int
+class AvoidanceVerdict(Record):
+    _fields = ("passed", "first_violation_j", "interval_lo", "j_max")
+
+    def __init__(
+        self, passed: bool, first_violation_j: int | None, interval_lo: Fraction, j_max: int
+    ) -> None:
+        self.__dict__.update(
+            passed=passed, first_violation_j=first_violation_j, interval_lo=interval_lo, j_max=j_max
+        )
 
     @property
     def verdict(self) -> str:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .errors import (
     CounterexampleFound,
     EvenPrime,
@@ -28,7 +28,7 @@ from .errors import (
     ScheduleTooShort,
     TooLarge,
 )
-from .radix import PrimeSchedule, is_prime
+from .radix import PrimeSchedule, check_pair, is_prime
 
 # --------------------------------------------------------------------------
 # factorizations
@@ -58,15 +58,14 @@ def _trial_factor(n: int, limit: int = 10**7) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization as (prime, exponent) pairs, primes strictly increasing."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
         last = 1
-        for p, e in self.pairs:
+        for p, e in pairs:
             if p <= last:
                 raise InvalidParameter("primes must strictly increase")
             if not is_prime(p):
@@ -74,6 +73,7 @@ class Factorization:
             if e < 1:
                 raise InvalidParameter(f"exponent of {p} must be >= 1, got {e}")
             last = p
+        self.__dict__.update(pairs=pairs)
 
     @classmethod
     def of(cls, n: int) -> "Factorization":
@@ -266,8 +266,7 @@ def round_threshold() -> int:
 # the (b, h) context
 
 
-@dataclass(frozen=True)
-class BaseContext:
+class BaseContext(Record):
     """All (b, h)-dependent constants over a fixed schedule.
 
     k[r-1] is the frozen-prefix length of block r (0 through r0_prime), and
@@ -275,20 +274,32 @@ class BaseContext:
     stored block has a positive free suffix.
     """
 
-    b: int
-    h: int
-    schedule: PrimeSchedule
-    weights: tuple[Fraction, Fraction]
-    r0_prime: int
-    n0: int
-    Q: int
-    Q_valuations: tuple[int, ...]
-    k: tuple[int, ...]
-    j: tuple[int, ...]
-    r0: int
-    gamma: float
-    alpha: float
-    r1: int
+    _fields = (
+        "b", "h", "schedule", "weights", "r0_prime", "n0", "Q", "Q_valuations",
+        "k", "j", "r0", "gamma", "alpha", "r1",
+    )
+
+    def __init__(
+        self,
+        b: int,
+        h: int,
+        schedule: PrimeSchedule,
+        weights: tuple[Fraction, Fraction],
+        r0_prime: int,
+        n0: int,
+        Q: int,
+        Q_valuations: tuple[int, ...],
+        k: tuple[int, ...],
+        j: tuple[int, ...],
+        r0: int,
+        gamma: float,
+        alpha: float,
+        r1: int,
+    ) -> None:
+        self.__dict__.update(
+            b=b, h=h, schedule=schedule, weights=weights, r0_prime=r0_prime, n0=n0, Q=Q,
+            Q_valuations=Q_valuations, k=k, j=j, r0=r0, gamma=gamma, alpha=alpha, r1=r1,
+        )
 
     def to_json(self) -> str:
         c1, c_tilde = derived_stirling_constants()
@@ -325,15 +336,6 @@ def _valuation(n: int, p: int) -> int:
         v += 1
         n //= p
     return v
-
-
-def check_pair(b: int, h: int) -> None:
-    """Reject a base b that is not an integer >= 2 and an h that is not a
-    non-zero integer."""
-    if not isinstance(b, int) or b < 2:
-        raise InvalidParameter(f"b must be an integer >= 2, got {b!r}")
-    if not isinstance(h, int) or h == 0:
-        raise InvalidParameter(f"h must be a non-zero integer, got {h!r}")
 
 
 def build_context(

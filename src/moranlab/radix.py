@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     InvalidParameter,
     NoPrimeInWindow,
@@ -73,8 +73,7 @@ def next_prime(n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PrimeSchedule:
+class PrimeSchedule(Record):
     """Finite prime schedule with derived partial sums and products.
 
     d: growth exponent used when the multiplicities were generated
@@ -82,50 +81,48 @@ class PrimeSchedule:
     ell: positive multiplicities, one per prime
     variant: how q was generated ("nth-prime-from-7", "cube-window(offset=K)",
         or "explicit")
+
+    L and N are the partial sums of ell and the products N_r; they and
+    _bases[n - 1] = M_n derive from q and ell, so they are no fields.
     """
 
-    d: int
-    q: tuple[int, ...]
-    ell: tuple[int, ...]
-    variant: str = "explicit"
-    L: tuple[int, ...] = field(init=False, repr=False)
-    N: tuple[int, ...] = field(init=False, repr=False)
-    # _bases[n - 1] is M_n; derived from q and ell, so left out of eq/hash
-    _bases: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("d", "q", "ell", "variant")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise InvalidParameter(f"growth exponent must be a positive integer, got {self.d!r}")
-        if len(self.q) == 0:
+    def __init__(
+        self, d: int, q: tuple[int, ...], ell: tuple[int, ...], variant: str = "explicit"
+    ) -> None:
+        if not isinstance(d, int) or d < 1:
+            raise InvalidParameter(f"growth exponent must be a positive integer, got {d!r}")
+        if len(q) == 0:
             raise InvalidParameter("schedule needs at least one prime")
-        if len(self.q) != len(self.ell):
+        if len(q) != len(ell):
             raise InvalidParameter("q and ell must have equal length")
-        for p in self.q:
+        for p in q:
             if not isinstance(p, int):
                 raise InvalidParameter(f"primes must be integers, got {p!r}")
-        if self.q[0] < 7:
-            raise InvalidParameter(f"first prime must be >= 7, got {self.q[0]}")
-        for a, b in zip(self.q, self.q[1:]):
+        if q[0] < 7:
+            raise InvalidParameter(f"first prime must be >= 7, got {q[0]}")
+        for a, b in zip(q, q[1:]):
             if b <= a:
                 raise InvalidParameter(f"primes must strictly increase, got {a} then {b}")
-        for p in self.q:
+        for p in q:
             if not is_prime(p):
                 raise InvalidParameter(f"{p} is not prime")
-        for m in self.ell:
+        for m in ell:
             if not isinstance(m, int) or m < 1:
                 raise InvalidParameter(f"multiplicities must be positive integers, got {m!r}")
         L = [0]
-        for m in self.ell:
+        for m in ell:
             L.append(L[-1] + m)
         N = [1]
-        for p, m in zip(self.q, self.ell):
+        for p, m in zip(q, ell):
             N.append(N[-1] * p**m)
-        object.__setattr__(self, "L", tuple(L))
-        object.__setattr__(self, "N", tuple(N))
         bases: list[int] = []
-        for p, m in zip(self.q, self.ell):
+        for p, m in zip(q, ell):
             bases.extend([p] * m)
-        object.__setattr__(self, "_bases", tuple(bases))
+        self.__dict__.update(
+            d=d, q=q, ell=ell, variant=variant, L=tuple(L), N=tuple(N), _bases=tuple(bases)
+        )
 
     def __len__(self) -> int:
         return len(self.q)
@@ -164,7 +161,7 @@ class PrimeSchedule:
     @cached_property
     def _prefix(self) -> tuple[int, ...]:
         # _prefix[n] is P_n = M_1...M_n; built on first use, and a
-        # cached_property is no dataclass field, so it stays out of eq/hash/repr
+        # cached_property is no field, so it stays out of eq/hash/repr
         return tuple(accumulate(self._bases, operator.mul, initial=1))
 
     def prefix_products(self, count: int | None = None) -> tuple[int, ...]:
@@ -205,6 +202,16 @@ class PrimeSchedule:
             )
         except KeyError as exc:
             raise InvalidParameter(f"schedule JSON missing key {exc}") from exc
+
+
+def check_pair(b: int, h: int) -> None:
+    """Reject a base b that is not an integer >= 2 and an h that is not a
+    non-zero integer. It lives here rather than in numtheory, so a command
+    that checks the pair without building a context does not run numtheory."""
+    if not isinstance(b, int) or b < 2:
+        raise InvalidParameter(f"b must be an integer >= 2, got {b!r}")
+    if not isinstance(h, int) or h == 0:
+        raise InvalidParameter(f"h must be a non-zero integer, got {h!r}")
 
 
 def build_schedule(
@@ -277,23 +284,22 @@ def schedule_of(sys) -> PrimeSchedule:
     raise InvalidParameter(f"expected a digit system or schedule, got {type(sys).__name__}")
 
 
-@dataclass(frozen=True)
-class MixedRadixDigits:
+class MixedRadixDigits(Record):
     """A digit string together with the bases it is written in.
 
     digits[i] is the coefficient of M_1*...*M_i (the i = 0 term has weight 1),
     so digits[i] < bases[i] = M_{i+1}.
     """
 
-    digits: tuple[int, ...]
-    bases: tuple[int, ...]
+    _fields = ("digits", "bases")
 
-    def __post_init__(self) -> None:
-        if len(self.digits) != len(self.bases):
+    def __init__(self, digits: tuple[int, ...], bases: tuple[int, ...]) -> None:
+        if len(digits) != len(bases):
             raise InvalidParameter("digit and base strings must have equal length")
-        for i, (dgt, b) in enumerate(zip(self.digits, self.bases)):
+        for i, (dgt, b) in enumerate(zip(digits, bases)):
             if not 0 <= dgt <= b - 1:
                 raise InvalidParameter(f"digit {dgt} at index {i} outside 0..{b - 1}")
+        self.__dict__.update(digits=digits, bases=bases)
 
     def __len__(self) -> int:
         return len(self.digits)

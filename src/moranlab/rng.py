@@ -10,9 +10,9 @@ reimplementation can be checked against this one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InvalidParameter
 
 _MASK = (1 << 64) - 1
@@ -42,11 +42,13 @@ def derive_seed(seed: int, index: int) -> int:
     return (seed ^ index) & _MASK
 
 
-@dataclass(frozen=True)
-class CounterRng:
+class CounterRng(Record):
     """Random access into the output sequence of one seed."""
 
-    seed: int
+    _fields = ("seed",)
+
+    def __init__(self, seed: int) -> None:
+        self.__dict__.update(seed=seed)
 
     def at(self, index: int) -> int:
         return value_at(self.seed, index)

@@ -595,3 +595,16 @@ def reference_avoidance(x, sys, j_max: int):
         if lo.numerator * den < lo.denominator * ((num * k) % den):
             return AvoidanceVerdict(passed=False, first_violation_j=j, interval_lo=lo, j_max=j_max)
     return AvoidanceVerdict(passed=True, first_violation_j=None, interval_lo=lo, j_max=j_max)
+
+
+# --------------------------------------------------------------------------
+# records
+
+
+def rebuild(record, **changes):
+    """A record built again through its class's constructor, with `changes`
+    applied to its fields. Every record's fields are its constructor's
+    parameters, so the constructor's checks run again on the result."""
+    values = {name: getattr(record, name) for name in record._fields}
+    values.update(changes)
+    return type(record)(**values)

@@ -470,6 +470,25 @@ def test_fractional_base_or_h_is_a_parameter_error(tmp_path, capsys, command, pa
     assert not (tmp_path / "context.json").exists()
 
 
+@pytest.mark.parametrize("command", ["context", "fourier", "del", "partition"])
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ({"b": True}, "malformed config value: context.b must be an integer, got True"),
+        ({"h": ["3"]}, "malformed config value: context.h must be an integer, got '3'"),
+    ],
+    ids=["b=true", "h=string"],
+)
+def test_boolean_or_string_base_or_h_is_a_parameter_error(tmp_path, capsys, command, pair, message):
+    # b = true used to fail as "b must be an integer >= 2, got 1", naming no key
+    cfg = {"schedule": TOY_SCHEDULE, "context": pair, "del": {"N_max": 3}}
+    rc, out, err = run(capsys, command, "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == "" and not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "context.json").exists()
+
+
 def test_integral_float_base_and_h_are_accepted(tmp_path, capsys):
     cfg = {"schedule": TOY_SCHEDULE, "context": {"b": [2.0], "h": [1.0]}}
     rc, _, err = run(capsys, "context", "--config", cfg_file(tmp_path, cfg), "--out", str(tmp_path))
@@ -551,6 +570,20 @@ def test_fractional_integer_key_is_a_parameter_error(tmp_path, capsys, command, 
     rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
     assert rc == 2
     assert err == f"error: {where} must be an integer, got 1.7\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.parametrize("bad", [True, "3"], ids=["true", "string"])
+@pytest.mark.parametrize("command, where, good", INTEGER_KEYS, ids=[w for _, w, _ in INTEGER_KEYS])
+def test_boolean_or_string_integer_key_is_a_parameter_error(
+    tmp_path, capsys, command, where, good, bad
+):
+    # int() used to read true as 1 and "3" as 3 while config_sha256 hashed true and "3"
+    value = [bad] if isinstance(good, list) else bad
+    path = cfg_file(tmp_path, _integer_key_config(command, where, value))
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: malformed config value: {where} must be an integer, got {bad!r}\n"
     assert out == "" and not list(tmp_path.glob("out/*"))
 
 

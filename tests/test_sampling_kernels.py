@@ -9,13 +9,13 @@ reference in `oracles.py` gives: the same digits, thresholds, weights and
 verdicts, and the same exception with the same message.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    rebuild,
     reference_avoidance,
     reference_convolve,
     reference_cumulative_thresholds,
@@ -297,7 +297,7 @@ def test_avoidance_runs_certificate_fallback_and_fail():
             pt = sample_point(sampler, seed, sampler.depth)
             for k in range(1, 40):
                 lo = Fraction(k, 40)
-                fresh = replace(target)  # a twin without a cached lo
+                fresh = rebuild(target)  # a twin without a cached lo
                 vars(fresh)["avoidance_lo"] = lo
                 verdict = uniqueness_avoidance(pt.value, fresh, j_max)
                 assert verdict == reference_avoidance(pt.value, fresh, j_max)

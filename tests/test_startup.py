@@ -35,23 +35,29 @@ CONFIG = {
 
 # the moranlab submodules whose bodies each subcommand runs
 RUNS = {
-    "schedule": {"cli", "errors", "radix"},
-    "context": {"cli", "errors", "radix", "numtheory"},
-    "fourier": {"cli", "errors", "radix", "numtheory", "rng", "fourier"},
-    "del": {"cli", "errors", "radix", "numtheory", "rng", "fourier", "delsum"},
-    "partition": {"cli", "errors", "radix", "numtheory", "rng", "fourier", "distribution"},
-    "normality": {"cli", "errors", "radix", "rng", "fourier", "measure"},
-    "uniqueness": {"cli", "errors", "radix", "rng", "fourier", "measure"},
-    "dimension": {"cli", "errors", "radix", "rng", "fourier", "measure", "dimension"},
+    "schedule": {"cli", "errors", "_record", "radix"},
+    "context": {"cli", "errors", "_record", "radix", "numtheory"},
+    "fourier": {"cli", "errors", "_record", "radix", "rng", "fourier"},
+    "del": {"cli", "errors", "_record", "radix", "numtheory", "rng", "fourier", "delsum"},
+    "partition": {
+        "cli", "errors", "_record", "radix", "numtheory", "rng", "fourier", "distribution"
+    },
+    "normality": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure"},
+    "uniqueness": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure"},
+    "dimension": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure", "dimension"},
 }
 
+# "loaded" lists the standard-library modules no subcommand may load:
+# dataclasses pulls in inspect (and ast, dis, tokenize), and each decorated
+# class generates its methods through exec
 _PROBE = """
 import json, sys, types
 from moranlab.cli import main
 rc = main(sys.argv[1:])
 ran = [m[len("moranlab."):] for m, mod in sys.modules.items()
        if m.startswith("moranlab.") and type(mod) is types.ModuleType]
-print(json.dumps({"rc": rc, "ran": sorted(ran)}))
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"rc": rc, "ran": sorted(ran), "loaded": loaded}))
 """
 
 
@@ -74,6 +80,7 @@ def test_subcommand_runs_only_its_modules(tmp_path, config, command):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0, proc.stderr
+    assert result["loaded"] == []
     assert set(result["ran"]) == RUNS[command]
 
 
