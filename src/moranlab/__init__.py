@@ -73,11 +73,10 @@ _HOME = {
             ),
         ),
         ("rng", ("CounterRng", "value_at", "derive_seed")),
+        ("system", ("MoranSystem", "binary_system")),
         (
             "fourier",
             (
-                "MoranSystem",
-                "binary_system",
                 "CertifiedModulus",
                 "mask_modulus",
                 "mu_hat_modulus",

@@ -23,7 +23,7 @@ from . import __version__
 # modules, not names: a module's body runs only when a subcommand first calls
 # into it, and a function rebound in its home module (bench/tracer.py) is
 # seen here too
-from . import delsum, dimension, distribution, fourier, measure, numtheory, radix, rng
+from . import delsum, dimension, distribution, fourier, measure, numtheory, radix, rng, system
 from .errors import InvalidParameter, MoranLabError, OutOfRange
 
 OFFSET_FLAG = "offset deviates from reference construction constant"
@@ -46,7 +46,7 @@ def _fraction(value, where: str) -> Fraction:
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
             return Fraction(_integer(value[0], where), _integer(value[1], where))
@@ -125,11 +125,11 @@ def _schedule_from(cfg: dict) -> radix.PrimeSchedule:
     return radix.build_schedule(d=d, count=count, variant=sc["variant"], offset=offset)
 
 
-def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> fourier.MoranSystem:
+def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> system.MoranSystem:
     sy = _merged(cfg.get("system", {}), {"kind": "binary", "omega": "1/2"}, "system")
     if sy["kind"] != "binary":
         raise InvalidParameter(f"unknown system kind {sy['kind']!r}")
-    return fourier.binary_system(sch, omega=_fraction(sy["omega"], "system.omega"))
+    return system.binary_system(sch, omega=_fraction(sy["omega"], "system.omega"))
 
 
 def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
@@ -455,7 +455,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     rows = []
     for i, pt in enumerate(pts):
         for mband, r, h_r, phi_r in bands:
-            ball = dimension.ball_measure(pt.value, r, csys)
+            ball = dimension._ball_measure(pt.value, r, csys, h_r)
             # checked per row: the ball (<= 4 phi(r) on gauge) can underflow
             # at an earlier band than phi(r)
             if phi_r == 0.0 or float(ball) == 0.0:

@@ -18,9 +18,10 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import InvalidParameter, TooLarge
-from .fourier import MoranSystem, check_eps, mu_hat_modulus
+from .fourier import check_eps, mu_hat_modulus
 from .numtheory import BaseContext, build_context, derived_stirling_constants
 from .radix import check_pair
+from .system import MoranSystem
 
 BLOCK_GUARD = 10**5
 

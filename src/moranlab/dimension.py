@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from ._record import Record
@@ -35,7 +37,7 @@ from .errors import (
     OutOfRange,
     ScheduleTooShort,
 )
-from .fourier import MoranSystem
+from .system import MoranSystem
 from .radix import PrimeSchedule, schedule_of
 
 _LN2 = math.log(2.0)
@@ -274,8 +276,15 @@ class ConvolvedSystem(Record):
         if any(a >= b for a, b in zip(special_levels, special_levels[1:])):
             raise InvalidParameter("special levels must strictly increase")
         special = set(special_levels)
+        # a level's checks read only its kind, base and sets, so levels that
+        # share them (by identity) with a checked level pass as it did
+        checked: set[tuple] = set()
         for n, M in enumerate(schedule.bases(), start=1):
             E = nu_sets[n - 1]
+            key = (n in special, M, id(E), id(sum_sets[n - 1]), id(base_sets[n - 1]))
+            if key in checked:
+                continue
+            checked.add(key)
             if n in special:
                 if E != _even_digit_set(M):
                     raise InvalidParameter(f"level {n} is special but E is not the even set")
@@ -300,9 +309,9 @@ class ConvolvedSystem(Record):
         """Left end 1/6 + max over special levels of max(F_n)/M_n of the
         avoidance interval (lo, 1)."""
         bases = self.schedule.bases()
-        return Fraction(1, 6) + max(
-            Fraction(max(self.sum_sets[n - 1]), bases[n - 1]) for n in self.special_levels
-        )
+        # sum sets strictly increase, so the last sum is the largest
+        tops = {(self.sum_sets[n - 1][-1], bases[n - 1]) for n in self.special_levels}
+        return Fraction(1, 6) + max(Fraction(top, M) for top, M in tops)
 
     def as_moran_system(self) -> MoranSystem:
         """The convolution as a plain digit system (for transforms/sampling),
@@ -314,7 +323,21 @@ class ConvolvedSystem(Record):
         eta on the F-digit tree."""
         if not 0 <= depth <= self.depth:
             raise OutOfRange(f"depth {depth} outside 0 .. {self.depth}")
-        return Fraction(1, math.prod(len(F) for F in self.sum_sets[:depth]))
+        return Fraction(1, self._cell_counts[depth])
+
+    @cached_property
+    def _cell_counts(self) -> tuple[int, ...]:
+        # _cell_counts[n] = |F_1| ... |F_n|, the number of depth-n basic intervals
+        return tuple(accumulate(map(len, self.sum_sets), operator.mul, initial=1))
+
+    @cached_property
+    def _first_gap(self) -> int:
+        """The first level whose digit set is not {0, ..., |F| - 1}, or depth + 1."""
+        for k, F in enumerate(self.sum_sets, start=1):
+            # F strictly increases from F[0] >= 0, so it is {0..|F|-1} iff F[-1] = |F| - 1
+            if F[-1] != len(F) - 1:
+                return k
+        return self.depth + 1
 
 
 def build_convolved(
@@ -357,27 +380,29 @@ def build_convolved(
         raise InvalidParameter(f"unknown variant {variant!r}")
 
     special_set = set(special)
-    nu_sets: list[tuple[int, ...]] = []
-    sum_sets: list[tuple[int, ...]] = []
-    weights: list[tuple[Fraction, ...]] = []
-    for n in range(1, depth + 1):
-        M = sch.base_at(n)
-        if n in special_set:
-            E = _even_digit_set(M)
-        elif variant == "gauge":
-            E = tuple(range(M - 1))
-        else:
-            E = tuple(range(0, M - 2, 2))
-        F, lam = _convolve(sys.digit_sets[n - 1], sys.weights[n - 1], E)
-        nu_sets.append(E)
-        sum_sets.append(F)
-        weights.append(lam)
+    # one convolution per distinct (base, special, digit set, weights); the
+    # levels that share these share its tuples
+    built: dict[tuple, tuple] = {}
+    levels = []
+    for n, (M, D, w) in enumerate(zip(sch.bases(), sys.digit_sets, sys.weights), start=1):
+        key = (M, n in special_set, id(D), id(w))
+        level = built.get(key)
+        if level is None:
+            if n in special_set:
+                E = _even_digit_set(M)
+            elif variant == "gauge":
+                E = tuple(range(M - 1))
+            else:
+                E = tuple(range(0, M - 2, 2))
+            level = built[key] = (E, *_convolve(D, w, E))
+        levels.append(level)
+    nu_sets, sum_sets, weights = zip(*levels)
     return ConvolvedSystem(
         schedule=sch,
         base_sets=sys.digit_sets,
-        nu_sets=tuple(nu_sets),
-        sum_sets=tuple(sum_sets),
-        weights=tuple(weights),
+        nu_sets=nu_sets,
+        sum_sets=sum_sets,
+        weights=weights,
         special_levels=special,
         variant=variant,
     )
@@ -417,21 +442,24 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
     eta is the uniform measure on the F-digit tree; intervals are counted at
     level h(r) + 1 by digit arithmetic over the contiguous digit sets.
     """
+    return _ball_measure(x, r, csys, None)
+
+
+def _ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem, h: int | None) -> Fraction:
+    # ball_measure with h = h(r) taken from the caller when it holds it
+    # (cmd_dimension's band table), so h_of_r runs once per band
     x = Fraction(x)
     r = Fraction(r)
     if not 0 <= x <= 1:
         raise OutOfRange(f"x must lie in [0, 1], got {x}")
-    L = h_of_r(r, csys) + 1
+    L = (h_of_r(r, csys) if h is None else h) + 1
     if L > csys.depth:
         raise ScheduleTooShort(f"need level {L}, schedule covers {csys.depth}")
-    for k in range(1, L + 1):
-        F = csys.sum_sets[k - 1]
-        # F strictly increases from F[0] >= 0, so it is {0..|F|-1} iff F[-1] = |F| - 1
-        if F[-1] != len(F) - 1:
-            raise InvalidParameter(f"level {k} digit set is not contiguous from 0")
+    if L >= csys._first_gap:
+        raise InvalidParameter(f"level {csys._first_gap} digit set is not contiguous from 0")
     P_L = csys.schedule.prefix_product(L)
-    mass = csys.uniform_interval_mass(L)
-    walk = (csys.sum_sets, csys.schedule.bases(), P_L, mass.denominator)
+    total = csys._cell_counts[L]
+    walk = (csys.sum_sets, csys.schedule.bases(), P_L, total)
     A = max(0, math.ceil((x - r) * P_L) - 1)
     B = min(P_L - 1, math.floor((x + r) * P_L))
     count = _count_below(B, *walk) - _count_below(A - 1, *walk)
@@ -441,7 +469,7 @@ def ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem) -> Fraction:
         raise CounterexampleFound(
             f"interval count {count} exceeds the grid bound {cap_count}"
         )
-    return count * mass
+    return Fraction(count, total)
 
 
 # --------------------------------------------------------------------------

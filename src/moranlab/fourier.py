@@ -1,8 +1,8 @@
 """Certified-interval Fourier analysis of Cantor-Moran measures.
 
-The measure mu attached to a MoranSystem is the infinite convolution of the
-per-level digit distributions scaled by 1/(M_1 ... M_n); its transform is the
-infinite product of level masks
+The measure mu of a digit system (moranlab.system) is the infinite
+convolution of the per-level digit distributions scaled by 1/(M_1 ... M_n);
+its transform is the infinite product of level masks
 
     mu_hat(xi) = prod_n M_n(xi / (M_1 ... M_n)),
     M_n(t) = sum_d omega_{d,n} e^(-2 pi i d t).
@@ -20,13 +20,13 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable
 
 from ._record import Record
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
-from .radix import PrimeSchedule
-from .rng import cumulative_thresholds
+# MoranSystem and binary_system live in system; both stay importable from here
+from .system import MoranSystem, binary_system  # noqa: F401
 
 # cos/sin of a double in [0, 2 pi) are correct to a couple of ulps; 2^-48 over-
 # covers the 4-ulp argument-scaled worst case and stays negligible vs any eps
@@ -154,126 +154,6 @@ def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
         return _binary_mask(level.gain, r / P)
     return _digit_sum_mask(
         (((d * r) % P) / P, wiv) for d, wiv in zip(level.digits, level.weights)
-    )
-
-
-# --------------------------------------------------------------------------
-
-
-class MoranSystem(Record):
-    """A mixed-radix digit system: per-level digit sets and exact weights.
-
-    Level n (1-based) contributes digits digit_sets[n-1] inside
-    {0, ..., M_n - 1} with positive rational weights summing to 1.
-    """
-
-    _fields = ("schedule", "digit_sets", "weights")
-
-    def __init__(
-        self,
-        schedule: PrimeSchedule,
-        digit_sets: tuple[tuple[int, ...], ...],
-        weights: tuple[tuple[Fraction, ...], ...],
-    ) -> None:
-        depth = schedule.depth
-        if len(digit_sets) != depth or len(weights) != depth:
-            raise InvalidParameter(
-                f"need digit sets and weights for all {depth} levels, got "
-                f"{len(digit_sets)} and {len(weights)}"
-            )
-        for n, base in enumerate(schedule.bases(), start=1):
-            digits = digit_sets[n - 1]
-            w = weights[n - 1]
-            if not digits:
-                raise InvalidParameter(f"level {n} has an empty digit set")
-            if len(w) != len(digits):
-                raise InvalidParameter(f"level {n}: {len(digits)} digits, {len(w)} weights")
-            prev = -1
-            for d in digits:
-                if not prev < d < base:
-                    raise InvalidParameter(
-                        f"level {n}: digits must strictly increase within [0, {base})"
-                    )
-                prev = d
-            for x in w:
-                if not isinstance(x, Fraction) or x.numerator <= 0:
-                    raise InvalidParameter(f"level {n}: weights must be positive rationals")
-            # integer numerators over one common denominator
-            den = math.lcm(*(x.denominator for x in w))
-            total = sum(x.numerator * (den // x.denominator) for x in w)
-            if total != den:
-                raise InvalidParameter(
-                    f"level {n}: weights sum to {Fraction(total, den)}, not 1"
-                )
-        self.__dict__.update(schedule=schedule, digit_sets=digit_sets, weights=weights)
-
-    @property
-    def depth(self) -> int:
-        return self.schedule.depth
-
-    @cached_property
-    def is_binary(self) -> bool:
-        return all(d == (0, 1) for d in self.digit_sets)
-
-    @cached_property
-    def _levels(self) -> tuple[_Level, ...]:
-        # built on the first transform; a cached_property is no field, so it
-        # stays out of eq/hash/repr
-        return tuple(_build_level(d, w) for d, w in zip(self.digit_sets, self.weights))
-
-    @cached_property
-    def _window_gamma(self) -> float:
-        """gamma with |M_n(t)| <= gamma on [1/6, 5/6] for every level n.
-
-        For {0,1} digits |M(t)|^2 = 1 - 4 w0 w1 sin^2(pi t) and sin^2 >= 1/4
-        on the window, so the sharp gamma is the largest sqrt(1 - w0 w1).
-        Other systems take sqrt(1 - C(1 - D)) with C and D the smallest and
-        largest weight, which digit_decay_bound checks on a grid.
-        """
-        if self.is_binary:
-            return math.sqrt(1 - float(min(w0 * w1 for w0, w1 in self.weights)))
-        C = min(min(w) for w in self.weights)
-        D = max(max(w) for w in self.weights)
-        return math.sqrt(1 - float(C * (1 - D)))
-
-    @cached_property
-    def _thresholds(self) -> tuple[tuple[int, ...], ...]:
-        # per-level cumulative_thresholds, built on the first sample
-        return tuple(cumulative_thresholds(w) for w in self.weights)
-
-    @cached_property
-    def avoidance_lo(self) -> Fraction:
-        """Left end 2 sup_n max(D_n)/M_n of the avoidance interval (lo, 1)."""
-        return 2 * max(
-            Fraction(max(d), base) for d, base in zip(self.digit_sets, self.schedule.bases())
-        )
-
-    def binary_omegas(self) -> tuple[Fraction, ...]:
-        """Per-level weight of digit 0 for a {0,1} system."""
-        if not self.is_binary:
-            raise InvalidParameter("not a binary-digit system")
-        return tuple(w[0] for w in self.weights)
-
-
-def binary_system(
-    schedule: PrimeSchedule,
-    omega: Fraction | Sequence[Fraction] = Fraction(1, 2),
-) -> MoranSystem:
-    """The {0,1}-digit system with weights (omega_n, 1 - omega_n)."""
-    depth = schedule.depth
-    if isinstance(omega, (Fraction, int)):
-        omegas = [Fraction(omega)] * depth
-    else:
-        omegas = [Fraction(o) for o in omega]
-        if len(omegas) != depth:
-            raise InvalidParameter(f"need {depth} weights, got {len(omegas)}")
-    for o in omegas:
-        if not 0 < o < 1:
-            raise InvalidParameter(f"weights must lie strictly inside (0, 1), got {o}")
-    return MoranSystem(
-        schedule=schedule,
-        digit_sets=tuple((0, 1) for _ in range(depth)),
-        weights=tuple((o, 1 - o) for o in omegas),
     )
 
 

@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     ScheduleTooShort,
 )
-from .fourier import MoranSystem
+from .system import MoranSystem
 from .rng import _GOLDEN, _MASK, _MIX1, _MIX2, derive_seed
 
 DEFAULT_GUARD = 8

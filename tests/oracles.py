@@ -608,3 +608,29 @@ def rebuild(record, **changes):
     values = {name: getattr(record, name) for name in record._fields}
     values.update(changes)
     return type(record)(**values)
+
+
+def reference_system_error(schedule, digit_sets, weights) -> str | None:
+    """The message MoranSystem(schedule, digit_sets, weights) raises, from a
+    full per-level check of every level (no level skipped as already seen),
+    or None when the data are valid. Fraction sums, not integer numerators."""
+    depth = schedule.depth
+    if len(digit_sets) != depth or len(weights) != depth:
+        return (
+            f"need digit sets and weights for all {depth} levels, got "
+            f"{len(digit_sets)} and {len(weights)}"
+        )
+    for n in range(1, depth + 1):
+        base = schedule.base_at(n)
+        digits, w = digit_sets[n - 1], weights[n - 1]
+        if not digits:
+            return f"level {n} has an empty digit set"
+        if len(w) != len(digits):
+            return f"level {n}: {len(digits)} digits, {len(w)} weights"
+        if list(digits) != sorted(set(digits)) or not -1 < digits[0] or digits[-1] >= base:
+            return f"level {n}: digits must strictly increase within [0, {base})"
+        if not all(isinstance(x, Fraction) and x > 0 for x in w):
+            return f"level {n}: weights must be positive rationals"
+        if sum(w) != 1:
+            return f"level {n}: weights sum to {sum(w)}, not 1"
+    return None

@@ -607,6 +607,16 @@ def test_fractional_omega_pair_is_a_parameter_error(tmp_path, capsys):
     assert err == "error: system.omega must be an integer, got 1.5\n"
 
 
+@pytest.mark.parametrize("omega", [True, False])
+def test_boolean_omega_is_a_parameter_error(tmp_path, capsys, omega):
+    # a JSON boolean used to read as the integer 1 or 0, with a message
+    # naming no key
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "system": {"omega": omega}})
+    rc, _, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path))
+    assert rc == 2
+    assert err == f"error: bad fraction in system.omega: {omega}\n"
+
+
 def test_csv_stamp_is_utc_to_the_second(tmp_path, capsys):
     before = int(time.time())
     rc, _, _ = run(capsys, "del", "--config", cfg_file(tmp_path, {"del": {"N_max": 1}}), "--out", ".")
@@ -810,6 +820,23 @@ def test_dimension_dim_one(tmp_path, capsys):
     assert payload["h_rate"][0]["r"] == "1/7"
     for name in ("balls.csv", "local_dim.csv"):
         assert csv_lines(tmp_path / name)[0].startswith("# generated: ")
+
+
+def test_dimension_takes_h_from_its_band_table(tmp_path, capsys, monkeypatch):
+    # h(r) runs once per band, not once per band and sample
+    calls = []
+    h_of_r = moranlab.dimension.h_of_r
+
+    def counted(r, sys):
+        calls.append(r)
+        return h_of_r(r, sys)
+
+    monkeypatch.setattr(moranlab.dimension, "h_of_r", counted)
+    path = cfg_file(tmp_path, {"dimension": {"samples": 3, "band_lo": 2, "band_hi": 6}})
+    rc, _, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path))
+    assert rc == 0, err
+    assert len(calls) == 5 == len(set(calls))
+    assert len(csv_lines(tmp_path / "balls.csv")) == 2 + 1 + 3 * 5
 
 
 def test_dimension_gauge_variant(tmp_path, capsys):

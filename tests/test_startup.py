@@ -37,14 +37,12 @@ CONFIG = {
 RUNS = {
     "schedule": {"cli", "errors", "_record", "radix"},
     "context": {"cli", "errors", "_record", "radix", "numtheory"},
-    "fourier": {"cli", "errors", "_record", "radix", "rng", "fourier"},
-    "del": {"cli", "errors", "_record", "radix", "numtheory", "rng", "fourier", "delsum"},
-    "partition": {
-        "cli", "errors", "_record", "radix", "numtheory", "rng", "fourier", "distribution"
-    },
-    "normality": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure"},
-    "uniqueness": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure"},
-    "dimension": {"cli", "errors", "_record", "radix", "rng", "fourier", "measure", "dimension"},
+    "fourier": {"cli", "errors", "_record", "radix", "rng", "system", "fourier"},
+    "del": {"cli", "errors", "_record", "radix", "numtheory", "system", "fourier", "delsum"},
+    "partition": {"cli", "errors", "_record", "radix", "numtheory", "system", "distribution"},
+    "normality": {"cli", "errors", "_record", "radix", "rng", "system", "measure"},
+    "uniqueness": {"cli", "errors", "_record", "radix", "rng", "system", "measure"},
+    "dimension": {"cli", "errors", "_record", "radix", "rng", "system", "measure", "dimension"},
 }
 
 # "loaded" lists the standard-library modules no subcommand may load:
