@@ -90,7 +90,6 @@ _HOME = {
                 "FiberTable",
                 "DigitProjection",
                 "prefix_projection",
-                "block_projection",
                 "phi_map",
                 "pi_map",
                 "verify_partition",

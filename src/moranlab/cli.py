@@ -11,13 +11,22 @@ error, 3 precondition error, 4 certification failure, 5 resource guard.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from fractions import Fraction
 from typing import Any
+
+# the builtin sha256, as random.py takes its sha512: hashlib loads OpenSSL,
+# which every process would pay for one digest
+try:
+    from _sha256 import sha256  # Python 3.11 and earlier
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 # modules, not names: a module's body runs only when a subcommand first calls
@@ -148,18 +157,22 @@ def _config_hash(cfg: dict, seed: int) -> str:
     if workers < 1:
         raise InvalidParameter(f"workers must be >= 1, got {workers}")
     canon = json.dumps({"config": cfg, "seed": seed, "workers": workers}, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
-def _stamp_csv(path: str, cfg_hash: str) -> None:
-    # timestamp line first; everything below it is deterministic
-    with open(path) as fh:
-        body = fh.read()
+def _stamp_csv(path: str, cfg_hash: str, table: list) -> None:
+    # the rows of a writer's table (its _*_table) under a timestamp line and
+    # a config line, in one pass; everything below the timestamp is
+    # deterministic, and lines end in "\n" where the library writers end
+    # them in "\r\n". bench/tracer.py times the CSV writes under this name.
+    # imported here, so that schedule and context, which write no CSV, never load it
+    import csv
+
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     with open(path, "w") as fh:
         fh.write(f"# generated: {stamp}\n")
         fh.write(f"# config_sha256: {cfg_hash} version: {__version__}\n")
-        fh.write(body)
+        csv.writer(fh, lineterminator="\n").writerows(table)
 
 
 def _write_json_report(path: str, cfg_hash: str, command: str, payload) -> None:
@@ -230,8 +243,7 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     # pair is still checked as every single-pair command checks it
     radix.check_pair(*_context_pairs(cfg)[0])
     path = os.path.join(out, fc["out"])
-    fourier.write_batch_csv(path, xis, sysm, eps=eps)
-    _stamp_csv(path, cfg_hash)
+    _stamp_csv(path, cfg_hash, fourier._batch_table(xis, sysm, eps))
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
 
@@ -274,13 +286,11 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
         )
     path = os.path.join(out, dc["out"])
-    delsum.write_del_csv(path, report)
-    _stamp_csv(path, cfg_hash)
+    _stamp_csv(path, cfg_hash, delsum._del_table(report))
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
     if rows is not None:
         bpath = os.path.join(out, dc["blocks_out"])
-        delsum.write_block_csv(bpath, rows)
-        _stamp_csv(bpath, cfg_hash)
+        _stamp_csv(bpath, cfg_hash, delsum._block_table(rows))
         print(f"del blocks: {len(rows)} rows -> {bpath}")
     return 0
 
@@ -304,8 +314,7 @@ def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     print(f"partition: certificate ok, J={cert.J} classes={cert.y_size}")
     hist = distribution.classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
     path = os.path.join(out, pc["out"])
-    distribution.write_histogram_csv(path, hist, ctx, sysm, r)
-    _stamp_csv(path, cfg_hash)
+    _stamp_csv(path, cfg_hash, distribution._histogram_table(hist, ctx, sysm, r))
     _write_json_report(
         os.path.join(out, "partition.json"), cfg_hash, "partition", json.loads(cert.to_json())
     )
@@ -341,8 +350,7 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             for rep in measure.normality_report(pt.value, bases=bases, guard=guard, count=digits):
                 rows.append((rng.derive_seed(seed, i), depth, rep))
     path = os.path.join(out, nc["out"])
-    measure.write_normality_csv(path, rows)
-    _stamp_csv(path, cfg_hash)
+    _stamp_csv(path, cfg_hash, measure._normality_table(rows))
     print(f"normality: {count} samples x {len(bases)} bases -> {path}")
     return 0
 
@@ -370,18 +378,23 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     if j_max is None:
         j_max = max(1, default_j)
-    measure.avoidance_dilations(target, j_max)  # rejects a bad j_max even with zero samples
+    levels = measure._avoidance_levels(target, j_max)  # rejects a bad j_max even with zero samples
     _at_least_zero(count, "uniqueness.samples")
     rows = []
     passed = 0
     if count > 0:
-        for i, pt in enumerate(measure.sample_batch(sampler, seed, depth, count)):
-            verdict = measure.uniqueness_avoidance(pt.value, target, j_max)
+        pts = measure.sample_batch(sampler, seed, depth, count)
+        lo = measure._avoidance_lo(target)
+        # the sampler draws each level's digit from the target's digit set, so
+        # the drawn digits are the point's attractor digits; 0 lies in every
+        # level's set and pads them to the target's depth
+        pad = (0,) * (target.depth - depth)
+        for i, pt in enumerate(pts):
+            verdict = measure._avoidance_verdict(pt.value, pt.digits + pad, sch, levels, lo, j_max)
             passed += verdict.passed
             rows.append((rng.derive_seed(seed, i), verdict))
     path = os.path.join(out, uc["out"])
-    measure.write_uniqueness_csv(path, rows)
-    _stamp_csv(path, cfg_hash)
+    _stamp_csv(path, cfg_hash, measure._uniqueness_table(rows))
     print(f"uniqueness: {passed}/{count} pass -> {path}")
     return 0
 
@@ -474,13 +487,11 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
                 )
             )
     bpath = os.path.join(out, dc["ball_out"])
-    dimension.write_ball_csv(bpath, rows)
-    _stamp_csv(bpath, cfg_hash)
+    _stamp_csv(bpath, cfg_hash, dimension._ball_table(rows))
 
     series = dimension.local_dim_series(pts[0], csys, local_depth)
     lpath = os.path.join(out, dc["local_out"])
-    dimension.write_local_dim_csv(lpath, series, burn_in=min(burn_in, local_depth))
-    _stamp_csv(lpath, cfg_hash)
+    _stamp_csv(lpath, cfg_hash, dimension._local_dim_table(series, min(burn_in, local_depth)))
 
     payload = {
         "variant": variant,

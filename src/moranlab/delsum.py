@@ -226,17 +226,28 @@ def block_trend(
 # CSV reports
 
 
+# each _*_table gives the CSV rows of its writer, header first
+
+
+def _del_table(report: DelReport) -> list:
+    rows: list = [["N", "increment", "cumulative", "radius"]]
+    for N, (inc, cum) in enumerate(zip(report.increments, report.cumulative()), start=1):
+        rows.append([N, repr(inc), repr(cum), repr(report.radius)])
+    return rows
+
+
 def write_del_csv(path: str, report: DelReport) -> None:
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["N", "increment", "cumulative", "radius"])
-        for N, (inc, cum) in enumerate(zip(report.increments, report.cumulative()), start=1):
-            out.writerow([N, repr(inc), repr(cum), repr(report.radius)])
+        csv.writer(fh).writerows(_del_table(report))
+
+
+def _block_table(rows: Sequence[BlockRow]) -> list:
+    out: list = [["r", "m", "block_sum", "bound_with_derived_constants", "flag"]]
+    for row in rows:
+        out.append([row.r, row.m, repr(row.block_sum), repr(row.bound), row.flag])
+    return out
 
 
 def write_block_csv(path: str, rows: Sequence[BlockRow]) -> None:
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["r", "m", "block_sum", "bound_with_derived_constants", "flag"])
-        for row in rows:
-            out.writerow([row.r, row.m, repr(row.block_sum), repr(row.bound), row.flag])
+        csv.writer(fh).writerows(_block_table(rows))

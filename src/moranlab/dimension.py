@@ -460,14 +460,19 @@ def _ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem, h: int | None
     P_L = csys.schedule.prefix_product(L)
     total = csys._cell_counts[L]
     walk = (csys.sum_sets, csys.schedule.bases(), P_L, total)
-    A = max(0, math.ceil((x - r) * P_L) - 1)
-    B = min(P_L - 1, math.floor((x + r) * P_L))
+    # the window ends (x -+ r) P_L = (xn rd -+ rn xd) P_L / (xd rd), rounded
+    # by integer floor division (ceil n/d = -(-n // d)); no Fraction is built
+    xn, xd = x.numerator, x.denominator
+    rn, rd = r.numerator, r.denominator
+    xr, rx, den = xn * rd, rn * xd, xd * rd
+    A = max(0, -((rx - xr) * P_L // den) - 1)
+    B = min(P_L - 1, (xr + rx) * P_L // den)
     count = _count_below(B, *walk) - _count_below(A - 1, *walk)
-    # a window of length 2r meets at most 2(r P_L + 1) cells of width 1/P_L
-    cap_count = 2 * (r * P_L + 1)
-    if count > cap_count:
+    # a window of length 2r meets at most 2(r P_L + 1) cells of width 1/P_L;
+    # count > 2 (rn P_L / rd + 1) iff count rd > 2 (rn P_L + rd), as rd > 0
+    if count * rd > 2 * (rn * P_L + rd):
         raise CounterexampleFound(
-            f"interval count {count} exceeds the grid bound {cap_count}"
+            f"interval count {count} exceeds the grid bound {2 * (r * P_L + 1)}"
         )
     return Fraction(count, total)
 
@@ -543,33 +548,44 @@ class BallRow(Record):
         self.__dict__.update(x_seed=x_seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
 
 
+# each _*_table gives the CSV rows of its writer, header first
+
+
+def _ball_table(rows: Iterable[BallRow]) -> list:
+    out: list = [
+        ["x_seed", "r_num", "r_den", "h_r", "ball_measure_num", "ball_measure_den", "phi_r", "ratio"]
+    ]
+    for row in rows:
+        out.append(
+            [
+                row.x_seed,
+                row.r.numerator,
+                row.r.denominator,
+                row.h_r,
+                row.ball.numerator,
+                row.ball.denominator,
+                repr(row.phi_r),
+                repr(row.ratio),
+            ]
+        )
+    return out
+
+
 def write_ball_csv(path: str, rows: Iterable[BallRow]) -> None:
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(
-            ["x_seed", "r_num", "r_den", "h_r", "ball_measure_num", "ball_measure_den", "phi_r", "ratio"]
-        )
-        for row in rows:
-            out.writerow(
-                [
-                    row.x_seed,
-                    row.r.numerator,
-                    row.r.denominator,
-                    row.h_r,
-                    row.ball.numerator,
-                    row.ball.denominator,
-                    repr(row.phi_r),
-                    repr(row.ratio),
-                ]
-            )
+        csv.writer(fh).writerows(_ball_table(rows))
+
+
+def _local_dim_table(series: Sequence[float], burn_in: int) -> list:
+    out: list = [["n", "term", "running_min"]]
+    rmin: float | None = None
+    for n, term in enumerate(series, start=1):
+        if n >= burn_in:
+            rmin = term if rmin is None else min(rmin, term)
+        out.append([n, repr(term), "" if rmin is None else repr(rmin)])
+    return out
 
 
 def write_local_dim_csv(path: str, series: Sequence[float], burn_in: int = 50) -> None:
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["n", "term", "running_min"])
-        rmin: float | None = None
-        for n, term in enumerate(series, start=1):
-            if n >= burn_in:
-                rmin = term if rmin is None else min(rmin, term)
-            out.writerow([n, repr(term), "" if rmin is None else repr(rmin)])
+        csv.writer(fh).writerows(_local_dim_table(series, burn_in))

@@ -101,12 +101,6 @@ def prefix_projection(ctx: BaseContext, m: int | None = None) -> DigitProjection
     return DigitProjection(m=_default_m(ctx, m), h=ctx.h, b=ctx.b, positions=None)
 
 
-def block_projection(ctx: BaseContext, c: int, d: int, m: int | None = None) -> DigitProjection:
-    return DigitProjection(
-        m=_default_m(ctx, m), h=ctx.h, b=ctx.b, positions=_block_positions(ctx, c, d)
-    )
-
-
 # --------------------------------------------------------------------------
 # the maps themselves
 
@@ -484,6 +478,16 @@ def check_peak_bound(u: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def _histogram_table(hist: Sequence[int], ctx: BaseContext, sys, r: int) -> list:
+    # the CSV rows of write_histogram_csv, header first
+    u = len(hist) - 1
+    rows: list = [["k", "count", "C_k_num", "C_k_den"]]
+    for k, count in enumerate(hist):
+        c = C_bound(k, u, ctx, sys, r)
+        rows.append([k, count, c.numerator, c.denominator])
+    return rows
+
+
 def write_histogram_csv(
     path: str,
     hist: Sequence[int],
@@ -492,10 +496,6 @@ def write_histogram_csv(
     r: int,
 ) -> None:
     """One row per k: the count #B_k and the exact bound C(k) as num/den."""
-    u = len(hist) - 1
+    rows = _histogram_table(hist, ctx, sys, r)
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["k", "count", "C_k_num", "C_k_den"])
-        for k, count in enumerate(hist):
-            c = C_bound(k, u, ctx, sys, r)
-            out.writerow([k, count, c.numerator, c.denominator])
+        csv.writer(fh).writerows(rows)

@@ -356,6 +356,17 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
 # batch evaluation
 
 
+def _batch_table(xis: Iterable[int], sys: MoranSystem, eps: float) -> list:
+    # the CSV rows of write_batch_csv, header first, all evaluated before any
+    # file is opened
+    rows: list = [["xi", "lo", "hi", "truncation_level", "w", "gamma_pow_w"]]
+    for xi in xis:
+        cert = mu_hat_modulus(xi, sys, eps)
+        w, gw = digit_decay_bound(abs(xi), sys)
+        rows.append((str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw)))
+    return rows
+
+
 def write_batch_csv(
     path: str,
     xis: Iterable[int],
@@ -367,12 +378,6 @@ def write_batch_csv(
     Rows are emitted in input order. gamma is computed once, on the first
     row, and cached on the system.
     """
-    rows = []
-    for xi in xis:
-        cert = mu_hat_modulus(xi, sys, eps)
-        w, gw = digit_decay_bound(abs(xi), sys)
-        rows.append((str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw)))
+    rows = _batch_table(xis, sys, eps)
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["xi", "lo", "hi", "truncation_level", "w", "gamma_pow_w"])
-        out.writerows(rows)
+        csv.writer(fh).writerows(rows)

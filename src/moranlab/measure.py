@@ -58,15 +58,16 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     Level n consumes generator output n-1, so a prefix of a deeper sample
     equals the shallower sample with the same seed. The counter step and the
     splitmix64 finalizer of rng.value_at are inlined, and the digit is the
-    first threshold above the draw, found by bisection.
+    first threshold above the draw, found by bisection. The denominator is
+    the schedule's cached prefix product P_depth.
     """
     if not 1 <= depth <= sys.depth:
         raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
     digits: list[int] = []
     num = 0
-    den = 1
     z = seed
-    levels = zip(sys.schedule.bases(depth), sys._thresholds, sys.digit_sets)
+    sch = sys.schedule
+    levels = zip(sch.bases(depth), sys._thresholds, sys.digit_sets)
     for base, thresholds, digit_set in levels:
         z = (z + _GOLDEN) & _MASK
         u = ((z ^ (z >> 30)) * _MIX1) & _MASK
@@ -74,8 +75,8 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
         d = digit_set[bisect_right(thresholds, u ^ (u >> 31))]
         digits.append(d)
         num = num * base + d
-        den *= base
-    return SamplePoint(digits=tuple(digits), value=Fraction(num, den), depth=depth, seed=seed)
+    value = Fraction(num, sch.prefix_product(depth))
+    return SamplePoint(digits=tuple(digits), value=value, depth=depth, seed=seed)
 
 
 def sample_batch(
@@ -371,6 +372,14 @@ def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
     return tuple(sys.schedule.prefix_product(n - 1) for n in levels)
 
 
+def _avoidance_lo(sys) -> Fraction:
+    # the left end lo of the avoidance interval, which must leave (lo, 1) non-empty
+    lo = sys.avoidance_lo
+    if lo >= 1:
+        raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
+    return lo
+
+
 def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     """Check {k_j x} outside the avoidance interval (lo, 1) for j = 1..j_max.
 
@@ -380,27 +389,33 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     lo = c + 1/6 with c = max over special levels of (max digit sum + 1)/M_n.
     Membership in the attractor is checked first (every digit of x must lie
     in the level's digit set); all arithmetic is exact.
+    """
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
+    levels = _avoidance_levels(sys, j_max)
+    lo = _avoidance_lo(sys)
+    digit_sets = sys.digit_sets if isinstance(sys, MoranSystem) else sys.sum_sets
+    digits = _attractor_digits(x, sys.schedule, sys.depth)
+    for n, d in enumerate(digits, start=1):
+        if d not in digit_sets[n - 1]:
+            raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
+    return _avoidance_verdict(x, digits, sys.schedule, levels, lo, j_max)
+
+
+def _avoidance_verdict(
+    x: Fraction, digits: Sequence[int], sch, levels: Sequence[int], lo: Fraction, j_max: int
+) -> AvoidanceVerdict:
+    """The verdict of uniqueness_avoidance once its checks have passed:
+    digits are the attractor digits of x at the system's depth, each in its
+    level's digit set, levels come from _avoidance_levels and lo from
+    _avoidance_lo. cmd_uniqueness passes the digits its sampler drew.
 
     With k = P_(n-1), {k x} = 0.d_n d_(n+1)... in the tail bases, so
     {k x} < (d_n + 1) / M_n: a dilation with (d_n + 1) / M_n <= lo is ruled
     out by its digit alone, with small integers. Only the others are checked
     against the exact remainder (num k) mod den.
     """
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
-    levels = _avoidance_levels(sys, j_max)
-    digit_sets = sys.digit_sets if isinstance(sys, MoranSystem) else sys.sum_sets
-
-    lo = sys.avoidance_lo
-    if lo >= 1:
-        raise InvalidInterval(f"avoidance interval ({lo}, 1) is empty")
-    sch = sys.schedule
-    digits = _attractor_digits(x, sch, sys.depth)
-    for n, d in enumerate(digits, start=1):
-        if d not in digit_sets[n - 1]:
-            raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
-
     # {k x} = ((num k) mod den) / den lies in the open (lo, 1) iff
     # lo_num den < lo_den ((num k) mod den); frac < 1 always
     num, den = x.numerator, x.denominator
@@ -422,30 +437,41 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
 # CSV reports
 
 
+# each _*_table gives the CSV rows of its writer, header first
+
+
+def _normality_table(rows: Iterable[tuple[int, int, NormalityReport]]) -> list:
+    out: list = [["seed", "depth", "base", "trusted_digits", "max_deviation", "discrepancy"]]
+    for seed, depth, rep in rows:
+        out.append(
+            [
+                seed,
+                depth,
+                rep.base,
+                rep.trusted_digit_count,
+                repr(float(rep.max_deviation)),
+                repr(float(rep.discrepancy)),
+            ]
+        )
+    return out
+
+
 def write_normality_csv(
     path: str, rows: Iterable[tuple[int, int, NormalityReport]]
 ) -> None:
     """rows: (seed, depth, report) triples."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["seed", "depth", "base", "trusted_digits", "max_deviation", "discrepancy"])
-        for seed, depth, rep in rows:
-            out.writerow(
-                [
-                    seed,
-                    depth,
-                    rep.base,
-                    rep.trusted_digit_count,
-                    repr(float(rep.max_deviation)),
-                    repr(float(rep.discrepancy)),
-                ]
-            )
+        csv.writer(fh).writerows(_normality_table(rows))
+
+
+def _uniqueness_table(rows: Iterable[tuple[int, AvoidanceVerdict]]) -> list:
+    out: list = [["seed", "j_max", "verdict", "first_violation_j"]]
+    for seed, v in rows:
+        out.append([seed, v.j_max, v.verdict, "" if v.first_violation_j is None else v.first_violation_j])
+    return out
 
 
 def write_uniqueness_csv(path: str, rows: Iterable[tuple[int, AvoidanceVerdict]]) -> None:
     """rows: (seed, verdict) pairs."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["seed", "j_max", "verdict", "first_violation_j"])
-        for seed, v in rows:
-            out.writerow([seed, v.j_max, v.verdict, "" if v.first_violation_j is None else v.first_violation_j])
+        csv.writer(fh).writerows(_uniqueness_table(rows))

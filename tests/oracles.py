@@ -598,6 +598,34 @@ def reference_avoidance(x, sys, j_max: int):
 
 
 # --------------------------------------------------------------------------
+# ball counts
+
+
+def fraction_ball_measure(x, r, csys, h: int) -> Fraction:
+    """dimension._ball_measure at level L = h + 1 with the window ends and the
+    grid cap in Fraction arithmetic: A = max(0, ceil((x - r) P_L) - 1),
+    B = min(P_L - 1, floor((x + r) P_L)) and the cap 2 (r P_L + 1). The
+    counts come from the library's _count_below (looked up at call time),
+    which test_count_below_matches_enumeration checks by enumeration; the
+    cell total is the product of the level set sizes. No domain checks."""
+    from moranlab import dimension
+    from moranlab.errors import CounterexampleFound
+
+    x, r = Fraction(x), Fraction(r)
+    L = h + 1
+    P_L = csys.schedule.prefix_product(L)
+    total = math.prod(len(F) for F in csys.sum_sets[:L])
+    walk = (csys.sum_sets, csys.schedule.bases(), P_L, total)
+    A = max(0, math.ceil((x - r) * P_L) - 1)
+    B = min(P_L - 1, math.floor((x + r) * P_L))
+    count = dimension._count_below(B, *walk) - dimension._count_below(A - 1, *walk)
+    cap_count = 2 * (r * P_L + 1)
+    if count > cap_count:
+        raise CounterexampleFound(f"interval count {count} exceeds the grid bound {cap_count}")
+    return Fraction(count, total)
+
+
+# --------------------------------------------------------------------------
 # records
 
 

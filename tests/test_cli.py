@@ -768,6 +768,53 @@ def test_uniqueness_convolved(tmp_path, capsys):
     assert "uniqueness: 4/4 pass" in out
 
 
+# a left end lo that narrows each kind's avoidance interval until some
+# samples fail, at several j
+_NARROW_LO = {"plain": Fraction(1, 14), "dim-one": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+@pytest.mark.parametrize("depth", [None, 9])
+@pytest.mark.parametrize("kind", ["plain", "dim-one"])
+def test_uniqueness_verdicts_match_library(tmp_path, capsys, monkeypatch, kind, depth, narrow):
+    # the command line hands each sample's drawn digits, zero-padded to the
+    # schedule depth (15 here), to the verdict; the library derives them from
+    # the value
+    from moranlab import build_convolved, uniqueness_avoidance
+    from moranlab.dimension import ConvolvedSystem
+    from moranlab.measure import sample_batch
+    from moranlab.system import MoranSystem
+
+    if narrow:
+        lo = _NARROW_LO[kind]
+        for cls in (MoranSystem, ConvolvedSystem):
+            monkeypatch.setattr(cls, "avoidance_lo", property(lambda self: lo))
+    schedule = {"d": 2, "count": 5}
+    uc = {"samples": 24, "kind": kind, "depth": depth}
+    path = cfg_file(tmp_path, {"schedule": schedule, "uniqueness": uc})
+    rc, _, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path), "--seed", "5")
+    assert rc == 0, err
+    rows = [line.split(",") for line in csv_lines(tmp_path / "uniqueness.csv")[3:]]
+
+    sch = build_schedule(**schedule)
+    target = binary_system(sch, Fraction(1, 2))
+    if kind == "dim-one":
+        target = build_convolved(target, "dim-one")
+        sampler, j_max = target.as_moran_system(), len(target.special_levels) - 1
+    else:
+        sampler, j_max = target, sch.depth - 1
+    points = sample_batch(sampler, 5, depth or sch.depth, 24)
+    expect = []
+    for i, pt in enumerate(points):
+        v = uniqueness_avoidance(pt.value, target, j_max)
+        first = "" if v.first_violation_j is None else str(v.first_violation_j)
+        expect.append([str(derive_seed(5, i)), str(j_max), v.verdict, first])
+    assert rows == expect
+    if narrow:
+        assert {row[2] for row in rows} == {"PASS", "FAIL"}
+        assert len({row[3] for row in rows}) > 2
+
+
 def test_uniqueness_unknown_kind(tmp_path, capsys):
     path = cfg_file(tmp_path, {"uniqueness": {"kind": "weird"}})
     rc, _, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path))

@@ -35,6 +35,7 @@ from moranlab import (
     sparse_index_set,
     uniqueness_avoidance,
 )
+from moranlab import dimension
 from moranlab.dimension import (
     BallRow,
     _count_below,
@@ -44,7 +45,7 @@ from moranlab.dimension import (
 )
 from moranlab.measure import SamplePoint, sample_point
 
-from oracles import naive_mu_hat, rebuild
+from oracles import fraction_ball_measure, naive_mu_hat, rebuild
 
 F = Fraction
 _LN2 = math.log(2.0)
@@ -465,6 +466,71 @@ def test_count_below_matches_enumeration(data):
         want = bisect_right(values, x)
         assert _count_below(x, sets, bases, P_L, total) == want
         assert _count_below(x, deeper_sets, deeper_bases, P_L, total) == want
+
+
+def _ball_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CounterexampleFound as exc:
+        return "raised", str(exc)
+
+
+def _fractions(lo: int, hi: int, max_den: int):
+    # lo <= n / d <= hi
+    return st.integers(1, max_den).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda n: F(n, d))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ball_windows_match_fraction_formula(med_dimone, med_gauge, data):
+    # integer floor and ceil of the window ends and the integer cap check
+    # against the Fraction formula, at every level with contiguous digit sets
+    csys = data.draw(st.sampled_from([med_dimone, med_gauge]))
+    L = data.draw(st.integers(1, min(csys.depth, csys._first_gap - 1)))
+    P = csys.schedule.prefix_product(L)
+    grid = st.integers(0, P).map(lambda k: F(k, P))  # (x -+ r) P integral
+    x = data.draw(grid | _fractions(0, 1, 3 * P) | st.sampled_from([F(0), F(1)]))
+    r = data.draw(grid.filter(bool) | _fractions(0, 2, 3 * P).filter(bool))
+    expect = _ball_outcome(fraction_ball_measure, x, r, csys, L - 1)
+    assert _ball_outcome(dimension._ball_measure, x, r, csys, L - 1) == expect
+
+
+def _full_cap_windows(P: int):
+    # x = (k + j) / P, r = j / P: the window [x - r, x + r] runs over grid
+    # cells k - 1 .. k + 2j, 2j + 2 = 2 (r P + 1) of them, the cap exactly
+    for j in (1, 2, 5):
+        for k in {1, 2, P // 2, P - 2 * j - 1}:
+            if 1 <= k and k + 2 * j <= P - 1:
+                yield k, F(k + j, P), F(j, P)
+
+
+def test_ball_cap_equality_is_no_counterexample(med_gauge):
+    # bases 7 and 11 with full digit sets: every grid cell at levels 1 and 2
+    # holds support, so the count reaches the cap and must not trip it
+    assert [len(F_k) for F_k in med_gauge.sum_sets[:2]] == [7, 11]
+    for L in (1, 2):
+        P = med_gauge.schedule.prefix_product(L)
+        total = med_gauge._cell_counts[L]
+        for _, x, r in _full_cap_windows(P):
+            cap = 2 * (r * P + 1)
+            assert fraction_ball_measure(x, r, med_gauge, L - 1) == cap / total
+            assert dimension._ball_measure(x, r, med_gauge, L - 1) == cap / total
+
+
+def test_ball_cap_one_past_equality_is_a_counterexample(med_gauge, monkeypatch):
+    # one extra string below every X >= 0: a window starting at cell 0
+    # (k = 1) counts cap + 1 strings, one starting further right counts cap
+    count_below = dimension._count_below
+    monkeypatch.setattr(
+        dimension, "_count_below", lambda X, *walk: count_below(X, *walk) + (X >= 0)
+    )
+    P = med_gauge.schedule.prefix_product(2)
+    for k, x, r in _full_cap_windows(P):
+        got = _ball_outcome(dimension._ball_measure, x, r, med_gauge, 1)
+        assert got == _ball_outcome(fraction_ball_measure, x, r, med_gauge, 1)
+        assert isinstance(got, tuple) == (k == 1)
 
 
 def test_ball_measure_support_point_floor(med_dimone):

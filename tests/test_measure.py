@@ -198,6 +198,24 @@ def test_avoidance_rejects_non_support_points(toy_schedule):
         uniqueness_avoidance(Fraction(12, 77), sysm, j_max=5)
 
 
+@pytest.mark.parametrize("kind", ["plain", "dim-one"])
+def test_avoidance_error_order(toy_schedule, kind):
+    # x's range, then j_max, then membership: a bad j_max is reported before
+    # an off-support x, whose digits the library derives itself
+    sysm = binary_system(toy_schedule, Fraction(1, 2))
+    target = sysm if kind == "plain" else build_convolved(sysm, "dim-one")
+    too_many = toy_schedule.depth + 1
+    with pytest.raises(InvalidParameter, match="x must lie in"):
+        uniqueness_avoidance(Fraction(3, 2), target, j_max=0)
+    for off_support in (Fraction(1, 3), Fraction(6, 7)):
+        with pytest.raises(InvalidParameter, match="j_max must be >= 1"):
+            uniqueness_avoidance(off_support, target, j_max=0)
+        with pytest.raises(OutOfRange, match=f"j_max = {too_many} exceeds"):
+            uniqueness_avoidance(off_support, target, j_max=too_many)
+        with pytest.raises(NotInSupport):
+            uniqueness_avoidance(off_support, target, j_max=1)
+
+
 def test_avoidance_all_sampled_points(small_system):
     # the proof executed: every attractor point dodges (2L, 1) at every scale
     for pt in sample_batch(small_system, seed=314, depth=10, count=100):

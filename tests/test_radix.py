@@ -144,9 +144,11 @@ def test_prefix_table_stays_out_of_equality_and_hash():
     assert "_prefix" in vars(a) and "_prefix" not in vars(b)
     assert a == b and hash(a) == hash(b) == before
     assert "_prefix" not in repr(a)
-    # sampling walks the bases only and never builds the table
+    # sampling takes its denominator from the table, which it builds; the
+    # table still stays out of equality and hash
     sample_point(binary_system(b), seed=1, depth=b.depth)
-    assert "_prefix" not in vars(b)
+    assert "_prefix" in vars(b)
+    assert a == b and hash(a) == hash(b) == before
 
 
 def test_to_digits_examples():

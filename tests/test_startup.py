@@ -45,17 +45,21 @@ RUNS = {
     "dimension": {"cli", "errors", "_record", "radix", "rng", "system", "measure", "dimension"},
 }
 
-# "loaded" lists the standard-library modules no subcommand may load:
-# dataclasses pulls in inspect (and ast, dis, tokenize), and each decorated
-# class generates its methods through exec
-_PROBE = """
+# the standard-library modules no subcommand may load: dataclasses pulls in
+# inspect (and ast, dis, tokenize), and each decorated class generates its
+# methods through exec; _hashlib is OpenSSL, which the config digest avoids
+# wherever the interpreter has a builtin sha256
+_BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))
+FORBIDDEN = ("dataclasses", "inspect") + (("_hashlib",) if _BUILTIN_SHA256 else ())
+
+_PROBE = f"""
 import json, sys, types
 from moranlab.cli import main
 rc = main(sys.argv[1:])
 ran = [m[len("moranlab."):] for m, mod in sys.modules.items()
        if m.startswith("moranlab.") and type(mod) is types.ModuleType]
-loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
-print(json.dumps({"rc": rc, "ran": sorted(ran), "loaded": loaded}))
+loaded = [m for m in {FORBIDDEN!r} if m in sys.modules]
+print(json.dumps({{"rc": rc, "ran": sorted(ran), "loaded": loaded}}))
 """
 
 
