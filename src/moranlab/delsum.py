@@ -16,10 +16,12 @@ import csv
 import math
 from typing import Iterable, Sequence
 
+# numtheory as a module, not names: its body runs only when a block report
+# or a context needs it, so del_partial alone never loads it
+from . import numtheory
 from ._record import Record
 from .errors import InvalidParameter, TooLarge
 from .fourier import check_eps, mu_hat_modulus
-from .numtheory import BaseContext, build_context, derived_stirling_constants
 from .radix import check_pair
 from .system import MoranSystem
 
@@ -28,6 +30,9 @@ BLOCK_GUARD = 10**5
 
 def frequency(h: int, b: int, n: int, m: int) -> int:
     """h * (b^n - b^m), exactly."""
+    for name, value in (("h", h), ("b", b), ("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if n < 0 or m < 0:
         raise InvalidParameter(f"exponents must be >= 0, got n = {n}, m = {m}")
     return h * (b**n - b**m)
@@ -105,8 +110,8 @@ def del_partial(
     weighted sum of interval half-widths plus the accumulation slop.
     """
     check_pair(b, h)
-    if N_max < 1:
-        raise InvalidParameter(f"N_max must be >= 1, got {N_max}")
+    if isinstance(N_max, bool) or not isinstance(N_max, int) or N_max < 1:
+        raise InvalidParameter(f"N_max must be an integer >= 1, got {N_max!r}")
     check_eps(eps)
     powers = [b**k for k in range(N_max)]
     grid = [[abs(h * (bn - bm)) for bn in powers] for bm in powers]
@@ -157,7 +162,7 @@ def asymptotic_constants(gamma: float) -> tuple[float, float]:
     """(A, B) = (max(C_tilde, 1), -max(ln 0.999, ln(gamma)/6))."""
     if not 0.0 < gamma < 1.0:
         raise InvalidParameter(f"gamma must lie in (0, 1), got {gamma}")
-    _, c_tilde = derived_stirling_constants()
+    _, c_tilde = numtheory.derived_stirling_constants()
     A = max(float(c_tilde), 1.0)
     B = -max(math.log(0.999), math.log(gamma) / 6.0)
     return A, B
@@ -172,7 +177,9 @@ class BlockRow(Record):
         self.__dict__.update(r=r, m=m, block_sum=block_sum, bound=bound, flag=flag)
 
 
-def _context_for(sys: MoranSystem, b: int, h: int, ctx: BaseContext | None) -> BaseContext:
+def _context_for(
+    sys: MoranSystem, b: int, h: int, ctx: numtheory.BaseContext | None
+) -> numtheory.BaseContext:
     if ctx is not None:
         if (ctx.b, ctx.h) != (b, h):
             raise InvalidParameter(f"ctx is for (b, h) = ({ctx.b}, {ctx.h}), not ({b}, {h})")
@@ -180,7 +187,7 @@ def _context_for(sys: MoranSystem, b: int, h: int, ctx: BaseContext | None) -> B
     if not sys.is_binary:
         raise InvalidParameter("pass an explicit context for non-binary digit systems")
     omegas = sys.binary_omegas()
-    return build_context(b, h, sys.schedule, weights=(min(omegas), max(omegas)))
+    return numtheory.build_context(b, h, sys.schedule, weights=(min(omegas), max(omegas)))
 
 
 def block_trend(
@@ -190,7 +197,7 @@ def block_trend(
     r_range: Iterable[int],
     m_values: Sequence[int] = (0,),
     *,
-    ctx: BaseContext | None = None,
+    ctx: numtheory.BaseContext | None = None,
     eps: float = 1e-9,
 ) -> tuple[BlockRow, ...]:
     """Per-block sums sum_{n=m+1}^{N_r - 1} |mu_hat(h(b^n - b^m))| next to the

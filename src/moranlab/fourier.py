@@ -231,6 +231,39 @@ def _tail_log_bound(t: float, binary: bool) -> float:
     return _up(y * (1.0 + 1e-9))
 
 
+# the largest finite double's bit pattern; _tail_cut bisects below it
+_MAX_BITS = 0x7FEFFFFFFFFFFFFF
+
+
+def _float_at(bits: int) -> float:
+    # the non-negative finite double whose IEEE 754 bit pattern is bits
+    e, m = divmod(bits, 1 << 52)
+    return math.ldexp(m + (1 << 52), e - 1075) if e else math.ldexp(m, -1074)
+
+
+@lru_cache(maxsize=256)
+def _tail_cut(budget: float, binary: bool) -> float:
+    """The largest double t >= 0 with _tail_log_bound(t, binary) <= budget.
+
+    -inf when no t fits (budget below the bound at t = 0) and inf when every
+    finite t does. The bound is monotone non-decreasing in t, and so in the
+    bit pattern of a non-negative t, so bisection over the patterns finds
+    the threshold in 63 steps for any budget, subnormal ones included.
+    """
+    if not _tail_log_bound(0.0, binary) <= budget:
+        return -math.inf
+    if _tail_log_bound(_float_at(_MAX_BITS), binary) <= budget:
+        return math.inf
+    lo, hi = 0, _MAX_BITS  # the bound fits at lo and exceeds budget at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _tail_log_bound(_float_at(mid), binary) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return _float_at(lo)
+
+
 def check_eps(eps: float) -> None:
     """Reject a bracket-width budget outside (0, 1] (NaN included)."""
     if not 0.0 < eps <= 1.0:
@@ -246,50 +279,56 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     width (the finite factors' float width then honors the rest of the budget
     down to the double-precision floor). |mu_hat| is even, so xi enters by
     absolute value.
+
+    The tail bound grows with the argument t = r / P_n, so one threshold
+    _tail_cut(eps/2, binary), cached per budget and kind, decides at which
+    levels past xi < P_n it can fit: the bound is evaluated only where
+    t <= t_cut, once per certified frequency, and its own comparison with
+    eps/2 still decides the cut. The levels come from the system's cached
+    table of (n, P_n, level, g_lo, g_hi), with the gain ends of {0,1} levels
+    and None for the others.
     """
-    if not isinstance(xi, int):
+    if not isinstance(xi, int) or isinstance(xi, bool):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
     check_eps(eps)
     xi = abs(xi)
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
     tail_budget = eps / 2.0
-    cos, sqrt, nextafter = math.cos, math.sqrt, math.nextafter
-    tau = 2.0 * math.pi
     binary = sys.is_binary
+    t_cut = _tail_cut(tail_budget, binary)
+    cos, sqrt, nextafter = math.cos, math.sqrt, math.nextafter
+    tau, pad, down, up = 2.0 * math.pi, _TRIG_PAD, _DOWN, _UP
     f_lo, f_hi = 1.0, 1.0
-    prefixes = sys.schedule.prefix_products()
-    for n, (P, level) in enumerate(zip(prefixes, sys._levels), start=1):
+    for n, P, level, g_lo, g_hi in sys._transform_levels:
         r = xi % P
-        gain = level.gain
-        if r and gain is not None:
+        t = r / P
+        if r and g_lo is not None:
             # _binary_mask inlined. With c_hi < 1 and g_lo > 0 both 1 - cos
             # ends are positive, and rounded products are monotone on positive
             # operands, so the extreme gain products are g_lo o_lo and g_hi o_hi
-            t = r / P
             c = cos(tau * t)
-            c_hi = c + _TRIG_PAD
-            g_lo, g_hi = gain
+            c_hi = c + pad
             if c_hi < 1.0 and g_lo > 0.0:
-                c_lo = c - _TRIG_PAD
-                o_lo = nextafter(1.0 - c_hi, _DOWN)
-                o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), _UP)
-                m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, _UP), _DOWN)
-                m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, _DOWN), _UP)
-                m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), _DOWN)
-                m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), _UP)
+                c_lo = c - pad
+                o_lo = nextafter(1.0 - c_hi, down)
+                o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)
+                m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, up), down)
+                m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, down), up)
+                m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), down)
+                m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), up)
                 if m_hi > 1.0:
                     m_hi = 1.0
             else:
-                m_lo, m_hi = _binary_mask(gain, t)
+                m_lo, m_hi = _binary_mask(level.gain, t)
         else:
             m_lo, m_hi = _level_mask(level, r, P)
-        f_lo = nextafter(f_lo * m_lo, _DOWN)
+        f_lo = nextafter(f_lo * m_lo, down)
         f_lo = f_lo if f_lo > 0.0 else 0.0
-        f_hi = nextafter(f_hi * m_hi, _UP)
+        f_hi = nextafter(f_hi * m_hi, up)
         f_hi = f_hi if f_hi < 1.0 else 1.0
-        if xi < P:
-            y = _tail_log_bound(r / P, binary)
+        if xi < P and t <= t_cut:
+            y = _tail_log_bound(t, binary)
             if y <= tail_budget:
                 e_lo = _down(_down(math.exp(-y)))
                 lo = max(0.0, _down(f_lo * e_lo))
@@ -334,7 +373,7 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     is at most the system's own gamma (MoranSystem._window_gamma), so gamma^w
     bounds |mu_hat(xi)| from above.
     """
-    if not isinstance(xi, int) or xi < 0:
+    if not isinstance(xi, int) or isinstance(xi, bool) or xi < 0:
         raise InvalidParameter(f"frequency must be a non-negative integer, got {xi!r}")
     if not sys.is_binary and not _window_sup_certified(sys):
         raise InvalidParameter(
@@ -342,12 +381,11 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
         )
     w = 0
     rest = xi
-    for q in sys.schedule.bases():
+    for q, lo, hi in sys._decay_windows:
         if rest == 0:
             break
         rest, d = divmod(rest, q)
-        third = q // 3
-        if third <= d <= 2 * third:
+        if lo <= d <= hi:
             w += 1
     return w, sys._window_gamma**w
 

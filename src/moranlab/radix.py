@@ -208,9 +208,9 @@ def check_pair(b: int, h: int) -> None:
     """Reject a base b that is not an integer >= 2 and an h that is not a
     non-zero integer. It lives here rather than in numtheory, so a command
     that checks the pair without building a context does not run numtheory."""
-    if not isinstance(b, int) or b < 2:
+    if isinstance(b, bool) or not isinstance(b, int) or b < 2:
         raise InvalidParameter(f"b must be an integer >= 2, got {b!r}")
-    if not isinstance(h, int) or h == 0:
+    if isinstance(h, bool) or not isinstance(h, int) or h == 0:
         raise InvalidParameter(f"h must be a non-zero integer, got {h!r}")
 
 

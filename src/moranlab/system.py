@@ -8,8 +8,8 @@ tables run once per distinct shared tuple, found by identity. A system
 built from equal but unshared tuples equals the shared one and gets the
 same tables; it only does the work once per level.
 
-The transform-only level table (_levels) comes from ``fourier``, which is
-loaded only when that table is first built.
+The transform-only level tables (_levels, and _transform_levels built on
+it) come from ``fourier``, which is loaded only when they are first built.
 """
 
 from __future__ import annotations
@@ -127,6 +127,23 @@ class MoranSystem(Record):
         # fourier's per-level mask data, built on the first transform; a
         # cached_property is no field, so it stays out of eq/hash/repr
         return _shared(fourier._build_level, self.digit_sets, self.weights)
+
+    @cached_property
+    def _transform_levels(self) -> tuple:
+        # mu_hat_modulus's loop table: (n, P_n, level, g_lo, g_hi) per level,
+        # with the gain ends of a {0,1} level and None for other levels
+        return tuple(
+            (n, P, level) + ((None, None) if level.gain is None else level.gain)
+            for n, (P, level) in enumerate(
+                zip(self.schedule.prefix_products(), self._levels), start=1
+            )
+        )
+
+    @cached_property
+    def _decay_windows(self) -> tuple:
+        # digit_decay_bound's table: (q, q // 3, 2 (q // 3)) per level base q,
+        # one shared tuple per distinct base
+        return _shared(lambda q: (q, q // 3, 2 * (q // 3)), self.schedule.bases())
 
     @cached_property
     def _window_gamma(self) -> float:

@@ -299,6 +299,21 @@ def level_mask_mu_hat(xi: int, sys, eps: float) -> tuple[float, float, int]:
     raise AssertionError("schedule exhausted")
 
 
+def reference_digit_decay_bound(xi: int, sys) -> tuple[int, float]:
+    """digit_decay_bound's (w, gamma^w) from a loop over the schedule's bases
+    with floor(q/3) taken per level, and no window check."""
+    w = 0
+    rest = xi
+    for q in sys.schedule.bases():
+        if rest == 0:
+            break
+        rest, d = divmod(rest, q)
+        third = q // 3
+        if third <= d <= 2 * third:
+            w += 1
+    return w, sys._window_gamma**w
+
+
 class ReferenceNeumaier:
     """Neumaier accumulator as one add() per term, with the ~2 ulp slop bound
     on its absolute mass."""

@@ -38,7 +38,7 @@ RUNS = {
     "schedule": {"cli", "errors", "_record", "radix"},
     "context": {"cli", "errors", "_record", "radix", "numtheory"},
     "fourier": {"cli", "errors", "_record", "radix", "rng", "system", "fourier"},
-    "del": {"cli", "errors", "_record", "radix", "numtheory", "system", "fourier", "delsum"},
+    "del": {"cli", "errors", "_record", "radix", "system", "fourier", "delsum"},
     "partition": {"cli", "errors", "_record", "radix", "numtheory", "system", "distribution"},
     "normality": {"cli", "errors", "_record", "radix", "rng", "system", "measure"},
     "uniqueness": {"cli", "errors", "_record", "radix", "rng", "system", "measure"},
@@ -84,6 +84,23 @@ def test_subcommand_runs_only_its_modules(tmp_path, config, command):
     assert result["rc"] == 0, proc.stderr
     assert result["loaded"] == []
     assert set(result["ran"]) == RUNS[command]
+
+
+def test_del_block_report_runs_numtheory(tmp_path):
+    # the block report's context and constants come from numtheory, which
+    # delsum reaches as a lazy module; del_partial alone never runs it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, **{"del": {"N_max": 2, "r_lo": 1, "r_hi": 1}})))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, "del", "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0, proc.stderr
+    assert set(result["ran"]) == RUNS["del"] | {"numtheory"}
 
 
 def test_tracer_wraps_every_span(tmp_path, config):
