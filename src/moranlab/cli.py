@@ -78,6 +78,16 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _real(value, where: str) -> float:
+    # float() alone would read true as 1.0; "nan" and "inf" still reach the range checks
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidParameter(f"malformed config value: {where} must be a number, got {value!r}")
+
+
 def _at_least_zero(n: int | None, where: str) -> None:
     if n is not None and n < 0:
         raise InvalidParameter(f"{where} must be >= 0, got {n}")
@@ -228,7 +238,7 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         {"xis": None, "xi_count": 100, "xi_max": None, "eps": 1e-9, "out": "fourier.csv"},
         "fourier",
     )
-    eps = float(fc["eps"])
+    eps = _real(fc["eps"], "fourier.eps")
     fourier.check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
     if fc["xis"] is not None:
         xis = [_integer(x, "fourier.xis") for x in fc["xis"]]
@@ -266,6 +276,7 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         "del",
     )
     N_max = _integer(dc["N_max"], "del.N_max")
+    eps = _real(dc["eps"], "del.eps")
     r_lo = None if dc["r_lo"] is None else _integer(dc["r_lo"], "del.r_lo")
     r_hi = None if dc["r_hi"] is None else _integer(dc["r_hi"], "del.r_hi")
     m_values = tuple(_integer(m, "del.m_values") for m in dc["m_values"])
@@ -278,13 +289,11 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
             f"got {r_lo} and {r_hi}"
         )
-    report = delsum.del_partial(sysm, b, h, N_max, float(dc["eps"]))
+    report = delsum.del_partial(sysm, b, h, N_max, eps)
     rows = None
     if r_lo is not None and r_hi is not None:
         # before del.csv is written, so that the enumeration guard leaves no file
-        rows = delsum.block_trend(
-            sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=float(dc["eps"])
-        )
+        rows = delsum.block_trend(sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=eps)
     path = os.path.join(out, dc["out"])
     _stamp_csv(path, cfg_hash, delsum._del_table(report))
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
@@ -330,6 +339,7 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         "normality",
     )
     depth = sch.depth if nc["depth"] is None else _integer(nc["depth"], "normality.depth")
+    measure._check_depth(sysm, depth)  # checked here too, so that zero samples still reject it
     count = _integer(nc["samples"], "normality.samples")
     _at_least_zero(count, "normality.samples")
     guard = _integer(nc["guard"], "normality.guard")
@@ -379,6 +389,7 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     if j_max is None:
         j_max = max(1, default_j)
     levels = measure._avoidance_levels(target, j_max)  # rejects a bad j_max even with zero samples
+    measure._check_depth(sampler, depth)  # and a bad depth
     _at_least_zero(count, "uniqueness.samples")
     rows = []
     passed = 0
@@ -422,8 +433,8 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     phi = None
     if dc["gauge"] is not None:
         gc = _merged(dc["gauge"], {"kind": "power", "param": 1.0}, "dimension.gauge")
-        phi = dimension.GaugeFunction(kind=gc["kind"], param=float(gc["param"]))
-    eps = float(dc["eps"])
+        phi = dimension.GaugeFunction(gc["kind"], _real(gc["param"], "dimension.gauge.param"))
+    eps = _real(dc["eps"], "dimension.eps")
     # r / phi(r) -> 0 for phi(r) = r^(1 - eps) only when 0 < eps < 1 (NaN fails too)
     if not 0.0 < eps < 1.0:
         raise InvalidParameter(
@@ -445,6 +456,13 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     local_depth = sch.depth
     if dc["local_depth"] is not None:
         local_depth = _integer(dc["local_depth"], "dimension.local_depth")
+    if local_depth < 1:
+        raise InvalidParameter(f"dimension.local_depth must be >= 1, got {local_depth}")
+    if local_depth > sch.depth:
+        raise OutOfRange(
+            f"dimension.local_depth = {local_depth} exceeds the schedule depth {sch.depth}"
+        )
+    H_param = _real(dc["H_param"], "dimension.H_param")
     burn_in = _integer(dc["burn_in"], "dimension.burn_in")
     _at_least_zero(burn_in, "dimension.burn_in")
     variant = dc["variant"]
@@ -455,7 +473,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     else:
         if phi is None:
             raise InvalidParameter(f"variant {variant!r} needs a dimension.gauge entry")
-        csys = dimension.build_convolved(sysm, variant, phi, H_param=float(dc["H_param"]))
+        csys = dimension.build_convolved(sysm, variant, phi, H_param=H_param)
         phi_of = lambda r: phi.value(r)
         scale = 4.0
 

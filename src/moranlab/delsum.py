@@ -62,21 +62,6 @@ class DelReport(Record):
         "block_sums",
     )
 
-    def __init__(
-        self,
-        N_max: int,
-        partial_sum: float,
-        radius: float,
-        increments: tuple[float, ...],
-        diagonal_sum: float,
-        offdiagonal_sum: float,
-        block_sums: tuple[tuple[int, float], ...],
-    ) -> None:
-        self.__dict__.update(
-            N_max=N_max, partial_sum=partial_sum, radius=radius, increments=increments,
-            diagonal_sum=diagonal_sum, offdiagonal_sum=offdiagonal_sum, block_sums=block_sums,
-        )
-
     def cumulative(self) -> tuple[float, ...]:
         incs = self.increments
         return tuple(_neumaier(incs[:k])[0] for k in range(1, len(incs) + 1))
@@ -170,11 +155,7 @@ def asymptotic_constants(gamma: float) -> tuple[float, float]:
 
 class BlockRow(Record):
     _fields = ("r", "m", "block_sum", "bound", "flag")
-
-    def __init__(
-        self, r: int, m: int, block_sum: float, bound: float, flag: str = "asymptotic-regime-only"
-    ) -> None:
-        self.__dict__.update(r=r, m=m, block_sum=block_sum, bound=bound, flag=flag)
+    _defaults = {"flag": "asymptotic-regime-only"}
 
 
 def _context_for(

@@ -161,11 +161,6 @@ class SparseCertificate(Record):
 
     _fields = ("levels", "rows")
 
-    def __init__(
-        self, levels: tuple[int, ...], rows: tuple[tuple[int, int, float, float, bool], ...]
-    ) -> None:
-        self.__dict__.update(levels=levels, rows=rows)
-
 
 def sparse_index_set(
     log_g: Callable[[Fraction], float],
@@ -516,9 +511,6 @@ def running_min_after(series: Sequence[float], burn_in: int = 50) -> float:
 class HRateRow(Record):
     _fields = ("r", "h_r", "ratio", "band")
 
-    def __init__(self, r: Fraction, h_r: int, ratio: float, band: float | None) -> None:
-        self.__dict__.update(r=r, h_r=h_r, ratio=ratio, band=band)
-
 
 def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
     """h(r)/log(1/r) per grid point, plus the loglog-corrected band value
@@ -541,11 +533,6 @@ def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
 
 class BallRow(Record):
     _fields = ("x_seed", "r", "h_r", "ball", "phi_r", "ratio")
-
-    def __init__(
-        self, x_seed: int, r: Fraction, h_r: int, ball: Fraction, phi_r: float, ratio: float
-    ) -> None:
-        self.__dict__.update(x_seed=x_seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
 
 
 # each _*_table gives the CSV rows of its writer, header first

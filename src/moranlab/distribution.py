@@ -211,11 +211,6 @@ class PartitionCertificate(Record):
 
     _fields = ("I_start", "length", "J", "y_size", "classes")
 
-    def __init__(
-        self, I_start: int, length: int, J: int, y_size: int, classes: tuple[tuple[int, ...], ...]
-    ) -> None:
-        self.__dict__.update(I_start=I_start, length=length, J=J, y_size=y_size, classes=classes)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -281,15 +276,6 @@ class FiberTable(Record):
     """Fiber cardinalities at block step s -> s+1 over an order-length interval."""
 
     _fields = ("s", "length", "fibers", "image_sizes")
-
-    def __init__(
-        self,
-        s: int,
-        length: int,
-        fibers: tuple[tuple[tuple[int, ...], int], ...],
-        image_sizes: tuple[tuple[int, int], ...],
-    ) -> None:
-        self.__dict__.update(s=s, length=length, fibers=fibers, image_sizes=image_sizes)
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(self.fibers)

@@ -124,16 +124,6 @@ class _Level(Record):
 
     __slots__ = _fields = ("digits", "weights", "gain")
 
-    def __init__(
-        self,
-        digits: tuple[int, ...],
-        weights: tuple[tuple[float, float], ...],
-        gain: tuple[float, float] | None,
-    ) -> None:
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "gain", gain)
-
 
 def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
     if digits == (0, 1):

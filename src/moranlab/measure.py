@@ -48,8 +48,11 @@ class SamplePoint(Record):
 
     _fields = ("digits", "value", "depth", "seed")
 
-    def __init__(self, digits: tuple[int, ...], value: Fraction, depth: int, seed: int) -> None:
-        self.__dict__.update(digits=digits, value=value, depth=depth, seed=seed)
+
+def _check_depth(sys: MoranSystem, depth: int) -> None:
+    """Reject a sampling depth that the system's schedule does not reach."""
+    if not 1 <= depth <= sys.depth:
+        raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
 
 
 def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
@@ -61,8 +64,7 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     first threshold above the draw, found by bisection. The denominator is
     the schedule's cached prefix product P_depth.
     """
-    if not 1 <= depth <= sys.depth:
-        raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
+    _check_depth(sys, depth)
     digits: list[int] = []
     num = 0
     z = seed
@@ -190,20 +192,7 @@ class NormalityReport(Record):
     _fields = (
         "base", "trusted_digit_count", "frequencies", "max_deviation", "discrepancy", "periodic"
     )
-
-    def __init__(
-        self,
-        base: int,
-        trusted_digit_count: int,
-        frequencies: tuple[Fraction, ...],
-        max_deviation: Fraction,
-        discrepancy: Fraction,
-        periodic: bool = True,
-    ) -> None:
-        self.__dict__.update(
-            base=base, trusted_digit_count=trusted_digit_count, frequencies=frequencies,
-            max_deviation=max_deviation, discrepancy=discrepancy, periodic=periodic,
-        )
+    _defaults = {"periodic": True}
 
 
 _DISCREPANCY_BINS = 64
@@ -316,13 +305,6 @@ def normality_report(
 class AvoidanceVerdict(Record):
     _fields = ("passed", "first_violation_j", "interval_lo", "j_max")
 
-    def __init__(
-        self, passed: bool, first_violation_j: int | None, interval_lo: Fraction, j_max: int
-    ) -> None:
-        self.__dict__.update(
-            passed=passed, first_violation_j=first_violation_j, interval_lo=interval_lo, j_max=j_max
-        )
-
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
@@ -363,13 +345,6 @@ def _avoidance_levels(sys, j_max: int) -> tuple[int, ...]:
             raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
         return special[:j_max]
     raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
-
-
-def avoidance_dilations(sys, j_max: int) -> tuple[int, ...]:
-    """The dilations k_1..k_{j_max} of uniqueness_avoidance; raises unless
-    1 <= j_max <= the number of levels (plain) or special levels (convolved)."""
-    levels = _avoidance_levels(sys, j_max)
-    return tuple(sys.schedule.prefix_product(n - 1) for n in levels)
 
 
 def _avoidance_lo(sys) -> Fraction:

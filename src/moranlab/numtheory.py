@@ -279,28 +279,6 @@ class BaseContext(Record):
         "k", "j", "r0", "gamma", "alpha", "r1",
     )
 
-    def __init__(
-        self,
-        b: int,
-        h: int,
-        schedule: PrimeSchedule,
-        weights: tuple[Fraction, Fraction],
-        r0_prime: int,
-        n0: int,
-        Q: int,
-        Q_valuations: tuple[int, ...],
-        k: tuple[int, ...],
-        j: tuple[int, ...],
-        r0: int,
-        gamma: float,
-        alpha: float,
-        r1: int,
-    ) -> None:
-        self.__dict__.update(
-            b=b, h=h, schedule=schedule, weights=weights, r0_prime=r0_prime, n0=n0, Q=Q,
-            Q_valuations=Q_valuations, k=k, j=j, r0=r0, gamma=gamma, alpha=alpha, r1=r1,
-        )
-
     def to_json(self) -> str:
         c1, c_tilde = derived_stirling_constants()
         return json.dumps(

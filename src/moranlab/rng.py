@@ -47,9 +47,6 @@ class CounterRng(Record):
 
     _fields = ("seed",)
 
-    def __init__(self, seed: int) -> None:
-        self.__dict__.update(seed=seed)
-
     def at(self, index: int) -> int:
         return value_at(self.seed, index)
 

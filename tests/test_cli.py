@@ -417,8 +417,9 @@ def test_del_block_enumeration_guard(tmp_path, capsys):
         ({"r_lo": 0, "r_hi": 1}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 0 and 1"),
         ({"r_lo": 2, "r_hi": 1}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 2 and 1"),
         ({"r_lo": 1, "r_hi": 5}, "del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= 4, got 1 and 5"),
+        ({"eps": True}, "malformed config value: del.eps must be a number, got True"),
     ],
-    ids=["m=-1", "r_lo=0", "r_lo>r_hi", "r_hi>len(q)"],
+    ids=["m=-1", "r_lo=0", "r_lo>r_hi", "r_hi>len(q)", "eps=true"],
 )
 def test_del_rejected_block_report_writes_nothing(tmp_path, capsys, blocks, message):
     # the block range used to be checked inside block_trend, after del.csv was written
@@ -832,8 +833,22 @@ def test_uniqueness_unknown_kind(tmp_path, capsys):
         ("uniqueness", {"j_max": 0}, 2, "j_max must be >= 1, got 0"),
         ("uniqueness", {"j_max": 4}, 3, "j_max = 4 exceeds the schedule depth 3"),
         ("uniqueness", {"j_max": 4, "kind": "dim-one"}, 3, "j_max = 4 exceeds the 3 special levels"),
+        (
+            "fourier",
+            {"eps": True},
+            2,
+            "malformed config value: fourier.eps must be a number, got True",
+        ),
+        ("normality", {"depth": 999}, 3, "depth 999 outside 1 .. 3"),
+        ("normality", {"depth": 0}, 3, "depth 0 outside 1 .. 3"),
+        ("uniqueness", {"depth": 0}, 3, "depth 0 outside 1 .. 3"),
+        ("uniqueness", {"depth": 4, "kind": "dim-one"}, 3, "depth 4 outside 1 .. 3"),
     ],
-    ids=["fourier-eps=5", "fourier-eps=-1-xis", "j_max=-4", "j_max=0", "j_max-depth", "j_max-special"],
+    ids=[
+        "fourier-eps=5", "fourier-eps=-1-xis", "j_max=-4", "j_max=0", "j_max-depth",
+        "j_max-special", "fourier-eps=true", "normality-depth=999", "normality-depth=0",
+        "uniqueness-depth=0", "uniqueness-depth-dim-one",
+    ],
 )
 def test_config_checks_do_not_depend_on_work(tmp_path, capsys, work, command, section, code, message):
     # an empty frequency list or zero samples used to skip these checks and exit 0
@@ -938,24 +953,48 @@ def test_dimension_eps_outside_unit_interval_is_a_parameter_error(
     assert "Traceback" not in err and out == ""
 
 
+GAUGE = {"variant": "gauge", "gauge": {"kind": "r_times_log_power", "param": 1.0}}
+
+
 @pytest.mark.parametrize(
-    "dimension, message",
+    "dimension, code, message",
     [
-        ({"band_lo": 3, "band_hi": 1}, "dimension.band_lo = 3 exceeds dimension.band_hi = 1"),
-        ({"burn_in": -5}, "dimension.burn_in must be >= 0, got -5"),
-        ({"samples": 0}, "dimension.samples must be >= 1, got 0"),
-        ({"band_lo": 0}, "dimension.band_lo must be >= 1, got 0"),
-        ({"band_lo": -5, "band_hi": 2}, "dimension.band_lo must be >= 1, got -5"),
+        ({"band_lo": 3, "band_hi": 1}, 2, "dimension.band_lo = 3 exceeds dimension.band_hi = 1"),
+        ({"burn_in": -5}, 2, "dimension.burn_in must be >= 0, got -5"),
+        ({"samples": 0}, 2, "dimension.samples must be >= 1, got 0"),
+        ({"band_lo": 0}, 2, "dimension.band_lo must be >= 1, got 0"),
+        ({"band_lo": -5, "band_hi": 2}, 2, "dimension.band_lo must be >= 1, got -5"),
+        ({"local_depth": 0}, 2, "dimension.local_depth must be >= 1, got 0"),
+        (
+            {"local_depth": 999},
+            3,
+            "dimension.local_depth = 999 exceeds the schedule depth 10",
+        ),
+        ({"eps": True}, 2, "malformed config value: dimension.eps must be a number, got True"),
+        (
+            {**GAUGE, "H_param": True},
+            2,
+            "malformed config value: dimension.H_param must be a number, got True",
+        ),
+        (
+            {**GAUGE, "gauge": {"kind": "r_times_log_power", "param": True}},
+            2,
+            "malformed config value: dimension.gauge.param must be a number, got True",
+        ),
     ],
-    ids=["band_lo>band_hi", "burn_in<0", "samples=0", "band_lo=0", "band_lo<0"],
+    ids=[
+        "band_lo>band_hi", "burn_in<0", "samples=0", "band_lo=0", "band_lo<0", "local_depth=0",
+        "local_depth>depth", "eps=true", "H_param=true", "gauge.param=true",
+    ],
 )
-def test_dimension_range_errors_name_their_keys(tmp_path, capsys, dimension, message):
+def test_dimension_range_errors_name_their_keys(tmp_path, capsys, dimension, code, message):
     # an empty band range used to exit 0 with worst ball ratio=0.0000, a
     # negative burn_in ran as 1, and a band_lo below 1 ran as 1 while
-    # config_sha256 hashed the value given
+    # config_sha256 hashed the value given; a bad local_depth used to fail
+    # after balls.csv was written, naming no key, and true read as 1.0
     path = cfg_file(tmp_path, {"dimension": {"samples": 2, **dimension}})
     rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
-    assert rc == 2
+    assert rc == code
     assert err == f"error: {message}\n"
     assert out == "" and not list((tmp_path / "out").iterdir())
 

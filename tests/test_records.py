@@ -3,11 +3,14 @@ equality and hashing within one class, and the ``Name(field=value, ...)``
 repr. The repr literals were taken from the dataclass versions of these
 classes, so the text is unchanged."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from oracles import rebuild
 
+import moranlab
 from moranlab import (
     AvoidanceVerdict,
     CertifiedModulus,
@@ -197,3 +200,86 @@ def test_moran_system_is_an_lru_cache_key():
     assert _window_sup_certified(binary_system(TOY))  # an equal, separate instance
     info = _window_sup_certified.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+X = F(1, 7)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SamplePoint((1,), X, 1, 3, 4), "takes 4 positional arguments, got 5"),
+        (lambda: SamplePoint((1,), X, 1, seed=3, sead=4), "unexpected keyword argument 'sead'"),
+        (lambda: SamplePoint((1,), X, 1, depth=1, seed=3), "multiple values for argument 'depth'"),
+        (lambda: SamplePoint((1,), X, seed=3), "missing required argument 'depth'"),
+        (lambda: BlockRow(1, 0, 0.5), "missing required argument 'bound'"),
+        (lambda: _Level((0, 1), ()), "missing required argument 'gain'"),
+    ],
+    ids=["too-many", "unknown", "repeated", "missing", "missing-before-default", "missing-slots"],
+)
+def test_generic_constructor_rejects_bad_arguments(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
+def test_defaults_fill_trailing_fields_by_position_and_by_name():
+    by_position = BlockRow(1, 0, 0.5, 1.0)
+    by_name = BlockRow(bound=1.0, block_sum=0.5, m=0, r=1)
+    assert by_position == by_name and by_position.flag == "asymptotic-regime-only"
+    assert BlockRow(1, 0, 0.5, 1.0, "x").flag == BlockRow(1, 0, 0.5, 1.0, flag="x").flag == "x"
+    report = NormalityReport(2, 4, (F(1, 2), F(1, 2)), F(0), F(1, 4))
+    assert report.periodic is True
+    assert NormalityReport(2, 4, (), F(0), F(1, 4), False).periodic is False
+    assert NormalityReport(2, 4, (), F(0), F(1, 4), periodic=False).periodic is False
+    # only these two classes have defaults
+    with_defaults = {c.__name__ for c in Record.__subclasses__() if c._defaults}
+    assert with_defaults == {"BlockRow", "NormalityReport"}
+
+
+def _assign_only(init: ast.FunctionDef) -> bool:
+    # every statement stores a parameter unchanged into a field: through
+    # self.__dict__.update(name=name, ...), object.__setattr__(self, "name",
+    # name) or self.name = name
+    params = {a.arg for a in init.args.args + init.args.kwonlyargs}
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # docstring
+
+    def stored(values):
+        return all(isinstance(v, ast.Name) and v.id in params for v in values)
+
+    for stmt in body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            call, target = stmt.value, ast.unparse(stmt.value.func)
+            if target == "self.__dict__.update" and not call.args:
+                ok = stored([k.value for k in call.keywords])
+            elif target == "object.__setattr__" and len(call.args) == 3:
+                ok = stored(call.args[2:])
+            else:
+                ok = False
+        elif isinstance(stmt, ast.Assign):
+            ok = ast.unparse(stmt.targets[0]).startswith("self.") and stored([stmt.value])
+        else:
+            ok = isinstance(stmt, ast.Pass)
+        if not ok:
+            return False
+    return True
+
+
+def test_no_record_has_an_assign_only_constructor():
+    # the Record base binds arguments to fields; a class writes its own
+    # __init__ only to run checks
+    src = Path(moranlab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if "Record" not in {ast.unparse(base) for base in node.bases}:
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    if _assign_only(item):
+                        found.append(f"{path.name}:{node.name}")
+    assert found == []
+
