@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -43,6 +44,10 @@ OFFSET_FLAG = "offset deviates from reference construction constant"
 
 
 def _merged(section: dict, defaults: dict[str, Any], where: str) -> dict[str, Any]:
+    if not isinstance(section, dict):
+        raise InvalidParameter(
+            f"malformed config value: {where} must be an object, got {section!r}"
+        )
     unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise InvalidParameter(f"unknown config keys in {where}: {unknown}")
@@ -64,7 +69,7 @@ def _fraction(value, where: str) -> Fraction:
     raise InvalidParameter(f"bad fraction in {where}: {value!r}")
 
 
-def _integer(value, where: str) -> int:
+def _integer(value, where: str, low: int | None = None) -> int:
     # int() alone would read 1.7 as 1, true as 1 and "3" as 3 while
     # config_sha256 hashes the value as written
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -74,23 +79,24 @@ def _integer(value, where: str) -> int:
     if isinstance(value, float):
         if not value.is_integer():
             raise InvalidParameter(f"{where} must be an integer, got {value!r}")
-        return int(value)
+        value = int(value)
+    if low is not None and value < low:
+        raise InvalidParameter(f"{where} must be >= {low}, got {value}")
     return value
 
 
 def _real(value, where: str) -> float:
-    # float() alone would read true as 1.0; "nan" and "inf" still reach the range checks
-    if not isinstance(value, bool):
-        try:
+    # float() alone would read true as 1.0 and "0.5" as 0.5 while config_sha256
+    # hashes the value as written; only "nan" and "inf" strings pass, so that
+    # they meet the range checks
+    try:
+        if isinstance(value, str) and not math.isfinite(float(value)):
             return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
     raise InvalidParameter(f"malformed config value: {where} must be a number, got {value!r}")
-
-
-def _at_least_zero(n: int | None, where: str) -> None:
-    if n is not None and n < 0:
-        raise InvalidParameter(f"{where} must be >= 0, got {n}")
 
 
 def load_config(path: str | None) -> dict:
@@ -163,9 +169,7 @@ def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
 
 
 def _config_hash(cfg: dict, seed: int) -> str:
-    workers = 1 if cfg["workers"] is None else _integer(cfg["workers"], "workers")
-    if workers < 1:
-        raise InvalidParameter(f"workers must be >= 1, got {workers}")
+    workers = 1 if cfg["workers"] is None else _integer(cfg["workers"], "workers", low=1)
     canon = json.dumps({"config": cfg, "seed": seed, "workers": workers}, sort_keys=True)
     return sha256(canon.encode()).hexdigest()
 
@@ -244,10 +248,10 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         xis = [_integer(x, "fourier.xis") for x in fc["xis"]]
     else:
         r = min(3, len(sch.q))
-        xi_max = sch.N[r] if fc["xi_max"] is None else _integer(fc["xi_max"], "fourier.xi_max")
-        _at_least_zero(xi_max, "fourier.xi_max")
-        xi_count = _integer(fc["xi_count"], "fourier.xi_count")
-        _at_least_zero(xi_count, "fourier.xi_count")
+        xi_max = (
+            sch.N[r] if fc["xi_max"] is None else _integer(fc["xi_max"], "fourier.xi_max", low=0)
+        )
+        xi_count = _integer(fc["xi_count"], "fourier.xi_count", low=0)
         xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
     # gamma comes from the system's weights, so no context is built; the
     # pair is still checked as every single-pair command checks it
@@ -283,7 +287,7 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     # block_trend checks these too, but only after del_partial has run, and
     # an empty r range would pass it
     for m in m_values:
-        _at_least_zero(m, "del.m_values")
+        _integer(m, "del.m_values", low=0)
     if r_lo is not None and r_hi is not None and not 1 <= r_lo <= r_hi <= len(sch.q):
         raise InvalidParameter(
             f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
@@ -340,10 +344,8 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     )
     depth = sch.depth if nc["depth"] is None else _integer(nc["depth"], "normality.depth")
     measure._check_depth(sysm, depth)  # checked here too, so that zero samples still reject it
-    count = _integer(nc["samples"], "normality.samples")
-    _at_least_zero(count, "normality.samples")
-    guard = _integer(nc["guard"], "normality.guard")
-    _at_least_zero(guard, "normality.guard")
+    count = _integer(nc["samples"], "normality.samples", low=0)
+    guard = _integer(nc["guard"], "normality.guard", low=0)
     # checked here, not only inside normality_report, so that zero samples
     # still reject a bad config
     bases = tuple(_integer(b, "normality.bases") for b in nc["bases"])
@@ -352,8 +354,7 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     for b in bases:
         if b < 2:
             raise InvalidParameter(f"base must be >= 2, got {b}")
-    digits = None if nc["count"] is None else _integer(nc["count"], "normality.count")
-    _at_least_zero(digits, "normality.count")
+    digits = None if nc["count"] is None else _integer(nc["count"], "normality.count", low=0)
     rows = []
     if count > 0:
         for i, pt in enumerate(measure.sample_batch(sysm, seed, depth, count)):
@@ -390,7 +391,7 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         j_max = max(1, default_j)
     levels = measure._avoidance_levels(target, j_max)  # rejects a bad j_max even with zero samples
     measure._check_depth(sampler, depth)  # and a bad depth
-    _at_least_zero(count, "uniqueness.samples")
+    _integer(count, "uniqueness.samples", low=0)  # bounded after both, which it must not hide
     rows = []
     passed = 0
     if count > 0:
@@ -440,9 +441,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(
             f"dimension.eps must be a finite number in (0, 1), got {dc['eps']!r}"
         )
-    band_lo = _integer(dc["band_lo"], "dimension.band_lo")
-    if band_lo < 1:
-        raise InvalidParameter(f"dimension.band_lo must be >= 1, got {band_lo}")
+    band_lo = _integer(dc["band_lo"], "dimension.band_lo", low=1)
     band_hi = sch.depth - 1
     if dc["band_hi"] is not None:
         band_hi = _integer(dc["band_hi"], "dimension.band_hi")
@@ -450,21 +449,16 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         raise InvalidParameter(
             f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
         )
-    samples = _integer(dc["samples"], "dimension.samples")
-    if samples < 1:
-        raise InvalidParameter(f"dimension.samples must be >= 1, got {samples}")
+    samples = _integer(dc["samples"], "dimension.samples", low=1)
     local_depth = sch.depth
     if dc["local_depth"] is not None:
-        local_depth = _integer(dc["local_depth"], "dimension.local_depth")
-    if local_depth < 1:
-        raise InvalidParameter(f"dimension.local_depth must be >= 1, got {local_depth}")
+        local_depth = _integer(dc["local_depth"], "dimension.local_depth", low=1)
     if local_depth > sch.depth:
         raise OutOfRange(
             f"dimension.local_depth = {local_depth} exceeds the schedule depth {sch.depth}"
         )
     H_param = _real(dc["H_param"], "dimension.H_param")
-    burn_in = _integer(dc["burn_in"], "dimension.burn_in")
-    _at_least_zero(burn_in, "dimension.burn_in")
+    burn_in = _integer(dc["burn_in"], "dimension.burn_in", low=0)
     variant = dc["variant"]
     if variant == "dim-one":
         csys = dimension.build_convolved(sysm, "dim-one")
@@ -562,7 +556,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (TypeError, ValueError) as exc:
-        # malformed config values surface here from int()/float() coercions
+        # a bad shape inside a section, such as "bases": 2 where a list is
+        # iterated; every scalar and section reader raises InvalidParameter
         print(f"error: malformed config value: {exc}", file=sys.stderr)
         return 2
 

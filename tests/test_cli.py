@@ -129,6 +129,26 @@ def test_config_shape_errors(tmp_path, capsys):
     assert rc == 2 and "ternary" in err
 
 
+@pytest.mark.parametrize(
+    "cfg, where, got",
+    [
+        ({"dimension": 3}, "dimension", "3"),
+        ({"schedule": None}, "schedule", "None"),
+        ({"dimension": {"gauge": [1]}}, "dimension.gauge", "[1]"),
+        ({"dimension": {"gauge": "power"}}, "dimension.gauge", "'power'"),
+    ],
+    ids=["dimension=3", "schedule=null", "gauge=[1]", "gauge=string"],
+)
+def test_section_that_is_not_an_object_is_named(tmp_path, capsys, cfg, where, got):
+    # {"dimension": 3} used to exit with "'int' object is not iterable", and
+    # a list or string gauge was read as a set of unknown keys
+    path = cfg_file(tmp_path, cfg)
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: malformed config value: {where} must be an object, got {got}\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))
+
+
 def test_flag_validation(tmp_path, capsys):
     rc, _, err = run(capsys, "schedule", "--seed", "-1", "--out", str(tmp_path))
     assert rc == 2 and "seed" in err
@@ -863,6 +883,25 @@ def test_config_checks_do_not_depend_on_work(tmp_path, capsys, work, command, se
     assert out == "" and not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "section, code, message",
+    [
+        ({"j_max": 0}, 2, "j_max must be >= 1, got 0"),
+        ({"depth": 0}, 3, "depth 0 outside 1 .. 10"),
+    ],
+    ids=["j_max=0", "depth=0"],
+)
+def test_uniqueness_sample_count_is_checked_after_j_max_and_depth(
+    tmp_path, capsys, section, code, message
+):
+    # the command line bounds samples last, so a negative count hides neither
+    path = cfg_file(tmp_path, {"uniqueness": {"samples": -1, **section}})
+    rc, out, err = run(capsys, "uniqueness", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == code
+    assert err == f"error: {message}\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))
+
+
 # --------------------------------------------------------------------------
 # dimension
 
@@ -1004,3 +1043,29 @@ def test_dimension_gauge_requires_gauge_entry(tmp_path, capsys):
     rc, _, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path))
     assert rc == 2
     assert "gauge" in err
+
+
+REAL_KEYS = [
+    ("fourier", "fourier.eps", lambda v: {"fourier": {"xis": [3], "eps": v}}),
+    ("del", "del.eps", lambda v: {"del": {"N_max": 2, "eps": v}}),
+    ("dimension", "dimension.eps", lambda v: {"dimension": {"samples": 1, "band_hi": 3, "eps": v}}),
+    ("dimension", "dimension.H_param", lambda v: {"dimension": {**GAUGE, "samples": 1, "H_param": v}}),
+    (
+        "dimension",
+        "dimension.gauge.param",
+        lambda v: {
+            "dimension": {**GAUGE, "samples": 1, "gauge": {"kind": "r_times_log_power", "param": v}}
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-9", "1"])
+@pytest.mark.parametrize("command, where, config", REAL_KEYS, ids=[w for _, w, _ in REAL_KEYS])
+def test_numeric_string_real_key_is_a_parameter_error(tmp_path, capsys, command, where, config, text):
+    # float() used to read "0.5" as 0.5 while config_sha256 hashed the string
+    path = cfg_file(tmp_path, config(text))
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: malformed config value: {where} must be a number, got {text!r}\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))

@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TABLES = "tests/test_transform_tables.py"
 ORACLE = "tests/test_binary_mask_oracle.py"
+WEIGHTS = "tests/test_weight_enclosures.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -59,6 +60,14 @@ MUTANTS = {
         "_TRIG_PAD = 2.0**-48",
         "_TRIG_PAD = 0.0",
         [ORACLE],
+    ),
+    # weights and gains rounded to nearest, not outward; only the exact
+    # containment checks run
+    "fraction-interval-not-outward": (
+        "src/moranlab/fourier.py",
+        "    return _down(f), _up(f)\n",
+        "    return f, f\n",
+        [WEIGHTS],
     ),
 }
 
