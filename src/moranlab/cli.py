@@ -40,27 +40,12 @@ OFFSET_FLAG = "offset deviates from reference construction constant"
 
 
 # --------------------------------------------------------------------------
-# config plumbing
-
-
-def _merged(section: dict, defaults: dict[str, Any], where: str) -> dict[str, Any]:
-    if not isinstance(section, dict):
-        raise InvalidParameter(
-            f"malformed config value: {where} must be an object, got {section!r}"
-        )
-    unknown = sorted(set(section) - set(defaults))
-    if unknown:
-        raise InvalidParameter(f"unknown config keys in {where}: {unknown}")
-    out = dict(defaults)
-    out.update(section)
-    return out
+# config plumbing: a reader per kind of value, and the table of keys
 
 
 def _fraction(value, where: str) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, int) and not isinstance(value, bool):
+        if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
             return Fraction(_integer(value[0], where), _integer(value[1], where))
@@ -73,9 +58,7 @@ def _integer(value, where: str, low: int | None = None) -> int:
     # int() alone would read 1.7 as 1, true as 1 and "3" as 3 while
     # config_sha256 hashes the value as written
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParameter(
-            f"malformed config value: {where} must be an integer, got {value!r}"
-        )
+        raise InvalidParameter(f"malformed config value: {where} must be an integer, got {value!r}")
     if isinstance(value, float):
         if not value.is_integer():
             raise InvalidParameter(f"{where} must be an integer, got {value!r}")
@@ -85,18 +68,138 @@ def _integer(value, where: str, low: int | None = None) -> int:
     return value
 
 
-def _real(value, where: str) -> float:
+def _integers(value, where: str, low: int | None = None) -> tuple[int, ...]:
+    # every entry is read before any is bounded; a value that is not a list
+    # is iterated as it is, and main() reports what that raises
+    values = tuple(_integer(v, where) for v in value)
+    for v in values:
+        _integer(v, where, low)
+    return values
+
+
+def _integer_or_integers(value, where: str) -> tuple[int, ...]:
+    return _integers(value if isinstance(value, list) else [value], where)
+
+
+def _real(value, where: str, within: tuple[float, float] | None = None) -> float:
     # float() alone would read true as 1.0 and "0.5" as 0.5 while config_sha256
     # hashes the value as written; only "nan" and "inf" strings pass, so that
     # they meet the range checks
+    number = None
     try:
         if isinstance(value, str) and not math.isfinite(float(value)):
-            return float(value)
+            number = float(value)
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            number = float(value)
     except (ValueError, OverflowError):
         pass
-    raise InvalidParameter(f"malformed config value: {where} must be a number, got {value!r}")
+    if number is None:
+        raise InvalidParameter(f"malformed config value: {where} must be a number, got {value!r}")
+    if within is not None and not within[0] < number < within[1]:  # NaN fails too
+        interval = f"({within[0]:g}, {within[1]:g})"
+        raise InvalidParameter(f"{where} must be a finite number in {interval}, got {value!r}")
+    return number
+
+
+def _string(value, where: str):
+    # checked where it is used: a choice by its command or the library, out_dir
+    # by os.makedirs
+    return value
+
+
+def _name(value, where: str) -> str:
+    # an artifact goes to os.path.join(out, name), which must stay in out
+    if not isinstance(value, str):
+        raise InvalidParameter(
+            f"malformed config value: {where} must be a file name, got {value!r}"
+        )
+    if value in ("", ".", "..") or os.path.basename(value) != value:
+        raise InvalidParameter(f"{where} must be a plain file name, got {value!r}")
+    return value
+
+
+# Every config key, per section in the order its command reads them:
+# (key, default, kind[, bound]). The kind is the reader that checks the
+# value, or "object" for a nested section; a None default means the command
+# derives the value. tests/test_config_table.py holds the README to it.
+_KEYS = {
+    "": (
+        ("seed", 0, _integer),
+        # drives nothing but stays validated and hashed (1 when null):
+        # bench/configs/spectrum_*.json set it and bench/digests.json pins the hashes
+        ("workers", None, _integer, 1),
+        ("out_dir", None, _string),
+    ),
+    "schedule": (
+        ("d", 2, _integer), ("q", None, _integers), ("ell", None, _integers),
+        ("count", 4, _integer), ("offset", None, _integer),
+        ("variant", "nth-prime-from-7", _string),
+    ),
+    "system": (("kind", "binary", _string), ("omega", "1/2", _fraction)),
+    "context": (("b", [2], _integer_or_integers), ("h", [1], _integer_or_integers)),
+    "fourier": (
+        ("eps", 1e-9, _real), ("xis", None, _integers), ("xi_max", None, _integer, 0),
+        ("xi_count", 100, _integer, 0), ("out", "fourier.csv", _name),
+    ),
+    "del": (
+        ("N_max", 10, _integer), ("eps", 1e-9, _real),
+        ("r_lo", None, _integer), ("r_hi", None, _integer), ("m_values", [0], _integers, 0),
+        ("out", "del.csv", _name), ("blocks_out", "del_blocks.csv", _name),
+    ),
+    "partition": (
+        ("r", None, _integer), ("m", None, _integer), ("I_start", 1, _integer),
+        ("out", "partition_hist.csv", _name),
+    ),
+    "normality": (
+        ("depth", None, _integer), ("samples", 8, _integer, 0), ("guard", 8, _integer, 0),
+        ("bases", [2], _integers), ("count", None, _integer), ("out", "normality.csv", _name),
+    ),
+    "uniqueness": (
+        ("depth", None, _integer), ("j_max", None, _integer), ("samples", 16, _integer),
+        ("kind", "plain", _string), ("out", "uniqueness.csv", _name),
+    ),
+    "dimension": (
+        ("gauge", None, "object"),
+        # r / phi(r) -> 0 for phi(r) = r^(1 - eps) only when 0 < eps < 1
+        ("eps", 0.5, _real, (0.0, 1.0)),
+        ("band_lo", 1, _integer, 1), ("band_hi", None, _integer), ("samples", 4, _integer, 1),
+        ("local_depth", None, _integer, 1), ("H_param", 1.0, _real), ("burn_in", 50, _integer, 0),
+        ("variant", "dim-one", _string),
+        ("ball_out", "balls.csv", _name), ("local_out", "local_dim.csv", _name),
+    ),
+    "dimension.gauge": (("kind", "power", _string), ("param", 1.0, _real)),
+}
+
+# the sections whose command also writes a fixed <section>.json report
+_REPORTS = ("partition", "dimension")
+
+
+def _section(cfg: dict, name: str) -> dict[str, Any]:
+    """Config section ``name`` ("" for the top level), its defaults filled in
+    and each value checked by its row of ``_KEYS``. The top level leaves the
+    sections as written: only the commands that read one check it."""
+    section = cfg.get(name.rpartition(".")[2], {}) if name else cfg
+    if not isinstance(section, dict):
+        raise InvalidParameter(f"malformed config value: {name} must be an object, got {section!r}")
+    rows = _KEYS[name]
+    values = {key: default for key, default, *_ in rows}
+    if not name:
+        values.update((other, {}) for other in _KEYS if other and "." not in other)
+    unknown = sorted(set(section) - set(values))
+    if unknown:
+        raise InvalidParameter(f"unknown config keys in {name or 'top level'}: {unknown}")
+    values.update(section)
+    names = {f"{name}.json": f"the {name} report"} if name in _REPORTS else {}
+    for key, default, kind, *bound in rows:
+        value, where = values[key], f"{name}.{key}" if name else key
+        if value is None and default is None:
+            continue
+        values[key] = _section(values, where) if kind == "object" else kind(value, where, *bound)
+        if kind is _name:
+            if value in names:
+                raise InvalidParameter(f"{where} names the same file as {names[value]}: {value!r}")
+            names[value] = where
+    return values
 
 
 def load_config(path: str | None) -> dict:
@@ -114,63 +217,36 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-_TOP_KEYS = {
-    "schedule": {},
-    "system": {},
-    "context": {},
-    "fourier": {},
-    "del": {},
-    "partition": {},
-    "normality": {},
-    "uniqueness": {},
-    "dimension": {},
-    "seed": 0,
-    # "workers" drives nothing but stays validated and hashed (1 when null):
-    # bench/configs/spectrum_*.json set it and bench/digests.json pins the hashes
-    "workers": None,
-    "out_dir": None,
-}
-
-
 def _schedule_from(cfg: dict) -> radix.PrimeSchedule:
-    sc = _merged(
-        cfg.get("schedule", {}),
-        {"d": 2, "count": 4, "variant": "nth-prime-from-7", "offset": None, "q": None, "ell": None},
-        "schedule",
-    )
-    d = _integer(sc["d"], "schedule.d")
+    sc = _section(cfg, "schedule")
     if sc["q"] is not None or sc["ell"] is not None:
         if sc["q"] is None or sc["ell"] is None:
             raise InvalidParameter("schedule needs both q and ell when given explicitly")
-        q = tuple(_integer(p, "schedule.q") for p in sc["q"])
-        ell = tuple(_integer(m, "schedule.ell") for m in sc["ell"])
-        return radix.PrimeSchedule(d=d, q=q, ell=ell)
-    count = _integer(sc["count"], "schedule.count")
-    offset = None if sc["offset"] is None else _integer(sc["offset"], "schedule.offset")
-    return radix.build_schedule(d=d, count=count, variant=sc["variant"], offset=offset)
+        return radix.PrimeSchedule(d=sc["d"], q=sc["q"], ell=sc["ell"])
+    return radix.build_schedule(
+        d=sc["d"], count=sc["count"], variant=sc["variant"], offset=sc["offset"]
+    )
 
 
 def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> system.MoranSystem:
-    sy = _merged(cfg.get("system", {}), {"kind": "binary", "omega": "1/2"}, "system")
+    sy = _section(cfg, "system")
     if sy["kind"] != "binary":
         raise InvalidParameter(f"unknown system kind {sy['kind']!r}")
-    return system.binary_system(sch, omega=_fraction(sy["omega"], "system.omega"))
+    return system.binary_system(sch, omega=sy["omega"])
 
 
 def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
-    cx = _merged(cfg.get("context", {}), {"b": [2], "h": [1]}, "context")
-    bs = cx["b"] if isinstance(cx["b"], list) else [cx["b"]]
-    hs = cx["h"] if isinstance(cx["h"], list) else [cx["h"]]
+    cx = _section(cfg, "context")
+    bs, hs = list(cx["b"]), list(cx["h"])
     if not bs or not hs:
         raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
-    bs = [_integer(b, "context.b") for b in bs]
-    hs = [_integer(h, "context.h") for h in hs]
     return [(b, h) for b in bs for h in hs]
 
 
-def _config_hash(cfg: dict, seed: int) -> str:
-    workers = 1 if cfg["workers"] is None else _integer(cfg["workers"], "workers", low=1)
-    canon = json.dumps({"config": cfg, "seed": seed, "workers": workers}, sort_keys=True)
+def _config_hash(cfg: dict, top: dict, seed: int) -> str:
+    # top is _section(cfg, ""); the config is hashed as written, over its defaults
+    workers = 1 if top["workers"] is None else top["workers"]
+    canon = json.dumps({"config": {**top, **cfg}, "seed": seed, "workers": workers}, sort_keys=True)
     return sha256(canon.encode()).hexdigest()
 
 
@@ -190,12 +266,7 @@ def _stamp_csv(path: str, cfg_hash: str, table: list) -> None:
 
 
 def _write_json_report(path: str, cfg_hash: str, command: str, payload) -> None:
-    report = {
-        "version": __version__,
-        "config_sha256": cfg_hash,
-        "command": command,
-        "payload": payload,
-    }
+    report = dict(version=__version__, config_sha256=cfg_hash, command=command, payload=payload)
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -237,27 +308,18 @@ def cmd_context(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
-    fc = _merged(
-        cfg.get("fourier", {}),
-        {"xis": None, "xi_count": 100, "xi_max": None, "eps": 1e-9, "out": "fourier.csv"},
-        "fourier",
-    )
-    eps = _real(fc["eps"], "fourier.eps")
-    fourier.check_eps(eps)  # before any frequency is drawn, so an empty batch still rejects it
-    if fc["xis"] is not None:
-        xis = [_integer(x, "fourier.xis") for x in fc["xis"]]
-    else:
-        r = min(3, len(sch.q))
-        xi_max = (
-            sch.N[r] if fc["xi_max"] is None else _integer(fc["xi_max"], "fourier.xi_max", low=0)
-        )
-        xi_count = _integer(fc["xi_count"], "fourier.xi_count", low=0)
-        xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(xi_count)]
+    fc = _section(cfg, "fourier")
+    # before any frequency is drawn, so that an empty batch still rejects it
+    fourier.check_eps(fc["eps"])
+    xis = fc["xis"]
+    if xis is None:
+        xi_max = sch.N[min(3, len(sch.q))] if fc["xi_max"] is None else fc["xi_max"]
+        xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(fc["xi_count"])]
     # gamma comes from the system's weights, so no context is built; the
     # pair is still checked as every single-pair command checks it
     radix.check_pair(*_context_pairs(cfg)[0])
     path = os.path.join(out, fc["out"])
-    _stamp_csv(path, cfg_hash, fourier._batch_table(xis, sysm, eps))
+    _stamp_csv(path, cfg_hash, fourier._batch_table(xis, sysm, fc["eps"]))
     print(f"fourier: {len(xis)} frequencies -> {path}")
     return 0
 
@@ -266,38 +328,22 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
-    dc = _merged(
-        cfg.get("del", {}),
-        {
-            "N_max": 10,
-            "eps": 1e-9,
-            "out": "del.csv",
-            "blocks_out": "del_blocks.csv",
-            "r_lo": None,
-            "r_hi": None,
-            "m_values": [0],
-        },
-        "del",
-    )
-    N_max = _integer(dc["N_max"], "del.N_max")
-    eps = _real(dc["eps"], "del.eps")
-    r_lo = None if dc["r_lo"] is None else _integer(dc["r_lo"], "del.r_lo")
-    r_hi = None if dc["r_hi"] is None else _integer(dc["r_hi"], "del.r_hi")
-    m_values = tuple(_integer(m, "del.m_values") for m in dc["m_values"])
-    # block_trend checks these too, but only after del_partial has run, and
-    # an empty r range would pass it
-    for m in m_values:
-        _integer(m, "del.m_values", low=0)
+    dc = _section(cfg, "del")
+    r_lo, r_hi, eps = dc["r_lo"], dc["r_hi"], dc["eps"]
+    # block_trend checks the range too, but only after del_partial has run,
+    # and an empty r range would pass it
     if r_lo is not None and r_hi is not None and not 1 <= r_lo <= r_hi <= len(sch.q):
         raise InvalidParameter(
             f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
             f"got {r_lo} and {r_hi}"
         )
-    report = delsum.del_partial(sysm, b, h, N_max, eps)
+    report = delsum.del_partial(sysm, b, h, dc["N_max"], eps)
     rows = None
     if r_lo is not None and r_hi is not None:
         # before del.csv is written, so that the enumeration guard leaves no file
-        rows = delsum.block_trend(sysm, b, h, range(r_lo, r_hi + 1), m_values=m_values, eps=eps)
+        rows = delsum.block_trend(
+            sysm, b, h, range(r_lo, r_hi + 1), m_values=dc["m_values"], eps=eps
+        )
     path = os.path.join(out, dc["out"])
     _stamp_csv(path, cfg_hash, delsum._del_table(report))
     print(f"del: N_max={report.N_max} sum={report.partial_sum!r} radius={report.radius:.3e}")
@@ -312,18 +358,12 @@ def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
-    pc = _merged(
-        cfg.get("partition", {}),
-        {"r": None, "I_start": 1, "m": None, "out": "partition_hist.csv"},
-        "partition",
-    )
-    r = None if pc["r"] is None else _integer(pc["r"], "partition.r")
-    m = None if pc["m"] is None else _integer(pc["m"], "partition.m")
-    I_start = _integer(pc["I_start"], "partition.I_start")
+    pc = _section(cfg, "partition")
+    r, m = pc["r"], pc["m"]
     ctx = numtheory.build_context(b, h, sch)
     if r is None:
         r = ctx.r0 + 1
-    cert = distribution.verify_partition(I_start, ctx, sysm, r, m=m)
+    cert = distribution.verify_partition(pc["I_start"], ctx, sysm, r, m=m)
     print(f"partition: certificate ok, J={cert.J} classes={cert.y_size}")
     hist = distribution.classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
     path = os.path.join(out, pc["out"])
@@ -337,24 +377,19 @@ def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
-    nc = _merged(
-        cfg.get("normality", {}),
-        {"samples": 8, "depth": None, "bases": [2], "count": None, "guard": 8, "out": "normality.csv"},
-        "normality",
-    )
-    depth = sch.depth if nc["depth"] is None else _integer(nc["depth"], "normality.depth")
+    nc = _section(cfg, "normality")
+    depth = sch.depth if nc["depth"] is None else nc["depth"]
     measure._check_depth(sysm, depth)  # checked here too, so that zero samples still reject it
-    count = _integer(nc["samples"], "normality.samples", low=0)
-    guard = _integer(nc["guard"], "normality.guard", low=0)
+    count, bases, digits, guard = nc["samples"], nc["bases"], nc["count"], nc["guard"]
     # checked here, not only inside normality_report, so that zero samples
     # still reject a bad config
-    bases = tuple(_integer(b, "normality.bases") for b in nc["bases"])
     if not bases:
         raise InvalidParameter("normality.bases needs at least one base")
     for b in bases:
         if b < 2:
             raise InvalidParameter(f"base must be >= 2, got {b}")
-    digits = None if nc["count"] is None else _integer(nc["count"], "normality.count", low=0)
+    if digits is not None:
+        _integer(digits, "normality.count", low=0)  # bounded after the bases
     rows = []
     if count > 0:
         for i, pt in enumerate(measure.sample_batch(sysm, seed, depth, count)):
@@ -369,17 +404,11 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
-    uc = _merged(
-        cfg.get("uniqueness", {}),
-        {"samples": 16, "kind": "plain", "depth": None, "j_max": None, "out": "uniqueness.csv"},
-        "uniqueness",
-    )
-    depth = sch.depth if uc["depth"] is None else _integer(uc["depth"], "uniqueness.depth")
-    j_max = None if uc["j_max"] is None else _integer(uc["j_max"], "uniqueness.j_max")
-    count = _integer(uc["samples"], "uniqueness.samples")
+    uc = _section(cfg, "uniqueness")
+    depth = sch.depth if uc["depth"] is None else uc["depth"]
+    j_max, count = uc["j_max"], uc["samples"]
     if uc["kind"] == "plain":
-        target = sysm
-        sampler = sysm
+        target = sampler = sysm
         default_j = sch.depth - 1
     elif uc["kind"] == "dim-one":
         target = dimension.build_convolved(sysm, "dim-one")
@@ -414,51 +443,19 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
-    dc = _merged(
-        cfg.get("dimension", {}),
-        {
-            "variant": "dim-one",
-            "eps": 0.5,
-            "gauge": None,
-            "H_param": 1.0,
-            "band_lo": 1,
-            "band_hi": None,
-            "samples": 4,
-            "local_depth": None,
-            "burn_in": 50,
-            "ball_out": "balls.csv",
-            "local_out": "local_dim.csv",
-        },
-        "dimension",
-    )
-    phi = None
-    if dc["gauge"] is not None:
-        gc = _merged(dc["gauge"], {"kind": "power", "param": 1.0}, "dimension.gauge")
-        phi = dimension.GaugeFunction(gc["kind"], _real(gc["param"], "dimension.gauge.param"))
-    eps = _real(dc["eps"], "dimension.eps")
-    # r / phi(r) -> 0 for phi(r) = r^(1 - eps) only when 0 < eps < 1 (NaN fails too)
-    if not 0.0 < eps < 1.0:
-        raise InvalidParameter(
-            f"dimension.eps must be a finite number in (0, 1), got {dc['eps']!r}"
-        )
-    band_lo = _integer(dc["band_lo"], "dimension.band_lo", low=1)
-    band_hi = sch.depth - 1
-    if dc["band_hi"] is not None:
-        band_hi = _integer(dc["band_hi"], "dimension.band_hi")
+    dc = _section(cfg, "dimension")
+    gauge, eps, band_lo = dc["gauge"], dc["eps"], dc["band_lo"]
+    phi = None if gauge is None else dimension.GaugeFunction(gauge["kind"], gauge["param"])
+    band_hi = sch.depth - 1 if dc["band_hi"] is None else dc["band_hi"]
     if band_lo > band_hi:
         raise InvalidParameter(
             f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
         )
-    samples = _integer(dc["samples"], "dimension.samples", low=1)
-    local_depth = sch.depth
-    if dc["local_depth"] is not None:
-        local_depth = _integer(dc["local_depth"], "dimension.local_depth", low=1)
+    local_depth = sch.depth if dc["local_depth"] is None else dc["local_depth"]
     if local_depth > sch.depth:
         raise OutOfRange(
             f"dimension.local_depth = {local_depth} exceeds the schedule depth {sch.depth}"
         )
-    H_param = _real(dc["H_param"], "dimension.H_param")
-    burn_in = _integer(dc["burn_in"], "dimension.burn_in", low=0)
     variant = dc["variant"]
     if variant == "dim-one":
         csys = dimension.build_convolved(sysm, "dim-one")
@@ -467,12 +464,12 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     else:
         if phi is None:
             raise InvalidParameter(f"variant {variant!r} needs a dimension.gauge entry")
-        csys = dimension.build_convolved(sysm, variant, phi, H_param=H_param)
+        csys = dimension.build_convolved(sysm, variant, phi, H_param=dc["H_param"])
         phi_of = lambda r: phi.value(r)
         scale = 4.0
 
     sampler = csys.as_moran_system()
-    pts = measure.sample_batch(sampler, seed, sch.depth, samples)
+    pts = measure.sample_batch(sampler, seed, sch.depth, dc["samples"])
     # one h(r) per band, shared by every sample and by the h_rate payload
     grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
     hrows = dimension.h_rate_report(sch, grid)
@@ -488,22 +485,17 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
                     f"band {mband}: the ball measure or phi(r) at r = 1/(M_1...M_{mband}) "
                     f"underflows double precision; lower dimension.band_hi"
                 )
+            ratio = float(ball) / (scale * phi_r)
+            x_seed = rng.derive_seed(seed, i)
             rows.append(
-                dimension.BallRow(
-                    x_seed=rng.derive_seed(seed, i),
-                    r=r,
-                    h_r=h_r,
-                    ball=ball,
-                    phi_r=phi_r,
-                    ratio=float(ball) / (scale * phi_r),
-                )
+                dimension.BallRow(x_seed=x_seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
             )
     bpath = os.path.join(out, dc["ball_out"])
     _stamp_csv(bpath, cfg_hash, dimension._ball_table(rows))
 
     series = dimension.local_dim_series(pts[0], csys, local_depth)
     lpath = os.path.join(out, dc["local_out"])
-    _stamp_csv(lpath, cfg_hash, dimension._local_dim_table(series, min(burn_in, local_depth)))
+    _stamp_csv(lpath, cfg_hash, dimension._local_dim_table(series, min(dc["burn_in"], local_depth)))
 
     payload = {
         "variant": variant,
@@ -544,14 +536,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        cfg = _merged(cfg, _TOP_KEYS, "top level")
-        seed = args.seed if args.seed is not None else _integer(cfg["seed"], "seed")
+        top = _section(cfg, "")
+        seed = top["seed"] if args.seed is None else args.seed
         if not 0 <= seed < 2**64:
             raise InvalidParameter(f"seed must fit in 64 bits, got {seed}")
-        cfg_hash = _config_hash(cfg, seed)
-        out = args.out or os.environ.get("MORANLAB_OUT") or cfg["out_dir"] or "."
-        os.makedirs(out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, seed, cfg_hash)
+        cfg_hash = _config_hash(cfg, top, seed)
+        out = args.out or os.environ.get("MORANLAB_OUT") or top["out_dir"] or "."
+        try:
+            os.makedirs(out, exist_ok=True)
+            return _COMMANDS[args.command](cfg, out, seed, cfg_hash)
+        except OSError as exc:
+            # the output directory or an artifact: the config was read above
+            raise InvalidParameter(f"cannot write {exc.filename or out}: {exc}") from exc
     except MoranLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -79,7 +79,7 @@ class GaugeFunction(Record):
                 raise InvalidParameter("custom table r values must strictly increase")
             if any(a >= b for a, b in zip(vs, vs[1:])) or any(v <= 0 for v in vs):
                 raise InvalidParameter("custom gauge must be positive and increasing")
-        elif param <= 0:
+        elif not param > 0:
             raise InvalidParameter(f"gauge parameter must be positive, got {param}")
         self.__dict__.update(kind=kind, param=param, table=table)
 
@@ -361,7 +361,7 @@ def build_convolved(
         if variant == "gauge":
             log_g = lambda r: phi.log_value(r) - _ln_fraction(r)
         else:
-            if H_param <= 0:
+            if not H_param > 0:
                 raise InvalidParameter(f"H_param must be positive, got {H_param}")
 
             def log_g(r: Fraction) -> float:

@@ -1069,3 +1069,147 @@ def test_numeric_string_real_key_is_a_parameter_error(tmp_path, capsys, command,
     assert rc == 2
     assert err == f"error: malformed config value: {where} must be a number, got {text!r}\n"
     assert out == "" and not list(tmp_path.glob("out/*"))
+
+
+# --------------------------------------------------------------------------
+# output names and writes
+
+
+@pytest.mark.parametrize("name", ["sub/x.csv", "..", ".", ""])
+def test_output_name_must_be_a_plain_name(tmp_path, capsys, name):
+    # each used to end in a FileNotFoundError or IsADirectoryError traceback
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": 2, "out": name}})
+    rc, out, err = run(capsys, "fourier", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: fourier.out must be a plain file name, got {name!r}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+def test_output_name_must_be_a_string(tmp_path, capsys):
+    # used to exit 2 with "join() argument must be str, ...", naming no key
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": 2, "out": 3}})
+    rc, out, err = run(capsys, "fourier", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == "error: malformed config value: fourier.out must be a file name, got 3\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+def test_absolute_output_name_writes_nothing(tmp_path, capsys):
+    # used to write the CSV outside the output directory and exit 0
+    target = tmp_path / "elsewhere.csv"
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": {"samples": 1, "out": str(target)}})
+    rc, out, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: normality.out must be a plain file name, got {str(target)!r}\n"
+    assert out == "" and not target.exists() and not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (
+            "del",
+            {"del": {"N_max": 2, "r_lo": 1, "r_hi": 1, "out": "a.csv", "blocks_out": "a.csv"}},
+            "del.blocks_out names the same file as del.out: 'a.csv'",
+        ),
+        (
+            "dimension",
+            {"dimension": {"samples": 1, "band_hi": 3, "ball_out": "a.csv", "local_out": "a.csv"}},
+            "dimension.local_out names the same file as dimension.ball_out: 'a.csv'",
+        ),
+        (
+            "partition",
+            {"schedule": TOY_SCHEDULE, "partition": {"r": 2, "out": "partition.json"}},
+            "partition.out names the same file as the partition report: 'partition.json'",
+        ),
+        (
+            "dimension",
+            {"dimension": {"samples": 1, "band_hi": 3, "ball_out": "dimension.json"}},
+            "dimension.ball_out names the same file as the dimension report: 'dimension.json'",
+        ),
+    ],
+    ids=["del", "dimension", "partition-report", "dimension-report"],
+)
+def test_output_names_that_overwrite_each_other_are_rejected(tmp_path, capsys, command, cfg, message):
+    # each used to exit 0, its second artifact overwriting the first
+    path = cfg_file(tmp_path, cfg)
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+def test_out_naming_a_file_is_a_write_error(tmp_path, capsys):
+    # used to end in a FileExistsError traceback
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    rc, out, err = run(capsys, "schedule", "--out", str(target))
+    assert rc == 2
+    assert err == f"error: cannot write {target}: [Errno 17] File exists: '{target}'\n"
+    assert out == "" and target.read_text() == "keep\n"
+
+
+def test_artifact_that_cannot_be_opened_is_a_write_error(tmp_path, capsys):
+    # a directory where the CSV goes; used to end in an IsADirectoryError traceback
+    (tmp_path / "out" / "fourier.csv").mkdir(parents=True)
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": 2}})
+    rc, _, err = run(capsys, "fourier", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    target = tmp_path / "out" / "fourier.csv"
+    assert err == f"error: cannot write {target}: [Errno 21] Is a directory: '{target}'\n"
+
+
+@pytest.mark.parametrize(
+    "dimension, message",
+    [
+        ({**GAUGE, "variant": "extreme", "H_param": "nan"}, "H_param must be positive, got nan"),
+        (
+            {"variant": "extreme", "gauge": {"kind": "r_times_log_power", "param": "nan"}},
+            "gauge parameter must be positive, got nan",
+        ),
+    ],
+    ids=["H_param", "gauge.param"],
+)
+def test_nan_gauge_parameters_are_parameter_errors(tmp_path, capsys, dimension, message):
+    # NaN passed the "<= 0" checks and exited 3 with a message naming no key
+    path = cfg_file(tmp_path, {"dimension": {"samples": 1, "band_hi": 3, **dimension}})
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (
+            "fourier",
+            {"fourier": {"xis": [3], "xi_count": "a"}},
+            "malformed config value: fourier.xi_count must be an integer, got 'a'",
+        ),
+        (
+            "schedule",
+            {"schedule": {**TOY_SCHEDULE, "count": True}},
+            "malformed config value: schedule.count must be an integer, got True",
+        ),
+    ],
+    ids=["xi_count-beside-xis", "count-beside-q"],
+)
+def test_ignored_key_of_a_read_section_is_checked(tmp_path, capsys, command, cfg, message):
+    path = cfg_file(tmp_path, cfg)
+    rc, _, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: {message}\n"
+
+
+def test_config_seed_is_checked_beside_the_seed_flag(tmp_path, capsys):
+    path = cfg_file(tmp_path, {"seed": "x"})
+    rc, _, err = run(capsys, "schedule", "--config", path, "--seed", "3", "--out", str(tmp_path))
+    assert rc == 2
+    assert err == "error: malformed config value: seed must be an integer, got 'x'\n"
+
+
+def test_section_a_command_does_not_read_is_not_checked(tmp_path, capsys):
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": "a", "out": 3}, "dimension": 3})
+    rc, _, err = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
+    assert rc == 0, err
