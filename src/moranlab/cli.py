@@ -10,14 +10,12 @@ error, 3 precondition error, 4 certification failure, 5 resource guard.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Any
+from typing import Any, NoReturn
 
 # the builtin sha256, as random.py takes its sha512: hashlib loads OpenSSL,
 # which every process would pay for one digest
@@ -44,6 +42,10 @@ OFFSET_FLAG = "offset deviates from reference construction constant"
 
 
 def _fraction(value, where: str) -> Fraction:
+    # imported here, so that schedule, the one command that reads no fraction,
+    # never loads fractions (and decimal and numbers with it)
+    from fractions import Fraction
+
     try:
         if isinstance(value, str) or isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
@@ -69,8 +71,10 @@ def _integer(value, where: str, low: int | None = None) -> int:
 
 
 def _integers(value, where: str, low: int | None = None) -> tuple[int, ...]:
-    # every entry is read before any is bounded; a value that is not a list
-    # is iterated as it is, and main() reports what that raises
+    # a string or a number would otherwise be iterated as it is; every entry
+    # is read before any is bounded
+    if not isinstance(value, list):
+        raise InvalidParameter(f"malformed config value: {where} must be a list, got {value!r}")
     values = tuple(_integer(v, where) for v in value)
     for v in values:
         _integer(v, where, low)
@@ -441,6 +445,8 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 
 
 def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
+    from fractions import Fraction
+
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     dc = _section(cfg, "dimension")
@@ -450,6 +456,12 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     if band_lo > band_hi:
         raise InvalidParameter(
             f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
+        )
+    # the ball at band m needs level m + 1; past the depth, prefix_product or
+    # ball_measure would fail later, naming no key
+    if band_hi >= sch.depth:
+        raise OutOfRange(
+            f"dimension.band_hi = {band_hi} must be below the schedule depth {sch.depth}"
         )
     local_depth = sch.depth if dc["local_depth"] is None else dc["local_depth"]
     if local_depth > sch.depth:
@@ -523,28 +535,67 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="moranlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"moranlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="64-bit seed")
-    args = parser.parse_args(argv)
+def _parse_args(argv: list[str]) -> tuple[str, str | None, str | None, int | None]:
+    """(command, config, out, seed) from ``argv``; a flag not given is None.
 
+    ``<command> [--config FILE] [--out DIR] [--seed N]``, each flag as
+    ``--flag value`` or ``--flag=value``, the last occurrence winning; -h,
+    --help and --version (before the command) print and exit 0. A usage
+    error prints the usage line and exits 2, before any config is read.
+    A flag is never abbreviated, and the argument after a flag is its value
+    even when it begins with "-".
+    """
+    usage = f"usage: moranlab {{{','.join(_COMMANDS)}}} [--config FILE] [--out DIR] [--seed N]"
+
+    def fail(message: str) -> NoReturn:
+        print(f"{usage}\nmoranlab: error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+    command, stray, flags = None, None, {"--config": None, "--out": None, "--seed": None}
+    args = iter(argv)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if arg in ("-h", "--help") or arg == "--version" and command is None:
+            print(f"moranlab {__version__}" if arg == "--version" else f"{usage}\n\n{__doc__}")
+            raise SystemExit(0)
+        if command is None and not arg.startswith("-"):
+            if arg not in _COMMANDS:
+                fail(f"unknown command {arg!r}; choose from {', '.join(_COMMANDS)}")
+            command = arg
+        elif command is not None and flag in flags:
+            value = value if eq else next(args, None)
+            if value is None:
+                fail(f"{flag} expects a value")
+            if flag == "--seed":
+                try:
+                    value = int(value)
+                except ValueError:
+                    fail(f"--seed expects an integer, got {value!r}")
+            flags[flag] = value
+        else:
+            # reported after the loop, so that a later -h still prints help
+            # and a bad command or flag value is reported first
+            stray = stray or arg
+    if command is None:
+        fail("a command is required")
+    if stray is not None:
+        fail(f"unrecognized argument {stray!r}")
+    return command, flags["--config"], flags["--out"], flags["--seed"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    command, config, out, seed = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(config)
         top = _section(cfg, "")
-        seed = top["seed"] if args.seed is None else args.seed
+        seed = top["seed"] if seed is None else seed
         if not 0 <= seed < 2**64:
             raise InvalidParameter(f"seed must fit in 64 bits, got {seed}")
         cfg_hash = _config_hash(cfg, top, seed)
-        out = args.out or os.environ.get("MORANLAB_OUT") or top["out_dir"] or "."
+        out = out or os.environ.get("MORANLAB_OUT") or top["out_dir"] or "."
         try:
             os.makedirs(out, exist_ok=True)
-            return _COMMANDS[args.command](cfg, out, seed, cfg_hash)
+            return _COMMANDS[command](cfg, out, seed, cfg_hash)
         except OSError as exc:
             # the output directory or an artifact: the config was read above
             raise InvalidParameter(f"cannot write {exc.filename or out}: {exc}") from exc
@@ -552,8 +603,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (TypeError, ValueError) as exc:
-        # a bad shape inside a section, such as "bases": 2 where a list is
-        # iterated; every scalar and section reader raises InvalidParameter
+        # a value that no reader checks, such as an out_dir of 3 reaching
+        # os.makedirs; every other reader raises InvalidParameter
         print(f"error: malformed config value: {exc}", file=sys.stderr)
         return 2
 

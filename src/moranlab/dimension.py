@@ -79,8 +79,8 @@ class GaugeFunction(Record):
                 raise InvalidParameter("custom table r values must strictly increase")
             if any(a >= b for a, b in zip(vs, vs[1:])) or any(v <= 0 for v in vs):
                 raise InvalidParameter("custom gauge must be positive and increasing")
-        elif not param > 0:
-            raise InvalidParameter(f"gauge parameter must be positive, got {param}")
+        elif not 0 < param < math.inf:  # NaN fails too
+            raise InvalidParameter(f"gauge parameter must be positive and finite, got {param}")
         self.__dict__.update(kind=kind, param=param, table=table)
 
     def log_value(self, r: Fraction) -> float:
@@ -361,8 +361,8 @@ def build_convolved(
         if variant == "gauge":
             log_g = lambda r: phi.log_value(r) - _ln_fraction(r)
         else:
-            if not H_param > 0:
-                raise InvalidParameter(f"H_param must be positive, got {H_param}")
+            if not 0 < H_param < math.inf:  # NaN fails too
+                raise InvalidParameter(f"H_param must be positive and finite, got {H_param}")
 
             def log_g(r: Fraction) -> float:
                 L = -_ln_fraction(r)

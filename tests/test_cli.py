@@ -19,7 +19,7 @@ import mpmath
 import pytest
 
 import moranlab
-from moranlab import __version__, binary_system, build_schedule
+from moranlab import __version__, binary_system, build_schedule, cli
 from moranlab.cli import OFFSET_FLAG, main
 from moranlab.errors import (
     CounterexampleFound,
@@ -80,6 +80,161 @@ def test_subcommand_required(capsys):
         main([])
     assert ei.value.code == 2
     capsys.readouterr()
+
+
+def _argparse_reference(argv):
+    """The argparse parser main() used before it parsed argv itself:
+    (command, config, out, seed), or the exit code it stopped with."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="moranlab", description=cli.__doc__)
+    parser.add_argument("--version", action="version", version=f"moranlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="JSON config file")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="64-bit seed")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return args.command, args.config, args.out, args.seed
+
+
+def _parsed(argv):
+    try:
+        return cli._parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# argv that both parsers read alike: a result tuple, or the same exit code
+SAME_AS_ARGPARSE = [
+    [],
+    ["schedule"],
+    *([name, "--seed", "3"] for name in cli._COMMANDS),
+    ["fourier", "--config", "c.json", "--out", "o", "--seed", "5"],
+    ["del", "--seed=7", "--out=o", "--config=c.json"],
+    ["schedule", "--seed", "1", "--seed", "2"],
+    ["schedule", "--out", "a", "--out=b", "--config", "x", "--config=y"],
+    ["schedule", "--seed", "-1"],
+    ["schedule", "--seed", " 12 "],
+    ["schedule", "--seed", "1_000"],
+    ["schedule", "--seed", "18446744073709551616"],
+    ["schedule", "--out="],
+    ["schedule", "--config", "a=b.json", "--out", "x=y"],
+    ["schedule", "--out", "-1"],
+    ["bogus"],
+    [""],
+    ["-x"],
+    ["--seed", "1", "schedule"],
+    ["--config=c.json", "schedule"],
+    ["schedule", "--workers", "2"],
+    ["schedule", "--workers=2"],
+    ["schedule", "--seed"],
+    ["schedule", "--config"],
+    ["schedule", "--out", "o", "--out"],
+    ["schedule", "--seed", "x"],
+    ["schedule", "--seed", "1.5"],
+    ["schedule", "--seed="],
+    ["schedule", "extra"],
+    ["schedule", "fourier"],
+    ["schedule", "--version"],
+    ["schedule", "--help=x"],
+    ["schedule", "--seed5"],
+    ["schedule", "--seed", "x", "-h"],
+    ["bogus", "-h"],
+    ["-h"],
+    ["--help"],
+    ["-h", "bogus"],
+    ["schedule", "-h"],
+    ["schedule", "--workers", "-h"],
+    ["schedule", "extra", "--help"],
+    ["--version"],
+    ["--version", "schedule"],
+    ["--bogus", "--version"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", SAME_AS_ARGPARSE, ids=lambda argv: "+".join(argv).replace(" ", "_") or "none"
+)
+def test_parser_matches_argparse(capsys, argv):
+    assert _parsed(argv) == _argparse_reference(argv)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, ours",
+    [
+        (["schedule", "--conf", "c.json"], 2),
+        (["schedule", "--se", "3"], 2),
+        (["--vers"], 2),
+    ],
+    ids=["--conf", "--se", "--vers"],
+)
+def test_flags_are_never_abbreviated(capsys, argv, ours):
+    # argparse took a unique prefix of a flag as the flag
+    assert _argparse_reference(argv) != ours
+    assert _parsed(argv) == ours
+    assert "moranlab: error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, ours",
+    [
+        (["schedule", "--out", "-o"], ("schedule", None, "-o", None)),
+        (["schedule", "--config", "--out"], ("schedule", "--out", None, None)),
+        (["schedule", "--out", "-h"], ("schedule", None, "-h", None)),
+    ],
+    ids=["-o", "--out", "-h"],
+)
+def test_value_beginning_with_a_dash_is_the_flags_value(capsys, argv, ours):
+    # argparse took such a value for a flag and stopped with "expected one argument"
+    assert _argparse_reference(argv) == 2
+    assert _parsed(argv) == ours
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "a command is required"),
+        (["bogus", "--config", "MISSING"], "unknown command 'bogus'; choose from "
+         + ", ".join(cli._COMMANDS)),
+        (["schedule", "--config", "MISSING", "--workers", "2"],
+         "unrecognized argument '--workers'"),
+        (["schedule", "--config", "MISSING", "--seed"], "--seed expects a value"),
+        (["schedule", "--config", "MISSING", "--seed", "x"], "--seed expects an integer, got 'x'"),
+        (["schedule", "--config", "MISSING", "extra"], "unrecognized argument 'extra'"),
+    ],
+    ids=["no-command", "unknown-command", "unknown-flag", "missing-value", "bad-seed", "stray"],
+)
+def test_usage_error_prints_usage_and_exits_2_before_the_config_is_read(
+    tmp_path, capsys, argv, message
+):
+    # a config that cannot be read would exit 2 too, with "error: cannot read config"
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as ei:
+        main([missing if arg == "MISSING" else arg for arg in argv])
+    assert ei.value.code == 2
+    cap = capsys.readouterr()
+    usage, error = cap.err.splitlines()
+    assert usage.startswith("usage: moranlab {schedule,context,") and "[--seed N]" in usage
+    assert error == f"moranlab: error: {message}"
+    assert cap.out == ""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_flag(capsys, flag):
+    for argv in ([flag], ["dimension", "--seed", "1", flag]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 0
+        cap = capsys.readouterr()
+        assert cap.out.startswith("usage: moranlab {") and cli.__doc__ in cap.out
+        assert cap.err == ""
 
 
 def test_module_entrypoint():
@@ -152,7 +307,7 @@ def test_section_that_is_not_an_object_is_named(tmp_path, capsys, cfg, where, go
 def test_flag_validation(tmp_path, capsys):
     rc, _, err = run(capsys, "schedule", "--seed", "-1", "--out", str(tmp_path))
     assert rc == 2 and "seed" in err
-    # there is no --workers flag: argparse rejects it before any run
+    # there is no --workers flag: the parser rejects it before any run
     with pytest.raises(SystemExit) as ei:
         main(["schedule", "--workers", "2", "--out", str(tmp_path)])
     assert ei.value.code == 2
@@ -620,6 +775,21 @@ def test_integral_float_integer_key_reads_as_int(tmp_path, capsys, command, wher
     assert bodies[0] == bodies[1]
 
 
+LIST_KEYS = [key for key in INTEGER_KEYS if isinstance(key[2], list)]
+
+
+@pytest.mark.parametrize("bad", [2, "23", True, {"a": 1}], ids=["int", "string", "true", "object"])
+@pytest.mark.parametrize("command, where, good", LIST_KEYS, ids=[w for _, w, _ in LIST_KEYS])
+def test_list_key_that_is_not_a_list_is_named(tmp_path, capsys, command, where, good, bad):
+    # a number used to exit with "'int' object is not iterable", naming no
+    # key, and a string was read one character at a time
+    path = cfg_file(tmp_path, _integer_key_config(command, where, bad))
+    rc, out, err = run(capsys, command, "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: malformed config value: {where} must be a list, got {bad!r}\n"
+    assert out == "" and not list(tmp_path.glob("out/*"))
+
+
 def test_fractional_omega_pair_is_a_parameter_error(tmp_path, capsys):
     # [1.5, 2] used to run as omega = 1/2
     path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "system": {"omega": [1.5, 2]}})
@@ -1009,6 +1179,8 @@ GAUGE = {"variant": "gauge", "gauge": {"kind": "r_times_log_power", "param": 1.0
             3,
             "dimension.local_depth = 999 exceeds the schedule depth 10",
         ),
+        ({"band_hi": 999}, 3, "dimension.band_hi = 999 must be below the schedule depth 10"),
+        ({"band_hi": 10}, 3, "dimension.band_hi = 10 must be below the schedule depth 10"),
         ({"eps": True}, 2, "malformed config value: dimension.eps must be a number, got True"),
         (
             {**GAUGE, "H_param": True},
@@ -1023,14 +1195,17 @@ GAUGE = {"variant": "gauge", "gauge": {"kind": "r_times_log_power", "param": 1.0
     ],
     ids=[
         "band_lo>band_hi", "burn_in<0", "samples=0", "band_lo=0", "band_lo<0", "local_depth=0",
-        "local_depth>depth", "eps=true", "H_param=true", "gauge.param=true",
+        "local_depth>depth", "band_hi>depth", "band_hi=depth", "eps=true", "H_param=true",
+        "gauge.param=true",
     ],
 )
 def test_dimension_range_errors_name_their_keys(tmp_path, capsys, dimension, code, message):
     # an empty band range used to exit 0 with worst ball ratio=0.0000, a
     # negative burn_in ran as 1, and a band_lo below 1 ran as 1 while
     # config_sha256 hashed the value given; a bad local_depth used to fail
-    # after balls.csv was written, naming no key, and true read as 1.0
+    # after balls.csv was written, naming no key, and true read as 1.0; a
+    # band_hi at or past the depth failed in ball_measure or prefix_product,
+    # naming no key
     path = cfg_file(tmp_path, {"dimension": {"samples": 2, **dimension}})
     rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
     assert rc == code
@@ -1162,16 +1337,33 @@ def test_artifact_that_cannot_be_opened_is_a_write_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "dimension, message",
     [
-        ({**GAUGE, "variant": "extreme", "H_param": "nan"}, "H_param must be positive, got nan"),
+        (
+            {**GAUGE, "variant": "extreme", "H_param": "nan"},
+            "H_param must be positive and finite, got nan",
+        ),
         (
             {"variant": "extreme", "gauge": {"kind": "r_times_log_power", "param": "nan"}},
-            "gauge parameter must be positive, got nan",
+            "gauge parameter must be positive and finite, got nan",
+        ),
+        (
+            {**GAUGE, "variant": "extreme", "H_param": "inf"},
+            "H_param must be positive and finite, got inf",
+        ),
+        (
+            {"variant": "extreme", "gauge": {"kind": "r_times_log_power", "param": "inf"}},
+            "gauge parameter must be positive and finite, got inf",
+        ),
+        (
+            {"variant": "gauge", "gauge": {"kind": "power", "param": "inf"}},
+            "gauge parameter must be positive and finite, got inf",
         ),
     ],
-    ids=["H_param", "gauge.param"],
+    ids=["H_param", "gauge.param", "H_param=inf", "gauge.param=inf", "power-gauge.param=inf"],
 )
 def test_nan_gauge_parameters_are_parameter_errors(tmp_path, capsys, dimension, message):
-    # NaN passed the "<= 0" checks and exited 3 with a message naming no key
+    # NaN passed the "<= 0" checks and exited 3 with a message naming no key;
+    # infinity passed them too and exited 3 with a precondition message
+    # ("g never reaches 2", "r/phi(r) does not vanish")
     path = cfg_file(tmp_path, {"dimension": {"samples": 1, "band_hi": 3, **dimension}})
     rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
     assert rc == 2

@@ -132,6 +132,9 @@ def test_gauge_constructor_rejections():
         GaugeFunction("power", 0.0)
     with pytest.raises(InvalidParameter):
         GaugeFunction("r_times_log_power", -1.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="gauge parameter must be positive and finite"):
+            GaugeFunction("r_times_log_power", value)
     with pytest.raises(InvalidParameter):
         GaugeFunction("custom")
     with pytest.raises(InvalidParameter):
@@ -295,6 +298,12 @@ def test_build_convolved_rejections(toy_schedule, medium_system):
         build_convolved(
             medium_system, "extreme", phi=GaugeFunction("r_times_log_power", 2.0), H_param=0.0
         )
+    for value in (math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="H_param must be positive and finite"):
+            build_convolved(
+                medium_system, "extreme", phi=GaugeFunction("r_times_log_power", 2.0),
+                H_param=value,
+            )
     with pytest.raises(GaugeTooSmall):
         # r/phi(r) constant: the sparse set cannot be certified
         build_convolved(medium_system, "gauge", phi=GaugeFunction("power", 1.0))

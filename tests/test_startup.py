@@ -47,10 +47,16 @@ RUNS = {
 
 # the standard-library modules no subcommand may load: dataclasses pulls in
 # inspect (and ast, dis, tokenize), and each decorated class generates its
-# methods through exec; _hashlib is OpenSSL, which the config digest avoids
-# wherever the interpreter has a builtin sha256
+# methods through exec; argparse pulls in gettext and locale, where the
+# command line reads its three flags itself; _hashlib is OpenSSL, which the
+# config digest avoids wherever the interpreter has a builtin sha256
 _BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))
-FORBIDDEN = ("dataclasses", "inspect") + (("_hashlib",) if _BUILTIN_SHA256 else ())
+FORBIDDEN = ("dataclasses", "inspect", "argparse", "gettext", "locale") + (
+    ("_hashlib",) if _BUILTIN_SHA256 else ()
+)
+# schedule reads no fraction, so it never loads fractions, nor the decimal
+# and numbers that fractions imports; every other command's library modules do
+NO_FRACTIONS = ("fractions", "decimal", "numbers")
 
 _PROBE = f"""
 import json, sys, types
@@ -58,7 +64,7 @@ from moranlab.cli import main
 rc = main(sys.argv[1:])
 ran = [m[len("moranlab."):] for m, mod in sys.modules.items()
        if m.startswith("moranlab.") and type(mod) is types.ModuleType]
-loaded = [m for m in {FORBIDDEN!r} if m in sys.modules]
+loaded = [m for m in {FORBIDDEN + NO_FRACTIONS!r} if m in sys.modules]
 print(json.dumps({{"rc": rc, "ran": sorted(ran), "loaded": loaded}}))
 """
 
@@ -82,7 +88,8 @@ def test_subcommand_runs_only_its_modules(tmp_path, config, command):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0, proc.stderr
-    assert result["loaded"] == []
+    forbidden = FORBIDDEN + (NO_FRACTIONS if command == "schedule" else ())
+    assert [m for m in result["loaded"] if m in forbidden] == []
     assert set(result["ran"]) == RUNS[command]
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check for the transform's tests.
+"""Mutation check for the tests of the transform and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -27,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLES = "tests/test_transform_tables.py"
 ORACLE = "tests/test_binary_mask_oracle.py"
 WEIGHTS = "tests/test_weight_enclosures.py"
+CLI = "tests/test_cli.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -68,6 +69,20 @@ MUTANTS = {
         "    return _down(f), _up(f)\n",
         "    return f, f\n",
         [WEIGHTS],
+    ),
+    # an unknown flag or stray argument is dropped, not reported
+    "unknown-flag-accepted": (
+        "src/moranlab/cli.py",
+        "            stray = stray or arg\n",
+        "            pass\n",
+        [f"{CLI}::test_parser_matches_argparse", f"{CLI}::test_flag_validation"],
+    ),
+    # the --seed value is kept as the string given
+    "seed-flag-unchecked": (
+        "src/moranlab/cli.py",
+        "                    value = int(value)\n",
+        "                    pass\n",
+        [f"{CLI}::test_parser_matches_argparse"],
     ),
 }
 
