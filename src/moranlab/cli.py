@@ -10,6 +10,7 @@ error, 3 precondition error, 4 certification failure, 5 resource guard.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
 import os
@@ -106,8 +107,14 @@ def _real(value, where: str, within: tuple[float, float] | None = None) -> float
 
 
 def _string(value, where: str):
-    # checked where it is used: a choice by its command or the library, out_dir
-    # by os.makedirs
+    # a choice, checked where it is used: by its command or the library
+    return value
+
+
+def _path(value, where: str) -> str:
+    # os.makedirs would reject a number naming no key, and --out would hide it
+    if not isinstance(value, str):
+        raise InvalidParameter(f"malformed config value: {where} must be a string, got {value!r}")
     return value
 
 
@@ -132,7 +139,7 @@ _KEYS = {
         # drives nothing but stays validated and hashed (1 when null):
         # bench/configs/spectrum_*.json set it and bench/digests.json pins the hashes
         ("workers", None, _integer, 1),
-        ("out_dir", None, _string),
+        ("out_dir", None, _path),
     ),
     "schedule": (
         ("d", 2, _integer), ("q", None, _integers), ("ell", None, _integers),
@@ -603,11 +610,57 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except (TypeError, ValueError) as exc:
-        # a value that no reader checks, such as an out_dir of 3 reaching
-        # os.makedirs; every other reader raises InvalidParameter
+        # a value that no reader checks, such as an output name holding a NUL
+        # byte reaching open(); every other reader raises InvalidParameter
         print(f"error: malformed config value: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry point (``python -m moranlab``, ``python -m moranlab.cli``
+    and the ``moranlab`` script): exit with ``main()``'s code.
+
+    Once ``main()`` returns, the atexit callbacks run and stdout and stderr
+    are flushed, then ``os._exit`` ends the process without tearing the
+    interpreter down: every artifact is already closed by its ``with`` block.
+    A usage exit or an exception from ``main()``, and any run under a tracer,
+    profiler or ``sys.monitoring`` tool (``python -m cProfile``), take the
+    normal exit instead.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later; tool ids 0-5
+    if (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+    ):
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    os._exit(_flush_std_files(code))
+
+
+def _flush_std_files(code: int) -> int:
+    # the interpreter's exit flush: stdout, a failure reported as an ignored
+    # exception, then stderr silently; either failure makes the status 120.
+    # Leaving a failed flush to the normal exit would hide it: TextIOWrapper
+    # drops the chunk its failed flush was writing, so the second flush can
+    # succeed and the process would exit 0 with no message
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception as exc:
+            code = 120
+            if stream is sys.stdout and sys.stderr is not None:
+                import traceback
+
+                lines = traceback.format_exception_only(type(exc), exc)
+                try:  # stderr may be the same closed pipe
+                    sys.stderr.write(f"Exception ignored in: {stream!r}\n{''.join(lines)}")
+                except Exception:
+                    pass
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -368,6 +368,26 @@ def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
     assert (cfg_dir / "schedule.json").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--out", "out"]], ids=["config", "flag"])
+@pytest.mark.parametrize("value", [3, True, []], ids=repr)
+def test_out_dir_must_be_a_string(tmp_path, capsys, flags, value):
+    # 3 used to reach os.makedirs and exit naming no key, and --out hid it
+    path = cfg_file(tmp_path, {"out_dir": value})
+    rc, out, err = run(capsys, "schedule", "--config", path, *flags)
+    assert rc == 2
+    assert err == f"error: malformed config value: out_dir must be a string, got {value!r}\n"
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_null_byte_in_an_output_name_is_malformed(tmp_path, capsys):
+    # no reader looks for NUL bytes; open() raises ValueError, which main maps to 2
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": 2, "out": "a\u0000b"}})
+    rc, out, err = run(capsys, "fourier", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == "error: malformed config value: embedded null byte\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
 # --------------------------------------------------------------------------
 # schedule / context
 

@@ -16,6 +16,7 @@ from moranlab import (
     mu_hat_modulus,
 )
 from moranlab import binary_system, build_context, build_convolved
+from moranlab import delsum
 from moranlab.delsum import DelReport, _neumaier, asymptotic_constants
 
 from oracles import ReferenceNeumaier, naive_del_sum, reference_neumaier, triple_loop_del_partial
@@ -125,6 +126,48 @@ def test_neumaier_step_order_matches_reference(xs):
     # the DEL totals cannot pin the step order (reversed rows round alike at
     # desk-scale N_max), so the accumulator is pinned here bit for bit
     assert _bits(_neumaier(xs)) == _bits(reference_neumaier(xs))
+
+
+# certified (lo, hi) per |xi| for b = 2, h = 1, N_max = 3, whose rows are
+# xi = (0, 1, 3), (1, 0, 2), (3, 2, 0). The nine midpoints sum to 4 + 2^-51,
+# half an ulp of 4, plus a 2^-104 term that breaks the tie upwards: in the
+# (N, m, n) order the Neumaier sum carries that term into the rounding, with
+# each row reversed it rounds to 4.0 instead
+CRAFTED_MODULI = {
+    0: (1.0, 1.0),
+    1: (0.25, 0.75),
+    2: (2.0**-53, 3 * 2.0**-53),
+    3: (2.0**-106 * (1 + 2.0**-51), 2.0**-105 * (1.5 + 2.0**-52)),
+}
+
+
+def _reference_increments_and_radius(N_max, rows_reversed=False):
+    increments, radii = [], []
+    for N in range(1, N_max + 1):
+        rows = [[CRAFTED_MODULI[abs(2**n - 2**m)] for n in range(N)] for m in range(N)]
+        cells = [cell for row in rows for cell in (row[::-1] if rows_reversed else row)]
+        inner, inner_slop = reference_neumaier(0.5 * (lo + hi) for lo, hi in cells)
+        inner_rad, rad_slop = reference_neumaier(0.5 * (hi - lo) for lo, hi in cells)
+        increments.append(inner / float(N) ** 3)
+        radii.append((inner_rad + rad_slop + inner_slop) / float(N) ** 3)
+    _, total_slop = reference_neumaier(increments)
+    radius, radius_slop = reference_neumaier(radii)
+    return increments, radius + radius_slop + total_slop
+
+
+def test_del_partial_sums_each_row_in_column_order(monkeypatch, small_system):
+    # real moduli at desk-scale N_max round alike in either order, so the
+    # order within a row is pinned here on moduli where it shows
+    def crafted_table(sys, xis, eps):
+        return {xi: CRAFTED_MODULI[xi] for xi in xis}
+
+    monkeypatch.setattr(delsum, "_modulus_table", crafted_table)
+    report = del_partial(small_system, 2, 1, N_max=3, eps=1e-9)
+    increments, radius = _reference_increments_and_radius(3)
+    reversed_increments, _ = _reference_increments_and_radius(3, rows_reversed=True)
+    assert increments != reversed_increments  # the moduli tell the two orders apart
+    assert struct.pack("<3d", *report.increments) == struct.pack("<3d", *increments)
+    assert struct.pack("<d", report.radius) == struct.pack("<d", radius)
 
 
 def test_partial_sums_monotone(small_system):

@@ -7,9 +7,11 @@ The package registers its submodules lazily, so a module object can sit in
 itself loads nothing.
 """
 
+import fcntl
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,3 +171,181 @@ def test_cli_module_runs_as_main():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"moranlab {moranlab.__version__}\n"
     assert proc.stderr == ""
+
+
+# --------------------------------------------------------------------------
+# process exit: cli.run ends the process with os._exit once main() returns,
+# after the atexit callbacks and the stdio flush
+
+# block-buffered stdout, so that a missing flush loses output
+EXIT_ENV = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+DEEP = SRC.parent / "bench" / "configs" / "sample_normality.json"  # depth 1035
+LAUNCHERS = {"moranlab": ["-m", "moranlab"], "moranlab.cli": ["-m", "moranlab.cli"]}
+# the exit before cli.run: the interpreter's own teardown and exit flush
+OLD_EXIT = ["-c", "import sys\nfrom moranlab.cli import main\nraise SystemExit(main())"]
+
+
+def _child(launcher, *argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, *launcher, *argv], capture_output=True, env=EXIT_ENV, **kwargs
+    )
+
+
+def _in_process(capfd, *argv):
+    from moranlab.cli import main
+
+    rc = main(list(argv))
+    out, err = capfd.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+@pytest.mark.parametrize(
+    "command, cfg, code",
+    [
+        ("schedule", {"schedule": {"count": 5}}, 0),
+        ("schedule", {"schedule": {"count": "5"}}, 2),
+        ("dimension", {"dimension": {"band_hi": 999}}, 3),
+    ],
+    ids=["ok", "bad-config", "precondition"],
+)
+def test_child_exit_code_and_output_match_main(tmp_path, capfd, launcher, command, cfg, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = (command, "--config", str(path), "--out", str(tmp_path / "out"))
+    proc = _child(LAUNCHERS[launcher], *argv, text=True)
+    assert proc.returncode == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(capfd, *argv)
+
+
+def test_every_stdout_line_arrives_through_a_pipe_and_into_a_file(tmp_path, capfd):
+    argv = ("schedule", "--config", str(DEEP), "--out", str(tmp_path / "out"))
+    rc, want, _ = _in_process(capfd, *argv)
+    assert rc == 0 and len(want) > 4 * 8192  # several stdout buffers
+    piped = _child(LAUNCHERS["moranlab"], *argv, text=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, want, "")
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        filed = subprocess.run(
+            [sys.executable, "-m", "moranlab", *argv], stdout=fh, stderr=subprocess.PIPE,
+            env=EXIT_ENV,
+        )
+    assert (filed.returncode, filed.stderr) == (0, b"")
+    assert (tmp_path / "stdout.txt").read_text() == want
+
+
+@pytest.mark.parametrize("command", ["schedule", "fourier", "del", "partition", "dimension"])
+def test_child_artifacts_match_main(tmp_path, capfd, config, command):
+    _in_process(capfd, command, "--config", config, "--out", str(tmp_path / "main"))
+    proc = _child(LAUNCHERS["moranlab"], command, "--config", config, "--out", str(tmp_path / "child"))
+    assert proc.returncode == 0, proc.stderr
+
+    def artifacts(out):
+        # every byte but a CSV's timestamp line
+        return {
+            path.name: re.sub(rb"\A# generated: [^\n]*\n", b"", path.read_bytes())
+            for path in sorted(out.iterdir())
+        }
+
+    assert artifacts(tmp_path / "child") == artifacts(tmp_path / "main") != {}
+
+
+def test_atexit_callback_runs_exactly_once(tmp_path):
+    code = (
+        "import atexit, runpy\n"
+        "atexit.register(print, 'atexit callback ran')\n"
+        "runpy.run_module('moranlab', run_name='__main__')\n"
+    )
+    proc = _child(["-c", code], "schedule", "--out", str(tmp_path), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("atexit callback ran") == 1
+    assert proc.stdout.endswith("atexit callback ran\n")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_teardown_runs_only_under_a_tracer(tmp_path, traced):
+    # a finalizer of a live object runs in the interpreter's teardown, which
+    # run() skips unless a tracer is set
+    code = (
+        "import os, runpy, sys\n"
+        "class Finalized:\n"
+        "    def __del__(self, write=os.write):\n"
+        "        write(2, b'finalizer ran\\n')\n"
+        "kept = Finalized()\n"
+        f"{'sys.settrace(lambda *args: None)' if traced else ''}\n"
+        "runpy.run_module('moranlab', run_name='__main__')\n"
+    )
+    proc = _child(["-c", code], "schedule", "--out", str(tmp_path), text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("finalizer ran\n" if traced else "")
+
+
+def test_profiler_still_prints_its_stats(tmp_path):
+    proc = _child(["-m", "cProfile", "-m", "moranlab"], "schedule", "--out", str(tmp_path), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("schedule d=2")
+    assert "function calls" in proc.stdout and "ncalls  tottime  percall" in proc.stdout
+
+
+def _read_line_then_close(launcher, argv, close_first):
+    # a one-page pipe: the child blocks in its first write until the reader
+    # has closed, so where the write fails does not depend on timing
+    r, w = os.pipe()
+    fcntl.fcntl(r, fcntl.F_SETPIPE_SZ, 4096)
+    if close_first:
+        os.close(r)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, *launcher, *argv], stdout=w, stderr=subprocess.PIPE, env=EXIT_ENV
+        )
+    finally:
+        os.close(w)
+    if not close_first:
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(r, 1)
+            assert byte, "the child wrote no line"
+            line += byte
+        os.close(r)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
+@pytest.mark.parametrize(
+    "count, close_first",
+    # the depth-1035 output fails inside main(), where its second chunk is
+    # written; 6.6 kB fails in the exit flush, which with close_first drops
+    # the whole chunk it was writing
+    [(None, False), (24, False), (24, True)],
+    ids=["deep-read-one-line", "6kB-read-one-line", "6kB-closed-before-exit"],
+)
+def test_closed_pipe_exits_as_the_interpreter_did(tmp_path, count, close_first):
+    path = DEEP
+    if count is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schedule": {"count": count}}))
+    argv = ("schedule", "--config", str(path), "--out", str(tmp_path / "out"))
+    old = _read_line_then_close(OLD_EXIT, argv, close_first)
+    assert old[0] != 0 and b"Broken pipe" in old[1]
+    for launcher in LAUNCHERS.values():
+        assert _read_line_then_close(launcher, argv, close_first) == old
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_exits_as_the_interpreter_did(tmp_path):
+    # a failed exit flush drops the 6.6 kB chunk it was writing, so the
+    # failure must be reported where it happens
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schedule": {"count": 24}}))
+    argv = ("schedule", "--config", str(path), "--out", str(tmp_path / "out"))
+    results = []
+    for launcher in (OLD_EXIT, LAUNCHERS["moranlab"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, *launcher, *argv], stdout=full, stderr=subprocess.PIPE,
+                env=EXIT_ENV,
+            )
+        results.append((proc.returncode, proc.stderr))
+    assert results[0][0] == 120 and b"No space left on device" in results[0][1]
+    assert results[1] == results[0]

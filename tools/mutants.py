@@ -28,6 +28,7 @@ TABLES = "tests/test_transform_tables.py"
 ORACLE = "tests/test_binary_mask_oracle.py"
 WEIGHTS = "tests/test_weight_enclosures.py"
 CLI = "tests/test_cli.py"
+STARTUP = "tests/test_startup.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -83,6 +84,20 @@ MUTANTS = {
         "                    value = int(value)\n",
         "                    pass\n",
         [f"{CLI}::test_parser_matches_argparse"],
+    ),
+    # the process ends without flushing stdout
+    "exit-skips-flush": (
+        "src/moranlab/cli.py",
+        "    for stream in (sys.stdout, sys.stderr):\n",
+        "    for stream in (sys.stderr,):\n",
+        [f"{STARTUP}::test_every_stdout_line_arrives_through_a_pipe_and_into_a_file"],
+    ),
+    # the process ends without running the atexit callbacks
+    "exit-skips-atexit": (
+        "src/moranlab/cli.py",
+        "    atexit._run_exitfuncs()\n",
+        "    pass\n",
+        [f"{STARTUP}::test_atexit_callback_runs_exactly_once"],
     ),
 }
 
