@@ -270,17 +270,23 @@ def _stamp_csv(path: str, cfg_hash: str, table: list) -> None:
     import csv
 
     stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    with open(path, "w") as fh:
-        fh.write(f"# generated: {stamp}\n")
-        fh.write(f"# config_sha256: {cfg_hash} version: {__version__}\n")
-        csv.writer(fh, lineterminator="\n").writerows(table)
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"# generated: {stamp}\n")
+            fh.write(f"# config_sha256: {cfg_hash} version: {__version__}\n")
+            csv.writer(fh, lineterminator="\n").writerows(table)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json_report(path: str, cfg_hash: str, command: str, payload) -> None:
     report = dict(version=__version__, config_sha256=cfg_hash, command=command, payload=payload)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {path}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -602,10 +608,19 @@ def main(argv: list[str] | None = None) -> int:
         out = out or os.environ.get("MORANLAB_OUT") or top["out_dir"] or "."
         try:
             os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write {exc.filename or out}: {exc}") from exc
+        try:
             return _COMMANDS[command](cfg, out, seed, cfg_hash)
         except OSError as exc:
-            # the output directory or an artifact: the config was read above
-            raise InvalidParameter(f"cannot write {exc.filename or out}: {exc}") from exc
+            # the artifact writers report their own failures, so this one is
+            # a failed write to stdout (a closed pipe, a full device); it
+            # exits with the interpreter's status for that, 120
+            try:
+                print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            except OSError:  # stderr may be the same closed pipe
+                pass
+            return 120
     except MoranLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

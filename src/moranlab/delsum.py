@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 # numtheory as a module, not names: its body runs only when a block report
@@ -40,12 +41,18 @@ def frequency(h: int, b: int, n: int, m: int) -> int:
 
 def _neumaier(xs: Iterable[float]) -> tuple[float, float]:
     """Compensated (Neumaier) sum of xs in order, as (value, slop): the error
-    of value is at most slop = ~2 ulp of the absolute mass sum |x|."""
+    of value is at most slop = ~2 ulp of the absolute mass sum |x|.
+
+    The magnitudes are conditional expressions in place of abs(), which give
+    the same values: -0.0 adds nothing to the positive mass, and a NaN fails
+    the comparison either way.
+    """
     total = comp = mass = 0.0
     for x in xs:
-        mass += abs(x)
+        size = x if x >= 0.0 else -x
+        mass += size
         t = total + x
-        if abs(total) >= abs(x):
+        if (total if total >= 0.0 else -total) >= size:
             comp += (total - t) + x
         else:
             comp += (x - t) + total
@@ -63,8 +70,19 @@ class DelReport(Record):
     )
 
     def cumulative(self) -> tuple[float, ...]:
-        incs = self.increments
-        return tuple(_neumaier(incs[:k])[0] for k in range(1, len(incs) + 1))
+        # _neumaier's steps in one running pass: the value after k terms is
+        # _neumaier(increments[:k])[0], as the state after k steps is the same
+        sums = []
+        total = comp = 0.0
+        for x in self.increments:
+            t = total + x
+            if (total if total >= 0.0 else -total) >= (x if x >= 0.0 else -x):
+                comp += (total - t) + x
+            else:
+                comp += (x - t) + total
+            total = t
+            sums.append(total + comp)
+        return tuple(sums)
 
 
 def _modulus_table(
@@ -111,12 +129,12 @@ def del_partial(
     off: list[float] = []
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner, inner_slop = _neumaier(x for row in mid[:N] for x in row[:N])
-        inner_rad, rad_slop = _neumaier(x for row in half[:N] for x in row[:N])
+        inner, inner_slop = _neumaier(chain.from_iterable(row[:N] for row in mid[:N]))
+        inner_rad, rad_slop = _neumaier(chain.from_iterable(row[:N] for row in half[:N]))
         increments.append(inner / cube)
         radii.append((inner_rad + rad_slop + inner_slop) / cube)
         diag.append(N / cube)  # xi = 0 terms are exactly 1
-        upper, _ = _neumaier(x for m in range(N) for x in mid[m][m + 1 : N])
+        upper, _ = _neumaier(chain.from_iterable(mid[m][m + 1 : N] for m in range(N)))
         off.append(2.0 * upper / cube)
 
     blocks: list[tuple[int, float]] = []

@@ -8,22 +8,26 @@ Y_{c,d} with identical fiber sizes; this module verifies those statements by
 exhaustive enumeration and certifies them, and evaluates the digit-count
 bounds #B_k <= C(k) that they feed.
 
-Powers b^n are never materialized: every digit extraction reduces through a
-single modular exponentiation per interval endpoint and one modular multiply
-per step. The partition check forms no digit strings at all: the free-suffix
-digits of block s+1 read as one integer, (v // P_a) mod (P_e / P_a) with
+Powers b^n are never materialized: the residues of h*b^n - h*b^m over an
+interval follow the exact one-step recurrence v <- (b v + c) mod P with
+c = h b^m (b - 1), after two modular powers for the first one. The
+partition check forms no digit strings at all: the free-suffix digits of
+block s+1 read as one integer, (v // P_a) mod (P_e / P_a) with
 a = L_s + k_{s+1}, e = L_{s+1} and P_n = M_1...M_n, and a fiber is keyed by
 the tuple of these per-block integers, which is one-to-one with its Pi tuple.
 The fiber-count check reads each digit it needs as (v // P_p) mod M_{p+1} and
 each Phi prefix as the residue v mod P_l.
 
 Both checks build their keys in one helper, _keys: the residue stream is
-tee'd once per key column and each column is a pair of C-level maps, so no
-per-point Python frame builds a key. The partition check keeps the residues
-streamed and holds only its fibers; listing the residues or the columns
-would add a list per column at the interval's length. classify_Bk fixes the
-positions, their middle windows and the modulus before its member loop and
-reads one digit row per member.
+tee'd once per key column and each column is one or two C-level maps, so no
+per-point Python frame builds a key. The partition check makes one pass over
+the keys: it counts each key's occurrences and appends n to class c, the
+point's occurrence index, so the classes come out sorted, with no per-fiber
+lists, transpose or sort, and the i-th key in first-seen order is the i-th
+member of class 0. It keeps the residues streamed; listing the residues or
+the columns would add a list per column at the interval's length.
+classify_Bk fixes the positions, their middle windows and the modulus before
+its member loop and reads one digit row per member.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import csv
 import json
 import math
 from fractions import Fraction
-from itertools import count, repeat, tee
+from itertools import repeat, tee
 from operator import contains, floordiv, mod
 from typing import Iterable, Iterator, Sequence
 
@@ -161,45 +165,66 @@ def _values_over_interval(
 ) -> Iterator[int]:
     """Residues of h*b^n - h*b^m mod modulus for n = start..start+length-1.
 
-    One modular power for the endpoint, one modular multiply per step.
+    Two modular powers for the first residue, then the exact one-step
+    recurrence v <- (b v + c) mod modulus with c = h b^m (b - 1): one
+    small-int multiply, an add and one reduction per step.
     """
-    b_red = ctx.b % modulus
-    bn = pow(ctx.b, start, modulus)
-    bm = pow(ctx.b, m, modulus)
-    h_red = ctx.h % modulus
+    b = ctx.b % modulus
+    bm = pow(b, m, modulus)
+    c = ctx.h * bm * (b - 1) % modulus
+    v = ctx.h * (pow(b, start, modulus) - bm) % modulus
     for _ in range(length):
-        yield (h_red * (bn - bm)) % modulus
-        bn = (bn * b_red) % modulus
+        yield v
+        v = (b * v + c) % modulus
 
 
-def _keys(values: Iterable[int], cuts: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    """One key per residue v: the tuple of (v // low) % span over cuts.
+def _keys(
+    values: Iterable[int], cuts: Sequence[tuple[int, int | None]]
+) -> Iterator[tuple[int, ...]]:
+    """One key per residue v: the tuple of (v // low) % span over cuts. A
+    span of None leaves v // low unreduced, for a column whose digits run up
+    to the residues' modulus.
 
     The columns advance in lockstep under zip, so tee buffers at most one
     residue and the stream is never listed.
     """
     columns = (
-        map(mod, map(floordiv, vs, repeat(low)), repeat(span))
+        map(floordiv, vs, repeat(low))
+        if span is None
+        else map(mod, map(floordiv, vs, repeat(low)), repeat(span))
         for vs, (low, span) in zip(tee(values, len(cuts)), cuts)
     )
     return zip(*columns)
 
 
-def _partition_fibers(
+def _partition_classes(
     ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, r: int, m: int
-) -> dict[tuple[int, ...], list[int]]:
-    """The Pi_{r0,r} fibers of n = start..start+length-1, members in increasing n.
+) -> tuple[dict[tuple[int, ...], int], list[list[int]]]:
+    """The Pi_{r0,r} fibers of n = start..start+length-1, in one pass.
 
-    A fiber's key holds one integer per block r0+1 .. r: the block's
-    free-suffix digits of h*b^n - h*b^m read as (v // P_a) mod (P_e / P_a).
+    Returns (sizes, classes). sizes maps each fiber key to its fiber's size,
+    keys in first-seen order; a key holds one integer per block r0+1 .. r,
+    the block's free-suffix digits of h*b^n - h*b^m read as
+    (v // P_a) mod (P_e / P_a). classes[c] lists in increasing n the points
+    that are the c-th occurrence of their key, so classes[0][i] is the first
+    member of the i-th key of sizes.
     """
     P = sch.prefix_product
-    cuts = tuple((P(a), P(e) // P(a)) for a, e in _block_ranges(ctx, ctx.r0, r))
-    values = _values_over_interval(ctx, P(sch.L[r]), start, length, m)
-    fibers: dict[tuple[int, ...], list[int]] = {}
-    for n, key in zip(count(start), _keys(values, cuts)):
-        fibers.setdefault(key, []).append(n)
-    return fibers
+    *lower, (last, depth) = _block_ranges(ctx, ctx.r0, r)
+    # the residues are taken mod P_{L_r}, where block r's digits end
+    cuts = tuple((P(a), P(e) // P(a)) for a, e in lower) + ((P(last), None),)
+    values = _values_over_interval(ctx, P(depth), start, length, m)
+    sizes: dict[tuple[int, ...], int] = {}
+    classes: list[list[int]] = []
+    get = sizes.get
+    for n, key in enumerate(_keys(values, cuts), start):
+        c = get(key, 0)
+        sizes[key] = c + 1
+        try:
+            classes[c].append(n)
+        except IndexError:  # the first c-th occurrence of any key
+            classes.append([n])
+    return sizes, classes
 
 
 # --------------------------------------------------------------------------
@@ -251,24 +276,24 @@ def verify_partition(
     y_size = y_product(ctx, r)
     J = integer_J(ctx, r)
 
-    fibers = _partition_fibers(ctx, sch, I_start, order, r, mm)
-    if len(fibers) != y_size:
+    sizes, classes = _partition_classes(ctx, sch, I_start, order, r, mm)
+    if len(sizes) != y_size:
         raise CounterexampleFound(
-            f"Pi image has {len(fibers)} points, expected {y_size} "
+            f"Pi image has {len(sizes)} points, expected {y_size} "
             f"(first n = {I_start})"
         )
-    for members in fibers.values():
-        if len(members) != J:
-            key = pi_map(members[0], ctx.r0, r, sys, ctx, m=mm)
-            raise CounterexampleFound(
-                f"fiber over {key} has {len(members)} elements, expected {J} "
-                f"(witness n = {members[0]})"
-            )
-    # fibers list their members in increasing n and every class is sorted,
-    # so the classes do not depend on the order of the keys
-    classes = tuple(tuple(sorted(column)) for column in zip(*fibers.values()))
+    # class c holds the c-th members of the fibers, so every fiber has J
+    # members exactly when there are J classes and the last one is full
+    if len(classes) != J or len(classes[-1]) != y_size:
+        for size, witness in zip(sizes.values(), classes[0]):
+            if size != J:
+                key = pi_map(witness, ctx.r0, r, sys, ctx, m=mm)
+                raise CounterexampleFound(
+                    f"fiber over {key} has {size} elements, expected {J} "
+                    f"(witness n = {witness})"
+                )
     return PartitionCertificate(
-        I_start=I_start, length=order, J=J, y_size=y_size, classes=classes
+        I_start=I_start, length=order, J=J, y_size=y_size, classes=tuple(map(tuple, classes))
     )
 
 

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mod
 from typing import Iterable
 
 from ._record import Record
@@ -290,8 +293,20 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     cos, sqrt, nextafter = math.cos, math.sqrt, math.nextafter
     tau, pad, down, up = 2.0 * math.pi, _TRIG_PAD, _DOWN, _UP
     f_lo, f_hi = 1.0, 1.0
+    # the residues xi mod P_n: xi itself once P_n > xi. Below that level,
+    # past two 30-bit digits, they are found top-down: P_n divides P_{n+1},
+    # so each is the residue of the level above reduced mod P_n, a division
+    # of a number one level wide instead of xi. A smaller xi is reduced
+    # directly, which costs less than building the list
+    residues = None
+    if xi >> 60:
+        moduli = sys._transform_moduli
+        residues = list(accumulate(reversed(moduli[: bisect_right(moduli, xi)]), mod, initial=xi))
+        residues.append(0)
+        residues.reverse()
     for n, P, level, g_lo, g_hi in sys._transform_levels:
-        r = xi % P
+        past = xi < P
+        r = xi if past else residues[n] if residues else xi % P
         t = r / P
         if r and g_lo is not None:
             # _binary_mask inlined. With c_hi < 1 and g_lo > 0 both 1 - cos
@@ -317,7 +332,7 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
         f_lo = f_lo if f_lo > 0.0 else 0.0
         f_hi = nextafter(f_hi * m_hi, up)
         f_hi = f_hi if f_hi < 1.0 else 1.0
-        if xi < P and t <= t_cut:
+        if past and t <= t_cut:
             y = _tail_log_bound(t, binary)
             if y <= tail_budget:
                 e_lo = _down(_down(math.exp(-y)))

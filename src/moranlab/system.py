@@ -8,8 +8,9 @@ tables run once per distinct shared tuple, found by identity. A system
 built from equal but unshared tuples equals the shared one and gets the
 same tables; it only does the work once per level.
 
-The transform-only level tables (_levels, and _transform_levels built on
-it) come from ``fourier``, which is loaded only when they are first built.
+The transform-only level tables (_levels, and _transform_levels and
+_transform_moduli built on it) come from ``fourier``, which is loaded only
+when they are first built.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ class MoranSystem(Record):
                 zip(self.schedule.prefix_products(), self._levels), start=1
             )
         )
+
+    @cached_property
+    def _transform_moduli(self) -> tuple:
+        # the P_n column of _transform_levels, which mu_hat_modulus bisects
+        return tuple(row[1] for row in self._transform_levels)
 
     @cached_property
     def _decay_windows(self) -> tuple:

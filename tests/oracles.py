@@ -455,6 +455,21 @@ def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None =
     )
 
 
+def running_power_residues(ctx, modulus: int, start: int, length: int, m: int) -> list[int]:
+    """Residues of h*b^n - h*b^m mod modulus for n = start..start+length-1,
+    from a running power b^n and the fixed b^m (the residue stream before
+    the one-step recurrence)."""
+    b_red = ctx.b % modulus
+    bn = pow(ctx.b, start, modulus)
+    bm = pow(ctx.b, m, modulus)
+    h_red = ctx.h % modulus
+    out = []
+    for _ in range(length):
+        out.append((h_red * (bn - bm)) % modulus)
+        bn = (bn * b_red) % modulus
+    return out
+
+
 def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[int, ...]:
     """distribution.classify_Bk as one pi_map per member, with each digit's
     middle window [floor(q/3), 2 floor(q/3)] read from its base per member."""

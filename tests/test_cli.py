@@ -1354,6 +1354,44 @@ def test_artifact_that_cannot_be_opened_is_a_write_error(tmp_path, capsys):
     assert err == f"error: cannot write {target}: [Errno 21] Is a directory: '{target}'\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command, cfg, name",
+    [("fourier", {"fourier": {"xi_count": 2}}, "fourier.csv"), ("schedule", {}, "schedule.json")],
+)
+def test_artifact_write_that_fails_names_its_file(tmp_path, capsys, command, cfg, name):
+    # the artifact opens and its write fails, with no file name on the error;
+    # the message used to name the output directory
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).symlink_to("/dev/full")
+    path = cfg_file(tmp_path, cfg)
+    rc, _, err = run(capsys, command, "--config", path, "--out", str(out))
+    assert rc == 2
+    assert err == f"error: cannot write {out / name}: [Errno 28] No space left on device\n"
+
+
+class _ClosedPipe:
+    """A stdout whose every write fails as a write into a closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", ["schedule", "fourier"])
+def test_stdout_write_failure_is_not_an_artifact_error(tmp_path, capsys, monkeypatch, command):
+    # used to exit 2 with "cannot write <out dir>: [Errno 32] Broken pipe"
+    out = tmp_path / "out"
+    path = cfg_file(tmp_path, {"fourier": {"xi_count": 2}})
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    rc, _, err = run(capsys, command, "--config", path, "--out", str(out))
+    assert rc == 120
+    assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "dimension, message",
     [

@@ -128,6 +128,19 @@ def test_neumaier_step_order_matches_reference(xs):
     assert _bits(_neumaier(xs)) == _bits(reference_neumaier(xs))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)))
+def test_cumulative_is_the_neumaier_sum_of_each_prefix(incs):
+    # the one running pass against a fresh sum of every prefix, bit for bit
+    report = DelReport(
+        N_max=max(len(incs), 1), partial_sum=0.0, radius=0.0, increments=tuple(incs),
+        diagonal_sum=0.0, offdiagonal_sum=0.0, block_sums=(),
+    )
+    prefixes = [_neumaier(incs[:k])[0] for k in range(1, len(incs) + 1)]
+    got = report.cumulative()
+    assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(incs)}d", *prefixes)
+
+
 # certified (lo, hi) per |xi| for b = 2, h = 1, N_max = 3, whose rows are
 # xi = (0, 1, 3), (1, 0, 2), (3, 2, 0). The nine midpoints sum to 4 + 2^-51,
 # half an ulp of 4, plus a 2^-104 term that breaks the tie upwards: in the

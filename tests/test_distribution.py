@@ -30,10 +30,14 @@ from moranlab import (
     verify_partition,
 )
 from moranlab import distribution
-from moranlab.distribution import _partition_fibers
+from moranlab.distribution import _partition_classes, _values_over_interval
 from moranlab.numtheory import integer_J, order_mod_reduced
 
-from oracles import digit_row_fiber_counts, reference_classify_Bk
+from oracles import (
+    digit_row_fiber_counts,
+    reference_classify_Bk,
+    running_power_residues,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -314,15 +318,43 @@ SMALL_SCHEDULES = (
     length=st.integers(1, 600),
 )
 def test_partition_fibers_match_pi_map(sch, b, h, depth, start, length):
+    # the one-pass classes against fibers read back from pi_map tuples, on
+    # intervals of any length, so the fibers may differ in size
     sysm = binary_system(sch)
     ctx = build_context(b, h, sch)
     r = min(ctx.r0 + 1 + depth, len(sch.q))
-    kernel = _partition_fibers(ctx, sch, start, length, r, ctx.n0 - 1)
+    sizes, classes = _partition_classes(ctx, sch, start, length, r, ctx.n0 - 1)
     reference = {
         _block_values(ctx, r, digits): members
         for digits, members in _pi_fibers(ctx, sysm, start, length, r).items()
     }
-    assert kernel == reference
+    # keys in first-seen order, each with its fiber's size
+    assert list(sizes.items()) == [(key, len(members)) for key, members in reference.items()]
+    # every (key, occurrence index) -> n
+    key_of = {n: key for key, members in reference.items() for n in members}
+    for c, members in enumerate(classes):
+        assert [reference[key_of[n]][c] for n in members] == members
+    assert classes == [
+        sorted(members[c] for members in reference.values() if len(members) > c)
+        for c in range(max(map(len, reference.values())))
+    ]
+    # the i-th key's first member is the i-th member of class 0
+    assert classes[0] == [members[0] for members in reference.values()]
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 12])
+@pytest.mark.parametrize("h", [-1, -3, -12])
+@pytest.mark.parametrize("gap", [1, 10**15 + 7], ids=["start-at-m+1", "start-far-past-m"])
+def test_residue_recurrence_matches_running_powers(b, h, gap):
+    # the one-step recurrence reproduces h (b^n - b^m) mod P_n from two
+    # running powers, at the default m and a larger one, on every prefix modulus
+    sch = PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=(1, 2, 3, 4))
+    ctx = build_context(b, h, sch)
+    for m in (ctx.n0 - 1, ctx.n0 + 40):
+        for depth in range(1, sch.depth + 1):
+            modulus = sch.prefix_product(depth)
+            args = (ctx, modulus, m + gap, 300, m)
+            assert list(_values_over_interval(*args)) == running_power_residues(*args)
 
 
 @pytest.mark.parametrize(
@@ -358,6 +390,56 @@ def test_verify_partition_counterexample_names_the_fiber(toy, monkeypatch):
         verify_partition(1, ctx, sysm, r=2)
     pi = pi_map(1, ctx.r0, 2, sysm, ctx)
     assert str(exc.value) == f"fiber over {pi} has 30 elements, expected 31 (witness n = 1)"
+
+
+def _relabel_keys(monkeypatch, relabel):
+    """Make the partition's key stream pass through relabel(keys) (a list)."""
+    keys_of = distribution._keys
+
+    def bad_keys(values, cuts):
+        keys = list(keys_of(values, cuts))
+        relabel(keys)
+        return iter(keys)
+
+    monkeypatch.setattr(distribution, "_keys", bad_keys)
+
+
+def test_verify_partition_image_counterexample_message(toy, monkeypatch):
+    # every point of the second key joins the first: the image loses a point
+    _, sysm, ctx = toy
+
+    def merge(keys):
+        lost = next(key for key in keys if key != keys[0])
+        keys[:] = [keys[0] if key == lost else key for key in keys]
+
+    _relabel_keys(monkeypatch, merge)
+    with pytest.raises(CounterexampleFound) as exc:
+        verify_partition(3, ctx, sysm, r=2)
+    assert str(exc.value) == "Pi image has 10 points, expected 11 (first n = 3)"
+
+
+@pytest.mark.parametrize(
+    "at, to, message",
+    [
+        # the point at 319 (a late member of the fiber first seen at 5) joins
+        # the fiber first seen at 3, which is the first of the wrong size
+        (319, 3, "fiber over (1,) has 31 elements, expected 30 (witness n = 7)"),
+        # the point at 318 leaves the fiber first seen at 4 for the one first
+        # seen at 5: the short fiber comes first
+        (318, 5, "fiber over (3,) has 29 elements, expected 30 (witness n = 8)"),
+    ],
+    ids=["grown-fiber-first", "shrunk-fiber-first"],
+)
+def test_verify_partition_fiber_counterexample_message(toy, monkeypatch, at, to, message):
+    _, sysm, ctx = toy
+
+    def move(keys):
+        keys[at] = keys[to]
+
+    _relabel_keys(monkeypatch, move)
+    with pytest.raises(CounterexampleFound) as exc:
+        verify_partition(4, ctx, sysm, r=2)
+    assert str(exc.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +499,7 @@ def test_classify_Bk_matches_pi_map_reference(sch, b, h, depth, start, seed):
 
 
 def test_partition_fibers_stream_their_residues():
-    # on the larger benchmark partition the enumeration peaks near the fibers
+    # on the larger benchmark partition the enumeration peaks near the classes
     # it returns; listing the residues or the key columns first peaks at over
     # twice that
     cfg = json.loads((CONFIGS / "orbit_partition_b2.json").read_text())
@@ -427,9 +509,9 @@ def test_partition_fibers_stream_their_residues():
     order = order_mod_reduced(ctx, r, 0)
     tracemalloc.start()
     try:
-        fibers = _partition_fibers(ctx, sch, 1, order, r, ctx.n0 - 1)
+        sizes, classes = _partition_classes(ctx, sch, 1, order, r, ctx.n0 - 1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(map(len, fibers.values())) == order == 111540
+    assert sum(map(len, classes)) == sum(sizes.values()) == order == 111540
     assert peak <= 1.25 * held

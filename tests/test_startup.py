@@ -332,6 +332,19 @@ def test_closed_pipe_exits_as_the_interpreter_did(tmp_path, count, close_first):
         assert _read_line_then_close(launcher, argv, close_first) == old
 
 
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs Linux pipe sizing")
+def test_closed_pipe_inside_main_is_a_stdout_error(tmp_path):
+    # the failed write names stdout, not the output directory, and exits 120;
+    # the exit flush then reports the output still buffered
+    out = tmp_path / "out"
+    argv = ("schedule", "--config", str(DEEP), "--out", str(out))
+    code, err = _read_line_then_close(LAUNCHERS["moranlab"], argv, False)
+    assert code == 120
+    assert err.startswith(b"error: cannot write to stdout: [Errno 32] Broken pipe\n")
+    assert b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'" in err
+    assert str(out).encode() not in err
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_device_exits_as_the_interpreter_did(tmp_path):
     # a failed exit flush drops the 6.6 kB chunk it was writing, so the

@@ -219,6 +219,21 @@ def test_table_loop_matches_level_mask_loop_at_deep_frequencies():
             _assert_matches_level_mask_loop(xi, sysm, eps)
 
 
+@pytest.mark.parametrize("kind", ["half", "mixed", "dim-one", "wide"])
+def test_table_loop_matches_level_mask_loop_at_residue_edges(kind):
+    # past 2^60 the residues are found top-down: frequencies on both sides of
+    # that switch, at prefix products and their neighbours, and sums of
+    # prefix products, where a chain of residues runs through 0 and P_n - 1
+    sysm = _system(kind)
+    P = sysm.schedule.prefix_products()
+    xis = {2**60 - 1, 2**60, 2**60 + 1, 2**62 + 3}
+    xis |= {P[n] + d for n in range(len(P)) for d in (-1, 0, 1)}
+    xis |= {3 * P[n] + P[m] - 1 for n in range(len(P)) for m in range(0, n, 3)}
+    for xi in sorted(xi for xi in xis if 2**50 < xi < P[-7]):
+        for eps in (1e-6, 1e-12):
+            _assert_matches_level_mask_loop(xi, sysm, eps)
+
+
 @pytest.mark.parametrize(
     "kind, xis, eps",
     [

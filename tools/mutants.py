@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the tests of the transform and the command line.
+"""Mutation check for the tests of the transform, the partition pass and the
+command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -29,6 +30,7 @@ ORACLE = "tests/test_binary_mask_oracle.py"
 WEIGHTS = "tests/test_weight_enclosures.py"
 CLI = "tests/test_cli.py"
 STARTUP = "tests/test_startup.py"
+DIST = "tests/test_distribution.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -48,6 +50,16 @@ MUTANTS = {
          f"{TABLES}::test_table_loop_matches_level_mask_loop_on_a_del_grid",
          f"{TABLES}::test_table_loop_matches_level_mask_loop_at_deep_frequencies",
          f"{TABLES}::test_level_table_rows"],
+    ),
+    # each level's residue taken mod the next level's modulus, P_(n+1),
+    # instead of its own: congruent mod P_n, so only the float t = r / P_n
+    # moves, which the enclosure checks against mpmath do not see
+    "residue-chain-wrong-modulus": (
+        "src/moranlab/fourier.py",
+        "reversed(moduli[: bisect_right(moduli, xi)])",
+        "reversed(moduli[1 : bisect_right(moduli, xi) + 1])",
+        [f"{TABLES}::test_table_loop_matches_level_mask_loop",
+         f"{TABLES}::test_table_loop_matches_level_mask_loop_at_residue_edges"],
     ),
     # the upper digit window end 2 q / 3 instead of 2 floor(q / 3)
     "decay-window-unfloored": (
@@ -70,6 +82,23 @@ MUTANTS = {
         "    return _down(f), _up(f)\n",
         "    return f, f\n",
         [WEIGHTS],
+    ),
+    # each point's occurrence index counted from 1 instead of 0
+    "partition-occurrence-off-by-one": (
+        "src/moranlab/distribution.py",
+        "        c = get(key, 0)\n",
+        "        c = get(key, 1)\n",
+        [f"{DIST}::test_partition_fibers_match_pi_map",
+         f"{DIST}::test_verify_partition_classes_match_pi_map_reference"],
+    ),
+    # the residue recurrence's constant h b^m without its factor (b - 1)
+    "recurrence-constant-without-b-minus-1": (
+        "src/moranlab/distribution.py",
+        "c = ctx.h * bm * (b - 1) % modulus",
+        "c = ctx.h * bm % modulus",
+        [f"{DIST}::test_residue_recurrence_matches_running_powers",
+         f"{DIST}::test_partition_fibers_match_pi_map",
+         f"{DIST}::test_fiber_counts_matches_digit_rows"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
