@@ -33,7 +33,7 @@ from . import __version__
 # into it, and a function rebound in its home module (bench/tracer.py) is
 # seen here too
 from . import delsum, dimension, distribution, fourier, measure, numtheory, radix, rng, system
-from .errors import InvalidParameter, MoranLabError, OutOfRange
+from .errors import InvalidParameter, MoranLabError, OutOfRange, TooLarge
 
 OFFSET_FLAG = "offset deviates from reference construction constant"
 
@@ -407,6 +407,14 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             raise InvalidParameter(f"base must be >= 2, got {b}")
     if digits is not None:
         _integer(digits, "normality.count", low=0)  # bounded after the bases
+    # each report holds one frequency per digit value, so the tables cost
+    # samples x sum(bases) entries however few digits are trusted
+    values = sum(bases)
+    if count * values > measure.FREQUENCY_GUARD:
+        raise TooLarge(
+            f"normality frequency tables of {count * values} entries ({count} samples x "
+            f"{values} digit values) exceed the guard {measure.FREQUENCY_GUARD}"
+        )
     rows = []
     if count > 0:
         for i, pt in enumerate(measure.sample_batch(sysm, seed, depth, count)):

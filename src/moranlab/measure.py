@@ -1,19 +1,30 @@
 """Exact sampling, digit statistics, and interval-avoidance verdicts.
 
-Sample points are exact rationals: digits are drawn level by level with a
-counter-based generator and exact cumulative-threshold inversion, and the
+Sample points are exact rationals: level n's digit inverts the n-th output
+of the counter-based generator by its level's cumulative thresholds, and the
 value sum d_n / (M_1...M_n) is carried as one big-integer numerator over the
 full prefix product. Every downstream statistic (digit frequencies, orbit
 discrepancy, interval avoidance) is then integer arithmetic; floats appear
 only in report formatting.
 
-Base-b digits come from one exact division, floor(x b^n), converted to base
-b by halving (divmod by cached powers b^h down to small-int leaves), so no
-loop divides a big integer once per digit. The orbit bin floor(64 {b^k x})
-is read from the window of the next m digits (b^m >= 2^40) and slid with
-small-int arithmetic; only a window that straddles a bin edge falls back to
-the exact remainder num b^k mod den, so the bins equal those of the
-remainder walk.
+Both hot paths pack many small values into fixed-width fields ("lanes") of
+one big integer, so that a handful of C-level integer, bytes and map
+operations replace a Python loop per level or per digit:
+
+- the sampler places every level's generator counter in its own 128-bit
+  lane and runs the splitmix64 finalizer once on the whole integer;
+- base-b digits come from one exact division, floor(num b^count / den),
+  split into halves by one map(divmod) per tree level down to leaves of L
+  digits, each looked up in a per-base table of L-digit byte strings (b^L
+  is at most 1024). Bases up to 256 give a bytes string; larger bases stop
+  at one-digit leaves, build no table and give a tuple;
+- the orbit bin floor(64 {b^k x}) is read from the r-digit window at k,
+  where all windows come out of one pass over 16-bit lanes (b^r <= 4096)
+  and a per-base byte table maps each to its bin. A window that straddles
+  a bin edge maps to a marker instead and is resolved from the longer
+  m-digit window (b^m >= 2^40), and only when that too straddles from the
+  exact remainder num b^k mod den, so the bins equal those of the remainder
+  walk.
 
 Normality outputs are descriptive finite-sample statistics. The inputs are
 rationals, whose expansions are eventually periodic, so no report here ever
@@ -27,6 +38,10 @@ import csv
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from itertools import chain, repeat
+from operator import getitem
+from sys import byteorder
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -41,6 +56,13 @@ from .system import MoranSystem
 from .rng import _GOLDEN, _MASK, _MIX1, _MIX2, derive_seed
 
 DEFAULT_GUARD = 8
+# the normality command's bound on samples x sum(bases), the number of
+# frequency entries its reports would hold
+FREQUENCY_GUARD = 10**6
+
+# memoryview.cast reads lanes in the machine's byte order: lane order is
+# ascending from a little-endian to_bytes and descending from a big-endian one
+_LANE_STEP = 1 if byteorder == "little" else -1
 
 
 class SamplePoint(Record):
@@ -55,30 +77,47 @@ def _check_depth(sys: MoranSystem, depth: int) -> None:
         raise ScheduleTooShort(f"depth {depth} outside 1 .. {sys.depth}")
 
 
+@cache
+def _counter_lanes(depth: int) -> tuple[int, int, int]:
+    # (ones, step, mask): 1, n * _GOLDEN and 2^64 - 1 in the low half of
+    # 128-bit lane n - 1, for n = 1 .. depth
+    ones = int.from_bytes((b"\x01" + bytes(15)) * depth, "little")
+    step = int.from_bytes(
+        b"".join((n * _GOLDEN).to_bytes(16, "little") for n in range(1, depth + 1)), "little"
+    )
+    return ones, step, ones * _MASK
+
+
 def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
     """Draw digits d_1..d_depth independently per the level weights.
 
     Level n consumes generator output n-1, so a prefix of a deeper sample
-    equals the shallower sample with the same seed. The counter step and the
-    splitmix64 finalizer of rng.value_at are inlined, and the digit is the
-    first threshold above the draw, found by bisection. The denominator is
-    the schedule's cached prefix product P_depth.
+    equals the shallower sample with the same seed. The counter of level n,
+    seed + n * _GOLDEN mod 2^64, sits in bits [128(n-1), 128(n-1) + 64) of
+    one integer, and rng.mix64 runs once on all of them: every shift is
+    masked to its lane, and a 64-bit lane value times a 64-bit multiplier
+    fits its 128-bit lane, so nothing carries between levels. The draws are
+    read back as the low halves of the lanes; each digit is the first
+    threshold above its draw, found by bisection. The numerator is summed by
+    Horner's rule over the schedule's bases, and the denominator is the
+    schedule's cached prefix product P_depth.
     """
     _check_depth(sys, depth)
-    digits: list[int] = []
+    ones, step, lanes = _counter_lanes(depth)
+    z = ((seed & _MASK) * ones + step) & lanes
+    u = z ^ ((z >> 30) & lanes)
+    u = (u * _MIX1) & lanes
+    u ^= (u >> 27) & lanes
+    u = (u * _MIX2) & lanes
+    u ^= (u >> 31) & lanes
+    draws = memoryview(u.to_bytes(16 * depth, byteorder)).cast("Q")[:: 2 * _LANE_STEP]
+    digits = tuple(map(getitem, sys.digit_sets, map(bisect_right, sys._thresholds, draws)))
     num = 0
-    z = seed
     sch = sys.schedule
-    levels = zip(sch.bases(depth), sys._thresholds, sys.digit_sets)
-    for base, thresholds, digit_set in levels:
-        z = (z + _GOLDEN) & _MASK
-        u = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        u = ((u ^ (u >> 27)) * _MIX2) & _MASK
-        d = digit_set[bisect_right(thresholds, u ^ (u >> 31))]
-        digits.append(d)
+    for base, d in zip(sch.bases(depth), digits):
         num = num * base + d
     value = Fraction(num, sch.prefix_product(depth))
-    return SamplePoint(digits=tuple(digits), value=value, depth=depth, seed=seed)
+    return SamplePoint(digits=digits, value=value, depth=depth, seed=seed)
 
 
 def sample_batch(
@@ -116,39 +155,100 @@ def _terminating(den: int, b: int) -> bool:
     return den == 1
 
 
-_LEAF_DIGITS = 16
+_DISCREPANCY_BINS = 64
+# the bin table's value for a window that straddles a bin edge
+_STRADDLES = _DISCREPANCY_BINS
+# the leaf table holds b^L <= _LEAF_SPAN byte strings, and the bin table
+# b^r <= _WINDOW_SPAN bytes
+_LEAF_SPAN = 1 << 10
+_WINDOW_SPAN = 1 << 12
+# digits fit a byte string up to this base; larger bases build no table
+_BYTE_BASES = 256
+# straddling windows are resolved from m digits with b^m >= 2^_WINDOW_BITS
+_WINDOW_BITS = 40
 
 
-def _radix_digits(num: int, den: int, b: int, count: int) -> list[int]:
+def _straddling(span: int) -> frozenset[int]:
+    """The windows A of a span-window grid whose cell [A, A + 1) / span
+    holds a bin edge j / 64 in its interior: A = floor(j span / 64) for the
+    j with j span / 64 not an integer. Any other cell lies in one bin,
+    floor(64 A / span)."""
+    return frozenset(
+        j * span // _DISCREPANCY_BINS
+        for j in range(1, _DISCREPANCY_BINS)
+        if j * span % _DISCREPANCY_BINS
+    )
+
+
+def _width(b: int, span: int) -> int:
+    # the largest k >= 1 with b^k <= span, for 2 <= b <= span
+    k = 1
+    while b ** (k + 1) <= span:
+        k += 1
+    return k
+
+
+class _Radix:
+    """Per-base tables of the digit converter and the orbit bins.
+
+    leaves[v] is the L-digit byte string of v < b^L, and powers[j] is
+    b^(L 2^j), extended on demand. bins[A] is the orbit bin of the r-digit
+    window A, or _STRADDLES. A larger base than _BYTE_BASES has L = 1, no
+    leaves, and r = 0: its one empty window always straddles. m is the
+    resolving window length, bm = b^m, and straddling holds the m-digit
+    windows that still straddle an edge.
+    """
+
+    __slots__ = ("L", "leaves", "powers", "r", "bins", "m", "bm", "straddling")
+
+    def __init__(self, b: int) -> None:
+        m = 1
+        while b**m < 1 << _WINDOW_BITS:
+            m += 1
+        L, r, leaves, bins = 1, 0, None, bytes((_STRADDLES,))
+        if b <= _BYTE_BASES:
+            L, r = _width(b, _LEAF_SPAN), _width(b, _WINDOW_SPAN)
+            digit = [bytes((d,)) for d in range(b)]
+            leaves = digit
+            for _ in range(L - 1):
+                leaves = [hi + lo for hi in leaves for lo in digit]
+            span = b**r
+            edges = _straddling(span)
+            bins = bytes(
+                _STRADDLES if A in edges else A * _DISCREPANCY_BINS // span for A in range(span)
+            )
+        self.L, self.leaves, self.powers, self.r, self.bins = L, leaves, [b**L], r, bins
+        self.m, self.bm, self.straddling = m, b**m, _straddling(b**m)
+
+
+# one _Radix per base, built on its first use
+_radix = cache(_Radix)
+
+
+def _digit_string(num: int, den: int, b: int, count: int) -> bytes | tuple[int, ...]:
     """The first `count` base-b digits of num/den in [0, 1), most significant
-    first.
+    first: a bytes string for b <= 256, else a tuple of ints.
 
     One exact division gives v = floor(num b^count / den), whose count
-    base-b digits are exactly the wanted ones; v is then split in halves by
-    divmod with b^h (powers cached per call) down to leaves of at most
-    _LEAF_DIGITS digits, which small-int divmods finish (Knuth, TAOCP vol. 2,
-    4.4). Never goes through str(int).
+    base-b digits are exactly the wanted ones. v is read as a number of
+    L 2^levels digits (the top ones zero) and halved level by level, each
+    level one map(divmod) by b^(L 2^j), down to 2^levels leaves below b^L
+    (Knuth, TAOCP vol. 2, 4.4). Byte bases look each leaf up in the table of
+    L-digit strings; other bases have L = 1, so their leaves are the digits.
+    Never goes through str(int).
     """
-    out = [0] * count
-    powers: dict[int, int] = {}
-
-    def fill(v: int, start: int, n: int) -> None:
-        if n <= _LEAF_DIGITS:
-            i = start + n
-            while v:
-                i -= 1
-                v, out[i] = divmod(v, b)
-            return
-        h = n // 2
-        p = powers.get(h)
-        if p is None:
-            p = powers[h] = b**h
-        hi, lo = divmod(v, p)
-        fill(hi, start, n - h)
-        fill(lo, start + n - h, h)
-
-    fill((num * b**count) // den, 0, count)
-    return out
+    radix = _radix(b)
+    L, powers = radix.L, radix.powers
+    levels = max(0, -(-count // L) - 1).bit_length()
+    while len(powers) < levels:
+        powers.append(powers[-1] * powers[-1])
+    values = [num * b**count // den]
+    for p in reversed(powers[:levels]):
+        values = list(chain.from_iterable(map(divmod, values, repeat(p))))
+    pad = (L << levels) - count
+    if radix.leaves is None:
+        return tuple(values[pad:])
+    return b"".join(map(radix.leaves.__getitem__, values))[pad:]
 
 
 def base_digits(
@@ -174,7 +274,7 @@ def base_digits(
     if guard < 0:
         raise InvalidParameter(f"guard must be >= 0, got {guard}")
     den = x.denominator
-    digits = tuple(_radix_digits(x.numerator, den, b, count))
+    digits = tuple(_digit_string(x.numerator, den, b, count))
     if _terminating(den, b):
         trusted = count
     else:
@@ -195,53 +295,49 @@ class NormalityReport(Record):
     _defaults = {"periodic": True}
 
 
-_DISCREPANCY_BINS = 64
-# orbit bins are read from windows of m digits with b^m >= 2^_WINDOW_BITS
-_WINDOW_BITS = 40
-
-
-def _window_length(b: int) -> int:
-    m = 1
-    while b**m < 1 << _WINDOW_BITS:
-        m += 1
-    return m
-
-
 def _exact_bin(num: int, den: int, b: int, k: int) -> int:
     # floor(64 {b^k x}) from the remainder num b^k mod den
     return (_DISCREPANCY_BINS * (num * pow(b, k, den) % den)) // den
 
 
-def _orbit_discrepancy(num: int, den: int, b: int, digits: Sequence[int], steps: int) -> Fraction:
-    """Max deviation of the {b^k x} bin counts, k < steps, from uniform over
-    64 bins; `digits` holds the first steps + _window_length(b) digits of x.
+def _bin_counts(
+    num: int, den: int, b: int, digits: bytes | tuple[int, ...], steps: int
+) -> list[int]:
+    """How many of {b^k x}, k < steps, fall in each of the 64 bins, where
+    `digits` holds the first steps + m digits of x = num/den.
 
-    {b^k x} lies in [A, A + 1) / b^m for the window A = d_{k+1}..d_{k+m}, so
-    its bin is q = floor(64 A / b^m) unless 64 (A + 1) > b^m (q + 1), where
-    the window straddles a bin edge j / 64. The straddling windows are
-    exactly A = floor(j b^m / 64) for the j with j b^m / 64 not an integer;
-    their bins come from the exact remainder instead.
+    {b^k x} lies in [A, A + 1) / b^r for the r-digit window A at k. For a
+    byte base, digit i is spread into 16-bit lane i of one integer, and the
+    sum of the lanes shifted down by t digits, weighted by b^(r-1-t), holds
+    every window at once (each below b^r <= 4096, so no lane carries). The
+    bin table maps each window to its bin or to _STRADDLES; a straddling k
+    takes the m-digit window instead, and the exact remainder when that too
+    straddles (_straddling).
     """
-    m = _window_length(b)
-    bm = b**m
-    top = bm // b
-    straddling = {
-        j * bm // _DISCREPANCY_BINS
-        for j in range(1, _DISCREPANCY_BINS)
-        if j * bm % _DISCREPANCY_BINS
-    }
-    counts = [0] * _DISCREPANCY_BINS
-    A = 0
-    for d in digits[:m]:
-        A = A * b + d
-    for k, d in enumerate(digits[m : m + steps]):
+    radix = _radix(b)
+    r, n = radix.r, len(digits)
+    windows = 0
+    if r:
+        spread = bytearray(2 * n)
+        spread[::2] = digits
+        lanes = int.from_bytes(spread, "little")
+        for t in range(r):
+            windows += b ** (r - 1 - t) * (lanes >> 16 * t)
+    lanes = memoryview(windows.to_bytes(2 * n, byteorder)).cast("H")[::_LANE_STEP]
+    binned = bytes(map(radix.bins.__getitem__, lanes[:steps]))
+    counts = list(map(binned.count, range(_DISCREPANCY_BINS)))
+    m, bm, straddling = radix.m, radix.bm, radix.straddling
+    k = binned.find(_STRADDLES)
+    while k >= 0:
+        A = 0
+        for d in digits[k : k + m]:
+            A = A * b + d
         if A in straddling:
             counts[_exact_bin(num, den, b, k)] += 1
         else:
             counts[A * _DISCREPANCY_BINS // bm] += 1
-        A = A % top * b + d
-    worst = max(abs(_DISCREPANCY_BINS * c - steps) for c in counts)
-    return Fraction(worst, _DISCREPANCY_BINS * steps)
+        k = binned.find(_STRADDLES, k + 1)
+    return counts
 
 
 def normality_report(
@@ -255,8 +351,8 @@ def normality_report(
     With count omitted, each base uses its full trust capacity (terminating
     expansions, which are exact at every digit, default to a 64-digit
     window). Each base costs one exact division and one radix conversion of
-    the trusted digits plus a short look-ahead window; frequencies and orbit
-    bins are then read off the digit list.
+    the trusted digits plus a short look-ahead window; frequencies are
+    counted on the digit string and orbit bins read off its windows.
     """
     x = Fraction(x)
     if not 0 <= x < 1:
@@ -277,14 +373,16 @@ def normality_report(
             capacity = max(0, _ilog(den, b) - guard)
             trusted = capacity if count is None else min(count, capacity)
         if trusted > 0:
-            digits = _radix_digits(num, den, b, trusted + _window_length(b))
+            digits = _digit_string(num, den, b, trusted + _radix(b).m)
             window = digits[:trusted]
-            counts = [window.count(v) for v in range(b)]
+            counts = list(map(window.count, range(b)))
             freqs = tuple(Fraction(c, trusted) for c in counts)
             max_dev = Fraction(max(abs(b * c - trusted) for c in counts), b * trusted)
-            discrepancy = _orbit_discrepancy(num, den, b, digits, trusted)
+            bins = _bin_counts(num, den, b, digits, trusted)
+            worst = max(abs(_DISCREPANCY_BINS * c - trusted) for c in bins)
+            discrepancy = Fraction(worst, _DISCREPANCY_BINS * trusted)
         else:
-            freqs = tuple(Fraction(0) for _ in range(b))
+            freqs = (Fraction(0),) * b
             max_dev = discrepancy = Fraction(1)
         reports.append(
             NormalityReport(

@@ -17,7 +17,8 @@ from .errors import InvalidParameter
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# finalizer multipliers; measure.sample_point inlines mix64 and the counter
+# finalizer multipliers; measure.sample_point runs mix64 on every level's
+# counter at once, one 128-bit lane per level of one big integer
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 

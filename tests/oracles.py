@@ -181,16 +181,22 @@ def long_division_digits(x: Fraction, b: int, count: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def remainder_walk_discrepancy(x: Fraction, b: int, steps: int) -> Fraction:
-    """Max deviation from uniform of the 64-bin counts of {b^k x}, k < steps,
-    walking the exact remainders num b^k mod den."""
-    if steps <= 0:
-        return Fraction(1)
+def remainder_walk_bins(x: Fraction, b: int, steps: int) -> list[int]:
+    """The 64-bin counts of {b^k x}, k < steps, walking the exact remainders
+    num b^k mod den."""
     counts = [0] * 64
     cur, den = x.numerator, x.denominator
     for _ in range(steps):
         counts[(64 * cur) // den] += 1
         cur = (cur * b) % den
+    return counts
+
+
+def remainder_walk_discrepancy(x: Fraction, b: int, steps: int) -> Fraction:
+    """Max deviation from uniform of the remainder walk's 64-bin counts."""
+    if steps <= 0:
+        return Fraction(1)
+    counts = remainder_walk_bins(x, b, steps)
     return max(abs(Fraction(c, steps) - Fraction(1, 64)) for c in counts)
 
 

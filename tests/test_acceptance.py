@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve numbered criteria, one test each.
+"""Acceptance gate: thirteen numbered criteria, one test each.
 
 Every test prints a single "criterion NN ...: PASS (elapsed)" line straight to
 the terminal once its checks hold, and enforces its own wall-clock budget.
@@ -37,7 +37,7 @@ from moranlab.numtheory import (
 from moranlab.radix import PrimeSchedule, build_schedule, to_digits
 from moranlab.rng import value_at
 
-from oracles import brute_orders_vector, ln_bounds
+from oracles import brute_orders_vector, ln_bounds, mp_mu_hat
 
 SEED = 20260816
 
@@ -309,3 +309,22 @@ def test_criterion_12_h_rate_trend(capsys):
         P_k, P_k1 = sch.prefix_product(k), sch.prefix_product(k + 1)
         assert P_k1**k > P_k ** (k + 1)
     _report(capsys, 12, "h(r) rate trend", t0, 10.0)
+
+
+def test_criterion_13_no_decay_witness(capsys):
+    # |mu^(P_N)| stays near 1 along the prefix products: the DEL criterion
+    # holds for these measures, yet their transforms do not decay
+    t0 = time.perf_counter()
+    sch = build_schedule(d=2, count=14)
+    assert sch.depth == 105
+    binary = binary_system(sch, Fraction(1, 2))
+    dim_one = build_convolved(binary, "dim-one").as_moran_system()
+    for sysm, floor, levels in ((binary, 0.95, (1, 5, 20, 60, 100)), (dim_one, 0.45, (5, 20, 60))):
+        for N in levels:
+            cert = mu_hat_modulus(sch.prefix_product(N), sysm, 1e-12)
+            assert cert.hi - cert.lo <= 1e-12
+            assert cert.lo >= floor, (N, cert)
+            if N <= 5:
+                true = mp_mu_hat(sch.prefix_product(N), sysm, dps=40)
+                assert cert.lo <= true <= cert.hi, (N, cert, true)
+    _report(capsys, 13, "no-decay witness", t0, 30.0)

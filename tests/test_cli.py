@@ -911,6 +911,47 @@ def test_normality_checks_bases_and_count_up_front(tmp_path, capsys, samples, se
     assert not (tmp_path / "normality.csv").exists()
 
 
+def _no_sampling(*args):
+    raise AssertionError("a sample was drawn")
+
+
+def test_normality_huge_base_trips_the_frequency_guard(tmp_path, capsys, monkeypatch):
+    # 8 samples x 3e11 digit values: each report would hold 3e11 frequencies.
+    # sampling is disabled, so a missing guard fails here instead of running
+    monkeypatch.setattr(moranlab.measure, "sample_batch", _no_sampling)
+    monkeypatch.setattr(moranlab.measure, "normality_report", _no_sampling)
+    config = {"schedule": {"count": 4}, "normality": {"bases": [300_000_000_000]}}
+    path = cfg_file(tmp_path, config)
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))
+    assert time.perf_counter() - t0 < 5
+    assert rc == 5
+    assert err == (
+        "error: normality frequency tables of 2400000000000 entries (8 samples x "
+        "300000000000 digit values) exceed the guard 1000000\n"
+    )
+    assert not (tmp_path / "normality.csv").exists()
+
+
+@pytest.mark.parametrize("samples, rc", [(0, 0), (2, 0), (3, 5)])
+def test_frequency_guard_bounds_samples_times_the_sum_of_bases(
+    tmp_path, capsys, monkeypatch, samples, rc
+):
+    # bases 2, 3 and 10 hold 15 frequencies per sample; 2 samples fill a
+    # guard of 30 exactly, and the bounds on bases and count come first
+    monkeypatch.setattr(moranlab.measure, "FREQUENCY_GUARD", 30)
+    normality = {"samples": samples, "bases": [2, 3, 10]}
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": normality})
+    got, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))
+    assert got == rc, err
+    if rc:
+        assert err.startswith(f"error: normality frequency tables of {15 * samples} entries")
+        assert err.endswith("exceed the guard 30\n")
+    for section in ({"bases": [2, 1]}, {"count": -1}):
+        path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": {**normality, **section}})
+        assert run(capsys, "normality", "--config", path, "--out", str(tmp_path))[0] == 2
+
+
 def test_normality_zero_count_is_valid(tmp_path, capsys):
     path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "normality": {"samples": 1, "count": 0}})
     rc, _, err = run(capsys, "normality", "--config", path, "--out", str(tmp_path))

@@ -7,6 +7,7 @@ must reproduce exactly.
 """
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,18 @@ from hypothesis import strategies as st
 from moranlab import InvalidParameter, base_digits, measure, normality_report, sample_batch
 from moranlab.cli import _schedule_from, _system_from
 
-from oracles import long_division_digits, reference_normality, reference_trusted
+from oracles import (
+    long_division_digits,
+    reference_normality,
+    reference_trusted,
+    remainder_walk_bins,
+)
 
-BASES = st.sampled_from(list(range(2, 17)) + [64, 100])
+# 2^40 + 15 needs no window table, but a report holds one frequency per
+# digit value, so only base_digits and the bin kernel take it
+HUGE_BASE = 2**40 + 15
+BASES = st.sampled_from(list(range(2, 17)) + [64, 100, 255, 256, 257, 1000, 4097, HUGE_BASE])
+REPORT_BASES = BASES.filter(lambda b: b < HUGE_BASE)
 
 
 @st.composite
@@ -49,7 +59,7 @@ def test_base_digits_matches_long_division(x, b, count):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rationals(), st.lists(BASES, min_size=1, max_size=3), COUNTS)
+@given(rationals(), st.lists(REPORT_BASES, min_size=1, max_size=3), COUNTS)
 def test_normality_report_matches_reference(x, bases, count):
     reports = normality_report(x, bases, count=count)
     assert _fields(reports) == reference_normality(x, bases, count=count)
@@ -116,6 +126,62 @@ def test_base_ten_beyond_the_decimal_string_limit():
     (report,) = normality_report(x, [10], count=4400)
     assert report.trusted_digit_count == 4400
     assert _fields([report]) == reference_normality(x, [10], count=4400)
+
+
+@pytest.mark.parametrize("b", [2, 3, 10, 257])
+def test_windows_beyond_the_decimal_string_limit_match_reference(b):
+    # a denominator of about 5000 decimal digits: every base's trust window
+    # holds more than 4300 decimal digits' worth of information
+    den = 7**5917 + 2
+    x = Fraction(3**9000 % den, den)
+    assert den.bit_length() * math.log10(2) > 5000
+    digits, trusted = base_digits(x, b, 200)
+    assert (digits, trusted) == (long_division_digits(x, b, 200), 200)
+    (report,) = normality_report(x, [b])
+    assert report.trusted_digit_count * math.log10(b) > 4300
+    assert _fields([report]) == reference_normality(x, [b])
+
+
+def _bins(x, b, steps):
+    digits = measure._digit_string(x.numerator, x.denominator, b, steps + measure._radix(b).m)
+    return measure._bin_counts(x.numerator, x.denominator, b, digits, steps)
+
+
+def _straddle_share(x, b, steps):
+    # the share of k < steps whose r-digit window straddles a bin edge
+    r = measure._radix(b).r
+    if not r:
+        return 1.0
+    digits = long_division_digits(x, b, steps + r)
+    edges = measure._straddling(b**r)
+    windows = (
+        sum(d * b ** (r - 1 - i) for i, d in enumerate(digits[k : k + r])) for k in range(steps)
+    )
+    return sum(A in edges for A in windows) / steps
+
+
+EDGE_BASES = [3, 6, 7, 10, 255, 256, 257, 1000, 4097, HUGE_BASE]
+
+
+@pytest.mark.parametrize("b", EDGE_BASES)
+def test_bin_counts_match_the_remainder_walk_near_bin_edges(b):
+    # x = j/64 +- b^-90 / 7: for odd b every {b^k x} with k well below 90
+    # sits just above or below the edge (b^k j mod 64) / 64, so its window
+    # straddles; even bases reach an edge only for their first few k
+    shares, steps = [], 80
+    for j in (1, 5, 21, 43, 63):
+        for sign in (1, -1):
+            x = Fraction(j, 64) + sign * Fraction(1, 7 * b**90)
+            assert _bins(x, b, steps) == remainder_walk_bins(x, b, steps)
+            shares.append(_straddle_share(x, b, steps))
+    if b % 2:
+        assert min(shares) > 0.8
+
+
+@settings(max_examples=80, deadline=None)
+@given(rationals(), st.sampled_from(EDGE_BASES), st.integers(1, 120))
+def test_bin_counts_match_the_remainder_walk(x, b, steps):
+    assert _bins(x, b, steps) == remainder_walk_bins(x, b, steps)
 
 
 BENCH_CONFIG = Path(__file__).resolve().parents[1] / "bench" / "configs" / "sample_normality.json"

@@ -65,8 +65,8 @@ def test_thresholds_partition_the_range():
         cumulative_thresholds(())
 
 
-# pick is the reference inversion of oracles.py: the library bisects the
-# thresholds inline in measure.sample_point
+# pick is the reference inversion of oracles.py: measure.sample_point maps
+# bisect_right over every level's thresholds and draws at once
 
 
 def test_pick_inverts_thresholds():

@@ -1,9 +1,9 @@
 """The integer kernels of the sampling path against the loops they replaced.
 
-`sample_point` steps the generator counter and the splitmix64 finalizer
-inline and bisects the thresholds; `cumulative_thresholds`, `_convolve` and
-the weight check of `MoranSystem` sum integer numerators over one common
-denominator; `uniqueness_avoidance` rules a dilation out from one attractor
+`sample_point` runs the splitmix64 finalizer once on every level's
+counter, each in its own 128-bit lane of one integer, and bisects the
+thresholds; `cumulative_thresholds`, `_convolve` and the weight check of
+`MoranSystem` sum integer numerators over one common denominator; `uniqueness_avoidance` rules a dilation out from one attractor
 digit before it takes an exact remainder. Each must give exactly what the
 reference in `oracles.py` gives: the same digits, thresholds, weights and
 verdicts, and the same exception with the same message.
@@ -114,10 +114,30 @@ def test_sample_point_matches_value_at_and_pick(sysm, seed):
         assert got.value.denominator == want.value.denominator
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 3 * 2**64 - 1])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 3 * 2**64 - 1, 2**128 - 1])
 def test_sample_point_reduces_seeds_like_value_at(seed):
     sysm = mixed_denominator_systems()[0]
     assert sample_point(sysm, seed, sysm.depth) == reference_sample_point(sysm, seed, sysm.depth)
+
+
+GOLDEN = 0x9E3779B97F4A7C15
+# counters that pass 2^64 inside the depth, or land on 0 or 2^64 - 1 at a
+# given level: seed + n * GOLDEN = 2^64 - 1 or 2^64 at n = 1, 3, 100
+WRAPPING_SEEDS = sorted(
+    {(2**64 - d - n * GOLDEN) % 2**64 for n in (1, 3, 100) for d in (0, 1)}
+    | {2**64 - GOLDEN, 2**64 - 1, 2**128 - 1, -(2**64)}
+)
+DEEP = build_schedule(d=2, count=45)
+
+
+@pytest.mark.parametrize("seed", WRAPPING_SEEDS)
+def test_sample_point_lanes_match_value_at_across_the_wrap(seed):
+    # every lane of the one-integer finalizer equals value_at at its level,
+    # from depth 1 to the full 1,035 levels
+    assert DEEP.depth == 1035
+    sysm = binary_system(DEEP, Fraction(1, 3))
+    for depth in (1, 2, 100, DEEP.depth):
+        assert sample_point(sysm, seed, depth) == reference_sample_point(sysm, seed, depth)
 
 
 @pytest.mark.parametrize("depth", [0, -1, 4, 50])

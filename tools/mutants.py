@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check for the tests of the transform, the partition pass and the
-command line.
+"""Mutation check for the tests of the transform, the partition pass, the
+sampler, the orbit bins and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -31,6 +31,8 @@ WEIGHTS = "tests/test_weight_enclosures.py"
 CLI = "tests/test_cli.py"
 STARTUP = "tests/test_startup.py"
 DIST = "tests/test_distribution.py"
+SAMPLING = "tests/test_sampling_kernels.py"
+NORMALITY = "tests/test_normality_kernel.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -99,6 +101,25 @@ MUTANTS = {
         [f"{DIST}::test_residue_recurrence_matches_running_powers",
          f"{DIST}::test_partition_fibers_match_pi_map",
          f"{DIST}::test_fiber_counts_matches_digit_rows"],
+    ),
+    # the finalizer's first shift not masked to its lane: the next level's
+    # low bits land in the lane's upper half, and the multiplication carries
+    # them into the next lane
+    "lane-mask-dropped": (
+        "src/moranlab/measure.py",
+        "    u = z ^ ((z >> 30) & lanes)\n",
+        "    u = z ^ (z >> 30)\n",
+        [f"{SAMPLING}::test_sample_point_lanes_match_value_at_across_the_wrap",
+         f"{SAMPLING}::test_sample_point_matches_value_at_and_pick"],
+    ),
+    # a window that straddles a bin edge binned by the table like any other,
+    # instead of being resolved from the longer window or the remainder
+    "straddle-window-binned": (
+        "src/moranlab/measure.py",
+        "_STRADDLES if A in edges else A * _DISCREPANCY_BINS // span",
+        "A * _DISCREPANCY_BINS // span",
+        [f"{NORMALITY}::test_bin_counts_match_the_remainder_walk_near_bin_edges",
+         f"{NORMALITY}::test_bin_counts_match_the_remainder_walk"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
