@@ -8,13 +8,19 @@ paired with the asymptotic bound 2 A N_r e^(-B u_r) evaluated at the derived
 constants. The bound rows are diagnostics: the constants are only valid in a
 regime (r >= r1) far beyond enumeration, so they are reported side by side
 and never asserted.
+
+Every sum of terms is math.fsum (Shewchuk 1997): the exact sum of the
+doubles, rounded once, so each value is independent of summation order and
+equals the rounding of the exact rational sum.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Iterable, Sequence
 
 # numtheory as a module, not names: its body runs only when a block report
@@ -39,25 +45,17 @@ def frequency(h: int, b: int, n: int, m: int) -> int:
     return h * (b**n - b**m)
 
 
-def _neumaier(xs: Iterable[float]) -> tuple[float, float]:
-    """Compensated (Neumaier) sum of xs in order, as (value, slop): the error
-    of value is at most slop = ~2 ulp of the absolute mass sum |x|.
+def _sum_and_slop(xs: Iterable[float]) -> tuple[float, float]:
+    """(math.fsum(xs), 4 * 2^-53 * m), m the left-to-right float sum of xs.
 
-    The magnitudes are conditional expressions in place of abs(), which give
-    the same values: -0.0 adds nothing to the positive mass, and a NaN fails
-    the comparison either way.
+    The terms are finite and non-negative (midpoints and half-widths in
+    [0, 1], increments and radii >= 0), so fsum is the correctly rounded
+    exact sum and the slop is the radius term each caller adds. The mass is
+    a plain reduce, not sum(), which is compensated from Python 3.12 on and
+    would move the radius bits with the interpreter.
     """
-    total = comp = mass = 0.0
-    for x in xs:
-        size = x if x >= 0.0 else -x
-        mass += size
-        t = total + x
-        if (total if total >= 0.0 else -total) >= size:
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp, 4.0 * 2.0**-53 * mass
+    xs = list(xs)
+    return math.fsum(xs), 4.0 * 2.0**-53 * reduce(add, xs, 0.0)
 
 
 class DelReport(Record):
@@ -70,19 +68,9 @@ class DelReport(Record):
     )
 
     def cumulative(self) -> tuple[float, ...]:
-        # _neumaier's steps in one running pass: the value after k terms is
-        # _neumaier(increments[:k])[0], as the state after k steps is the same
-        sums = []
-        total = comp = 0.0
-        for x in self.increments:
-            t = total + x
-            if (total if total >= 0.0 else -total) >= (x if x >= 0.0 else -x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-            sums.append(total + comp)
-        return tuple(sums)
+        # the correctly rounded sum of each prefix of the increments
+        incs = self.increments
+        return tuple(math.fsum(incs[:k]) for k in range(1, len(incs) + 1))
 
 
 def _modulus_table(
@@ -107,10 +95,10 @@ def del_partial(
     """Certified partial sum of the criterion series up to N_max.
 
     Each modulus is certified to width eps/N_max^3 (down to the double-
-    precision floor) and memoized by absolute frequency; terms are then summed
-    in fixed (N, m, n) order with compensated accumulation, so the result is
-    bit-identical from call to call. The reported radius is the exact
-    weighted sum of interval half-widths plus the accumulation slop.
+    precision floor) and memoized by absolute frequency. Every sum is
+    math.fsum, the correctly rounded exact sum, so no value depends on the
+    summation order. The reported radius is the weighted sum of interval
+    half-widths plus a slop of 4 * 2^-53 times each summed mass.
     """
     check_pair(b, h)
     if isinstance(N_max, bool) or not isinstance(N_max, int) or N_max < 1:
@@ -129,12 +117,12 @@ def del_partial(
     off: list[float] = []
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner, inner_slop = _neumaier(chain.from_iterable(row[:N] for row in mid[:N]))
-        inner_rad, rad_slop = _neumaier(chain.from_iterable(row[:N] for row in half[:N]))
+        inner, inner_slop = _sum_and_slop(chain.from_iterable(row[:N] for row in mid[:N]))
+        inner_rad, rad_slop = _sum_and_slop(chain.from_iterable(row[:N] for row in half[:N]))
         increments.append(inner / cube)
         radii.append((inner_rad + rad_slop + inner_slop) / cube)
         diag.append(N / cube)  # xi = 0 terms are exactly 1
-        upper, _ = _neumaier(chain.from_iterable(mid[m][m + 1 : N] for m in range(N)))
+        upper = math.fsum(chain.from_iterable(mid[m][m + 1 : N] for m in range(N)))
         off.append(2.0 * upper / cube)
 
     blocks: list[tuple[int, float]] = []
@@ -142,17 +130,17 @@ def del_partial(
     for r in range(1, len(sch.q) + 1):
         if sch.N[r - 1] >= N_max:
             break
-        blocks.append((r, _neumaier(increments[sch.N[r - 1] : sch.N[r]])[0]))
+        blocks.append((r, math.fsum(increments[sch.N[r - 1] : sch.N[r]])))
 
-    partial_sum, total_slop = _neumaier(increments)
-    radius, radius_slop = _neumaier(radii)
+    partial_sum, total_slop = _sum_and_slop(increments)
+    radius, radius_slop = _sum_and_slop(radii)
     return DelReport(
         N_max=N_max,
         partial_sum=partial_sum,
         radius=radius + radius_slop + total_slop,
         increments=tuple(increments),
-        diagonal_sum=_neumaier(diag)[0],
-        offdiagonal_sum=_neumaier(off)[0],
+        diagonal_sum=math.fsum(diag),
+        offdiagonal_sum=math.fsum(off),
         block_sums=tuple(blocks),
     )
 
@@ -223,7 +211,7 @@ def block_trend(
                 raise InvalidParameter(f"m must be >= 0, got {m}")
             xis = [abs(frequency(h, b, n, m)) for n in range(m + 1, N_r)]
             table = _modulus_table(sys, xis, eps)
-            block_sum, _ = _neumaier(0.5 * (lo + hi) for lo, hi in map(table.__getitem__, xis))
+            block_sum = math.fsum(0.5 * (lo + hi) for lo, hi in map(table.__getitem__, xis))
             rows.append(BlockRow(r=r, m=m, block_sum=block_sum, bound=bound))
     return tuple(rows)
 

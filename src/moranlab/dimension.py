@@ -37,7 +37,7 @@ from .errors import (
     OutOfRange,
     ScheduleTooShort,
 )
-from .system import MoranSystem
+from .system import MoranSystem, _first_levels, _shared
 from .radix import PrimeSchedule, schedule_of
 
 _LN2 = math.log(2.0)
@@ -271,16 +271,12 @@ class ConvolvedSystem(Record):
         if any(a >= b for a, b in zip(special_levels, special_levels[1:])):
             raise InvalidParameter("special levels must strictly increase")
         special = set(special_levels)
-        # a level's checks read only its kind, base and sets, so levels that
-        # share them (by identity) with a checked level pass as it did
-        checked: set[tuple] = set()
-        for n, M in enumerate(schedule.bases(), start=1):
-            E = nu_sets[n - 1]
-            key = (n in special, M, id(E), id(sum_sets[n - 1]), id(base_sets[n - 1]))
-            if key in checked:
-                continue
-            checked.add(key)
-            if n in special:
+        # a level's checks read only its kind, base and sets
+        kinds = [n in special for n in range(1, depth + 1)]
+        for n, (is_special, M, E, F, D) in _first_levels(
+            kinds, schedule.bases(), nu_sets, sum_sets, base_sets
+        ):
+            if is_special:
                 if E != _even_digit_set(M):
                     raise InvalidParameter(f"level {n} is special but E is not the even set")
                 # liminf guard: keeps the avoidance interval non-degenerate
@@ -288,7 +284,7 @@ class ConvolvedSystem(Record):
                     raise CounterexampleFound(f"level {n}: even set too large for {M}")
             if len(E) >= 2 and E[1] - E[0] == 2:
                 # even-step levels must have unique sum decompositions
-                if len(sum_sets[n - 1]) != len(base_sets[n - 1]) * len(E):
+                if len(F) != len(D) * len(E):
                     raise CounterexampleFound(f"level {n}: sums collide on an even-step set")
         self.__dict__.update(
             schedule=schedule, base_sets=base_sets, nu_sets=nu_sets, sum_sets=sum_sets,
@@ -375,22 +371,20 @@ def build_convolved(
         raise InvalidParameter(f"unknown variant {variant!r}")
 
     special_set = set(special)
-    # one convolution per distinct (base, special, digit set, weights); the
+
+    def level(M: int, is_special: bool, D: tuple[int, ...], w: tuple[Fraction, ...]) -> tuple:
+        if is_special:
+            E = _even_digit_set(M)
+        elif variant == "gauge":
+            E = tuple(range(M - 1))
+        else:
+            E = tuple(range(0, M - 2, 2))
+        return (E, *_convolve(D, w, E))
+
+    # one convolution per distinct (base, kind, digit set, weights); the
     # levels that share these share its tuples
-    built: dict[tuple, tuple] = {}
-    levels = []
-    for n, (M, D, w) in enumerate(zip(sch.bases(), sys.digit_sets, sys.weights), start=1):
-        key = (M, n in special_set, id(D), id(w))
-        level = built.get(key)
-        if level is None:
-            if n in special_set:
-                E = _even_digit_set(M)
-            elif variant == "gauge":
-                E = tuple(range(M - 1))
-            else:
-                E = tuple(range(0, M - 2, 2))
-            level = built[key] = (E, *_convolve(D, w, E))
-        levels.append(level)
+    kinds = [n in special_set for n in range(1, depth + 1)]
+    levels = _shared(level, sch.bases(), kinds, sys.digit_sets, sys.weights)
     nu_sets, sum_sets, weights = zip(*levels)
     return ConvolvedSystem(
         schedule=sch,

@@ -16,8 +16,9 @@ operations replace a Python loop per level or per digit:
 - base-b digits come from one exact division, floor(num b^count / den),
   split into halves by one map(divmod) per tree level down to leaves of L
   digits, each looked up in a per-base table of L-digit byte strings (b^L
-  is at most 1024). Bases up to 256 give a bytes string; larger bases stop
-  at one-digit leaves, build no table and give a tuple;
+  is at most 1024). Bases up to 256 give a bytes string, counted by
+  bytes.count; larger bases stop at one-digit leaves, build no table and
+  give a tuple, counted in one Counter pass;
 - the orbit bin floor(64 {b^k x}) is read from the r-digit window at k,
   where all windows come out of one pass over 16-bit lanes (b^r <= 4096)
   and a per-base byte table maps each to its bin. A window that straddles
@@ -37,6 +38,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
@@ -375,7 +377,12 @@ def normality_report(
         if trusted > 0:
             digits = _digit_string(num, den, b, trusted + _radix(b).m)
             window = digits[:trusted]
-            counts = list(map(window.count, range(b)))
+            if isinstance(window, bytes):
+                counts = list(map(window.count, range(b)))
+            else:
+                # a tuple (b > 256): one pass, not one scan per digit value
+                tally = Counter(window)
+                counts = list(map(tally.get, range(b), repeat(0)))
             freqs = tuple(Fraction(c, trusted) for c in counts)
             max_dev = Fraction(max(abs(b * c - trusted) for c in counts), b * trusted)
             bins = _bin_counts(num, den, b, digits, trusted)

@@ -4,9 +4,11 @@ The measures of the constructions are homogeneous: a prime q_r repeats for
 a whole block of levels with one digit set and one weight tuple. So a
 system's levels share their tuples (binary_system builds one (0, 1) tuple
 and one weight pair per distinct omega), and the checks and the per-level
-tables run once per distinct shared tuple, found by identity. A system
-built from equal but unshared tuples equals the shared one and gets the
-same tables; it only does the work once per level.
+tables run once per distinct shared tuple, found by identity: the checks
+loop over _first_levels, which yields the first level of each distinct
+tuple of column objects, and the per-level tables are built by _shared.
+A system built from equal but unshared tuples equals the shared one and
+gets the same tables; it only does the work once per level.
 
 The transform-only level tables (_levels, and _transform_levels and
 _transform_moduli built on it) come from ``fourier``, which is loaded only
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 # modules, not names: fourier and rng run only when a table needs them
 from . import fourier, rng
@@ -45,6 +47,19 @@ def _shared(fn: Callable, *columns: Sequence) -> tuple:
             value = memo[key] = fn(*args)
         out.append(value)
     return tuple(out)
+
+
+def _first_levels(*columns: Sequence) -> Iterator[tuple[int, tuple]]:
+    """(n, args) for the first level n (1-based) of each distinct tuple args
+    of column objects (by identity), in level order. A level whose objects
+    repeat an earlier level's gives what that level gave, so a check of
+    every level need only see these."""
+    seen: set[tuple] = set()
+    for n, args in enumerate(zip(*columns), start=1):
+        key = tuple(map(id, args))
+        if key not in seen:
+            seen.add(key)
+            yield n, args
 
 
 def _increasing_below(digits: Sequence[int], base: int) -> bool:
@@ -77,31 +92,15 @@ class MoranSystem(Record):
                 f"need digit sets and weights for all {depth} levels, got "
                 f"{len(digit_sets)} and {len(weights)}"
             )
-        # ids of the digit tuples seen to increase strictly from >= 0, and of
-        # the weight tuples seen to be positive rationals summing to 1; the
-        # tuples stay alive in digit_sets and weights, so no id is reused
-        increasing: set[int] = set()
-        normalised: set[int] = set()
-        for n, (base, digits, w) in enumerate(
-            zip(schedule.bases(), digit_sets, weights), start=1
-        ):
+        for n, (base, digits, w) in _first_levels(schedule.bases(), digit_sets, weights):
             if not digits:
                 raise InvalidParameter(f"level {n} has an empty digit set")
             if len(w) != len(digits):
                 raise InvalidParameter(f"level {n}: {len(digits)} digits, {len(w)} weights")
-            if id(digits) in increasing:
-                # known to increase strictly from >= 0: inside [0, base) iff its last is
-                ok = digits[-1] < base
-            else:
-                ok = _increasing_below(digits, base)
-                if ok:
-                    increasing.add(id(digits))
-            if not ok:
+            if not _increasing_below(digits, base):
                 raise InvalidParameter(
                     f"level {n}: digits must strictly increase within [0, {base})"
                 )
-            if id(w) in normalised:
-                continue
             for x in w:
                 if not isinstance(x, Fraction) or x.numerator <= 0:
                     raise InvalidParameter(f"level {n}: weights must be positive rationals")
@@ -112,7 +111,6 @@ class MoranSystem(Record):
                 raise InvalidParameter(
                     f"level {n}: weights sum to {Fraction(total, den)}, not 1"
                 )
-            normalised.add(id(w))
         self.__dict__.update(schedule=schedule, digit_sets=digit_sets, weights=weights)
 
     @property

@@ -320,42 +320,23 @@ def reference_digit_decay_bound(xi: int, sys) -> tuple[int, float]:
     return w, sys._window_gamma**w
 
 
-class ReferenceNeumaier:
-    """Neumaier accumulator as one add() per term, with the ~2 ulp slop bound
-    on its absolute mass."""
-
-    def __init__(self) -> None:
-        self.total = self.comp = self.abs_mass = 0.0
-
-    def add(self, x: float) -> None:
-        self.abs_mass += abs(x)
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.comp += (self.total - t) + x
-        else:
-            self.comp += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
-
-    @property
-    def slop(self) -> float:
-        return 4.0 * 2.0**-53 * self.abs_mass
+def exact_float_sum(xs) -> float:
+    """The exact rational sum of the doubles xs, rounded once to a double."""
+    return float(sum(map(Fraction, xs), Fraction(0)))
 
 
-def reference_neumaier(xs) -> tuple[float, float]:
-    """(value, slop) after add(x) for each x in order."""
-    acc = ReferenceNeumaier()
+def left_to_right_slop(xs) -> float:
+    """4 * 2^-53 times the float sum of xs, added term by term from the left."""
+    mass = 0.0
     for x in xs:
-        acc.add(x)
-    return acc.value, acc.slop
+        mass += x
+    return 4.0 * 2.0**-53 * mass
 
 
 def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
     """delsum.del_partial as an (N, m, n) loop that recomputes h (b^n - b^m)
-    and certifies it on first use, one add() per term."""
+    and certifies it on first use; every value is an exact Fraction sum
+    rounded once, and every slop a left-to-right mass."""
     from moranlab.delsum import DelReport
     from moranlab.fourier import mu_hat_modulus
 
@@ -368,45 +349,41 @@ def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
             table[xi] = (cert.lo, cert.hi)
         return table[xi]
 
-    increments = []
-    total, rad = ReferenceNeumaier(), ReferenceNeumaier()
-    diag, off = ReferenceNeumaier(), ReferenceNeumaier()
+    increments, radii, diag, off = [], [], [], []
     for N in range(1, N_max + 1):
         cube = float(N) ** 3
-        inner, inner_rad = ReferenceNeumaier(), ReferenceNeumaier()
+        mids, halves = [], []
         for m in range(N):
             for n in range(N):
                 lo, hi = modulus(m, n)
-                inner.add(0.5 * (lo + hi))
-                inner_rad.add(0.5 * (hi - lo))
-        inc = inner.value / cube
-        increments.append(inc)
-        total.add(inc)
-        rad.add((inner_rad.value + inner_rad.slop + inner.slop) / cube)
-        diag.add(N / cube)
-        upper = ReferenceNeumaier()
+                mids.append(0.5 * (lo + hi))
+                halves.append(0.5 * (hi - lo))
+        increments.append(exact_float_sum(mids) / cube)
+        radii.append(
+            (exact_float_sum(halves) + left_to_right_slop(halves) + left_to_right_slop(mids)) / cube
+        )
+        diag.append(N / cube)
+        upper = []
         for m in range(N):
             for n in range(m + 1, N):
                 lo, hi = modulus(m, n)
-                upper.add(0.5 * (lo + hi))
-        off.add(2.0 * upper.value / cube)
+                upper.append(0.5 * (lo + hi))
+        off.append(2.0 * exact_float_sum(upper) / cube)
     blocks = []
     sch = sys.schedule
     for r in range(1, len(sch.q) + 1):
         lo_N, hi_N = sch.N[r - 1], sch.N[r]
         if lo_N >= N_max:
             break
-        acc = ReferenceNeumaier()
-        for N in range(lo_N + 1, min(hi_N, N_max) + 1):
-            acc.add(increments[N - 1])
-        blocks.append((r, acc.value))
+        block = [increments[N - 1] for N in range(lo_N + 1, min(hi_N, N_max) + 1)]
+        blocks.append((r, exact_float_sum(block)))
     return DelReport(
         N_max=N_max,
-        partial_sum=total.value,
-        radius=rad.value + rad.slop + total.slop,
+        partial_sum=exact_float_sum(increments),
+        radius=exact_float_sum(radii) + left_to_right_slop(radii) + left_to_right_slop(increments),
         increments=tuple(increments),
-        diagonal_sum=diag.value,
-        offdiagonal_sum=off.value,
+        diagonal_sum=exact_float_sum(diag),
+        offdiagonal_sum=exact_float_sum(off),
         block_sums=tuple(blocks),
     )
 

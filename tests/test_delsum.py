@@ -17,9 +17,9 @@ from moranlab import (
 )
 from moranlab import binary_system, build_context, build_convolved
 from moranlab import delsum
-from moranlab.delsum import DelReport, _neumaier, asymptotic_constants
+from moranlab.delsum import DelReport, _sum_and_slop, asymptotic_constants
 
-from oracles import ReferenceNeumaier, naive_del_sum, reference_neumaier, triple_loop_del_partial
+from oracles import exact_float_sum, left_to_right_slop, naive_del_sum, triple_loop_del_partial
 
 
 def test_frequency_examples():
@@ -84,16 +84,13 @@ def _assert_same_report(got: DelReport, want: DelReport) -> None:
 @pytest.mark.parametrize("h", [1, -3])
 @pytest.mark.parametrize("b", [2, 3, 10])
 def test_del_partial_matches_triple_loop(medium_system, b, h, N_max):
-    # the tabulated (m, n) matrices keep the (N, m, n) summation order, so
-    # every field is bit-identical to the term-by-term loop
+    # every value is the exact sum of its terms rounded once, and every slop
+    # the left-to-right mass of the (N, m, n) order, so every field is
+    # bit-identical to the term-by-term loop over Fractions
     got = del_partial(medium_system, b, h, N_max=N_max, eps=1e-9)
     _assert_same_report(got, triple_loop_del_partial(medium_system, b, h, N_max, 1e-9))
-    # cumulative() re-sums prefixes; a running accumulator must read the same
-    running, want = ReferenceNeumaier(), []
-    for inc in got.increments:
-        running.add(inc)
-        want.append(running.value)
-    assert repr(got.cumulative()) == repr(tuple(want))
+    want = tuple(exact_float_sum(got.increments[:k]) for k in range(1, N_max + 1))
+    assert repr(got.cumulative()) == repr(want)
 
 
 @pytest.mark.parametrize("b, h", [(2, 1), (3, -3)])
@@ -109,43 +106,11 @@ def _bits(pair: tuple[float, float]) -> bytes:
     return struct.pack("<2d", *pair)
 
 
-@pytest.mark.parametrize(
-    "xs",
-    [[], [1.0], [1e16, 1.0, -1e16], [0.1] * 10, [3.0, -1e-20, 2.5e-300, -7.0, 1e308, -1e308]],
-)
-def test_neumaier_matches_reference(xs):
-    assert _bits(_neumaier(iter(xs))) == _bits(reference_neumaier(xs))
-
-
-EDGE_FLOATS = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.225e-308, -1.5e-310, 0.0, -0.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)))
-def test_neumaier_step_order_matches_reference(xs):
-    # the DEL totals cannot pin the step order (reversed rows round alike at
-    # desk-scale N_max), so the accumulator is pinned here bit for bit
-    assert _bits(_neumaier(xs)) == _bits(reference_neumaier(xs))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)))
-def test_cumulative_is_the_neumaier_sum_of_each_prefix(incs):
-    # the one running pass against a fresh sum of every prefix, bit for bit
-    report = DelReport(
-        N_max=max(len(incs), 1), partial_sum=0.0, radius=0.0, increments=tuple(incs),
-        diagonal_sum=0.0, offdiagonal_sum=0.0, block_sums=(),
-    )
-    prefixes = [_neumaier(incs[:k])[0] for k in range(1, len(incs) + 1)]
-    got = report.cumulative()
-    assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(incs)}d", *prefixes)
-
-
 # certified (lo, hi) per |xi| for b = 2, h = 1, N_max = 3, whose rows are
 # xi = (0, 1, 3), (1, 0, 2), (3, 2, 0). The nine midpoints sum to 4 + 2^-51,
-# half an ulp of 4, plus a 2^-104 term that breaks the tie upwards: in the
-# (N, m, n) order the Neumaier sum carries that term into the rounding, with
-# each row reversed it rounds to 4.0 instead
+# half an ulp of 4, plus a 2^-104 term that breaks the tie upwards, so the
+# exact sum rounds to 0x1.0000000000001p+2. A Neumaier pass gets that only
+# in the (N, m, n) order: with each row reversed it rounds to 4.0
 CRAFTED_MODULI = {
     0: (1.0, 1.0),
     1: (0.25, 0.75),
@@ -154,31 +119,94 @@ CRAFTED_MODULI = {
 }
 
 
-def _reference_increments_and_radius(N_max, rows_reversed=False):
-    increments, radii = [], []
-    for N in range(1, N_max + 1):
-        rows = [[CRAFTED_MODULI[abs(2**n - 2**m)] for n in range(N)] for m in range(N)]
-        cells = [cell for row in rows for cell in (row[::-1] if rows_reversed else row)]
-        inner, inner_slop = reference_neumaier(0.5 * (lo + hi) for lo, hi in cells)
-        inner_rad, rad_slop = reference_neumaier(0.5 * (hi - lo) for lo, hi in cells)
-        increments.append(inner / float(N) ** 3)
-        radii.append((inner_rad + rad_slop + inner_slop) / float(N) ** 3)
-    _, total_slop = reference_neumaier(increments)
-    radius, radius_slop = reference_neumaier(radii)
-    return increments, radius + radius_slop + total_slop
+def _crafted_cells(N, rows_reversed=False):
+    rows = [[CRAFTED_MODULI[abs(2**n - 2**m)] for n in range(N)] for m in range(N)]
+    return [cell for row in rows for cell in (row[::-1] if rows_reversed else row)]
+
+
+CRAFTED_MIDPOINTS = [0.5 * (lo + hi) for lo, hi in _crafted_cells(3)]
+REVERSED_MIDPOINTS = [0.5 * (lo + hi) for lo, hi in _crafted_cells(3, rows_reversed=True)]
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [],
+        [1.0],
+        [1.0, 2.0**-53, 2.0**-53],  # a left-to-right pass loses both halves
+        [0.1] * 10,
+        [5e-324, 1.0 - 2.0**-53, 2.225e-308, 1e-300, 0.0, 1.0],
+        CRAFTED_MIDPOINTS,
+        REVERSED_MIDPOINTS,
+    ],
+)
+def test_sum_and_slop_matches_exact_examples(xs):
+    assert _bits(_sum_and_slop(iter(xs))) == _bits((exact_float_sum(xs), left_to_right_slop(xs)))
+
+
+def test_crafted_midpoints_round_up_in_either_order():
+    for xs in (CRAFTED_MIDPOINTS, REVERSED_MIDPOINTS):
+        assert _sum_and_slop(xs)[0].hex() == "0x1.0000000000001p+2"
+
+
+# the domain of every DEL sum: finite non-negative doubles, with zero,
+# subnormals and the neighbours of 1 drawn often
+DOMAIN = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=0.0, max_value=2.0**-1022),
+    st.sampled_from([0.0, 5e-324, 2.225e-308, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOMAIN))
+def test_sum_and_slop_matches_fraction_sums(xs):
+    assert _bits(_sum_and_slop(xs)) == _bits((exact_float_sum(xs), left_to_right_slop(xs)))
+
+
+def _report(incs) -> DelReport:
+    return DelReport(
+        N_max=max(len(incs), 1), partial_sum=0.0, radius=0.0, increments=tuple(incs),
+        diagonal_sum=0.0, offdiagonal_sum=0.0, block_sums=(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DOMAIN))
+def test_cumulative_is_the_exact_sum_of_each_prefix(incs):
+    got = _report(incs).cumulative()
+    prefixes = [exact_float_sum(incs[:k]) for k in range(1, len(incs) + 1)]
+    assert struct.pack(f"<{len(got)}d", *got) == struct.pack(f"<{len(incs)}d", *prefixes)
+
+
+def test_cumulative_outside_the_domain_raises_on_overflow():
+    # a sum that overflows raises, where a running float sum would read inf;
+    # so does one whose partial sums overflow although its exact sum is finite
+    assert _report([1e308]).cumulative() == (1e308,)
+    with pytest.raises(OverflowError):
+        _report([1e308, 1e308]).cumulative()
+    with pytest.raises(OverflowError):
+        _report([1e308, 1e308, -1e308]).cumulative()
 
 
 def test_del_partial_sums_each_row_in_column_order(monkeypatch, small_system):
-    # real moduli at desk-scale N_max round alike in either order, so the
-    # order within a row is pinned here on moduli where it shows
+    # the order no longer moves a value, but the slop's mass is a left-to-
+    # right sum and still depends on it; on the crafted moduli the increments
+    # are the exact sums, and the radius is that of the (N, m, n) order
     def crafted_table(sys, xis, eps):
         return {xi: CRAFTED_MODULI[xi] for xi in xis}
 
     monkeypatch.setattr(delsum, "_modulus_table", crafted_table)
     report = del_partial(small_system, 2, 1, N_max=3, eps=1e-9)
-    increments, radius = _reference_increments_and_radius(3)
-    reversed_increments, _ = _reference_increments_and_radius(3, rows_reversed=True)
-    assert increments != reversed_increments  # the moduli tell the two orders apart
+    increments, radii = [], []
+    for N in range(1, 4):
+        cells = _crafted_cells(N)
+        mids = [0.5 * (lo + hi) for lo, hi in cells]
+        halves = [0.5 * (hi - lo) for lo, hi in cells]
+        increments.append(exact_float_sum(mids) / float(N) ** 3)
+        inner_rad = exact_float_sum(halves) + left_to_right_slop(halves)
+        radii.append((inner_rad + left_to_right_slop(mids)) / float(N) ** 3)
+    radius = exact_float_sum(radii) + left_to_right_slop(radii) + left_to_right_slop(increments)
     assert struct.pack("<3d", *report.increments) == struct.pack("<3d", *increments)
     assert struct.pack("<d", report.radius) == struct.pack("<d", radius)
 

@@ -142,6 +142,18 @@ def test_windows_beyond_the_decimal_string_limit_match_reference(b):
     assert _fields([report]) == reference_normality(x, [b])
 
 
+def test_base_65537_counts_match_reference():
+    # a base above 256 gives a digit tuple, counted in one pass; the period
+    # repeats 0, 7 and b - 1, so several counts exceed 1
+    b = 65537
+    period = [0, 7, b - 1, 7, 0, 0, 12345, b - 1] * 6 + [7, 1]
+    x = Fraction(sum(d * b**i for i, d in enumerate(period)), b**50 - 1)
+    (report,) = normality_report(x, [b], count=40)
+    assert report.trusted_digit_count == 40
+    assert max(report.frequencies) > Fraction(1, 40)
+    assert _fields([report]) == reference_normality(x, [b], count=40)
+
+
 def _bins(x, b, steps):
     digits = measure._digit_string(x.numerator, x.denominator, b, steps + measure._radix(b).m)
     return measure._bin_counts(x.numerator, x.denominator, b, digits, steps)

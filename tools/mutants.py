@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the partition pass, the
-sampler, the orbit bins and the command line.
+sampler, the orbit bins, the DEL sums, the digit-system checks and the
+command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -33,6 +34,8 @@ STARTUP = "tests/test_startup.py"
 DIST = "tests/test_distribution.py"
 SAMPLING = "tests/test_sampling_kernels.py"
 NORMALITY = "tests/test_normality_kernel.py"
+DEL = "tests/test_delsum.py"
+SYSTEM = "tests/test_system.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -120,6 +123,32 @@ MUTANTS = {
         "A * _DISCREPANCY_BINS // span",
         [f"{NORMALITY}::test_bin_counts_match_the_remainder_walk_near_bin_edges",
          f"{NORMALITY}::test_bin_counts_match_the_remainder_walk"],
+    ),
+    # the DEL sums taken left to right instead of correctly rounded
+    "del-sum-left-to-right": (
+        "src/moranlab/delsum.py",
+        "    return math.fsum(xs), 4.0 * 2.0**-53 * reduce(add, xs, 0.0)\n",
+        "    return reduce(add, xs, 0.0), 4.0 * 2.0**-53 * reduce(add, xs, 0.0)\n",
+        [f"{DEL}::test_sum_and_slop_matches_exact_examples",
+         f"{DEL}::test_sum_and_slop_matches_fraction_sums",
+         f"{DEL}::test_del_partial_sums_each_row_in_column_order"],
+    ),
+    # the slop's mass correctly rounded instead of summed left to right
+    "del-mass-fsum": (
+        "src/moranlab/delsum.py",
+        "    return math.fsum(xs), 4.0 * 2.0**-53 * reduce(add, xs, 0.0)\n",
+        "    return math.fsum(xs), 4.0 * 2.0**-53 * math.fsum(xs)\n",
+        [f"{DEL}::test_sum_and_slop_matches_exact_examples",
+         f"{DEL}::test_sum_and_slop_matches_fraction_sums"],
+    ),
+    # a level that differs from an earlier one only in its last column
+    # (the weights of a MoranSystem) skipped as already checked
+    "first-levels-drops-last-column": (
+        "src/moranlab/system.py",
+        "        key = tuple(map(id, args))\n",
+        "        key = tuple(map(id, args[:-1]))\n",
+        [f"{SYSTEM}::test_bad_level_is_reported_at_its_first_level",
+         f"{SYSTEM}::test_first_bad_level_wins_across_kinds"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
