@@ -407,8 +407,9 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
             raise InvalidParameter(f"base must be >= 2, got {b}")
     if digits is not None:
         _integer(digits, "normality.count", low=0)  # bounded after the bases
-    # each report holds one frequency per digit value, so the tables cost
-    # samples x sum(bases) entries however few digits are trusted
+    # the bound on samples x sum(bases) caps the size of the config only: a
+    # report keeps just the counts of the digit values that occur, so no
+    # step here costs work in proportion to a base
     values = sum(bases)
     if count * values > measure.FREQUENCY_GUARD:
         raise TooLarge(

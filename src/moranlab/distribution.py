@@ -57,7 +57,7 @@ from .numtheory import (
     order_mod_reduced,
     y_product,
 )
-from .radix import PrimeSchedule, schedule_of, to_digits
+from .radix import PrimeSchedule, middle_window, schedule_of, to_digits
 
 ENUMERATION_GUARD = 10**7
 
@@ -398,13 +398,6 @@ def fiber_counts(
 # digit-count histogram and its bound
 
 
-def _middle_window(q: int) -> tuple[int, int]:
-    third = q // 3
-    if third < 1:
-        raise InvalidParameter(f"base {q} has an empty middle-third digit window")
-    return third, 2 * third
-
-
 def classify_Bk(
     Lam: Iterable[int],
     ctx: BaseContext,
@@ -433,7 +426,7 @@ def classify_Bk(
     modulus = sch.prefix_product(depth)
     windows = []
     for p in positions:
-        lo, hi = _middle_window(sch.base_at(p + 1))
+        lo, hi = middle_window(sch.base_at(p + 1))
         windows.append(range(lo, hi + 1))
     counts = [0] * (len(positions) + 1)
     seen: set[tuple[int, ...]] = set()

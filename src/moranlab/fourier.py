@@ -279,7 +279,8 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     t <= t_cut, once per certified frequency, and its own comparison with
     eps/2 still decides the cut. The levels come from the system's cached
     table of (n, P_n, level, g_lo, g_hi), with the gain ends of {0,1} levels
-    and None for the others.
+    and None for the others; most {0,1} levels run inline with two gain
+    products instead of _binary_mask's four.
     """
     if not isinstance(xi, int) or isinstance(xi, bool):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
@@ -297,12 +298,13 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     # past two 30-bit digits, they are found top-down: P_n divides P_{n+1},
     # so each is the residue of the level above reduced mod P_n, a division
     # of a number one level wide instead of xi. A smaller xi is reduced
-    # directly, which costs less than building the list
+    # directly, which costs less than building the list. The schedule's
+    # tuple holds P_n at index n after P_0 = 1, whose residue 0 ends the chain
     residues = None
     if xi >> 60:
-        moduli = sys._transform_moduli
-        residues = list(accumulate(reversed(moduli[: bisect_right(moduli, xi)]), mod, initial=xi))
-        residues.append(0)
+        prefix = sys.schedule._prefix
+        top = bisect_right(prefix, xi) - 1
+        residues = list(accumulate(map(prefix.__getitem__, range(top, -1, -1)), mod, initial=xi))
         residues.reverse()
     for n, P, level, g_lo, g_hi in sys._transform_levels:
         past = xi < P
@@ -376,7 +378,8 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     floor(q/3) <= digit <= 2 floor(q/3) for the level base q. Each such
     position puts the level-(p+1) argument inside [1/6, 5/6], where the mask
     is at most the system's own gamma (MoranSystem._window_gamma), so gamma^w
-    bounds |mu_hat(xi)| from above.
+    bounds |mu_hat(xi)| from above, up to the few ulps of the unrounded float
+    power. The window ends come from a cached per-level table (_decay_windows).
     """
     if not isinstance(xi, int) or isinstance(xi, bool) or xi < 0:
         raise InvalidParameter(f"frequency must be a non-negative integer, got {xi!r}")

@@ -42,7 +42,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from operator import getitem
+from operator import getitem, itemgetter
 from sys import byteorder
 from typing import Iterable, Sequence
 
@@ -135,26 +135,25 @@ def sample_batch(
 # base-b digit expansions
 
 
-def _ilog(n: int, b: int) -> int:
-    # floor(log_b n) for n >= 1 without float overflow on huge n
-    if n < 1:
-        raise InvalidParameter(f"log of {n}")
-    t = max(0, int((n.bit_length() - 1) / math.log2(b)))
-    while b ** (t + 1) <= n:
+def _trusted(den: int, b: int, count: int | None, guard: int) -> int:
+    """How many leading base-b digits of a fraction over den are trusted, at
+    most count. When den divides a power of b every digit is exact, so all
+    count digits are (64 when count is None). Otherwise den carries about
+    log_b(den) digits of information and the window stops `guard` short of
+    floor(log_b den) (all of that when count is None)."""
+    rest = den
+    while (g := math.gcd(rest, b)) > 1:
+        rest //= g
+    if rest == 1:
+        return 64 if count is None else count
+    # floor(log_b den) from a float estimate, corrected without overflow
+    t = max(0, int((den.bit_length() - 1) / math.log2(b)))
+    while b ** (t + 1) <= den:
         t += 1
-    while t > 0 and b**t > n:
+    while t > 0 and b**t > den:
         t -= 1
-    return t
-
-
-def _terminating(den: int, b: int) -> bool:
-    # does den divide some power of b?
-    g = math.gcd(den, b)
-    while g > 1:
-        while den % g == 0:
-            den //= g
-        g = math.gcd(den, b)
-    return den == 1
+    capacity = max(0, t - guard)
+    return capacity if count is None else min(count, capacity)
 
 
 _DISCREPANCY_BINS = 64
@@ -253,48 +252,56 @@ def _digit_string(num: int, den: int, b: int, count: int) -> bytes | tuple[int, 
     return b"".join(map(radix.leaves.__getitem__, values))[pad:]
 
 
+def _checked(x: Fraction, bases: Sequence[int], count: int | None, guard: int) -> Fraction:
+    # the argument checks of base_digits and normality_report; x as a Fraction
+    x = Fraction(x)
+    if not 0 <= x < 1:
+        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
+    for b in bases:
+        if b < 2:
+            raise InvalidParameter(f"base must be >= 2, got {b}")
+    if count is not None and count < 0:
+        raise InvalidParameter(f"count must be >= 0, got {count}")
+    if guard < 0:
+        raise InvalidParameter(f"guard must be >= 0, got {guard}")
+    return x
+
+
 def base_digits(
     x: Fraction, b: int, count: int, guard: int = DEFAULT_GUARD
 ) -> tuple[tuple[int, ...], int]:
     """First `count` base-b digits of x, plus how many of them are trusted.
 
     The digits are those of exact long division, computed from the single
-    exact quotient floor(x b^count) by halving radix conversion. For a
-    terminating expansion every digit is exact and trusted; otherwise the
-    denominator carries roughly log_b(den) digits of information and the
-    trust window stops `guard` digits short of that, so no trusted digit can
-    be an artifact of the truncation of x.
+    exact quotient floor(x b^count) by halving radix conversion. The trust
+    window is _trusted's, so no trusted digit can be an artifact of the
+    truncation of x.
     """
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    if not 0 <= x < 1:
-        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
-    if b < 2:
-        raise InvalidParameter(f"base must be >= 2, got {b}")
-    if count < 0:
-        raise InvalidParameter(f"count must be >= 0, got {count}")
-    if guard < 0:
-        raise InvalidParameter(f"guard must be >= 0, got {guard}")
+    x = _checked(x, (b,), count, guard)
     den = x.denominator
-    digits = tuple(_digit_string(x.numerator, den, b, count))
-    if _terminating(den, b):
-        trusted = count
-    else:
-        trusted = max(0, min(count, _ilog(den, b) - guard))
-    return digits, trusted
+    return tuple(_digit_string(x.numerator, den, b, count)), _trusted(den, b, count, guard)
 
 
 class NormalityReport(Record):
-    """Digit-frequency and orbit-discrepancy statistics over trusted digits.
+    """Digit-count and orbit-discrepancy statistics over trusted digits.
 
-    periodic is always True: rational inputs have eventually periodic
-    expansions, so the statistics describe a finite window, never normality.
+    counts holds the (digit, count) pairs of the digit values that occur in
+    the trusted window, in digit order; absent values count 0. periodic is
+    always True: rational inputs have eventually periodic expansions, so the
+    statistics describe a finite window, never normality.
     """
 
-    _fields = (
-        "base", "trusted_digit_count", "frequencies", "max_deviation", "discrepancy", "periodic"
-    )
+    _fields = ("base", "trusted_digit_count", "counts", "max_deviation", "discrepancy", "periodic")
     _defaults = {"periodic": True}
+
+    @property
+    def frequencies(self) -> tuple[Fraction, ...]:
+        # count / trusted_digit_count per digit value 0 .. base - 1, built
+        # from counts on each read (all zero on an empty window)
+        freqs = [Fraction(0)] * self.base
+        for d, c in self.counts:
+            freqs[d] = Fraction(c, self.trusted_digit_count)
+        return tuple(freqs)
 
 
 def _exact_bin(num: int, den: int, b: int, k: int) -> int:
@@ -353,49 +360,41 @@ def normality_report(
     With count omitted, each base uses its full trust capacity (terminating
     expansions, which are exact at every digit, default to a 64-digit
     window). Each base costs one exact division and one radix conversion of
-    the trusted digits plus a short look-ahead window; frequencies are
+    the trusted digits plus a short look-ahead window; digit values are
     counted on the digit string and orbit bins read off its windows.
+
+    max_deviation, max_v |c_v / T - 1 / b| with T the trusted count, comes
+    from the extreme counts: |b c - T| is convex in c, and the smallest
+    count is 0 when fewer than b values occur.
     """
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise InvalidParameter(f"x must lie in [0, 1), got {x}")
-    for b in bases:
-        if b < 2:
-            raise InvalidParameter(f"base must be >= 2, got {b}")
-    if count is not None and count < 0:
-        raise InvalidParameter(f"count must be >= 0, got {count}")
-    if guard < 0:
-        raise InvalidParameter(f"guard must be >= 0, got {guard}")
+    x = _checked(x, bases, count, guard)
     num, den = x.numerator, x.denominator
     reports: list[NormalityReport] = []
     for b in bases:
-        if _terminating(den, b):
-            trusted = 64 if count is None else count
-        else:
-            capacity = max(0, _ilog(den, b) - guard)
-            trusted = capacity if count is None else min(count, capacity)
+        trusted = _trusted(den, b, count, guard)
         if trusted > 0:
             digits = _digit_string(num, den, b, trusted + _radix(b).m)
             window = digits[:trusted]
             if isinstance(window, bytes):
-                counts = list(map(window.count, range(b)))
+                counts = tuple(filter(itemgetter(1), enumerate(map(window.count, range(b)))))
             else:
-                # a tuple (b > 256): one pass, not one scan per digit value
-                tally = Counter(window)
-                counts = list(map(tally.get, range(b), repeat(0)))
-            freqs = tuple(Fraction(c, trusted) for c in counts)
-            max_dev = Fraction(max(abs(b * c - trusted) for c in counts), b * trusted)
+                # a tuple (b > 256): one pass over the digits, not over b
+                counts = tuple(sorted(Counter(window).items()))
+            tallies = [c for _, c in counts]
+            bottom = min(tallies) if len(counts) == b else 0
+            worst = max(b * max(tallies) - trusted, trusted - b * bottom)
+            max_dev = Fraction(worst, b * trusted)
             bins = _bin_counts(num, den, b, digits, trusted)
             worst = max(abs(_DISCREPANCY_BINS * c - trusted) for c in bins)
             discrepancy = Fraction(worst, _DISCREPANCY_BINS * trusted)
         else:
-            freqs = (Fraction(0),) * b
+            counts = ()
             max_dev = discrepancy = Fraction(1)
         reports.append(
             NormalityReport(
                 base=b,
                 trusted_digit_count=trusted,
-                frequencies=freqs,
+                counts=counts,
                 max_deviation=max_dev,
                 discrepancy=discrepancy,
             )

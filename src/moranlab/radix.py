@@ -274,6 +274,13 @@ def base_at(s: PrimeSchedule, n: int) -> int:
     return s.base_at(n)
 
 
+def middle_window(q: int) -> tuple[int, int]:
+    """(floor(q/3), 2 floor(q/3)): the ends of the middle-third digit window
+    of base q, never empty since schedule bases are at least 7."""
+    third = q // 3
+    return third, 2 * third
+
+
 def schedule_of(sys) -> PrimeSchedule:
     """The schedule itself, or the `schedule` of a digit system built on one."""
     if isinstance(sys, PrimeSchedule):

@@ -10,9 +10,8 @@ tuple of column objects, and the per-level tables are built by _shared.
 A system built from equal but unshared tuples equals the shared one and
 gets the same tables; it only does the work once per level.
 
-The transform-only level tables (_levels, and _transform_levels and
-_transform_moduli built on it) come from ``fourier``, which is loaded only
-when they are first built.
+The transform-only level tables (_levels, and _transform_levels built on
+it) come from ``fourier``, which is loaded only when they are first built.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import fourier, rng
 from ._record import Record
 from .errors import InvalidParameter
-from .radix import PrimeSchedule
+from .radix import PrimeSchedule, middle_window
 
 
 def _distinct(items: Iterable) -> Iterable:
@@ -139,15 +138,10 @@ class MoranSystem(Record):
         )
 
     @cached_property
-    def _transform_moduli(self) -> tuple:
-        # the P_n column of _transform_levels, which mu_hat_modulus bisects
-        return tuple(row[1] for row in self._transform_levels)
-
-    @cached_property
     def _decay_windows(self) -> tuple:
-        # digit_decay_bound's table: (q, q // 3, 2 (q // 3)) per level base q,
-        # one shared tuple per distinct base
-        return _shared(lambda q: (q, q // 3, 2 * (q // 3)), self.schedule.bases())
+        # digit_decay_bound's table: (q, lo, hi) per level base q with the
+        # ends of its middle-third window, one shared tuple per distinct base
+        return _shared(lambda q: (q, *middle_window(q)), self.schedule.bases())
 
     @cached_property
     def _window_gamma(self) -> float:

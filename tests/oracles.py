@@ -248,6 +248,21 @@ def reference_normality(x: Fraction, bases, guard: int = 8, count=None) -> list[
     return out
 
 
+def sparse_max_deviation(digits, b: int) -> Fraction:
+    """max_v |freq_v - 1/b| over the digit values 0 .. b-1, from a dict of
+    the values that occur: every absent value deviates by exactly 1/b, so b
+    may be far larger than the window. 1 on an empty window."""
+    if not digits:
+        return Fraction(1)
+    seen: dict[int, int] = {}
+    for d in digits:
+        seen[d] = seen.get(d, 0) + 1
+    deviations = [abs(Fraction(c, len(digits)) - Fraction(1, b)) for c in seen.values()]
+    if len(seen) < b:
+        deviations.append(Fraction(1, b))
+    return max(deviations)
+
+
 # --------------------------------------------------------------------------
 # kernels as they stood before they were flattened or tabulated; the library
 # must keep matching them bit for bit

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranlab import InvalidParameter, base_digits, measure, normality_report, sample_batch
+from moranlab import (
+    InvalidParameter,
+    NormalityReport,
+    base_digits,
+    measure,
+    normality_report,
+    sample_batch,
+)
 from moranlab.cli import _schedule_from, _system_from
 
 from oracles import (
@@ -23,10 +30,13 @@ from oracles import (
     reference_normality,
     reference_trusted,
     remainder_walk_bins,
+    remainder_walk_discrepancy,
+    sparse_max_deviation,
 )
 
-# 2^40 + 15 needs no window table, but a report holds one frequency per
-# digit value, so only base_digits and the bin kernel take it
+# 2^40 + 15 needs no window table; reference_normality holds one frequency
+# per digit value, so reports in this base are checked against
+# sparse_max_deviation instead (test_huge_base_report_matches_sparse_oracle)
 HUGE_BASE = 2**40 + 15
 BASES = st.sampled_from(list(range(2, 17)) + [64, 100, 255, 256, 257, 1000, 4097, HUGE_BASE])
 REPORT_BASES = BASES.filter(lambda b: b < HUGE_BASE)
@@ -152,6 +162,101 @@ def test_base_65537_counts_match_reference():
     assert report.trusted_digit_count == 40
     assert max(report.frequencies) > Fraction(1, 40)
     assert _fields([report]) == reference_normality(x, [b], count=40)
+
+
+# x = (floor(d/3) + 12345) / d with d = 7^3000 + 2: a 2,536-digit
+# denominator, so every base up to 2^40 + 15 trusts hundreds of digits
+_DEEP_DEN = 7**3000 + 2
+DEEP_X = Fraction(_DEEP_DEN // 3 + 12345, _DEEP_DEN)
+
+
+def _reference_records(x, bases, count=None):
+    # reference_normality's tuples as records, with the counts read back
+    # from its frequencies
+    return [
+        NormalityReport(b, t, tuple((v, int(f * t)) for v, f in enumerate(freqs) if f), dev, disc)
+        for b, t, freqs, dev, disc in reference_normality(x, bases, count=count)
+    ]
+
+
+WIDE_X = Fraction(3**700 % (5**400 + 7), 5**400 + 7)
+
+
+def test_reports_equal_reference_records_in_every_byte_base_and_beyond():
+    # the whole record, counts included, in bases 2 .. 256 (bytes counted
+    # per value) and 257, 4,097 and 65,537 (one Counter pass)
+    bases = list(range(2, 257)) + [257, 4097, 65537]
+    reports = []
+    for x in (WIDE_X, Fraction(5, 64**3), Fraction(1, 3)):
+        reports += normality_report(x, bases)
+        assert reports[-len(bases) :] == _reference_records(x, bases)
+    assert all(r.counts == tuple(sorted(r.counts)) and all(c for _, c in r.counts) for r in reports)
+    assert any(len(r.counts) == r.base for r in reports)  # every value occurs
+    assert any(0 < len(r.counts) < r.base for r in reports)  # some value is absent
+    assert any(not r.counts for r in reports)  # an empty window
+
+
+@pytest.mark.parametrize("b", [4097, 65537])
+def test_reports_build_a_bounded_number_of_fractions(monkeypatch, b):
+    # the statistics come from integer counts: a report builds its two
+    # Fractions (max_deviation and discrepancy), not one per digit value
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(measure, "Fraction", counting)
+    reports = normality_report(DEEP_X, [b, b, b])
+    assert all(r.trusted_digit_count > 100 for r in reports)
+    assert len(made) <= 1 + 2 * len(reports)
+
+
+def test_huge_base_report_matches_sparse_oracle():
+    (report,) = normality_report(DEEP_X, [HUGE_BASE])
+    trusted = reference_trusted(_DEEP_DEN, HUGE_BASE, 10**6)
+    assert report.trusted_digit_count == trusted > 150
+    digits = long_division_digits(DEEP_X, HUGE_BASE, trusted)
+    assert report.max_deviation == sparse_max_deviation(digits, HUGE_BASE)
+    assert report.discrepancy == remainder_walk_discrepancy(DEEP_X, HUGE_BASE, trusted)
+    assert sum(c for _, c in report.counts) == trusted
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals(), st.integers(2, 40), COUNTS)
+def test_sparse_oracle_matches_reference_in_small_bases(x, b, count):
+    ((_, trusted, _, max_dev, _),) = reference_normality(x, [b], count=count)
+    n = trusted if count is None else count
+    digits = long_division_digits(x, b, n)[:trusted]
+    assert sparse_max_deviation(digits, b) == max_dev
+
+
+@pytest.mark.parametrize(
+    "b, digits",
+    [
+        (4, [0, 1, 2] * 10),  # 3 never occurs: 30 / (4 * 30) = 1/4, not 1/12
+        (300, list(range(299)) * 2),  # 299 never occurs
+        (3, [0, 1, 1, 0] * 9),
+    ],
+)
+def test_max_deviation_counts_an_absent_value_as_zero(b, digits):
+    # a flat window with one value missing: the missing value deviates most.
+    # A terminating x = N / b^n has exactly these n digits, all trusted
+    n = len(digits)
+    x = Fraction(sum(d * b ** (n - 1 - i) for i, d in enumerate(digits)), b**n)
+    (report,) = normality_report(x, [b], count=n)
+    assert report.trusted_digit_count == n
+    assert report.max_deviation == sparse_max_deviation(digits, b) == Fraction(1, b)
+    assert report.frequencies[-1] == 0
+
+
+def test_frequencies_read_back_from_counts():
+    # base-4 digits 0, 0, 2, 1, 0, 2
+    (report,) = normality_report(Fraction(146, 4**6), [4], count=6)
+    assert report.counts == ((0, 3), (1, 1), (2, 2))
+    assert report.frequencies == (Fraction(1, 2), Fraction(1, 6), Fraction(1, 3), Fraction(0))
+    (empty,) = normality_report(Fraction(1, 3), [5], count=0)
+    assert empty.counts == () and empty.frequencies == (Fraction(0),) * 5
 
 
 def _bins(x, b, steps):

@@ -102,10 +102,9 @@ CASES = {
         "SamplePoint(digits=(1, 0), value=Fraction(1, 7), depth=2, seed=3)",
     ),
     "NormalityReport": (
-        lambda: NormalityReport(2, 4, (F(1, 2), F(1, 2)), F(0), F(1, 4)),
-        "NormalityReport(base=2, trusted_digit_count=4, frequencies=(Fraction(1, 2), "
-        "Fraction(1, 2)), max_deviation=Fraction(0, 1), discrepancy=Fraction(1, 4), "
-        "periodic=True)",
+        lambda: NormalityReport(2, 4, ((0, 2), (1, 2)), F(0), F(1, 4)),
+        "NormalityReport(base=2, trusted_digit_count=4, counts=((0, 2), (1, 2)), "
+        "max_deviation=Fraction(0, 1), discrepancy=Fraction(1, 4), periodic=True)",
     ),
     "AvoidanceVerdict": (
         lambda: AvoidanceVerdict(
@@ -227,8 +226,9 @@ def test_defaults_fill_trailing_fields_by_position_and_by_name():
     by_name = BlockRow(bound=1.0, block_sum=0.5, m=0, r=1)
     assert by_position == by_name and by_position.flag == "asymptotic-regime-only"
     assert BlockRow(1, 0, 0.5, 1.0, "x").flag == BlockRow(1, 0, 0.5, 1.0, flag="x").flag == "x"
-    report = NormalityReport(2, 4, (F(1, 2), F(1, 2)), F(0), F(1, 4))
+    report = NormalityReport(2, 4, ((0, 2), (1, 2)), F(0), F(1, 4))
     assert report.periodic is True
+    assert report.frequencies == (F(1, 2), F(1, 2))
     assert NormalityReport(2, 4, (), F(0), F(1, 4), False).periodic is False
     assert NormalityReport(2, 4, (), F(0), F(1, 4), periodic=False).periodic is False
     # only these two classes have defaults

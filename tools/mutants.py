@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the partition pass, the
-sampler, the orbit bins, the DEL sums, the digit-system checks and the
-command line.
+sampler, the orbit bins, the digit counts, the DEL sums, the digit-system
+checks and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -61,16 +61,16 @@ MUTANTS = {
     # moves, which the enclosure checks against mpmath do not see
     "residue-chain-wrong-modulus": (
         "src/moranlab/fourier.py",
-        "reversed(moduli[: bisect_right(moduli, xi)])",
-        "reversed(moduli[1 : bisect_right(moduli, xi) + 1])",
+        "range(top, -1, -1)",
+        "range(min(top + 1, len(prefix) - 1), 0, -1)",
         [f"{TABLES}::test_table_loop_matches_level_mask_loop",
          f"{TABLES}::test_table_loop_matches_level_mask_loop_at_residue_edges"],
     ),
     # the upper digit window end 2 q / 3 instead of 2 floor(q / 3)
     "decay-window-unfloored": (
-        "src/moranlab/system.py",
-        "2 * (q // 3)",
-        "2 * q // 3",
+        "src/moranlab/radix.py",
+        "    return third, 2 * third\n",
+        "    return third, 2 * q // 3\n",
         [f"{TABLES}::test_decay_windows_match_the_per_level_loop"],
     ),
     # no trigonometric pad; only enclosure checks against the oracle run
@@ -123,6 +123,14 @@ MUTANTS = {
         "A * _DISCREPANCY_BINS // span",
         [f"{NORMALITY}::test_bin_counts_match_the_remainder_walk_near_bin_edges",
          f"{NORMALITY}::test_bin_counts_match_the_remainder_walk"],
+    ),
+    # the smallest count taken over the values that occur, even when some
+    # value is absent and so counts 0
+    "normality-bottom-not-zeroed": (
+        "src/moranlab/measure.py",
+        "bottom = min(tallies) if len(counts) == b else 0",
+        "bottom = min(tallies)",
+        [f"{NORMALITY}::test_max_deviation_counts_an_absent_value_as_zero"],
     ),
     # the DEL sums taken left to right instead of correctly rounded
     "del-sum-left-to-right": (
