@@ -29,7 +29,7 @@ from . import numtheory
 from ._record import Record
 from .errors import InvalidParameter, TooLarge
 from .fourier import check_eps, mu_hat_modulus
-from .radix import check_pair
+from .radix import _matching_schedule, check_pair
 from .system import MoranSystem
 
 BLOCK_GUARD = 10**5
@@ -170,6 +170,7 @@ def _context_for(
     if ctx is not None:
         if (ctx.b, ctx.h) != (b, h):
             raise InvalidParameter(f"ctx is for (b, h) = ({ctx.b}, {ctx.h}), not ({b}, {h})")
+        _matching_schedule(sys, ctx)
         return ctx
     if not sys.is_binary:
         raise InvalidParameter("pass an explicit context for non-binary digit systems")

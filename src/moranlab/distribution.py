@@ -57,7 +57,7 @@ from .numtheory import (
     order_mod_reduced,
     y_product,
 )
-from .radix import PrimeSchedule, middle_window, schedule_of, to_digits
+from .radix import PrimeSchedule, _matching_schedule, middle_window, to_digits
 
 ENUMERATION_GUARD = 10**7
 
@@ -123,7 +123,7 @@ def phi_map(
     ctx: BaseContext,
 ) -> tuple[int, ...]:
     """First N_digits mixed-radix digits of h*b^n - h*b^m."""
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     if (proj.h, proj.b) != (ctx.h, ctx.b):
         raise InvalidParameter("projection and context disagree on (b, h)")
     if not 1 <= N_digits <= sch.depth:
@@ -148,7 +148,7 @@ def pi_map(
     The value is a point of Y_{c,d}, the blocks' digit tuples concatenated in
     position order.
     """
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     positions = _block_positions(ctx, c, d)
     mm = _default_m(ctx, m)
     if n <= mm:
@@ -264,7 +264,7 @@ def verify_partition(
     naming an offending n (it would indicate a bug, not a property of the
     inputs).
     """
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     mm = _default_m(ctx, m)
     if not ctx.r0 + 1 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 + 1 = {ctx.r0 + 1} .. {len(sch.q)}")
@@ -325,7 +325,7 @@ def fiber_counts(
       - the joint map n -> (Phi_{L_s + k_{s+1}}(n), Pi_{s,s+1}(n)) is
         injective on I (unique representative per pair).
     """
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     mm = _default_m(ctx, m)
     if not ctx.r0 <= s < len(sch.q):
         raise InvalidRange(f"s = {s} outside r0 = {ctx.r0} .. {len(sch.q) - 1}")
@@ -411,7 +411,7 @@ def classify_Bk(
     of Y_{r0,r}. k(n) counts the free-suffix positions whose digit lies in
     [floor(q/3), 2 floor(q/3)]; u is the number of those positions.
     """
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     mm = _default_m(ctx, m)
     members = sorted(set(Lam))
     positions = _block_positions(ctx, ctx.r0, r)
@@ -449,7 +449,7 @@ def C_bound(k: int, u: int, ctx: BaseContext, sys, r: int) -> Fraction:
     """
     if not 0 <= k <= u:
         raise OutOfRange(f"k = {k} outside 0 .. {u}")
-    sch = schedule_of(sys)
+    sch = _matching_schedule(sys, ctx)
     if not ctx.r0 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 = {ctx.r0} .. {len(sch.q)}")
     return (

@@ -135,12 +135,12 @@ def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
 
 
 def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
-    """mask_interval at t = r / P for integers 0 <= r < P with P odd, bit for bit.
+    """mask_interval at t = r / P for integers 0 <= r < P, 2 r != P, bit for bit.
 
-    Every prefix product is odd (schedule primes are >= 7), so t is never
-    1/2 and mask_interval's exact-half path has no counterpart here. Floats
-    see only correctly rounded quotients of exact residues, which is what
-    float() of the reduced Fraction yields."""
+    Prefix products are odd (schedule primes are >= 7) and the window grid
+    (1023 + 4 i) / 6138 skips 1/2, so mask_interval's exact-half path has no
+    counterpart here. Floats see only correctly rounded quotients of exact
+    residues, which is what float() of the reduced Fraction yields."""
     if r == 0:
         return 1.0, 1.0
     if level.gain is not None:
@@ -351,26 +351,6 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
 # digit-window decay
 
 
-@lru_cache(maxsize=64)
-def _window_sup_certified(sys: MoranSystem) -> bool:
-    """Numerical check that every level class has sup |M(t)| <= gamma on the
-    window [1/6, 5/6] that middle-third digits force the argument into
-    (1024-point grid per distinct (base, digit set, weights) class)."""
-    gamma = sys._window_gamma
-    seen: set[tuple] = set()
-    for n, base in enumerate(sys.schedule.bases(), start=1):
-        key = (base, sys.digit_sets[n - 1], sys.weights[n - 1])
-        if key in seen:
-            continue
-        seen.add(key)
-        for i in range(1024):
-            t = Fraction(1, 6) + Fraction(2, 3) * Fraction(i, 1023)
-            _, hi = mask_interval(n, t, sys)
-            if hi > gamma + 1e-12:
-                return False
-    return True
-
-
 def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     """(w, gamma^w): w counts digit positions of xi in the middle-third window.
 
@@ -379,11 +359,12 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     position puts the level-(p+1) argument inside [1/6, 5/6], where the mask
     is at most the system's own gamma (MoranSystem._window_gamma), so gamma^w
     bounds |mu_hat(xi)| from above, up to the few ulps of the unrounded float
-    power. The window ends come from a cached per-level table (_decay_windows).
+    power. Off {0,1} the mask bound is sampled once (_window_bounded), and
+    the window ends come from a cached per-level table (_decay_windows).
     """
     if not isinstance(xi, int) or isinstance(xi, bool) or xi < 0:
         raise InvalidParameter(f"frequency must be a non-negative integer, got {xi!r}")
-    if not sys.is_binary and not _window_sup_certified(sys):
+    if not sys._window_bounded:
         raise InvalidParameter(
             "window decay not emitted: a level mask exceeds gamma on [1/6, 5/6]"
         )

@@ -17,15 +17,15 @@ operations replace a Python loop per level or per digit:
   split into halves by one map(divmod) per tree level down to leaves of L
   digits, each looked up in a per-base table of L-digit byte strings (b^L
   is at most 1024). Bases up to 256 give a bytes string, counted by
-  bytes.count; larger bases stop at one-digit leaves, build no table and
-  give a tuple, counted in one Counter pass;
-- the orbit bin floor(64 {b^k x}) is read from the r-digit window at k,
-  where all windows come out of one pass over 16-bit lanes (b^r <= 4096)
-  and a per-base byte table maps each to its bin. A window that straddles
-  a bin edge maps to a marker instead and is resolved from the longer
-  m-digit window (b^m >= 2^40), and only when that too straddles from the
-  exact remainder num b^k mod den, so the bins equal those of the remainder
-  walk.
+  bytes.count; larger bases stop at one-digit leaves, build no leaf table
+  and give a tuple, counted in one Counter pass;
+- the orbit bin floor(64 {b^k x}) is read from the r-digit window at k
+  (b^r <= 4096; the digit itself for bases 65 to 4096, else one pass over
+  16-bit lanes) and a per-base byte table maps each to its bin. A window
+  that straddles a bin edge maps to a marker instead and is resolved from
+  the longer m-digit window (b^m >= 2^40), and only when that too
+  straddles from the exact remainder num b^k mod den, so the bins equal
+  those of the remainder walk.
 
 Normality outputs are descriptive finite-sample statistics. The inputs are
 rationals, whose expansions are eventually periodic, so no report here ever
@@ -194,10 +194,10 @@ class _Radix:
 
     leaves[v] is the L-digit byte string of v < b^L, and powers[j] is
     b^(L 2^j), extended on demand. bins[A] is the orbit bin of the r-digit
-    window A, or _STRADDLES. A larger base than _BYTE_BASES has L = 1, no
-    leaves, and r = 0: its one empty window always straddles. m is the
-    resolving window length, bm = b^m, and straddling holds the m-digit
-    windows that still straddle an edge.
+    window A, or _STRADDLES. A larger base than _BYTE_BASES has L = 1 and
+    no leaves, and one larger than _WINDOW_SPAN has r = 0: its one empty
+    window always straddles. m is the resolving window length, bm = b^m,
+    and straddling holds the m-digit windows that still straddle an edge.
     """
 
     __slots__ = ("L", "leaves", "powers", "r", "bins", "m", "bm", "straddling")
@@ -208,11 +208,13 @@ class _Radix:
             m += 1
         L, r, leaves, bins = 1, 0, None, bytes((_STRADDLES,))
         if b <= _BYTE_BASES:
-            L, r = _width(b, _LEAF_SPAN), _width(b, _WINDOW_SPAN)
+            L = _width(b, _LEAF_SPAN)
             digit = [bytes((d,)) for d in range(b)]
             leaves = digit
             for _ in range(L - 1):
                 leaves = [hi + lo for hi in leaves for lo in digit]
+        if b <= _WINDOW_SPAN:
+            r = _width(b, _WINDOW_SPAN)
             span = b**r
             edges = _straddling(span)
             bins = bytes(
@@ -315,8 +317,8 @@ def _bin_counts(
     """How many of {b^k x}, k < steps, fall in each of the 64 bins, where
     `digits` holds the first steps + m digits of x = num/den.
 
-    {b^k x} lies in [A, A + 1) / b^r for the r-digit window A at k. For a
-    byte base, digit i is spread into 16-bit lane i of one integer, and the
+    {b^k x} lies in [A, A + 1) / b^r for the r-digit window A at k. For
+    r > 1, digit i is spread into 16-bit lane i of one integer, and the
     sum of the lanes shifted down by t digits, weighted by b^(r-1-t), holds
     every window at once (each below b^r <= 4096, so no lane carries). The
     bin table maps each window to its bin or to _STRADDLES; a straddling k
@@ -325,15 +327,18 @@ def _bin_counts(
     """
     radix = _radix(b)
     r, n = radix.r, len(digits)
-    windows = 0
-    if r:
+    if r > 1:
         spread = bytearray(2 * n)
         spread[::2] = digits
         lanes = int.from_bytes(spread, "little")
+        windows = 0
         for t in range(r):
             windows += b ** (r - 1 - t) * (lanes >> 16 * t)
-    lanes = memoryview(windows.to_bytes(2 * n, byteorder)).cast("H")[::_LANE_STEP]
-    binned = bytes(map(radix.bins.__getitem__, lanes[:steps]))
+        windows = memoryview(windows.to_bytes(2 * n, byteorder)).cast("H")[::_LANE_STEP]
+    else:
+        # a one-digit window is the digit itself; r = 0 has one empty window, 0
+        windows = digits if r else bytes(n)
+    binned = bytes(map(radix.bins.__getitem__, windows[:steps]))
     counts = list(map(binned.count, range(_DISCREPANCY_BINS)))
     m, bm, straddling = radix.m, radix.bm, radix.straddling
     k = binned.find(_STRADDLES)

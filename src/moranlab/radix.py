@@ -291,6 +291,19 @@ def schedule_of(sys) -> PrimeSchedule:
     raise InvalidParameter(f"expected a digit system or schedule, got {type(sys).__name__}")
 
 
+def _matching_schedule(sys, ctx) -> PrimeSchedule:
+    """schedule_of(sys), rejected unless ctx was built on the same bases:
+    equal q and ell. d and variant change no digit, so they may differ."""
+    sch = schedule_of(sys)
+    other = ctx.schedule
+    if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):
+        raise InvalidParameter(
+            f"context is for the schedule q = {other.q}, ell = {other.ell}, "
+            f"not q = {sch.q}, ell = {sch.ell}"
+        )
+    return sch
+
+
 class MixedRadixDigits(Record):
     """A digit string together with the bases it is written in.
 

@@ -10,8 +10,8 @@ tuple of column objects, and the per-level tables are built by _shared.
 A system built from equal but unshared tuples equals the shared one and
 gets the same tables; it only does the work once per level.
 
-The transform-only level tables (_levels, and _transform_levels built on
-it) come from ``fourier``, which is loaded only when they are first built.
+The transform-only level tables (_levels, and _transform_levels and
+_window_bounded built on it) come from ``fourier``, loaded on first use.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class MoranSystem(Record):
         For {0,1} digits |M(t)|^2 = 1 - 4 w0 w1 sin^2(pi t) and sin^2 >= 1/4
         on the window, so the sharp gamma is the largest sqrt(1 - w0 w1).
         Other systems take sqrt(1 - C(1 - D)) with C and D the smallest and
-        largest weight, which digit_decay_bound checks on a grid.
+        largest weight, which _window_bounded checks on a grid.
         """
         weights = _distinct(self.weights)
         if self.is_binary:
@@ -158,6 +158,21 @@ class MoranSystem(Record):
         C = min(min(w) for w in weights)
         D = max(max(w) for w in weights)
         return math.sqrt(1 - float(C * (1 - D)))
+
+    @cached_property
+    def _window_bounded(self) -> bool:
+        """Whether every level mask is at most _window_gamma on [1/6, 5/6]:
+        proven for {0,1} systems, else sampled once per value-distinct level
+        at t = 1/6 + (2/3) i / 1023 = (1023 + 4 i) / 6138, i < 1024, with
+        1e-12 of slack. A sample, not a certificate."""
+        if self.is_binary:
+            return True
+        bound = self._window_gamma + 1e-12
+        return all(
+            fourier._level_mask(level, 1023 + 4 * i, 6138)[1] <= bound
+            for level in dict.fromkeys(self._levels)
+            for i in range(1024)
+        )
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[int, ...], ...]:

@@ -335,6 +335,27 @@ def reference_digit_decay_bound(xi: int, sys) -> tuple[int, float]:
     return w, sys._window_gamma**w
 
 
+def reference_window_certified(sys) -> bool:
+    """Whether sup |M_n(t)| <= gamma + 1e-12 on the 1024-point grid
+    t = 1/6 + (2/3) i / 1023, i < 1024, of exact Fractions, through the public
+    mask_interval, once per distinct (base, digit set, weights) class of
+    levels. The grid runs for {0,1} systems too, whose gamma is proven."""
+    from moranlab.fourier import mask_interval
+
+    gamma = sys._window_gamma
+    seen: set[tuple] = set()
+    for n, base in enumerate(sys.schedule.bases(), start=1):
+        key = (base, sys.digit_sets[n - 1], sys.weights[n - 1])
+        if key in seen:
+            continue
+        seen.add(key)
+        for i in range(1024):
+            t = Fraction(1, 6) + Fraction(2, 3) * Fraction(i, 1023)
+            if mask_interval(n, t, sys)[1] > gamma + 1e-12:
+                return False
+    return True
+
+
 def exact_float_sum(xs) -> float:
     """The exact rational sum of the doubles xs, rounded once to a double."""
     return float(sum(map(Fraction, xs), Fraction(0)))

@@ -15,7 +15,7 @@ from moranlab import (
     frequency,
     mu_hat_modulus,
 )
-from moranlab import binary_system, build_context, build_convolved
+from moranlab import PrimeSchedule, binary_system, build_context, build_convolved
 from moranlab import delsum
 from moranlab.delsum import DelReport, _sum_and_slop, asymptotic_constants
 
@@ -259,6 +259,21 @@ def test_block_trend_rejects_context_of_another_pair(small_system):
             block_trend(small_system, b, h, r_range=(1,), ctx=ctx)
     assert block_trend(small_system, 2, 1, r_range=(1,), ctx=ctx) == block_trend(
         small_system, 2, 1, r_range=(1,)
+    )
+
+
+def test_block_trend_rejects_context_of_another_schedule(small_system):
+    # a context holds the orders and free-suffix lengths of its own schedule,
+    # so on another one the bound would be wrong without any error
+    sch = small_system.schedule
+    other = build_context(2, 1, PrimeSchedule(d=2, q=(7, 11, 13, 19), ell=sch.ell))
+    with pytest.raises(InvalidParameter, match="context is for the schedule"):
+        block_trend(small_system, 2, 1, r_range=(1,), ctx=other)
+    # d and variant change no digit: a twin schedule's context is accepted
+    twin = PrimeSchedule(d=1, q=sch.q, ell=sch.ell, variant="explicit")
+    assert twin is not sch and twin != sch
+    assert block_trend(small_system, 2, 1, r_range=(1,), ctx=build_context(2, 1, twin)) == (
+        block_trend(small_system, 2, 1, r_range=(1,))
     )
 
 

@@ -132,6 +132,47 @@ def test_verify_partition_rejects_bad_r(toy):
         verify_partition(1, ctx, 42, r=2)  # neither a schedule nor a digit system
 
 
+# each entry point on the toy schedule, as fn(sys, ctx, lam) with lam a
+# class of the toy partition
+SCHEDULE_ENTRY_POINTS = {
+    "phi_map": lambda sys, ctx, lam: phi_map(10, prefix_projection(ctx), 3, sys, ctx),
+    "pi_map": lambda sys, ctx, lam: pi_map(3, 1, 2, sys, ctx),
+    "verify_partition": lambda sys, ctx, lam: verify_partition(1, ctx, sys, r=2),
+    "fiber_counts": lambda sys, ctx, lam: fiber_counts((1, 330), ctx, sys, s=1),
+    "classify_Bk": lambda sys, ctx, lam: classify_Bk(lam, ctx, sys, r=2),
+    "C_bound": lambda sys, ctx, lam: C_bound(0, 1, ctx, sys, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_ENTRY_POINTS))
+def test_context_of_another_schedule_is_rejected(toy, name):
+    sch, sysm, ctx = toy
+    call = SCHEDULE_ENTRY_POINTS[name]
+    lam = verify_partition(1, ctx, sysm, r=2).classes[0]
+    expected = call(sysm, ctx, lam)
+    # other primes, other multiplicities, as a system or as a bare schedule
+    for other in (
+        PrimeSchedule(d=1, q=(7, 13), ell=(1, 2)),
+        PrimeSchedule(d=1, q=(7, 11), ell=(1, 3)),
+    ):
+        for sys in (other, binary_system(other, Fraction(1, 2))):
+            with pytest.raises(InvalidParameter, match="context is for the schedule"):
+                call(sys, ctx, lam)
+    # d and variant change no digit: a twin schedule gives the same result
+    twin = PrimeSchedule(d=2, q=sch.q, ell=sch.ell, variant="twin")
+    for sys in (twin, binary_system(twin, Fraction(1, 3))):
+        assert call(sys, ctx, lam) == expected
+
+
+def test_verify_partition_on_another_schedule_is_a_parameter_error():
+    # this mismatch used to surface as a CounterexampleFound, the error of
+    # a bug, for a caller's mistake
+    ctx = build_context(2, 1, PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=(1, 2, 3, 4)))
+    sysm = binary_system(PrimeSchedule(d=1, q=(7, 13, 17, 19), ell=(1, 3, 3, 3)))
+    with pytest.raises(InvalidParameter, match="context is for the schedule"):
+        verify_partition(1, ctx, sysm, r=2)
+
+
 def test_fiber_counts_toy(toy):
     _, sysm, ctx = toy
     table = fiber_counts((1, 330), ctx, sysm, s=1)

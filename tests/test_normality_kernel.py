@@ -196,6 +196,15 @@ def test_reports_equal_reference_records_in_every_byte_base_and_beyond():
     assert any(not r.counts for r in reports)  # an empty window
 
 
+def test_one_digit_window_bases_match_reference_records():
+    # bases 65 .. 4096 read their orbit windows straight from the digits
+    # (r = 1); base 4096 has no straddling window, and 4097 only one (r = 0)
+    bases = [65, 255, 256, 257, 1000, 4095, 4096, 4097]
+    assert [measure._radix(b).r for b in bases] == [1] * 7 + [0]
+    assert [measure._radix(b).r for b in (2, 3, 10, 64)] == [12, 7, 3, 2]
+    assert normality_report(DEEP_X, bases) == _reference_records(DEEP_X, bases)
+
+
 @pytest.mark.parametrize("b", [4097, 65537])
 def test_reports_build_a_bounded_number_of_fractions(monkeypatch, b):
     # the statistics come from integer counts: a report builds its two
@@ -277,7 +286,7 @@ def _straddle_share(x, b, steps):
     return sum(A in edges for A in windows) / steps
 
 
-EDGE_BASES = [3, 6, 7, 10, 255, 256, 257, 1000, 4097, HUGE_BASE]
+EDGE_BASES = [3, 6, 7, 10, 255, 256, 257, 1000, 4095, 4097, HUGE_BASE]
 
 
 @pytest.mark.parametrize("b", EDGE_BASES)

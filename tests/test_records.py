@@ -34,7 +34,7 @@ from moranlab import (
 from moranlab._record import Record
 from moranlab.delsum import BlockRow
 from moranlab.dimension import BallRow, HRateRow
-from moranlab.fourier import _build_level, _Level, _window_sup_certified
+from moranlab.fourier import _build_level, _Level
 
 ONE = PrimeSchedule(d=1, q=(7,), ell=(1,))
 TOY = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
@@ -192,13 +192,14 @@ def test_derived_attributes_stay_out_of_eq_hash_and_repr():
     assert _Level.__slots__ == _Level._fields and not hasattr(level, "__dict__")
 
 
-def test_moran_system_is_an_lru_cache_key():
-    # the window check of digit_decay_bound is memoised per system
-    _window_sup_certified.cache_clear()
-    assert _window_sup_certified(binary_system(TOY))
-    assert _window_sup_certified(binary_system(TOY))  # an equal, separate instance
-    info = _window_sup_certified.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+def test_window_verdict_is_kept_per_instance_out_of_eq_hash_and_repr():
+    # the window check of digit_decay_bound is a cached_property: each
+    # instance keeps its own verdict, and equal instances stay equal
+    sysm, twin = binary_system(TOY), binary_system(TOY)
+    assert sysm._window_bounded
+    assert "_window_bounded" in vars(sysm) and "_window_bounded" not in vars(twin)
+    assert sysm == twin and hash(sysm) == hash(twin)
+    assert repr(sysm) == repr(twin)
 
 
 X = F(1, 7)

@@ -5,7 +5,8 @@ still fits the budget, so `mu_hat_modulus` evaluates the bound once per
 certified frequency. The loop reads its levels from
 `MoranSystem._transform_levels` and `digit_decay_bound` its windows from
 `MoranSystem._decay_windows`; both must reproduce the per-level loops they
-replace, bit for bit.
+replace, bit for bit. The window verdict `MoranSystem._window_bounded` must
+equal the `Fraction` grid through `mask_interval`, and is computed once.
 """
 
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from moranlab import (
+    GaugeFunction,
     InvalidParameter,
     MoranSystem,
     PrimeSchedule,
@@ -33,7 +35,7 @@ from moranlab import fourier
 from moranlab.fourier import _tail_cut, _tail_log_bound
 from moranlab.radix import check_pair
 
-from oracles import level_mask_mu_hat, reference_digit_decay_bound
+from oracles import level_mask_mu_hat, reference_digit_decay_bound, reference_window_certified
 
 DEEP_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "configs" / "spectrum_deep.json"
 
@@ -293,6 +295,94 @@ def test_decay_windows_share_one_row_per_base():
     assert [q for q, _, _ in rows] == list(sysm.schedule.bases())
     assert all(lo == q // 3 and hi == 2 * (q // 3) for q, lo, hi in rows)
     assert len({id(row) for row in rows}) == len(set(sysm.schedule.bases()))
+
+
+# --------------------------------------------------------------------------
+# the window verdict against the Fraction grid through mask_interval
+
+
+_WINDOW_KINDS = (
+    "omega-half", "omega-third", "omega-per-level", "wide", "spread", "late-fail",
+    "dim-one", "gauge", "extreme",
+)
+
+
+def _window_system(kind: str) -> MoranSystem:
+    """A fresh system, so no verdict is cached on it yet."""
+    sch = build_schedule(d=2, count=4)
+    toy = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    if kind == "omega-half":
+        return binary_system(sch, half)
+    if kind == "omega-third":
+        return binary_system(sch, third)
+    if kind == "omega-per-level":
+        return binary_system(sch, [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)])
+    if kind == "wide":
+        # the {0,1,2} system of test_window_decay_for_wider_digit_sets
+        return MoranSystem(toy, ((0, 1, 2),) * 3, ((third,) * 3,) * 3)
+    if kind == "spread":
+        # {0, 6} digits at level 1 reach modulus 1 inside the window
+        return MoranSystem(toy, ((0, 6), (0, 1), (0, 1)), ((half, half),) * 3)
+    if kind == "late-fail":
+        # level 1 stays below gamma, levels 2 and 3 reach 1 at t = 1/3
+        pair = (half, half)
+        return MoranSystem(toy, ((0, 1, 2), (0, 6), (0, 6)), ((third,) * 3, pair, pair))
+    phi = GaugeFunction(kind="r_times_log_power", param=1.0)
+    variant = {"dim-one": ("dim-one", None), "gauge": ("gauge", phi), "extreme": ("extreme", phi)}
+    return build_convolved(binary_system(sch, half), *variant[kind]).as_moran_system()
+
+
+@pytest.mark.parametrize("kind", _WINDOW_KINDS)
+def test_window_verdict_matches_the_fraction_grid(kind):
+    sysm = _window_system(kind)
+    assert sysm._window_bounded == reference_window_certified(sysm)
+
+
+def test_window_verdict_sees_a_late_failing_level():
+    # level 1 passes the grid on its own, so only a check of every level fails
+    sysm = _window_system("late-fail")
+    bound = sysm._window_gamma + 1e-12
+    level = sysm._levels[0]
+    assert all(fourier._level_mask(level, 1023 + 4 * i, 6138)[1] <= bound for i in range(1024))
+    assert not sysm._window_bounded and not _window_system("spread")._window_bounded
+    with pytest.raises(InvalidParameter, match="window decay not emitted"):
+        digit_decay_bound(2, sysm)
+
+
+@pytest.mark.parametrize("kind", _WINDOW_KINDS)
+def test_window_grid_level_masks_match_mask_interval(kind):
+    # every grid point of every distinct level class, bit for bit
+    sysm = _window_system(kind)
+    classes = {}
+    for n, key in enumerate(zip(sysm.digit_sets, sysm.weights), start=1):
+        classes.setdefault(key, n)
+    for n in classes.values():
+        level = sysm._levels[n - 1]
+        for i in range(1024):
+            t = Fraction(1, 6) + Fraction(2, 3) * Fraction(i, 1023)
+            assert fourier._level_mask(level, 1023 + 4 * i, 6138) == fourier.mask_interval(n, t, sysm)
+
+
+def _forbidden(*args):
+    raise AssertionError("must not be called here")
+
+
+@pytest.mark.parametrize("kind", ["wide", "dim-one"])
+def test_window_verdict_is_computed_once_per_system(monkeypatch, kind):
+    sysm = _window_system(kind)
+    first = digit_decay_bound(2 + 4 * 7, sysm)
+    monkeypatch.setattr(MoranSystem, "__hash__", _forbidden)
+    monkeypatch.setattr(fourier, "_level_mask", _forbidden)
+    for _ in range(3):
+        assert digit_decay_bound(2 + 4 * 7, sysm) == first
+
+
+def test_binary_window_verdict_runs_no_grid(monkeypatch):
+    monkeypatch.setattr(fourier, "_level_mask", _forbidden)
+    sysm = _window_system("omega-per-level")
+    assert sysm._window_bounded
+    assert "_levels" not in vars(sysm)
 
 
 # --------------------------------------------------------------------------

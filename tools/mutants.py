@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation check for the tests of the transform, the partition pass, the
-sampler, the orbit bins, the digit counts, the DEL sums, the digit-system
-checks and the command line.
+"""Mutation check for the tests of the transform, the window verdict, the
+partition pass, the schedule check, the sampler, the orbit bins, the digit
+counts, the DEL sums, the digit-system checks and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -157,6 +157,40 @@ MUTANTS = {
         "        key = tuple(map(id, args[:-1]))\n",
         [f"{SYSTEM}::test_bad_level_is_reported_at_its_first_level",
          f"{SYSTEM}::test_first_bad_level_wins_across_kinds"],
+    ),
+    # the window verdict sampled at the first level only
+    "window-first-level-only": (
+        "src/moranlab/system.py",
+        "for level in dict.fromkeys(self._levels)",
+        "for level in dict.fromkeys(self._levels[:1])",
+        [f"{TABLES}::test_window_verdict_matches_the_fraction_grid",
+         f"{TABLES}::test_window_verdict_sees_a_late_failing_level"],
+    ),
+    # the window verdict's slack widened from 1e-12 to 0.2
+    "window-slack-widened": (
+        "src/moranlab/system.py",
+        "self._window_gamma + 1e-12",
+        "self._window_gamma + 0.2",
+        [f"{TABLES}::test_window_verdict_matches_the_fraction_grid",
+         f"{TABLES}::test_window_verdict_sees_a_late_failing_level"],
+    ),
+    # the one-digit bin tables of bases above 256 bin a straddling window
+    # like any other, instead of resolving it from the longer window
+    "large-base-bins-ignore-straddles": (
+        "src/moranlab/measure.py",
+        "            edges = _straddling(span)\n",
+        "            edges = _straddling(span) if b <= _BYTE_BASES else frozenset()\n",
+        [f"{NORMALITY}::test_bin_counts_match_the_remainder_walk_near_bin_edges",
+         f"{NORMALITY}::test_bin_counts_match_the_remainder_walk"],
+    ),
+    # a context built on another schedule accepted as it is
+    "schedule-check-skipped": (
+        "src/moranlab/radix.py",
+        "    if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):\n",
+        "    if False:\n",
+        [f"{DIST}::test_context_of_another_schedule_is_rejected",
+         f"{DIST}::test_verify_partition_on_another_schedule_is_a_parameter_error",
+         f"{DEL}::test_block_trend_rejects_context_of_another_schedule"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
