@@ -366,9 +366,6 @@ def fiber_counts(
     for j in range(sch.ell[s] + 1):
         ordj = order_mod_reduced(ctx, s, j)
         prefix_len = sch.L[s] + j
-        if prefix_len == 0:
-            image_sizes.append((j, 1))
-            continue
         P_len = P(prefix_len)
         whole = {v % P_len for v in values}
         window = {v % P_len for v in values[:ordj]}

@@ -31,8 +31,9 @@ from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
 # MoranSystem and binary_system live in system; both stay importable from here
 from .system import MoranSystem, binary_system  # noqa: F401
 
-# cos/sin of a double in [0, 2 pi) are correct to a couple of ulps; 2^-48 over-
-# covers the 4-ulp argument-scaled worst case and stays negligible vs any eps
+# certificates take cos/sin of fl(fl(2 pi) t), t in [0, 1), within 2^-48 of the
+# true values: |fl(2 pi) - 2 pi| t <= 2.5e-16, the product's rounding 4.4e-16 and
+# libm's 1 ulp, 2.2e-16, sum to 9.1e-16, a quarter of the pad (checked in tests)
 _TRIG_PAD = 2.0**-48
 
 _UP = math.inf
@@ -279,8 +280,8 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     t <= t_cut, once per certified frequency, and its own comparison with
     eps/2 still decides the cut. The levels come from the system's cached
     table of (n, P_n, level, g_lo, g_hi), with the gain ends of {0,1} levels
-    and None for the others; most {0,1} levels run inline with two gain
-    products instead of _binary_mask's four.
+    and None for the others; {0,1} levels off r = 0 with c + pad < 1 and a
+    positive g_lo run inline with two gain products, the rest via _level_mask.
     """
     if not isinstance(xi, int) or isinstance(xi, bool):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
@@ -310,24 +311,19 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
         past = xi < P
         r = xi if past else residues[n] if residues else xi % P
         t = r / P
-        if r and g_lo is not None:
-            # _binary_mask inlined. With c_hi < 1 and g_lo > 0 both 1 - cos
+        if r and g_lo is not None and (c := cos(tau * t)) + pad < 1.0 and g_lo > 0.0:
+            # _binary_mask inlined. With c + pad < 1 and g_lo > 0 both 1 - cos
             # ends are positive, and rounded products are monotone on positive
             # operands, so the extreme gain products are g_lo o_lo and g_hi o_hi
-            c = cos(tau * t)
-            c_hi = c + pad
-            if c_hi < 1.0 and g_lo > 0.0:
-                c_lo = c - pad
-                o_lo = nextafter(1.0 - c_hi, down)
-                o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)
-                m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, up), down)
-                m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, down), up)
-                m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), down)
-                m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), up)
-                if m_hi > 1.0:
-                    m_hi = 1.0
-            else:
-                m_lo, m_hi = _binary_mask(level.gain, t)
+            c_lo = c - pad
+            o_lo = nextafter(1.0 - (c + pad), down)
+            o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)
+            m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, up), down)
+            m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, down), up)
+            m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), down)
+            m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), up)
+            if m_hi > 1.0:
+                m_hi = 1.0
         else:
             m_lo, m_hi = _level_mask(level, r, P)
         f_lo = nextafter(f_lo * m_lo, down)

@@ -8,7 +8,9 @@ free suffix, and the derived decay constants gamma, alpha, r1.
 
 Orders of the huge moduli N_s * q_{s+1}^j / Q are never computed by factoring
 the modulus: the schedule supplies its factorization, and the order comes from
-the prime-power structure theorem plus a CRT least common multiple.
+the prime-power structure theorem plus a CRT least common multiple: orders mod
+n, p and 2^e descend from a factored multiple (phi(n), p - 1, 2^e), and the
+order mod an odd p^j is lifted from ord_p, which also gives k_r.
 """
 
 from __future__ import annotations
@@ -167,28 +169,18 @@ def _order_and_lift(a: int, p: int, cap: int | None = None) -> tuple[int, int]:
         raise InvalidParameter(f"base must be an integer >= 2, got {a!r}")
     if a % p == 0:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
-    d = multiplicative_order(a, p)
+    d = _order_from_exponent(a, p, _trial_factor(p - 1))
     k = 1
     while k != cap and pow(a, d, p ** (k + 1)) == 1:
         k += 1
     return d, k
 
 
-def _order_mod_power_of_two(a: int, e: int) -> int:
-    # the group mod 2^e has exponent 2^(e-2) for e >= 3, so the order is a power of 2
-    mod = 1 << e
-    m = 1
-    while pow(a, m, mod) != 1:
-        m *= 2
-        if m > mod:
-            raise NotCoprime(f"{a} has no order modulo 2^{e}")
-    return m
-
-
 def order_by_crt(a: int, f: Factorization) -> int:
     """Order of a modulo the factored integer, as the lcm of prime-power orders.
 
-    An empty factorization represents the modulus 1, whose order is 1.
+    The order mod 2^e descends from 2^e, that mod an odd p^j is lifted from
+    ord_p; an empty factorization is the modulus 1, whose order is 1.
     """
     if not isinstance(a, int) or a < 2:
         raise InvalidParameter(f"base must be an integer >= 2, got {a!r}")
@@ -197,7 +189,7 @@ def order_by_crt(a: int, f: Factorization) -> int:
         if a % p == 0:
             raise NotCoprime(f"gcd({a}, {p}) != 1")
         if p == 2:
-            part = _order_mod_power_of_two(a, e)
+            part = _order_from_exponent(a, 1 << e, {2: e})
         else:
             part = prime_power_order(a, p, e)
         order = math.lcm(order, part)

@@ -15,7 +15,7 @@ from moranlab import (
     frequency,
     mu_hat_modulus,
 )
-from moranlab import PrimeSchedule, binary_system, build_context, build_convolved
+from moranlab import MoranSystem, PrimeSchedule, binary_system, build_context, build_convolved
 from moranlab import delsum
 from moranlab.delsum import DelReport, _sum_and_slop, asymptotic_constants
 
@@ -318,3 +318,33 @@ def test_asymptotic_constants():
     assert B2 == pytest.approx(-math.log(0.9999) / 6.0, abs=1e-15)
     with pytest.raises(InvalidParameter):
         asymptotic_constants(1.0)
+
+
+_THIRD = Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sysm: frequency(1, 2, 3, -1), InvalidParameter, 2,
+                     id="frequency-negative-exponent"),
+        pytest.param(lambda sysm: block_trend(sysm, 2, 1, [0]), InvalidParameter, 2,
+                     id="block-trend-r-0"),
+        pytest.param(lambda sysm: block_trend(sysm, 2, 1, [len(sysm.schedule.q) + 1]),
+                     InvalidParameter, 2, id="block-trend-r-past-the-schedule"),
+        pytest.param(lambda sysm: block_trend(sysm, 2, 1, [1], m_values=(-1,)),
+                     InvalidParameter, 2, id="block-trend-m-negative"),
+        pytest.param(
+            lambda sysm: block_trend(
+                MoranSystem(sysm.schedule, ((0, 1, 2),) * sysm.depth,
+                            ((_THIRD,) * 3,) * sysm.depth),
+                2, 1, [1],
+            ),
+            InvalidParameter, 2, id="block-trend-non-binary-without-context",
+        ),
+    ],
+)
+def test_caller_errors(small_system, call, error, code):
+    with pytest.raises(error) as info:
+        call(small_system)
+    assert type(info.value) is error and info.value.exit_code == code

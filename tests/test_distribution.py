@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from moranlab import (
     C_bound,
     CounterexampleFound,
+    DigitProjection,
     InvalidParameter,
     InvalidRange,
     NotWellDistributed,
+    OutOfRange,
     PrimeSchedule,
     ScheduleTooShort,
     TooLarge,
@@ -556,3 +558,47 @@ def test_partition_fibers_stream_their_residues():
         tracemalloc.stop()
     assert sum(map(len, classes)) == sum(sizes.values()) == order == 111540
     assert peak <= 1.25 * held
+
+
+@pytest.fixture(scope="module")
+def four_block(small_schedule):
+    # ord_(N_4/Q)(2) = 1,095,992,040 is past the enumeration guard
+    sysm = binary_system(small_schedule, Fraction(1, 2))
+    return small_schedule, sysm, build_context(2, 1, small_schedule)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda toy, big: pi_map(5, 0, 1, toy[1], toy[2]), InvalidRange, 3,
+                     id="block-ranges-c-below-r0"),
+        pytest.param(lambda toy, big: pi_map(5, 2, 2, toy[1], toy[2]), InvalidRange, 3,
+                     id="block-ranges-empty"),
+        pytest.param(lambda toy, big: phi_map(5, DigitProjection(0, 1, 3, None), 1, *toy[1:]),
+                     InvalidParameter, 2, id="phi-map-b-h-mismatch"),
+        pytest.param(lambda toy, big: phi_map(5, prefix_projection(toy[2]), 0, *toy[1:]),
+                     OutOfRange, 3, id="phi-map-no-digits"),
+        pytest.param(lambda toy, big: phi_map(5, prefix_projection(toy[2]), 4, *toy[1:]),
+                     OutOfRange, 3, id="phi-map-digits-past-the-depth"),
+        pytest.param(lambda toy, big: pi_map(0, 1, 2, toy[1], toy[2]), InvalidRange, 3,
+                     id="pi-map-n-not-above-m"),
+        pytest.param(lambda toy, big: fiber_counts((1, 1), toy[2], toy[1], 2),
+                     InvalidRange, 3, id="fiber-counts-s-past-the-schedule"),
+        pytest.param(lambda toy, big: fiber_counts((0, 1), toy[2], toy[1], 1),
+                     InvalidRange, 3, id="fiber-counts-start-not-above-m"),
+        pytest.param(
+            lambda toy, big: fiber_counts((1, order_mod_reduced(big[2], 4, 0)), big[2], big[1], 3),
+            TooLarge, 5, id="fiber-counts-guard",
+        ),
+        pytest.param(lambda toy, big: verify_partition(1, big[2], big[1], 4), TooLarge, 5,
+                     id="verify-partition-guard"),
+        pytest.param(lambda toy, big: C_bound(0, 6, toy[2], toy[1], 0), InvalidRange, 3,
+                     id="c-bound-r-below-r0"),
+        pytest.param(lambda toy, big: C_bound(0, 6, toy[2], toy[1], 3), InvalidRange, 3,
+                     id="c-bound-r-past-the-schedule"),
+    ],
+)
+def test_caller_errors(toy, four_block, call, error, code):
+    with pytest.raises(error) as info:
+        call(toy, four_block)
+    assert type(info.value) is error and info.value.exit_code == code

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranlab import (
+    CertifiedModulus,
     InvalidParameter,
     MoranSystem,
+    OutOfRange,
     PrimeSchedule,
     TailNotCertifiable,
     binary_system,
@@ -21,7 +23,7 @@ from moranlab import (
     mu_hat_modulus,
     to_digits,
 )
-from moranlab.fourier import mask_interval
+from moranlab.fourier import _TRIG_PAD, mask_interval
 
 from oracles import mp_mu_hat, naive_mu_hat
 
@@ -219,3 +221,54 @@ def test_window_decay_for_wider_digit_sets(toy_schedule):
     )
     with pytest.raises(InvalidParameter):
         digit_decay_bound(2, spread)
+
+
+def _trig_sweep() -> list[float]:
+    # t = a +- 2^-k and +-256 ulps around the quarter points, plus seeded
+    # random doubles, all in [0, 1) where the transform evaluates cos and sin
+    points = set()
+    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+        points.update(a + sign * 2.0**-k for k in range(60) for sign in (-1, 1))
+        below = above = a
+        for _ in range(256):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            points.update((below, above))
+    rng = random.Random(2**48)
+    points.update(rng.random() for _ in range(4000))
+    return sorted(t for t in points if 0.0 <= t < 1.0)
+
+
+def test_libm_trig_stays_within_half_the_pad():
+    # every certificate pads math.cos / math.sin of 2.0 * math.pi * t by
+    # _TRIG_PAD; the error budget derived beside it is a quarter of the pad
+    worst = 0.0
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        for t in _trig_sweep():
+            arg = 2.0 * math.pi * t
+            exact = two_pi * mpmath.mpf(t)
+            worst = max(
+                worst,
+                abs(mpmath.mpf(math.cos(arg)) - mpmath.cos(exact)),
+                abs(mpmath.mpf(math.sin(arg)) - mpmath.sin(exact)),
+            )
+    assert worst <= _TRIG_PAD / 2, float(worst)
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sysm: CertifiedModulus(0.5, 0.25, 1, 0.0), InvalidParameter, 2,
+                     id="certified-modulus-enclosure"),
+        pytest.param(lambda sysm: CertifiedModulus(0.25, 0.5, 1, 0.5), InvalidParameter, 2,
+                     id="certified-modulus-positive-log"),
+        pytest.param(lambda sysm: mask_interval(0, Fraction(1, 3), sysm), OutOfRange, 3,
+                     id="mask-level-0"),
+        pytest.param(lambda sysm: mask_interval(sysm.depth + 1, Fraction(1, 3), sysm),
+                     OutOfRange, 3, id="mask-level-past-the-depth"),
+    ],
+)
+def test_caller_errors(small_system, call, error, code):
+    with pytest.raises(error) as info:
+        call(small_system)
+    assert type(info.value) is error and info.value.exit_code == code

@@ -348,11 +348,11 @@ def test_fused_loop_fast_path(monkeypatch):
 )
 def test_fused_loop_clamped_cosine(monkeypatch, which, eps, clamped):
     # c + 2^-48 rounds to 1 where r / P lies within about 2.6e-8 of 0 or 1;
-    # those levels fall back to _binary_mask
+    # those levels fall back to _level_mask, which calls _binary_mask
     sysm = binary_system(build_schedule(d=2, count=10), Fraction(1, 2))
     xi = sysm.schedule.prefix_products()[20] - 1 if which == "P21-1" else 1
     got, kernel, level = _branch_calls(monkeypatch, xi, sysm, eps)
-    assert kernel == clamped and level == 0
+    assert kernel == clamped and level == clamped
     _assert_matches_loop(got, xi, sysm, eps)
 
 
@@ -362,12 +362,15 @@ def test_fused_loop_clamped_cosine(monkeypatch, which, eps, clamped):
 )
 def test_fused_loop_zero_lower_gain(monkeypatch, omega, gain):
     # 2 w0 w1 rounds to 0 or to 5e-324, whose outward enclosure starts at or
-    # below 0: g_lo <= 0 falls back to _binary_mask on every level off r = 0
+    # below 0: g_lo <= 0 sends every level to _level_mask, which calls
+    # _binary_mask on each level off r = 0 (847 = P_3 has r = 0 on three)
     sysm = binary_system(_medium(), omega)
     assert sysm._levels[0].gain == gain
+    P = sysm.schedule.prefix_products()
     for xi in (1, 847, 10**12 + 7):
         got, kernel, level = _branch_calls(monkeypatch, xi, sysm, 1e-9)
-        assert kernel > 0 and kernel + level == got[2]
+        assert level == got[2]
+        assert kernel == sum(1 for n in range(got[2]) if xi % P[n])
         _assert_matches_loop(got, xi, sysm, 1e-9)
 
 

@@ -295,3 +295,18 @@ def test_avoidance_matches_fraction_reference(case, seed):
     assert verdict.passed == (first is None)
     # attractor points stay strictly below lo, so the open end is never met
     assert lo - max(fracs) > 0
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sch: sample_batch(binary_system(sch), seed=1, depth=2, count=0),
+                     InvalidParameter, 2, id="sample-batch-count-0"),
+        pytest.param(lambda sch: uniqueness_avoidance(Fraction(1, 3), sch, 1),
+                     InvalidParameter, 2, id="avoidance-unsupported-type"),
+    ],
+)
+def test_caller_errors(toy_schedule, call, error, code):
+    with pytest.raises(error) as info:
+        call(toy_schedule)
+    assert type(info.value) is error and info.value.exit_code == code

@@ -17,6 +17,7 @@ from moranlab import (
     OutOfRange,
     PrimeSchedule,
     ScheduleTooShort,
+    TooLarge,
     alpha_constant,
     build_context,
     build_schedule,
@@ -30,7 +31,13 @@ from moranlab import (
     prime_power_order,
     round_threshold,
 )
-from moranlab.numtheory import ALPHA_SIXTH, ROUND_THRESHOLD
+from moranlab.numtheory import (
+    ALPHA_SIXTH,
+    ROUND_THRESHOLD,
+    _trial_factor,
+    _valuation,
+    reduced_modulus,
+)
 
 from oracles import brute_order, round_threshold_holds, round_threshold_search
 
@@ -66,6 +73,23 @@ def test_order_by_crt_examples():
     assert order_by_crt(2, Factorization.of(847)) == 330
     with pytest.raises(NotCoprime):
         order_by_crt(2, Factorization.of(14))
+
+
+@pytest.mark.parametrize("odd_part", [(), ((13, 1),), ((13, 5),)])
+def test_two_power_orders_far_past_brute_range(odd_part):
+    # the 2-part descends from 2^e; checked against the descent over the
+    # whole modulus for every e <= 64, and by brute force where it is cheap
+    rng = random.Random(2**64 + 13)
+    bases = [3, 5, 7, 2**32 + 1, 2**64 - 1]
+    bases += [rng.randrange(3, 2**80, 2) for _ in range(5)]
+    bases = [a for a in bases if a % 13]
+    for e in range(1, 65):
+        f = Factorization(((2, e),) + odd_part)
+        for a in bases:
+            order = order_by_crt(a, f)
+            assert order == multiplicative_order(a, f.n), (a, e)
+            if e <= 14 and f.n < 2**18:
+                assert order == brute_order(a, f.n), (a, e)
 
 
 def test_k_of_examples():
@@ -279,3 +303,44 @@ def test_order_matches_brute_force_and_divides_phi(a, n):
     assert order == brute_order(a, n)
     assert pow(a, euler_phi(n), n) == 1
     assert euler_phi(n) % order == 0
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sch: Factorization(((3, 1), (2, 1))), InvalidParameter, 2,
+                     id="factorization-primes-not-increasing"),
+        pytest.param(lambda sch: Factorization(((9, 1),)), InvalidParameter, 2,
+                     id="factorization-not-prime"),
+        pytest.param(lambda sch: Factorization(((3, 0),)), InvalidParameter, 2,
+                     id="factorization-exponent-zero"),
+        pytest.param(lambda sch: Factorization.of(1), InvalidParameter, 2,
+                     id="factorization-of-1"),
+        pytest.param(lambda sch: euler_phi(0), InvalidParameter, 2, id="euler-phi-0"),
+        pytest.param(lambda sch: multiplicative_order(1, 7), InvalidParameter, 2,
+                     id="order-base-below-2"),
+        pytest.param(lambda sch: multiplicative_order(3, 1), InvalidParameter, 2,
+                     id="order-modulus-below-2"),
+        pytest.param(lambda sch: order_by_crt(1, Factorization.of(7)), InvalidParameter, 2,
+                     id="crt-base-below-2"),
+        pytest.param(lambda sch: _valuation(0, 7), InvalidParameter, 2, id="valuation-of-0"),
+        pytest.param(lambda sch: reduced_modulus(build_context(2, 1, sch), 0, 0),
+                     OutOfRange, 3, id="reduced-modulus-s-below-r0-prime"),
+        pytest.param(lambda sch: reduced_modulus(build_context(2, 1, sch), 1, -1),
+                     OutOfRange, 3, id="reduced-modulus-j-negative"),
+        pytest.param(lambda sch: reduced_modulus(build_context(2, 1, sch), 2, 1),
+                     OutOfRange, 3, id="reduced-modulus-beyond-the-schedule"),
+        pytest.param(lambda sch: reduced_modulus(build_context(2, 1, sch), 1, 3),
+                     OutOfRange, 3, id="reduced-modulus-j-above-ell"),
+        pytest.param(lambda sch: build_context(2, 11, PrimeSchedule(d=1, q=sch.q, ell=(1, 1))),
+                     ScheduleTooShort, 3, id="context-r0-is-the-last-block"),
+        # every input that trips the guard first divides by all candidates
+        # up to 10^7, under a second on a 2-core VM
+        pytest.param(lambda sch: _trial_factor(10000019**2), TooLarge, 5,
+                     id="trial-factor-guard"),
+    ],
+)
+def test_caller_errors(toy_schedule, call, error, code):
+    with pytest.raises(error) as info:
+        call(toy_schedule)
+    assert type(info.value) is error and info.value.exit_code == code

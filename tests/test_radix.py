@@ -233,3 +233,28 @@ def test_partial_products_recursion(d, count):
         assert sch.L[r] == sch.L[r - 1] + sch.ell[r - 1]
     # prime growth stays quadratic for the stock variant
     assert all(p <= sch.growth_constant * r**2 for r, p in enumerate(sch.q, start=1))
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sch: PrimeSchedule(d=0, q=(7,), ell=(1,)), InvalidParameter, 2,
+                     id="schedule-d-zero"),
+        pytest.param(lambda sch: sch.level_of(0), OutOfRange, 3, id="level-of-position-0"),
+        pytest.param(lambda sch: sch.level_of(4), OutOfRange, 3,
+                     id="level-of-past-the-depth"),
+        pytest.param(lambda sch: sch.bases(4), OutOfRange, 3, id="bases-past-the-depth"),
+        pytest.param(lambda sch: PrimeSchedule.from_json('{"d": 1, "q": [7]}'),
+                     InvalidParameter, 2, id="from-json-missing-key"),
+        pytest.param(lambda sch: build_schedule(d=1, count=2, ell=(1,)), InvalidParameter, 2,
+                     id="build-schedule-ell-length"),
+        pytest.param(lambda sch: to_digits(5, sch, length=4), ScheduleTooShort, 3,
+                     id="to-digits-length-past-the-depth"),
+        pytest.param(lambda sch: digits_congruent(-1, 6, 1, sch), InvalidParameter, 2,
+                     id="digits-congruent-negative"),
+    ],
+)
+def test_caller_errors(toy_schedule, call, error, code):
+    with pytest.raises(error) as info:
+        call(toy_schedule)
+    assert type(info.value) is error and info.value.exit_code == code

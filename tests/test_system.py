@@ -160,3 +160,24 @@ def test_convolved_level_checks_run_on_every_distinct_level(toy_schedule):
     with pytest.raises(InvalidParameter, match="^level 3 is special but E"):
         rebuild(csys, nu_sets=csys.nu_sets[:2] + ((0, 2, 4, 6),))
     assert isinstance(rebuild(csys), ConvolvedSystem)
+
+_HALF = (F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, error, code",
+    [
+        pytest.param(lambda sch: MoranSystem(sch, ((0, 1),) * 2, (_HALF,) * 3),
+                     InvalidParameter, 2, id="moran-system-lengths"),
+        pytest.param(
+            lambda sch: MoranSystem(sch, ((0, 2),) * 3, (_HALF,) * 3).binary_omegas(),
+            InvalidParameter, 2, id="binary-omegas-not-binary",
+        ),
+        pytest.param(lambda sch: binary_system(sch, [F(1, 2)] * 2), InvalidParameter, 2,
+                     id="binary-system-omega-count"),
+    ],
+)
+def test_caller_errors(toy_schedule, call, error, code):
+    with pytest.raises(error) as info:
+        call(toy_schedule)
+    assert type(info.value) is error and info.value.exit_code == code

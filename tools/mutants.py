@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the window verdict, the
-partition pass, the schedule check, the sampler, the orbit bins, the digit
-counts, the DEL sums, the digit-system checks and the command line.
+orders, the partition pass, the schedule check, the sampler, the orbit bins,
+the digit counts, the DEL sums, the digit-system checks and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -36,6 +36,9 @@ SAMPLING = "tests/test_sampling_kernels.py"
 NORMALITY = "tests/test_normality_kernel.py"
 DEL = "tests/test_delsum.py"
 SYSTEM = "tests/test_system.py"
+PLAN = "tests/test_fourier_plan.py"
+ORDERS = "tests/test_numtheory.py"
+ACCEPT = "tests/test_acceptance.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -87,6 +90,24 @@ MUTANTS = {
         "    return _down(f), _up(f)\n",
         "    return f, f\n",
         [WEIGHTS],
+    ),
+    # every level off the inline {0,1} path in the transform loop widened
+    # to [0, 1], r = 0 kept exact
+    "fallback-level-widened": (
+        "src/moranlab/fourier.py",
+        "            m_lo, m_hi = _level_mask(level, r, P)\n",
+        "            m_lo, m_hi = (0.0, 1.0) if r else (1.0, 1.0)\n",
+        [f"{PLAN}::test_fused_loop_clamped_cosine",
+         f"{PLAN}::test_fused_loop_zero_lower_gain",
+         f"{PLAN}::test_fused_loop_mixed_binary_and_wide_levels"],
+    ),
+    # the order mod 2^e descends from 2^(e-1), the wrong modulus
+    "two-power-order-wrong-modulus": (
+        "src/moranlab/numtheory.py",
+        "_order_from_exponent(a, 1 << e, {2: e})",
+        "_order_from_exponent(a, 1 << (e - 1), {2: e})",
+        [f"{ACCEPT}::test_criterion_01_order_oracles",
+         f"{ORDERS}::test_two_power_orders_far_past_brute_range"],
     ),
     # each point's occurrence index counted from 1 instead of 0
     "partition-occurrence-off-by-one": (
