@@ -46,10 +46,8 @@ _HOME = {
             (
                 "PrimeSchedule",
                 "MixedRadixDigits",
-                "base_at",
                 "build_schedule",
                 "to_digits",
-                "digits_congruent",
                 "is_prime",
                 "next_prime",
             ),
@@ -60,7 +58,6 @@ _HOME = {
                 "Factorization",
                 "BaseContext",
                 "build_context",
-                "euler_phi",
                 "multiplicative_order",
                 "prime_power_order",
                 "order_by_crt",
@@ -72,7 +69,7 @@ _HOME = {
                 "round_threshold",
             ),
         ),
-        ("rng", ("CounterRng", "value_at", "derive_seed")),
+        ("rng", ("value_at", "derive_seed")),
         ("system", ("MoranSystem", "binary_system")),
         (
             "fourier",
@@ -88,10 +85,6 @@ _HOME = {
             (
                 "PartitionCertificate",
                 "FiberTable",
-                "DigitProjection",
-                "prefix_projection",
-                "phi_map",
-                "pi_map",
                 "verify_partition",
                 "fiber_counts",
                 "classify_Bk",

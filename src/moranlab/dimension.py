@@ -79,6 +79,12 @@ class GaugeFunction(Record):
                 raise InvalidParameter("custom table r values must strictly increase")
             if any(a >= b for a, b in zip(vs, vs[1:])) or any(v <= 0 for v in vs):
                 raise InvalidParameter("custom gauge must be positive and increasing")
+            if not 0 < rs[0] < rs[-1] <= 1:  # rs increases, so the ends suffice
+                raise InvalidParameter(
+                    f"custom table r values must lie in (0, 1], got {rs[0]} .. {rs[-1]}"
+                )
+            if not all(0 < v < math.inf for v in vs):  # NaN fails too
+                raise InvalidParameter("custom gauge values must be finite")
         elif not 0 < param < math.inf:  # NaN fails too
             raise InvalidParameter(f"gauge parameter must be positive and finite, got {param}")
         self.__dict__.update(kind=kind, param=param, table=table)
@@ -308,13 +314,6 @@ class ConvolvedSystem(Record):
         """The convolution as a plain digit system (for transforms/sampling),
         built once: every call returns the same instance and its caches."""
         return self._system
-
-    def uniform_interval_mass(self, depth: int) -> Fraction:
-        """Mass of one depth-`depth` basic interval under the uniform measure
-        eta on the F-digit tree."""
-        if not 0 <= depth <= self.depth:
-            raise OutOfRange(f"depth {depth} outside 0 .. {self.depth}")
-        return Fraction(1, self._cell_counts[depth])
 
     @cached_property
     def _cell_counts(self) -> tuple[int, ...]:

@@ -6,7 +6,9 @@ positions of blocks c+1 .. d (positions L_s + k_{s+1} .. L_{s+1} - 1). Over
 an interval of n of length ord_{N_r/Q}(b) the Pi image tiles the full product
 Y_{c,d} with identical fiber sizes; this module verifies those statements by
 exhaustive enumeration and certifies them, and evaluates the digit-count
-bounds #B_k <= C(k) that they feed.
+bounds #B_k <= C(k) that they feed. The definitional maps, one digit
+string per n, live in tests/oracles.py (phi_map, pi_map) as the references
+this module's kernels are checked against.
 
 Powers b^n are never materialized: the residues of h*b^n - h*b^m over an
 interval follow the exact one-step recurrence v <- (b v + c) mod P with
@@ -83,81 +85,14 @@ def _block_positions(ctx: BaseContext, c: int, d: int) -> tuple[int, ...]:
     return tuple(p for start, end in _block_ranges(ctx, c, d) for p in range(start, end))
 
 
-class DigitProjection(Record):
-    """A digit-position selection applied to n -> h*b^n - h*b^m.
-
-    positions is None for the full-prefix map Phi_N (the first N positions,
-    N supplied at evaluation time); otherwise it is the strictly increasing
-    tuple of free-suffix positions of a block range.
-    """
-
-    _fields = ("m", "h", "b", "positions")
-
-    def __init__(self, m: int, h: int, b: int, positions: tuple[int, ...] | None) -> None:
-        if positions is not None:
-            for a, b_ in zip(positions, positions[1:]):
-                if a >= b_:
-                    raise InvalidParameter("positions must strictly increase")
-        self.__dict__.update(m=m, h=h, b=b, positions=positions)
-
-
-def prefix_projection(ctx: BaseContext, m: int | None = None) -> DigitProjection:
-    return DigitProjection(m=_default_m(ctx, m), h=ctx.h, b=ctx.b, positions=None)
-
-
 # --------------------------------------------------------------------------
-# the maps themselves
+# residues and fiber keys
 
 
 def _difference_mod(ctx: BaseContext, n: int, m: int, modulus: int) -> int:
     # canonical residue of h (b^n - b^m); h may be negative
     diff = pow(ctx.b, n, modulus) - pow(ctx.b, m, modulus)
     return (ctx.h * diff) % modulus
-
-
-def phi_map(
-    n: int,
-    proj: DigitProjection,
-    N_digits: int,
-    sys,
-    ctx: BaseContext,
-) -> tuple[int, ...]:
-    """First N_digits mixed-radix digits of h*b^n - h*b^m."""
-    sch = _matching_schedule(sys, ctx)
-    if (proj.h, proj.b) != (ctx.h, ctx.b):
-        raise InvalidParameter("projection and context disagree on (b, h)")
-    if not 1 <= N_digits <= sch.depth:
-        raise OutOfRange(f"N_digits = {N_digits} outside 1 .. {sch.depth}")
-    if n <= proj.m:
-        raise InvalidRange(f"n = {n} must exceed m = {proj.m}")
-    modulus = sch.prefix_product(N_digits)
-    val = _difference_mod(ctx, n, proj.m, modulus)
-    return to_digits(val, sch, length=N_digits).digits
-
-
-def pi_map(
-    n: int,
-    c: int,
-    d: int,
-    sys,
-    ctx: BaseContext,
-    m: int | None = None,
-) -> tuple[int, ...]:
-    """Digits of h*b^n - h*b^m at the free-suffix positions of blocks c+1 .. d.
-
-    The value is a point of Y_{c,d}, the blocks' digit tuples concatenated in
-    position order.
-    """
-    sch = _matching_schedule(sys, ctx)
-    positions = _block_positions(ctx, c, d)
-    mm = _default_m(ctx, m)
-    if n <= mm:
-        raise InvalidRange(f"n = {n} must exceed m = {mm}")
-    depth = sch.L[d]
-    modulus = sch.prefix_product(depth)
-    val = _difference_mod(ctx, n, mm, modulus)
-    digits = to_digits(val, sch, length=depth).digits
-    return tuple(digits[p] for p in positions)
 
 
 def _values_over_interval(
@@ -287,7 +222,11 @@ def verify_partition(
     if len(classes) != J or len(classes[-1]) != y_size:
         for size, witness in zip(sizes.values(), classes[0]):
             if size != J:
-                key = pi_map(witness, ctx.r0, r, sys, ctx, m=mm)
+                # name the fiber by its Pi digits, read from the witness
+                depth = sch.L[r]
+                val = _difference_mod(ctx, witness, mm, sch.prefix_product(depth))
+                row = to_digits(val, sch, length=depth).digits
+                key = tuple(row[p] for p in _block_positions(ctx, ctx.r0, r))
                 raise CounterexampleFound(
                     f"fiber over {key} has {size} elements, expected {J} "
                     f"(witness n = {witness})"
@@ -301,9 +240,6 @@ class FiberTable(Record):
     """Fiber cardinalities at block step s -> s+1 over an order-length interval."""
 
     _fields = ("s", "length", "fibers", "image_sizes")
-
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.fibers)
 
 
 def fiber_counts(

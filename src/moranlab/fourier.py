@@ -165,10 +165,6 @@ class CertifiedModulus(Record):
             lo=lo, hi=hi, truncation_level=truncation_level, tail_bound_log=tail_bound_log
         )
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 # --------------------------------------------------------------------------
 # level masks

@@ -88,27 +88,8 @@ class Factorization(Record):
     def from_map(cls, exponents: dict[int, int]) -> "Factorization":
         return cls(tuple(sorted((p, e) for p, e in exponents.items() if e > 0)))
 
-    @property
-    def n(self) -> int:
-        total = 1
-        for p, e in self.pairs:
-            total *= p**e
-        return total
-
     def __iter__(self):
         return iter(self.pairs)
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, phi(p^k) = (p-1) p^(k-1) multiplied over the factorization."""
-    if n < 1:
-        raise InvalidParameter(f"phi is defined for n >= 1, got {n}")
-    if n == 1:
-        return 1
-    total = 1
-    for p, e in _trial_factor(n).items():
-        total *= (p - 1) * p ** (e - 1)
-    return total
 
 
 # --------------------------------------------------------------------------

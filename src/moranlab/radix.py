@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import operator
-from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
@@ -132,18 +131,6 @@ class PrimeSchedule(Record):
         """Total number of digit positions the schedule covers (sum of ell)."""
         return self.L[-1]
 
-    @property
-    def growth_constant(self) -> float:
-        """max_r q_r / r^2; the realized quadratic growth constant of the primes."""
-        return max(p / r**2 for r, p in enumerate(self.q, start=1))
-
-    def level_of(self, n: int) -> tuple[int, int]:
-        """Decompose a 1-based position n = L_s + (j+1) into (s, j)."""
-        if not 1 <= n <= self.depth:
-            raise OutOfRange(f"position {n} outside 1..{self.depth}")
-        s = bisect_left(self.L, n) - 1
-        return s, n - self.L[s] - 1
-
     def base_at(self, n: int) -> int:
         """Base M_n at 1-based position n."""
         if not 1 <= n <= self.depth:
@@ -183,25 +170,6 @@ class PrimeSchedule(Record):
         return json.dumps(
             {"d": self.d, "variant": self.variant, "q": list(self.q), "ell": list(self.ell)}
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PrimeSchedule":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"schedule JSON malformed: {exc}") from exc
-        extra = set(obj) - {"d", "variant", "q", "ell"}
-        if extra:
-            raise InvalidParameter(f"unknown schedule keys: {sorted(extra)}")
-        try:
-            return cls(
-                d=obj["d"],
-                q=tuple(obj["q"]),
-                ell=tuple(obj["ell"]),
-                variant=obj.get("variant", "explicit"),
-            )
-        except KeyError as exc:
-            raise InvalidParameter(f"schedule JSON missing key {exc}") from exc
 
 
 def check_pair(b: int, h: int) -> None:
@@ -267,11 +235,6 @@ def build_schedule(
         if len(ell_t) != count:
             raise InvalidParameter("explicit ell must match count")
     return PrimeSchedule(d=d, q=tuple(q), ell=ell_t, variant=tag)
-
-
-def base_at(s: PrimeSchedule, n: int) -> int:
-    """Base M_n at 1-based position n of the schedule."""
-    return s.base_at(n)
 
 
 def middle_window(q: int) -> tuple[int, int]:
@@ -364,9 +327,3 @@ def to_digits(N: int, s: PrimeSchedule, length: int | None = None) -> MixedRadix
         bases = bases[: len(digits)]
     return MixedRadixDigits(tuple(digits), tuple(bases))
 
-
-def digits_congruent(a: int, b: int, n: int, s: PrimeSchedule) -> bool:
-    """True iff a and b agree modulo M_1*...*M_n, equivalently on their first n digits."""
-    if a < 0 or b < 0:
-        raise InvalidParameter("defined for non-negative integers")
-    return (a - b) % s.prefix_product(n) == 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import Record
 from .errors import InvalidParameter
 
 _MASK = (1 << 64) - 1
@@ -41,19 +40,6 @@ def value_at(seed: int, index: int) -> int:
 def derive_seed(seed: int, index: int) -> int:
     """Per-item seed of a batch: seed XOR item index."""
     return (seed ^ index) & _MASK
-
-
-class CounterRng(Record):
-    """Random access into the output sequence of one seed."""
-
-    _fields = ("seed",)
-
-    def at(self, index: int) -> int:
-        return value_at(self.seed, index)
-
-    def unit_at(self, index: int) -> float:
-        """Output index mapped to [0, 1) with 53-bit precision."""
-        return (self.at(index) >> 11) * 2.0**-53
 
 
 def cumulative_thresholds(weights: tuple[Fraction, ...]) -> tuple[int, ...]:

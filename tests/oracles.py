@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -25,6 +26,11 @@ def brute_order(a: int, n: int) -> int:
         if m > n:
             raise AssertionError(f"no order for a={a}, n={n}")
     return m
+
+
+def brute_totient(n: int) -> int:
+    """Euler's phi(n) as the count of 1 <= k <= n coprime to n."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def brute_orders_vector(a: int, n_max: int) -> dict[int, int]:
@@ -424,10 +430,54 @@ def triple_loop_del_partial(sys, b: int, h: int, N_max: int, eps: float):
     )
 
 
+# --------------------------------------------------------------------------
+# the digit projections Phi_N and Pi_{c,d}, one digit string per n
+
+
+class DigitProjection(NamedTuple):
+    """The map n -> h*b^n - h*b^m that Phi_N reads digits of."""
+
+    m: int
+    h: int
+    b: int
+
+
+def prefix_projection(ctx, m: int | None = None) -> DigitProjection:
+    """The context's projection, at m = n0 - 1 unless m is given."""
+    return DigitProjection(m=ctx.n0 - 1 if m is None else m, h=ctx.h, b=ctx.b)
+
+
+def phi_map(n: int, proj: DigitProjection, N_digits: int, sch) -> tuple[int, ...]:
+    """Phi_N(n): the first N_digits mixed-radix digits of h*b^n - h*b^m, read
+    by divmod from a residue mod M_1 ... M_N."""
+    bases = sch.bases(N_digits)
+    modulus = math.prod(bases)
+    value = proj.h * (pow(proj.b, n, modulus) - pow(proj.b, proj.m, modulus)) % modulus
+    digits = []
+    for base in bases:
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def free_suffix_positions(ctx, c: int, d: int) -> tuple[int, ...]:
+    """The 0-based positions L_s + k_{s+1} .. L_{s+1} - 1 of blocks c+1 .. d."""
+    L = ctx.schedule.L
+    return tuple(p for s in range(c, d) for p in range(L[s] + ctx.k[s], L[s + 1]))
+
+
+def pi_map(n: int, c: int, d: int, ctx, m: int | None = None) -> tuple[int, ...]:
+    """Pi_{c,d}(n): the digits of h*b^n - h*b^m at the free-suffix positions
+    of blocks c+1 .. d, a point of Y_{c,d}."""
+    sch = ctx.schedule
+    digits = phi_map(n, prefix_projection(ctx, m), sch.L[d], sch)
+    return tuple(digits[p] for p in free_suffix_positions(ctx, c, d))
+
+
 def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None = None):
     """distribution.fiber_counts on full digit rows: one modular power and one
     to_digits per n, keys and prefixes sliced from the digit tuples."""
-    from moranlab.distribution import FiberTable, _block_positions
+    from moranlab.distribution import FiberTable
     from moranlab.numtheory import order_mod_reduced
     from moranlab.radix import schedule_of, to_digits
 
@@ -444,8 +494,8 @@ def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None =
         ).digits
         for n in range(start, start + length)
     ]
-    pos_s = _block_positions(ctx, ctx.r0, s) if s > ctx.r0 else ()
-    pos_s1 = _block_positions(ctx, ctx.r0, s + 1)
+    pos_s = free_suffix_positions(ctx, ctx.r0, s)
+    pos_s1 = free_suffix_positions(ctx, ctx.r0, s + 1)
     q_pow = sch.q[s] ** ctx.j[s]
     coarse: dict = {}
     fine: dict = {}
@@ -492,7 +542,6 @@ def running_power_residues(ctx, modulus: int, start: int, length: int, m: int) -
 def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[int, ...]:
     """distribution.classify_Bk as one pi_map per member, with each digit's
     middle window [floor(q/3), 2 floor(q/3)] read from its base per member."""
-    from moranlab.distribution import _block_positions, pi_map
     from moranlab.errors import InvalidRange, NotWellDistributed
     from moranlab.numtheory import y_product
     from moranlab.radix import schedule_of
@@ -500,7 +549,7 @@ def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[
     sch = schedule_of(sys)
     mm = ctx.n0 - 1 if m is None else m
     members = sorted(set(Lam))
-    positions = _block_positions(ctx, ctx.r0, r)
+    positions = free_suffix_positions(ctx, ctx.r0, r)
     y_size = y_product(ctx, r)
     if len(members) != y_size:
         raise NotWellDistributed(f"#Lam = {len(members)}, expected {y_size}")
@@ -509,7 +558,7 @@ def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[
     counts = [0] * (len(positions) + 1)
     seen = set()
     for n in members:
-        digits = pi_map(n, ctx.r0, r, sys, ctx, m=mm)
+        digits = pi_map(n, ctx.r0, r, ctx, m=mm)
         if digits in seen:
             raise NotWellDistributed(f"Pi collision at n = {n}")
         seen.add(digits)
@@ -648,6 +697,12 @@ def reference_avoidance(x, sys, j_max: int):
 
 # --------------------------------------------------------------------------
 # ball counts
+
+
+def uniform_interval_mass(csys, L: int) -> Fraction:
+    """Mass of one depth-L basic interval under the uniform measure on the
+    F-digit tree: 1 / (|F_1| ... |F_L|), read from the level sets."""
+    return Fraction(1, math.prod(len(F) for F in csys.sum_sets[:L]))
 
 
 def fraction_ball_measure(x, r, csys, h: int) -> Fraction:

@@ -45,7 +45,7 @@ from moranlab.dimension import (
 )
 from moranlab.measure import SamplePoint, sample_point
 
-from oracles import fraction_ball_measure, naive_mu_hat, rebuild
+from oracles import fraction_ball_measure, naive_mu_hat, rebuild, uniform_interval_mass
 
 F = Fraction
 _LN2 = math.log(2.0)
@@ -163,6 +163,23 @@ def test_gauge_domain_errors():
     with pytest.raises(OutOfRange):
         GaugeFunction("r_times_H", 1.0).log_value(F(1, 10))
     assert GaugeFunction("r_times_H", 1.0).log_value(F(1, 16)) < 0
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        pytest.param(((F(1, 100), math.nan), (F(1, 10), 0.5)), "finite", id="nan-value"),
+        pytest.param(((F(1, 100), 0.1), (F(1, 10), math.inf)), "finite", id="inf-value"),
+        pytest.param(((F(0), 0.1), (F(1, 10), 0.5)), r"\(0, 1\]", id="r-zero"),
+        pytest.param(((F(1, 10), 0.1), (F(2), 0.5)), r"\(0, 1\]", id="r-past-one"),
+    ],
+)
+def test_gauge_custom_table_outside_its_domain_is_rejected(table, message):
+    # each of these used to construct, then evaluate to nan or inf, or raise
+    # a bare math domain error at r = 0
+    with pytest.raises(InvalidParameter, match=message) as info:
+        GaugeFunction("custom", table=table)
+    assert info.value.exit_code == 2
 
 
 def test_gauge_custom_interpolates_loglog():
@@ -384,14 +401,10 @@ def test_as_moran_system_is_built_once(toy_schedule, toy_dimone):
 
 
 def test_uniform_interval_mass(toy_dimone):
-    assert toy_dimone.uniform_interval_mass(0) == 1
-    assert toy_dimone.uniform_interval_mass(1) == F(1, 4)
-    assert toy_dimone.uniform_interval_mass(2) == F(1, 24)
-    assert toy_dimone.uniform_interval_mass(3) == F(1, 144)
-    with pytest.raises(OutOfRange):
-        toy_dimone.uniform_interval_mass(-1)
-    with pytest.raises(OutOfRange):
-        toy_dimone.uniform_interval_mass(4)
+    # ball_measure divides by the cell counts |F_1| ... |F_L|
+    assert toy_dimone._cell_counts == (1, 4, 24, 144)
+    masses = [uniform_interval_mass(toy_dimone, L) for L in range(4)]
+    assert masses == [1, F(1, 4), F(1, 24), F(1, 144)]
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +433,7 @@ def test_ball_measure_matches_enumeration(toy_dimone):
     # every r here lands in band h = 2: intervals live at level 3, P = 847
     P = 847
     values = _attainable_values(toy_dimone, 3)
-    mass = toy_dimone.uniform_interval_mass(3)
+    mass = uniform_interval_mass(toy_dimone, 3)
     xs = [F(k, 101) for k in range(0, 101, 7)] + [F(k, 847) for k in (0, 5, 121, 422, 423, 846)]
     for r in (F(1, 100), F(1, 200), F(1, 846), F(1, 77)):
         for x in xs:
@@ -438,7 +451,7 @@ def test_ball_measure_matches_enumeration_gauge(med_gauge):
     for level, radii in bands.items():
         P = med_gauge.schedule.prefix_product(level)
         values = sorted(_attainable_values(med_gauge, level))
-        mass = med_gauge.uniform_interval_mass(level)
+        mass = uniform_interval_mass(med_gauge, level)
         xs = [F(k, 97) for k in range(0, 98, 6)] + [F(k, P) for k in (0, 76, 77, 400, P - 2, P - 1)]
         for r in radii:
             assert h_of_r(r, med_gauge) == level - 1
@@ -549,7 +562,7 @@ def test_ball_measure_support_point_floor(med_dimone):
         h = h_of_r(r, med_dimone)
         ball = ball_measure(pt.value, r, med_dimone)
         # the interval containing the point itself is always counted
-        assert ball >= med_dimone.uniform_interval_mass(h + 1)
+        assert ball >= uniform_interval_mass(med_dimone, h + 1)
 
 
 def test_ball_measure_dim_one_mass_bound(med_dimone):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from moranlab import (
     C_bound,
     CounterexampleFound,
-    DigitProjection,
     InvalidParameter,
     InvalidRange,
     NotWellDistributed,
@@ -26,17 +25,17 @@ from moranlab import (
     check_peak_bound,
     classify_Bk,
     fiber_counts,
-    phi_map,
-    pi_map,
-    prefix_projection,
     verify_partition,
 )
 from moranlab import distribution
-from moranlab.distribution import _partition_classes, _values_over_interval
+from moranlab.distribution import _block_ranges, _partition_classes, _values_over_interval
 from moranlab.numtheory import integer_J, order_mod_reduced
 
 from oracles import (
     digit_row_fiber_counts,
+    phi_map,
+    pi_map,
+    prefix_projection,
     reference_classify_Bk,
     running_power_residues,
 )
@@ -60,43 +59,44 @@ def three_block():
     return sch, sysm, ctx
 
 
+# the oracle maps Phi_N and Pi_{c,d} on hand-worked toy values
+
+
 def test_phi_map_examples(toy):
-    _, sysm, ctx = toy
+    sch, _, ctx = toy
     proj = prefix_projection(ctx)  # m defaults to n0 - 1 = 0
-    assert phi_map(1, proj, 3, sysm, ctx) == (1, 0, 0)  # 2^1 - 1 = 1
+    assert phi_map(1, proj, 3, sch) == (1, 0, 0)  # 2^1 - 1 = 1
     # 2^10 - 1 = 1023 = 176 mod 847 = 1 + 3*7 + 2*77
-    assert phi_map(10, proj, 3, sysm, ctx) == (1, 3, 2)
-    with pytest.raises(InvalidRange):
-        phi_map(0, proj, 3, sysm, ctx)  # n must exceed m
+    assert phi_map(10, proj, 3, sch) == (1, 3, 2)
 
 
 def test_phi_map_never_materializes_power(toy):
     # astronomically large exponents stay cheap via modular exponentiation
-    _, sysm, ctx = toy
+    sch, _, ctx = toy
     proj = prefix_projection(ctx)
-    digits = phi_map(10**18 + 3, proj, 3, sysm, ctx)
+    digits = phi_map(10**18 + 3, proj, 3, sch)
     assert len(digits) == 3
     val = digits[0] + 7 * digits[1] + 77 * digits[2]
     assert val == (pow(2, 10**18 + 3, 847) - 1) % 847
 
 
 def test_pi_map_toy_positions(toy):
-    _, sysm, ctx = toy
+    _, _, ctx = toy
     # free suffix of block 2 is the single position 2 (k_2 = 1 frozen)
-    assert pi_map(3, 1, 2, sysm, ctx) == (0,)  # 2^3 - 1 = 7 < 77
+    assert pi_map(3, 1, 2, ctx) == (0,)  # 2^3 - 1 = 7 < 77
     for n in range(1, 8):
-        digits = pi_map(n, 1, 2, sysm, ctx)
+        digits = pi_map(n, 1, 2, ctx)
         assert digits == (((2**n - 1) % 847) // 77,)
 
 
 def test_pi_column_equidistributes(toy):
     # over any order-length window the single projected digit covers
     # {0..10} exactly 30 times each
-    _, sysm, ctx = toy
+    _, _, ctx = toy
     for start in (1, 5, 123):
         seen: dict[tuple[int, ...], int] = {}
         for n in range(start, start + 330):
-            key = pi_map(n, 1, 2, sysm, ctx)
+            key = pi_map(n, 1, 2, ctx)
             seen[key] = seen.get(key, 0) + 1
         assert sorted(seen) == [(d,) for d in range(11)]
         assert set(seen.values()) == {30}
@@ -137,8 +137,6 @@ def test_verify_partition_rejects_bad_r(toy):
 # each entry point on the toy schedule, as fn(sys, ctx, lam) with lam a
 # class of the toy partition
 SCHEDULE_ENTRY_POINTS = {
-    "phi_map": lambda sys, ctx, lam: phi_map(10, prefix_projection(ctx), 3, sys, ctx),
-    "pi_map": lambda sys, ctx, lam: pi_map(3, 1, 2, sys, ctx),
     "verify_partition": lambda sys, ctx, lam: verify_partition(1, ctx, sys, r=2),
     "fiber_counts": lambda sys, ctx, lam: fiber_counts((1, 330), ctx, sys, s=1),
     "classify_Bk": lambda sys, ctx, lam: classify_Bk(lam, ctx, sys, r=2),
@@ -179,7 +177,7 @@ def test_fiber_counts_toy(toy):
     _, sysm, ctx = toy
     table = fiber_counts((1, 330), ctx, sysm, s=1)
     assert table.length == 330
-    counts = table.as_dict()
+    counts = dict(table.fibers)
     assert len(counts) == 11
     assert set(counts.values()) == {30}
     assert table.image_sizes == ((0, 3), (1, 30), (2, 330))
@@ -209,10 +207,11 @@ def test_fiber_counts_deeper_step(three_block):
     table = fiber_counts((1, length), ctx, sysm, s=2)
     assert table.length == length
     q_pow = 13 ** ctx.j[2]
-    coarse_total = sum(table.as_dict().values())
+    counts = dict(table.fibers)
+    coarse_total = sum(counts.values())
     assert coarse_total == length
     # every fine fiber has the same size length / (11 * 13)
-    assert set(table.as_dict().values()) == {length // (11 * 13)}
+    assert set(counts.values()) == {length // (11 * 13)}
 
 
 @pytest.mark.parametrize(
@@ -295,13 +294,13 @@ def test_check_peak_bound_guards():
 
 def test_mod_and_pi_cardinalities_agree(toy):
     # counting residues mod P_N equals counting digit tuples of length N
-    _, sysm, ctx = toy
+    sch, _, ctx = toy
     rng = random.Random(11)
     proj = prefix_projection(ctx)
     for N, modulus in ((1, 7), (2, 77), (3, 847)):
         lam = rng.sample(range(1, 500), 60)
         residues = {(pow(2, n, modulus) - 1) % modulus for n in lam}
-        tuples = {phi_map(n, proj, N, sysm, ctx) for n in lam}
+        tuples = {phi_map(n, proj, N, sch) for n in lam}
         assert len(residues) == len(tuples)
 
 
@@ -320,11 +319,11 @@ def test_residual_class_window(toy):
 # the integer fiber kernel against pi_map's digit tuples
 
 
-def _pi_fibers(ctx, sysm, start, length, r):
+def _pi_fibers(ctx, start, length, r):
     """Pi_{r0,r} fibers keyed by pi_map's digit tuples, members in increasing n."""
     fibers: dict[tuple[int, ...], list[int]] = {}
     for n in range(start, start + length):
-        fibers.setdefault(pi_map(n, ctx.r0, r, sysm, ctx), []).append(n)
+        fibers.setdefault(pi_map(n, ctx.r0, r, ctx), []).append(n)
     return fibers
 
 
@@ -363,13 +362,12 @@ SMALL_SCHEDULES = (
 def test_partition_fibers_match_pi_map(sch, b, h, depth, start, length):
     # the one-pass classes against fibers read back from pi_map tuples, on
     # intervals of any length, so the fibers may differ in size
-    sysm = binary_system(sch)
     ctx = build_context(b, h, sch)
     r = min(ctx.r0 + 1 + depth, len(sch.q))
     sizes, classes = _partition_classes(ctx, sch, start, length, r, ctx.n0 - 1)
     reference = {
         _block_values(ctx, r, digits): members
-        for digits, members in _pi_fibers(ctx, sysm, start, length, r).items()
+        for digits, members in _pi_fibers(ctx, start, length, r).items()
     }
     # keys in first-seen order, each with its fiber's size
     assert list(sizes.items()) == [(key, len(members)) for key, members in reference.items()]
@@ -415,7 +413,7 @@ def test_verify_partition_classes_match_pi_map_reference(ell, b, h, r):
     sysm = binary_system(sch)
     ctx = build_context(b, h, sch)
     cert = verify_partition(5, ctx, sysm, r)
-    fibers = _pi_fibers(ctx, sysm, 5, cert.length, r)
+    fibers = _pi_fibers(ctx, 5, cert.length, r)
     keys = sorted(fibers)
     expected = tuple(
         tuple(sorted(fibers[key][t] for key in keys)) for t in range(cert.J)
@@ -431,7 +429,7 @@ def test_verify_partition_counterexample_names_the_fiber(toy, monkeypatch):
     monkeypatch.setattr(distribution, "integer_J", lambda c, r: integer_J(c, r) + 1)
     with pytest.raises(CounterexampleFound) as exc:
         verify_partition(1, ctx, sysm, r=2)
-    pi = pi_map(1, ctx.r0, 2, sysm, ctx)
+    pi = pi_map(1, ctx.r0, 2, ctx)
     assert str(exc.value) == f"fiber over {pi} has 30 elements, expected 31 (witness n = 1)"
 
 
@@ -570,18 +568,10 @@ def four_block(small_schedule):
 @pytest.mark.parametrize(
     "call, error, code",
     [
-        pytest.param(lambda toy, big: pi_map(5, 0, 1, toy[1], toy[2]), InvalidRange, 3,
+        pytest.param(lambda toy, big: _block_ranges(toy[2], 0, 1), InvalidRange, 3,
                      id="block-ranges-c-below-r0"),
-        pytest.param(lambda toy, big: pi_map(5, 2, 2, toy[1], toy[2]), InvalidRange, 3,
+        pytest.param(lambda toy, big: _block_ranges(toy[2], 2, 2), InvalidRange, 3,
                      id="block-ranges-empty"),
-        pytest.param(lambda toy, big: phi_map(5, DigitProjection(0, 1, 3, None), 1, *toy[1:]),
-                     InvalidParameter, 2, id="phi-map-b-h-mismatch"),
-        pytest.param(lambda toy, big: phi_map(5, prefix_projection(toy[2]), 0, *toy[1:]),
-                     OutOfRange, 3, id="phi-map-no-digits"),
-        pytest.param(lambda toy, big: phi_map(5, prefix_projection(toy[2]), 4, *toy[1:]),
-                     OutOfRange, 3, id="phi-map-digits-past-the-depth"),
-        pytest.param(lambda toy, big: pi_map(0, 1, 2, toy[1], toy[2]), InvalidRange, 3,
-                     id="pi-map-n-not-above-m"),
         pytest.param(lambda toy, big: fiber_counts((1, 1), toy[2], toy[1], 2),
                      InvalidRange, 3, id="fiber-counts-s-past-the-schedule"),
         pytest.param(lambda toy, big: fiber_counts((0, 1), toy[2], toy[1], 1),

@@ -146,7 +146,7 @@ def test_forced_middle_digits_push_hi_down(medium_schedule, medium_system):
     w, bound = digit_decay_bound(xi, medium_system)
     assert w == 5
     cert = mu_hat_modulus(xi, medium_system, eps=1e-9)
-    assert cert.hi <= bound + cert.width + 1e-12
+    assert cert.hi <= bound + (cert.hi - cert.lo) + 1e-12
 
 
 # weights of digit 0 across (0, 1), out to 10^-6 from either end

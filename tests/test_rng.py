@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moranlab import CounterRng, InvalidParameter, derive_seed, value_at
+from moranlab import InvalidParameter, derive_seed, value_at
 from oracles import reference_pick as pick
 
 from moranlab.rng import cumulative_thresholds, mix64
@@ -27,20 +27,6 @@ _SEED_1234567 = (
 def test_frozen_vectors():
     assert tuple(value_at(0, i) for i in range(3)) == _SEED_0
     assert tuple(value_at(1234567, i) for i in range(5)) == _SEED_1234567
-
-
-def test_counter_access_matches_value_at():
-    rng = CounterRng(seed=99)
-    assert [rng.at(i) for i in range(10)] == [value_at(99, i) for i in range(10)]
-    # random access equals sequential access by construction
-    assert rng.at(7) == value_at(99, 7)
-
-
-def test_unit_interval_mapping():
-    rng = CounterRng(seed=7)
-    for i in range(200):
-        u = rng.unit_at(i)
-        assert 0.0 <= u < 1.0
 
 
 def test_negative_index_rejected():

@@ -17,7 +17,7 @@ from moranlab import (
 from moranlab.dimension import ConvolvedSystem
 from moranlab.rng import cumulative_thresholds
 
-from oracles import rebuild, reference_system_error
+from oracles import rebuild, reference_system_error, uniform_interval_mass
 
 
 def _unshared(levels):
@@ -99,7 +99,8 @@ def test_unshared_convolution_equals_the_shared_one(count20):
     assert plain.as_moran_system()._thresholds == shared.as_moran_system()._thresholds
     assert plain.avoidance_lo == shared.avoidance_lo
     for depth in (0, 1, 17, shared.depth):
-        assert plain.uniform_interval_mass(depth) == shared.uniform_interval_mass(depth)
+        mass = uniform_interval_mass(shared, depth)
+        assert F(1, plain._cell_counts[depth]) == F(1, shared._cell_counts[depth]) == mass
 
 
 def _levels_with(column, n, bad, repeat):
