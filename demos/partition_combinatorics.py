@@ -8,12 +8,9 @@ digit positions obeys an exact binomial bound. Everything here is enumerated
 and certified, not sampled.
 """
 
-from fractions import Fraction
-
 from moranlab import (
     C_bound,
     PrimeSchedule,
-    binary_system,
     build_context,
     check_peak_bound,
     classify_Bk,
@@ -21,26 +18,25 @@ from moranlab import (
     verify_partition,
 )
 
-sch = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
-sysm = binary_system(sch, omega=Fraction(1, 2))
-ctx = build_context(2, 1, sch)
+# the partition reads only (b, h) and the schedule, all held by the context
+ctx = build_context(2, 1, PrimeSchedule(d=1, q=(7, 11), ell=(1, 2)))
 
-cert = verify_partition(ctx.n0, ctx, sysm, r=2)
+cert = verify_partition(ctx.n0, ctx, r=2)
 print(f"partition at r=2: interval length {cert.length}, J={cert.J}, "
       f"{len(cert.classes)} classes of size {cert.y_size}")
 
-table = fiber_counts((cert.I_start, cert.length), ctx, sysm, s=1)
+table = fiber_counts((cert.I_start, cert.length), ctx, s=1)
 sizes = {c for _, c in table.fibers}
 print(f"refinement s=1 -> s=2: prefix image sizes {dict(table.image_sizes)}, "
       f"{len(table.fibers)} fibers, each with {sizes} preimages")
 
 # one histogram: how many classes meet exactly k bad positions
 labels = cert.classes[0]
-hist = classify_Bk(labels, ctx, sysm, r=2)
+hist = classify_Bk(labels, ctx, r=2)
 u = len(hist) - 1
 print(f"\nclass 0 spread over k=0..{u} bad positions: {hist}")
 for k, count in enumerate(hist):
-    cap = C_bound(k, u, ctx, sysm, r=2)
+    cap = C_bound(k, u, ctx, r=2)
     print(f"  k={k}: {count} <= {float(cap):.3f}")
 
 # the peak-term inequality that drives the tail estimate, at the smallest

@@ -373,18 +373,20 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 
 def cmd_partition(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
-    sysm = _system_from(cfg, sch)
+    # the partition reads only (b, h) and the schedule, but the system
+    # section is checked as in every command
+    _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
     pc = _section(cfg, "partition")
     r, m = pc["r"], pc["m"]
     ctx = numtheory.build_context(b, h, sch)
     if r is None:
         r = ctx.r0 + 1
-    cert = distribution.verify_partition(pc["I_start"], ctx, sysm, r, m=m)
+    cert = distribution.verify_partition(pc["I_start"], ctx, r, m=m)
     print(f"partition: certificate ok, J={cert.J} classes={cert.y_size}")
-    hist = distribution.classify_Bk(cert.classes[0], ctx, sysm, r, m=m)
+    hist = distribution.classify_Bk(cert.classes[0], ctx, r, m=m)
     path = os.path.join(out, pc["out"])
-    _stamp_csv(path, cfg_hash, distribution._histogram_table(hist, ctx, sysm, r))
+    _stamp_csv(path, cfg_hash, distribution._histogram_table(hist, ctx, r))
     _write_json_report(
         os.path.join(out, "partition.json"), cfg_hash, "partition", json.loads(cert.to_json())
     )
@@ -457,7 +459,7 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         # level's set and pads them to the target's depth
         pad = (0,) * (target.depth - depth)
         for i, pt in enumerate(pts):
-            verdict = measure._avoidance_verdict(pt.value, pt.digits + pad, sch, levels, lo, j_max)
+            verdict = measure._avoidance_verdict(pt.value, pt.digits + pad, sch, levels, lo)
             passed += verdict.passed
             rows.append((rng.derive_seed(seed, i), verdict))
     path = os.path.join(out, uc["out"])

@@ -29,7 +29,7 @@ from . import numtheory
 from ._record import Record
 from .errors import InvalidParameter, TooLarge
 from .fourier import check_eps, mu_hat_modulus
-from .radix import _matching_schedule, check_pair
+from .radix import check_pair
 from .system import MoranSystem
 
 BLOCK_GUARD = 10**5
@@ -104,6 +104,9 @@ def del_partial(
     if isinstance(N_max, bool) or not isinstance(N_max, int) or N_max < 1:
         raise InvalidParameter(f"N_max must be an integer >= 1, got {N_max!r}")
     check_eps(eps)
+    # the grid holds N_max^2 frequencies; checked before anything is built
+    if N_max**2 > BLOCK_GUARD:
+        raise TooLarge(f"N_max^2 = {N_max**2} exceeds the enumeration guard {BLOCK_GUARD}")
     powers = [b**k for k in range(N_max)]
     grid = [[abs(h * (bn - bm)) for bn in powers] for bm in powers]
     table = _modulus_table(sys, (xi for row in grid for xi in row), eps / N_max**3)
@@ -170,7 +173,13 @@ def _context_for(
     if ctx is not None:
         if (ctx.b, ctx.h) != (b, h):
             raise InvalidParameter(f"ctx is for (b, h) = ({ctx.b}, {ctx.h}), not ({b}, {h})")
-        _matching_schedule(sys, ctx)
+        # d and variant change no digit, so only q and ell must agree
+        sch, other = sys.schedule, ctx.schedule
+        if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):
+            raise InvalidParameter(
+                f"context is for the schedule q = {other.q}, ell = {other.ell}, "
+                f"not q = {sch.q}, ell = {sch.ell}"
+            )
         return ctx
     if not sys.is_binary:
         raise InvalidParameter("pass an explicit context for non-binary digit systems")

@@ -38,7 +38,7 @@ from .errors import (
     ScheduleTooShort,
 )
 from .system import MoranSystem, _first_levels, _shared
-from .radix import PrimeSchedule, schedule_of
+from .radix import PrimeSchedule
 
 _LN2 = math.log(2.0)
 
@@ -137,9 +137,8 @@ class GaugeFunction(Record):
 # h(r)
 
 
-def h_of_r(r: Fraction, sys) -> int:
+def h_of_r(r: Fraction, sch: PrimeSchedule) -> int:
     """The unique h with 1/(M_1...M_{h+1}) < r <= 1/(M_1...M_h), exactly."""
-    sch = schedule_of(sys)
     r = Fraction(r)
     if r <= 0:
         raise OutOfRange(f"r must be positive, got {r}")
@@ -440,7 +439,7 @@ def _ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem, h: int | None
     r = Fraction(r)
     if not 0 <= x <= 1:
         raise OutOfRange(f"x must lie in [0, 1], got {x}")
-    L = (h_of_r(r, csys) if h is None else h) + 1
+    L = (h_of_r(r, csys.schedule) if h is None else h) + 1
     if L > csys.depth:
         raise ScheduleTooShort(f"need level {L}, schedule covers {csys.depth}")
     if L >= csys._first_gap:
@@ -505,10 +504,9 @@ class HRateRow(Record):
     _fields = ("r", "h_r", "ratio", "band")
 
 
-def h_rate_report(sys, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
+def h_rate_report(sch: PrimeSchedule, r_grid: Iterable[Fraction]) -> tuple[HRateRow, ...]:
     """h(r)/log(1/r) per grid point, plus the loglog-corrected band value
     h(r) loglog(1/r)/log(1/r) on cube-window schedules."""
-    sch = schedule_of(sys)
     cube = sch.variant.startswith("cube-window")
     rows: list[HRateRow] = []
     for r in r_grid:

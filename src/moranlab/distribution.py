@@ -59,7 +59,7 @@ from .numtheory import (
     order_mod_reduced,
     y_product,
 )
-from .radix import PrimeSchedule, _matching_schedule, middle_window, to_digits
+from .radix import middle_window, to_digits
 
 ENUMERATION_GUARD = 10**7
 
@@ -133,7 +133,7 @@ def _keys(
 
 
 def _partition_classes(
-    ctx: BaseContext, sch: PrimeSchedule, start: int, length: int, r: int, m: int
+    ctx: BaseContext, start: int, length: int, r: int, m: int
 ) -> tuple[dict[tuple[int, ...], int], list[list[int]]]:
     """The Pi_{r0,r} fibers of n = start..start+length-1, in one pass.
 
@@ -144,7 +144,7 @@ def _partition_classes(
     that are the c-th occurrence of their key, so classes[0][i] is the first
     member of the i-th key of sizes.
     """
-    P = sch.prefix_product
+    P = ctx.schedule.prefix_product
     *lower, (last, depth) = _block_ranges(ctx, ctx.r0, r)
     # the residues are taken mod P_{L_r}, where block r's digits end
     cuts = tuple((P(a), P(e) // P(a)) for a, e in lower) + ((P(last), None),)
@@ -186,7 +186,6 @@ class PartitionCertificate(Record):
 def verify_partition(
     I_start: int,
     ctx: BaseContext,
-    sys,
     r: int,
     m: int | None = None,
 ) -> PartitionCertificate:
@@ -199,7 +198,7 @@ def verify_partition(
     naming an offending n (it would indicate a bug, not a property of the
     inputs).
     """
-    sch = _matching_schedule(sys, ctx)
+    sch = ctx.schedule
     mm = _default_m(ctx, m)
     if not ctx.r0 + 1 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 + 1 = {ctx.r0 + 1} .. {len(sch.q)}")
@@ -211,7 +210,7 @@ def verify_partition(
     y_size = y_product(ctx, r)
     J = integer_J(ctx, r)
 
-    sizes, classes = _partition_classes(ctx, sch, I_start, order, r, mm)
+    sizes, classes = _partition_classes(ctx, I_start, order, r, mm)
     if len(sizes) != y_size:
         raise CounterexampleFound(
             f"Pi image has {len(sizes)} points, expected {y_size} "
@@ -245,7 +244,6 @@ class FiberTable(Record):
 def fiber_counts(
     I: tuple[int, int],
     ctx: BaseContext,
-    sys,
     s: int,
     m: int | None = None,
 ) -> FiberTable:
@@ -261,7 +259,7 @@ def fiber_counts(
       - the joint map n -> (Phi_{L_s + k_{s+1}}(n), Pi_{s,s+1}(n)) is
         injective on I (unique representative per pair).
     """
-    sch = _matching_schedule(sys, ctx)
+    sch = ctx.schedule
     mm = _default_m(ctx, m)
     if not ctx.r0 <= s < len(sch.q):
         raise InvalidRange(f"s = {s} outside r0 = {ctx.r0} .. {len(sch.q) - 1}")
@@ -334,7 +332,6 @@ def fiber_counts(
 def classify_Bk(
     Lam: Iterable[int],
     ctx: BaseContext,
-    sys,
     r: int,
     m: int | None = None,
 ) -> tuple[int, ...]:
@@ -344,7 +341,7 @@ def classify_Bk(
     of Y_{r0,r}. k(n) counts the free-suffix positions whose digit lies in
     [floor(q/3), 2 floor(q/3)]; u is the number of those positions.
     """
-    sch = _matching_schedule(sys, ctx)
+    sch = ctx.schedule
     mm = _default_m(ctx, m)
     members = sorted(set(Lam))
     positions = _block_positions(ctx, ctx.r0, r)
@@ -373,7 +370,7 @@ def classify_Bk(
     return tuple(counts)
 
 
-def C_bound(k: int, u: int, ctx: BaseContext, sys, r: int) -> Fraction:
+def C_bound(k: int, u: int, ctx: BaseContext, r: int) -> Fraction:
     """Exact value of C(k) = binom(u,k) * prod q_i^{j_i} * (1/2)^k (2/3)^(u-k).
 
     The product runs over blocks r0+1 .. r. u is a free parameter so the
@@ -382,7 +379,7 @@ def C_bound(k: int, u: int, ctx: BaseContext, sys, r: int) -> Fraction:
     """
     if not 0 <= k <= u:
         raise OutOfRange(f"k = {k} outside 0 .. {u}")
-    sch = _matching_schedule(sys, ctx)
+    sch = ctx.schedule
     if not ctx.r0 <= r <= len(sch.q):
         raise InvalidRange(f"r = {r} outside r0 = {ctx.r0} .. {len(sch.q)}")
     return (
@@ -415,24 +412,18 @@ def check_peak_bound(u: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def _histogram_table(hist: Sequence[int], ctx: BaseContext, sys, r: int) -> list:
+def _histogram_table(hist: Sequence[int], ctx: BaseContext, r: int) -> list:
     # the CSV rows of write_histogram_csv, header first
     u = len(hist) - 1
     rows: list = [["k", "count", "C_k_num", "C_k_den"]]
     for k, count in enumerate(hist):
-        c = C_bound(k, u, ctx, sys, r)
+        c = C_bound(k, u, ctx, r)
         rows.append([k, count, c.numerator, c.denominator])
     return rows
 
 
-def write_histogram_csv(
-    path: str,
-    hist: Sequence[int],
-    ctx: BaseContext,
-    sys,
-    r: int,
-) -> None:
+def write_histogram_csv(path: str, hist: Sequence[int], ctx: BaseContext, r: int) -> None:
     """One row per k: the count #B_k and the exact bound C(k) as num/den."""
-    rows = _histogram_table(hist, ctx, sys, r)
+    rows = _histogram_table(hist, ctx, r)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)

@@ -484,16 +484,17 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     for n, d in enumerate(digits, start=1):
         if d not in digit_sets[n - 1]:
             raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
-    return _avoidance_verdict(x, digits, sys.schedule, levels, lo, j_max)
+    return _avoidance_verdict(x, digits, sys.schedule, levels, lo)
 
 
 def _avoidance_verdict(
-    x: Fraction, digits: Sequence[int], sch, levels: Sequence[int], lo: Fraction, j_max: int
+    x: Fraction, digits: Sequence[int], sch, levels: Sequence[int], lo: Fraction
 ) -> AvoidanceVerdict:
     """The verdict of uniqueness_avoidance once its checks have passed:
     digits are the attractor digits of x at the system's depth, each in its
-    level's digit set, levels come from _avoidance_levels and lo from
-    _avoidance_lo. cmd_uniqueness passes the digits its sampler drew.
+    level's digit set, levels come from _avoidance_levels (one per j, so
+    j_max = len(levels)) and lo from _avoidance_lo. cmd_uniqueness passes the
+    digits its sampler drew.
 
     With k = P_(n-1), {k x} = 0.d_n d_(n+1)... in the tail bases, so
     {k x} < (d_n + 1) / M_n: a dilation with (d_n + 1) / M_n <= lo is ruled
@@ -507,6 +508,7 @@ def _avoidance_verdict(
     lo_num_den = lo_num * den
     bases = sch.bases()
     depth = len(digits)
+    j_max = len(levels)
     for j, n in enumerate(levels, start=1):
         if n <= depth and (digits[n - 1] + 1) * lo_den <= lo_num * bases[n - 1]:
             continue

@@ -244,29 +244,6 @@ def middle_window(q: int) -> tuple[int, int]:
     return third, 2 * third
 
 
-def schedule_of(sys) -> PrimeSchedule:
-    """The schedule itself, or the `schedule` of a digit system built on one."""
-    if isinstance(sys, PrimeSchedule):
-        return sys
-    sch = getattr(sys, "schedule", None)
-    if isinstance(sch, PrimeSchedule):
-        return sch
-    raise InvalidParameter(f"expected a digit system or schedule, got {type(sys).__name__}")
-
-
-def _matching_schedule(sys, ctx) -> PrimeSchedule:
-    """schedule_of(sys), rejected unless ctx was built on the same bases:
-    equal q and ell. d and variant change no digit, so they may differ."""
-    sch = schedule_of(sys)
-    other = ctx.schedule
-    if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):
-        raise InvalidParameter(
-            f"context is for the schedule q = {other.q}, ell = {other.ell}, "
-            f"not q = {sch.q}, ell = {sch.ell}"
-        )
-    return sch
-
-
 class MixedRadixDigits(Record):
     """A digit string together with the bases it is written in.
 

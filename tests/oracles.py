@@ -474,14 +474,14 @@ def pi_map(n: int, c: int, d: int, ctx, m: int | None = None) -> tuple[int, ...]
     return tuple(digits[p] for p in free_suffix_positions(ctx, c, d))
 
 
-def digit_row_fiber_counts(I: tuple[int, int], ctx, sys, s: int, m: int | None = None):
+def digit_row_fiber_counts(I: tuple[int, int], ctx, s: int, m: int | None = None):
     """distribution.fiber_counts on full digit rows: one modular power and one
     to_digits per n, keys and prefixes sliced from the digit tuples."""
     from moranlab.distribution import FiberTable
     from moranlab.numtheory import order_mod_reduced
-    from moranlab.radix import schedule_of, to_digits
+    from moranlab.radix import to_digits
 
-    sch = schedule_of(sys)
+    sch = ctx.schedule
     mm = ctx.n0 - 1 if m is None else m
     start, length = I
     depth = sch.L[s + 1]
@@ -539,14 +539,13 @@ def running_power_residues(ctx, modulus: int, start: int, length: int, m: int) -
     return out
 
 
-def reference_classify_Bk(Lam, ctx, sys, r: int, m: int | None = None) -> tuple[int, ...]:
+def reference_classify_Bk(Lam, ctx, r: int, m: int | None = None) -> tuple[int, ...]:
     """distribution.classify_Bk as one pi_map per member, with each digit's
     middle window [floor(q/3), 2 floor(q/3)] read from its base per member."""
     from moranlab.errors import InvalidRange, NotWellDistributed
     from moranlab.numtheory import y_product
-    from moranlab.radix import schedule_of
 
-    sch = schedule_of(sys)
+    sch = ctx.schedule
     mm = ctx.n0 - 1 if m is None else m
     members = sorted(set(Lam))
     positions = free_suffix_positions(ctx, ctx.r0, r)

@@ -69,8 +69,7 @@ ENUM_CAP = 100_000
 def _contexts():
     for q, ell, b, h in MATRIX:
         sch = PrimeSchedule(d=1, q=q, ell=ell)
-        sysm = binary_system(sch, Fraction(1, 2))
-        yield sch, sysm, build_context(b, h, sch)
+        yield sch, build_context(b, h, sch)
 
 
 def _report(capsys, number: int, label: str, t0: float, limit: float) -> None:
@@ -101,7 +100,7 @@ def test_criterion_02_order_recursion_and_integer_J(capsys):
     t0 = time.perf_counter()
     assert len(MATRIX) >= 12
     q_values = set()
-    for sch, _, ctx in _contexts():
+    for sch, ctx in _contexts():
         q_values.add(ctx.Q)
         for s in range(ctx.r0, len(sch.q)):
             lhs, rhs = ord_ratio_check(ctx, s)
@@ -115,12 +114,12 @@ def test_criterion_02_order_recursion_and_integer_J(capsys):
 def _matrix_certificates():
     """Partition certificates for every config at every in-budget depth."""
     out = []
-    for sch, sysm, ctx in _contexts():
+    for sch, ctx in _contexts():
         for r in range(ctx.r0 + 1, len(sch.q) + 1):
             if order_mod_reduced(ctx, r, 0) > ENUM_CAP:
                 continue
-            cert = verify_partition(ctx.n0, ctx, sysm, r)
-            out.append((sch, sysm, ctx, r, cert))
+            cert = verify_partition(ctx.n0, ctx, r)
+            out.append((ctx, r, cert))
     return out
 
 
@@ -128,7 +127,7 @@ def test_criterion_03_well_distributed_partition(capsys):
     t0 = time.perf_counter()
     certs = _matrix_certificates()
     assert len(certs) >= len(MATRIX)
-    for _, _, ctx, r, cert in certs:
+    for ctx, r, cert in certs:
         assert cert.length == order_mod_reduced(ctx, r, 0)
         assert cert.J * cert.y_size == cert.length
         assert len(cert.classes) == cert.J
@@ -140,12 +139,12 @@ def test_criterion_03_well_distributed_partition(capsys):
 def test_criterion_04_fiber_counts(capsys):
     t0 = time.perf_counter()
     tables = 0
-    for sch, sysm, ctx in _contexts():
+    for sch, ctx in _contexts():
         for s in range(ctx.r0, len(sch.q)):
             length = order_mod_reduced(ctx, s + 1, 0)
             if length > ENUM_CAP:
                 continue
-            tab = fiber_counts((ctx.n0, length), ctx, sysm, s)
+            tab = fiber_counts((ctx.n0, length), ctx, s)
             for j, size in tab.image_sizes:
                 assert size == order_mod_reduced(ctx, s, j)
             counts = {count for _, count in tab.fibers}
@@ -158,12 +157,12 @@ def test_criterion_04_fiber_counts(capsys):
 def test_criterion_05_digit_count_bound(capsys):
     t0 = time.perf_counter()
     histograms = 0
-    for _, sysm, ctx, r, cert in _matrix_certificates():
+    for ctx, r, cert in _matrix_certificates():
         for labels in cert.classes:
-            hist = classify_Bk(labels, ctx, sysm, r)
+            hist = classify_Bk(labels, ctx, r)
             u = len(hist) - 1
             for k, count in enumerate(hist):
-                assert count <= C_bound(k, u, ctx, sysm, r)
+                assert count <= C_bound(k, u, ctx, r)
             histograms += 1
     assert histograms > 100
     _report(capsys, 5, "digit-count bound", t0, 30.0)
@@ -174,12 +173,10 @@ def test_criterion_06_constants(capsys):
     alpha = alpha_constant()
     assert 0.9973 < alpha < 0.9980
 
-    sch = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
-    sysm = binary_system(sch, Fraction(1, 2))
-    ctx = build_context(2, 1, sch)
+    ctx = build_context(2, 1, PrimeSchedule(d=1, q=(7, 11), ell=(1, 2)))
     for u in range(1, 201):
         for k in range(u):
-            increasing = C_bound(k, u, ctx, sysm, 2) < C_bound(k + 1, u, ctx, sysm, 2)
+            increasing = C_bound(k, u, ctx, 2) < C_bound(k + 1, u, ctx, 2)
             assert increasing == (7 * k < 3 * u - 4), (u, k)
 
     lhs, rhs = check_peak_bound(6000)

@@ -605,6 +605,25 @@ def test_del_block_enumeration_guard(tmp_path, capsys):
     assert out == "" and not list((tmp_path / "out").iterdir())
 
 
+def test_del_n_max_guard(tmp_path, capsys, monkeypatch):
+    # the N_max^2 frequency grid is refused before any of it is built, so a
+    # huge N_max exits 5 at once instead of exhausting memory; the guard is
+    # first seen to hold at N_max = 1, so the huge run below is never unguarded
+    with monkeypatch.context() as patch:
+        patch.setattr(moranlab.delsum, "BLOCK_GUARD", 0)
+        path = cfg_file(tmp_path, {"del": {"N_max": 1}})
+        rc, _, _ = run(capsys, "del", "--config", path, "--out", str(tmp_path / "one"))
+    assert rc == 5
+    path = cfg_file(tmp_path, {"del": {"N_max": 10**9}})
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "del", "--config", path, "--out", str(tmp_path / "out"))
+    elapsed = time.perf_counter() - t0
+    assert rc == 5
+    assert err == f"error: N_max^2 = {10**18} exceeds the enumeration guard 100000\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize(
     "blocks, message",
     [
@@ -864,6 +883,24 @@ def test_partition_toy(tmp_path, capsys):
     lines = csv_lines(tmp_path / "partition_hist.csv")
     assert lines[2] == "k,count,C_k_num,C_k_den"
     assert len(lines) >= 4
+
+
+def test_partition_does_not_depend_on_the_system(tmp_path, capsys):
+    # the partition reads only (b, h) and the schedule: two digit systems
+    # give the same rows and payload under different config hashes
+    reports = []
+    for omega in ("1/2", "1/3"):
+        out = tmp_path / omega.replace("/", "_")
+        cfg = {"schedule": TOY_SCHEDULE, "system": {"omega": omega}}
+        path = cfg_file(tmp_path, cfg)
+        rc, _, err = run(capsys, "partition", "--config", path, "--out", str(out))
+        assert rc == 0, err
+        report = read_report(out, "partition.json")
+        reports.append((report, csv_lines(out / "partition_hist.csv")))
+    (first, first_rows), (second, second_rows) = reports
+    assert first["config_sha256"] != second["config_sha256"]
+    assert first["payload"] == second["payload"]
+    assert first_rows[2:] == second_rows[2:] and len(first_rows) > 3
 
 
 # --------------------------------------------------------------------------
@@ -1159,9 +1196,9 @@ def test_dimension_takes_h_from_its_band_table(tmp_path, capsys, monkeypatch):
     calls = []
     h_of_r = moranlab.dimension.h_of_r
 
-    def counted(r, sys):
+    def counted(r, sch):
         calls.append(r)
-        return h_of_r(r, sys)
+        return h_of_r(r, sch)
 
     monkeypatch.setattr(moranlab.dimension, "h_of_r", counted)
     path = cfg_file(tmp_path, {"dimension": {"samples": 3, "band_lo": 2, "band_hi": 6}})

@@ -1,6 +1,7 @@
 """Criterion partial sums: determinism, decomposition, and the naive oracle."""
 
 import struct
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,25 @@ def test_del_partial_rejects(small_system):
             del_partial(small_system, b, 1, N_max=5, eps=1e-9)
     with pytest.raises(InvalidParameter, match="h must be a non-zero integer"):
         del_partial(small_system, 2, 0, N_max=5, eps=1e-9)
+
+
+def test_del_partial_guard(small_system, monkeypatch):
+    # N_max^2 frequencies are refused before the grid is built. The guard is
+    # first seen to hold on a lowered bound, so N_max = 10^9, which would
+    # exhaust memory, never runs unguarded
+    with monkeypatch.context() as patch:
+        patch.setattr(delsum, "BLOCK_GUARD", 4)
+        assert del_partial(small_system, 2, 1, N_max=2, eps=1e-9).N_max == 2
+        with pytest.raises(TooLarge, match=r"N_max\^2 = 9 exceeds the enumeration guard 4"):
+            del_partial(small_system, 2, 1, N_max=3, eps=1e-9)
+    # 316 is the largest N_max the guard of 10^5 admits
+    with pytest.raises(TooLarge, match=r"N_max\^2 = 100489 exceeds"):
+        del_partial(small_system, 2, 1, N_max=317, eps=1e-9)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge) as info:
+        del_partial(small_system, 2, 1, N_max=10**9, eps=1e-9)
+    assert time.perf_counter() - t0 < 0.5
+    assert info.value.exit_code == 5
 
 
 def test_block_trend_rejects_context_of_another_pair(small_system):

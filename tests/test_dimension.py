@@ -105,14 +105,6 @@ def test_h_of_r_band_sandwich():
             h_of_r(below, sch)
 
 
-def test_h_of_r_accepts_systems(toy_schedule, toy_dimone):
-    sys = binary_system(toy_schedule, F(1, 2))
-    assert h_of_r(F(1, 80), sys) == h_of_r(F(1, 80), toy_schedule) == 2
-    assert h_of_r(F(1, 80), toy_dimone) == 2
-    with pytest.raises(InvalidParameter):
-        h_of_r(F(1, 80), 42)
-
-
 # --------------------------------------------------------------------------
 # gauge functions
 
@@ -454,7 +446,7 @@ def test_ball_measure_matches_enumeration_gauge(med_gauge):
         mass = uniform_interval_mass(med_gauge, level)
         xs = [F(k, 97) for k in range(0, 98, 6)] + [F(k, P) for k in (0, 76, 77, 400, P - 2, P - 1)]
         for r in radii:
-            assert h_of_r(r, med_gauge) == level - 1
+            assert h_of_r(r, med_gauge.schedule) == level - 1
             for x in xs:
                 lo = max(0, math.ceil((x - r) * P) - 1)
                 hi = min(P - 1, math.floor((x + r) * P))
@@ -559,7 +551,7 @@ def test_ball_measure_support_point_floor(med_dimone):
     eta = med_dimone.as_moran_system()
     pt = sample_point(eta, seed=77, depth=28)
     for r in (F(1, 10**6), F(1, 10**9)):
-        h = h_of_r(r, med_dimone)
+        h = h_of_r(r, med_dimone.schedule)
         ball = ball_measure(pt.value, r, med_dimone)
         # the interval containing the point itself is always counted
         assert ball >= uniform_interval_mass(med_dimone, h + 1)
@@ -684,7 +676,8 @@ def test_h_rate_report_cube_window_band():
 
 
 def test_h_rate_report_accepts_systems(med_dimone, medium_schedule):
-    rows = h_rate_report(med_dimone, [F(1, 100)])
+    # a system is passed by its schedule
+    rows = h_rate_report(med_dimone.schedule, [F(1, 100)])
     assert rows == h_rate_report(medium_schedule, [F(1, 100)])
     assert rows[0].h_r == 2
     with pytest.raises(OutOfRange):
@@ -744,7 +737,7 @@ def test_write_ball_csv_round_trip(tmp_path, toy_dimone):
             BallRow(
                 x_seed=seed,
                 r=r,
-                h_r=h_of_r(r, toy_dimone),
+                h_r=h_of_r(r, toy_dimone.schedule),
                 ball=ball,
                 phi_r=phi_r,
                 ratio=float(ball) / phi_r,

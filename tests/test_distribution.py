@@ -20,7 +20,6 @@ from moranlab import (
     PrimeSchedule,
     ScheduleTooShort,
     TooLarge,
-    binary_system,
     build_context,
     check_peak_bound,
     classify_Bk,
@@ -46,24 +45,20 @@ CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 @pytest.fixture(scope="module")
 def toy():
     sch = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
-    sysm = binary_system(sch, Fraction(1, 2))
-    ctx = build_context(2, 1, sch)
-    return sch, sysm, ctx
+    return sch, build_context(2, 1, sch)
 
 
 @pytest.fixture(scope="module")
 def three_block():
     sch = PrimeSchedule(d=1, q=(7, 11, 13), ell=(1, 2, 2))
-    sysm = binary_system(sch, Fraction(1, 2))
-    ctx = build_context(2, 1, sch)
-    return sch, sysm, ctx
+    return sch, build_context(2, 1, sch)
 
 
 # the oracle maps Phi_N and Pi_{c,d} on hand-worked toy values
 
 
 def test_phi_map_examples(toy):
-    sch, _, ctx = toy
+    sch, ctx = toy
     proj = prefix_projection(ctx)  # m defaults to n0 - 1 = 0
     assert phi_map(1, proj, 3, sch) == (1, 0, 0)  # 2^1 - 1 = 1
     # 2^10 - 1 = 1023 = 176 mod 847 = 1 + 3*7 + 2*77
@@ -72,7 +67,7 @@ def test_phi_map_examples(toy):
 
 def test_phi_map_never_materializes_power(toy):
     # astronomically large exponents stay cheap via modular exponentiation
-    sch, _, ctx = toy
+    sch, ctx = toy
     proj = prefix_projection(ctx)
     digits = phi_map(10**18 + 3, proj, 3, sch)
     assert len(digits) == 3
@@ -81,7 +76,7 @@ def test_phi_map_never_materializes_power(toy):
 
 
 def test_pi_map_toy_positions(toy):
-    _, _, ctx = toy
+    _, ctx = toy
     # free suffix of block 2 is the single position 2 (k_2 = 1 frozen)
     assert pi_map(3, 1, 2, ctx) == (0,)  # 2^3 - 1 = 7 < 77
     for n in range(1, 8):
@@ -92,7 +87,7 @@ def test_pi_map_toy_positions(toy):
 def test_pi_column_equidistributes(toy):
     # over any order-length window the single projected digit covers
     # {0..10} exactly 30 times each
-    _, _, ctx = toy
+    _, ctx = toy
     for start in (1, 5, 123):
         seen: dict[tuple[int, ...], int] = {}
         for n in range(start, start + 330):
@@ -103,8 +98,8 @@ def test_pi_column_equidistributes(toy):
 
 
 def test_verify_partition_toy(toy):
-    _, sysm, ctx = toy
-    cert = verify_partition(1, ctx, sysm, r=2)
+    _, ctx = toy
+    cert = verify_partition(1, ctx, r=2)
     assert cert.J == 30
     assert cert.length == 330
     assert cert.y_size == 11
@@ -116,66 +111,25 @@ def test_verify_partition_toy(toy):
 
 
 def test_verify_partition_interval_position_free(toy):
-    _, sysm, ctx = toy
-    cert = verify_partition(5, ctx, sysm, r=2)
+    _, ctx = toy
+    cert = verify_partition(5, ctx, r=2)
     assert cert.J == 30
     assert cert.I_start == 5
 
 
 def test_verify_partition_rejects_bad_r(toy):
-    _, sysm, ctx = toy
+    _, ctx = toy
     with pytest.raises(InvalidRange):
-        verify_partition(1, ctx, sysm, r=1)  # r0 itself has no suffix blocks
+        verify_partition(1, ctx, r=1)  # r0 itself has no suffix blocks
     with pytest.raises(InvalidRange):
-        verify_partition(1, ctx, sysm, r=3)
+        verify_partition(1, ctx, r=3)
     with pytest.raises(InvalidRange):
-        verify_partition(0, ctx, sysm, r=2)  # interval must start past m
-    with pytest.raises(InvalidParameter):
-        verify_partition(1, ctx, 42, r=2)  # neither a schedule nor a digit system
-
-
-# each entry point on the toy schedule, as fn(sys, ctx, lam) with lam a
-# class of the toy partition
-SCHEDULE_ENTRY_POINTS = {
-    "verify_partition": lambda sys, ctx, lam: verify_partition(1, ctx, sys, r=2),
-    "fiber_counts": lambda sys, ctx, lam: fiber_counts((1, 330), ctx, sys, s=1),
-    "classify_Bk": lambda sys, ctx, lam: classify_Bk(lam, ctx, sys, r=2),
-    "C_bound": lambda sys, ctx, lam: C_bound(0, 1, ctx, sys, 2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(SCHEDULE_ENTRY_POINTS))
-def test_context_of_another_schedule_is_rejected(toy, name):
-    sch, sysm, ctx = toy
-    call = SCHEDULE_ENTRY_POINTS[name]
-    lam = verify_partition(1, ctx, sysm, r=2).classes[0]
-    expected = call(sysm, ctx, lam)
-    # other primes, other multiplicities, as a system or as a bare schedule
-    for other in (
-        PrimeSchedule(d=1, q=(7, 13), ell=(1, 2)),
-        PrimeSchedule(d=1, q=(7, 11), ell=(1, 3)),
-    ):
-        for sys in (other, binary_system(other, Fraction(1, 2))):
-            with pytest.raises(InvalidParameter, match="context is for the schedule"):
-                call(sys, ctx, lam)
-    # d and variant change no digit: a twin schedule gives the same result
-    twin = PrimeSchedule(d=2, q=sch.q, ell=sch.ell, variant="twin")
-    for sys in (twin, binary_system(twin, Fraction(1, 3))):
-        assert call(sys, ctx, lam) == expected
-
-
-def test_verify_partition_on_another_schedule_is_a_parameter_error():
-    # this mismatch used to surface as a CounterexampleFound, the error of
-    # a bug, for a caller's mistake
-    ctx = build_context(2, 1, PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=(1, 2, 3, 4)))
-    sysm = binary_system(PrimeSchedule(d=1, q=(7, 13, 17, 19), ell=(1, 3, 3, 3)))
-    with pytest.raises(InvalidParameter, match="context is for the schedule"):
-        verify_partition(1, ctx, sysm, r=2)
+        verify_partition(0, ctx, r=2)  # interval must start past m
 
 
 def test_fiber_counts_toy(toy):
-    _, sysm, ctx = toy
-    table = fiber_counts((1, 330), ctx, sysm, s=1)
+    _, ctx = toy
+    table = fiber_counts((1, 330), ctx, s=1)
     assert table.length == 330
     counts = dict(table.fibers)
     assert len(counts) == 11
@@ -184,27 +138,27 @@ def test_fiber_counts_toy(toy):
 
 
 def test_fiber_counts_wrong_length(toy):
-    _, sysm, ctx = toy
+    _, ctx = toy
     with pytest.raises(InvalidRange):
-        fiber_counts((1, 331), ctx, sysm, s=1)
+        fiber_counts((1, 331), ctx, s=1)
 
 
 @pytest.mark.parametrize("length", [1, 329, 10**9])
 def test_fiber_counts_wrong_length_is_a_parameter_error(toy, length):
     # a length other than the order is a bad argument (exit 3), not a tripped
     # resource guard (exit 5), however long it is
-    _, sysm, ctx = toy
+    _, ctx = toy
     with pytest.raises(InvalidRange) as exc:
-        fiber_counts((1, length), ctx, sysm, s=1)
+        fiber_counts((1, length), ctx, s=1)
     assert not isinstance(exc.value, TooLarge)
     assert exc.value.exit_code == 3
 
 
 def test_fiber_counts_deeper_step(three_block):
     # s = 2 exercises the branch with a non-trivial coarse fiber
-    _, sysm, ctx = three_block
+    _, ctx = three_block
     length = order_mod_reduced(ctx, 3, 0)
-    table = fiber_counts((1, length), ctx, sysm, s=2)
+    table = fiber_counts((1, length), ctx, s=2)
     assert table.length == length
     q_pow = 13 ** ctx.j[2]
     counts = dict(table.fibers)
@@ -229,7 +183,6 @@ def test_fiber_counts_matches_digit_rows(q, ell, b, h):
     # residues and block integers reproduce the digit-row table exactly, at
     # the default m and at a larger m with a shifted interval
     sch = PrimeSchedule(d=1, q=q, ell=ell)
-    sysm = binary_system(sch, Fraction(1, 2))
     ctx = build_context(b, h, sch)
     checked = 0
     for s in range(ctx.r0, len(sch.q)):
@@ -237,51 +190,51 @@ def test_fiber_counts_matches_digit_rows(q, ell, b, h):
         if length > 20_000:
             continue
         for m, start in ((None, ctx.n0), (ctx.n0 + 3, ctx.n0 + 17)):
-            got = fiber_counts((start, length), ctx, sysm, s, m=m)
-            assert got == digit_row_fiber_counts((start, length), ctx, sysm, s, m=m)
+            got = fiber_counts((start, length), ctx, s, m=m)
+            assert got == digit_row_fiber_counts((start, length), ctx, s, m=m)
             checked += 1
     assert checked >= 2
 
 
 def test_classify_Bk_toy_histogram(toy):
-    _, sysm, ctx = toy
-    cert = verify_partition(1, ctx, sysm, r=2)
-    hist = classify_Bk(cert.classes[0], ctx, sysm, r=2)
+    _, ctx = toy
+    cert = verify_partition(1, ctx, r=2)
+    hist = classify_Bk(cert.classes[0], ctx, r=2)
     # base 11: middle window [3, 6] holds 4 of the 11 digits
     assert hist == (7, 4)
     assert sum(hist) == cert.y_size
     for cls in cert.classes:
-        h = classify_Bk(cls, ctx, sysm, r=2)
+        h = classify_Bk(cls, ctx, r=2)
         assert h == (7, 4)
-        assert h[1] <= C_bound(1, 1, ctx, sysm, 2)
-        assert h[0] <= C_bound(0, 1, ctx, sysm, 2)
+        assert h[1] <= C_bound(1, 1, ctx, 2)
+        assert h[0] <= C_bound(0, 1, ctx, 2)
 
 
 def test_classify_Bk_rejects_bad_sets(toy):
-    _, sysm, ctx = toy
+    _, ctx = toy
     with pytest.raises(NotWellDistributed):
-        classify_Bk(range(1, 11), ctx, sysm, r=2)  # wrong cardinality
+        classify_Bk(range(1, 11), ctx, r=2)  # wrong cardinality
     # 11 values with a Pi collision: n and n + 330 project identically
     bad = list(range(1, 11)) + [1 + 330]
     with pytest.raises(NotWellDistributed):
-        classify_Bk(bad, ctx, sysm, r=2)
+        classify_Bk(bad, ctx, r=2)
 
 
 def test_C_bound_examples(toy):
-    _, sysm, ctx = toy
-    assert C_bound(0, 1, ctx, sysm, 2) == Fraction(22, 3)
-    assert C_bound(1, 1, ctx, sysm, 2) == Fraction(11, 2)
+    _, ctx = toy
+    assert C_bound(0, 1, ctx, 2) == Fraction(22, 3)
+    assert C_bound(1, 1, ctx, 2) == Fraction(11, 2)
     with pytest.raises(Exception):
-        C_bound(2, 1, ctx, sysm, 2)
+        C_bound(2, 1, ctx, 2)
 
 
 def test_C_bound_crossover_small_sweep(toy):
     # C(k) < C(k+1) exactly when 7k < 3u - 4
-    _, sysm, ctx = toy
+    _, ctx = toy
     for u in range(1, 41):
         for k in range(u):
-            lhs = C_bound(k, u, ctx, sysm, 2)
-            rhs = C_bound(k + 1, u, ctx, sysm, 2)
+            lhs = C_bound(k, u, ctx, 2)
+            rhs = C_bound(k + 1, u, ctx, 2)
             assert (lhs < rhs) == (7 * k < 3 * u - 4)
 
 
@@ -294,7 +247,7 @@ def test_check_peak_bound_guards():
 
 def test_mod_and_pi_cardinalities_agree(toy):
     # counting residues mod P_N equals counting digit tuples of length N
-    sch, _, ctx = toy
+    sch, ctx = toy
     rng = random.Random(11)
     proj = prefix_projection(ctx)
     for N, modulus in ((1, 7), (2, 77), (3, 847)):
@@ -364,7 +317,7 @@ def test_partition_fibers_match_pi_map(sch, b, h, depth, start, length):
     # intervals of any length, so the fibers may differ in size
     ctx = build_context(b, h, sch)
     r = min(ctx.r0 + 1 + depth, len(sch.q))
-    sizes, classes = _partition_classes(ctx, sch, start, length, r, ctx.n0 - 1)
+    sizes, classes = _partition_classes(ctx, start, length, r, ctx.n0 - 1)
     reference = {
         _block_values(ctx, r, digits): members
         for digits, members in _pi_fibers(ctx, start, length, r).items()
@@ -410,9 +363,8 @@ def test_residue_recurrence_matches_running_powers(b, h, gap):
 def test_verify_partition_classes_match_pi_map_reference(ell, b, h, r):
     # the classes as built from full digit tuples with fibers in sorted key order
     sch = PrimeSchedule(d=1, q=(7, 11, 13, 17), ell=ell)
-    sysm = binary_system(sch)
     ctx = build_context(b, h, sch)
-    cert = verify_partition(5, ctx, sysm, r)
+    cert = verify_partition(5, ctx, r)
     fibers = _pi_fibers(ctx, 5, cert.length, r)
     keys = sorted(fibers)
     expected = tuple(
@@ -425,10 +377,10 @@ def test_verify_partition_classes_match_pi_map_reference(ell, b, h, r):
 def test_verify_partition_counterexample_names_the_fiber(toy, monkeypatch):
     # a wrong J makes every fiber the wrong size; the message names the first
     # fiber by its Pi digit tuple and its witness n
-    _, sysm, ctx = toy
+    _, ctx = toy
     monkeypatch.setattr(distribution, "integer_J", lambda c, r: integer_J(c, r) + 1)
     with pytest.raises(CounterexampleFound) as exc:
-        verify_partition(1, ctx, sysm, r=2)
+        verify_partition(1, ctx, r=2)
     pi = pi_map(1, ctx.r0, 2, ctx)
     assert str(exc.value) == f"fiber over {pi} has 30 elements, expected 31 (witness n = 1)"
 
@@ -447,7 +399,7 @@ def _relabel_keys(monkeypatch, relabel):
 
 def test_verify_partition_image_counterexample_message(toy, monkeypatch):
     # every point of the second key joins the first: the image loses a point
-    _, sysm, ctx = toy
+    _, ctx = toy
 
     def merge(keys):
         lost = next(key for key in keys if key != keys[0])
@@ -455,7 +407,7 @@ def test_verify_partition_image_counterexample_message(toy, monkeypatch):
 
     _relabel_keys(monkeypatch, merge)
     with pytest.raises(CounterexampleFound) as exc:
-        verify_partition(3, ctx, sysm, r=2)
+        verify_partition(3, ctx, r=2)
     assert str(exc.value) == "Pi image has 10 points, expected 11 (first n = 3)"
 
 
@@ -472,14 +424,14 @@ def test_verify_partition_image_counterexample_message(toy, monkeypatch):
     ids=["grown-fiber-first", "shrunk-fiber-first"],
 )
 def test_verify_partition_fiber_counterexample_message(toy, monkeypatch, at, to, message):
-    _, sysm, ctx = toy
+    _, ctx = toy
 
     def move(keys):
         keys[at] = keys[to]
 
     _relabel_keys(monkeypatch, move)
     with pytest.raises(CounterexampleFound) as exc:
-        verify_partition(4, ctx, sysm, r=2)
+        verify_partition(4, ctx, r=2)
     assert str(exc.value) == message
 
 
@@ -511,17 +463,16 @@ def test_classify_Bk_matches_pi_map_reference(sch, b, h, depth, start, seed):
         assume(False)
     r = ctx.r0 + 1 + depth
     assume(r <= len(sch.q) and order_mod_reduced(ctx, r, 0) <= 12_000)
-    sysm = binary_system(sch)
-    cert = verify_partition(start, ctx, sysm, r)
+    cert = verify_partition(start, ctx, r)
     rng = random.Random(seed)
     for cls in cert.classes:
-        expected = reference_classify_Bk(cls, ctx, sysm, r)
+        expected = reference_classify_Bk(cls, ctx, r)
         assert sum(expected) == cert.y_size
         shuffled = list(cls)
         rng.shuffle(shuffled)
         duplicated = shuffled + rng.sample(shuffled, rng.randint(1, len(shuffled)))
-        assert classify_Bk(shuffled, ctx, sysm, r) == expected
-        assert classify_Bk(iter(duplicated), ctx, sysm, r) == expected
+        assert classify_Bk(shuffled, ctx, r) == expected
+        assert classify_Bk(iter(duplicated), ctx, r) == expected
 
     # n + ord projects like n, so swapping a member for another member's
     # shift keeps the cardinality and makes a collision
@@ -531,12 +482,12 @@ def test_classify_Bk_matches_pi_map_reference(sch, b, h, depth, start, seed):
     short = cls[:i] + cls[i + 1 :]
     extra = cls + [start + cert.length + i]
     for bad in (collided, short, extra):
-        got = _outcome(classify_Bk, bad, ctx, sysm, r)
+        got = _outcome(classify_Bk, bad, ctx, r)
         assert got[0] is NotWellDistributed
-        assert got == _outcome(reference_classify_Bk, bad, ctx, sysm, r)
-    low = _outcome(classify_Bk, cls, ctx, sysm, r, m=min(cls))
+        assert got == _outcome(reference_classify_Bk, bad, ctx, r)
+    low = _outcome(classify_Bk, cls, ctx, r, m=min(cls))
     assert low[0] is InvalidRange
-    assert low == _outcome(reference_classify_Bk, cls, ctx, sysm, r, m=min(cls))
+    assert low == _outcome(reference_classify_Bk, cls, ctx, r, m=min(cls))
 
 
 def test_partition_fibers_stream_their_residues():
@@ -550,7 +501,7 @@ def test_partition_fibers_stream_their_residues():
     order = order_mod_reduced(ctx, r, 0)
     tracemalloc.start()
     try:
-        sizes, classes = _partition_classes(ctx, sch, 1, order, r, ctx.n0 - 1)
+        sizes, classes = _partition_classes(ctx, 1, order, r, ctx.n0 - 1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -561,30 +512,29 @@ def test_partition_fibers_stream_their_residues():
 @pytest.fixture(scope="module")
 def four_block(small_schedule):
     # ord_(N_4/Q)(2) = 1,095,992,040 is past the enumeration guard
-    sysm = binary_system(small_schedule, Fraction(1, 2))
-    return small_schedule, sysm, build_context(2, 1, small_schedule)
+    return build_context(2, 1, small_schedule)
 
 
 @pytest.mark.parametrize(
     "call, error, code",
     [
-        pytest.param(lambda toy, big: _block_ranges(toy[2], 0, 1), InvalidRange, 3,
+        pytest.param(lambda toy, big: _block_ranges(toy[1], 0, 1), InvalidRange, 3,
                      id="block-ranges-c-below-r0"),
-        pytest.param(lambda toy, big: _block_ranges(toy[2], 2, 2), InvalidRange, 3,
+        pytest.param(lambda toy, big: _block_ranges(toy[1], 2, 2), InvalidRange, 3,
                      id="block-ranges-empty"),
-        pytest.param(lambda toy, big: fiber_counts((1, 1), toy[2], toy[1], 2),
+        pytest.param(lambda toy, big: fiber_counts((1, 1), toy[1], 2),
                      InvalidRange, 3, id="fiber-counts-s-past-the-schedule"),
-        pytest.param(lambda toy, big: fiber_counts((0, 1), toy[2], toy[1], 1),
+        pytest.param(lambda toy, big: fiber_counts((0, 1), toy[1], 1),
                      InvalidRange, 3, id="fiber-counts-start-not-above-m"),
         pytest.param(
-            lambda toy, big: fiber_counts((1, order_mod_reduced(big[2], 4, 0)), big[2], big[1], 3),
+            lambda toy, big: fiber_counts((1, order_mod_reduced(big, 4, 0)), big, 3),
             TooLarge, 5, id="fiber-counts-guard",
         ),
-        pytest.param(lambda toy, big: verify_partition(1, big[2], big[1], 4), TooLarge, 5,
+        pytest.param(lambda toy, big: verify_partition(1, big, 4), TooLarge, 5,
                      id="verify-partition-guard"),
-        pytest.param(lambda toy, big: C_bound(0, 6, toy[2], toy[1], 0), InvalidRange, 3,
+        pytest.param(lambda toy, big: C_bound(0, 6, toy[1], 0), InvalidRange, 3,
                      id="c-bound-r-below-r0"),
-        pytest.param(lambda toy, big: C_bound(0, 6, toy[2], toy[1], 3), InvalidRange, 3,
+        pytest.param(lambda toy, big: C_bound(0, 6, toy[1], 3), InvalidRange, 3,
                      id="c-bound-r-past-the-schedule"),
     ],
 )
