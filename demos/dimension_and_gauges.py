@@ -35,7 +35,7 @@ for m in (1, 3, 6):
 
 # dim-one companion: every level special, eta(B(x, r)) <= 8 sqrt(r)
 one = build_convolved(mu, "dim-one")
-pt = sample_batch(one.as_moran_system(), seed=3, depth=sch.depth, count=1)[0]
+pt = sample_batch(one, seed=3, depth=sch.depth, count=1)[0]
 print("\ndim-one variant, one sampled point:")
 for m in (2, 4, 6):
     r = Fraction(1, sch.prefix_product(m))
@@ -52,7 +52,7 @@ print(f"\ngauge r log(1/r): special levels {gauged.special_levels}")
 cert = sparse_index_set(lambda r: math.log(-math.log(float(r))), sch)
 print(f"direct sparse-set call agrees: {cert.levels == gauged.special_levels}")
 
-pt = sample_batch(gauged.as_moran_system(), seed=3, depth=sch.depth, count=1)[0]
+pt = sample_batch(gauged, seed=3, depth=sch.depth, count=1)[0]
 for m in (2, 4, 6):
     r = Fraction(1, sch.prefix_product(m))
     ball = ball_measure(pt.value, r, gauged)

@@ -34,7 +34,7 @@ for n, m in ((6, 1), (10, 2), (20, 3)):
     print(f"  n={n:<3} m={m}: {w} counted digits, |mu^| <= {bound:.6f}")
 
 # convolving with a second measure can only shrink the transform
-eta = build_convolved(mu, "dim-one").as_moran_system()
+eta = build_convolved(mu, "dim-one")
 for xi in (847, 12345):
     a = mu_hat_modulus(xi, mu, eps=1e-9)
     b = mu_hat_modulus(xi, eta, eps=1e-9)

@@ -39,8 +39,7 @@ print(f"\nplain measure:     {sum(v.passed for v in verdicts)}/200 pass, "
       f"avoided interval ({lo}, 1)")
 
 conv = build_convolved(plain, "dim-one")
-sampler = conv.as_moran_system()
-pts = sample_batch(sampler, seed=7, depth=small.depth, count=200)
+pts = sample_batch(conv, seed=7, depth=small.depth, count=200)
 j_max = max(1, len(conv.special_levels) - 1)
 verdicts = [uniqueness_avoidance(p.value, conv, j_max=j_max) for p in pts]
 lo = verdicts[0].interval_lo

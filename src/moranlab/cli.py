@@ -436,28 +436,26 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     depth = sch.depth if uc["depth"] is None else uc["depth"]
     j_max, count = uc["j_max"], uc["samples"]
     if uc["kind"] == "plain":
-        target = sampler = sysm
         default_j = sch.depth - 1
     elif uc["kind"] == "dim-one":
-        target = dimension.build_convolved(sysm, "dim-one")
-        sampler = target.as_moran_system()
-        default_j = len(target.special_levels) - 1
+        sysm = dimension.build_convolved(sysm, "dim-one")
+        default_j = len(sysm.special_levels) - 1
     else:
         raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     if j_max is None:
         j_max = max(1, default_j)
-    levels = measure._avoidance_levels(target, j_max)  # rejects a bad j_max even with zero samples
-    measure._check_depth(sampler, depth)  # and a bad depth
+    levels = measure._avoidance_levels(sysm, j_max)  # rejects a bad j_max even with zero samples
+    measure._check_depth(sysm, depth)  # and a bad depth
     _integer(count, "uniqueness.samples", low=0)  # bounded after both, which it must not hide
     rows = []
     passed = 0
     if count > 0:
-        pts = measure.sample_batch(sampler, seed, depth, count)
-        lo = measure._avoidance_lo(target)
-        # the sampler draws each level's digit from the target's digit set, so
-        # the drawn digits are the point's attractor digits; 0 lies in every
-        # level's set and pads them to the target's depth
-        pad = (0,) * (target.depth - depth)
+        pts = measure.sample_batch(sysm, seed, depth, count)
+        lo = measure._avoidance_lo(sysm)
+        # each level's digit is drawn from its digit set, so the drawn digits
+        # are the point's attractor digits; 0 lies in every level's set and
+        # pads them to the system's depth
+        pad = (0,) * (sysm.depth - depth)
         for i, pt in enumerate(pts):
             verdict = measure._avoidance_verdict(pt.value, pt.digits + pad, sch, levels, lo)
             passed += verdict.passed
@@ -504,8 +502,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
         phi_of = lambda r: phi.value(r)
         scale = 4.0
 
-    sampler = csys.as_moran_system()
-    pts = measure.sample_batch(sampler, seed, sch.depth, dc["samples"])
+    pts = measure.sample_batch(csys, seed, sch.depth, dc["samples"])
     # one h(r) per band, shared by every sample and by the h_rate payload
     grid = [Fraction(1, sch.prefix_product(m)) for m in range(band_lo, band_hi + 1)]
     hrows = dimension.h_rate_report(sch, grid)

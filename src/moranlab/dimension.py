@@ -3,6 +3,8 @@
 The constructions convolve the base {0,1}-digit measure mu with an auxiliary
 even-digit measure nu, producing per-level digit sets F_n = D_n + E_n whose
 uniform measure eta obeys a mass-distribution bound against a gauge function.
+The convolution is itself a Cantor-Moran measure, so a ConvolvedSystem is
+the MoranSystem on the F_n, which also keeps D_n, E_n and the special levels.
 Three variants:
 
   dim-one    every level uses E_n = {0, 2, ..., 2 floor(M_n/4)}; eta then
@@ -245,16 +247,13 @@ def _convolve(
     return tuple(f for f, _ in items), tuple(Fraction(a, den) for _, a in items)
 
 
-class ConvolvedSystem(Record):
-    """Digit data of mu * nu: per-level base sets D_n, even sets E_n, sums
-    F_n = D_n + E_n with convolution weights, and the special level set N.
-
-    _system, the F-digit system, is built once from the fields, so it is no
-    field and stays out of eq/hash/repr.
-    """
+class ConvolvedSystem(MoranSystem):
+    """The digit system of mu * nu on the sums F_n = D_n + E_n (its digit
+    sets, with convolution weights). It also keeps the base sets D_n, the
+    even sets E_n and the special level set N, whence its avoidance data."""
 
     _fields = (
-        "schedule", "base_sets", "nu_sets", "sum_sets", "weights", "special_levels", "variant"
+        "schedule", "base_sets", "nu_sets", "digit_sets", "weights", "special_levels", "variant"
     )
 
     def __init__(
@@ -262,24 +261,27 @@ class ConvolvedSystem(Record):
         schedule: PrimeSchedule,
         base_sets: tuple[tuple[int, ...], ...],
         nu_sets: tuple[tuple[int, ...], ...],
-        sum_sets: tuple[tuple[int, ...], ...],
+        digit_sets: tuple[tuple[int, ...], ...],
         weights: tuple[tuple[Fraction, ...], ...],
         special_levels: tuple[int, ...],
         variant: str,
     ) -> None:
-        # MoranSystem validates sum_sets (sorted, inside [0, M_n)) and weights
-        system = MoranSystem(schedule, sum_sets, weights)
+        # checks digit_sets (sorted, inside [0, M_n)) and weights, and sets them
+        super().__init__(schedule, digit_sets, weights)
         depth = schedule.depth
         for name, seq in (("base_sets", base_sets), ("nu_sets", nu_sets)):
             if len(seq) != depth:
                 raise InvalidParameter(f"{name} must cover all {depth} levels")
         if any(a >= b for a, b in zip(special_levels, special_levels[1:])):
             raise InvalidParameter("special levels must strictly increase")
+        # they increase, so the ends suffice
+        if special_levels and not (special_levels[0] >= 1 and special_levels[-1] <= depth):
+            raise InvalidParameter(f"special levels must lie in 1 .. {depth}")
         special = set(special_levels)
         # a level's checks read only its kind, base and sets
         kinds = [n in special for n in range(1, depth + 1)]
         for n, (is_special, M, E, F, D) in _first_levels(
-            kinds, schedule.bases(), nu_sets, sum_sets, base_sets
+            kinds, schedule.bases(), nu_sets, digit_sets, base_sets
         ):
             if is_special:
                 if E != _even_digit_set(M):
@@ -292,37 +294,34 @@ class ConvolvedSystem(Record):
                 if len(F) != len(D) * len(E):
                     raise CounterexampleFound(f"level {n}: sums collide on an even-step set")
         self.__dict__.update(
-            schedule=schedule, base_sets=base_sets, nu_sets=nu_sets, sum_sets=sum_sets,
-            weights=weights, special_levels=special_levels, variant=variant, _system=system,
+            base_sets=base_sets, nu_sets=nu_sets, special_levels=special_levels, variant=variant
         )
-
-    @property
-    def depth(self) -> int:
-        return self.schedule.depth
 
     @cached_property
     def avoidance_lo(self) -> Fraction:
         """Left end 1/6 + max over special levels of max(F_n)/M_n of the
         avoidance interval (lo, 1)."""
         bases = self.schedule.bases()
-        # sum sets strictly increase, so the last sum is the largest
-        tops = {(self.sum_sets[n - 1][-1], bases[n - 1]) for n in self.special_levels}
+        # digit sets strictly increase, so the last sum is the largest
+        tops = {(self.digit_sets[n - 1][-1], bases[n - 1]) for n in self.special_levels}
         return Fraction(1, 6) + max(Fraction(top, M) for top, M in tops)
 
-    def as_moran_system(self) -> MoranSystem:
-        """The convolution as a plain digit system (for transforms/sampling),
-        built once: every call returns the same instance and its caches."""
-        return self._system
+    def _avoidance_levels(self, j_max: int) -> tuple[int, ...]:
+        # the levels n_j of the dilations k_j = P_(n_j - 1): the first j_max special levels
+        special = self.special_levels
+        if j_max > len(special):
+            raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
+        return special[:j_max]
 
     @cached_property
     def _cell_counts(self) -> tuple[int, ...]:
         # _cell_counts[n] = |F_1| ... |F_n|, the number of depth-n basic intervals
-        return tuple(accumulate(map(len, self.sum_sets), operator.mul, initial=1))
+        return tuple(accumulate(map(len, self.digit_sets), operator.mul, initial=1))
 
     @cached_property
     def _first_gap(self) -> int:
         """The first level whose digit set is not {0, ..., |F| - 1}, or depth + 1."""
-        for k, F in enumerate(self.sum_sets, start=1):
+        for k, F in enumerate(self.digit_sets, start=1):
             # F strictly increases from F[0] >= 0, so it is {0..|F|-1} iff F[-1] = |F| - 1
             if F[-1] != len(F) - 1:
                 return k
@@ -383,12 +382,12 @@ def build_convolved(
     # levels that share these share its tuples
     kinds = [n in special_set for n in range(1, depth + 1)]
     levels = _shared(level, sch.bases(), kinds, sys.digit_sets, sys.weights)
-    nu_sets, sum_sets, weights = zip(*levels)
+    nu_sets, digit_sets, weights = zip(*levels)
     return ConvolvedSystem(
         schedule=sch,
         base_sets=sys.digit_sets,
         nu_sets=nu_sets,
-        sum_sets=sum_sets,
+        digit_sets=digit_sets,
         weights=weights,
         special_levels=special,
         variant=variant,
@@ -399,8 +398,8 @@ def build_convolved(
 # exact ball bounds
 
 
-def _count_below(X: int, sum_sets: Sequence, bases: Sequence[int], P_L: int, total: int) -> int:
-    """#{digit strings d_1..d_L with d_k in F_k = sum_sets[k-1] = {0..|F_k|-1}
+def _count_below(X: int, digit_sets: Sequence, bases: Sequence[int], P_L: int, total: int) -> int:
+    """#{digit strings d_1..d_L with d_k in F_k = digit_sets[k-1] = {0..|F_k|-1}
     and sum_k d_k P_L/P_k <= X}, where P_k = M_1...M_k and total = prod |F_k|.
 
     MSD-first walk: the weight P_L/P_k and the number of strings below level
@@ -411,7 +410,7 @@ def _count_below(X: int, sum_sets: Sequence, bases: Sequence[int], P_L: int, tot
         return 0
     count = 0
     weight, tail, rest = P_L, total, X
-    for F, M in zip(sum_sets, bases):
+    for F, M in zip(digit_sets, bases):
         weight //= M
         tail //= len(F)
         digit, rest = divmod(rest, weight)
@@ -446,7 +445,7 @@ def _ball_measure(x: Fraction, r: Fraction, csys: ConvolvedSystem, h: int | None
         raise InvalidParameter(f"level {csys._first_gap} digit set is not contiguous from 0")
     P_L = csys.schedule.prefix_product(L)
     total = csys._cell_counts[L]
-    walk = (csys.sum_sets, csys.schedule.bases(), P_L, total)
+    walk = (csys.digit_sets, csys.schedule.bases(), P_L, total)
     # the window ends (x -+ r) P_L = (xn rd -+ rn xd) P_L / (xd rd), rounded
     # by integer floor division (ceil n/d = -(-n // d)); no Fraction is built
     xn, xd = x.numerator, x.denominator
@@ -481,7 +480,7 @@ def local_dim_series(x, csys: ConvolvedSystem, depth: int) -> tuple[float, ...]:
     log_P = 0.0
     for n in range(1, depth + 1):
         d = x.digits[n - 1]
-        F = csys.sum_sets[n - 1]
+        F = csys.digit_sets[n - 1]
         try:
             idx = F.index(d)
         except ValueError:

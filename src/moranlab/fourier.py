@@ -24,12 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mod
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ._record import Record
 from .errors import InvalidParameter, OutOfRange, TailNotCertifiable
-# MoranSystem and binary_system live in system; both stay importable from here
-from .system import MoranSystem, binary_system  # noqa: F401
+
+if TYPE_CHECKING:  # annotations only
+    from .system import MoranSystem
 
 # certificates take cos/sin of fl(fl(2 pi) t), t in [0, 1), within 2^-48 of the
 # true values: |fl(2 pi) - 2 pi| t <= 2.5e-16, the product's rounding 4.4e-16 and

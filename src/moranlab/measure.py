@@ -437,23 +437,13 @@ def _attractor_digits(x: Fraction, sch, depth: int) -> tuple[int, ...]:
 
 
 def _avoidance_levels(sys, j_max: int) -> tuple[int, ...]:
-    # the levels n_1..n_{j_max} with k_j = P_(n_j - 1): n_j = j + 1 (plain)
-    # or the j-th special level (convolved); validates j_max
+    # the levels n_1..n_{j_max} with k_j = P_(n_j - 1), which each system
+    # type gives (MoranSystem._avoidance_levels); validates j_max
     if j_max < 1:
         raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
-    if isinstance(sys, MoranSystem):
-        if j_max > sys.depth:
-            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
-        return tuple(range(2, j_max + 2))
-    # imported here, past the plain case, so a plain run never loads dimension
-    from .dimension import ConvolvedSystem
-
-    if isinstance(sys, ConvolvedSystem):
-        special = sys.special_levels
-        if j_max > len(special):
-            raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
-        return special[:j_max]
-    raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+    if not isinstance(sys, MoranSystem):
+        raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+    return sys._avoidance_levels(j_max)
 
 
 def _avoidance_lo(sys) -> Fraction:
@@ -479,10 +469,9 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
         raise InvalidParameter(f"x must lie in [0, 1), got {x}")
     levels = _avoidance_levels(sys, j_max)
     lo = _avoidance_lo(sys)
-    digit_sets = sys.digit_sets if isinstance(sys, MoranSystem) else sys.sum_sets
     digits = _attractor_digits(x, sys.schedule, sys.depth)
     for n, d in enumerate(digits, start=1):
-        if d not in digit_sets[n - 1]:
+        if d not in sys.digit_sets[n - 1]:
             raise NotInSupport(f"digit {d} at level {n} outside the level digit set")
     return _avoidance_verdict(x, digits, sys.schedule, levels, lo)
 

@@ -90,7 +90,7 @@ class PrimeSchedule(Record):
     def __init__(
         self, d: int, q: tuple[int, ...], ell: tuple[int, ...], variant: str = "explicit"
     ) -> None:
-        if not isinstance(d, int) or d < 1:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
             raise InvalidParameter(f"growth exponent must be a positive integer, got {d!r}")
         if len(q) == 0:
             raise InvalidParameter("schedule needs at least one prime")
@@ -108,7 +108,7 @@ class PrimeSchedule(Record):
             if not is_prime(p):
                 raise InvalidParameter(f"{p} is not prime")
         for m in ell:
-            if not isinstance(m, int) or m < 1:
+            if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise InvalidParameter(f"multiplicities must be positive integers, got {m!r}")
         L = [0]
         for m in ell:
@@ -201,9 +201,9 @@ def build_schedule(
     Multiplicities default to ell_r = r^(d-1), so d=1 gives the flat schedule
     and d=2 the linearly growing one; pass `ell` explicitly for anything else.
     """
-    if not isinstance(count, int) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise InvalidParameter(f"count must be a positive integer, got {count!r}")
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise InvalidParameter(f"growth exponent must be a positive integer, got {d!r}")
 
     if variant == "nth-prime-from-7":

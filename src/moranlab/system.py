@@ -12,6 +12,9 @@ gets the same tables; it only does the work once per level.
 
 The transform-only level tables (_levels, and _transform_levels and
 _window_bounded built on it) come from ``fourier``, loaded on first use.
+
+A system gives its own avoidance data (avoidance_lo, _avoidance_levels);
+dimension.ConvolvedSystem, a MoranSystem on its sum digit sets, overrides both.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 # modules, not names: fourier and rng run only when a table needs them
 from . import fourier, rng
 from ._record import Record
-from .errors import InvalidParameter
+from .errors import InvalidParameter, OutOfRange
 from .radix import PrimeSchedule, middle_window
 
 
@@ -185,6 +188,12 @@ class MoranSystem(Record):
         # digit sets strictly increase, so the last digit is the largest
         tops = {(d[-1], base) for d, base in zip(self.digit_sets, self.schedule.bases())}
         return 2 * max(Fraction(top, base) for top, base in tops)
+
+    def _avoidance_levels(self, j_max: int) -> tuple[int, ...]:
+        # the levels n_j of the dilations k_j = P_(n_j - 1) = M_1...M_j: n_j = j + 1
+        if j_max > self.depth:
+            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {self.depth}")
+        return tuple(range(2, j_max + 2))
 
     def binary_omegas(self) -> tuple[Fraction, ...]:
         """Per-level weight of digit 0 for a {0,1} system."""

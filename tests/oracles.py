@@ -647,8 +647,8 @@ def reference_avoidance(x, sys, j_max: int):
         NotInSupport,
         OutOfRange,
     )
-    from moranlab.fourier import MoranSystem
     from moranlab.measure import AvoidanceVerdict
+    from moranlab.system import MoranSystem
 
     x = Fraction(x)
     if not 0 <= x < 1:
@@ -656,19 +656,19 @@ def reference_avoidance(x, sys, j_max: int):
     if j_max < 1:
         raise InvalidParameter(f"j_max must be >= 1, got {j_max}")
     sch = sys.schedule
-    if isinstance(sys, MoranSystem):
-        if j_max > sys.depth:
-            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
-        dilations = sch.prefix_products(j_max)
-        digit_sets = sys.digit_sets
-    elif isinstance(sys, ConvolvedSystem):
+    # a ConvolvedSystem is a MoranSystem, so it is tested first
+    if isinstance(sys, ConvolvedSystem):
         special = sys.special_levels
         if j_max > len(special):
             raise OutOfRange(f"j_max = {j_max} exceeds the {len(special)} special levels")
         dilations = tuple(sch.prefix_product(n - 1) for n in special[:j_max])
-        digit_sets = sys.sum_sets
+    elif isinstance(sys, MoranSystem):
+        if j_max > sys.depth:
+            raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
+        dilations = sch.prefix_products(j_max)
     else:
         raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
+    digit_sets = sys.digit_sets
 
     lo = sys.avoidance_lo
     if lo >= 1:
@@ -701,7 +701,7 @@ def reference_avoidance(x, sys, j_max: int):
 def uniform_interval_mass(csys, L: int) -> Fraction:
     """Mass of one depth-L basic interval under the uniform measure on the
     F-digit tree: 1 / (|F_1| ... |F_L|), read from the level sets."""
-    return Fraction(1, math.prod(len(F) for F in csys.sum_sets[:L]))
+    return Fraction(1, math.prod(len(F) for F in csys.digit_sets[:L]))
 
 
 def fraction_ball_measure(x, r, csys, h: int) -> Fraction:
@@ -717,8 +717,8 @@ def fraction_ball_measure(x, r, csys, h: int) -> Fraction:
     x, r = Fraction(x), Fraction(r)
     L = h + 1
     P_L = csys.schedule.prefix_product(L)
-    total = math.prod(len(F) for F in csys.sum_sets[:L])
-    walk = (csys.sum_sets, csys.schedule.bases(), P_L, total)
+    total = math.prod(len(F) for F in csys.digit_sets[:L])
+    walk = (csys.digit_sets, csys.schedule.bases(), P_L, total)
     A = max(0, math.ceil((x - r) * P_L) - 1)
     B = min(P_L - 1, math.floor((x + r) * P_L))
     count = dimension._count_below(B, *walk) - dimension._count_below(A - 1, *walk)

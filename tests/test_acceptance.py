@@ -21,7 +21,7 @@ from moranlab.distribution import (
     fiber_counts,
     verify_partition,
 )
-from moranlab.fourier import binary_system, mu_hat_modulus
+from moranlab.fourier import mu_hat_modulus
 from moranlab.measure import normality_report, sample_batch, uniqueness_avoidance
 from moranlab.numtheory import (
     Factorization,
@@ -36,6 +36,7 @@ from moranlab.numtheory import (
 )
 from moranlab.radix import PrimeSchedule, build_schedule, to_digits
 from moranlab.rng import value_at
+from moranlab.system import binary_system
 
 from oracles import brute_orders_vector, ln_bounds, mp_mu_hat
 
@@ -188,7 +189,6 @@ def test_criterion_07_fourier_certification(capsys, medium_schedule, medium_syst
     t0 = time.perf_counter()
     N3 = medium_schedule.N[3]
     eta = build_convolved(medium_system, "dim-one")
-    eta_sys = eta.as_moran_system()
     for i in range(1000):
         xi = value_at(SEED, i) % (N3 + 1)
         wide = mu_hat_modulus(xi, medium_system, 1e-6)
@@ -197,7 +197,7 @@ def test_criterion_07_fourier_certification(capsys, medium_schedule, medium_syst
         assert tight.hi - tight.lo <= 1e-12
         assert wide.lo - 1e-12 <= tight.lo <= tight.hi <= wide.hi + 1e-12
         # convolving can only shrink the transform modulus
-        conv = mu_hat_modulus(xi, eta_sys, 1e-6)
+        conv = mu_hat_modulus(xi, eta, 1e-6)
         assert conv.lo <= wide.hi
 
     # digit versus exact fractional part, both sides rational
@@ -246,10 +246,9 @@ def test_criterion_09_uniqueness_avoidance(capsys, small_schedule, small_system,
     assert passed == 1000
 
     conv = build_convolved(medium_system, "dim-one")
-    sampler = conv.as_moran_system()
     j_max = len(conv.special_levels) - 1
     passed = 0
-    for pt in sample_batch(sampler, SEED, medium_schedule.depth, 1000):
+    for pt in sample_batch(conv, SEED, medium_schedule.depth, 1000):
         v = uniqueness_avoidance(pt.value, conv, j_max)
         assert v.interval_lo == Fraction(55, 78)
         passed += v.passed
@@ -277,14 +276,14 @@ def test_criterion_11_mass_distribution(capsys, medium_schedule, medium_system):
     grid = [Fraction(1, medium_schedule.prefix_product(m)) for m in range(1, 21)]
 
     dim_one = build_convolved(medium_system, "dim-one")
-    for pt in sample_batch(dim_one.as_moran_system(), SEED, medium_schedule.depth, 32):
+    for pt in sample_batch(dim_one, SEED, medium_schedule.depth, 32):
         for r in grid:
             ball = ball_measure(pt.value, r, dim_one)
             assert ball * ball <= 64 * r  # ball <= 8 r^(1/2), squared exactly
 
     phi = GaugeFunction(kind="r_times_log_power", param=1.0)
     gauge = build_convolved(medium_system, "gauge", phi)
-    for pt in sample_batch(gauge.as_moran_system(), SEED, medium_schedule.depth, 32):
+    for pt in sample_batch(gauge, SEED, medium_schedule.depth, 32):
         for r in grid:
             ball = ball_measure(pt.value, r, gauge)
             ln_lo, _ = ln_bounds(Fraction(r.denominator, r.numerator))
@@ -315,7 +314,7 @@ def test_criterion_13_no_decay_witness(capsys):
     sch = build_schedule(d=2, count=14)
     assert sch.depth == 105
     binary = binary_system(sch, Fraction(1, 2))
-    dim_one = build_convolved(binary, "dim-one").as_moran_system()
+    dim_one = build_convolved(binary, "dim-one")
     for sysm, floor, levels in ((binary, 0.95, (1, 5, 20, 60, 100)), (dim_one, 0.45, (5, 20, 60))):
         for N in levels:
             cert = mu_hat_modulus(sch.prefix_product(N), sysm, 1e-12)

@@ -38,7 +38,7 @@ INVOCATIONS = [
     ("dimension", "sample_dimension_dim_one"),
     ("dimension", "sample_dimension_gauge"),
     ("uniqueness", "sample_uniqueness_plain"),
-    ("uniqueness", "sample_uniqueness_dim_one"),  # samples through as_moran_system()
+    ("uniqueness", "sample_uniqueness_dim_one"),  # samples the ConvolvedSystem itself
     ("normality", "sample_normality"),
     ("partition", "orbit_partition_b2"),
     ("partition", "orbit_partition_b3h2"),

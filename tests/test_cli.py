@@ -1089,10 +1089,10 @@ def test_uniqueness_verdicts_match_library(tmp_path, capsys, monkeypatch, kind, 
     target = binary_system(sch, Fraction(1, 2))
     if kind == "dim-one":
         target = build_convolved(target, "dim-one")
-        sampler, j_max = target.as_moran_system(), len(target.special_levels) - 1
+        j_max = len(target.special_levels) - 1
     else:
-        sampler, j_max = target, sch.depth - 1
-    points = sample_batch(sampler, 5, depth or sch.depth, 24)
+        j_max = sch.depth - 1
+    points = sample_batch(target, 5, depth or sch.depth, 24)
     expect = []
     for i, pt in enumerate(points):
         v = uniqueness_avoidance(pt.value, target, j_max)

@@ -97,7 +97,6 @@ def test_del_partial_matches_triple_loop(medium_system, b, h, N_max):
 @pytest.mark.parametrize("b, h", [(2, 1), (3, -3)])
 def test_del_partial_matches_triple_loop_non_binary(medium_schedule, b, h):
     sysm = build_convolved(binary_system(medium_schedule, Fraction(1, 2)), "dim-one")
-    sysm = sysm.as_moran_system()
     assert not sysm.is_binary
     got = del_partial(sysm, b, h, N_max=9, eps=1e-9)
     _assert_same_report(got, triple_loop_del_partial(sysm, b, h, 9, 1e-9))

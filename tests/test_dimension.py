@@ -43,7 +43,7 @@ from moranlab.dimension import (
     write_ball_csv,
     write_local_dim_csv,
 )
-from moranlab.measure import SamplePoint, sample_point
+from moranlab.measure import SamplePoint, _avoidance_levels, sample_batch, sample_point
 
 from oracles import fraction_ball_measure, naive_mu_hat, rebuild, uniform_interval_mass
 
@@ -251,15 +251,13 @@ def test_dim_one_construction_toy(toy_dimone):
     assert toy_dimone.variant == "dim-one"
     assert toy_dimone.special_levels == (1, 2, 3)
     assert toy_dimone.nu_sets == ((0, 2), (0, 2, 4), (0, 2, 4))
-    assert toy_dimone.sum_sets[0] == (0, 1, 2, 3)
+    assert toy_dimone.digit_sets[0] == (0, 1, 2, 3)
     assert toy_dimone.weights[0] == (F(1, 4),) * 4
-    assert toy_dimone.sum_sets[1] == (0, 1, 2, 3, 4, 5)
+    assert toy_dimone.digit_sets[1] == (0, 1, 2, 3, 4, 5)
     assert toy_dimone.weights[1] == (F(1, 6),) * 6
     assert toy_dimone.depth == 3
-    eta = toy_dimone.as_moran_system()
-    assert isinstance(eta, MoranSystem)
-    assert eta.digit_sets == toy_dimone.sum_sets
-    assert not eta.is_binary
+    assert isinstance(toy_dimone, MoranSystem)
+    assert not toy_dimone.is_binary
 
 
 def test_gauge_construction_levels_and_sets(med_gauge):
@@ -267,14 +265,14 @@ def test_gauge_construction_levels_and_sets(med_gauge):
     assert med_gauge.special_levels == (3, 5, 8, 14, 24)
     # off the special set the even digits fill the level: E = {0..M-2}
     assert med_gauge.nu_sets[0] == tuple(range(6))
-    assert med_gauge.sum_sets[0] == tuple(range(7))
+    assert med_gauge.digit_sets[0] == tuple(range(7))
     assert med_gauge.weights[0] == (F(1, 12),) + (F(1, 6),) * 5 + (F(1, 12),)
     assert med_gauge.nu_sets[1] == tuple(range(10))
-    assert med_gauge.sum_sets[1] == tuple(range(11))
+    assert med_gauge.digit_sets[1] == tuple(range(11))
     assert med_gauge.weights[1] == (F(1, 20),) + (F(1, 10),) * 9 + (F(1, 20),)
     # on the special set the usual even construction applies
     assert med_gauge.nu_sets[2] == (0, 2, 4)
-    assert med_gauge.sum_sets[2] == tuple(range(6))
+    assert med_gauge.digit_sets[2] == tuple(range(6))
     assert med_gauge.weights[2] == (F(1, 6),) * 6
 
 
@@ -287,7 +285,7 @@ def test_extreme_construction_off_special(medium_system):
     assert all(a < b for a, b in zip(csys.special_levels, csys.special_levels[1:]))
     # level 1 is never special; extreme fills it with E = {0, 2, ..., M-3}
     assert csys.nu_sets[0] == (0, 2, 4)
-    assert csys.sum_sets[0] == tuple(range(6))
+    assert csys.digit_sets[0] == tuple(range(6))
     assert csys.weights[0] == (F(1, 6),) * 6
 
 
@@ -326,7 +324,7 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
             schedule=toy_schedule,
             base_sets=((0, 1),) * 3,
             nu_sets=((0,), (0,), (0,)),
-            sum_sets=((0, 7), (0, 1), (0, 1)),
+            digit_sets=((0, 7), (0, 1), (0, 1)),
             weights=(half, half, half),
             special_levels=(),
             variant="gauge",
@@ -337,7 +335,7 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
             schedule=toy_schedule,
             base_sets=((0, 1),) * 3,
             nu_sets=((0,), (0,), (0,)),
-            sum_sets=((0, 1), (0, 1), (0, 1)),
+            digit_sets=((0, 1), (0, 1), (0, 1)),
             weights=((F(1, 2), F(1, 3)), half, half),
             special_levels=(),
             variant="gauge",
@@ -348,7 +346,7 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
             schedule=toy_schedule,
             base_sets=((0, 2), (0, 1), (0, 1)),
             nu_sets=((0, 2), (0,), (0,)),
-            sum_sets=((0, 2, 4), (0, 1), (0, 1)),
+            digit_sets=((0, 2, 4), (0, 1), (0, 1)),
             weights=((F(1, 4), F(1, 2), F(1, 4)), half, half),
             special_levels=(),
             variant="gauge",
@@ -360,7 +358,7 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
                 schedule=toy_schedule,
                 base_sets=((0, 1),) * 3,
                 nu_sets=((0,), (0,), (0,)),
-                sum_sets=sums,
+                digit_sets=sums,
                 weights=(half, half, half),
                 special_levels=(),
                 variant="gauge",
@@ -369,27 +367,26 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
         rebuild(toy_dimone, nu_sets=((0, 1), (0, 2, 4), (0, 2, 4)))
     with pytest.raises(InvalidParameter):
         rebuild(toy_dimone, special_levels=(1, 1, 2))
+    # a level 0 would read the last level's sums through index -1, and a
+    # level past the depth would index past the digit sets
+    for levels in ((0, 1, 2), (1, 2, 4)):
+        with pytest.raises(InvalidParameter, match=r"^special levels must lie in 1 \.\. 3$"):
+            rebuild(toy_dimone, special_levels=levels)
     with pytest.raises(InvalidParameter):
         rebuild(toy_dimone, base_sets=toy_dimone.base_sets[:2])
 
 
-def test_as_moran_system_is_built_once(toy_schedule, toy_dimone):
-    eta = toy_dimone.as_moran_system()
-    assert toy_dimone.as_moran_system() is eta
-    assert eta == MoranSystem(toy_schedule, toy_dimone.sum_sets, toy_dimone.weights)
-    # the held system is derived data: no constructor parameter, out of eq,
-    # hash and repr
-    assert "_system" not in ConvolvedSystem._fields
-    with pytest.raises(TypeError):
-        rebuild(toy_dimone, _system=eta)
-    twin = build_convolved(binary_system(toy_schedule, F(1, 2)), "dim-one")
-    assert twin == toy_dimone and hash(twin) == hash(toy_dimone)
-    assert "_system" not in repr(toy_dimone)
-    # rebuilding runs the constructor again and builds it from the new fields
-    skewed = (F(1, 12), F(1, 12), F(1, 6), F(1, 6), F(1, 4), F(1, 4))
-    reweighted = rebuild(toy_dimone, weights=toy_dimone.weights[:2] + (skewed,))
-    assert reweighted.as_moran_system() is not eta
-    assert reweighted.as_moran_system().weights[2] == skewed
+@pytest.mark.parametrize("name", ["med_dimone", "med_gauge"])
+def test_convolved_system_transforms_and_samples_as_the_plain_one(request, name):
+    csys = request.getfixturevalue(name)
+    plain = MoranSystem(csys.schedule, csys.digit_sets, csys.weights)
+    for xi in (1, 7, 100, 847, 12345, 10**6 + 7):
+        assert repr(mu_hat_modulus(xi, csys, 1e-6)) == repr(mu_hat_modulus(xi, plain, 1e-6))
+    want = sample_batch(plain, 11, plain.depth, 8)
+    assert repr(sample_batch(csys, 11, csys.depth, 8)) == repr(want)
+    assert csys._thresholds == plain._thresholds
+    assert repr(csys._window_gamma) == repr(plain._window_gamma)
+    assert csys._window_bounded is plain._window_bounded
 
 
 def test_uniform_interval_mass(toy_dimone):
@@ -417,7 +414,7 @@ def _attainable_values(csys: ConvolvedSystem, depth: int) -> list[int]:
     vals = [0]
     for n in range(1, depth + 1):
         M = csys.schedule.base_at(n)
-        vals = [v * M + d for v in vals for d in csys.sum_sets[n - 1]]
+        vals = [v * M + d for v in vals for d in csys.digit_sets[n - 1]]
     return vals
 
 
@@ -438,7 +435,7 @@ def test_ball_measure_matches_enumeration(toy_dimone):
 def test_ball_measure_matches_enumeration_gauge(med_gauge):
     # bases 7, 11, 11, 13 with sizes 7, 11, 6, 13: off the special levels the
     # gauge fills each level (F = {0..M-1}); level 3 is special (F = {0..5})
-    assert [len(F_k) for F_k in med_gauge.sum_sets[:4]] == [7, 11, 6, 13]
+    assert [len(F_k) for F_k in med_gauge.digit_sets[:4]] == [7, 11, 6, 13]
     bands = {3: (F(1, 80), F(1, 300), F(1, 846), F(1, 77)), 4: (F(1, 848), F(1, 5000))}
     for level, radii in bands.items():
         P = med_gauge.schedule.prefix_product(level)
@@ -523,7 +520,7 @@ def _full_cap_windows(P: int):
 def test_ball_cap_equality_is_no_counterexample(med_gauge):
     # bases 7 and 11 with full digit sets: every grid cell at levels 1 and 2
     # holds support, so the count reaches the cap and must not trip it
-    assert [len(F_k) for F_k in med_gauge.sum_sets[:2]] == [7, 11]
+    assert [len(F_k) for F_k in med_gauge.digit_sets[:2]] == [7, 11]
     for L in (1, 2):
         P = med_gauge.schedule.prefix_product(L)
         total = med_gauge._cell_counts[L]
@@ -548,8 +545,7 @@ def test_ball_cap_one_past_equality_is_a_counterexample(med_gauge, monkeypatch):
 
 
 def test_ball_measure_support_point_floor(med_dimone):
-    eta = med_dimone.as_moran_system()
-    pt = sample_point(eta, seed=77, depth=28)
+    pt = sample_point(med_dimone, seed=77, depth=28)
     for r in (F(1, 10**6), F(1, 10**9)):
         h = h_of_r(r, med_dimone.schedule)
         ball = ball_measure(pt.value, r, med_dimone)
@@ -559,8 +555,7 @@ def test_ball_measure_support_point_floor(med_dimone):
 
 def test_ball_measure_dim_one_mass_bound(med_dimone):
     # eta(B(x, r)) <= 8 r^(1-eps); at eps = 1/2 this is ball^2 <= 64 r, exactly
-    eta = med_dimone.as_moran_system()
-    points = [F(0), F(1)] + [sample_point(eta, seed=s, depth=28).value for s in (1, 2, 3)]
+    points = [F(0), F(1)] + [sample_point(med_dimone, seed=s, depth=28).value for s in (1, 2, 3)]
     for k in (3, 6, 9, 12):
         r = F(1, 10**k)
         for x in points:
@@ -581,7 +576,7 @@ def test_ball_measure_domain_errors(toy_dimone, toy_schedule):
         schedule=toy_schedule,
         base_sets=((0, 1),) * 3,
         nu_sets=((0, 3), (0,), (0,)),
-        sum_sets=((0, 1, 3, 4), (0, 1), (0, 1)),
+        digit_sets=((0, 1, 3, 4), (0, 1), (0, 1)),
         weights=((F(1, 4),) * 4, half, half),
         special_levels=(),
         variant="gauge",
@@ -595,15 +590,14 @@ def test_ball_measure_domain_errors(toy_dimone, toy_schedule):
 
 
 def test_local_dim_series_uniform_closed_form(med_dimone):
-    eta = med_dimone.as_moran_system()
-    pt = sample_point(eta, seed=5, depth=28)
+    pt = sample_point(med_dimone, seed=5, depth=28)
     series = local_dim_series(pt, med_dimone, 28)
     assert len(series) == 28
     # equal weights collapse the terms to sum log|F_k| / log(M_1...M_n)
     num = 0.0
     den = 0.0
     for n in range(1, 29):
-        num += math.log(len(med_dimone.sum_sets[n - 1]))
+        num += math.log(len(med_dimone.digit_sets[n - 1]))
         den += math.log(med_dimone.schedule.base_at(n))
         assert series[n - 1] == pytest.approx(num / den, abs=1e-9)
     assert 0.7 < series[-1] < 1.0
@@ -621,8 +615,7 @@ def test_local_dim_series_weighted_levels(med_gauge):
 
 
 def test_local_dim_series_errors(med_dimone):
-    eta = med_dimone.as_moran_system()
-    pt = sample_point(eta, seed=5, depth=28)
+    pt = sample_point(med_dimone, seed=5, depth=28)
     with pytest.raises(OutOfRange):
         local_dim_series(pt, med_dimone, 0)
     with pytest.raises(OutOfRange):
@@ -689,12 +682,11 @@ def test_h_rate_report_accepts_systems(med_dimone, medium_schedule):
 
 
 def test_fourier_domination(med_dimone, medium_system):
-    eta = med_dimone.as_moran_system()
     for xi in (1, 7, 100, 847, 12345, 10**6 + 7):
-        naive_eta = abs(naive_mu_hat(xi, eta, depth=8))
+        naive_eta = abs(naive_mu_hat(xi, med_dimone, depth=8))
         naive_mu = abs(naive_mu_hat(xi, medium_system, depth=8))
         assert naive_eta <= naive_mu + 1e-12
-        cert_eta = mu_hat_modulus(xi, eta, 1e-6)
+        cert_eta = mu_hat_modulus(xi, med_dimone, 1e-6)
         cert_mu = mu_hat_modulus(xi, medium_system, 1e-6)
         assert cert_eta.lo <= cert_mu.hi + 1e-9
 
@@ -703,7 +695,12 @@ def test_fourier_domination(med_dimone, medium_system):
 # avoidance along the special dilations
 
 
-def test_uniqueness_avoidance_convolved(toy_dimone, med_dimone):
+def test_uniqueness_avoidance_convolved(toy_dimone, med_dimone, med_gauge):
+    # the dilations k_j = P_(n_j - 1) run over the special levels n_j
+    assert _avoidance_levels(toy_dimone, 3) == (1, 2, 3)
+    assert _avoidance_levels(med_gauge, 3) == (3, 5, 8)
+    with pytest.raises(OutOfRange, match="exceeds the 5 special levels"):
+        uniqueness_avoidance(F(0), med_gauge, j_max=6)
     v = uniqueness_avoidance(F(0), toy_dimone, j_max=3)
     assert v.passed and v.verdict == "PASS"
     # c = max(3/7, 5/11) = 5/11, so lo = 5/11 + 1/6
@@ -713,8 +710,7 @@ def test_uniqueness_avoidance_convolved(toy_dimone, med_dimone):
     v = uniqueness_avoidance(F(0), med_dimone, j_max=5)
     assert v.interval_lo == F(55, 78)
     assert float(v.interval_lo) == pytest.approx(0.7051282051282052, rel=1e-15)
-    eta = med_dimone.as_moran_system()
-    pt = sample_point(eta, seed=20260816, depth=28)
+    pt = sample_point(med_dimone, seed=20260816, depth=28)
     assert uniqueness_avoidance(pt.value, med_dimone, j_max=10).passed
     with pytest.raises(OutOfRange):
         uniqueness_avoidance(F(0), toy_dimone, j_max=4)
@@ -760,8 +756,7 @@ def test_write_ball_csv_round_trip(tmp_path, toy_dimone):
 
 
 def test_write_local_dim_csv(tmp_path, med_dimone):
-    eta = med_dimone.as_moran_system()
-    pt = sample_point(eta, seed=9, depth=28)
+    pt = sample_point(med_dimone, seed=9, depth=28)
     series = local_dim_series(pt, med_dimone, 28)
     path = tmp_path / "localdim.csv"
     write_local_dim_csv(str(path), series, burn_in=10)

@@ -48,7 +48,7 @@ def _system(kind: str, k: int) -> MoranSystem:
         # binary levels with distinct weights per level
         return binary_system(sch, [Fraction(n, 2 * n + k) for n in range(1, sch.depth + 1)])
     if kind == "dim-one":
-        return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one").as_moran_system()
+        return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":
         # uniform {0, 1, 2} digits with skewed weights
         w = (Fraction(1, k + 2), Fraction(1, 2), Fraction(1, 2) - Fraction(1, k + 2))
@@ -390,7 +390,7 @@ def test_fused_loop_mixed_binary_and_wide_levels(monkeypatch, every):
     # {0,1} levels stay inline; every `every`-th level carries the dim-one
     # sum set of its base instead and takes _level_mask
     sch = _medium()
-    wide = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one").as_moran_system()
+    wide = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     half = (Fraction(1, 2), Fraction(1, 2))
     sysm = MoranSystem(
         sch,

@@ -253,7 +253,7 @@ def _reference_avoidance(x: Fraction, sysm, j_max: int) -> tuple[Fraction, list[
         prefix.append(prefix[-1] * M)
     if isinstance(sysm, ConvolvedSystem):
         lo = Fraction(1, 6) + max(
-            Fraction(max(sysm.sum_sets[n - 1]), bases[n - 1]) for n in sysm.special_levels
+            Fraction(max(sysm.digit_sets[n - 1]), bases[n - 1]) for n in sysm.special_levels
         )
         dilations = [prefix[n - 1] for n in sysm.special_levels[:j_max]]
     else:
@@ -272,9 +272,9 @@ def _avoidance_cases():
     )
     conv = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     return (
-        (plain, plain, sch.depth - 1),
-        (wide, wide, sch.depth),
-        (conv, conv.as_moran_system(), len(conv.special_levels) - 1),
+        (plain, sch.depth - 1),
+        (wide, sch.depth),
+        (conv, len(conv.special_levels) - 1),
     )
 
 
@@ -285,8 +285,8 @@ AVOIDANCE_CASES = _avoidance_cases()
 @given(case=st.sampled_from(AVOIDANCE_CASES), seed=st.integers(0, 2**64 - 1))
 def test_avoidance_matches_fraction_reference(case, seed):
     # plain {0,1}, a non-binary {0,2} system and a convolved system
-    target, sampler, j_max = case
-    x = sample_point(sampler, seed, sampler.depth).value
+    target, j_max = case
+    x = sample_point(target, seed, target.depth).value
     verdict = uniqueness_avoidance(x, target, j_max)
     lo, fracs = _reference_avoidance(x, target, j_max)
     first = next((j for j, f in enumerate(fracs, start=1) if lo < f), None)

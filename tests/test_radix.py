@@ -241,6 +241,17 @@ def test_partial_products_recursion(d, count):
     [
         pytest.param(lambda sch: PrimeSchedule(d=0, q=(7,), ell=(1,)), InvalidParameter, 2,
                      id="schedule-d-zero"),
+        # bool is an int subclass; True would be written to JSON as true
+        pytest.param(lambda sch: PrimeSchedule(d=True, q=(7,), ell=(1,)), InvalidParameter, 2,
+                     id="schedule-d-bool"),
+        pytest.param(lambda sch: PrimeSchedule(d=1, q=(7,), ell=(True,)), InvalidParameter, 2,
+                     id="schedule-ell-bool"),
+        pytest.param(lambda sch: build_schedule(d=True, count=2), InvalidParameter, 2,
+                     id="build-schedule-d-bool"),
+        pytest.param(lambda sch: build_schedule(d=1, count=True), InvalidParameter, 2,
+                     id="build-schedule-count-bool"),
+        pytest.param(lambda sch: build_schedule(d=1, count=2, ell=(1, True)), InvalidParameter, 2,
+                     id="build-schedule-ell-bool"),
         pytest.param(lambda sch: sch.bases(4), OutOfRange, 3, id="bases-past-the-depth"),
         pytest.param(lambda sch: build_schedule(d=1, count=2, ell=(1,)), InvalidParameter, 2,
                      id="build-schedule-ell-length"),

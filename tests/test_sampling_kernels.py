@@ -96,7 +96,7 @@ def mixed_denominator_systems():
     )
     omegas = [Fraction(n, 2 * n + 1) for n in range(1, SMALL.depth + 1)]
     plain = binary_system(SMALL, omegas)
-    conv = build_convolved(plain, "dim-one").as_moran_system()
+    conv = build_convolved(plain, "dim-one")
     return [toy_wide, plain, conv]
 
 
@@ -244,7 +244,7 @@ def test_build_convolved_weights_match_fraction_sums():
         csys = build_convolved(plain, "dim-one")
         for n, E in enumerate(csys.nu_sets, start=1):
             want = reference_convolve(plain.digit_sets[n - 1], plain.weights[n - 1], E)
-            assert (csys.sum_sets[n - 1], csys.weights[n - 1]) == want
+            assert (csys.digit_sets[n - 1], csys.weights[n - 1]) == want
 
 
 # --------------------------------------------------------------------------
@@ -263,13 +263,12 @@ def avoidance_cases(draw):
     kind = draw(st.sampled_from(["plain", "wide", "dim-one"]))
     sch = draw(st.sampled_from([TOY, SMALL]))
     if kind == "plain":
-        target = sampler = draw(plain_systems(sch))
+        target = draw(plain_systems(sch))
     elif kind == "wide":
-        target = sampler = draw(wide_systems(sch))
+        target = draw(wide_systems(sch))
     else:
         target = build_convolved(draw(plain_systems(sch)), "dim-one")
-        sampler = target.as_moran_system()
-    pt = sample_point(sampler, draw(st.integers(0, 2**64 - 1)), sampler.depth)
+    pt = sample_point(target, draw(st.integers(0, 2**64 - 1)), target.depth)
     x = pt.value
     if draw(st.integers(0, 9)) == 0:
         # any point of the depth grid; most lie outside the attractor
@@ -308,13 +307,13 @@ def test_avoidance_runs_certificate_fallback_and_fail():
     plain = mixed_denominator_systems()[1]
     conv = build_convolved(plain, "dim-one")
     certified = fallback = failed = 0
-    for target, sampler, j_max in (
-        (toy_wide, toy_wide, toy_wide.depth),
-        (plain, plain, plain.depth),
-        (conv, conv.as_moran_system(), len(conv.special_levels)),
+    for target, j_max in (
+        (toy_wide, toy_wide.depth),
+        (plain, plain.depth),
+        (conv, len(conv.special_levels)),
     ):
         for seed in range(6):
-            pt = sample_point(sampler, seed, sampler.depth)
+            pt = sample_point(target, seed, target.depth)
             for k in range(1, 40):
                 lo = Fraction(k, 40)
                 fresh = rebuild(target)  # a twin without a cached lo

@@ -5,14 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-import moranlab
 from moranlab import (
     InvalidParameter,
     MoranSystem,
     binary_system,
     build_convolved,
     build_schedule,
-    fourier,
 )
 from moranlab.dimension import ConvolvedSystem
 from moranlab.rng import cumulative_thresholds
@@ -33,11 +31,6 @@ def deep_schedule():
 @pytest.fixture(scope="module")
 def count20():
     return build_schedule(d=2, count=20)
-
-
-def test_fourier_reexports_the_system_classes():
-    assert fourier.MoranSystem is moranlab.MoranSystem is moranlab.system.MoranSystem
-    assert fourier.binary_system is moranlab.binary_system is moranlab.system.binary_system
 
 
 def test_binary_system_shares_one_digit_tuple_and_one_weight_pair(deep_schedule):
@@ -62,13 +55,12 @@ def test_dim_one_convolution_is_built_once_per_distinct_base(count20):
     csys = build_convolved(binary_system(count20, F(1, 2)), "dim-one")
     bases = count20.bases()
     assert csys.special_levels == tuple(range(1, csys.depth + 1))
-    for column in (csys.nu_sets, csys.sum_sets, csys.weights):
+    for column in (csys.nu_sets, csys.digit_sets, csys.weights):
         assert len({id(t) for t in column}) == len(set(bases)) == 20
         for n in range(1, csys.depth):
             # one tuple per block of equal bases
             assert (column[n] is column[n - 1]) == (bases[n] == bases[n - 1])
-    sampler = csys.as_moran_system()
-    assert len({id(t) for t in sampler._thresholds}) == 20
+    assert len({id(t) for t in csys._thresholds}) == 20
 
 
 def test_unshared_system_equals_the_shared_one(deep_schedule):
@@ -92,11 +84,11 @@ def test_unshared_convolution_equals_the_shared_one(count20):
         shared,
         base_sets=_unshared(shared.base_sets),
         nu_sets=_unshared(shared.nu_sets),
-        sum_sets=_unshared(shared.sum_sets),
+        digit_sets=_unshared(shared.digit_sets),
         weights=_unshared(shared.weights),
     )
     assert plain == shared
-    assert plain.as_moran_system()._thresholds == shared.as_moran_system()._thresholds
+    assert plain._thresholds == shared._thresholds
     assert plain.avoidance_lo == shared.avoidance_lo
     for depth in (0, 1, 17, shared.depth):
         mass = uniform_interval_mass(shared, depth)

@@ -161,7 +161,7 @@ def _system(kind: str) -> MoranSystem:
     if kind == "mixed":
         return binary_system(sch, [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)])
     if kind == "dim-one":
-        return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one").as_moran_system()
+        return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":
         w = (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))
         return MoranSystem(sch, ((0, 1, 2),) * sch.depth, (w,) * sch.depth)
@@ -330,7 +330,7 @@ def _window_system(kind: str) -> MoranSystem:
         return MoranSystem(toy, ((0, 1, 2), (0, 6), (0, 6)), ((third,) * 3, pair, pair))
     phi = GaugeFunction(kind="r_times_log_power", param=1.0)
     variant = {"dim-one": ("dim-one", None), "gauge": ("gauge", phi), "extreme": ("extreme", phi)}
-    return build_convolved(binary_system(sch, half), *variant[kind]).as_moran_system()
+    return build_convolved(binary_system(sch, half), *variant[kind])
 
 
 @pytest.mark.parametrize("kind", _WINDOW_KINDS)

@@ -26,7 +26,7 @@ def _non_binary_systems() -> dict[str, MoranSystem]:
         SCHEDULE, ((0, 1, 2),) * depth, ((Fraction(1, 5), Fraction(1, 2), Fraction(3, 10)),) * depth
     )
     dim_one = build_convolved(binary_system(SCHEDULE, Fraction(1, 3)), "dim-one")
-    return {"ternary": ternary, "dim-one": dim_one.as_moran_system()}
+    return {"ternary": ternary, "dim-one": dim_one}
 
 
 @pytest.mark.parametrize("omega", OMEGAS, ids=str)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the window verdict, the
 orders, the partition pass, the schedule check, the sampler, the orbit bins,
-the digit counts, the DEL sums, the digit-system checks, the custom gauge
-table and the command line.
+the digit counts, the DEL sums, the digit-system checks, the convolved
+systems' avoidance levels, the custom gauge table and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -13,7 +13,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run took 1 min 56 s on a shared 2-core x86-64 VM.
+test suite: a full run of 27 mutants took 1 min 57 s on a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -221,6 +221,22 @@ MUTANTS = {
         "            if not all(0 < v < math.inf for v in vs):  # NaN fails too\n",
         "            if False:\n",
         [f"{DIMENSION}::test_gauge_custom_table_outside_its_domain_is_rejected"],
+    ),
+    # a convolved system's dilations taken at the plain levels 2 .. j_max + 1,
+    # not at its special levels: the override is renamed away
+    "convolved-avoidance-as-plain": (
+        "src/moranlab/dimension.py",
+        "    def _avoidance_levels(self, j_max: int) -> tuple[int, ...]:\n",
+        "    def _unused_avoidance_levels(self, j_max: int) -> tuple[int, ...]:\n",
+        [f"{DIMENSION}::test_uniqueness_avoidance_convolved",
+         f"{SAMPLING}::test_avoidance_runs_certificate_fallback_and_fail"],
+    ),
+    # a special level 0 or past the depth accepted as it is
+    "special-level-range-unchecked": (
+        "src/moranlab/dimension.py",
+        "not (special_levels[0] >= 1 and special_levels[-1] <= depth)",
+        "False",
+        [f"{DIMENSION}::test_convolved_validation_errors"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
