@@ -35,11 +35,12 @@ from ._record import Record
 from .errors import (
     CounterexampleFound,
     GaugeTooSmall,
+    InvalidInterval,
     InvalidParameter,
     OutOfRange,
     ScheduleTooShort,
 )
-from .system import MoranSystem, _first_levels, _shared
+from .system import MoranSystem, _first_levels, _integer_weights, _shared
 from .radix import PrimeSchedule
 
 _LN2 = math.log(2.0)
@@ -233,13 +234,12 @@ def _convolve(
     base: tuple[int, ...], base_w: tuple[Fraction, ...], extra: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     # distribution of d + e with e uniform on `extra`, summed as integer
-    # numerators over lcm(weight denominators) * len(extra)
+    # numerators over the weights' one denominator times len(extra)
     if not extra:
         raise ZeroDivisionError("uniform weight on an empty set")
-    den = math.lcm(*(w.denominator for w in base_w))
+    den, numerators = _integer_weights(base_w)
     acc: dict[int, int] = {}
-    for d, w in zip(base, base_w):
-        a = w.numerator * (den // w.denominator)
+    for d, a in zip(base, numerators):
         for e in extra:
             acc[d + e] = acc.get(d + e, 0) + a
     den *= len(extra)
@@ -300,7 +300,9 @@ class ConvolvedSystem(MoranSystem):
     @cached_property
     def avoidance_lo(self) -> Fraction:
         """Left end 1/6 + max over special levels of max(F_n)/M_n of the
-        avoidance interval (lo, 1)."""
+        avoidance interval (lo, 1); InvalidInterval without special levels."""
+        if not self.special_levels:
+            raise InvalidInterval("no special levels, so the avoidance interval is undefined")
         bases = self.schedule.bases()
         # digit sets strictly increase, so the last sum is the largest
         tops = {(self.digit_sets[n - 1][-1], bases[n - 1]) for n in self.special_levels}

@@ -276,9 +276,10 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     levels past xi < P_n it can fit: the bound is evaluated only where
     t <= t_cut, once per certified frequency, and its own comparison with
     eps/2 still decides the cut. The levels come from the system's cached
-    table of (n, P_n, level, g_lo, g_hi), with the gain ends of {0,1} levels
-    and None for the others; {0,1} levels off r = 0 with c + pad < 1 and a
-    positive g_lo run inline with two gain products, the rest via _level_mask.
+    table of (n, P_n, level, g_lo, g_hi), with gain ends only where the
+    inline two-product kernel is exact, {0,1} levels with g_lo > 0. Those
+    run inline where c + pad < 1, the rest (r = 0 too, as c = 1) via
+    _level_mask.
     """
     if not isinstance(xi, int) or isinstance(xi, bool):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
@@ -308,10 +309,10 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
         past = xi < P
         r = xi if past else residues[n] if residues else xi % P
         t = r / P
-        if r and g_lo is not None and (c := cos(tau * t)) + pad < 1.0 and g_lo > 0.0:
-            # _binary_mask inlined. With c + pad < 1 and g_lo > 0 both 1 - cos
-            # ends are positive, and rounded products are monotone on positive
-            # operands, so the extreme gain products are g_lo o_lo and g_hi o_hi
+        if g_lo is not None and (c := cos(tau * t)) + pad < 1.0:
+            # _binary_mask inlined. With c + pad < 1 and the table's g_lo > 0
+            # both 1 - cos ends are positive, and rounded products are monotone
+            # on positive operands, so the extreme ones are g_lo o_lo, g_hi o_hi
             c_lo = c - pad
             o_lo = nextafter(1.0 - (c + pad), down)
             o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)

@@ -9,9 +9,6 @@ reimplementation can be checked against this one.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .errors import InvalidParameter
 
 _MASK = (1 << 64) - 1
@@ -41,32 +38,3 @@ def derive_seed(seed: int, index: int) -> int:
     """Per-item seed of a batch: seed XOR item index."""
     return (seed ^ index) & _MASK
 
-
-def cumulative_thresholds(weights: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """Cumulative weight boundaries scaled to the 64-bit range.
-
-    Threshold d is floor(2^64 * sum(weights[:d+1])); inversion picks the first
-    threshold above a uniform draw, so each cell's probability is within
-    2^-64 of its weight. The final threshold is forced to 2^64 so rounding
-    can never leave a draw unassigned. The sums are integer numerators over
-    the one denominator lcm of the weights' denominators.
-    """
-    if not weights:
-        raise InvalidParameter("at least one weight is required")
-    ws = []
-    for w in weights:
-        if not isinstance(w, Fraction):
-            w = Fraction(w)
-        if w.numerator <= 0:
-            raise InvalidParameter(f"weights must be positive, got {w}")
-        ws.append(w)
-    den = math.lcm(*(w.denominator for w in ws))
-    total = 0
-    out = []
-    for w in ws:
-        total += w.numerator * (den // w.denominator)
-        out.append((total << 64) // den)
-    if total != den:
-        raise InvalidParameter(f"weights must sum to 1, got {Fraction(total, den)}")
-    out[-1] = 1 << 64
-    return tuple(out)

@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-# modules, not names: fourier and rng run only when a table needs them
-from . import fourier, rng
+# a module, not names: fourier runs only when a transform table needs it
+from . import fourier
 from ._record import Record
 from .errors import InvalidParameter, OutOfRange
 from .radix import PrimeSchedule, middle_window
@@ -62,6 +63,13 @@ def _first_levels(*columns: Sequence) -> Iterator[tuple[int, tuple]]:
         if key not in seen:
             seen.add(key)
             yield n, args
+
+
+def _integer_weights(w: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, numerators) with w[i] = numerators[i] / den, den the lcm of the
+    denominators: for the weight check, _thresholds and the convolutions."""
+    den = math.lcm(*(x.denominator for x in w))
+    return den, [x.numerator * (den // x.denominator) for x in w]
 
 
 def _increasing_below(digits: Sequence[int], base: int) -> bool:
@@ -106,9 +114,8 @@ class MoranSystem(Record):
             for x in w:
                 if not isinstance(x, Fraction) or x.numerator <= 0:
                     raise InvalidParameter(f"level {n}: weights must be positive rationals")
-            # integer numerators over one common denominator
-            den = math.lcm(*(x.denominator for x in w))
-            total = sum(x.numerator * (den // x.denominator) for x in w)
+            den, numerators = _integer_weights(w)
+            total = sum(numerators)
             if total != den:
                 raise InvalidParameter(
                     f"level {n}: weights sum to {Fraction(total, den)}, not 1"
@@ -132,9 +139,11 @@ class MoranSystem(Record):
     @cached_property
     def _transform_levels(self) -> tuple:
         # mu_hat_modulus's loop table: (n, P_n, level, g_lo, g_hi) per level,
-        # with the gain ends of a {0,1} level and None for other levels
+        # with gain ends only where the inline two-product kernel is exact, a
+        # {0,1} level whose lower gain is positive, and None for other levels
         return tuple(
-            (n, P, level) + ((None, None) if level.gain is None else level.gain)
+            (n, P, level)
+            + ((None, None) if level.gain is None or level.gain[0] <= 0.0 else level.gain)
             for n, (P, level) in enumerate(
                 zip(self.schedule.prefix_products(), self._levels), start=1
             )
@@ -179,8 +188,15 @@ class MoranSystem(Record):
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[int, ...], ...]:
-        # per-level cumulative_thresholds, built on the first sample
-        return _shared(rng.cumulative_thresholds, self.weights)
+        # per level, built on the first sample: threshold d is
+        # floor(2^64 (w_0 + ... + w_d)) from the running integer total, the
+        # last forced to 2^64 so no 64-bit draw falls past it; a draw takes
+        # the first threshold above it, within 2^-64 of each digit's weight
+        def level(w: tuple[Fraction, ...]) -> tuple[int, ...]:
+            den, numerators = _integer_weights(w)
+            return (*((t << 64) // den for t in accumulate(numerators[:-1])), 1 << 64)
+
+        return _shared(level, self.weights)
 
     @cached_property
     def avoidance_lo(self) -> Fraction:

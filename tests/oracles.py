@@ -587,7 +587,9 @@ def reference_pick(u: int, thresholds) -> int:
 
 
 def reference_cumulative_thresholds(weights) -> tuple[int, ...]:
-    """rng.cumulative_thresholds with a running Fraction total."""
+    """One level of MoranSystem._thresholds, from a running Fraction total
+    in place of integer numerators over one denominator; it checks the
+    weights itself, where the system relies on its constructor."""
     from moranlab.errors import InvalidParameter
 
     if not weights:

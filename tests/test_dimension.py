@@ -18,6 +18,7 @@ from moranlab import (
     CounterexampleFound,
     GaugeFunction,
     GaugeTooSmall,
+    InvalidInterval,
     InvalidParameter,
     MoranSystem,
     NotInSupport,
@@ -374,6 +375,17 @@ def test_convolved_validation_errors(toy_schedule, toy_dimone):
             rebuild(toy_dimone, special_levels=levels)
     with pytest.raises(InvalidParameter):
         rebuild(toy_dimone, base_sets=toy_dimone.base_sets[:2])
+
+
+def test_avoidance_lo_without_special_levels_is_an_invalid_interval(toy_dimone):
+    # the constructor accepts an empty special level set; its avoidance
+    # interval is then undefined, an exit-3 error rather than a bare ValueError
+    none = rebuild(toy_dimone, special_levels=(), variant="gauge")
+    with pytest.raises(InvalidInterval, match="^no special levels, so the avoidance interval"):
+        none.avoidance_lo
+    assert InvalidInterval.exit_code == 3
+    one = rebuild(toy_dimone, special_levels=(2,))
+    assert one.avoidance_lo == F(1, 6) + F(one.digit_sets[1][-1], one.schedule.base_at(2))
 
 
 @pytest.mark.parametrize("name", ["med_dimone", "med_gauge"])

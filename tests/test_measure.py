@@ -24,7 +24,7 @@ from moranlab import (
     sample_point,
     uniqueness_avoidance,
 )
-from moranlab.rng import cumulative_thresholds
+from oracles import reference_cumulative_thresholds
 
 
 def _degenerate_system(sch: PrimeSchedule, digit: int) -> MoranSystem:
@@ -239,7 +239,7 @@ def test_threshold_table_per_level_and_out_of_equality_and_hash():
     b = binary_system(sch, omegas)
     before = hash(a)
     sample_point(a, seed=7, depth=3)
-    assert a._thresholds == tuple(cumulative_thresholds(w) for w in a.weights)
+    assert a._thresholds == tuple(reference_cumulative_thresholds(w) for w in a.weights)
     assert "_thresholds" in vars(a) and "_thresholds" not in vars(b)
     assert a == b and hash(a) == hash(b) == before
     assert "_thresholds" not in repr(a)

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from moranlab import InvalidParameter, derive_seed, value_at
-from oracles import reference_pick as pick
+from moranlab import InvalidParameter, MoranSystem, PrimeSchedule, derive_seed, value_at
+from oracles import reference_cumulative_thresholds, reference_pick as pick
 
-from moranlab.rng import cumulative_thresholds, mix64
+from moranlab.rng import mix64
+
+ONE_LEVEL = PrimeSchedule(d=1, q=(7,), ell=(1,))
+
+
+def thresholds(*weights):
+    """The sampler's thresholds of a one-level system with these weights."""
+    return MoranSystem(ONE_LEVEL, (tuple(range(len(weights))),), (weights,))._thresholds[0]
 
 # Reference outputs of the splitmix64 finalizer fed with seed + (i+1)*golden.
 # Frozen from an independent reimplementation of the published finalizer
@@ -40,15 +47,17 @@ def test_derive_seed_is_xor():
 
 
 def test_thresholds_partition_the_range():
-    t = cumulative_thresholds((Fraction(1, 2), Fraction(1, 2)))
+    t = thresholds(Fraction(1, 2), Fraction(1, 2))
     assert t == (1 << 63, 1 << 64)
-    t = cumulative_thresholds((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+    t = thresholds(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
     assert t[-1] == 1 << 64
     assert t[0] == (1 << 64) // 3
+    assert t == reference_cumulative_thresholds((Fraction(1, 3),) * 3)
+    assert thresholds(Fraction(1)) == (1 << 64,)
     with pytest.raises(InvalidParameter):
-        cumulative_thresholds((Fraction(1, 2), Fraction(1, 3)))
+        thresholds(Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(InvalidParameter):
-        cumulative_thresholds(())
+        thresholds()
 
 
 # pick is the reference inversion of oracles.py: measure.sample_point maps
@@ -56,7 +65,7 @@ def test_thresholds_partition_the_range():
 
 
 def test_pick_inverts_thresholds():
-    t = cumulative_thresholds((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+    t = thresholds(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     assert pick(0, t) == 0
     assert pick(t[0] - 1, t) == 0
     assert pick(t[0], t) == 1
@@ -66,7 +75,7 @@ def test_pick_inverts_thresholds():
 
 def test_pick_frequencies_near_weights():
     # 20k draws from a 1/4:3/4 split stay within 3 sigma of expectation
-    t = cumulative_thresholds((Fraction(1, 4), Fraction(3, 4)))
+    t = thresholds(Fraction(1, 4), Fraction(3, 4))
     n = 20_000
     ones = sum(pick(value_at(5, i), t) for i in range(n))
     expected = n * 3 / 4

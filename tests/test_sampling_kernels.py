@@ -2,8 +2,9 @@
 
 `sample_point` runs the splitmix64 finalizer once on every level's
 counter, each in its own 128-bit lane of one integer, and bisects the
-thresholds; `cumulative_thresholds`, `_convolve` and the weight check of
-`MoranSystem` sum integer numerators over one common denominator; `uniqueness_avoidance` rules a dilation out from one attractor
+thresholds; `MoranSystem._thresholds`, its weight check and `_convolve`
+sum integer numerators over one common denominator;
+`uniqueness_avoidance` rules a dilation out from one attractor
 digit before it takes an exact remainder. Each must give exactly what the
 reference in `oracles.py` gives: the same digits, thresholds, weights and
 verdicts, and the same exception with the same message.
@@ -20,6 +21,7 @@ from oracles import (
     reference_convolve,
     reference_cumulative_thresholds,
     reference_sample_point,
+    reference_system_error,
 )
 
 from moranlab import (
@@ -34,11 +36,17 @@ from moranlab import (
     uniqueness_avoidance,
 )
 from moranlab.dimension import _convolve
-from moranlab.rng import cumulative_thresholds, value_at
+from moranlab.rng import value_at
 
 SEEDS = (0, 1, 2**64 - 1)
 TOY = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
 SMALL = build_schedule(d=2, count=4)
+ONE_LEVEL = PrimeSchedule(d=1, q=(7,), ell=(1,))
+
+
+def one_level(weights):
+    """A one-level system on the digits 0 .. len(weights) - 1 with these weights."""
+    return MoranSystem(ONE_LEVEL, (tuple(range(len(weights))),), (weights,))
 
 
 def outcome(fn, *args):
@@ -153,7 +161,8 @@ def test_draw_on_a_threshold_takes_the_next_digit(seed):
     u = value_at(seed, 0)
     w = Fraction(u, 2**64)
     sysm = MoranSystem(TOY, ((0, 1), (0, 1), (0, 1)), ((w, 1 - w),) + ((Fraction(1, 2),) * 2,) * 2)
-    assert cumulative_thresholds(sysm.weights[0])[0] == u
+    assert sysm._thresholds[0][0] == u
+    assert sysm._thresholds[0] == reference_cumulative_thresholds(sysm.weights[0])
     assert sample_point(sysm, seed, 1) == reference_sample_point(sysm, seed, 1)
     assert sample_point(sysm, seed, 1).digits == (1,)
 
@@ -166,13 +175,13 @@ def test_sample_point_matches_reference_on_random_systems(data, seed):
 
 
 # --------------------------------------------------------------------------
-# cumulative_thresholds and the weight check
+# the system's thresholds and the weight check
 
 
 @settings(max_examples=200, deadline=None)
 @given(weights=weight_lists())
 def test_cumulative_thresholds_match_fraction_sums(weights):
-    assert cumulative_thresholds(weights) == reference_cumulative_thresholds(weights)
+    assert one_level(weights)._thresholds == (reference_cumulative_thresholds(weights),)
 
 
 @pytest.mark.parametrize(
@@ -192,8 +201,12 @@ def test_cumulative_thresholds_match_fraction_sums(weights):
     ],
 )
 def test_cumulative_thresholds_errors_and_coercions_match(weights):
-    got = outcome(cumulative_thresholds, weights)
-    assert got == outcome(reference_cumulative_thresholds, weights)
+    # thresholds exist only on a system, whose constructor coerces nothing:
+    # every case is rejected, with the message of the full per-level check,
+    # before any threshold is built
+    error = reference_system_error(ONE_LEVEL, (tuple(range(len(weights))),), (weights,))
+    assert error is not None
+    assert outcome(lambda: one_level(weights)._thresholds) == (InvalidParameter, error)
 
 
 SMALL_FRACTIONS = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))

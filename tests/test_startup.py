@@ -78,11 +78,10 @@ def config(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command", sorted(RUNS))
-def test_subcommand_runs_only_its_modules(tmp_path, config, command):
-    out = str(tmp_path / "out")
+def _probe(tmp_path, command: str, config: str) -> dict:
+    """The probe's report of one subcommand run on this config file."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, command, "--config", config, "--out", out],
+        [sys.executable, "-c", _PROBE, command, "--config", config, "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
         env=ENV,
@@ -90,6 +89,18 @@ def test_subcommand_runs_only_its_modules(tmp_path, config, command):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == 0, proc.stderr
+    return result
+
+
+def _config_with(tmp_path, section: str, values: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(CONFIG, **{section: values})))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_subcommand_runs_only_its_modules(tmp_path, config, command):
+    result = _probe(tmp_path, command, config)
     forbidden = FORBIDDEN + (NO_FRACTIONS if command == "schedule" else ())
     assert [m for m in result["loaded"] if m in forbidden] == []
     assert set(result["ran"]) == RUNS[command]
@@ -98,18 +109,15 @@ def test_subcommand_runs_only_its_modules(tmp_path, config, command):
 def test_del_block_report_runs_numtheory(tmp_path):
     # the block report's context and constants come from numtheory, which
     # delsum reaches as a lazy module; del_partial alone never runs it
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(CONFIG, **{"del": {"N_max": 2, "r_lo": 1, "r_hi": 1}})))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, "del", "--config", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=ENV,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["rc"] == 0, proc.stderr
-    assert set(result["ran"]) == RUNS["del"] | {"numtheory"}
+    config = _config_with(tmp_path, "del", {"N_max": 2, "r_lo": 1, "r_hi": 1})
+    assert set(_probe(tmp_path, "del", config)["ran"]) == RUNS["del"] | {"numtheory"}
+
+
+def test_fourier_with_given_frequencies_skips_rng(tmp_path):
+    # rng only draws the frequencies: with fourier.xis given, the command
+    # runs radix, system and fourier alone
+    config = _config_with(tmp_path, "fourier", {"xis": [1, 7, 847]})
+    assert set(_probe(tmp_path, "fourier", config)["ran"]) == RUNS["fourier"] - {"rng"}
 
 
 def test_tracer_wraps_every_span(tmp_path, config):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the window verdict, the
-orders, the partition pass, the schedule check, the sampler, the orbit bins,
-the digit counts, the DEL sums, the digit-system checks, the convolved
-systems' avoidance levels, the custom gauge table and the command line.
+orders, the partition pass, the schedule check, the sampler and its
+thresholds, the orbit bins, the digit counts, the DEL sums, the digit-system
+checks, the convolved systems' avoidance data, the custom gauge table and the
+command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -13,7 +14,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 27 mutants took 1 min 57 s on a shared 2-core x86-64 VM.
+test suite: a full run of 30 mutants took 1 min 41 s on a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ CLI = "tests/test_cli.py"
 STARTUP = "tests/test_startup.py"
 DIST = "tests/test_distribution.py"
 SAMPLING = "tests/test_sampling_kernels.py"
+RNG = "tests/test_rng.py"
 NORMALITY = "tests/test_normality_kernel.py"
 DEL = "tests/test_delsum.py"
 SYSTEM = "tests/test_system.py"
@@ -51,6 +53,14 @@ MUTANTS = {
         "    return _float_at(lo)\n",
         "    return _float_at(lo - 1)\n",
         [f"{TABLES}::test_tail_cut_is_the_threshold"],
+    ),
+    # a {0,1} level whose lower gain is not positive routed to the inline
+    # two-product kernel, which is exact only for a positive g_lo
+    "zero-gain-routed-inline": (
+        "src/moranlab/system.py",
+        "if level.gain is None or level.gain[0] <= 0.0 else",
+        "if level.gain is None else",
+        [f"{PLAN}::test_fused_loop_zero_lower_gain"],
     ),
     # g_hi and g_lo trade places in the loop table
     "gain-ends-swapped": (
@@ -128,6 +138,18 @@ MUTANTS = {
         [f"{DIST}::test_residue_recurrence_matches_running_powers",
          f"{DIST}::test_partition_fibers_match_pi_map",
          f"{DIST}::test_fiber_counts_matches_digit_rows"],
+    ),
+    # each level's last threshold one short of 2^64, so the top draw
+    # 2^64 - 1 falls past every digit. Only a wrong forced end can show:
+    # the weight check makes the running total end at the denominator, so
+    # a computed last threshold would be 2^64 as well
+    "thresholds-last-not-forced": (
+        "src/moranlab/system.py",
+        "numerators[:-1])), 1 << 64)",
+        "numerators[:-1])), (1 << 64) - 1)",
+        [f"{RNG}::test_thresholds_partition_the_range",
+         f"{SAMPLING}::test_cumulative_thresholds_match_fraction_sums",
+         f"{SYSTEM}::test_unshared_system_equals_the_shared_one"],
     ),
     # the finalizer's first shift not masked to its lane: the next level's
     # low bits land in the lane's upper half, and the multiplication carries
@@ -230,6 +252,14 @@ MUTANTS = {
         "    def _unused_avoidance_levels(self, j_max: int) -> tuple[int, ...]:\n",
         [f"{DIMENSION}::test_uniqueness_avoidance_convolved",
          f"{SAMPLING}::test_avoidance_runs_certificate_fallback_and_fail"],
+    ),
+    # a convolved system without special levels reads avoidance_lo as
+    # max() of nothing, a bare ValueError
+    "avoidance-lo-special-levels-unchecked": (
+        "src/moranlab/dimension.py",
+        "        if not self.special_levels:\n",
+        "        if False:\n",
+        [f"{DIMENSION}::test_avoidance_lo_without_special_levels_is_an_invalid_interval"],
     ),
     # a special level 0 or past the depth accepted as it is
     "special-level-range-unchecked": (
