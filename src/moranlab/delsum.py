@@ -167,26 +167,6 @@ class BlockRow(Record):
     _defaults = {"flag": "asymptotic-regime-only"}
 
 
-def _context_for(
-    sys: MoranSystem, b: int, h: int, ctx: numtheory.BaseContext | None
-) -> numtheory.BaseContext:
-    if ctx is not None:
-        if (ctx.b, ctx.h) != (b, h):
-            raise InvalidParameter(f"ctx is for (b, h) = ({ctx.b}, {ctx.h}), not ({b}, {h})")
-        # d and variant change no digit, so only q and ell must agree
-        sch, other = sys.schedule, ctx.schedule
-        if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):
-            raise InvalidParameter(
-                f"context is for the schedule q = {other.q}, ell = {other.ell}, "
-                f"not q = {sch.q}, ell = {sch.ell}"
-            )
-        return ctx
-    if not sys.is_binary:
-        raise InvalidParameter("pass an explicit context for non-binary digit systems")
-    omegas = sys.binary_omegas()
-    return numtheory.build_context(b, h, sys.schedule, weights=(min(omegas), max(omegas)))
-
-
 def block_trend(
     sys: MoranSystem,
     b: int,
@@ -194,7 +174,6 @@ def block_trend(
     r_range: Iterable[int],
     m_values: Sequence[int] = (0,),
     *,
-    ctx: numtheory.BaseContext | None = None,
     eps: float = 1e-9,
 ) -> tuple[BlockRow, ...]:
     """Per-block sums sum_{n=m+1}^{N_r - 1} |mu_hat(h(b^n - b^m))| next to the
@@ -202,11 +181,15 @@ def block_trend(
     r0+1 .. r.
 
     Every row is flagged: the bound's constants hold for r >= r1, far beyond
-    any enumerable block, so the pairing is a trend diagnostic only.
+    any enumerable block, so the pairing is a trend diagnostic only. The
+    context (orders, gamma, free-suffix lengths) is built from the system's
+    own schedule and {0,1} weights, so only binary systems have one.
     """
-    context = _context_for(sys, b, h, ctx)
+    if not sys.is_binary:
+        raise InvalidParameter("block trends are defined for binary digit systems only")
+    sch, omegas = sys.schedule, sys.binary_omegas()
+    context = numtheory.build_context(b, h, sch, weights=(min(omegas), max(omegas)))
     A, B = asymptotic_constants(context.gamma)
-    sch = sys.schedule
     rows: list[BlockRow] = []
     for r in r_range:
         if not 1 <= r <= len(sch.q):

@@ -55,42 +55,25 @@ def _ln_fraction(r: Fraction) -> float:
 # gauge functions
 
 
+# the decade grid r = 10^-k of GaugeFunction.vanishing_ratio_check
+_DECADES = tuple(range(3, 121, 3))
+
+
 class GaugeFunction(Record):
     """phi(r), evaluated in double precision at exact rational arguments.
 
-    kinds: power(s) for r^s; r_times_log_power(c) for r (log 1/r)^c;
-    r_times_H(c) for r exp(c (log(1/r) / loglog(1/r))^(1/4)); custom for a
-    log-log interpolated table of (r, phi(r)) points.
+    Three kinds: power(s) for r^s; r_times_log_power(c) for r (log 1/r)^c;
+    r_times_H(c) for r exp(c (log(1/r) / loglog(1/r))^(1/4)).
     """
 
-    _fields = ("kind", "param", "table")
+    _fields = ("kind", "param")
 
-    def __init__(
-        self,
-        kind: str,
-        param: float = 1.0,
-        table: tuple[tuple[Fraction, float], ...] | None = None,
-    ) -> None:
-        if kind not in ("power", "r_times_log_power", "r_times_H", "custom"):
+    def __init__(self, kind: str, param: float = 1.0) -> None:
+        if kind not in ("power", "r_times_log_power", "r_times_H"):
             raise InvalidParameter(f"unknown gauge kind {kind!r}")
-        if kind == "custom":
-            if not table or len(table) < 2:
-                raise InvalidParameter("custom gauge needs a table of at least 2 points")
-            rs = [Fraction(r) for r, _ in table]
-            vs = [v for _, v in table]
-            if any(a >= b for a, b in zip(rs, rs[1:])):
-                raise InvalidParameter("custom table r values must strictly increase")
-            if any(a >= b for a, b in zip(vs, vs[1:])) or any(v <= 0 for v in vs):
-                raise InvalidParameter("custom gauge must be positive and increasing")
-            if not 0 < rs[0] < rs[-1] <= 1:  # rs increases, so the ends suffice
-                raise InvalidParameter(
-                    f"custom table r values must lie in (0, 1], got {rs[0]} .. {rs[-1]}"
-                )
-            if not all(0 < v < math.inf for v in vs):  # NaN fails too
-                raise InvalidParameter("custom gauge values must be finite")
-        elif not 0 < param < math.inf:  # NaN fails too
+        if not 0 < param < math.inf:  # NaN fails too
             raise InvalidParameter(f"gauge parameter must be positive and finite, got {param}")
-        self.__dict__.update(kind=kind, param=param, table=table)
+        self.__dict__.update(kind=kind, param=param)
 
     def log_value(self, r: Fraction) -> float:
         """ln phi(r); safe where phi underflows double precision."""
@@ -100,37 +83,25 @@ class GaugeFunction(Record):
         ln_r = _ln_fraction(r)
         if self.kind == "power":
             return self.param * ln_r
+        L = -ln_r
         if self.kind == "r_times_log_power":
-            L = -ln_r
             if L <= 1.0:
                 raise OutOfRange(f"r = {r} too large for a log-power gauge")
             return ln_r + self.param * math.log(L)
-        if self.kind == "r_times_H":
-            L = -ln_r
-            if L <= math.e:
-                raise OutOfRange(f"r = {r} too large for an H-adjusted gauge")
-            return ln_r + self.param * (L / math.log(L)) ** 0.25
-        lo = self.table[0][0]
-        hi = self.table[-1][0]
-        if not lo <= r <= hi:
-            raise OutOfRange(f"r = {r} outside the custom table [{lo}, {hi}]")
-        for (r0, v0), (r1, v1) in zip(self.table, self.table[1:]):
-            if r <= r1:
-                x0, x1 = _ln_fraction(Fraction(r0)), _ln_fraction(Fraction(r1))
-                t = 0.0 if x1 == x0 else (_ln_fraction(r) - x0) / (x1 - x0)
-                return math.log(v0) + t * (math.log(v1) - math.log(v0))
-        raise OutOfRange(f"r = {r} not located in the custom table")
+        if L <= math.e:
+            raise OutOfRange(f"r = {r} too large for an H-adjusted gauge")
+        return ln_r + self.param * (L / math.log(L)) ** 0.25
 
     def value(self, r: Fraction) -> float:
         return math.exp(self.log_value(r))
 
-    def vanishing_ratio_check(self, decades: Sequence[int] = tuple(range(3, 121, 3))) -> bool:
+    def vanishing_ratio_check(self) -> bool:
         """Necessary condition for r/phi(r) -> 0, checked on the decade grid
-        r = 10^-k: the log ratio must strictly decrease and lose at least 0.1
-        over the grid (a constant ratio fails both)."""
+        r = 10^-k, k = 3, 6, ..., 120: the log ratio must strictly decrease
+        and lose at least 0.1 over the grid (a constant ratio fails both)."""
         logs = [
             _ln_fraction(Fraction(1, 10**k)) - self.log_value(Fraction(1, 10**k))
-            for k in decades
+            for k in _DECADES
         ]
         decreasing = all(a > b for a, b in zip(logs, logs[1:]))
         return decreasing and logs[0] - logs[-1] >= 0.1
@@ -173,7 +144,6 @@ class SparseCertificate(Record):
 def sparse_index_set(
     log_g: Callable[[Fraction], float],
     sch: PrimeSchedule,
-    depth: int | None = None,
 ) -> SparseCertificate:
     """Build N = {h(r_k) + 1} so that 2^(#A_r) <= g(r) on the band-top grid.
 
@@ -189,11 +159,8 @@ def sparse_index_set(
     holds down the chain. The certificate rows re-verify this against the raw
     g at every band top.
     """
-    if depth is None:
-        depth = sch.depth
-    if not 1 <= depth <= sch.depth:
-        raise OutOfRange(f"depth {depth} outside 1 .. {sch.depth}")
-    raw = [log_g(Fraction(1, P)) for P in sch.prefix_products(depth)]
+    depth = sch.depth
+    raw = [log_g(Fraction(1, P)) for P in sch.prefix_products()]
     env = raw.copy()
     for i in range(depth - 2, -1, -1):
         env[i] = min(env[i], env[i + 1])

@@ -19,7 +19,7 @@ import json
 import operator
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ._record import Record
 from .errors import (
@@ -151,14 +151,9 @@ class PrimeSchedule(Record):
         # cached_property is no field, so it stays out of eq/hash/repr
         return tuple(accumulate(self._bases, operator.mul, initial=1))
 
-    def prefix_products(self, count: int | None = None) -> tuple[int, ...]:
-        """The sequence P_1..P_count with P_n = M_1*...*M_n (full depth when
-        count is omitted)."""
-        if count is None:
-            count = self.depth
-        if not 0 <= count <= self.depth:
-            raise OutOfRange(f"requested {count} prefix products, schedule covers {self.depth}")
-        return self._prefix[1 : count + 1]
+    def prefix_products(self) -> tuple[int, ...]:
+        """The sequence P_1..P_depth with P_n = M_1*...*M_n."""
+        return self._prefix[1:]
 
     def prefix_product(self, n: int) -> int:
         """M_1 * ... * M_n exactly (1 for n = 0)."""
@@ -187,7 +182,6 @@ def build_schedule(
     count: int,
     variant: str = "nth-prime-from-7",
     offset: int | None = None,
-    ell: Sequence[int] | None = None,
 ) -> PrimeSchedule:
     """Generate a schedule of `count` primes.
 
@@ -198,8 +192,8 @@ def build_schedule(
         integer standing in for a shift far too large to compute with; any
         output derived from such a schedule is flagged as offset-shifted.
 
-    Multiplicities default to ell_r = r^(d-1), so d=1 gives the flat schedule
-    and d=2 the linearly growing one; pass `ell` explicitly for anything else.
+    Multiplicities are ell_r = r^(d-1), so d=1 gives the flat schedule and
+    d=2 the linearly growing one; PrimeSchedule(d, q, ell) takes any other.
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise InvalidParameter(f"count must be a positive integer, got {count!r}")
@@ -228,13 +222,8 @@ def build_schedule(
     else:
         raise InvalidParameter(f"unknown schedule variant {variant!r}")
 
-    if ell is None:
-        ell_t = tuple(r ** (d - 1) for r in range(1, count + 1))
-    else:
-        ell_t = tuple(ell)
-        if len(ell_t) != count:
-            raise InvalidParameter("explicit ell must match count")
-    return PrimeSchedule(d=d, q=tuple(q), ell=ell_t, variant=tag)
+    ell = tuple(r ** (d - 1) for r in range(1, count + 1))
+    return PrimeSchedule(d=d, q=tuple(q), ell=ell, variant=tag)
 
 
 def middle_window(q: int) -> tuple[int, int]:
@@ -257,8 +246,11 @@ class MixedRadixDigits(Record):
         if len(digits) != len(bases):
             raise InvalidParameter("digit and base strings must have equal length")
         for i, (dgt, b) in enumerate(zip(digits, bases)):
-            if not 0 <= dgt <= b - 1:
-                raise InvalidParameter(f"digit {dgt} at index {i} outside 0..{b - 1}")
+            # the class test rejects bool and every non-integer type at once
+            if dgt.__class__ is not int or not 0 <= dgt < b:
+                raise InvalidParameter(
+                    f"digit {dgt!r} at index {i} is not an integer in 0..{b - 1}"
+                )
         self.__dict__.update(digits=digits, bases=bases)
 
     def __len__(self) -> int:
@@ -285,8 +277,10 @@ def to_digits(N: int, s: PrimeSchedule, length: int | None = None) -> MixedRadix
     exactly `length` digits.  ScheduleTooShort if the requested window cannot
     represent N.
     """
-    if N < 0:
-        raise InvalidParameter(f"digits are defined for N >= 0, got {N}")
+    if isinstance(N, bool) or not isinstance(N, int) or N < 0:
+        raise InvalidParameter(f"digits are defined for integers N >= 0, got {N!r}")
+    if length is not None and (isinstance(length, bool) or not isinstance(length, int)):
+        raise InvalidParameter(f"length must be an integer or None, got {length!r}")
     limit = s.depth if length is None else length
     if length is not None and not 0 <= length <= s.depth:
         raise ScheduleTooShort(f"requested {length} digits, schedule covers {s.depth}")

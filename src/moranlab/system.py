@@ -221,6 +221,14 @@ class MoranSystem(Record):
 _BINARY_DIGITS = (0, 1)
 
 
+def _omega(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int)):
+        raise InvalidParameter(
+            f"omega must be a Fraction, an int or a list or tuple of them, got {value!r}"
+        )
+    return Fraction(value)
+
+
 def binary_system(
     schedule: PrimeSchedule,
     omega: Fraction | Sequence[Fraction] = Fraction(1, 2),
@@ -230,12 +238,12 @@ def binary_system(
     All levels share one digit tuple, and levels with equal omega share one
     weight pair."""
     depth = schedule.depth
-    if isinstance(omega, (Fraction, int)):
-        omegas = [Fraction(omega)] * depth
+    if isinstance(omega, (list, tuple)):
+        if len(omega) != depth:
+            raise InvalidParameter(f"need {depth} weights, got {len(omega)}")
+        omegas = [_omega(o) for o in omega]
     else:
-        omegas = [Fraction(o) for o in omega]
-        if len(omegas) != depth:
-            raise InvalidParameter(f"need {depth} weights, got {len(omegas)}")
+        omegas = [_omega(omega)] * depth
     pairs: dict[Fraction, tuple[Fraction, Fraction]] = {}
 
     def pair(o: Fraction) -> tuple[Fraction, Fraction]:

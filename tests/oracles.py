@@ -667,7 +667,7 @@ def reference_avoidance(x, sys, j_max: int):
     elif isinstance(sys, MoranSystem):
         if j_max > sys.depth:
             raise OutOfRange(f"j_max = {j_max} exceeds the schedule depth {sys.depth}")
-        dilations = sch.prefix_products(j_max)
+        dilations = sch.prefix_products()[:j_max]
     else:
         raise InvalidParameter(f"unsupported system type {type(sys).__name__}")
     digit_sets = sys.digit_sets

@@ -1541,3 +1541,14 @@ def test_section_a_command_does_not_read_is_not_checked(tmp_path, capsys):
     path = cfg_file(tmp_path, {"fourier": {"xi_count": "a", "out": 3}, "dimension": 3})
     rc, _, err = run(capsys, "schedule", "--config", path, "--out", str(tmp_path))
     assert rc == 0, err
+
+
+def test_custom_gauge_kind_is_unknown(tmp_path, capsys):
+    # a gauge is a kind and a parameter; "custom" named a table, which no
+    # config key could ever give
+    gauge = {"kind": "custom", "param": 1.0}
+    path = cfg_file(tmp_path, {"dimension": {"samples": 1, "variant": "gauge", "gauge": gauge}})
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == "error: unknown gauge kind 'custom'\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())

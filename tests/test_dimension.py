@@ -128,19 +128,6 @@ def test_gauge_constructor_rejections():
     for value in (math.inf, math.nan):
         with pytest.raises(InvalidParameter, match="gauge parameter must be positive and finite"):
             GaugeFunction("r_times_log_power", value)
-    with pytest.raises(InvalidParameter):
-        GaugeFunction("custom")
-    with pytest.raises(InvalidParameter):
-        GaugeFunction("custom", table=((F(1, 10), 0.1),))
-    with pytest.raises(InvalidParameter):
-        # r values must strictly increase
-        GaugeFunction("custom", table=((F(1, 10), 0.1), (F(1, 10), 0.2)))
-    with pytest.raises(InvalidParameter):
-        # values must stay positive
-        GaugeFunction("custom", table=((F(1, 100), -0.1), (F(1, 10), 0.2)))
-    with pytest.raises(InvalidParameter):
-        # values must increase
-        GaugeFunction("custom", table=((F(1, 100), 0.3), (F(1, 10), 0.2)))
 
 
 def test_gauge_domain_errors():
@@ -158,43 +145,12 @@ def test_gauge_domain_errors():
     assert GaugeFunction("r_times_H", 1.0).log_value(F(1, 16)) < 0
 
 
-@pytest.mark.parametrize(
-    "table, message",
-    [
-        pytest.param(((F(1, 100), math.nan), (F(1, 10), 0.5)), "finite", id="nan-value"),
-        pytest.param(((F(1, 100), 0.1), (F(1, 10), math.inf)), "finite", id="inf-value"),
-        pytest.param(((F(0), 0.1), (F(1, 10), 0.5)), r"\(0, 1\]", id="r-zero"),
-        pytest.param(((F(1, 10), 0.1), (F(2), 0.5)), r"\(0, 1\]", id="r-past-one"),
-    ],
-)
-def test_gauge_custom_table_outside_its_domain_is_rejected(table, message):
-    # each of these used to construct, then evaluate to nan or inf, or raise
-    # a bare math domain error at r = 0
-    with pytest.raises(InvalidParameter, match=message) as info:
-        GaugeFunction("custom", table=table)
-    assert info.value.exit_code == 2
-
-
-def test_gauge_custom_interpolates_loglog():
-    table = ((F(1, 10000), 1e-4), (F(1, 100), 1e-2), (F(1), 1.0))
-    phi = GaugeFunction("custom", table=table)
-    for r, v in table:
-        assert phi.value(r) == pytest.approx(v, rel=1e-9)
-    # geometric midpoint of the first segment
-    assert phi.value(F(1, 1000)) == pytest.approx(1e-3, rel=1e-9)
-    with pytest.raises(OutOfRange):
-        phi.log_value(F(1, 20000))
-
-
 def test_vanishing_ratio_check():
     assert GaugeFunction("power", 0.5).vanishing_ratio_check()
     assert GaugeFunction("r_times_log_power", 1.0).vanishing_ratio_check()
     assert GaugeFunction("r_times_H", 1.0).vanishing_ratio_check()
     # phi(r) = r keeps r/phi constant, which must fail
     assert not GaugeFunction("power", 1.0).vanishing_ratio_check()
-    table = ((F(1, 10**130), 1e-130), (F(1, 100), 1e-2), (F(1), 1.0))
-    assert not GaugeFunction("custom", table=table).vanishing_ratio_check()
-    assert GaugeFunction("power", 0.5).vanishing_ratio_check(decades=(3, 6))
 
 
 # --------------------------------------------------------------------------
@@ -231,17 +187,20 @@ def test_sparse_index_set_gauge_too_small(medium_schedule):
         sparse_index_set(lambda r: 0.0, medium_schedule)
     # a single shallow band is not enough for the log gauge either
     with pytest.raises(GaugeTooSmall):
-        sparse_index_set(_log_log_gauge, medium_schedule, depth=1)
+        sparse_index_set(_log_log_gauge, PrimeSchedule(d=2, q=(7,), ell=(1,)))
 
 
 def test_sparse_index_set_depth_argument(medium_schedule):
-    cert = sparse_index_set(_log_log_gauge, medium_schedule, depth=5)
+    # the certificate runs to the schedule's depth: the first 5 levels of the
+    # medium schedule keep the special levels up to 5 and one row per level
+    short = PrimeSchedule(d=2, q=(7, 11, 13), ell=(1, 2, 2))
+    assert short.bases() == medium_schedule.bases(5)
+    cert = sparse_index_set(_log_log_gauge, short)
     assert cert.levels == (3, 5)
     assert len(cert.rows) == 5
+    # a gauge undefined at the shallowest band top (log 7 < e) raises its own error
     with pytest.raises(OutOfRange):
-        sparse_index_set(_log_log_gauge, medium_schedule, depth=0)
-    with pytest.raises(OutOfRange):
-        sparse_index_set(_log_log_gauge, medium_schedule, depth=29)
+        sparse_index_set(GaugeFunction("r_times_H", 1.0).log_value, short)
 
 
 # --------------------------------------------------------------------------

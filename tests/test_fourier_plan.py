@@ -111,7 +111,7 @@ def test_prefix_products_are_odd():
     # _level_mask needs no exact-half path
     schedules = [build_schedule(d=d, count=c) for d in (1, 2, 3) for c in (1, 5, 12)]
     schedules += [build_schedule(d=1, count=6, variant="cube-window", offset=k) for k in (1, 4)]
-    schedules += [build_schedule(d=2, count=3, ell=(2, 1, 5))]
+    schedules += [PrimeSchedule(d=2, q=(7, 11, 13), ell=(2, 1, 5))]
     schedules += [PrimeSchedule(d=1, q=q, ell=(1,) * len(q)) for q in ((7,), (7, 11), (11, 101, 103))]
     for sch in schedules:
         assert sch.q[0] >= 7
@@ -208,7 +208,7 @@ def test_mu_hat_brackets_mpmath_oracle_near_one(kind):
     # xi = P_N - s leaves the argument r / P_N within about 2^-60 of 1 at level
     # N; levels deeper than depth - 5 leave too little schedule for the tail
     sysm = _system(kind, 2)
-    for P in sysm.schedule.prefix_products(sysm.depth - 5):
+    for P in sysm.schedule.prefix_products()[: sysm.depth - 5]:
         if P < 2**60:
             continue
         for xi in (P - 1, P - 2, P - (P >> 60)):

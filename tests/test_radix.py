@@ -119,12 +119,9 @@ def test_prefix_products_toy(toy_schedule):
     assert toy_schedule.N == (1, 7, 847)
     assert toy_schedule.L == (0, 1, 3)
     assert toy_schedule.prefix_products() == (7, 77, 847)
-    assert toy_schedule.prefix_products(0) == ()
     for bad in (-1, 4):
         with pytest.raises(OutOfRange):
             toy_schedule.prefix_product(bad)
-        with pytest.raises(OutOfRange):
-            toy_schedule.prefix_products(bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,7 +130,7 @@ def test_prefix_product_is_product_of_bases(d, count):
     sch = build_schedule(d=d, count=count)
     for n in range(sch.depth + 1):
         assert sch.prefix_product(n) == math.prod(sch.bases(n))
-        assert sch.prefix_products(n) == tuple(sch.prefix_product(k) for k in range(1, n + 1))
+        assert sch.prefix_products()[:n] == tuple(sch.prefix_product(k) for k in range(1, n + 1))
 
 
 def test_prefix_table_stays_out_of_equality_and_hash():
@@ -250,13 +247,21 @@ def test_partial_products_recursion(d, count):
                      id="build-schedule-d-bool"),
         pytest.param(lambda sch: build_schedule(d=1, count=True), InvalidParameter, 2,
                      id="build-schedule-count-bool"),
-        pytest.param(lambda sch: build_schedule(d=1, count=2, ell=(1, True)), InvalidParameter, 2,
-                     id="build-schedule-ell-bool"),
         pytest.param(lambda sch: sch.bases(4), OutOfRange, 3, id="bases-past-the-depth"),
-        pytest.param(lambda sch: build_schedule(d=1, count=2, ell=(1,)), InvalidParameter, 2,
-                     id="build-schedule-ell-length"),
         pytest.param(lambda sch: to_digits(5, sch, length=4), ScheduleTooShort, 3,
                      id="to-digits-length-past-the-depth"),
+        # a float N was written out as its own digit, a bool read as 0 or 1,
+        # and a float length ended in a bare TypeError
+        pytest.param(lambda sch: to_digits(3.5, sch), InvalidParameter, 2,
+                     id="to-digits-float"),
+        pytest.param(lambda sch: to_digits(True, sch), InvalidParameter, 2,
+                     id="to-digits-bool"),
+        pytest.param(lambda sch: to_digits(5, sch, 2.0), InvalidParameter, 2,
+                     id="to-digits-float-length"),
+        pytest.param(lambda sch: MixedRadixDigits(digits=(3.5,), bases=(7,)), InvalidParameter, 2,
+                     id="digits-float"),
+        pytest.param(lambda sch: MixedRadixDigits(digits=(True,), bases=(7,)), InvalidParameter,
+                     2, id="digits-bool"),
     ],
 )
 def test_caller_errors(toy_schedule, call, error, code):

@@ -108,7 +108,7 @@ CASES = {
     ),
     "GaugeFunction": (
         lambda: GaugeFunction("power", 0.5),
-        "GaugeFunction(kind='power', param=0.5, table=None)",
+        "GaugeFunction(kind='power', param=0.5)",
     ),
     "SparseCertificate": (
         lambda: SparseCertificate(levels=(2,), rows=((1, 0, 0.0, -1.0, False),)),

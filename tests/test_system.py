@@ -148,6 +148,12 @@ def test_binary_system_omega_errors_name_the_first_bad_value(count20):
         binary_system(count20, omegas)
     with pytest.raises(InvalidParameter, match=r"got 1$"):
         binary_system(count20, 1)
+    # a value of another type is named as it was given; a bool is no integer
+    last_float = [F(1, 2)] * (depth - 1) + [0.5]
+    for bad, named in (("1/2", "1/2"), (0.5, 0.5), (None, None), (True, True), (last_float, 0.5)):
+        with pytest.raises(InvalidParameter, match="omega must be a Fraction, an int") as info:
+            binary_system(count20, bad)
+        assert str(info.value).endswith(f"got {named!r}")
 
 
 def test_convolved_level_checks_run_on_every_distinct_level(toy_schedule):
@@ -171,6 +177,17 @@ _HALF = (F(1, 2), F(1, 2))
         ),
         pytest.param(lambda sch: binary_system(sch, [F(1, 2)] * 2), InvalidParameter, 2,
                      id="binary-system-omega-count"),
+        # a string was iterated character by character, a float or None
+        # ended in a bare TypeError, and a float or string inside a list was
+        # converted to a Fraction
+        *[
+            pytest.param(lambda sch, omega=omega: binary_system(sch, omega), InvalidParameter, 2,
+                         id=f"binary-system-omega-{label}")
+            for label, omega in (
+                ("string", "1/2"), ("float", 0.5), ("none", None),
+                ("float-in-list", [F(1, 2), 0.5, F(1, 2)]), ("string-in-tuple", ("1/2",) * 3),
+            )
+        ],
     ],
 )
 def test_caller_errors(toy_schedule, call, error, code):

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Mutation check for the tests of the transform, the window verdict, the
-orders, the partition pass, the schedule check, the sampler and its
-thresholds, the orbit bins, the digit counts, the DEL sums, the digit-system
-checks, the convolved systems' avoidance data, the custom gauge table and the
-command line.
+orders, the partition pass, the sampler and its thresholds, the orbit bins,
+the digit counts, the DEL sums, the digit-system checks, the convolved
+systems' avoidance data, the argument types of to_digits, digit strings and
+binary_system, and the command line.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -14,7 +14,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 30 mutants took 1 min 41 s on a shared 2-core x86-64 VM.
+test suite: a full run of 31 mutants took 2 min 45 s on a shared 2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ PLAN = "tests/test_fourier_plan.py"
 ORDERS = "tests/test_numtheory.py"
 ACCEPT = "tests/test_acceptance.py"
 DIMENSION = "tests/test_dimension.py"
+RADIX = "tests/test_radix.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -229,20 +230,28 @@ MUTANTS = {
         [f"{NORMALITY}::test_bin_counts_match_the_remainder_walk_near_bin_edges",
          f"{NORMALITY}::test_bin_counts_match_the_remainder_walk"],
     ),
-    # a context built on another schedule accepted as it is
-    "schedule-check-skipped": (
-        "src/moranlab/delsum.py",
-        "        if other is not sch and (other.q, other.ell) != (sch.q, sch.ell):\n",
-        "        if False:\n",
-        [f"{DEL}::test_block_trend_rejects_context_of_another_schedule"],
+    # to_digits takes any N that compares with 0, so a bool is written out
+    # as the digits of 0 or 1
+    "to-digits-type-unchecked": (
+        "src/moranlab/radix.py",
+        "    if isinstance(N, bool) or not isinstance(N, int) or N < 0:\n",
+        "    if N < 0:\n",
+        [f"{RADIX}::test_caller_errors"],
     ),
-    # a custom gauge table with a NaN or infinite value accepted, so the
-    # gauge evaluates to nan or inf
-    "custom-gauge-nonfinite-accepted": (
-        "src/moranlab/dimension.py",
-        "            if not all(0 < v < math.inf for v in vs):  # NaN fails too\n",
-        "            if False:\n",
-        [f"{DIMENSION}::test_gauge_custom_table_outside_its_domain_is_rejected"],
+    # a digit string takes any digit inside its base's range, float or bool
+    "digit-class-unchecked": (
+        "src/moranlab/radix.py",
+        "if dgt.__class__ is not int or not 0 <= dgt < b:",
+        "if not 0 <= dgt < b:",
+        [f"{RADIX}::test_caller_errors"],
+    ),
+    # binary_system converts any omega to a Fraction, so "1/2" or 0.5 reads
+    # as one half and None ends in a bare TypeError
+    "binary-omega-unchecked": (
+        "src/moranlab/system.py",
+        "    if isinstance(value, bool) or not isinstance(value, (Fraction, int)):\n",
+        "    if False:\n",
+        [f"{SYSTEM}::test_caller_errors"],
     ),
     # a convolved system's dilations taken at the plain levels 2 .. j_max + 1,
     # not at its special levels: the override is renamed away
