@@ -75,7 +75,6 @@ _HOME = {
             "fourier",
             (
                 "CertifiedModulus",
-                "mask_modulus",
                 "mu_hat_modulus",
                 "digit_decay_bound",
             ),

@@ -7,9 +7,16 @@ its transform is the infinite product of level masks
     mu_hat(xi) = prod_n M_n(xi / (M_1 ... M_n)),
     M_n(t) = sum_d omega_{d,n} e^(-2 pi i d t).
 
+Levels come in the two kinds the constructions build: {0,1} digits weighted
+(w0, w1), and their sums with uniform digits {0, s, ..., s(K-1)}, whose mask
+is the {0,1} one times a Dirichlet factor,
+|M(t)| = |w0 + w1 e^(-2 pi i t)| |sin(pi K s t)| / (K |sin(pi s t)|).
+Any other level makes mu_hat_modulus, mask_interval and digit_decay_bound
+raise InvalidParameter (exit 2); such a system still samples.
+
 Frequencies are astronomically large integers, so every argument is reduced
-exactly, as an integer residue r = xi mod M_1...M_n, before any floating-point
-trigonometry sees the correctly rounded quotient r / (M_1...M_n);
+exactly, as an integer residue r = xi mod M_1...M_n (and s r, K s r), before
+any floating-point trigonometry sees the correctly rounded quotient;
 the float work is wrapped in outward-rounded intervals and the unevaluated
 tail of the product is bounded by a closed-form inequality chain. The result
 is a certified enclosure of |mu_hat(xi)|, not an estimate.
@@ -49,26 +56,6 @@ def _down(x: float) -> float:
     return math.nextafter(x, _DOWN)
 
 
-def _imul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    candidates = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _down(min(candidates)), _up(max(candidates))
-
-
-def _iadd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return _down(a[0] + b[0]), _up(a[1] + b[1])
-
-
-def _cos_tau(t: float) -> tuple[float, float]:
-    # cos(2 pi t) for t in [0, 1), the correctly rounded image of an exact value
-    c = math.cos(2.0 * math.pi * t)
-    return max(-1.0, c - _TRIG_PAD), min(1.0, c + _TRIG_PAD)
-
-
-def _sin_tau(t: float) -> tuple[float, float]:
-    s = math.sin(2.0 * math.pi * t)
-    return max(-1.0, s - _TRIG_PAD), min(1.0, s + _TRIG_PAD)
-
-
 def _fraction_interval(w: Fraction) -> tuple[float, float]:
     f = float(w)
     return _down(f), _up(f)
@@ -83,8 +70,8 @@ def _half_mask(w: tuple[Fraction, ...]) -> tuple[float, float]:
 
 def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
     # {0,1} digits: |M|^2 = 1 - gain (1 - cos 2 pi t), gain enclosing 2 w0 w1.
-    # Bit for bit the _cos_tau / _imul / _up / _down composition, written out;
-    # the conditionals are max/min with the same argument order. All four gain
+    # The cosine is padded by _TRIG_PAD and every step rounded outward; the
+    # conditionals are max/min with a fixed argument order. All four gain
     # products are kept: 1 - c_hi rounded down can be -5e-324, so a sign
     # shortcut is not exact here. mu_hat_modulus inlines the levels where it is.
     nextafter = math.nextafter
@@ -102,54 +89,90 @@ def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
     return lo, (hi if hi < 1.0 else 1.0)
 
 
-def _digit_sum_mask(
-    terms: Iterable[tuple[float, tuple[float, float]]],
-) -> tuple[float, float]:
-    # |sum_d w_d e^(-2 pi i t_d)| from (t_d, enclosure of w_d) pairs
-    re: tuple[float, float] = (0.0, 0.0)
-    im: tuple[float, float] = (0.0, 0.0)
-    for arg, wiv in terms:
-        re = _iadd(re, _imul(wiv, _cos_tau(arg)))
-        im = _iadd(im, _imul(wiv, _sin_tau(arg)))
-    re_mag = max(abs(re[0]), abs(re[1]))
-    im_mag = max(abs(im[0]), abs(im[1]))
-    re_mig = 0.0 if re[0] <= 0.0 <= re[1] else min(abs(re[0]), abs(re[1]))
-    im_mig = 0.0 if im[0] <= 0.0 <= im[1] else min(abs(im[0]), abs(im[1]))
-    lo = _down(math.hypot(re_mig, im_mig))
-    hi = _up(math.hypot(re_mag, im_mag))
-    return max(0.0, lo), min(1.0, hi)
+# the Dirichlet factor's quotient q of two libm sines lies within 14 * 2^-53
+# of its exact value, relatively. Each sine of fl(pi) fl(m / P), with m / P in
+# [2^-900, 1/2], carries 2.35 * 2^-53 from its argument (the quotient, fl(pi)
+# and the product), enlarged at most pi/2 times as sin(pi y) >= 2 y there, and
+# libm's 1 ulp, 2 * 2^-53; the product with K and the division add 2^-53
+# each. That is under a quarter of the pad (checked in tests)
+_SIN_PAD = 2.0**-47
+
+_ONE_DOWN = math.nextafter(1.0, _DOWN)
+
+
+def _dirichlet(v: int, K: int, P: int) -> tuple[float, float]:
+    """Enclosure of |sin(pi K v / P)| / (K |sin(pi v / P)|) for v = s r mod P:
+    the Dirichlet factor of K uniform digits at step s. Both arguments are
+    reduced and folded into [0, P/2] as integers before a float sees them
+    (|sin(pi x)| is even and has period 1)."""
+    if v + v > P:
+        v = P - v
+    if (K * v) << 32 < P:
+        # the removable singularity and its neighbourhood: with a = pi v / P,
+        # 1 - (K a)^2 / 6 <= sin(K a) / (K sin a) <= 1, and K a < 2^-30
+        return _ONE_DOWN, 1.0
+    u = K * v % P
+    if u + u > P:
+        u = P - u
+    if u << 900 < P:
+        # at or next to a zero: the factor is at most pi u / (2 K v) < 2^-866,
+        # as sin(pi v / P) >= 2 v / P and K v / P >= 2^-32 past the branch above
+        return 0.0, 2.0**-866
+    q = math.sin(math.pi * (u / P)) / (K * math.sin(math.pi * (v / P)))
+    return _down(q * (1.0 - _SIN_PAD)), min(1.0, _up(q * (1.0 + _SIN_PAD)))
 
 
 class _Level(Record):
-    """One level's mask data, rounded outward once.
+    """One level's mask data: the {0,1} factor's exact weights `pair` and
+    the enclosure `gain` of 2 w0 w1, rounded outward once, and the Dirichlet
+    factor of `count` uniform digits at `step` (count 1 for a {0,1} level)."""
 
-    {0,1} levels carry the enclosure of 2 w0 w1; other levels carry their
-    digits and weight enclosures.
-    """
-
-    __slots__ = _fields = ("digits", "weights", "gain")
+    __slots__ = _fields = ("pair", "gain", "step", "count")
 
 
 def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
+    """The level's two factors, found by matching its digit polynomial
+    sum_d w_d z^d exactly against (w0 + w1 z)(1 + z^s + ... + z^(s(K-1))) / K:
+    the pairs {s j, s j + 1} for s >= 2, or {0, ..., K} for s = 1.
+    InvalidParameter for any other level."""
+    n = len(digits)
+    s = digits[2] if n >= 3 else 0
     if digits == (0, 1):
-        return _Level(digits, (), _fraction_interval(2 * w[0] * w[1]))
-    return _Level(digits, tuple(_fraction_interval(x) for x in w), None)
+        s, K, pair = 1, 1, w
+    elif (
+        s >= 2
+        and n % 2 == 0
+        and digits == tuple(d for e in range(0, s * (n // 2), s) for d in (e, e + 1))
+        and w == w[:2] * (n // 2)
+    ):
+        K = n // 2
+        pair = (K * w[0], K * w[1])
+    elif n >= 3 and digits[-1] == n - 1 and w[1:-1] == (Fraction(1, n - 1),) * (n - 2):
+        s, K = 1, n - 1
+        pair = (K * w[0], K * w[-1])
+    else:
+        raise InvalidParameter(
+            f"level digits {digits[:4]}{'...' if n > 4 else ''} with their weights are "
+            "neither {0,1} nor {0,1} plus a uniform progression {0, s, ..., s(K-1)}, "
+            "the two kinds the transform takes"
+        )
+    return _Level(pair, _fraction_interval(2 * pair[0] * pair[1]), s, K)
 
 
 def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
     """mask_interval at t = r / P for integers 0 <= r < P, 2 r != P, bit for bit.
 
-    Prefix products are odd (schedule primes are >= 7) and the window grid
-    (1023 + 4 i) / 6138 skips 1/2, so mask_interval's exact-half path has no
-    counterpart here. Floats see only correctly rounded quotients of exact
-    residues, which is what float() of the reduced Fraction yields."""
+    Prefix products are odd (schedule primes are >= 7), so mask_interval's
+    exact-half path has no counterpart here. Floats see only correctly
+    rounded quotients of exact residues, which is what float() of the
+    reduced Fraction yields."""
     if r == 0:
         return 1.0, 1.0
-    if level.gain is not None:
-        return _binary_mask(level.gain, r / P)
-    return _digit_sum_mask(
-        (((d * r) % P) / P, wiv) for d, wiv in zip(level.digits, level.weights)
-    )
+    lo, hi = _binary_mask(level.gain, r / P)
+    if level.count == 1:
+        return lo, hi
+    f_lo, f_hi = _dirichlet(level.step * r % P, level.count, P)
+    return max(0.0, _down(lo * f_lo)), min(1.0, _up(hi * f_hi))
 
 
 class CertifiedModulus(Record):
@@ -172,28 +195,18 @@ class CertifiedModulus(Record):
 
 
 def mask_interval(level_n: int, t: Fraction, sys: MoranSystem) -> tuple[float, float]:
-    """Outward-rounded enclosure of |M_n(t)|, argument reduced mod 1 exactly."""
+    """Outward-rounded enclosure of |M_n(t)|, argument reduced mod 1 exactly;
+    InvalidParameter on a system with a level of neither kind."""
     if not 1 <= level_n <= sys.depth:
         raise OutOfRange(f"level {level_n} outside 1 .. {sys.depth}")
+    level = sys._levels[level_n - 1]
     t = Fraction(t)
     t -= math.floor(t)
     if t == 0:
         return 1.0, 1.0
-    digits = sys.digit_sets[level_n - 1]
-    w = sys.weights[level_n - 1]
-    if digits == (0, 1):
-        if t == Fraction(1, 2):
-            return _half_mask(w)
-        return _binary_mask(_fraction_interval(2 * w[0] * w[1]), float(t))
-    return _digit_sum_mask(
-        (float((d * t) % 1), _fraction_interval(wd)) for d, wd in zip(digits, w)
-    )
-
-
-def mask_modulus(level_n: int, t: Fraction, sys: MoranSystem) -> float:
-    """Point value of |M_n(t)| (midpoint of the certified enclosure)."""
-    lo, hi = mask_interval(level_n, t, sys)
-    return 0.5 * (lo + hi)
+    if level.count == 1 and t == Fraction(1, 2):
+        return _half_mask(level.pair)
+    return _level_mask(level, t.numerator, t.denominator)
 
 
 # --------------------------------------------------------------------------
@@ -278,12 +291,14 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     eps/2 still decides the cut. The levels come from the system's cached
     table of (n, P_n, level, g_lo, g_hi), with gain ends only where the
     inline two-product kernel is exact, {0,1} levels with g_lo > 0. Those
-    run inline where c + pad < 1, the rest (r = 0 too, as c = 1) via
-    _level_mask.
+    run inline where c + pad < 1, the rest (r = 0 too, as c = 1, and every
+    convolved level) via _level_mask. InvalidParameter, for any xi, on a
+    system with a level of neither kind.
     """
     if not isinstance(xi, int) or isinstance(xi, bool):
         raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
     check_eps(eps)
+    levels = sys._transform_levels  # InvalidParameter on a level of neither kind
     xi = abs(xi)
     if xi == 0:
         return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
@@ -305,7 +320,7 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
         top = bisect_right(prefix, xi) - 1
         residues = list(accumulate(map(prefix.__getitem__, range(top, -1, -1)), mod, initial=xi))
         residues.reverse()
-    for n, P, level, g_lo, g_hi in sys._transform_levels:
+    for n, P, level, g_lo, g_hi in levels:
         past = xi < P
         r = xi if past else residues[n] if residues else xi % P
         t = r / P
@@ -353,15 +368,13 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
     position puts the level-(p+1) argument inside [1/6, 5/6], where the mask
     is at most the system's own gamma (MoranSystem._window_gamma), so gamma^w
     bounds |mu_hat(xi)| from above, up to the few ulps of the unrounded float
-    power. Off {0,1} the mask bound is sampled once (_window_bounded), and
-    the window ends come from a cached per-level table (_decay_windows).
+    power. gamma is proven for both level kinds, and InvalidParameter
+    refuses any other level; the window ends come from a cached per-level
+    table (_decay_windows).
     """
     if not isinstance(xi, int) or isinstance(xi, bool) or xi < 0:
         raise InvalidParameter(f"frequency must be a non-negative integer, got {xi!r}")
-    if not sys._window_bounded:
-        raise InvalidParameter(
-            "window decay not emitted: a level mask exceeds gamma on [1/6, 5/6]"
-        )
+    gamma = sys._window_gamma
     w = 0
     rest = xi
     for q, lo, hi in sys._decay_windows:
@@ -370,7 +383,7 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
         rest, d = divmod(rest, q)
         if lo <= d <= hi:
             w += 1
-    return w, sys._window_gamma**w
+    return w, gamma**w
 
 
 # --------------------------------------------------------------------------

@@ -246,7 +246,9 @@ class MixedRadixDigits(Record):
         if len(digits) != len(bases):
             raise InvalidParameter("digit and base strings must have equal length")
         for i, (dgt, b) in enumerate(zip(digits, bases)):
-            # the class test rejects bool and every non-integer type at once
+            # the class tests reject bool and every non-integer type at once
+            if b.__class__ is not int:
+                raise InvalidParameter(f"base {b!r} at index {i} is not an integer")
             if dgt.__class__ is not int or not 0 <= dgt < b:
                 raise InvalidParameter(
                     f"digit {dgt!r} at index {i} is not an integer in 0..{b - 1}"
@@ -274,15 +276,16 @@ def to_digits(N: int, s: PrimeSchedule, length: int | None = None) -> MixedRadix
 
     With `length` omitted the minimal string is returned (no trailing zeros;
     N = 0 gives the empty string); otherwise the string is zero-padded to
-    exactly `length` digits.  ScheduleTooShort if the requested window cannot
-    represent N.
+    exactly `length` digits.  InvalidParameter for a negative `length`,
+    ScheduleTooShort if the requested window cannot represent N.
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise InvalidParameter(f"digits are defined for integers N >= 0, got {N!r}")
-    if length is not None and (isinstance(length, bool) or not isinstance(length, int)):
-        raise InvalidParameter(f"length must be an integer or None, got {length!r}")
+    # the class test rejects bool and every non-integer type at once
+    if length is not None and (length.__class__ is not int or length < 0):
+        raise InvalidParameter(f"length must be an integer >= 0 or None, got {length!r}")
     limit = s.depth if length is None else length
-    if length is not None and not 0 <= length <= s.depth:
+    if length is not None and length > s.depth:
         raise ScheduleTooShort(f"requested {length} digits, schedule covers {s.depth}")
     bases = s.bases(limit)
     digits: list[int] = []

@@ -11,7 +11,7 @@ A system built from equal but unshared tuples equals the shared one and
 gets the same tables; it only does the work once per level.
 
 The transform-only level tables (_levels, and _transform_levels and
-_window_bounded built on it) come from ``fourier``, loaded on first use.
+_window_gamma built on it) come from ``fourier``, loaded on first use.
 
 A system gives its own avoidance data (avoidance_lo, _avoidance_levels);
 dimension.ConvolvedSystem, a MoranSystem on its sum digit sets, overrides both.
@@ -143,7 +143,7 @@ class MoranSystem(Record):
         # {0,1} level whose lower gain is positive, and None for other levels
         return tuple(
             (n, P, level)
-            + ((None, None) if level.gain is None or level.gain[0] <= 0.0 else level.gain)
+            + ((None, None) if level.count > 1 or level.gain[0] <= 0.0 else level.gain)
             for n, (P, level) in enumerate(
                 zip(self.schedule.prefix_products(), self._levels), start=1
             )
@@ -159,32 +159,13 @@ class MoranSystem(Record):
     def _window_gamma(self) -> float:
         """gamma with |M_n(t)| <= gamma on [1/6, 5/6] for every level n.
 
-        For {0,1} digits |M(t)|^2 = 1 - 4 w0 w1 sin^2(pi t) and sin^2 >= 1/4
-        on the window, so the sharp gamma is the largest sqrt(1 - w0 w1).
-        Other systems take sqrt(1 - C(1 - D)) with C and D the smallest and
-        largest weight, which _window_bounded checks on a grid.
+        Each level mask is a {0,1} factor, |B(t)|^2 = 1 - 4 w0 w1 sin^2(pi t)
+        with sin^2 >= 1/4 on the window, times a Dirichlet factor, which is
+        at most 1 (fourier._build_level). So the largest sqrt(1 - w0 w1) is
+        a proven gamma, and the sharp one for {0,1} systems.
         """
-        weights = _distinct(self.weights)
-        if self.is_binary:
-            return math.sqrt(1 - float(min(w0 * w1 for w0, w1 in weights)))
-        C = min(min(w) for w in weights)
-        D = max(max(w) for w in weights)
-        return math.sqrt(1 - float(C * (1 - D)))
-
-    @cached_property
-    def _window_bounded(self) -> bool:
-        """Whether every level mask is at most _window_gamma on [1/6, 5/6]:
-        proven for {0,1} systems, else sampled once per value-distinct level
-        at t = 1/6 + (2/3) i / 1023 = (1023 + 4 i) / 6138, i < 1024, with
-        1e-12 of slack. A sample, not a certificate."""
-        if self.is_binary:
-            return True
-        bound = self._window_gamma + 1e-12
-        return all(
-            fourier._level_mask(level, 1023 + 4 * i, 6138)[1] <= bound
-            for level in dict.fromkeys(self._levels)
-            for i in range(1024)
-        )
+        pairs = _distinct(level.pair for level in self._levels)
+        return math.sqrt(1 - float(min(w0 * w1 for w0, w1 in pairs)))
 
     @cached_property
     def _thresholds(self) -> tuple[tuple[int, ...], ...]:

@@ -112,26 +112,79 @@ def naive_mu_hat(xi: int, sys, depth: int | None = None) -> float:
     return abs(prod)
 
 
-def mp_mu_hat(xi: int, sys, dps: int = 50):
-    """|product over all schedule levels| in mpmath at `dps` digits.
+def mp_level_mask(digits, weights, r: int, P: int, dps: int = 40):
+    """|sum_d w_d e^(-2 pi i d r / P)| in mpmath, for any digit set: each
+    argument d r is reduced mod P exactly before mpmath sees it, and the sum
+    runs at `dps` digits plus the digits of P, so that `dps` digits survive
+    its cancellation next to a zero (the mask there is about 1/P or more,
+    unless it vanishes). At most 1, as the weights sum to 1."""
+    with mpmath.workdps(dps + len(str(P))):
+        mask = mpmath.mpc(0)
+        for d, w in zip(digits, weights):
+            arg = mpmath.mpf(d * r % P) / P
+            weight = mpmath.mpf(w.numerator) / w.denominator
+            mask += weight * mpmath.expjpi(-2 * arg)
+        return min(abs(mask), 1)
 
-    Arguments are reduced exactly (integer residues) before they reach
-    mpmath, so the only error is mpmath's own, far below double precision.
-    """
+
+def mp_mu_hat(xi: int, sys, dps: int = 50):
+    """|product over all schedule levels| in mpmath at `dps` digits, each
+    level by mp_level_mask at the exact residue xi mod P_n."""
     xi = abs(int(xi))
     with mpmath.workdps(dps):
         prod = mpmath.mpf(1)
         P = 1
         for n in range(1, sys.depth + 1):
             P *= sys.schedule.base_at(n)
-            r = xi % P
-            mask = mpmath.mpc(0)
-            for d, w in zip(sys.digit_sets[n - 1], sys.weights[n - 1]):
-                arg = mpmath.mpf(d * r % P) / P
-                weight = mpmath.mpf(w.numerator) / w.denominator
-                mask += weight * mpmath.expjpi(-2 * arg)
-            prod *= abs(mask)
+            prod *= mp_level_mask(sys.digit_sets[n - 1], sys.weights[n - 1], xi % P, P, dps)
         return +prod
+
+
+def mp_dirichlet(v: int, K: int, P: int, dps: int = 40):
+    """|sin(pi K v / P)| / (K |sin(pi v / P)|) in mpmath, 1 where v = 0 mod P.
+    Both arguments are reduced mod P and folded into [0, P/2] as integers
+    first, so a zero of the numerator is an exact 0 and no argument loses
+    relative precision next to 1. At most 1, as |sin(K x)| <= K |sin(x)|."""
+    v %= P
+    if v == 0:
+        return mpmath.mpf(1)
+    u = K * v % P
+    u, v = min(u, P - u), min(v, P - v)
+    with mpmath.workdps(dps):
+        return min(mpmath.sinpi(mpmath.mpf(u) / P) / (K * mpmath.sinpi(mpmath.mpf(v) / P)), 1)
+
+
+def mp_convolved_mask(pair, step: int, count: int, r: int, P: int, dps: int = 40):
+    """|w0 + w1 e^(-2 pi i r / P)| times mp_dirichlet(step r, count, P): the
+    closed form of the mask of {0,1} + {0, s, ..., s(K-1)}, exact 0 at the
+    Dirichlet factor's zeros."""
+    with mpmath.workdps(dps):
+        w0, w1 = (mpmath.mpf(w.numerator) / w.denominator for w in pair)
+        binary = abs(w0 + w1 * mpmath.expjpi(-2 * mpmath.mpf(r % P) / P))
+        return binary * mp_dirichlet(step * r, count, P, dps)
+
+
+def convolution(pair, step: int, count: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """(digits, weights) of {0,1} with weights pair plus the uniform
+    {0, step, ..., step (count - 1)}, summed digit by digit."""
+    acc: dict[int, Fraction] = {}
+    for e in range(0, step * count, step):
+        for d, w in zip((0, 1), pair):
+            acc[d + e] = acc.get(d + e, Fraction(0)) + w / count
+    items = sorted(acc.items())
+    return tuple(d for d, _ in items), tuple(w for _, w in items)
+
+
+def mp_window_sup(sys, points: int = 1024, dps: int = 40):
+    """max |M_n(t)| over the grid t = 1/6 + (2/3) i / (points - 1) of exact
+    Fractions, i < points, by mp_level_mask, once per distinct (digit set,
+    weights) class of levels."""
+    out = mpmath.mpf(0)
+    for key in dict.fromkeys(zip(sys.digit_sets, sys.weights)):
+        for i in range(points):
+            t = Fraction(1, 6) + Fraction(2, 3) * Fraction(i, points - 1)
+            out = max(out, mp_level_mask(*key, t.numerator, t.denominator, dps))
+    return out
 
 
 def naive_del_sum(sys, b: int, h: int, N_max: int, mu) -> float:
@@ -339,27 +392,6 @@ def reference_digit_decay_bound(xi: int, sys) -> tuple[int, float]:
         if third <= d <= 2 * third:
             w += 1
     return w, sys._window_gamma**w
-
-
-def reference_window_certified(sys) -> bool:
-    """Whether sup |M_n(t)| <= gamma + 1e-12 on the 1024-point grid
-    t = 1/6 + (2/3) i / 1023, i < 1024, of exact Fractions, through the public
-    mask_interval, once per distinct (base, digit set, weights) class of
-    levels. The grid runs for {0,1} systems too, whose gamma is proven."""
-    from moranlab.fourier import mask_interval
-
-    gamma = sys._window_gamma
-    seen: set[tuple] = set()
-    for n, base in enumerate(sys.schedule.bases(), start=1):
-        key = (base, sys.digit_sets[n - 1], sys.weights[n - 1])
-        if key in seen:
-            continue
-        seen.add(key)
-        for i in range(1024):
-            t = Fraction(1, 6) + Fraction(2, 3) * Fraction(i, 1023)
-            if mask_interval(n, t, sys)[1] > gamma + 1e-12:
-                return False
-    return True
 
 
 def exact_float_sum(xs) -> float:

@@ -357,7 +357,6 @@ def test_convolved_system_transforms_and_samples_as_the_plain_one(request, name)
     assert repr(sample_batch(csys, 11, csys.depth, 8)) == repr(want)
     assert csys._thresholds == plain._thresholds
     assert repr(csys._window_gamma) == repr(plain._window_gamma)
-    assert csys._window_bounded is plain._window_bounded
 
 
 def test_uniform_interval_mass(toy_dimone):

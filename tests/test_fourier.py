@@ -19,7 +19,6 @@ from moranlab import (
     binary_system,
     build_schedule,
     digit_decay_bound,
-    mask_modulus,
     mu_hat_modulus,
     to_digits,
 )
@@ -29,18 +28,18 @@ from oracles import mp_mu_hat, naive_mu_hat
 
 
 def test_mask_special_values(small_system):
-    assert mask_modulus(1, Fraction(0), small_system) == 1.0
-    assert mask_modulus(1, Fraction(1, 2), small_system) == 0.0
+    assert mask_interval(1, Fraction(0), small_system) == (1.0, 1.0)
+    # |M(1/2)| = |w0 - w1| = 0, within the one ulp of the outward sqrt
+    assert mask_interval(1, Fraction(1, 2), small_system) == (0.0, 5e-324)
     # |M|^2 = 1 - (1/2)(1 - cos(2pi/3)) = 1/4
-    assert mask_modulus(1, Fraction(1, 3), small_system) == pytest.approx(0.5, abs=1e-12)
     lo, hi = mask_interval(1, Fraction(1, 3), small_system)
     assert lo <= 0.5 <= hi and hi - lo < 1e-12
 
 
 def test_mask_periodicity(small_system):
     for t in (Fraction(1, 7), Fraction(3, 11), Fraction(12, 13)):
-        a = mask_modulus(2, t, small_system)
-        b = mask_modulus(2, t + 3, small_system)
+        a = mask_interval(2, t, small_system)
+        b = mask_interval(2, t + 3, small_system)
         assert a == b
 
 
@@ -200,27 +199,33 @@ def test_fractional_part_sandwich(medium_schedule):
 
 
 def test_window_decay_for_wider_digit_sets(toy_schedule):
-    # uniform {0,1,2} masks stay below gamma on [1/6, 5/6], so the decay
-    # bound generalizes; {0, 6} digits mod 7 hit modulus 1 inside the window
+    # {0,1,2} digits weighted (1/4, 1/2, 1/4) are {0,1} + {0,1}, so gamma is
+    # the {0,1} factor's sqrt(1 - w0 w1) = sqrt(3/4) at w0 = w1 = 1/2; uniform
+    # {0,1,2} digits and {0, 6} digits are no such sum, and are refused
     sch = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
-    third = Fraction(1, 3)
+    third, quarter, half = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
+    summed = MoranSystem(
+        schedule=sch,
+        digit_sets=((0, 1, 2),) * 3,
+        weights=((quarter, half, quarter),) * 3,
+    )
+    w, bound = digit_decay_bound(2 + 4 * 7, summed)
+    assert w == 2 and bound == pytest.approx(0.75)
+    assert mp_mu_hat(2 + 4 * 7, summed, dps=40) <= mpmath.mpf(bound)
+
     wide = MoranSystem(
         schedule=sch,
         digit_sets=((0, 1, 2),) * 3,
         weights=((third, third, third),) * 3,
     )
-    w, bound = digit_decay_bound(2 + 4 * 7, wide)
-    # gamma = sqrt(1 - C(1 - D)) with C = D = 1/3
-    assert w == 2 and bound == pytest.approx(7 / 9)
-
-    half = Fraction(1, 2)
     spread = MoranSystem(
         schedule=sch,
         digit_sets=((0, 6), (0, 1), (0, 1)),
         weights=((half, half),) * 3,
     )
-    with pytest.raises(InvalidParameter):
-        digit_decay_bound(2, spread)
+    for sysm in (wide, spread):
+        with pytest.raises(InvalidParameter):
+            digit_decay_bound(2, sysm)
 
 
 def _trig_sweep() -> list[float]:

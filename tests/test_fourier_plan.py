@@ -50,7 +50,8 @@ def _system(kind: str, k: int) -> MoranSystem:
     if kind == "dim-one":
         return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":
-        # uniform {0, 1, 2} digits with skewed weights
+        # {0, 1, 2} digits with 1/2 in the middle: {0,1} with skewed weights
+        # convolved with uniform {0, 1}
         w = (Fraction(1, k + 2), Fraction(1, 2), Fraction(1, 2) - Fraction(1, k + 2))
         return MoranSystem(sch, ((0, 1, 2),) * sch.depth, (w,) * sch.depth)
     raise AssertionError(kind)
@@ -388,7 +389,8 @@ def test_fused_loop_zero_residue(monkeypatch):
 @pytest.mark.parametrize("every", [2, 3, 5])
 def test_fused_loop_mixed_binary_and_wide_levels(monkeypatch, every):
     # {0,1} levels stay inline; every `every`-th level carries the dim-one
-    # sum set of its base instead and takes _level_mask
+    # sum set of its base instead and takes _level_mask, which runs the
+    # {0,1} kernel once for its binary factor
     sch = _medium()
     wide = build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     half = (Fraction(1, 2), Fraction(1, 2))
@@ -401,5 +403,5 @@ def test_fused_loop_mixed_binary_and_wide_levels(monkeypatch, every):
     for xi in (1, 1000, 123456789, 10**12 + 7, 2**60 - 2**7):
         for eps in (1e-6, 1e-12):
             got, kernel, level = _branch_calls(monkeypatch, xi, sysm, eps)
-            assert kernel == 0 and 0 < level < got[2]
+            assert kernel == level and 0 < level < got[2]
             _assert_matches_loop(got, xi, sysm, eps)

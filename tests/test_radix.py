@@ -258,10 +258,18 @@ def test_partial_products_recursion(d, count):
                      id="to-digits-bool"),
         pytest.param(lambda sch: to_digits(5, sch, 2.0), InvalidParameter, 2,
                      id="to-digits-float-length"),
+        # a negative length is a bad argument, not a schedule too short for N
+        pytest.param(lambda sch: to_digits(5, sch, length=-1), InvalidParameter, 2,
+                     id="to-digits-negative-length"),
         pytest.param(lambda sch: MixedRadixDigits(digits=(3.5,), bases=(7,)), InvalidParameter, 2,
                      id="digits-float"),
         pytest.param(lambda sch: MixedRadixDigits(digits=(True,), bases=(7,)), InvalidParameter,
                      2, id="digits-bool"),
+        # a float or bool base made value() compute with a float or bool weight
+        pytest.param(lambda sch: MixedRadixDigits((3,), (7.5,)), InvalidParameter, 2,
+                     id="base-float"),
+        pytest.param(lambda sch: MixedRadixDigits((0,), (True,)), InvalidParameter, 2,
+                     id="base-bool"),
     ],
 )
 def test_caller_errors(toy_schedule, call, error, code):

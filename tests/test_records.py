@@ -4,6 +4,7 @@ repr. The repr literals were taken from the dataclass versions of these
 classes, so the text is unchanged."""
 
 import ast
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -48,8 +49,9 @@ CASES = {
         "MixedRadixDigits(digits=(1, 2), bases=(7, 11))",
     ),
     "_Level": (
-        lambda: _build_level((0, 1), (F(1, 3), F(2, 3))),
-        "_Level(digits=(0, 1), weights=(), gain=(0.44444444444444436, 0.4444444444444445))",
+        lambda: _build_level((0, 1, 2, 3), (F(1, 6), F(1, 3), F(1, 6), F(1, 3))),
+        "_Level(pair=(Fraction(1, 3), Fraction(2, 3)), "
+        "gain=(0.44444444444444436, 0.4444444444444445), step=2, count=2)",
     ),
     "MoranSystem": (
         lambda: binary_system(ONE),
@@ -198,11 +200,11 @@ def test_derived_attributes_stay_out_of_eq_hash_and_repr():
 
 
 def test_window_verdict_is_kept_per_instance_out_of_eq_hash_and_repr():
-    # the window check of digit_decay_bound is a cached_property: each
-    # instance keeps its own verdict, and equal instances stay equal
+    # the window bound of digit_decay_bound is a cached_property: each
+    # instance keeps its own gamma, and equal instances stay equal
     sysm, twin = binary_system(TOY), binary_system(TOY)
-    assert sysm._window_bounded
-    assert "_window_bounded" in vars(sysm) and "_window_bounded" not in vars(twin)
+    assert sysm._window_gamma == math.sqrt(0.75)
+    assert "_window_gamma" in vars(sysm) and "_window_gamma" not in vars(twin)
     assert sysm == twin and hash(sysm) == hash(twin)
     assert repr(sysm) == repr(twin)
 
@@ -218,7 +220,7 @@ X = F(1, 7)
         (lambda: SamplePoint((1,), X, 1, depth=1, seed=3), "multiple values for argument 'depth'"),
         (lambda: SamplePoint((1,), X, seed=3), "missing required argument 'depth'"),
         (lambda: BlockRow(1, 0, 0.5), "missing required argument 'bound'"),
-        (lambda: _Level((0, 1), ()), "missing required argument 'gain'"),
+        (lambda: _Level((F(1, 2), F(1, 2))), "missing required argument 'gain'"),
     ],
     ids=["too-many", "unknown", "repeated", "missing", "missing-before-default", "missing-slots"],
 )

@@ -5,8 +5,9 @@ still fits the budget, so `mu_hat_modulus` evaluates the bound once per
 certified frequency. The loop reads its levels from
 `MoranSystem._transform_levels` and `digit_decay_bound` its windows from
 `MoranSystem._decay_windows`; both must reproduce the per-level loops they
-replace, bit for bit. The window verdict `MoranSystem._window_bounded` must
-equal the `Fraction` grid through `mask_interval`, and is computed once.
+replace, bit for bit. The window bound `MoranSystem._window_gamma` is proven
+for both level kinds and must bound a 40-digit `Fraction` grid; a system with
+a level of neither kind is refused, and the bound is computed once.
 """
 
 import json
@@ -16,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from moranlab import (
@@ -35,7 +37,7 @@ from moranlab import fourier
 from moranlab.fourier import _tail_cut, _tail_log_bound
 from moranlab.radix import check_pair
 
-from oracles import level_mask_mu_hat, reference_digit_decay_bound, reference_window_certified
+from oracles import level_mask_mu_hat, mp_window_sup, reference_digit_decay_bound
 
 DEEP_CONFIG = Path(__file__).resolve().parent.parent / "bench" / "configs" / "spectrum_deep.json"
 
@@ -163,6 +165,7 @@ def _system(kind: str) -> MoranSystem:
     if kind == "dim-one":
         return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":
+        # {0,1} weighted (2/5, 3/5) convolved with uniform {0, 1}
         w = (Fraction(1, 5), Fraction(1, 2), Fraction(3, 10))
         return MoranSystem(sch, ((0, 1, 2),) * sch.depth, (w,) * sch.depth)
     if kind == "clamped":
@@ -257,7 +260,7 @@ def test_table_loop_matches_level_mask_loop_off_the_inline_path(kind, xis, eps):
 
 def test_level_table_rows():
     # one row per level, numbered from 1, on the schedule's own prefix
-    # products; gain ends for {0,1} levels and None for the others
+    # products; gain ends for {0,1} levels and None for convolved ones
     for kind in ("half", "mixed", "wide"):
         sysm = _system(kind)
         rows = sysm._transform_levels
@@ -266,8 +269,8 @@ def test_level_table_rows():
             zip(rows, sysm.schedule.prefix_products(), sysm._levels), start=1
         ):
             assert row[:3] == (n, P, level) and row[2] is level
-            if level.gain is None:
-                assert row[3:] == (None, None)
+            if sysm.digit_sets[n - 1] != (0, 1):
+                assert level.count > 1 and row[3:] == (None, None)
             else:
                 assert row[3:] == level.gain and row[3] <= row[4]
     assert _system("half")._transform_levels is _system("half")._transform_levels
@@ -298,7 +301,7 @@ def test_decay_windows_share_one_row_per_base():
 
 
 # --------------------------------------------------------------------------
-# the window verdict against the Fraction grid through mask_interval
+# the window bound against a 40-digit Fraction grid
 
 
 _WINDOW_KINDS = (
@@ -306,9 +309,12 @@ _WINDOW_KINDS = (
     "dim-one", "gauge", "extreme",
 )
 
+# kinds with a level that is neither {0,1} nor a convolution of it
+_REFUSED = ("wide", "spread", "late-fail")
+
 
 def _window_system(kind: str) -> MoranSystem:
-    """A fresh system, so no verdict is cached on it yet."""
+    """A fresh system, so no bound is cached on it yet."""
     sch = build_schedule(d=2, count=4)
     toy = PrimeSchedule(d=1, q=(7, 11), ell=(1, 2))
     third, half = Fraction(1, 3), Fraction(1, 2)
@@ -319,15 +325,15 @@ def _window_system(kind: str) -> MoranSystem:
     if kind == "omega-per-level":
         return binary_system(sch, [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)])
     if kind == "wide":
-        # the {0,1,2} system of test_window_decay_for_wider_digit_sets
+        # uniform {0,1,2} digits, the refused system of test_fourier
         return MoranSystem(toy, ((0, 1, 2),) * 3, ((third,) * 3,) * 3)
     if kind == "spread":
         # {0, 6} digits at level 1 reach modulus 1 inside the window
         return MoranSystem(toy, ((0, 6), (0, 1), (0, 1)), ((half, half),) * 3)
     if kind == "late-fail":
-        # level 1 stays below gamma, levels 2 and 3 reach 1 at t = 1/3
+        # level 1 is a {0,1} level, levels 2 and 3 are {0, 6}
         pair = (half, half)
-        return MoranSystem(toy, ((0, 1, 2), (0, 6), (0, 6)), ((third,) * 3, pair, pair))
+        return MoranSystem(toy, ((0, 1), (0, 6), (0, 6)), (pair,) * 3)
     phi = GaugeFunction(kind="r_times_log_power", param=1.0)
     variant = {"dim-one": ("dim-one", None), "gauge": ("gauge", phi), "extreme": ("extreme", phi)}
     return build_convolved(binary_system(sch, half), *variant[kind])
@@ -335,28 +341,40 @@ def _window_system(kind: str) -> MoranSystem:
 
 @pytest.mark.parametrize("kind", _WINDOW_KINDS)
 def test_window_verdict_matches_the_fraction_grid(kind):
+    # digit_decay_bound emits gamma^w exactly for the two level kinds, and
+    # gamma bounds every level mask on the grid t = 1/6 + (2/3) i / 1023 at
+    # 40 digits, up to the few ulps of its unrounded square root
     sysm = _window_system(kind)
-    assert sysm._window_bounded == reference_window_certified(sysm)
+    if kind in _REFUSED:
+        with pytest.raises(InvalidParameter):
+            digit_decay_bound(2, sysm)
+        return
+    gamma = sysm._window_gamma
+    assert mp_window_sup(sysm) <= mpmath.mpf(gamma) + 4 * math.ulp(gamma)
 
 
 def test_window_verdict_sees_a_late_failing_level():
-    # level 1 passes the grid on its own, so only a check of every level fails
+    # level 1 is a {0,1} level, so only a check of every level refuses
     sysm = _window_system("late-fail")
-    bound = sysm._window_gamma + 1e-12
-    level = sysm._levels[0]
-    assert all(fourier._level_mask(level, 1023 + 4 * i, 6138)[1] <= bound for i in range(1024))
-    assert not sysm._window_bounded and not _window_system("spread")._window_bounded
-    with pytest.raises(InvalidParameter, match="window decay not emitted"):
+    assert sysm.digit_sets[0] == (0, 1)
+    with pytest.raises(InvalidParameter, match="neither"):
         digit_decay_bound(2, sysm)
+    with pytest.raises(InvalidParameter, match="neither"):
+        mu_hat_modulus(1, sysm, 1e-9)
 
 
 @pytest.mark.parametrize("kind", _WINDOW_KINDS)
 def test_window_grid_level_masks_match_mask_interval(kind):
-    # every grid point of every distinct level class, bit for bit
+    # every grid point of every distinct level class, bit for bit, and both
+    # refused alike on a system with a level of neither kind
     sysm = _window_system(kind)
     classes = {}
     for n, key in enumerate(zip(sysm.digit_sets, sysm.weights), start=1):
         classes.setdefault(key, n)
+    if kind in _REFUSED:
+        with pytest.raises(InvalidParameter):
+            fourier.mask_interval(1, Fraction(1, 6), sysm)
+        return
     for n in classes.values():
         level = sysm._levels[n - 1]
         for i in range(1024):
@@ -370,19 +388,30 @@ def _forbidden(*args):
 
 @pytest.mark.parametrize("kind", ["wide", "dim-one"])
 def test_window_verdict_is_computed_once_per_system(monkeypatch, kind):
+    # a later call reads the cached gamma, or meets the same refusal, and
+    # runs no level mask and no hash of the system either way
     sysm = _window_system(kind)
+    if kind in _REFUSED:
+        monkeypatch.setattr(MoranSystem, "__hash__", _forbidden)
+        monkeypatch.setattr(fourier, "_level_mask", _forbidden)
+        for _ in range(3):
+            with pytest.raises(InvalidParameter):
+                digit_decay_bound(2 + 4 * 7, sysm)
+        return
     first = digit_decay_bound(2 + 4 * 7, sysm)
     monkeypatch.setattr(MoranSystem, "__hash__", _forbidden)
     monkeypatch.setattr(fourier, "_level_mask", _forbidden)
+    monkeypatch.setattr(fourier, "_build_level", _forbidden)
     for _ in range(3):
         assert digit_decay_bound(2 + 4 * 7, sysm) == first
 
 
 def test_binary_window_verdict_runs_no_grid(monkeypatch):
+    # gamma is read off the levels' exact {0,1} weights; no mask is evaluated
     monkeypatch.setattr(fourier, "_level_mask", _forbidden)
+    monkeypatch.setattr(fourier, "_binary_mask", _forbidden)
     sysm = _window_system("omega-per-level")
-    assert sysm._window_bounded
-    assert "_levels" not in vars(sysm)
+    assert sysm._window_gamma == math.sqrt(1 - float(Fraction(1, 5) * Fraction(4, 5)))
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check for the tests of the transform, the window verdict, the
+"""Mutation check for the tests of the transform and its Dirichlet kernel, the
 orders, the partition pass, the sampler and its thresholds, the orbit bins,
 the digit counts, the DEL sums, the digit-system checks, the convolved
 systems' avoidance data, the argument types of to_digits, digit strings and
@@ -14,7 +14,8 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 31 mutants took 2 min 45 s on a shared 2-core x86-64 VM.
+test suite: a full run of 35 mutants, all KILLED, took 1 min 23 s on a shared
+2-core x86-64 VM.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ RNG = "tests/test_rng.py"
 NORMALITY = "tests/test_normality_kernel.py"
 DEL = "tests/test_delsum.py"
 SYSTEM = "tests/test_system.py"
+KERNEL = "tests/test_dirichlet_kernel.py"
 PLAN = "tests/test_fourier_plan.py"
 ORDERS = "tests/test_numtheory.py"
 ACCEPT = "tests/test_acceptance.py"
@@ -59,8 +61,8 @@ MUTANTS = {
     # two-product kernel, which is exact only for a positive g_lo
     "zero-gain-routed-inline": (
         "src/moranlab/system.py",
-        "if level.gain is None or level.gain[0] <= 0.0 else",
-        "if level.gain is None else",
+        "if level.count > 1 or level.gain[0] <= 0.0 else",
+        "if level.count > 1 else",
         [f"{PLAN}::test_fused_loop_zero_lower_gain"],
     ),
     # g_hi and g_lo trade places in the loop table
@@ -97,8 +99,53 @@ MUTANTS = {
         "_TRIG_PAD = 0.0",
         [ORACLE],
     ),
-    # weights and gains rounded to nearest, not outward; only the exact
-    # containment checks run
+    # no relative pad on the Dirichlet factor's quotient of two libm sines;
+    # only enclosure checks against 40-digit references run
+    "sine-pad-zero": (
+        "src/moranlab/fourier.py",
+        "_SIN_PAD = 2.0**-47",
+        "_SIN_PAD = 0.0",
+        [f"{KERNEL}::test_dirichlet_brackets_the_closed_form",
+         f"{KERNEL}::test_level_mask_brackets_the_digit_sum"],
+    ),
+    # each rounding the Dirichlet kernel adds, turned the wrong way: the
+    # lower and upper ends of the padded quotient, the lower end of the
+    # factor at its removable singularity, and the ends of its product with
+    # the {0,1} factor. Each is caught by an mpmath bracket: of the padded
+    # quotient as a real number, of the closed form at its exact zeros
+    # (0) and next to its singularity (within 10^-100 of 1)
+    "dirichlet-lo-rounded-up": (
+        "src/moranlab/fourier.py",
+        "return _down(q * (1.0 - _SIN_PAD)),",
+        "return _up(q * (1.0 - _SIN_PAD)),",
+        [f"{KERNEL}::test_dirichlet_rounds_the_padded_quotient_outward"],
+    ),
+    "dirichlet-hi-rounded-down": (
+        "src/moranlab/fourier.py",
+        "min(1.0, _up(q * (1.0 + _SIN_PAD)))",
+        "min(1.0, _down(q * (1.0 + _SIN_PAD)))",
+        [f"{KERNEL}::test_dirichlet_rounds_the_padded_quotient_outward"],
+    ),
+    "singularity-lo-rounded-up": (
+        "src/moranlab/fourier.py",
+        "_ONE_DOWN = math.nextafter(1.0, _DOWN)",
+        "_ONE_DOWN = math.nextafter(1.0, _UP)",
+        [f"{KERNEL}::test_dirichlet_brackets_the_closed_form"],
+    ),
+    "convolved-lo-rounded-up": (
+        "src/moranlab/fourier.py",
+        "max(0.0, _down(lo * f_lo))",
+        "max(0.0, _up(lo * f_lo))",
+        [f"{KERNEL}::test_mask_interval_at_exact_zeros_and_near_the_singularity"],
+    ),
+    "convolved-hi-rounded-down": (
+        "src/moranlab/fourier.py",
+        "min(1.0, _up(hi * f_hi))",
+        "min(1.0, _down(hi * f_hi))",
+        [f"{KERNEL}::test_mask_interval_at_exact_zeros_and_near_the_singularity"],
+    ),
+    # gains rounded to nearest, not outward; only the exact containment
+    # checks run
     "fraction-interval-not-outward": (
         "src/moranlab/fourier.py",
         "    return _down(f), _up(f)\n",
@@ -204,22 +251,6 @@ MUTANTS = {
         "        key = tuple(map(id, args[:-1]))\n",
         [f"{SYSTEM}::test_bad_level_is_reported_at_its_first_level",
          f"{SYSTEM}::test_first_bad_level_wins_across_kinds"],
-    ),
-    # the window verdict sampled at the first level only
-    "window-first-level-only": (
-        "src/moranlab/system.py",
-        "for level in dict.fromkeys(self._levels)",
-        "for level in dict.fromkeys(self._levels[:1])",
-        [f"{TABLES}::test_window_verdict_matches_the_fraction_grid",
-         f"{TABLES}::test_window_verdict_sees_a_late_failing_level"],
-    ),
-    # the window verdict's slack widened from 1e-12 to 0.2
-    "window-slack-widened": (
-        "src/moranlab/system.py",
-        "self._window_gamma + 1e-12",
-        "self._window_gamma + 0.2",
-        [f"{TABLES}::test_window_verdict_matches_the_fraction_grid",
-         f"{TABLES}::test_window_verdict_sees_a_late_failing_level"],
     ),
     # the one-digit bin tables of bases above 256 bin a straddling window
     # like any other, instead of resolving it from the longer window
