@@ -33,7 +33,7 @@ from . import __version__
 # into it, and a function rebound in its home module (bench/tracer.py) is
 # seen here too
 from . import delsum, dimension, distribution, fourier, measure, numtheory, radix, rng, system
-from .errors import InvalidParameter, MoranLabError, OutOfRange, TooLarge
+from .errors import InvalidParameter, MoranLabError, OutOfRange
 
 OFFSET_FLAG = "offset deviates from reference construction constant"
 
@@ -107,7 +107,7 @@ def _real(value, where: str, within: tuple[float, float] | None = None) -> float
 
 
 def _string(value, where: str):
-    # a choice, checked where it is used: by its command or the library
+    # a choice, checked where it is used: by its section's rule or the library
     return value
 
 
@@ -132,7 +132,8 @@ def _name(value, where: str) -> str:
 # Every config key, per section in the order its command reads them:
 # (key, default, kind[, bound]). The kind is the reader that checks the
 # value, or "object" for a nested section; a None default means the command
-# derives the value. tests/test_config_table.py holds the README to it.
+# or its section's rule derives the value. tests/test_config_table.py holds
+# the README to it.
 _KEYS = {
     "": (
         ("seed", 0, _integer),
@@ -181,13 +182,78 @@ _KEYS = {
     "dimension.gauge": (("kind", "power", _string), ("param", 1.0, _real)),
 }
 
+
+# The rules that a key's reader cannot apply, as they tie keys together or to
+# the schedule: per section, the keys its rule reads, in the order it checks
+# them, and the rule, which _section runs once every key is read. A rule gets
+# the values, which it may complete from the schedule, and the schedule (None
+# where it needs none). Every other check is the library's.
+# tests/test_config_table.py holds the README to this table.
+
+
+def _choice(section: str, *choices: str):
+    def rule(values: dict, sch) -> None:
+        if values["kind"] not in choices:
+            raise InvalidParameter(f"unknown {section} kind {values['kind']!r}")
+    return rule
+
+
+def _block_range(values: dict, sch) -> None:
+    r_lo, r_hi = values["r_lo"], values["r_hi"]
+    if r_lo is not None and r_hi is not None and not 1 <= r_lo <= r_hi <= len(sch.q):
+        raise InvalidParameter(
+            f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
+            f"got {r_lo} and {r_hi}"
+        )
+
+
+def _bases(values: dict, sch) -> None:
+    # an empty list would give a run with no rows; count is bounded after the bases
+    if not values["bases"]:
+        raise InvalidParameter("normality.bases needs at least one base")
+    measure._checked(0, values["bases"], None, 0)
+    if values["count"] is not None:
+        _integer(values["count"], "normality.count", low=0)
+
+
+def _dimension(values: dict, sch) -> None:
+    # the ball at band m counts level-(m + 1) cells; past the depth,
+    # prefix_product or ball_measure would fail later, naming no key
+    depth, band_lo, band_hi = sch.depth, values["band_lo"], values["band_hi"]
+    band_hi = values["band_hi"] = depth - 1 if band_hi is None else band_hi
+    local_depth = values["local_depth"] = values["local_depth"] or depth  # read as >= 1
+    if band_lo > band_hi:
+        raise InvalidParameter(
+            f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
+        )
+    if band_hi >= depth:
+        raise OutOfRange(
+            f"dimension.band_hi = {band_hi} must be below the schedule depth {depth}"
+        )
+    if local_depth > depth:
+        raise OutOfRange(
+            f"dimension.local_depth = {local_depth} exceeds the schedule depth {depth}"
+        )
+    if values["variant"] != "dim-one" and values["gauge"] is None:
+        raise InvalidParameter(f"variant {values['variant']!r} needs a dimension.gauge entry")
+
+
+_RULES = {
+    "system": (("kind",), _choice("system", "binary")),
+    "del": (("r_lo", "r_hi"), _block_range),
+    "normality": (("bases", "count"), _bases),
+    "uniqueness": (("kind",), _choice("uniqueness", "plain", "dim-one")),
+    "dimension": (("band_lo", "band_hi", "local_depth", "variant", "gauge"), _dimension),
+}
+
 # the sections whose command also writes a fixed <section>.json report
 _REPORTS = ("partition", "dimension")
 
 
-def _section(cfg: dict, name: str) -> dict[str, Any]:
-    """Config section ``name`` ("" for the top level), its defaults filled in
-    and each value checked by its row of ``_KEYS``. The top level leaves the
+def _section(cfg: dict, name: str, sch: radix.PrimeSchedule | None = None) -> dict[str, Any]:
+    """Config section ``name`` ("" for the top level), its defaults filled in,
+    each value checked by its row of ``_KEYS`` and then the section by its
+    ``_RULES``, which read the schedule ``sch``. The top level leaves the
     sections as written: only the commands that read one check it."""
     section = cfg.get(name.rpartition(".")[2], {}) if name else cfg
     if not isinstance(section, dict):
@@ -210,6 +276,8 @@ def _section(cfg: dict, name: str) -> dict[str, Any]:
             if value in names:
                 raise InvalidParameter(f"{where} names the same file as {names[value]}: {value!r}")
             names[value] = where
+    if name in _RULES:
+        _RULES[name][1](values, sch)
     return values
 
 
@@ -240,17 +308,17 @@ def _schedule_from(cfg: dict) -> radix.PrimeSchedule:
 
 
 def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> system.MoranSystem:
-    sy = _section(cfg, "system")
-    if sy["kind"] != "binary":
-        raise InvalidParameter(f"unknown system kind {sy['kind']!r}")
-    return system.binary_system(sch, omega=sy["omega"])
+    return system.binary_system(sch, omega=_section(cfg, "system")["omega"])
 
 
 def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
+    # a command that needs one pair takes the first, checked here for fourier,
+    # which builds no context, as build_context checks it for the others
     cx = _section(cfg, "context")
     bs, hs = list(cx["b"]), list(cx["h"])
     if not bs or not hs:
         raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
+    radix.check_pair(bs[0], hs[0])
     return [(b, h) for b in bs for h in hs]
 
 
@@ -326,18 +394,15 @@ def cmd_fourier(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     fc = _section(cfg, "fourier")
-    # before any frequency is drawn, so that an empty batch still rejects it
-    fourier.check_eps(fc["eps"])
+    _context_pairs(cfg)  # read as in every single-pair command; gamma needs no context
     xis = fc["xis"]
-    if xis is None:
+    if xis is None:  # drawn by _batch_table once it has checked its arguments
         xi_max = sch.N[min(3, len(sch.q))] if fc["xi_max"] is None else fc["xi_max"]
-        xis = [rng.value_at(seed, i) % (xi_max + 1) for i in range(fc["xi_count"])]
-    # gamma comes from the system's weights, so no context is built; the
-    # pair is still checked as every single-pair command checks it
-    radix.check_pair(*_context_pairs(cfg)[0])
+        xis = (rng.value_at(seed, i) % (xi_max + 1) for i in range(fc["xi_count"]))
+    table = fourier._batch_table(xis, sysm, fc["eps"])
     path = os.path.join(out, fc["out"])
-    _stamp_csv(path, cfg_hash, fourier._batch_table(xis, sysm, fc["eps"]))
-    print(f"fourier: {len(xis)} frequencies -> {path}")
+    _stamp_csv(path, cfg_hash, table)
+    print(f"fourier: {len(table) - 1} frequencies -> {path}")
     return 0
 
 
@@ -345,15 +410,8 @@ def cmd_del(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
     b, h = _context_pairs(cfg)[0]
-    dc = _section(cfg, "del")
+    dc = _section(cfg, "del", sch)
     r_lo, r_hi, eps = dc["r_lo"], dc["r_hi"], dc["eps"]
-    # block_trend checks the range too, but only after del_partial has run,
-    # and an empty r range would pass it
-    if r_lo is not None and r_hi is not None and not 1 <= r_lo <= r_hi <= len(sch.q):
-        raise InvalidParameter(
-            f"del.r_lo and del.r_hi must satisfy 1 <= r_lo <= r_hi <= {len(sch.q)}, "
-            f"got {r_lo} and {r_hi}"
-        )
     report = delsum.del_partial(sysm, b, h, dc["N_max"], eps)
     rows = None
     if r_lo is not None and r_hi is not None:
@@ -398,31 +456,8 @@ def cmd_normality(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     sysm = _system_from(cfg, sch)
     nc = _section(cfg, "normality")
     depth = sch.depth if nc["depth"] is None else nc["depth"]
-    measure._check_depth(sysm, depth)  # checked here too, so that zero samples still reject it
-    count, bases, digits, guard = nc["samples"], nc["bases"], nc["count"], nc["guard"]
-    # checked here, not only inside normality_report, so that zero samples
-    # still reject a bad config
-    if not bases:
-        raise InvalidParameter("normality.bases needs at least one base")
-    for b in bases:
-        if b < 2:
-            raise InvalidParameter(f"base must be >= 2, got {b}")
-    if digits is not None:
-        _integer(digits, "normality.count", low=0)  # bounded after the bases
-    # the bound on samples x sum(bases) caps the size of the config only: a
-    # report keeps just the counts of the digit values that occur, so no
-    # step here costs work in proportion to a base
-    values = sum(bases)
-    if count * values > measure.FREQUENCY_GUARD:
-        raise TooLarge(
-            f"normality frequency tables of {count * values} entries ({count} samples x "
-            f"{values} digit values) exceed the guard {measure.FREQUENCY_GUARD}"
-        )
-    rows = []
-    if count > 0:
-        for i, pt in enumerate(measure.sample_batch(sysm, seed, depth, count)):
-            for rep in measure.normality_report(pt.value, bases=bases, guard=guard, count=digits):
-                rows.append((rng.derive_seed(seed, i), depth, rep))
+    count, bases = nc["samples"], nc["bases"]
+    rows = measure._normality_batch(sysm, seed, depth, count, bases, nc["guard"], nc["count"])
     path = os.path.join(out, nc["out"])
     _stamp_csv(path, cfg_hash, measure._normality_table(rows))
     print(f"normality: {count} samples x {len(bases)} bases -> {path}")
@@ -435,34 +470,16 @@ def cmd_uniqueness(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     uc = _section(cfg, "uniqueness")
     depth = sch.depth if uc["depth"] is None else uc["depth"]
     j_max, count = uc["j_max"], uc["samples"]
-    if uc["kind"] == "plain":
-        default_j = sch.depth - 1
-    elif uc["kind"] == "dim-one":
+    default_j = sch.depth - 1
+    if uc["kind"] == "dim-one":
         sysm = dimension.build_convolved(sysm, "dim-one")
         default_j = len(sysm.special_levels) - 1
-    else:
-        raise InvalidParameter(f"unknown uniqueness kind {uc['kind']!r}")
     if j_max is None:
         j_max = max(1, default_j)
-    levels = measure._avoidance_levels(sysm, j_max)  # rejects a bad j_max even with zero samples
-    measure._check_depth(sysm, depth)  # and a bad depth
-    _integer(count, "uniqueness.samples", low=0)  # bounded after both, which it must not hide
-    rows = []
-    passed = 0
-    if count > 0:
-        pts = measure.sample_batch(sysm, seed, depth, count)
-        lo = measure._avoidance_lo(sysm)
-        # each level's digit is drawn from its digit set, so the drawn digits
-        # are the point's attractor digits; 0 lies in every level's set and
-        # pads them to the system's depth
-        pad = (0,) * (sysm.depth - depth)
-        for i, pt in enumerate(pts):
-            verdict = measure._avoidance_verdict(pt.value, pt.digits + pad, sch, levels, lo)
-            passed += verdict.passed
-            rows.append((rng.derive_seed(seed, i), verdict))
+    rows = measure._uniqueness_batch(sysm, seed, depth, count, j_max)
     path = os.path.join(out, uc["out"])
     _stamp_csv(path, cfg_hash, measure._uniqueness_table(rows))
-    print(f"uniqueness: {passed}/{count} pass -> {path}")
+    print(f"uniqueness: {sum(v.passed for _, v in rows)}/{count} pass -> {path}")
     return 0
 
 
@@ -471,36 +488,15 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
 
     sch = _schedule_from(cfg)
     sysm = _system_from(cfg, sch)
-    dc = _section(cfg, "dimension")
-    gauge, eps, band_lo = dc["gauge"], dc["eps"], dc["band_lo"]
+    dc = _section(cfg, "dimension", sch)
+    gauge, eps, variant = dc["gauge"], dc["eps"], dc["variant"]
+    band_lo, band_hi, local_depth = dc["band_lo"], dc["band_hi"], dc["local_depth"]
     phi = None if gauge is None else dimension.GaugeFunction(gauge["kind"], gauge["param"])
-    band_hi = sch.depth - 1 if dc["band_hi"] is None else dc["band_hi"]
-    if band_lo > band_hi:
-        raise InvalidParameter(
-            f"dimension.band_lo = {band_lo} exceeds dimension.band_hi = {band_hi}"
-        )
-    # the ball at band m needs level m + 1; past the depth, prefix_product or
-    # ball_measure would fail later, naming no key
-    if band_hi >= sch.depth:
-        raise OutOfRange(
-            f"dimension.band_hi = {band_hi} must be below the schedule depth {sch.depth}"
-        )
-    local_depth = sch.depth if dc["local_depth"] is None else dc["local_depth"]
-    if local_depth > sch.depth:
-        raise OutOfRange(
-            f"dimension.local_depth = {local_depth} exceeds the schedule depth {sch.depth}"
-        )
-    variant = dc["variant"]
+    csys = dimension.build_convolved(sysm, variant, phi, H_param=dc["H_param"])
     if variant == "dim-one":
-        csys = dimension.build_convolved(sysm, "dim-one")
-        phi_of = lambda r: float(r) ** (1.0 - eps)
-        scale = 8.0
+        phi_of, scale = lambda r: float(r) ** (1.0 - eps), 8.0
     else:
-        if phi is None:
-            raise InvalidParameter(f"variant {variant!r} needs a dimension.gauge entry")
-        csys = dimension.build_convolved(sysm, variant, phi, H_param=dc["H_param"])
-        phi_of = lambda r: phi.value(r)
-        scale = 4.0
+        phi_of, scale = phi.value, 4.0
 
     pts = measure.sample_batch(csys, seed, sch.depth, dc["samples"])
     # one h(r) per band, shared by every sample and by the h_rate payload
@@ -508,7 +504,7 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
     hrows = dimension.h_rate_report(sch, grid)
     bands = [(mband, hr.r, hr.h_r, phi_of(hr.r)) for mband, hr in enumerate(hrows, start=band_lo)]
     rows = []
-    for i, pt in enumerate(pts):
+    for pt in pts:
         for mband, r, h_r, phi_r in bands:
             ball = dimension._ball_measure(pt.value, r, csys, h_r)
             # checked per row: the ball (<= 4 phi(r) on gauge) can underflow
@@ -519,9 +515,8 @@ def cmd_dimension(cfg: dict, out: str, seed: int, cfg_hash: str) -> int:
                     f"underflows double precision; lower dimension.band_hi"
                 )
             ratio = float(ball) / (scale * phi_r)
-            x_seed = rng.derive_seed(seed, i)
             rows.append(
-                dimension.BallRow(x_seed=x_seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
+                dimension.BallRow(x_seed=pt.seed, r=r, h_r=h_r, ball=ball, phi_r=phi_r, ratio=ratio)
             )
     bpath = os.path.join(out, dc["ball_out"])
     _stamp_csv(bpath, cfg_hash, dimension._ball_table(rows))

@@ -183,25 +183,31 @@ def block_trend(
     Every row is flagged: the bound's constants hold for r >= r1, far beyond
     any enumerable block, so the pairing is a trend diagnostic only. The
     context (orders, gamma, free-suffix lengths) is built from the system's
-    own schedule and {0,1} weights, so only binary systems have one.
+    own schedule and {0,1} weights, so only binary systems have one. eps,
+    each r with its block's guard and each m are checked before the context
+    is built, whatever the size of the ranges.
     """
     if not sys.is_binary:
         raise InvalidParameter("block trends are defined for binary digit systems only")
+    check_eps(eps)
     sch, omegas = sys.schedule, sys.binary_omegas()
+    r_range, m_values = list(r_range), list(m_values)
+    for r in r_range:
+        if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= len(sch.q):
+            raise InvalidParameter(f"r = {r!r} outside 1 .. {len(sch.q)}")
+        if sch.N[r] > BLOCK_GUARD:
+            raise TooLarge(f"N_{r} = {sch.N[r]} exceeds the enumeration guard {BLOCK_GUARD}")
+    for m in m_values:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise InvalidParameter(f"m must be an integer >= 0, got {m!r}")
     context = numtheory.build_context(b, h, sch, weights=(min(omegas), max(omegas)))
     A, B = asymptotic_constants(context.gamma)
     rows: list[BlockRow] = []
     for r in r_range:
-        if not 1 <= r <= len(sch.q):
-            raise InvalidParameter(f"r = {r} outside 1 .. {len(sch.q)}")
         N_r = sch.N[r]
-        if N_r > BLOCK_GUARD:
-            raise TooLarge(f"N_{r} = {N_r} exceeds the enumeration guard {BLOCK_GUARD}")
         u_r = sum(context.j[i - 1] for i in range(context.r0 + 1, r + 1))
         bound = 2.0 * A * N_r * math.exp(-B * u_r)
         for m in m_values:
-            if m < 0:
-                raise InvalidParameter(f"m must be >= 0, got {m}")
             xis = [abs(frequency(h, b, n, m)) for n in range(m + 1, N_r)]
             table = _modulus_table(sys, xis, eps)
             block_sum = math.fsum(0.5 * (lo + hi) for lo, hi in map(table.__getitem__, xis))

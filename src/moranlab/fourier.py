@@ -160,15 +160,15 @@ def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
 
 
 def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
-    """mask_interval at t = r / P for integers 0 <= r < P, 2 r != P, bit for bit.
+    """mask_interval at t = r / P for integers 0 <= r < P, bit for bit.
 
-    Prefix products are odd (schedule primes are >= 7), so mask_interval's
-    exact-half path has no counterpart here. Floats see only correctly
-    rounded quotients of exact residues, which is what float() of the
-    reduced Fraction yields."""
+    At t = 1/2 the {0,1} factor takes the exact-half path, which the
+    transform never reaches: prefix products are odd (schedule primes are
+    >= 7). Floats see only correctly rounded quotients of exact residues,
+    which is what float() of the reduced Fraction yields."""
     if r == 0:
         return 1.0, 1.0
-    lo, hi = _binary_mask(level.gain, r / P)
+    lo, hi = _half_mask(level.pair) if r + r == P else _binary_mask(level.gain, r / P)
     if level.count == 1:
         return lo, hi
     f_lo, f_hi = _dirichlet(level.step * r % P, level.count, P)
@@ -202,10 +202,6 @@ def mask_interval(level_n: int, t: Fraction, sys: MoranSystem) -> tuple[float, f
     level = sys._levels[level_n - 1]
     t = Fraction(t)
     t -= math.floor(t)
-    if t == 0:
-        return 1.0, 1.0
-    if level.count == 1 and t == Fraction(1, 2):
-        return _half_mask(level.pair)
     return _level_mask(level, t.numerator, t.denominator)
 
 
@@ -392,7 +388,10 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
 
 def _batch_table(xis: Iterable[int], sys: MoranSystem, eps: float) -> list:
     # the CSV rows of write_batch_csv, header first, all evaluated before any
-    # file is opened
+    # file is opened; eps and the system's levels are checked first, so that
+    # an empty batch still rejects them
+    check_eps(eps)
+    sys._transform_levels  # InvalidParameter on a level of neither kind
     rows: list = [["xi", "lo", "hi", "truncation_level", "w", "gamma_pow_w"]]
     for xi in xis:
         cert = mu_hat_modulus(xi, sys, eps)
@@ -409,8 +408,8 @@ def write_batch_csv(
 ) -> None:
     """Evaluate a batch of frequencies and write one CSV row per frequency.
 
-    Rows are emitted in input order. gamma is computed once, on the first
-    row, and cached on the system.
+    Rows are emitted in input order, and no file is opened before the last.
+    gamma is computed once, on the first row, and cached on the system.
     """
     rows = _batch_table(xis, sys, eps)
     with open(path, "w", newline="") as fh:

@@ -53,12 +53,13 @@ from .errors import (
     NotInSupport,
     OutOfRange,
     ScheduleTooShort,
+    TooLarge,
 )
 from .system import MoranSystem
 from .rng import _GOLDEN, _MASK, _MIX1, _MIX2, derive_seed
 
 DEFAULT_GUARD = 8
-# the normality command's bound on samples x sum(bases), the number of
+# the normality batch's bound on samples x sum(bases), the number of
 # frequency entries its reports would hold
 FREQUENCY_GUARD = 10**6
 
@@ -125,7 +126,9 @@ def sample_point(sys: MoranSystem, seed: int, depth: int) -> SamplePoint:
 def sample_batch(
     sys: MoranSystem, seed: int, depth: int, count: int
 ) -> tuple[SamplePoint, ...]:
-    """count independent points; point i is seeded with seed XOR i."""
+    """count independent points; point i is seeded with seed XOR i. The depth
+    is checked first, so that no count hides a bad one."""
+    _check_depth(sys, depth)
     if count < 1:
         raise InvalidParameter(f"count must be >= 1, got {count}")
     return tuple(sample_point(sys, derive_seed(seed, i), depth) for i in range(count))
@@ -255,7 +258,9 @@ def _digit_string(num: int, den: int, b: int, count: int) -> bytes | tuple[int, 
 
 
 def _checked(x: Fraction, bases: Sequence[int], count: int | None, guard: int) -> Fraction:
-    # the argument checks of base_digits and normality_report; x as a Fraction
+    # the argument checks of base_digits and normality_report, which
+    # _normality_batch and the normality command's rule make with x = 0
+    # before any point is drawn; x as a Fraction
     x = Fraction(x)
     if not 0 <= x < 1:
         raise InvalidParameter(f"x must lie in [0, 1), got {x}")
@@ -407,6 +412,36 @@ def normality_report(
     return reports
 
 
+def _normality_batch(
+    sys: MoranSystem,
+    seed: int,
+    depth: int,
+    samples: int,
+    bases: Sequence[int],
+    guard: int,
+    count: int | None,
+) -> list[tuple[int, int, NormalityReport]]:
+    """normality_report(x, bases, guard, count) of `samples` points drawn as
+    by sample_batch, as (seed, depth, report) rows. Every argument is checked
+    before the first point, so that zero samples still reject a bad one;
+    samples x sum(bases) is bounded only to cap the size of the arguments."""
+    _check_depth(sys, depth)
+    _checked(0, bases, count, guard)
+    if samples < 0:
+        raise InvalidParameter(f"samples must be >= 0, got {samples}")
+    if (entries := samples * sum(bases)) > FREQUENCY_GUARD:
+        raise TooLarge(
+            f"normality frequency tables of {entries} entries ({samples} samples x "
+            f"{sum(bases)} digit values) exceed the guard {FREQUENCY_GUARD}"
+        )
+    points = sample_batch(sys, seed, depth, samples) if samples else ()
+    return [
+        (pt.seed, depth, rep)
+        for pt in points
+        for rep in normality_report(pt.value, bases, guard, count)
+    ]
+
+
 # --------------------------------------------------------------------------
 # interval avoidance
 
@@ -482,8 +517,8 @@ def _avoidance_verdict(
     """The verdict of uniqueness_avoidance once its checks have passed:
     digits are the attractor digits of x at the system's depth, each in its
     level's digit set, levels come from _avoidance_levels (one per j, so
-    j_max = len(levels)) and lo from _avoidance_lo. cmd_uniqueness passes the
-    digits its sampler drew.
+    j_max = len(levels)) and lo from _avoidance_lo. _uniqueness_batch passes
+    the digits its sampler drew.
 
     With k = P_(n-1), {k x} = 0.d_n d_(n+1)... in the tail bases, so
     {k x} < (d_n + 1) / M_n: a dilation with (d_n + 1) / M_n <= lo is ruled
@@ -506,6 +541,28 @@ def _avoidance_verdict(
                 passed=False, first_violation_j=j, interval_lo=lo, j_max=j_max
             )
     return AvoidanceVerdict(passed=True, first_violation_j=None, interval_lo=lo, j_max=j_max)
+
+
+def _uniqueness_batch(
+    sys: MoranSystem, seed: int, depth: int, samples: int, j_max: int
+) -> list[tuple[int, AvoidanceVerdict]]:
+    """The (seed, verdict) rows of `samples` points drawn as by sample_batch.
+    Every argument is checked before the first point, so that zero samples
+    still reject a bad one: j_max, the depth, then the count, whose message
+    names the command's key, as the command bounds it here, after the two
+    checks that it must not hide. A drawn digit lies in its level's set, so
+    the drawn digits, padded by 0 (in every set), are the attractor digits."""
+    levels = _avoidance_levels(sys, j_max)
+    _check_depth(sys, depth)
+    if samples < 0:
+        raise InvalidParameter(f"uniqueness.samples must be >= 0, got {samples}")
+    lo = _avoidance_lo(sys)
+    pad = (0,) * (sys.depth - depth)
+    points = sample_batch(sys, seed, depth, samples) if samples else ()
+    return [
+        (pt.seed, _avoidance_verdict(pt.value, pt.digits + pad, sys.schedule, levels, lo))
+        for pt in points
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -43,3 +43,14 @@ def test_corpus_covers_every_key_of_the_table():
     seen = {key for case in CASES for key in keys(case["config"])}
     table = {f"{name}.{key}" if name else key for name, rows in _KEYS.items() for key, *_ in rows}
     assert table <= seen
+
+
+def test_corpus_breaks_every_rule_of_the_table():
+    from moranlab.cli import _RULES
+
+    assert set(corpus.RULE_FAULTS) == set(_RULES)
+    recorded = {json.dumps([case["command"], case["config"]], sort_keys=True) for case in CASES}
+    for section, (command, faults) in corpus.RULE_FAULTS.items():
+        for values in faults:
+            config = corpus._with_values(corpus.BASE[command], section, values)
+            assert json.dumps([command, config], sort_keys=True) in recorded, (command, config)

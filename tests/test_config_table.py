@@ -1,15 +1,16 @@
-"""The README's config schema block against the table of config keys.
+"""The README's config schema against the tables of config keys and rules.
 
 Every section, key and default in ``moranlab.cli._KEYS`` must appear in the
 ``jsonc`` block under "Config file schema", and the block may hold nothing
-else, so the two cannot drift apart.
+else, so the two cannot drift apart. The list under "Rules across keys"
+must name the rules of ``moranlab.cli._RULES``, section and keys, in order.
 """
 
 import json
 import re
 from pathlib import Path
 
-from moranlab.cli import _KEYS
+from moranlab.cli import _KEYS, _RULES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +49,13 @@ def test_readme_gives_the_gauge_defaults():
     found = re.search(r"`dimension\.gauge` is an object `(\{.*?\})`", body)
     assert found, "the dimension.gauge note is missing"
     assert json.loads(found.group(1)) == _defaults("dimension.gauge")
+
+
+def test_readme_lists_every_rule_across_keys_in_order():
+    _, body = _schema_block()
+    text = body[body.index("Rules across keys.") : body.index("\nNotes:")]
+    listed = [
+        (section, tuple(re.findall(r"`(\w+)`", keys)))
+        for section, keys in re.findall(r"^- `([\w.]+)`: ((?:`\w+`, )*`\w+`)\.", text, re.M)
+    ]
+    assert listed == [(name, keys) for name, (keys, _) in _RULES.items()]

@@ -334,6 +334,25 @@ def test_mask_interval_at_exact_zeros_and_near_the_singularity(variant, omega):
                 assert mpmath.mpf(lo) <= true <= mpmath.mpf(hi) == 1, (n, P)
 
 
+@pytest.mark.parametrize("variant, omega", CONVOLVED)
+def test_mask_interval_at_one_half_is_the_exact_half_mask_times_the_factor(variant, omega):
+    # at t = 1/2 the mask is the exact rational |sum_d w_d (-1)^d|, and the
+    # {0,1} factor has no trigonometric error to pad: the padded cosine would
+    # bracket it by a width of 4.6e-8 about 0 where w0 = w1
+    sysm = _convolved("medium", variant, omega)
+    binary = binary_system(_schedule("medium"), omega)
+    for n, level in _levels(sysm):
+        digits, weights = sysm.digit_sets[n - 1], sysm.weights[n - 1]
+        exact = abs(sum(w * (-1) ** d for d, w in zip(digits, weights)))
+        for t in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)):
+            lo, hi = mask_interval(n, t, sysm)
+            assert Fraction(lo) <= exact <= Fraction(hi), (n, t)
+            assert hi - lo <= 2.0**-50, (n, t)
+        if exact == 0:
+            half = Fraction(1, 2)
+            assert mask_interval(n, half, sysm)[1] <= 2 * mask_interval(n, half, binary)[1]
+
+
 # --------------------------------------------------------------------------
 # the transform
 

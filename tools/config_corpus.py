@@ -5,10 +5,14 @@
 
 For every config key it builds single-fault configs (one bad or edge value
 on a small config that runs) and two-fault configs (two keys of one command
-bad at once, so the order of the checks shows). Each config runs in process
-through ``moranlab.cli.main`` with ``--out`` in a fresh temporary directory,
-and the corpus records its exit code and stderr bytes, with that directory
-written as ``<out>``. An exception that escapes ``main`` is recorded as
+bad at once, so the order of the checks shows). Then, for the rule of each
+section in ``moranlab.cli._RULES``, it builds configs that break the rule
+once, twice (so the order of its own checks shows), and beside one other key
+of its section (so its order against the section's keys shows). The rule
+cases come last, so that the cases of the keys keep their places in the
+file. Each config runs in process through ``moranlab.cli.main`` with
+``--out`` in a fresh temporary directory, and the corpus records its exit
+code and stderr bytes, with that directory written as ``<out>``. An exception that escapes ``main`` is recorded as
 ``"raises <type>"``. OUTPUT defaults to ``tests/config_corpus.json``, one
 case per line. The corpus pins behaviour as it is: regenerate it only for a
 change that means to move an exit code or a message, and name each moved
@@ -136,6 +140,28 @@ PARTNERS = {
 }
 
 
+# per section of moranlab.cli._RULES: the command that reads it and section
+# values that break its rule once each, the first of them the primary fault
+# used beside the section's other keys
+RULE_FAULTS = {
+    "system": ("fourier", [{"kind": "ternary"}, {"kind": True}]),
+    "del": ("del", [{"r_lo": 2, "r_hi": 1}, {"r_lo": 0}, {"r_hi": 9}]),
+    "normality": ("normality", [{"bases": [2, 1]}, {"bases": []}, {"count": -1}]),
+    "uniqueness": ("uniqueness", [{"kind": "bogus"}, {"kind": True}]),
+    "dimension": (
+        "dimension",
+        [
+            {"band_lo": 4},
+            {"band_hi": 999},
+            {"band_hi": None, "band_lo": 10},
+            {"local_depth": 11},
+            {"gauge": None},
+            {"variant": "bogus", "gauge": None},
+        ],
+    ),
+}
+
+
 def _faults(kind: str, extra: list) -> list:
     # JSON text tells true from 1 and 2 from 2.0
     faults = list(extra)
@@ -155,6 +181,13 @@ def _with(config: dict, section: str, key: str, value) -> dict:
     for partner, good in PARTNERS.get((section, key), {}).items():
         node.setdefault(partner, good)
     node[key] = value
+    return config
+
+
+def _with_values(config: dict, section: str, values: dict) -> dict:
+    # values set as they are, without the partners of _with
+    config = json.loads(json.dumps(config))
+    config[section] = {**config.get(section, {}), **values}
     return config
 
 
@@ -189,6 +222,23 @@ def cases() -> list[tuple[str, dict, int]]:
             if up_section in READS[command]:
                 config = _with(BASE[command], up_section, up_key, True)
                 out.append((command, _with(config, section, key, primary), 2))
+    # each rule broken once, twice where two faults set different keys, then
+    # beside a primary fault and a type fault of every other key of its section
+    from moranlab.cli import _RULES
+
+    for section, (command, faults) in RULE_FAULTS.items():
+        keys = _RULES[section][0]
+        for values in faults:
+            out.append((command, _with_values(BASE[command], section, values), 1))
+        for first, second in combinations(faults, 2):
+            if not set(first) & set(second):
+                config = _with_values(BASE[command], section, {**first, **second})
+                out.append((command, config, 2))
+        for _, other_section, key, kind, extra in KEYS:
+            if other_section == section and key not in keys:
+                for value in (_faults(kind, extra)[0], True):
+                    config = _with_values(BASE[command], section, faults[0])
+                    out.append((command, _with(config, section, key, value), 2))
     return out
 
 

@@ -3,7 +3,8 @@
 orders, the partition pass, the sampler and its thresholds, the orbit bins,
 the digit counts, the DEL sums, the digit-system checks, the convolved
 systems' avoidance data, the argument types of to_digits, digit strings and
-binary_system, and the command line.
+binary_system, the checks the batch entries make before their first item,
+and the command line and its config rules.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -14,7 +15,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 35 mutants, all KILLED, took 1 min 23 s on a shared
+test suite: a full run of 52 mutants, all KILLED, took 2 min 39 s on a shared
 2-core x86-64 VM.
 """
 
@@ -47,6 +48,8 @@ ORDERS = "tests/test_numtheory.py"
 ACCEPT = "tests/test_acceptance.py"
 DIMENSION = "tests/test_dimension.py"
 RADIX = "tests/test_radix.py"
+BATCH = "tests/test_batch_checks.py"
+CORPUS = "tests/test_config_corpus.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -307,6 +310,134 @@ MUTANTS = {
         "not (special_levels[0] >= 1 and special_levels[-1] <= depth)",
         "False",
         [f"{DIMENSION}::test_convolved_validation_errors"],
+    ),
+    # at t = 1/2 the {0,1} factor through the padded cosine, as convolved
+    # levels took it, instead of the exact half path
+    "half-mask-path-dropped": (
+        "src/moranlab/fourier.py",
+        "_half_mask(level.pair) if r + r == P else _binary_mask",
+        "_binary_mask",
+        [f"{KERNEL}::test_mask_interval_at_one_half_is_the_exact_half_mask_times_the_factor"],
+    ),
+    # the batch table leaves eps to the first frequency's transform, so an
+    # empty batch writes a file for any eps
+    "batch-table-eps-unchecked": (
+        "src/moranlab/fourier.py",
+        "    check_eps(eps)\n    sys._transform_levels  #",
+        "    sys._transform_levels  #",
+        [f"{BATCH}::test_write_batch_csv_rejects_eps_with_no_frequencies"],
+    ),
+    # the batch table leaves the system's level kinds to the first transform
+    "batch-table-levels-unchecked": (
+        "src/moranlab/fourier.py",
+        "    sys._transform_levels  # InvalidParameter on a level of neither kind\n    rows",
+        "    rows",
+        [f"{BATCH}::test_batch_table_rejects_a_system_of_neither_kind_with_no_frequencies"],
+    ),
+    # block_trend leaves eps to the first modulus of its first row
+    "block-trend-eps-unchecked": (
+        "src/moranlab/delsum.py",
+        "binary digit systems only\")\n    check_eps(eps)\n",
+        "binary digit systems only\")\n",
+        [f"{BATCH}::test_block_trend_rejects_eps_with_an_empty_r_range"],
+    ),
+    # no r checked up front: a bad r fails only once its row is built, after
+    # the rows before it have run their transforms
+    "block-trend-r-unchecked-up-front": (
+        "src/moranlab/delsum.py",
+        "        if isinstance(r, bool) or not isinstance(r, int) or not 1 <= r <= len(sch.q):\n"
+        "            raise InvalidParameter(f\"r = {r!r} outside 1 .. {len(sch.q)}\")\n"
+        "        if sch.N[r] > BLOCK_GUARD:",
+        "        if r in range(1, len(sch.q) + 1) and sch.N[r] > BLOCK_GUARD:",
+        [f"{BATCH}::test_block_trend_checks_every_r_before_any_transform"],
+    ),
+    # the block guard of each r left to its row, after the rows before it
+    "block-trend-guard-late": (
+        "src/moranlab/delsum.py",
+        "        if sch.N[r] > BLOCK_GUARD:",
+        "        if False:",
+        [f"{BATCH}::test_block_trend_checks_every_block_guard_before_any_transform"],
+    ),
+    # m left unchecked until its frequencies are built, so an empty r range
+    # passes any m
+    "block-trend-m-unchecked": (
+        "src/moranlab/delsum.py",
+        "if isinstance(m, bool) or not isinstance(m, int) or m < 0:",
+        "if False:",
+        [f"{BATCH}::test_block_trend_rejects_m_with_an_empty_r_range",
+         f"{BATCH}::test_block_trend_checks_every_m_before_any_transform"],
+    ),
+    # sample_batch checks the count first, so zero samples hide a bad depth
+    "sample-batch-depth-late": (
+        "src/moranlab/measure.py",
+        "    _check_depth(sys, depth)\n    if count < 1:",
+        "    if count < 1:",
+        [f"{BATCH}::test_sample_batch_checks_depth_before_count"],
+    ),
+    # the normality batch leaves the depth to its first sample
+    "normality-batch-depth-unchecked": (
+        "src/moranlab/measure.py",
+        "    _check_depth(sys, depth)\n    _checked(0, bases, count, guard)\n",
+        "    _checked(0, bases, count, guard)\n",
+        [f"{BATCH}::test_normality_batch_checks_with_zero_samples"],
+    ),
+    # the normality batch leaves bases, count and guard to its first report
+    "normality-batch-arguments-unchecked": (
+        "src/moranlab/measure.py",
+        "    _checked(0, bases, count, guard)\n",
+        "",
+        [f"{BATCH}::test_normality_batch_checks_with_zero_samples"],
+    ),
+    # the uniqueness batch checks the depth before j_max
+    "uniqueness-batch-depth-before-j-max": (
+        "src/moranlab/measure.py",
+        "    levels = _avoidance_levels(sys, j_max)\n    _check_depth(sys, depth)\n",
+        "    _check_depth(sys, depth)\n    levels = _avoidance_levels(sys, j_max)\n",
+        [f"{BATCH}::test_uniqueness_batch_checks_with_zero_samples"],
+    ),
+    # the uniqueness batch leaves the depth to its first sample
+    "uniqueness-batch-depth-unchecked": (
+        "src/moranlab/measure.py",
+        "    levels = _avoidance_levels(sys, j_max)\n    _check_depth(sys, depth)\n",
+        "    levels = _avoidance_levels(sys, j_max)\n",
+        [f"{BATCH}::test_uniqueness_batch_checks_with_zero_samples",
+         f"{CLI}::test_uniqueness_sample_count_is_checked_after_j_max_and_depth"],
+    ),
+    # the uniqueness batch reads the avoidance interval only when it samples
+    "uniqueness-batch-interval-late": (
+        "src/moranlab/measure.py",
+        "    lo = _avoidance_lo(sys)\n    pad",
+        "    lo = _avoidance_lo(sys) if samples else None\n    pad",
+        [f"{BATCH}::test_uniqueness_batch_rejects_an_empty_interval_with_zero_samples"],
+    ),
+    # the del rule dropped: an empty or out-of-schedule block range reaches
+    # block_trend after the series is summed
+    "del-block-range-rule-dropped": (
+        "src/moranlab/cli.py",
+        "and not 1 <= r_lo <= r_hi <= len(sch.q):",
+        "and False:",
+        [f"{CLI}::test_del_rejected_block_report_writes_nothing"],
+    ),
+    # the normality rule leaves the bases to the batch entry, after the count
+    "normality-rule-bases-after-count": (
+        "src/moranlab/cli.py",
+        "    measure._checked(0, values[\"bases\"], None, 0)\n",
+        "",
+        [f"{CLI}::test_normality_checks_bases_and_count_up_front"],
+    ),
+    # the dimension rule lets band_hi reach the schedule depth
+    "dimension-rule-band-hi-unbounded": (
+        "src/moranlab/cli.py",
+        "    if band_hi >= depth:",
+        "    if False:",
+        [f"{CLI}::test_dimension_range_errors_name_their_keys"],
+    ),
+    # a kind rule takes any kind: an unknown system kind runs as binary
+    "kind-rule-takes-anything": (
+        "src/moranlab/cli.py",
+        "        if values[\"kind\"] not in choices:",
+        "        if False:",
+        [f"{CLI}::test_config_shape_errors", f"{CLI}::test_uniqueness_unknown_kind"],
     ),
     # an unknown flag or stray argument is dropped, not reported
     "unknown-flag-accepted": (
