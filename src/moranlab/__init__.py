@@ -58,7 +58,6 @@ _HOME = {
                 "Factorization",
                 "BaseContext",
                 "build_context",
-                "multiplicative_order",
                 "prime_power_order",
                 "order_by_crt",
                 "k_of",

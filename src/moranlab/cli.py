@@ -312,14 +312,16 @@ def _system_from(cfg: dict, sch: radix.PrimeSchedule) -> system.MoranSystem:
 
 
 def _context_pairs(cfg: dict) -> list[tuple[int, int]]:
-    # a command that needs one pair takes the first, checked here for fourier,
-    # which builds no context, as build_context checks it for the others
+    # every pair is checked here, before any work: a command that needs one
+    # pair takes the first, and context builds them one after another
     cx = _section(cfg, "context")
     bs, hs = list(cx["b"]), list(cx["h"])
     if not bs or not hs:
         raise InvalidParameter(f"context needs at least one b and one h, got b={bs} h={hs}")
-    radix.check_pair(bs[0], hs[0])
-    return [(b, h) for b in bs for h in hs]
+    pairs = [(b, h) for b in bs for h in hs]
+    for b, h in pairs:
+        radix.check_pair(b, h)
+    return pairs
 
 
 def _config_hash(cfg: dict, top: dict, seed: int) -> str:

@@ -9,8 +9,8 @@ free suffix, and the derived decay constants gamma, alpha, r1.
 Orders of the huge moduli N_s * q_{s+1}^j / Q are never computed by factoring
 the modulus: the schedule supplies its factorization, and the order comes from
 the prime-power structure theorem plus a CRT least common multiple: orders mod
-n, p and 2^e descend from a factored multiple (phi(n), p - 1, 2^e), and the
-order mod an odd p^j is lifted from ord_p, which also gives k_r.
+p and 2^e descend from a factored multiple (p - 1, 2^e), and the order mod an
+odd p^j is lifted from ord_p, which also gives k_r.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ class Factorization(Record):
         self.__dict__.update(pairs=pairs)
 
     @classmethod
-    def of(cls, n: int) -> "Factorization":
-        if n < 2:
-            raise InvalidParameter(f"factorization is defined for n >= 2, got {n}")
-        fac = _trial_factor(n)
-        return cls(tuple(sorted(fac.items())))
-
-    @classmethod
     def from_map(cls, exponents: dict[int, int]) -> "Factorization":
         return cls(tuple(sorted((p, e) for p, e in exponents.items() if e > 0)))
 
@@ -108,23 +101,6 @@ def _order_from_exponent(a: int, n: int, exponent_factors: dict[int, int]) -> in
         while order % p == 0 and pow(a, order // p, n) == 1:
             order //= p
     return order
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    """Smallest m >= 1 with a^m = 1 (mod n); requires gcd(a, n) = 1."""
-    if not isinstance(a, int) or a < 2:
-        raise InvalidParameter(f"base must be an integer >= 2, got {a!r}")
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParameter(f"modulus must be an integer >= 2, got {n!r}")
-    if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) != 1")
-    phi_factors: dict[int, int] = {}
-    for p, e in _trial_factor(n).items():
-        for fp, fe in _trial_factor(p - 1).items():
-            phi_factors[fp] = phi_factors.get(fp, 0) + fe
-        if e > 1:
-            phi_factors[p] = phi_factors.get(p, 0) + e - 1
-    return _order_from_exponent(a, n, phi_factors)
 
 
 def prime_power_order(a: int, p: int, j: int) -> int:

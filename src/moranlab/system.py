@@ -202,40 +202,18 @@ class MoranSystem(Record):
 _BINARY_DIGITS = (0, 1)
 
 
-def _omega(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (Fraction, int)):
-        raise InvalidParameter(
-            f"omega must be a Fraction, an int or a list or tuple of them, got {value!r}"
-        )
-    return Fraction(value)
+def binary_system(schedule: PrimeSchedule, omega: Fraction = Fraction(1, 2)) -> MoranSystem:
+    """The {0,1}-digit system with weights (omega, 1 - omega) at every level.
 
-
-def binary_system(
-    schedule: PrimeSchedule,
-    omega: Fraction | Sequence[Fraction] = Fraction(1, 2),
-) -> MoranSystem:
-    """The {0,1}-digit system with weights (omega_n, 1 - omega_n).
-
-    All levels share one digit tuple, and levels with equal omega share one
-    weight pair."""
+    All levels share one digit tuple and one weight pair."""
+    if isinstance(omega, bool) or not isinstance(omega, (Fraction, int)):
+        raise InvalidParameter(f"omega must be a Fraction or an int, got {omega!r}")
+    omega = Fraction(omega)
+    if not 0 < omega < 1:
+        raise InvalidParameter(f"weights must lie strictly inside (0, 1), got {omega}")
     depth = schedule.depth
-    if isinstance(omega, (list, tuple)):
-        if len(omega) != depth:
-            raise InvalidParameter(f"need {depth} weights, got {len(omega)}")
-        omegas = [_omega(o) for o in omega]
-    else:
-        omegas = [_omega(omega)] * depth
-    pairs: dict[Fraction, tuple[Fraction, Fraction]] = {}
-
-    def pair(o: Fraction) -> tuple[Fraction, Fraction]:
-        if o not in pairs:
-            if not 0 < o < 1:
-                raise InvalidParameter(f"weights must lie strictly inside (0, 1), got {o}")
-            pairs[o] = (o, 1 - o)
-        return pairs[o]
-
     return MoranSystem(
         schedule=schedule,
         digit_sets=(_BINARY_DIGITS,) * depth,
-        weights=_shared(pair, omegas),
+        weights=((omega, 1 - omega),) * depth,
     )

@@ -28,6 +28,24 @@ def brute_order(a: int, n: int) -> int:
     return m
 
 
+def is_order(a: int, n: int, m: int) -> bool:
+    """Whether m is the order of a mod n, past brute force: a^m = 1, and
+    a^(m/p) != 1 for every prime p dividing m (found by trial division)."""
+    if m < 1 or pow(a, m, n) != 1 % n:
+        return False
+    rest, p = m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            if pow(a, m // p, n) == 1 % n:
+                return False
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return True
+
+
 def brute_totient(n: int) -> int:
     """Euler's phi(n) as the count of 1 <= k <= n coprime to n."""
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)

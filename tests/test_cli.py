@@ -534,6 +534,32 @@ def test_empty_context_lists_are_parameter_errors(tmp_path, capsys, command, pai
     assert not (tmp_path / "context.json").exists()
 
 
+@pytest.mark.parametrize("command", ["fourier", "del", "partition"])
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ({"b": [2, 1]}, "b must be an integer >= 2, got 1"),
+        ({"b": [2], "h": [1, 0]}, "h must be a non-zero integer, got 0"),
+    ],
+)
+def test_single_pair_commands_check_every_pair(tmp_path, capsys, command, pairs, message):
+    # the command uses only the first pair, but a bad later one is refused
+    # before any artifact is written
+    out = tmp_path / "out"
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "context": pairs})
+    rc, stdout, err = run(capsys, command, "--config", path, "--out", str(out))
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_context_checks_every_pair_before_the_first_is_built(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = cfg_file(tmp_path, {"schedule": TOY_SCHEDULE, "context": {"b": [2, 1]}})
+    rc, stdout, err = run(capsys, "context", "--config", path, "--out", str(out))
+    assert (rc, stdout, err) == (2, "", "error: b must be an integer >= 2, got 1\n")
+    assert list(out.iterdir()) == []
+
+
 # config_sha256 of three runs, recorded before the workers flag and env var
 # were removed; the bench configs spectrum_* set "workers": 2
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"

@@ -31,6 +31,25 @@ def test_corpus_replays_unchanged(tmp_path, command):
     assert not changed, "\n".join(changed)
 
 
+def test_every_value_counted_in_a_two_fault_case_fails_alone(tmp_path):
+    # a case labelled with two faults pins the order of two checks only when
+    # each of its values exits non-zero on its own
+    parts = {}
+    for command, config, joined in corpus.cases():
+        parts.setdefault(json.dumps([command, config], sort_keys=True), joined)
+    alone = {}
+    two = [case for case in CASES if case["faults"] == 2]
+    for case in two:
+        joined = parts[json.dumps([case["command"], case["config"]], sort_keys=True)]
+        assert len(joined) == 2, case["config"]
+        for part in joined:
+            key = json.dumps([case["command"], part], sort_keys=True)
+            if key not in alone:
+                alone[key] = corpus.replay(case["command"], part, tmp_path)[0]
+            assert alone[key] != 0, (case["config"], part)
+    assert len(two) > 400
+
+
 def test_corpus_covers_every_key_of_the_table():
     from moranlab.cli import _KEYS
 

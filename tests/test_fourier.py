@@ -163,7 +163,8 @@ def window_digit_frequencies(draw):
     if draw(st.booleans()):
         sysm = binary_system(sch, draw(OMEGAS))
     else:
-        sysm = binary_system(sch, draw(st.lists(OMEGAS, min_size=sch.depth, max_size=sch.depth)))
+        omegas = draw(st.lists(OMEGAS, min_size=sch.depth, max_size=sch.depth))
+        sysm = MoranSystem(sch, ((0, 1),) * sch.depth, tuple((o, 1 - o) for o in omegas))
     xi, weight = 0, 1
     for q in sch.bases(draw(st.integers(1, 10))):
         third = q // 3

@@ -46,7 +46,8 @@ def _system(kind: str, k: int) -> MoranSystem:
         return binary_system(sch, Fraction(1, 2))
     if kind == "mixed":
         # binary levels with distinct weights per level
-        return binary_system(sch, [Fraction(n, 2 * n + k) for n in range(1, sch.depth + 1)])
+        omegas = [Fraction(n, 2 * n + k) for n in range(1, sch.depth + 1)]
+        return MoranSystem(sch, ((0, 1),) * sch.depth, tuple((o, 1 - o) for o in omegas))
     if kind == "dim-one":
         return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":

@@ -235,8 +235,9 @@ def test_frequency_consistency(small_system):
 def test_threshold_table_per_level_and_out_of_equality_and_hash():
     sch = build_schedule(d=2, count=5)
     omegas = [Fraction(n, 2 * n + 1) for n in range(1, sch.depth + 1)]
-    a = binary_system(sch, omegas)
-    b = binary_system(sch, omegas)
+    weights = tuple((o, 1 - o) for o in omegas)
+    a = MoranSystem(sch, ((0, 1),) * sch.depth, weights)
+    b = MoranSystem(sch, ((0, 1),) * sch.depth, weights)
     before = hash(a)
     sample_point(a, seed=7, depth=3)
     assert a._thresholds == tuple(reference_cumulative_thresholds(w) for w in a.weights)

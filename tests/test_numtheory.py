@@ -24,7 +24,6 @@ from moranlab import (
     derived_stirling_constants,
     integer_J,
     k_of,
-    multiplicative_order,
     order_by_crt,
     ord_ratio_check,
     prime_power_order,
@@ -38,21 +37,24 @@ from moranlab.numtheory import (
     reduced_modulus,
 )
 
-from oracles import brute_order, brute_totient, round_threshold_holds, round_threshold_search
+from oracles import (
+    brute_order,
+    brute_totient,
+    is_order,
+    round_threshold_holds,
+    round_threshold_search,
+)
 
 
-def test_multiplicative_order_examples():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(10, 7) == 6
-    with pytest.raises(NotCoprime):
-        multiplicative_order(7, 14)
+def _factored(n: int) -> Factorization:
+    return Factorization.from_map(_trial_factor(n))
 
 
 def test_prime_power_order_examples():
     assert prime_power_order(2, 7, 1) == 3
     assert prime_power_order(2, 7, 2) == 21  # k(2,7)=1, so order grows by 7
     # k(3,11)=2: order mod 11^3 is ord_11(3) * 11^(3-2)
-    assert prime_power_order(3, 11, 3) == multiplicative_order(3, 11) * 11
+    assert prime_power_order(3, 11, 3) == brute_order(3, 11) * 11
     assert prime_power_order(3, 11, 3) == brute_order(3, 11**3)
     with pytest.raises(EvenPrime):
         prime_power_order(3, 2, 1)
@@ -67,17 +69,20 @@ def test_prime_power_order_examples():
 
 
 def test_order_by_crt_examples():
-    assert order_by_crt(2, Factorization.of(77)) == 30
-    assert order_by_crt(2, Factorization.of(7)) == 3
-    assert order_by_crt(2, Factorization.of(847)) == 330
+    assert order_by_crt(2, _factored(77)) == 30
+    assert order_by_crt(2, _factored(7)) == 3
+    assert order_by_crt(10, _factored(7)) == 6
+    assert order_by_crt(2, _factored(847)) == 330
     with pytest.raises(NotCoprime):
-        order_by_crt(2, Factorization.of(14))
+        order_by_crt(2, _factored(14))
+    with pytest.raises(NotCoprime):
+        order_by_crt(7, _factored(14))
 
 
 @pytest.mark.parametrize("odd_part", [(), ((13, 1),), ((13, 5),)])
 def test_two_power_orders_far_past_brute_range(odd_part):
-    # the 2-part descends from 2^e; checked against the descent over the
-    # whole modulus for every e <= 64, and by brute force where it is cheap
+    # the 2-part descends from 2^e; checked against the definition of the
+    # order for every e <= 64, and by brute force where it is cheap
     rng = random.Random(2**64 + 13)
     bases = [3, 5, 7, 2**32 + 1, 2**64 - 1]
     bases += [rng.randrange(3, 2**80, 2) for _ in range(5)]
@@ -87,7 +92,7 @@ def test_two_power_orders_far_past_brute_range(odd_part):
         for a in bases:
             order = order_by_crt(a, f)
             n = math.prod(p**k for p, k in f)
-            assert order == multiplicative_order(a, n), (a, e)
+            assert is_order(a, n, order), (a, e)
             if e <= 14 and n < 2**18:
                 assert order == brute_order(a, n), (a, e)
 
@@ -129,14 +134,15 @@ ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 97, 101, 1093, 35
 def test_prime_power_order_lifting_identity(a, p, j):
     # ord_{p^j}(a) = d if k >= j else d p^(j-k), d = ord_p(a), k = k_of(a, p)
     assume(a % p)
-    d = multiplicative_order(a, p)
+    d = brute_order(a, p)
     k = k_of(a, p)
     expected = d if k >= j else d * p ** (j - k)
-    assert prime_power_order(a, p, j) == expected == multiplicative_order(a, p**j)
+    assert prime_power_order(a, p, j) == expected
+    assert is_order(a, p**j, expected)
 
 
 def test_factorization_round_trip():
-    f = Factorization.of(2**3 * 7 * 11**2)
+    f = _factored(2**3 * 7 * 11**2)
     assert math.prod(p**e for p, e in f) == 2**3 * 7 * 11**2
     assert dict(f) == {2: 3, 7: 1, 11: 2}
 
@@ -283,7 +289,7 @@ def test_order_divides_larger_modulus(a, n, mult):
     m = n * mult
     if math.gcd(a, m) != 1:
         return
-    assert multiplicative_order(a, m) % multiplicative_order(a, n) == 0
+    assert order_by_crt(a, _factored(m)) % order_by_crt(a, _factored(n)) == 0
 
 
 @settings(max_examples=200)
@@ -291,7 +297,7 @@ def test_order_divides_larger_modulus(a, n, mult):
 def test_order_matches_brute_force_and_divides_phi(a, n):
     if math.gcd(a, n) != 1:
         return
-    order = multiplicative_order(a, n)
+    order = order_by_crt(a, _factored(n))
     assert order == brute_order(a, n)
     phi = brute_totient(n)
     assert pow(a, phi, n) == 1
@@ -307,13 +313,7 @@ def test_order_matches_brute_force_and_divides_phi(a, n):
                      id="factorization-not-prime"),
         pytest.param(lambda sch: Factorization(((3, 0),)), InvalidParameter, 2,
                      id="factorization-exponent-zero"),
-        pytest.param(lambda sch: Factorization.of(1), InvalidParameter, 2,
-                     id="factorization-of-1"),
-        pytest.param(lambda sch: multiplicative_order(1, 7), InvalidParameter, 2,
-                     id="order-base-below-2"),
-        pytest.param(lambda sch: multiplicative_order(3, 1), InvalidParameter, 2,
-                     id="order-modulus-below-2"),
-        pytest.param(lambda sch: order_by_crt(1, Factorization.of(7)), InvalidParameter, 2,
+        pytest.param(lambda sch: order_by_crt(1, Factorization(((7, 1),))), InvalidParameter, 2,
                      id="crt-base-below-2"),
         pytest.param(lambda sch: _valuation(0, 7), InvalidParameter, 2, id="valuation-of-0"),
         pytest.param(lambda sch: reduced_modulus(build_context(2, 1, sch), 0, 0),

@@ -1,18 +1,22 @@
-"""Every public name is used: by the command line, a demo or the README.
+"""Every function of ``src/`` is entered by the user run, and every knob of
+the public surface is used.
 
-The CLI runs every command section of each benchmark config at seed 1, then
-each demo runs, all in this process under ``sys.setprofile``. A function in
-``moranlab.__all__``, or a public method, property or classmethod defined on
-a class in ``__all__``, must be called during that run, or be named in
-backticks in README.md (``Class.name`` also counts for a member). Exceptions
-and dunders are exempt. No list of names is kept here, so a refactor records
-nothing: a name that nothing reaches and nobody documents fails the test.
+``tools/line_trace.py --json`` runs, in one fresh interpreter under
+``sys.setprofile``, every command section of each benchmark config at seed
+1, each demo, each ``python`` block of README.md and every case of
+``tests/config_corpus.json``. Every function defined in ``src/`` must be
+entered by that run, unless it is of a kind that no user run enters: a
+dunder, a function that raises on every path, a process entry point of
+``pyproject.toml`` (``cli.run``, which only a subprocess runs), or a
+function that only such functions name. No list of functions is kept here,
+so a deletion records nothing, and a README mention keeps nothing alive:
+the one named exemption is ROADMAP item 7's.
 
-The same holds for the knobs of that surface, by an ``ast`` scan rather than
-a trace: every parameter with a default, of an exported class's constructor
-or of a callable above, must be passed, by position or by keyword, by some
-call in ``src/``, ``demos/`` or a ``python`` block of README.md, or be named
-in a backticked call signature in README.md (``base_digits(x, b, count,
+The knobs of that surface are held by an ``ast`` scan rather than a trace:
+every parameter with a default, of an exported class's constructor or of a
+public callable, must be passed, by position or by keyword, by some call in
+``src/``, ``demos/`` or a ``python`` block of README.md, or be named in a
+backticked call signature in README.md (``base_digits(x, b, count,
 guard)``). A value that only tests set has one value in use, and goes.
 """
 
@@ -20,105 +24,70 @@ import ast
 import inspect
 import json
 import re
-import runpy
+import subprocess
 import sys
-import threading
-from functools import cached_property
 from pathlib import Path
 
+import pytest
+
 import moranlab
-from moranlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "bench" / "configs").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-PACKAGE = str(Path(moranlab.__file__).resolve().parent)
+
+# ROADMAP item 7: the library CSV writers and fourier.mask_interval, which
+# bench/tracer.py wraps by name, and fourier._half_mask, which only a mask
+# at t = 1/2 reaches; this exemption goes with them
+WAITING = re.compile(r"\w+\.write_\w+_csv|fourier\.mask_interval|fourier\._half_mask")
 
 
-def _code(member):
-    """The code object a call of the member runs, or None for data."""
-    if isinstance(member, (classmethod, staticmethod)):
-        member = member.__func__
-    elif isinstance(member, property):
-        member = member.fget
-    elif isinstance(member, cached_property):
-        member = member.func
-    return getattr(inspect.unwrap(member), "__code__", None)
+@pytest.fixture(scope="module")
+def trace() -> dict:
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "line_trace.py"), "--json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
-def _public_surface():
-    """(label, aliases, code) for every name the rule covers."""
-    out = []
-    for name in moranlab.__all__:
-        obj = getattr(moranlab, name)
-        if inspect.isclass(obj):
-            if issubclass(obj, BaseException):
-                continue
-            for attr, member in vars(obj).items():
-                code = None if attr.startswith("_") else _code(member)
-                if code is not None:
-                    out.append((f"{name}.{attr}", {attr, f"{name}.{attr}"}, code))
-        elif callable(obj):
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()  # a memoised answer would run no code
-            out.append((name, {name}, _code(obj)))
-    return out
-
-
-def _readme_names() -> set[str]:
-    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
-    return {re.sub(r"\(.*\)$", "", span.strip()) for span in spans}
-
-
-def _trace_cli_and_demos(out: Path) -> set:
-    reached = set()
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-            reached.add(frame.f_code)
-
-    old = sys.getprofile(), threading.getprofile()
-    sys.setprofile(hook)
-    threading.setprofile(hook)  # the fourier command's worker threads
-    try:
-        for config in CONFIGS:
-            sections = json.loads(config.read_text())
-            for command in cli._COMMANDS:
-                if command in sections:
-                    rc = cli.main(
-                        [command, "--config", str(config), "--seed", "1",
-                         "--out", str(out / config.stem / command)]
-                    )
-                    assert rc == 0, (command, config.name)
-        for demo in DEMOS:
-            runpy.run_path(str(demo), run_name="__main__")
-    finally:
-        sys.setprofile(old[0])
-        threading.setprofile(old[1])
-    return reached
-
-
-def test_configs_and_demos_found():
-    # an empty glob would trace nothing and blame every name
+def test_configs_and_demos_found(trace):
+    # an empty glob would trace nothing and blame every function
     assert CONFIGS and DEMOS
+    run = trace["run"]
+    assert run["demos"] == len(DEMOS) and run["commands"] >= len(CONFIGS)
+    assert run["readme_blocks"] >= 1 and run["corpus_cases"] >= 1000
 
 
-def test_every_public_name_is_reached_or_documented(tmp_path, capsys):
-    surface = _public_surface()
-    reached = _trace_cli_and_demos(tmp_path)
-    capsys.readouterr()
-    documented = _readme_names()
-    missing = [
-        label
-        for label, aliases, code in surface
-        if code not in reached and not aliases & documented
-    ]
-    assert not missing, f"public names neither reached nor named in README.md: {missing}"
+def test_every_function_of_src_is_entered_by_the_user_run(trace):
+    unentered = {fn["name"]: fn for file in trace["files"].values() for fn in file["functions"]}
+    exempt = {
+        name
+        for name, fn in unentered.items()
+        if re.fullmatch(r"__\w+__", name.rsplit(".", 1)[-1])
+        or fn["raises_on_every_path"]
+        or fn["entry_point"]
+        or WAITING.fullmatch(name)
+    }
+    while True:  # then every function that only exempt functions name
+        named_only_by_exempt = {
+            name
+            for name, fn in unentered.items()
+            if name not in exempt and fn["used_by"] and set(fn["used_by"]) <= exempt
+        }
+        if not named_only_by_exempt:
+            break
+        exempt |= named_only_by_exempt
+    missing = sorted(set(unentered) - exempt)
+    assert trace["functions"]["total"] > 100  # the tool found the source
+    assert not missing, f"functions of src/ that no user run enters: {missing}"
 
 
 def _defaulted_surface():
-    """(label, name a call uses, bindable parameters) for every callable of
-    the surface above, plus the constructor of each exported class."""
+    """(label, name a call uses, bindable parameters) for every function in
+    ``moranlab.__all__``, every public method or classmethod of an exported
+    class, and the constructor of each exported class."""
     out = []
     for name in moranlab.__all__:
         obj = getattr(moranlab, name)

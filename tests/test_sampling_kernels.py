@@ -78,7 +78,8 @@ def weight_lists(draw, min_size=1, max_size=5):
 @st.composite
 def plain_systems(draw, sch):
     dens = draw(st.lists(st.integers(2, 31), min_size=sch.depth, max_size=sch.depth))
-    return binary_system(sch, [Fraction(draw(st.integers(1, q - 1)), q) for q in dens])
+    omegas = [Fraction(draw(st.integers(1, q - 1)), q) for q in dens]
+    return MoranSystem(sch, ((0, 1),) * sch.depth, tuple((o, 1 - o) for o in omegas))
 
 
 @st.composite
@@ -103,7 +104,7 @@ def mixed_denominator_systems():
         ),
     )
     omegas = [Fraction(n, 2 * n + 1) for n in range(1, SMALL.depth + 1)]
-    plain = binary_system(SMALL, omegas)
+    plain = MoranSystem(SMALL, ((0, 1),) * SMALL.depth, tuple((o, 1 - o) for o in omegas))
     conv = build_convolved(plain, "dim-one")
     return [toy_wide, plain, conv]
 

@@ -45,15 +45,6 @@ def test_binary_system_shares_one_digit_tuple_and_one_weight_pair(deep_schedule)
     assert sysm.weights[0] == (F(1, 3), F(2, 3))
 
 
-def test_binary_system_shares_one_pair_per_distinct_omega(count20):
-    depth = count20.depth
-    # equal omegas given as distinct objects still share one pair
-    omegas = [F(n % 3 + 1, 5) for n in range(depth)]
-    sysm = binary_system(count20, omegas)
-    assert len({id(w) for w in sysm.weights}) == 3
-    assert sysm.binary_omegas() == tuple(omegas)
-
-
 def test_dim_one_convolution_is_built_once_per_distinct_base(count20):
     csys = build_convolved(binary_system(count20, F(1, 2)), "dim-one")
     bases = count20.bases()
@@ -140,20 +131,17 @@ def test_first_bad_level_wins_across_kinds(count20):
 
 
 def test_binary_system_omega_errors_name_the_first_bad_value(count20):
-    depth = count20.depth
-    omegas = [F(1, 2)] * depth
-    omegas[5] = F(3, 2)
-    omegas[9] = F(0)
     with pytest.raises(InvalidParameter, match=r"got 3/2$"):
-        binary_system(count20, omegas)
+        binary_system(count20, F(3, 2))
     with pytest.raises(InvalidParameter, match=r"got 1$"):
         binary_system(count20, 1)
-    # a value of another type is named as it was given; a bool is no integer
-    last_float = [F(1, 2)] * (depth - 1) + [0.5]
-    for bad, named in (("1/2", "1/2"), (0.5, 0.5), (None, None), (True, True), (last_float, 0.5)):
-        with pytest.raises(InvalidParameter, match="omega must be a Fraction, an int") as info:
+    # a value of another type is named as it was given; a bool is no
+    # integer, and a list of per-level weights is no omega
+    halves = [F(1, 2)] * count20.depth
+    for bad in ("1/2", 0.5, None, True, halves):
+        with pytest.raises(InvalidParameter, match="omega must be a Fraction or an int") as info:
             binary_system(count20, bad)
-        assert str(info.value).endswith(f"got {named!r}")
+        assert str(info.value).endswith(f"got {bad!r}")
 
 
 def test_convolved_level_checks_run_on_every_distinct_level(toy_schedule):
@@ -175,6 +163,8 @@ _HALF = (F(1, 2), F(1, 2))
             lambda sch: MoranSystem(sch, ((0, 2),) * 3, (_HALF,) * 3).binary_omegas(),
             InvalidParameter, 2, id="binary-omegas-not-binary",
         ),
+        # a list of per-level weights is refused, whatever its length: a
+        # system with weights per level is a MoranSystem
         pytest.param(lambda sch: binary_system(sch, [F(1, 2)] * 2), InvalidParameter, 2,
                      id="binary-system-omega-count"),
         # a string was iterated character by character, a float or None

@@ -161,7 +161,8 @@ def _system(kind: str) -> MoranSystem:
     if kind == "tenth":
         return binary_system(sch, Fraction(1, 10))
     if kind == "mixed":
-        return binary_system(sch, [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)])
+        omegas = [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)]
+        return MoranSystem(sch, ((0, 1),) * sch.depth, tuple((o, 1 - o) for o in omegas))
     if kind == "dim-one":
         return build_convolved(binary_system(sch, Fraction(1, 2)), "dim-one")
     if kind == "wide":
@@ -323,7 +324,8 @@ def _window_system(kind: str) -> MoranSystem:
     if kind == "omega-third":
         return binary_system(sch, third)
     if kind == "omega-per-level":
-        return binary_system(sch, [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)])
+        omegas = [Fraction(n, 2 * n + 3) for n in range(1, sch.depth + 1)]
+        return MoranSystem(sch, ((0, 1),) * sch.depth, tuple((o, 1 - o) for o in omegas))
     if kind == "wide":
         # uniform {0,1,2} digits, the refused system of test_fourier
         return MoranSystem(toy, ((0, 1, 2),) * 3, ((third,) * 3,) * 3)

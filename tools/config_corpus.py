@@ -12,11 +12,14 @@ of its section (so its order against the section's keys shows). The rule
 cases come last, so that the cases of the keys keep their places in the
 file. Each config runs in process through ``moranlab.cli.main`` with
 ``--out`` in a fresh temporary directory, and the corpus records its exit
-code and stderr bytes, with that directory written as ``<out>``. An exception that escapes ``main`` is recorded as
-``"raises <type>"``. OUTPUT defaults to ``tests/config_corpus.json``, one
-case per line. The corpus pins behaviour as it is: regenerate it only for a
-change that means to move an exit code or a message, and name each moved
-case where the change is described.
+code and stderr bytes, with that directory written as ``<out>``. An
+exception that escapes ``main`` is recorded as ``"raises <type>"``. A case
+of two values counts as faults only the values that exit non-zero when run
+alone, so a case with ``"faults": 2`` pins the order of two checks; a
+single-fault case counts its one value. OUTPUT defaults to
+``tests/config_corpus.json``, one case per line. The corpus pins behaviour
+as it is: regenerate it only for a change that means to move an exit code
+or a message, and name each moved case where the change is described.
 """
 
 from __future__ import annotations
@@ -191,20 +194,25 @@ def _with_values(config: dict, section: str, values: dict) -> dict:
     return config
 
 
-def cases() -> list[tuple[str, dict, int]]:
-    """(command, config, number of faults) per case."""
+def cases() -> list[tuple[str, dict, tuple[dict, ...]]]:
+    """(command, config, the one-value configs it joins) per case: none for a
+    base config, the config itself for a single fault."""
     out = []
+
+    def single(command: str, config: dict) -> None:
+        out.append((command, config, (config,)))
+
     # the whole config, and sections that are not objects or hold unknown keys
     for command, base in BASE.items():
-        out.append((command, base, 0))
-        out.append((command, {**base, "bogus": 1}, 1))
+        out.append((command, base, ()))
+        single(command, {**base, "bogus": 1})
         for section in SECTIONS:
             for value in (3, None, {"bogus": 1}):
-                out.append((command, {**base, section: value}, 1))
+                single(command, {**base, section: value})
     # single faults
     for command, section, key, kind, extra in KEYS:
         for value in _faults(kind, extra):
-            out.append((command, _with(BASE[command], section, key, value), 1))
+            single(command, _with(BASE[command], section, key, value))
     # two faults in one command's keys: both primary, and both type faults
     by_command: dict[str, list] = {}
     for command, section, key, kind, extra in KEYS:
@@ -212,7 +220,8 @@ def cases() -> list[tuple[str, dict, int]]:
     for command, keys in by_command.items():
         for (s1, k1, f1), (s2, k2, f2) in combinations(keys, 2):
             for v1, v2 in ((f1[0], f2[0]), (True, True)):
-                out.append((command, _with(_with(BASE[command], s1, k1, v1), s2, k2, v2), 2))
+                parts = (_with(BASE[command], s1, k1, v1), _with(BASE[command], s2, k2, v2))
+                out.append((command, _with(_with(BASE[command], s1, k1, v1), s2, k2, v2), parts))
     # a type fault upstream of each primary fault, in the sections read first
     for command, section, key, kind, extra in KEYS:
         if section in ("", "schedule", "system", "context"):
@@ -221,24 +230,26 @@ def cases() -> list[tuple[str, dict, int]]:
         for up_section, up_key in (("schedule", "d"), ("system", "omega"), ("context", "b")):
             if up_section in READS[command]:
                 config = _with(BASE[command], up_section, up_key, True)
-                out.append((command, _with(config, section, key, primary), 2))
+                parts = (config, _with(BASE[command], section, key, primary))
+                out.append((command, _with(config, section, key, primary), parts))
     # each rule broken once, twice where two faults set different keys, then
     # beside a primary fault and a type fault of every other key of its section
     from moranlab.cli import _RULES
 
     for section, (command, faults) in RULE_FAULTS.items():
         keys = _RULES[section][0]
-        for values in faults:
-            out.append((command, _with_values(BASE[command], section, values), 1))
-        for first, second in combinations(faults, 2):
+        broken = [_with_values(BASE[command], section, values) for values in faults]
+        for config in broken:
+            single(command, config)
+        for (first, one), (second, other) in combinations(zip(faults, broken), 2):
             if not set(first) & set(second):
                 config = _with_values(BASE[command], section, {**first, **second})
-                out.append((command, config, 2))
+                out.append((command, config, (one, other)))
         for _, other_section, key, kind, extra in KEYS:
             if other_section == section and key not in keys:
                 for value in (_faults(kind, extra)[0], True):
-                    config = _with_values(BASE[command], section, faults[0])
-                    out.append((command, _with(config, section, key, value), 2))
+                    parts = (broken[0], _with(BASE[command], section, key, value))
+                    out.append((command, _with(broken[0], section, key, value), parts))
     return out
 
 
@@ -263,12 +274,21 @@ def main(argv: list[str]) -> int:
     seen = set()
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for command, config, faults in cases():
+        alone: dict[str, bool] = {}
+
+        def fails(command: str, part: dict) -> bool:
+            key = json.dumps([command, part], sort_keys=True)
+            if key not in alone:
+                alone[key] = replay(command, part, Path(tmp))[0] != 0
+            return alone[key]
+
+        for command, config, parts in cases():
             key = json.dumps([command, config], sort_keys=True)
             if key in seen:
                 continue
             seen.add(key)
             rc, err = replay(command, config, Path(tmp))
+            faults = len(parts) if len(parts) < 2 else sum(fails(command, p) for p in parts)
             case = {"command": command, "faults": faults, "config": config, "rc": rc, "stderr": err}
             lines.append(json.dumps(case))
     target.write_text("[\n" + ",\n".join(lines) + "\n]\n")
