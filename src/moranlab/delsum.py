@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from . import numtheory
 from ._record import Record
 from .errors import InvalidParameter, TooLarge
-from .fourier import check_eps, mu_hat_modulus
+from .fourier import _moduli, check_eps
 from .radix import check_pair
 from .system import MoranSystem
 
@@ -77,12 +77,9 @@ def _modulus_table(
     sys: MoranSystem, xis: Iterable[int], eps: float
 ) -> dict[int, tuple[float, float]]:
     """Certified (lo, hi) of |mu_hat| for every distinct absolute frequency in
-    xis, evaluated in increasing order."""
-    table = {}
-    for xi in sorted(set(xis)):
-        cert = mu_hat_modulus(xi, sys, eps)
-        table[xi] = (cert.lo, cert.hi)
-    return table
+    xis, evaluated in increasing order by one batch of the transform kernel."""
+    distinct = sorted(set(xis))
+    return {xi: (lo, hi) for xi, (lo, hi, _, _) in zip(distinct, _moduli(distinct, sys, eps))}
 
 
 def del_partial(

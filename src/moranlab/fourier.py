@@ -20,6 +20,10 @@ any floating-point trigonometry sees the correctly rounded quotient;
 the float work is wrapped in outward-rounded intervals and the unevaluated
 tail of the product is bounded by a closed-form inequality chain. The result
 is a certified enclosure of |mu_hat(xi)|, not an estimate.
+
+One kernel, _moduli, evaluates a batch and mu_hat_modulus a batch of one.
+Frequencies with equal residues mod P_k <= xi share their running product
+through level k, a level where no tail bound is tried.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def _binary_mask(gain: tuple[float, float], t: float) -> tuple[float, float]:
     # The cosine is padded by _TRIG_PAD and every step rounded outward; the
     # conditionals are max/min with a fixed argument order. All four gain
     # products are kept: 1 - c_hi rounded down can be -5e-324, so a sign
-    # shortcut is not exact here. mu_hat_modulus inlines the levels where it is.
+    # shortcut is not exact here. _moduli inlines the levels where it is.
     nextafter = math.nextafter
     c = math.cos(2.0 * math.pi * t)
     c_lo = c - _TRIG_PAD
@@ -160,15 +164,15 @@ def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
 
 
 def _level_mask(level: _Level, r: int, P: int) -> tuple[float, float]:
-    """mask_interval at t = r / P for integers 0 <= r < P, bit for bit.
-
-    At t = 1/2 the {0,1} factor takes the exact-half path, which the
-    transform never reaches: prefix products are odd (schedule primes are
-    >= 7). Floats see only correctly rounded quotients of exact residues,
-    which is what float() of the reduced Fraction yields."""
+    """mask_interval at t = r / P for integers 0 <= r < P, r + r != P, bit for
+    bit: floats see only the correctly rounded quotients float() would."""
     if r == 0:
         return 1.0, 1.0
-    lo, hi = _half_mask(level.pair) if r + r == P else _binary_mask(level.gain, r / P)
+    return _times_dirichlet(level, r, P, *_binary_mask(level.gain, r / P))
+
+
+def _times_dirichlet(level: _Level, r: int, P: int, lo: float, hi: float) -> tuple[float, float]:
+    # the level's mask at t = r / P from the enclosure [lo, hi] of its {0,1} factor
     if level.count == 1:
         return lo, hi
     f_lo, f_hi = _dirichlet(level.step * r % P, level.count, P)
@@ -202,7 +206,10 @@ def mask_interval(level_n: int, t: Fraction, sys: MoranSystem) -> tuple[float, f
     level = sys._levels[level_n - 1]
     t = Fraction(t)
     t -= math.floor(t)
-    return _level_mask(level, t.numerator, t.denominator)
+    r, P = t.numerator, t.denominator
+    if r + r == P:  # t = 1/2, never a transform's argument: every P_n is odd
+        return _times_dirichlet(level, r, P, *_half_mask(level.pair))
+    return _level_mask(level, r, P)
 
 
 # --------------------------------------------------------------------------
@@ -290,66 +297,89 @@ def mu_hat_modulus(xi: int, sys: MoranSystem, eps: float) -> CertifiedModulus:
     run inline where c + pad < 1, the rest (r = 0 too, as c = 1, and every
     convolved level) via _level_mask. InvalidParameter, for any xi, on a
     system with a level of neither kind.
+
+    This is a batch of one of the kernel _moduli. The running product through
+    level k depends on xi only through r_k = xi mod P_k, memoised for the call
+    at each k with P_k <= len(xis). A frequency with P_top <= xi < P_(top+1)
+    resumes from its deepest hit at a level k <= top and stores only there,
+    where no tail bound is tried, so its bits are those of xi alone.
     """
-    if not isinstance(xi, int) or isinstance(xi, bool):
-        raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
+    return CertifiedModulus(*_moduli([xi], sys, eps)[0])
+
+
+def _moduli(xis: list[int], sys: MoranSystem, eps: float) -> list[tuple[float, float, int, float]]:
+    # (lo, hi, truncation_level, tail_bound_log) of mu_hat_modulus for each
+    # xi of xis, in order, bit for bit; every xi is checked before the first
     check_eps(eps)
     levels = sys._transform_levels  # InvalidParameter on a level of neither kind
-    xi = abs(xi)
-    if xi == 0:
-        return CertifiedModulus(lo=1.0, hi=1.0, truncation_level=0, tail_bound_log=0.0)
+    for xi in xis:
+        if not isinstance(xi, int) or isinstance(xi, bool):
+            raise InvalidParameter(f"frequency must be an integer, got {type(xi).__name__}")
     tail_budget = eps / 2.0
     binary = sys.is_binary
     t_cut = _tail_cut(tail_budget, binary)
+    prefix = sys.schedule._prefix  # P_n at index n after P_0 = 1
+    K = bisect_right(prefix, len(xis)) - 1
+    memo: list[dict] = [{} for _ in range(K + 1)]
     cos, sqrt, nextafter = math.cos, math.sqrt, math.nextafter
     tau, pad, down, up = 2.0 * math.pi, _TRIG_PAD, _DOWN, _UP
-    f_lo, f_hi = 1.0, 1.0
-    # the residues xi mod P_n: xi itself once P_n > xi. Below that level,
-    # past two 30-bit digits, they are found top-down: P_n divides P_{n+1},
-    # so each is the residue of the level above reduced mod P_n, a division
-    # of a number one level wide instead of xi. A smaller xi is reduced
-    # directly, which costs less than building the list. The schedule's
-    # tuple holds P_n at index n after P_0 = 1, whose residue 0 ends the chain
-    residues = None
-    if xi >> 60:
-        prefix = sys.schedule._prefix
+    out = []
+    for xi in map(abs, xis):
+        if xi == 0:
+            out.append((1.0, 1.0, 0, 0.0))
+            continue
         top = bisect_right(prefix, xi) - 1
-        residues = list(accumulate(map(prefix.__getitem__, range(top, -1, -1)), mod, initial=xi))
-        residues.reverse()
-    for n, P, level, g_lo, g_hi in levels:
-        past = xi < P
-        r = xi if past else residues[n] if residues else xi % P
-        t = r / P
-        if g_lo is not None and (c := cos(tau * t)) + pad < 1.0:
-            # _binary_mask inlined. With c + pad < 1 and the table's g_lo > 0
-            # both 1 - cos ends are positive, and rounded products are monotone
-            # on positive operands, so the extreme ones are g_lo o_lo, g_hi o_hi
-            c_lo = c - pad
-            o_lo = nextafter(1.0 - (c + pad), down)
-            o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)
-            m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, up), down)
-            m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, down), up)
-            m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), down)
-            m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), up)
-            if m_hi > 1.0:
-                m_hi = 1.0
+        # the residues xi mod P_n: xi itself once P_n > xi. Below that level,
+        # past two 30-bit digits, they are found top-down: P_n divides
+        # P_{n+1}, so each is the residue of the level above reduced mod P_n,
+        # a division of a number one level wide instead of xi. A smaller xi
+        # is reduced directly, which costs less than building the list
+        residues = None
+        if xi >> 60:
+            residues = list(accumulate(map(prefix.__getitem__, range(top, -1, -1)), mod, initial=xi))
+            residues.reverse()
+        store = k = min(K, top)
+        r = residues[k] if residues else xi % prefix[k]
+        while k and (hit := memo[k].get(r)) is None:
+            k -= 1
+            r %= prefix[k]
+        f_lo, f_hi = hit if k else (1.0, 1.0)
+        for n, P, level, g_lo, g_hi in levels[k:]:
+            past = xi < P
+            r = xi if past else residues[n] if residues else xi % P
+            t = r / P
+            if g_lo is not None and (c := cos(tau * t)) + pad < 1.0:
+                # _binary_mask inlined. With c + pad < 1 and the table's g_lo > 0
+                # both 1 - cos ends are positive, and rounded products are monotone
+                # on positive operands, so the extreme ones are g_lo o_lo, g_hi o_hi
+                c_lo = c - pad
+                o_lo = nextafter(1.0 - (c + pad), down)
+                o_hi = nextafter(1.0 - (c_lo if c_lo > -1.0 else -1.0), up)
+                m2_lo = nextafter(1.0 - nextafter(g_hi * o_hi, up), down)
+                m2_hi = nextafter(1.0 - nextafter(g_lo * o_lo, down), up)
+                m_lo = nextafter(sqrt(m2_lo if m2_lo > 0.0 else 0.0), down)
+                m_hi = nextafter(sqrt(m2_hi if m2_hi < 1.0 else 1.0), up)
+                if m_hi > 1.0:
+                    m_hi = 1.0
+            else:
+                m_lo, m_hi = _level_mask(level, r, P)
+            f_lo = nextafter(f_lo * m_lo, down)
+            f_lo = f_lo if f_lo > 0.0 else 0.0
+            f_hi = nextafter(f_hi * m_hi, up)
+            f_hi = f_hi if f_hi < 1.0 else 1.0
+            if past and t <= t_cut:
+                y = _tail_log_bound(t, binary)
+                if y <= tail_budget:
+                    e_lo = _down(_down(math.exp(-y)))
+                    out.append((max(0.0, _down(f_lo * e_lo)), f_hi, n, -y))
+                    break
+            elif n <= store:  # so n <= top, not past
+                memo[n][r] = f_lo, f_hi
         else:
-            m_lo, m_hi = _level_mask(level, r, P)
-        f_lo = nextafter(f_lo * m_lo, down)
-        f_lo = f_lo if f_lo > 0.0 else 0.0
-        f_hi = nextafter(f_hi * m_hi, up)
-        f_hi = f_hi if f_hi < 1.0 else 1.0
-        if past and t <= t_cut:
-            y = _tail_log_bound(t, binary)
-            if y <= tail_budget:
-                e_lo = _down(_down(math.exp(-y)))
-                lo = max(0.0, _down(f_lo * e_lo))
-                return CertifiedModulus(
-                    lo=lo, hi=f_hi, truncation_level=n, tail_bound_log=-y
-                )
-    raise TailNotCertifiable(
-        f"schedule exhausted at depth {sys.depth} before the tail bound beat {eps / 2}"
-    )
+            raise TailNotCertifiable(
+                f"schedule exhausted at depth {sys.depth} before the tail bound beat {eps / 2}"
+            )
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -388,15 +418,18 @@ def digit_decay_bound(xi: int, sys: MoranSystem) -> tuple[int, float]:
 
 def _batch_table(xis: Iterable[int], sys: MoranSystem, eps: float) -> list:
     # the CSV rows of write_batch_csv, header first, all evaluated before any
-    # file is opened; eps and the system's levels are checked first, so that
-    # an empty batch still rejects them
+    # file is opened; eps and the system's levels are checked before xis is
+    # drawn, and every frequency before the first is evaluated
     check_eps(eps)
     sys._transform_levels  # InvalidParameter on a level of neither kind
+    xis = list(xis)
     rows: list = [["xi", "lo", "hi", "truncation_level", "w", "gamma_pow_w"]]
-    for xi in xis:
-        cert = mu_hat_modulus(xi, sys, eps)
+    powers: dict[int, str] = {}  # repr(gamma^w), once per distinct w
+    for xi, (lo, hi, n, _) in zip(xis, _moduli(xis, sys, eps)):
         w, gw = digit_decay_bound(abs(xi), sys)
-        rows.append((str(xi), repr(cert.lo), repr(cert.hi), cert.truncation_level, w, repr(gw)))
+        if w not in powers:
+            powers[w] = repr(gw)
+        rows.append((str(xi), repr(lo), repr(hi), n, w, powers[w]))
     return rows
 
 

@@ -138,7 +138,7 @@ class MoranSystem(Record):
 
     @cached_property
     def _transform_levels(self) -> tuple:
-        # mu_hat_modulus's loop table: (n, P_n, level, g_lo, g_hi) per level,
+        # fourier._moduli's loop table: (n, P_n, level, g_lo, g_hi) per level,
         # with gain ends only where the inline two-product kernel is exact, a
         # {0,1} level whose lower gain is positive, and None for other levels
         return tuple(

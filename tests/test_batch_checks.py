@@ -36,7 +36,7 @@ def _no_work(*args, **kwargs):
 
 @pytest.fixture
 def no_transform(monkeypatch):
-    monkeypatch.setattr(delsum, "mu_hat_modulus", _no_work)
+    monkeypatch.setattr(delsum, "_moduli", _no_work)
 
 
 @pytest.fixture
@@ -64,6 +64,31 @@ def test_write_batch_csv_rejects_eps_with_no_frequencies(tmp_path, small_system,
 def test_batch_table_rejects_a_system_of_neither_kind_with_no_frequencies(small_schedule):
     with pytest.raises(InvalidParameter, match="neither"):
         fourier._batch_table([], _non_binary(small_schedule), 1e-9)
+
+
+def _undrawn():
+    # a frequency stream that fails the test if it is drawn from
+    raise AssertionError("a frequency was drawn before the arguments were checked")
+    yield
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, 2.0, math.nan])
+def test_batch_table_checks_eps_before_drawing_a_frequency(small_system, eps):
+    with pytest.raises(InvalidParameter, match="eps must lie in"):
+        fourier._batch_table(_undrawn(), small_system, eps)
+
+
+def test_batch_table_checks_the_levels_before_drawing_a_frequency(small_schedule):
+    with pytest.raises(InvalidParameter, match="neither"):
+        fourier._batch_table(_undrawn(), _non_binary(small_schedule), 1e-9)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, 2.0, math.nan])
+def test_kernel_and_modulus_table_reject_eps_with_no_frequencies(small_system, eps):
+    with pytest.raises(InvalidParameter, match="eps must lie in"):
+        fourier._moduli([], small_system, eps)
+    with pytest.raises(InvalidParameter, match="eps must lie in"):
+        delsum._modulus_table(small_system, [], eps)
 
 
 # --------------------------------------------------------------------------

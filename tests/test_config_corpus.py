@@ -31,22 +31,30 @@ def test_corpus_replays_unchanged(tmp_path, command):
     assert not changed, "\n".join(changed)
 
 
+def test_no_case_labelled_with_a_fault_exits_0():
+    # an edge value that runs, or two values that cancel (q: [7] beside
+    # ell: [1]), pin no failing check
+    assert not [case["config"] for case in CASES if case["faults"] and case["rc"] == 0]
+    assert sum(1 for case in CASES if case["faults"] == 0 and case["rc"] == 0) > 200
+
+
 def test_every_value_counted_in_a_two_fault_case_fails_alone(tmp_path):
     # a case labelled with two faults pins the order of two checks only when
-    # each of its values exits non-zero on its own
+    # each of its values exits non-zero on its own, and still does beside the
+    # other value's keys set to values that pass: a schedule variant beside q
+    # or ell is never read
     parts = {}
     for command, config, joined in corpus.cases():
         parts.setdefault(json.dumps([command, config], sort_keys=True), joined)
-    alone = {}
     two = [case for case in CASES if case["faults"] == 2]
     for case in two:
-        joined = parts[json.dumps([case["command"], case["config"]], sort_keys=True)]
-        assert len(joined) == 2, case["config"]
-        for part in joined:
-            key = json.dumps([case["command"], part], sort_keys=True)
-            if key not in alone:
-                alone[key] = corpus.replay(case["command"], part, tmp_path)[0]
-            assert alone[key] != 0, (case["config"], part)
+        command, config = case["command"], case["config"]
+        joined = parts[json.dumps([command, config], sort_keys=True)]
+        assert len(joined) == 2, config
+        for one, other in (joined, joined[::-1]):
+            assert corpus.replay(command, one, tmp_path)[0] != 0, (config, one)
+            beside = corpus._repaired(config, other, one, corpus.BASE[command])
+            assert corpus.replay(command, beside, tmp_path)[0] != 0, (config, beside)
     assert len(two) > 400
 
 

@@ -37,9 +37,8 @@ CONFIGS = sorted((ROOT / "bench" / "configs").glob("*.json"))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # ROADMAP item 7: the library CSV writers and fourier.mask_interval, which
-# bench/tracer.py wraps by name, and fourier._half_mask, which only a mask
-# at t = 1/2 reaches; this exemption goes with them
-WAITING = re.compile(r"\w+\.write_\w+_csv|fourier\.mask_interval|fourier\._half_mask")
+# bench/tracer.py wraps by name; this exemption goes with them
+WAITING = re.compile(r"\w+\.write_\w+_csv|fourier\.mask_interval")
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,12 @@ file. Each config runs in process through ``moranlab.cli.main`` with
 ``--out`` in a fresh temporary directory, and the corpus records its exit
 code and stderr bytes, with that directory written as ``<out>``. An
 exception that escapes ``main`` is recorded as ``"raises <type>"``. A case
-of two values counts as faults only the values that exit non-zero when run
-alone, so a case with ``"faults": 2`` pins the order of two checks; a
-single-fault case counts its one value. OUTPUT defaults to
+that exits 0 counts no faults, and a single-fault case that exits non-zero
+counts its one value. A case of two values counts a value as a fault when it
+exits non-zero alone and still does beside the other value's keys set to
+values that pass (``_repaired``): a value that the other's keys make
+unread, such as a schedule variant beside ``q``, is no fault there. So a
+case with ``"faults": 2`` pins the order of two checks. OUTPUT defaults to
 ``tests/config_corpus.json``, one case per line. The corpus pins behaviour
 as it is: regenerate it only for a change that means to move an exit code
 or a message, and name each moved case where the change is described.
@@ -194,6 +197,45 @@ def _with_values(config: dict, section: str, values: dict) -> dict:
     return config
 
 
+def _leaves(config: dict, path: tuple = ()):
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+_MISSING = object()
+
+
+def _at(config: dict, path: tuple):
+    for part in path:
+        if not isinstance(config, dict) or part not in config:
+            return _MISSING
+        config = config[part]
+    return config
+
+
+# a value that passes for each key some base config sets
+GOOD = {path: value for base in BASE.values() for path, value in _leaves(base)}
+
+
+def _repaired(config: dict, part: dict, kept: dict, base: dict) -> dict:
+    """config with every key that part sets apart from base, and kept does
+    not, put back to a value that passes: the one a base config gives it, or
+    its default."""
+    config = json.loads(json.dumps(config))
+    for path, value in _leaves(part):
+        if _at(base, path) == value or _at(kept, path) != _at(base, path):
+            continue
+        node = _at(config, path[:-1])
+        if path in GOOD:
+            node[path[-1]] = GOOD[path]
+        else:
+            node.pop(path[-1], None)
+    return config
+
+
 def cases() -> list[tuple[str, dict, tuple[dict, ...]]]:
     """(command, config, the one-value configs it joins) per case: none for a
     base config, the config itself for a single fault."""
@@ -288,7 +330,16 @@ def main(argv: list[str]) -> int:
                 continue
             seen.add(key)
             rc, err = replay(command, config, Path(tmp))
-            faults = len(parts) if len(parts) < 2 else sum(fails(command, p) for p in parts)
+            if rc == 0 or not parts:
+                faults = 0
+            elif len(parts) == 1:
+                faults = 1
+            else:
+                base = BASE[command]
+                faults = sum(
+                    fails(command, one) and fails(command, _repaired(config, other, one, base))
+                    for one, other in (parts, parts[::-1])
+                )
             case = {"command": command, "faults": faults, "config": config, "rc": rc, "stderr": err}
             lines.append(json.dumps(case))
     target.write_text("[\n" + ",\n".join(lines) + "\n]\n")

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Mutation check for the tests of the transform and its Dirichlet kernel, the
-orders, the partition pass, the sampler and its thresholds, the orbit bins,
-the digit counts, the DEL sums, the digit-system checks, the convolved
-systems' avoidance data, the argument types of to_digits, digit strings and
-binary_system, the checks the batch entries make before their first item,
-and the command line and its config rules.
+"""Mutation check for the tests of the transform, its batch memo and its
+Dirichlet kernel, the orders, the partition pass, the sampler and its
+thresholds, the orbit bins, the digit counts, the DEL sums, the digit-system
+checks, the convolved systems' avoidance data, the argument types of
+to_digits, digit strings and binary_system, the checks the batch entries
+make before their first item, and the command line and its config rules.
 
     python3 tools/mutants.py [NAME ...]
 
@@ -15,7 +15,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 53 mutants, all KILLED, took 1 min 50 s on a shared
+test suite: a full run of 56 mutants, all KILLED, took 2 min 9 s on a shared
 2-core x86-64 VM.
 """
 
@@ -49,6 +49,7 @@ ACCEPT = "tests/test_acceptance.py"
 DIMENSION = "tests/test_dimension.py"
 RADIX = "tests/test_radix.py"
 BATCH = "tests/test_batch_checks.py"
+KERNEL_BATCH = "tests/test_transform_batch.py"
 
 # name: (file, snippet, replacement, target tests)
 MUTANTS = {
@@ -82,8 +83,9 @@ MUTANTS = {
     # moves, which the enclosure checks against mpmath do not see
     "residue-chain-wrong-modulus": (
         "src/moranlab/fourier.py",
-        "range(top, -1, -1)",
-        "range(min(top + 1, len(prefix) - 1), 0, -1)",
+        "accumulate(map(prefix.__getitem__, range(top, -1, -1)), mod, initial=xi)",
+        "accumulate(map(prefix.__getitem__, range(min(top + 1, len(prefix) - 1), 0, -1)),"
+        " mod, initial=xi)",
         [f"{TABLES}::test_table_loop_matches_level_mask_loop",
          f"{TABLES}::test_table_loop_matches_level_mask_loop_at_residue_edges"],
     ),
@@ -154,12 +156,12 @@ MUTANTS = {
         "    return f, f\n",
         [WEIGHTS],
     ),
-    # every level off the inline {0,1} path in the transform loop widened
+    # every level off the inline {0,1} path in the kernel's loop widened
     # to [0, 1], r = 0 kept exact
     "fallback-level-widened": (
         "src/moranlab/fourier.py",
-        "            m_lo, m_hi = _level_mask(level, r, P)\n",
-        "            m_lo, m_hi = (0.0, 1.0) if r else (1.0, 1.0)\n",
+        "                m_lo, m_hi = _level_mask(level, r, P)\n",
+        "                m_lo, m_hi = (0.0, 1.0) if r else (1.0, 1.0)\n",
         [f"{PLAN}::test_fused_loop_clamped_cosine",
          f"{PLAN}::test_fused_loop_zero_lower_gain",
          f"{PLAN}::test_fused_loop_mixed_binary_and_wide_levels"],
@@ -310,28 +312,58 @@ MUTANTS = {
         "False",
         [f"{DIMENSION}::test_convolved_validation_errors"],
     ),
-    # at t = 1/2 the {0,1} factor through the padded cosine, as convolved
-    # levels took it, instead of the exact half path
+    # mask_interval at t = 1/2 takes the {0,1} factor through the padded
+    # cosine, as other arguments do, instead of the exact half path
     "half-mask-path-dropped": (
         "src/moranlab/fourier.py",
-        "_half_mask(level.pair) if r + r == P else _binary_mask",
-        "_binary_mask",
+        "_times_dirichlet(level, r, P, *_half_mask(level.pair))",
+        "_times_dirichlet(level, r, P, *_binary_mask(level.gain, r / P))",
         [f"{KERNEL}::test_mask_interval_at_one_half_is_the_exact_half_mask_times_the_factor"],
     ),
-    # the batch table leaves eps to the first frequency's transform, so an
-    # empty batch writes a file for any eps
+    # the batch table leaves eps to the kernel, which sees it only once the
+    # frequencies are drawn
     "batch-table-eps-unchecked": (
         "src/moranlab/fourier.py",
-        "    check_eps(eps)\n    sys._transform_levels  #",
-        "    sys._transform_levels  #",
-        [f"{BATCH}::test_write_batch_csv_rejects_eps_with_no_frequencies"],
+        "    check_eps(eps)\n    sys._transform_levels  # InvalidParameter on a level of neither kind\n"
+        "    xis = list(xis)",
+        "    sys._transform_levels  # InvalidParameter on a level of neither kind\n"
+        "    xis = list(xis)",
+        [f"{BATCH}::test_batch_table_checks_eps_before_drawing_a_frequency"],
     ),
-    # the batch table leaves the system's level kinds to the first transform
+    # the batch table leaves the system's level kinds to the kernel, which
+    # sees them only once the frequencies are drawn
     "batch-table-levels-unchecked": (
         "src/moranlab/fourier.py",
-        "    sys._transform_levels  # InvalidParameter on a level of neither kind\n    rows",
-        "    rows",
-        [f"{BATCH}::test_batch_table_rejects_a_system_of_neither_kind_with_no_frequencies"],
+        "    sys._transform_levels  # InvalidParameter on a level of neither kind\n"
+        "    xis = list(xis)",
+        "    xis = list(xis)",
+        [f"{BATCH}::test_batch_table_checks_the_levels_before_drawing_a_frequency"],
+    ),
+    # the kernel leaves eps unchecked, so an empty batch, or any batch of
+    # the DEL tables, takes any eps
+    "kernel-eps-unchecked": (
+        "src/moranlab/fourier.py",
+        "    check_eps(eps)\n    levels = sys._transform_levels",
+        "    levels = sys._transform_levels",
+        [f"{BATCH}::test_kernel_and_modulus_table_reject_eps_with_no_frequencies"],
+    ),
+    # each frequency probes the memo from level K down, not from min(K, top):
+    # a frequency below P_K can resume past its top level and skip the
+    # levels where its tail bound fits
+    "batch-resume-past-top": (
+        "src/moranlab/fourier.py",
+        "        store = k = min(K, top)\n",
+        "        store, k = min(K, top), K\n",
+        [f"{KERNEL_BATCH}::test_a_frequency_resumes_only_at_or_below_its_top_level"],
+    ),
+    # level n's running product stored under level n - 1
+    "batch-store-shifted-level": (
+        "src/moranlab/fourier.py",
+        "                memo[n][r] = f_lo, f_hi\n",
+        "                memo[n - 1][r] = f_lo, f_hi\n",
+        [f"{KERNEL_BATCH}::test_kernel_matches_one_frequency_at_a_time",
+         f"{KERNEL_BATCH}::test_batch_table_matches_one_frequency_at_a_time",
+         f"{KERNEL_BATCH}::test_modulus_table_matches_one_frequency_at_a_time"],
     ),
     # block_trend leaves eps to the first modulus of its first row
     "block-trend-eps-unchecked": (
