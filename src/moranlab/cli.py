@@ -5,7 +5,8 @@ the --seed/--out overrides, and writes CSV/JSON artifacts into the
 output directory. Reports embed the sha256 of the effective config and the
 library version; CSV files additionally carry a timestamp comment line that
 is excluded from any byte-identity comparison. Exit codes: 0 ok, 2 config
-error, 3 precondition error, 4 certification failure, 5 resource guard.
+error, 3 precondition error, 4 certification failure, 5 resource guard,
+120 stdout not writable.
 """
 
 from __future__ import annotations
@@ -234,8 +235,14 @@ def _dimension(values: dict, sch) -> None:
         raise OutOfRange(
             f"dimension.local_depth = {local_depth} exceeds the schedule depth {depth}"
         )
+    # build_convolved checks the name and H_param too, but only after the
+    # gauge is built, and H_param under extreme alone
+    if values["variant"] not in ("dim-one", "gauge", "extreme"):
+        raise InvalidParameter(f"unknown variant {values['variant']!r}")
     if values["variant"] != "dim-one" and values["gauge"] is None:
         raise InvalidParameter(f"variant {values['variant']!r} needs a dimension.gauge entry")
+    if not 0 < values["H_param"] < math.inf:  # NaN fails too
+        raise InvalidParameter(f"H_param must be positive and finite, got {values['H_param']}")
 
 
 _RULES = {
@@ -243,7 +250,9 @@ _RULES = {
     "del": (("r_lo", "r_hi"), _block_range),
     "normality": (("bases", "count"), _bases),
     "uniqueness": (("kind",), _choice("uniqueness", "plain", "dim-one")),
-    "dimension": (("band_lo", "band_hi", "local_depth", "variant", "gauge"), _dimension),
+    "dimension": (
+        ("band_lo", "band_hi", "local_depth", "variant", "gauge", "H_param"), _dimension
+    ),
 }
 
 # the sections whose command also writes a fixed <section>.json report
@@ -561,7 +570,8 @@ def _parse_args(argv: list[str]) -> tuple[str, str | None, str | None, int | Non
     --help and --version (before the command) print and exit 0. A usage
     error prints the usage line and exits 2, before any config is read.
     A flag is never abbreviated, and the argument after a flag is its value
-    even when it begins with "-".
+    even when it begins with "-". It is not argparse, whose import pulls in
+    gettext and locale, and whose parsers would be built on every run.
     """
     usage = f"usage: moranlab {{{','.join(_COMMANDS)}}} [--config FILE] [--out DIR] [--seed N]"
 
@@ -642,10 +652,11 @@ def run() -> NoReturn:
 
     Once ``main()`` returns, the atexit callbacks run and stdout and stderr
     are flushed, then ``os._exit`` ends the process without tearing the
-    interpreter down: every artifact is already closed by its ``with`` block.
+    interpreter down: no module is cleared and no finalizer of a live object
+    runs, and every artifact is already closed by its ``with`` block.
     A usage exit or an exception from ``main()``, and any run under a tracer,
-    profiler or ``sys.monitoring`` tool (``python -m cProfile``), take the
-    normal exit instead.
+    profiler or ``sys.monitoring`` tool (``python -m cProfile``, coverage),
+    take the normal exit instead, so that those tools still report.
     """
     code = main()
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later; tool ids 0-5

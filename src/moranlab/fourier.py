@@ -138,7 +138,10 @@ def _build_level(digits: tuple[int, ...], w: tuple[Fraction, ...]) -> _Level:
     """The level's two factors, found by matching its digit polynomial
     sum_d w_d z^d exactly against (w0 + w1 z)(1 + z^s + ... + z^(s(K-1))) / K:
     the pairs {s j, s j + 1} for s >= 2, or {0, ..., K} for s = 1.
-    InvalidParameter for any other level."""
+    InvalidParameter for any other level. The mask of a sum is the product
+    of the masks even where sums collide, and the kind is read from the
+    level's own digits and weights, so a plain MoranSystem on the sum sets
+    transforms as its ConvolvedSystem does."""
     n = len(digits)
     s = digits[2] if n >= 3 else 0
     if digits == (0, 1):

@@ -496,8 +496,10 @@ def uniqueness_avoidance(x: Fraction, sys, j_max: int) -> AvoidanceVerdict:
     lo = 2L with L = sup_n max(D_n)/M_n. For a convolved system with special
     levels N = {n_1 < n_2 < ...} they are k_j = M_1...M_{n_j - 1} and
     lo = c + 1/6 with c = max over special levels of (max digit sum + 1)/M_n.
-    Membership in the attractor is checked first (every digit of x must lie
-    in the level's digit set); all arithmetic is exact.
+    Membership in the attractor is checked before any dilation (every digit
+    of x must lie in the level's digit set); all arithmetic is exact. The
+    errors come in the order: x outside [0, 1), a bad j_max, an empty
+    interval, x off the support.
     """
     x = Fraction(x)
     if not 0 <= x < 1:

@@ -1344,6 +1344,40 @@ def test_dimension_gauge_requires_gauge_entry(tmp_path, capsys):
     assert "gauge" in err
 
 
+@pytest.mark.parametrize(
+    "dimension, shown",
+    [
+        ({"H_param": -1}, "-1.0"),
+        ({"H_param": 0}, "0.0"),
+        ({"H_param": "nan"}, "nan"),
+        ({"H_param": "inf"}, "inf"),
+        ({**GAUGE, "H_param": -1}, "-1.0"),
+        ({**GAUGE, "H_param": "inf"}, "inf"),
+    ],
+    ids=["dim-one=-1", "dim-one=0", "dim-one=nan", "dim-one=inf", "gauge=-1", "gauge=inf"],
+)
+def test_dimension_h_param_is_range_checked_for_every_variant(tmp_path, capsys, dimension, shown):
+    # only build_convolved's extreme branch checked H_param, so dim-one and
+    # gauge ran to exit 0 on any value
+    cfg = {"schedule": {"d": 2, "count": 5}, "dimension": {"samples": 1, "band_hi": 3, **dimension}}
+    path = cfg_file(tmp_path, cfg)
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == f"error: H_param must be positive and finite, got {shown}\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("gauge", [None, GAUGE["gauge"]], ids=["no-gauge", "gauge"])
+def test_dimension_unknown_variant_is_reported_as_unknown(tmp_path, capsys, gauge):
+    # without a gauge, the typo used to say that 'dim_one' needs one
+    dimension = {"variant": "dim_one", "samples": 1, "band_hi": 3, "gauge": gauge}
+    path = cfg_file(tmp_path, {"dimension": dimension})
+    rc, out, err = run(capsys, "dimension", "--config", path, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    assert err == "error: unknown variant 'dim_one'\n"
+    assert out == "" and not list((tmp_path / "out").iterdir())
+
+
 REAL_KEYS = [
     ("fourier", "fourier.eps", lambda v: {"fourier": {"xis": [3], "eps": v}}),
     ("del", "del.eps", lambda v: {"del": {"N_max": 2, "eps": v}}),

@@ -4,15 +4,22 @@ Every section, key and default in ``moranlab.cli._KEYS`` must appear in the
 ``jsonc`` block under "Config file schema", and the block may hold nothing
 else, so the two cannot drift apart. The list under "Rules across keys"
 must name the rules of ``moranlab.cli._RULES``, section and keys, in order.
+The list under "Columns per file" must give the header row of each CSV
+artifact that the commands write.
 """
 
+import importlib.util
 import json
 import re
 from pathlib import Path
 
-from moranlab.cli import _KEYS, _RULES
+from moranlab.cli import _KEYS, _RULES, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+_spec = importlib.util.spec_from_file_location("config_corpus", ROOT / "tools" / "config_corpus.py")
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
 
 
 def _defaults(name):
@@ -59,3 +66,25 @@ def test_readme_lists_every_rule_across_keys_in_order():
         for section, keys in re.findall(r"^- `([\w.]+)`: ((?:`\w+`, )*`\w+`)\.", text, re.M)
     ]
     assert listed == [(name, keys) for name, (keys, _) in _RULES.items()]
+
+
+def test_readme_columns_are_the_header_rows_the_commands_write(tmp_path, capsys):
+    text = README.read_text()
+    body = text[text.index("Columns per file:") : text.index("\nJSON reports")]
+    listed = {
+        name: [column.strip() for column in columns.split(",")]
+        for name, columns in re.findall(r"^- `(\w+\.csv)`: `([^`]*)`", body, re.M)
+    }
+    written = {}
+    # the small config of each command that writes a CSV; del's writes both files
+    for command in ("fourier", "del", "partition", "normality", "uniqueness", "dimension"):
+        config, out = tmp_path / f"{command}.json", tmp_path / command
+        config.write_text(json.dumps(corpus.BASE[command]))
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        for path in out.glob("*.csv"):
+            lines = path.read_text().split("\n")
+            assert lines[0].startswith("# generated: ") and lines[1].startswith("# config_sha256: ")
+            written[path.name] = lines[2].split(",")
+    capsys.readouterr()
+    assert len(written) == 8
+    assert listed == written

@@ -163,6 +163,8 @@ RULE_FAULTS = {
             {"local_depth": 11},
             {"gauge": None},
             {"variant": "bogus", "gauge": None},
+            {"variant": "dim-one", "H_param": -1},
+            {"variant": "gauge", "H_param": "inf"},
         ],
     ),
 }

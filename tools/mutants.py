@@ -15,7 +15,7 @@ must pass). Then, for each mutant, it applies the mutant to a fresh copy and
 runs that mutant's targets again (at least one must fail). It prints KILLED
 or SURVIVED per mutant with the failing test ids and exits 1 when a mutant
 survives. The repository itself is never modified. It is not part of the
-test suite: a full run of 56 mutants, all KILLED, took 2 min 9 s on a shared
+test suite: a full run of 58 mutants, all KILLED, took 2 min 31 s on a shared
 2-core x86-64 VM.
 """
 
@@ -462,6 +462,22 @@ MUTANTS = {
         "    if band_hi >= depth:",
         "    if False:",
         [f"{CLI}::test_dimension_range_errors_name_their_keys"],
+    ),
+    # the dimension rule leaves H_param to build_convolved, which checks it
+    # under extreme alone: dim-one and gauge run on any value
+    "dimension-h-param-unchecked": (
+        "src/moranlab/cli.py",
+        "    if not 0 < values[\"H_param\"] < math.inf:  # NaN fails too\n",
+        "    if False:\n",
+        [f"{CLI}::test_dimension_h_param_is_range_checked_for_every_variant"],
+    ),
+    # the dimension rule takes any variant name: a typo without a gauge is
+    # reported as a variant that needs one
+    "dimension-variant-unchecked": (
+        "src/moranlab/cli.py",
+        "    if values[\"variant\"] not in (\"dim-one\", \"gauge\", \"extreme\"):\n",
+        "    if False:\n",
+        [f"{CLI}::test_dimension_unknown_variant_is_reported_as_unknown"],
     ),
     # a kind rule takes any kind: an unknown system kind runs as binary
     "kind-rule-takes-anything": (
